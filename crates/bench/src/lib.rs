@@ -15,7 +15,6 @@
 //! | `fig8`   | Fig. 8 — distribution of evolvable conditions |
 //! | `table6` | Table VI — component ablation |
 //! | `fig9`   | Fig. 9 — accuracy with exact vs approximate GraphNorm |
-//! | `kernels` | dense-kernel microbench — per-node GEMV vs batched GEMM, kernel GFLOP/s |
 //!
 //! All binaries accept `--scale <f>` (dataset scale factor, default 0.3),
 //! `--quick` (fewer scenarios), `--datasets PM,CA,...`, `--hidden <n>`.

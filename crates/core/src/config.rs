@@ -33,42 +33,25 @@ pub struct UpdateConfig {
     /// drift audits exist to bound. Off by default — it costs extra
     /// arithmetic and the monotonic path never needs it.
     pub compensated: bool,
-    /// Gather→GEMM→scatter transform in the next-messages phase: affected
-    /// rows are gathered into a contiguous scratch matrix, the layer update
-    /// and next-layer message run as one batched GEMM per layer, and the
-    /// results scatter back. Bitwise identical to the per-node path (the
-    /// kernel accumulates every output element in the same k order), so this
-    /// is purely a throughput knob.
-    pub batched_transform: bool,
-    /// Minimum next-target count before the batched transform engages —
-    /// below it the per-node path wins (packing the weight panel costs more
-    /// than it saves).
+    /// Minimum next-target count before the next-messages phase switches
+    /// from the per-node transform to gather→GEMM→scatter: affected rows are
+    /// gathered into a contiguous scratch matrix, the layer update and
+    /// next-layer message run as one batched GEMM per layer, and the results
+    /// scatter back. Below it the per-node path wins (packing the weight
+    /// panel costs more than it saves). Bitwise identical either way (the
+    /// kernel accumulates every output element in the same k order);
+    /// `usize::MAX` pins the per-node path, which is the reference the
+    /// equivalence tests compare against.
     pub batch_threshold: usize,
-    /// Batched aggregator recomputation in the apply phase: targets that
-    /// fall off the incremental path (exposed resets, empty-old
-    /// neighborhoods, forced recomputes) are grouped by event kind × degree
-    /// class, their neighbor messages gathered into contiguous panels, and
-    /// each panel folded with one batched reduction. Bitwise identical to
-    /// the per-target scalar loop (rows fold in the same order with the
-    /// same kernels), so this is purely a throughput knob.
-    pub batched_apply: bool,
-    /// Minimum deferred-recompute count per shard before the batched apply
-    /// path engages — below it the scalar per-target loop wins.
+    /// Minimum deferred-recompute count per shard before the apply phase
+    /// switches from the scalar per-target loop to batched aggregator
+    /// recomputation: targets that fall off the incremental path (exposed
+    /// resets, empty-old neighborhoods, forced recomputes) are grouped by
+    /// event kind × degree class, their neighbor messages gathered into
+    /// contiguous panels, and each panel folded with one batched reduction.
+    /// Bitwise identical either way (rows fold in the same order with the
+    /// same kernels); `usize::MAX` pins the scalar loop.
     pub apply_batch_threshold: usize,
-    /// Adaptive dispatch: pick sequential vs batched vs parallel execution
-    /// per update round from a calibrated cost model
-    /// ([`ink_gnn::cost::CostModel`]) instead of the static `parallel` /
-    /// `batched_*` switches. Every arm is bitwise-identical, so the model
-    /// only ever trades wall-clock. Off by default: fixed configurations
-    /// stay exactly reproducible run-over-run for benchmarks and tests.
-    pub adaptive: bool,
-    /// Rounds smaller than this many work items (directed ΔG edges + feature
-    /// seeds) skip the cost model and run sequentially — tiny updates must
-    /// never pay worker fan-out or panel packing overhead.
-    pub adaptive_min_work: usize,
-    /// How many observations the dispatcher collects per arm before it
-    /// starts exploiting the cost model.
-    pub adaptive_probes: u64,
 }
 
 impl Default for UpdateConfig {
@@ -81,13 +64,8 @@ impl Default for UpdateConfig {
             num_workers: 0,
             num_shards: 0,
             compensated: false,
-            batched_transform: true,
             batch_threshold: 8,
-            batched_apply: true,
             apply_batch_threshold: 8,
-            adaptive: false,
-            adaptive_min_work: 64,
-            adaptive_probes: 2,
         }
     }
 }
@@ -120,29 +98,6 @@ impl UpdateConfig {
     /// incremental path.
     pub fn compensated(mut self) -> Self {
         self.compensated = true;
-        self
-    }
-
-    /// Disables the batched gather→GEMM→scatter transform, forcing the
-    /// per-node path in the next-messages phase (equivalence tests, and the
-    /// per-node baseline of the kernels bench).
-    pub fn per_node_transform(mut self) -> Self {
-        self.batched_transform = false;
-        self
-    }
-
-    /// Disables the batched apply-phase recomputation, forcing the scalar
-    /// per-target aggregation loop (equivalence tests, and the per-target
-    /// baseline of the pipeline bench).
-    pub fn per_target_apply(mut self) -> Self {
-        self.batched_apply = false;
-        self
-    }
-
-    /// Enables per-round adaptive dispatch between the sequential, batched
-    /// and parallel execution plans.
-    pub fn adaptive(mut self) -> Self {
-        self.adaptive = true;
         self
     }
 
@@ -196,29 +151,6 @@ mod tests {
     fn compensated_is_opt_in() {
         assert!(!UpdateConfig::default().compensated);
         assert!(UpdateConfig::default().compensated().compensated);
-    }
-
-    #[test]
-    fn batched_transform_is_on_by_default_and_can_be_disabled() {
-        assert!(UpdateConfig::default().batched_transform);
-        assert!(UpdateConfig::default().batch_threshold >= 1);
-        assert!(!UpdateConfig::default().per_node_transform().batched_transform);
-    }
-
-    #[test]
-    fn batched_apply_is_on_by_default_and_can_be_disabled() {
-        assert!(UpdateConfig::default().batched_apply);
-        assert!(UpdateConfig::default().apply_batch_threshold >= 1);
-        assert!(!UpdateConfig::default().per_target_apply().batched_apply);
-    }
-
-    #[test]
-    fn adaptive_is_opt_in() {
-        let c = UpdateConfig::default();
-        assert!(!c.adaptive);
-        assert!(c.adaptive().adaptive);
-        assert!(c.adaptive_min_work > 0, "tiny rounds must short-circuit to sequential");
-        assert!(c.adaptive_probes > 0);
     }
 
     #[test]

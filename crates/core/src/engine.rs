@@ -42,7 +42,6 @@ use crate::pipeline::{
 };
 use crate::stats::{LayerStats, UpdateReport};
 use ink_graph::{DeltaBatch, DynGraph, EdgeChange, EdgeOp, FxHashMap, VertexId};
-use ink_gnn::cost::{CostModel, DispatchArm};
 use ink_gnn::full::{batch_aggregate_into, batch_message_into};
 use ink_gnn::{FullState, Model};
 use ink_tensor::gemm::{gather_rows_into, gather_rows_scaled_into};
@@ -72,11 +71,6 @@ struct RoundState {
     t0: Instant,
     nw: usize,
     ns: usize,
-    par_enabled: bool,
-    batched_tf: bool,
-    batched_ap: bool,
-    arm: Option<DispatchArm>,
-    round_work: usize,
     f32_read: u64,
     f32_written: u64,
     /// Wall time of the most recent [`InkStream::round_rescale`], folded
@@ -94,10 +88,6 @@ pub struct InkStream {
     hooks: Option<Box<dyn UserHooks>>,
     user_cache: Vec<Option<Matrix>>,
     scratch: ScratchPool,
-    /// Per-arm cost fits feeding the adaptive dispatcher
-    /// ([`UpdateConfig::adaptive`]). Persists across rounds so the model
-    /// keeps learning over the stream.
-    cost: CostModel,
     /// Ownership mask for partitioned operation (`None` = this engine owns
     /// every vertex). A non-owned ("ghost") vertex carries cached messages
     /// that mirror its owner's, but this engine never updates its α/h rows
@@ -158,7 +148,6 @@ impl InkStream {
             hooks,
             user_cache,
             scratch: ScratchPool::default(),
-            cost: CostModel::new(),
             owned: None,
             round: None,
         })
@@ -222,7 +211,6 @@ impl InkStream {
             hooks,
             user_cache,
             scratch: ScratchPool::default(),
-            cost: CostModel::new(),
             owned: None,
             round: None,
         })
@@ -256,12 +244,6 @@ impl InkStream {
     /// Replaces the update configuration (e.g. to switch ablation modes).
     pub fn set_config(&mut self, config: UpdateConfig) {
         self.config = config;
-    }
-
-    /// The adaptive dispatcher's cost model (sample counts and per-arm
-    /// predictions), for observability exports.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
     }
 
     /// Heap bytes reserved by the engine's reusable scratch pool. Stable
@@ -589,8 +571,8 @@ impl InkStream {
         self.round_finish()
     }
 
-    /// Opens a round: picks the execution plan, seeds the scratch pool, and
-    /// derives the covered-edge set and per-vertex net degree changes.
+    /// Opens a round: sizes and seeds the scratch pool, and derives the
+    /// covered-edge set and per-vertex net degree changes.
     fn round_start(
         &mut self,
         directed: Vec<(VertexId, VertexId, EdgeOp)>,
@@ -601,47 +583,16 @@ impl InkStream {
         let t0 = Instant::now();
         let k = self.model.num_layers();
         let cfg = self.config;
-
-        // Adaptive dispatch: pick this round's execution plan from the cost
-        // model. Every arm is bitwise-identical — worker/shard counts and the
-        // batched paths never change results — so the choice only trades
-        // wall-clock. Tiny rounds short-circuit to the sequential plan inside
-        // `choose` and never pay fan-out or panel packing.
-        let round_work = directed.len() + seeds0.len();
-        let arm = if cfg.adaptive {
-            Some(self.cost.choose(round_work, cfg.adaptive_min_work, cfg.adaptive_probes))
-        } else {
-            None
-        };
-        // The Sequential arm opts out of fan-out only: one worker, one
-        // shard, no rayon. It keeps the configured batched transform and
-        // apply paths (with their thresholds) because those win or tie at
-        // every round size — forcing them off would make the arm lose to a
-        // plain `sequential()` engine on the tiny rounds it exists to win.
-        // The Batched arm instead forces both batched paths on, thresholds
-        // notwithstanding, so the dispatcher can compare packing against
-        // the threshold-gated default.
-        let (nw, ns, par_enabled, batched_tf, batched_ap) = match arm {
-            Some(DispatchArm::Sequential) => {
-                (1, 1, false, cfg.batched_transform, cfg.batched_apply)
-            }
-            Some(DispatchArm::Batched) => (1, 1, false, true, true),
-            Some(DispatchArm::Parallel) | None => (
-                cfg.worker_count(),
-                cfg.shard_count(),
-                cfg.parallel,
-                cfg.batched_transform,
-                cfg.batched_apply,
-            ),
-        };
+        let (nw, ns) = (cfg.worker_count(), cfg.shard_count());
 
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.begin_round(k, nw, ns);
-        // The pool only ever grows (see `begin_round`), so after an adaptive
-        // arm switch there may be more pooled workers/shards than this
-        // round's `nw`/`ns`. Every phase below iterates only the first
-        // `nw` workers and `ns` shards — a sequential round must not pay
-        // per-shard walks over pool capacity left behind by a parallel one.
+        // The pool only ever grows (see `begin_round`), so after a
+        // `set_config` that lowers the worker/shard counts there may be more
+        // pooled workers/shards than this round's `nw`/`ns`. Every phase
+        // below iterates only the first `nw` workers and `ns` shards — a
+        // sequential round must not pay per-shard walks over pool capacity
+        // left behind by a parallel one.
         for l in 0..k {
             scratch.old.reset_layer(l, self.model.msg_dim(l));
         }
@@ -670,11 +621,6 @@ impl InkStream {
             t0,
             nw,
             ns,
-            par_enabled,
-            batched_tf,
-            batched_ap,
-            arm,
-            round_work,
             f32_read: 0,
             f32_written: 0,
             rescale_elapsed: std::time::Duration::ZERO,
@@ -732,8 +678,7 @@ impl InkStream {
         let mut rs = self.round.take().expect("round_rescale requires an active round");
         let t_rescale = Instant::now();
         let cfg = self.config;
-        let (nw, par_enabled) = (rs.nw, rs.par_enabled);
-        let ns = rs.ns;
+        let (nw, ns) = (rs.nw, rs.ns);
         let scratch = &mut rs.scratch;
         let degree_scaled = self.model.layer(l).conv.degree_scaled();
         let dim = self.model.msg_dim(l);
@@ -761,7 +706,7 @@ impl InkStream {
                         .copied(),
                 );
             }
-            let par = par_enabled && scratch.rescale_list.len() >= cfg.parallel_threshold;
+            let par = cfg.parallel && scratch.rescale_list.len() >= cfg.parallel_threshold;
             {
                 let ScratchPool { workers, rescale_list, .. } = &mut *scratch;
                 let workers = &mut workers[..nw];
@@ -883,7 +828,6 @@ impl InkStream {
         let k = self.model.num_layers();
         let cfg = self.config;
         let (nw, ns) = (rs.nw, rs.ns);
-        let (par_enabled, batched_tf, batched_ap) = (rs.par_enabled, rs.batched_tf, rs.batched_ap);
         let rescale_elapsed = std::mem::take(&mut rs.rescale_elapsed);
         let mut f32_read: u64 = 0;
         let mut f32_written: u64 = 0;
@@ -916,7 +860,7 @@ impl InkStream {
             }
 
             let gen_work = directed.len() + scratch.changed_order.len();
-            let par_generate = par_enabled && gen_work >= cfg.parallel_threshold;
+            let par_generate = cfg.parallel && gen_work >= cfg.parallel_threshold;
             {
                 let ScratchPool { workers, old, changed_order, covered, .. } = &mut *scratch;
                 let workers = &mut workers[..nw];
@@ -1019,7 +963,7 @@ impl InkStream {
             // Each shard reduces its buckets phase-major then worker-major —
             // exactly the sequential emission order restricted to the shard.
             let t_group = Instant::now();
-            let par_group = par_enabled && layer_stats.events_created >= cfg.parallel_threshold;
+            let par_group = cfg.parallel && layer_stats.events_created >= cfg.parallel_threshold;
             {
                 let ScratchPool { workers, shards, .. } = &mut *scratch;
                 let workers = &workers[..nw];
@@ -1056,7 +1000,7 @@ impl InkStream {
             // class, gathered into contiguous panels and folded with the
             // batched reduction kernels in pass 2.
             let t_apply = Instant::now();
-            let par_apply = par_enabled && total_targets >= cfg.parallel_threshold;
+            let par_apply = cfg.parallel && total_targets >= cfg.parallel_threshold;
             {
                 let this = &*self;
                 let ScratchPool { shards, .. } = &mut *scratch;
@@ -1139,8 +1083,7 @@ impl InkStream {
                     // it with the batched kernels — bitwise identical to the
                     // scalar loop because every target's rows still fold in
                     // the same order with the same kernels.
-                    if batched_ap && dim > 0 && recompute.len() >= cfg.apply_batch_threshold.max(1)
-                    {
+                    if dim > 0 && recompute.len() >= cfg.apply_batch_threshold.max(1) {
                         recompute.sort_unstable();
                         let mut g = 0;
                         while g < recompute.len() {
@@ -1304,12 +1247,9 @@ impl InkStream {
             // big enough, per-node otherwise — then commit sequentially.
             let t_next = Instant::now();
             let nt = scratch.next_targets.len();
-            let par_next = par_enabled && nt >= cfg.parallel_threshold;
-            let batched = batched_tf
-                && nt >= cfg.batch_threshold.max(1)
-                && dim > 0
-                && out_dim > 0
-                && prod_dim > 0;
+            let par_next = cfg.parallel && nt >= cfg.parallel_threshold;
+            let batched =
+                nt >= cfg.batch_threshold.max(1) && dim > 0 && out_dim > 0 && prod_dim > 0;
             if batched {
                 layer_stats.batched_rows = nt;
                 let ScratchPool {
@@ -1479,8 +1419,8 @@ impl InkStream {
         self.round = Some(rs);
     }
 
-    /// Closes the round: folds the totals into the report, feeds the
-    /// adaptive cost model, and returns the scratch pool to the engine.
+    /// Closes the round: folds the totals into the report and returns the
+    /// scratch pool to the engine.
     pub fn round_finish(&mut self) -> UpdateReport {
         let mut rs = self.round.take().expect("round_finish requires an active round");
         let mut report = std::mem::take(&mut rs.report);
@@ -1488,10 +1428,6 @@ impl InkStream {
         report.f32_read = rs.f32_read;
         report.f32_written = rs.f32_written;
         report.elapsed = rs.t0.elapsed();
-        if let Some(arm) = rs.arm {
-            self.cost.observe(arm, rs.round_work, report.elapsed.as_nanos() as u64);
-            report.dispatch = Some(arm);
-        }
         self.scratch = rs.scratch;
         report
     }
@@ -2001,7 +1937,8 @@ mod tests {
                 EdgeChange::remove(5, 6),
                 EdgeChange::insert(2, 8),
             ]);
-            let mut per_node = make(UpdateConfig::default().per_node_transform());
+            let mut per_node =
+                make(UpdateConfig { batch_threshold: usize::MAX, ..UpdateConfig::default() });
             let mut batched =
                 make(UpdateConfig { batch_threshold: 1, ..UpdateConfig::default() });
             let rp = per_node.apply_delta(&delta);
@@ -2035,7 +1972,7 @@ mod tests {
                     EdgeChange::remove(12, 13),
                     EdgeChange::insert(2, 18),
                 ]);
-                let mut scalar = make(base.per_target_apply());
+                let mut scalar = make(UpdateConfig { apply_batch_threshold: usize::MAX, ..base });
                 let mut batched = make(UpdateConfig { apply_batch_threshold: 1, ..base });
                 let mut sharded = make(UpdateConfig {
                     apply_batch_threshold: 1,
@@ -2059,69 +1996,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn adaptive_dispatch_is_bitwise_equal_and_exercises_every_arm() {
-        for agg in [Aggregator::Max, Aggregator::Mean] {
-            let make = |cfg: UpdateConfig| {
-                let mut rng = seeded_rng(42);
-                let model = Model::gcn(&mut rng, &[4, 6, 3], agg);
-                InkStream::new(model, ring(32), feats(32, 4), cfg).unwrap()
-            };
-            let mut reference = make(UpdateConfig::default().sequential());
-            let mut adaptive = make(UpdateConfig {
-                adaptive_min_work: 0,
-                adaptive_probes: 1,
-                parallel_threshold: 0,
-                num_workers: 2,
-                num_shards: 4,
-                ..UpdateConfig::default().adaptive()
-            });
-            let mut seen = std::collections::HashSet::new();
-            for i in 0..8u32 {
-                let delta = DeltaBatch::new(vec![
-                    EdgeChange::insert(i, i + 16),
-                    EdgeChange::remove(i + 8, i + 9),
-                ]);
-                reference.apply_delta(&delta);
-                let r = adaptive.apply_delta(&delta);
-                seen.insert(r.dispatch.expect("adaptive rounds must report their arm"));
-                assert_eq!(
-                    adaptive.output(),
-                    reference.output(),
-                    "{agg:?}: round {i} diverged under adaptive dispatch"
-                );
-            }
-            assert_eq!(seen.len(), 3, "{agg:?}: probing must exercise every arm, saw {seen:?}");
-        }
-    }
-
-    #[test]
-    fn adaptive_min_work_short_circuits_small_rounds_to_sequential() {
-        let mut rng = seeded_rng(43);
-        let model = Model::gcn(&mut rng, &[4, 5, 3], Aggregator::Max);
-        let mut engine = InkStream::new(
-            model,
-            ring(16),
-            feats(16, 4),
-            UpdateConfig::default().adaptive(),
-        )
-        .unwrap();
-        // One undirected insert = two directed work items, far below the
-        // default `adaptive_min_work`.
-        for i in 0..4u32 {
-            let r = engine.apply_delta(&DeltaBatch::new(vec![EdgeChange::insert(i, i + 8)]));
-            assert_eq!(r.dispatch, Some(ink_gnn::cost::DispatchArm::Sequential));
-        }
-        assert_eq!(engine.output(), &engine.recompute_reference());
-        // Non-adaptive engines never report a dispatch arm.
-        let mut rng = seeded_rng(43);
-        let model = Model::gcn(&mut rng, &[4, 5, 3], Aggregator::Max);
-        let mut fixed =
-            InkStream::new(model, ring(16), feats(16, 4), UpdateConfig::default()).unwrap();
-        let r = fixed.apply_delta(&DeltaBatch::new(vec![EdgeChange::insert(0, 8)]));
-        assert_eq!(r.dispatch, None);
     }
 
     #[test]

@@ -62,6 +62,5 @@ pub use session::{
     AuditKind, DriftAction, DriftError, DriftPolicy, DriftStats, IngestReport, ServeStats,
     SessionConfig, SessionSummary, StreamSession, DEFAULT_TRACE_CAPACITY,
 };
-pub use ink_gnn::cost::DispatchArm;
 pub use snapshot::{EmbeddingSnapshot, SnapshotPublisher, SnapshotReader};
 pub use stats::{ConditionCounts, LayerStats, PhaseTimes, UpdateReport};

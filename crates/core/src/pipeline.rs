@@ -281,10 +281,9 @@ impl WorkerScratch {
         self.arena.reset(dim);
         self.rescaled.clear();
         for b in [&mut self.dg, &mut self.fx] {
-            // Grow-only, like the pool itself: shrinking on an adaptive arm
-            // flip would drop bucket allocations just to re-grow them on the
-            // flip back. Buckets beyond this round's shard count are cleared
-            // too so `events_emitted` never counts a previous round's events.
+            // Grow-only, like the pool itself. Buckets beyond this round's
+            // shard count are cleared too so `events_emitted` never counts a
+            // previous round's events.
             if b.len() < shards {
                 b.resize_with(shards, Vec::new);
             }
@@ -411,12 +410,12 @@ impl ScratchPool {
     /// Prepares the pool for a round of `layers` layers with `workers`
     /// generation workers and `shards` target shards.
     ///
-    /// Worker and shard vectors only ever *grow*: the adaptive dispatcher
-    /// alternates between the sequential 1×1 plan and the configured fan-out,
-    /// and shrinking here would drop the idle scratches' warm allocations on
-    /// every flip. Excess workers get empty chunks from
-    /// [`worker_chunk`] and excess shards receive no targets from
-    /// [`shard_of`], so the phases can keep iterating the whole vectors.
+    /// Worker and shard vectors only ever *grow*: `set_config` may lower the
+    /// counts between rounds, and shrinking here would drop the idle
+    /// scratches' warm allocations only to rebuild them when the counts go
+    /// back up. Excess workers get empty chunks from [`worker_chunk`] and
+    /// excess shards receive no targets from [`shard_of`], so the phases can
+    /// keep iterating the whole vectors.
     pub fn begin_round(&mut self, layers: usize, workers: usize, shards: usize) {
         if self.workers.len() < workers {
             self.workers.resize_with(workers, WorkerScratch::default);

@@ -35,7 +35,6 @@
 
 use crate::json::{rounded, Json};
 use crate::{InkStream, PhaseTimes, UpdateReport};
-use ink_gnn::cost::DispatchArm;
 use ink_graph::{DeltaBatch, VertexId};
 use ink_obs::{Counter, Gauge, Histogram, MetricsRegistry, Tracer};
 use std::collections::VecDeque;
@@ -423,9 +422,6 @@ struct SessionInstruments {
     gemm_batch_rows: Arc<Histogram>,
     apply_rows: Arc<Counter>,
     apply_batch_rows: Arc<Histogram>,
-    /// Rounds executed per dispatcher arm, in [`DispatchArm::ALL`] order.
-    /// Fixed-configuration rounds increment nothing.
-    dispatch: [Arc<Counter>; 3],
 }
 
 /// Pipeline phase names, in execution order (also the tracer span names).
@@ -505,12 +501,6 @@ impl SessionInstruments {
                 "ink_apply_batch_rows",
                 "Per-layer batched apply-phase row counts (batched layers only)",
             ),
-            dispatch: DispatchArm::ALL.map(|arm| {
-                r.counter(
-                    &format!("ink_dispatch_{}_total", arm.name()),
-                    "Update rounds the adaptive dispatcher ran with this arm",
-                )
-            }),
         }
     }
 }
@@ -674,10 +664,6 @@ impl StreamSession {
                 if layer.batched_apply_rows > 0 {
                     self.inst.apply_batch_rows.record(layer.batched_apply_rows as u64);
                 }
-            }
-            if let Some(arm) = r.dispatch {
-                let i = DispatchArm::ALL.iter().position(|&a| a == arm).expect("ALL is total");
-                self.inst.dispatch[i].inc();
             }
             self.record_phases(t, elapsed, &r.phase_times());
         }
@@ -1040,9 +1026,6 @@ mod tests {
         assert!(scrape.contains("ink_gemm_batch_rows"), "row histogram must be registered");
         assert!(scrape.contains("ink_apply_rows_total"), "apply row counter must be registered");
         assert!(scrape.contains("ink_apply_batch_rows"), "apply histogram must be registered");
-        assert!(scrape.contains("ink_dispatch_sequential_total"), "dispatch counters registered");
-        assert!(scrape.contains("ink_dispatch_batched_total"));
-        assert!(scrape.contains("ink_dispatch_parallel_total"));
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! and Tables V and VI.
 
 use crate::monotonic::Condition;
-use ink_gnn::cost::DispatchArm;
 use std::time::Duration;
 
 /// Wall-clock time spent in each phase of the per-layer update pipeline.
@@ -160,9 +159,6 @@ pub struct UpdateReport {
     /// Floating-point operations spent in batched GEMM kernels during the
     /// next-messages phase (0 when every layer took the per-node path).
     pub gemm_flops: u64,
-    /// The execution plan the adaptive dispatcher chose for this round;
-    /// `None` when the engine ran with a fixed (non-adaptive) configuration.
-    pub dispatch: Option<DispatchArm>,
     /// The *worst* (most expensive) condition each monotonic target hit
     /// across layers — the per-node view behind the paper's Fig. 8. Nodes of
     /// the theoretical affected area that are absent here were never even
@@ -214,10 +210,10 @@ impl UpdateReport {
     /// partitioned-engine summary path, where each partition contributes one
     /// report for the *same* logical round. Counters and per-layer stats
     /// sum; `elapsed` takes the maximum (partitions run concurrently, so
-    /// the round's wall time is the slowest partition's); `dispatch` keeps
-    /// the first recorded arm; `per_node_condition` keeps each node's worst
-    /// condition should the same node appear in both (it normally cannot —
-    /// every target is owned by exactly one partition).
+    /// the round's wall time is the slowest partition's);
+    /// `per_node_condition` keeps each node's worst condition should the same
+    /// node appear in both (it normally cannot — every target is owned by
+    /// exactly one partition).
     pub fn absorb(&mut self, other: &UpdateReport) {
         if self.per_layer.len() < other.per_layer.len() {
             self.per_layer.resize_with(other.per_layer.len(), LayerStats::default);
@@ -233,9 +229,6 @@ impl UpdateReport {
         self.f32_written += other.f32_written;
         self.skipped_changes += other.skipped_changes;
         self.gemm_flops += other.gemm_flops;
-        if self.dispatch.is_none() {
-            self.dispatch = other.dispatch;
-        }
         for (&v, &c) in &other.per_node_condition {
             self.per_node_condition
                 .entry(v)

@@ -107,199 +107,6 @@ impl CostMeter {
     }
 }
 
-/// An execution strategy the adaptive dispatcher can pick for one update
-/// round. Every arm produces bitwise-identical results (the engine's
-/// worker/shard and batched paths are equivalence-tested), so switching arms
-/// mid-stream is purely a performance decision.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum DispatchArm {
-    /// One worker, one shard, scalar kernels — no fan-out, no packing. The
-    /// cheapest machinery; optimal for tiny deltas (|ΔG| ≈ 1) where worker
-    /// fan-out and panel packing cost more than the work itself.
-    Sequential,
-    /// One worker, one shard, but with the batched (gather → panel-fold /
-    /// GEMM → scatter) apply and transform paths enabled.
-    Batched,
-    /// Configured worker/shard fan-out plus the batched paths.
-    Parallel,
-}
-
-impl DispatchArm {
-    /// All arms, in machinery-cost order (cheapest first). `choose` breaks
-    /// prediction ties toward the earlier arm.
-    pub const ALL: [DispatchArm; 3] =
-        [DispatchArm::Sequential, DispatchArm::Batched, DispatchArm::Parallel];
-
-    /// Stable lowercase name (metric labels, bench JSON).
-    pub fn name(self) -> &'static str {
-        match self {
-            DispatchArm::Sequential => "sequential",
-            DispatchArm::Batched => "batched",
-            DispatchArm::Parallel => "parallel",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            DispatchArm::Sequential => 0,
-            DispatchArm::Batched => 1,
-            DispatchArm::Parallel => 2,
-        }
-    }
-}
-
-/// Exponential forgetting factor for the per-arm fits: each new observation
-/// decays the old evidence by this much, giving an effective window of ~10
-/// rounds so the model tracks cache-warmth and load changes.
-const FIT_DECAY: f64 = 0.9;
-
-/// After this many exploited decisions the dispatcher re-probes one arm
-/// round-robin, so a stale fit cannot lock in a wrong choice forever.
-const REPROBE_EVERY: u64 = 64;
-
-/// Decayed least-squares fit of `round_nanos ≈ a + b · items` for one arm.
-#[derive(Clone, Copy, Debug, Default)]
-struct ArmFit {
-    w: f64,
-    sx: f64,
-    sy: f64,
-    sxx: f64,
-    sxy: f64,
-    samples: u64,
-}
-
-impl ArmFit {
-    fn observe(&mut self, x: f64, y: f64) {
-        self.w = self.w * FIT_DECAY + 1.0;
-        self.sx = self.sx * FIT_DECAY + x;
-        self.sy = self.sy * FIT_DECAY + y;
-        self.sxx = self.sxx * FIT_DECAY + x * x;
-        self.sxy = self.sxy * FIT_DECAY + x * y;
-        self.samples += 1;
-    }
-
-    fn predict(&self, x: f64) -> Option<f64> {
-        if self.samples == 0 || self.w <= 0.0 {
-            return None;
-        }
-        let mean_x = self.sx / self.w;
-        let mean_y = self.sy / self.w;
-        let denom = self.w * self.sxx - self.sx * self.sx;
-        // Guard against a degenerate design (all observations at ~one size):
-        // fall back to proportional extrapolation through the mean.
-        let spread_ok = denom > 1e-9 * self.w * self.sxx.max(1.0);
-        let pred = if spread_ok {
-            let b = (self.w * self.sxy - self.sx * self.sy) / denom;
-            let a = mean_y - b * mean_x;
-            a + b * x
-        } else if mean_x > 0.0 {
-            mean_y * x / mean_x
-        } else {
-            mean_y
-        };
-        Some(pred.max(0.0))
-    }
-}
-
-/// Calibrated per-round cost model behind the engine's adaptive dispatcher.
-///
-/// The model keeps one decayed linear fit of round latency vs. round size
-/// per [`DispatchArm`], fed with the same per-round wall-clock measurements
-/// the session layer exports as the `ink_pipeline_phase_*` histograms.
-/// [`CostModel::choose`] picks the arm with the lowest predicted cost for the
-/// incoming round, after (a) short-circuiting tiny rounds straight to
-/// [`DispatchArm::Sequential`] — they should never pay fan-out overhead —
-/// and (b) probing each arm a configurable number of times so every fit has
-/// evidence before the model starts exploiting it.
-#[derive(Debug, Default)]
-pub struct CostModel {
-    fits: [ArmFit; 3],
-    decisions: u64,
-}
-
-impl CostModel {
-    /// A model with no evidence; the first eligible rounds probe each arm.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records that a round of `items` work units ran on `arm` in `nanos`.
-    pub fn observe(&mut self, arm: DispatchArm, items: usize, nanos: u64) {
-        self.fits[arm.index()].observe(items as f64, nanos as f64);
-    }
-
-    /// Observations recorded for `arm` (before decay; monotonic).
-    pub fn samples(&self, arm: DispatchArm) -> u64 {
-        self.fits[arm.index()].samples
-    }
-
-    /// Predicted round latency in nanoseconds for `items` work units on
-    /// `arm`, or `None` before any observation.
-    pub fn predict(&self, arm: DispatchArm, items: usize) -> Option<f64> {
-        self.fits[arm.index()].predict(items as f64)
-    }
-
-    /// Picks the arm for a round of `items` work units.
-    ///
-    /// Rounds below `min_work` go to [`DispatchArm::Sequential`] outright —
-    /// the short-circuit that stops |ΔG|=1 updates from paying worker
-    /// fan-out. Larger rounds probe arms with fewer than `probes`
-    /// observations (round-robin across arms), re-probe round-robin
-    /// every `REPROBE_EVERY`-th decision, and otherwise exploit the
-    /// lowest predicted cost, breaking ties toward the cheaper machinery.
-    pub fn choose(&mut self, items: usize, min_work: usize, probes: u64) -> DispatchArm {
-        if items < min_work {
-            return DispatchArm::Sequential;
-        }
-        // Probe round-robin (S, B, P, S, B, P, …) rather than in per-arm
-        // blocks: consecutive rounds share transient conditions (first-round
-        // pool growth, cache warmth from an adjacent engine in a bench
-        // harness), and block probing would hand all of one arm's evidence
-        // to the same transient. Pick the least-sampled arm, ties toward
-        // the cheaper machinery.
-        if let Some(arm) = DispatchArm::ALL
-            .into_iter()
-            .filter(|&a| self.samples(a) < probes)
-            .min_by_key(|&a| self.samples(a))
-        {
-            return arm;
-        }
-        self.decisions += 1;
-        if probes > 0 && self.decisions.is_multiple_of(REPROBE_EVERY) {
-            return DispatchArm::ALL[(self.decisions / REPROBE_EVERY) as usize % 3];
-        }
-        let mut best = DispatchArm::Sequential;
-        let mut best_cost = f64::INFINITY;
-        for arm in DispatchArm::ALL {
-            let cost = self.predict(arm, items).unwrap_or(f64::INFINITY);
-            if cost < best_cost {
-                best = arm;
-                best_cost = cost;
-            }
-        }
-        best
-    }
-
-    /// Publishes per-arm sample counts and predicted costs at `items` as
-    /// gauges named `<prefix>_<arm>_samples` / `<prefix>_<arm>_pred_ns`.
-    pub fn export(&self, registry: &ink_obs::MetricsRegistry, prefix: &str, items: usize) {
-        for arm in DispatchArm::ALL {
-            registry
-                .gauge(
-                    &format!("{prefix}_{}_samples", arm.name()),
-                    "Dispatcher cost-model observations for this arm",
-                )
-                .set_u64(self.samples(arm));
-            registry
-                .gauge(
-                    &format!("{prefix}_{}_pred_ns", arm.name()),
-                    "Predicted round latency (ns) at the last observed round size",
-                )
-                .set_u64(self.predict(arm, items).unwrap_or(0.0) as u64);
-        }
-    }
-}
-
 /// Percentage reduction of `ours` relative to `baseline`
 /// (`100 · (1 − ours/baseline)`), clamped below at 0.
 pub fn reduction_pct(baseline: u64, ours: u64) -> f64 {
@@ -382,74 +189,6 @@ mod tests {
         m.read(1);
         m.export(&registry, "ink_gnn_test");
         assert!(registry.render_prometheus().contains("ink_gnn_test_reads 101"));
-    }
-
-    #[test]
-    fn dispatcher_short_circuits_tiny_rounds_to_sequential() {
-        let mut m = CostModel::new();
-        // Even with evidence that another arm is faster, tiny rounds never
-        // pay fan-out.
-        for _ in 0..8 {
-            m.observe(DispatchArm::Parallel, 1000, 10);
-            m.observe(DispatchArm::Sequential, 1000, 1_000_000);
-            m.observe(DispatchArm::Batched, 1000, 1_000_000);
-        }
-        assert_eq!(m.choose(2, 64, 2), DispatchArm::Sequential);
-        assert_eq!(m.choose(63, 64, 2), DispatchArm::Sequential);
-        assert_eq!(m.choose(64, 64, 2), DispatchArm::Parallel, "at-threshold rounds exploit");
-    }
-
-    #[test]
-    fn dispatcher_probes_every_arm_before_exploiting() {
-        let mut m = CostModel::new();
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..6 {
-            let arm = m.choose(1000, 64, 2);
-            seen.insert(arm);
-            m.observe(arm, 1000, 1_000);
-        }
-        assert_eq!(seen.len(), 3, "all three arms must be probed: {seen:?}");
-    }
-
-    #[test]
-    fn dispatcher_learns_the_cheaper_arm() {
-        let mut m = CostModel::new();
-        // Sequential: 100 ns/item; Batched: 40 ns/item; Parallel: high fixed
-        // cost + 10 ns/item. At 100 items batched wins; at 100k parallel wins.
-        for items in [100usize, 200, 400] {
-            m.observe(DispatchArm::Sequential, items, (items * 100) as u64);
-            m.observe(DispatchArm::Batched, items, (items * 40) as u64);
-            m.observe(DispatchArm::Parallel, items, 500_000 + (items * 10) as u64);
-        }
-        assert_eq!(m.choose(100, 64, 2), DispatchArm::Batched);
-        assert_eq!(m.choose(100_000, 64, 2), DispatchArm::Parallel);
-    }
-
-    #[test]
-    fn fit_predicts_linear_cost() {
-        let mut m = CostModel::new();
-        m.observe(DispatchArm::Sequential, 10, 1_100); // 100 + 100·x
-        m.observe(DispatchArm::Sequential, 20, 2_100);
-        let p = m.predict(DispatchArm::Sequential, 40).unwrap();
-        assert!((p - 4_100.0).abs() < 1.0, "expected ~4100, got {p}");
-        // Degenerate design (one size observed) extrapolates proportionally.
-        let mut d = CostModel::new();
-        d.observe(DispatchArm::Batched, 10, 1_000);
-        let p = d.predict(DispatchArm::Batched, 20).unwrap();
-        assert!((p - 2_000.0).abs() < 1.0, "expected ~2000, got {p}");
-        assert!(m.predict(DispatchArm::Parallel, 5).is_none(), "no evidence yet");
-    }
-
-    #[test]
-    fn dispatcher_exports_gauges() {
-        let mut m = CostModel::new();
-        m.observe(DispatchArm::Sequential, 10, 1_000);
-        let registry = ink_obs::MetricsRegistry::new();
-        m.export(&registry, "ink_dispatch_test", 10);
-        let text = registry.render_prometheus();
-        assert!(text.contains("ink_dispatch_test_sequential_samples 1"), "{text}");
-        assert!(text.contains("ink_dispatch_test_parallel_samples 0"), "{text}");
-        assert!(text.contains("ink_dispatch_test_sequential_pred_ns 1000"), "{text}");
     }
 
     #[test]

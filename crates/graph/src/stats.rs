@@ -58,8 +58,8 @@ pub fn degree_histogram(g: &DynGraph) -> Vec<usize> {
 
 /// Quality measures of a vertex partitioning — how good an edge cut a
 /// partitioner produced and how evenly it spread the vertices. Computed by
-/// [`partition_quality`]; the partition bench artifact and the greedy/hash
-/// partitioner comparisons report these.
+/// [`partition_quality`]; `PartitionSummary` and the repo benchmark's
+/// `partition.*` metrics report these.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PartitionQuality {
     /// Number of partitions the assignment names (its maximum label + 1,

@@ -12,7 +12,7 @@
 //!    message rows.
 //! 2. **`round_begin`** on every engine (graph mutation + seeds, owner-side
 //!    only thanks to each engine's ownership mask).
-//! 3. Per layer `l`: `round_rescale(l)` on every engine (scoped threads) →
+//! 3. Per layer `l`: `round_rescale(l)` on every engine (pool workers) →
 //!    **boundary exchange** (each owner's recorded layer-`l` rows are pushed
 //!    to every mirror via `round_ingest_refresh`) → `round_process(l)` on
 //!    every engine.
@@ -61,19 +61,6 @@ pub type ModelFactory = Box<dyn Fn() -> Model + Send + Sync>;
 /// targeting the vertex whose message changed.
 pub type HooksFactory = Box<dyn Fn() -> Box<dyn UserHooks> + Send + Sync>;
 
-/// How a parallel round step executes across the partition engines.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ApplyExecutor {
-    /// Persistent parked worker threads woken per step over a
-    /// condvar/epoch-counter barrier ([`crate::pool::WorkerPool`]). Panics
-    /// poison the pool into [`InkError::WorkerPanic`] instead of aborting.
-    #[default]
-    Pool,
-    /// Legacy per-round `std::thread::scope` spawns — kept for A/B
-    /// benchmarking against the pool; a worker panic aborts the process.
-    ScopedSpawn,
-}
-
 /// Tunables of the partitioned driver.
 #[derive(Clone, Copy, Debug)]
 pub struct PartitionConfig {
@@ -83,16 +70,12 @@ pub struct PartitionConfig {
     pub update: UpdateConfig,
     /// Session-layer settings: ingest batching, drift policy, latency window.
     pub session: SessionConfig,
-    /// Step the partitions on worker threads (`false` = serial, same
-    /// results — parallelism only trades wall-clock).
+    /// Step the partitions on the persistent [`WorkerPool`] (`false` =
+    /// serial on the caller's thread, same results — parallelism only
+    /// trades wall-clock). A single partition always steps serially.
     pub parallel: bool,
-    /// Which parallel executor drives round steps (ignored when
-    /// `parallel` is false).
-    pub executor: ApplyExecutor,
     /// Pool worker-thread count (`None` = one per partition, clamped to
-    /// `[1, parts]`). The `INK_PARTITION_POOL_WORKERS` environment variable
-    /// overrides a `None` here — CI uses it to pin the degenerate 1-worker
-    /// config without code changes.
+    /// `[1, parts]`).
     pub pool_workers: Option<usize>,
 }
 
@@ -103,7 +86,6 @@ impl Default for PartitionConfig {
             update: UpdateConfig::default(),
             session: SessionConfig::default(),
             parallel: true,
-            executor: ApplyExecutor::Pool,
             pool_workers: None,
         }
     }
@@ -215,8 +197,9 @@ pub struct PartitionedInkStream {
     walls: Vec<Duration>,
     registry: Arc<MetricsRegistry>,
     inst: PartitionInstruments,
-    /// Persistent worker pool (the default parallel executor). `None` when
-    /// stepping serially or via the legacy scoped-spawn arm.
+    /// Persistent worker pool. `None` when stepping serially (`parallel`
+    /// off, or a single partition — nothing to overlap with, so a wake +
+    /// park per layer step would be pure overhead).
     pool: Option<WorkerPool>,
 }
 
@@ -297,17 +280,8 @@ impl PartitionedInkStream {
         inst.replicas.set_u64(table.total_mirrors() as u64);
         let sample_state = cfg.session.drift.seed;
         let router = DeltaRouter::new(assignment, parts, graph.is_directed());
-        let pool = (cfg.parallel && cfg.executor == ApplyExecutor::Pool).then(|| {
-            let workers = cfg
-                .pool_workers
-                .or_else(|| {
-                    std::env::var("INK_PARTITION_POOL_WORKERS")
-                        .ok()
-                        .and_then(|s| s.parse().ok())
-                })
-                .unwrap_or(parts);
-            WorkerPool::new(parts, workers, &registry)
-        });
+        let pool = (cfg.parallel && parts > 1)
+            .then(|| WorkerPool::new(parts, cfg.pool_workers.unwrap_or(parts), &registry));
         Ok(Self {
             engines,
             router,
@@ -704,11 +678,11 @@ impl PartitionedInkStream {
         Ok(report)
     }
 
-    /// Runs `op` over every engine — through the persistent pool by default,
-    /// legacy scoped threads or serially when configured — and accumulates
-    /// per-partition wall time plus the straggler skew. On a worker panic
-    /// the surviving engines' rounds are aborted (restoring the "no active
-    /// round" invariant `resync` relies on) and the typed error propagates.
+    /// Runs `op` over every engine — through the persistent pool, or serially
+    /// when there is none — and accumulates per-partition wall time plus the
+    /// straggler skew. On a worker panic the surviving engines' rounds are
+    /// aborted (restoring the "no active round" invariant `resync` relies
+    /// on) and the typed error propagates.
     fn step(&mut self, op: StepOp) -> Result<(), InkError> {
         let durations: Vec<Duration> = if let Some(pool) = &self.pool {
             match pool.step(&mut self.engines, op) {
@@ -723,30 +697,12 @@ impl PartitionedInkStream {
                     });
                 }
             }
-        } else if self.cfg.parallel && self.engines.len() > 1 {
-            let mut out = vec![Duration::ZERO; self.engines.len()];
-            std::thread::scope(|s| {
-                for (e, slot) in self.engines.iter_mut().zip(out.iter_mut()) {
-                    s.spawn(move || {
-                        let t = Instant::now();
-                        match op {
-                            StepOp::Rescale(l) => e.round_rescale(l),
-                            StepOp::Process(l) => e.round_process(l),
-                        }
-                        *slot = t.elapsed();
-                    });
-                }
-            });
-            out
         } else {
             self.engines
                 .iter_mut()
                 .map(|e| {
                     let t = Instant::now();
-                    match op {
-                        StepOp::Rescale(l) => e.round_rescale(l),
-                        StepOp::Process(l) => e.round_process(l),
-                    }
+                    op.run(e);
                     t.elapsed()
                 })
                 .collect()
@@ -1106,38 +1062,49 @@ mod tests {
     }
 
     #[test]
-    fn pool_scoped_spawn_and_narrow_pool_agree() {
+    fn single_partition_steps_inline_without_a_pool() {
+        let (mut single, mut parted) = setup(1);
+        assert!(parted.cfg.parallel, "the default config asks for the pool");
+        assert!(parted.pool.is_none(), "one partition has nothing to overlap with");
+        let delta = DeltaBatch::new(vec![EdgeChange::insert(0, 13), EdgeChange::remove(1, 2)]);
+        single.apply_delta(&delta);
+        parted.apply_delta(&delta);
+        assert_eq!(&parted.output(), single.output());
+    }
+
+    #[test]
+    fn pool_narrow_pool_and_serial_agree() {
         let mut rng = seeded_rng(11);
         let g = erdos_renyi(&mut rng, 22, 50);
         let x = uniform(&mut rng, 22, 4, -1.0, 1.0);
-        let mk = |executor, pool_workers| {
+        let mk = |parallel, pool_workers| {
             PartitionedInkStream::new(
                 || gcn(9),
                 g.clone(),
                 x.clone(),
                 HashPartitioner,
-                PartitionConfig { parts: 4, executor, pool_workers, ..Default::default() },
+                PartitionConfig { parts: 4, parallel, pool_workers, ..Default::default() },
             )
             .unwrap()
         };
-        let mut pool = mk(ApplyExecutor::Pool, None);
-        let mut scoped = mk(ApplyExecutor::ScopedSpawn, None);
-        let mut narrow = mk(ApplyExecutor::Pool, Some(1));
-        assert_eq!(narrow.pool.as_ref().unwrap().workers(), 1);
+        let mut pool = mk(true, None);
+        let mut narrow = mk(true, Some(1));
+        let mut serial = mk(false, None);
         assert_eq!(pool.pool.as_ref().unwrap().workers(), 4);
-        assert!(scoped.pool.is_none());
+        assert_eq!(narrow.pool.as_ref().unwrap().workers(), 1);
+        assert!(serial.pool.is_none());
         let delta = DeltaBatch::new(vec![
             EdgeChange::insert(0, 13),
             EdgeChange::insert(7, 19),
             EdgeChange::remove(0, 13),
         ]);
+        let rs = serial.apply_delta(&delta);
         let rp = pool.apply_delta(&delta);
-        let rs = scoped.apply_delta(&delta);
         let rn = narrow.apply_delta(&delta);
-        assert_eq!(pool.output(), scoped.output());
-        assert_eq!(pool.output(), narrow.output());
+        assert_eq!(pool.output(), serial.output());
+        assert_eq!(narrow.output(), serial.output());
         assert_eq!(rp.output_changed, rs.output_changed);
-        assert_eq!(rp.output_changed, rn.output_changed);
+        assert_eq!(rn.output_changed, rs.output_changed);
     }
 
     #[test]

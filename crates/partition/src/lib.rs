@@ -73,9 +73,7 @@ pub mod pool;
 pub mod replication;
 pub mod router;
 
-pub use engine::{
-    ApplyExecutor, PartitionConfig, PartitionError, PartitionSummary, PartitionedInkStream,
-};
+pub use engine::{PartitionConfig, PartitionError, PartitionSummary, PartitionedInkStream};
 pub use partitioner::{GreedyEdgeCut, HashPartitioner, Partitioner};
 pub use pool::{PoolPanic, StepOp, WorkerPool};
 pub use replication::ReplicationTable;

@@ -1,7 +1,7 @@
 //! Persistent partition worker pool.
 //!
-//! PR 10 replaces the per-round `std::thread::scope` spawns of the BSP driver
-//! with one long-lived, parked worker thread per partition. A round step is a
+//! The BSP driver steps its engines on one long-lived, parked worker thread
+//! per partition instead of spawning threads every round. A round step is a
 //! condvar/epoch-counter barrier:
 //!
 //! 1. The driver publishes the [`StepOp`] and one raw engine pointer per
@@ -45,7 +45,7 @@ pub enum StepOp {
 }
 
 impl StepOp {
-    fn run(self, e: &mut InkStream) {
+    pub(crate) fn run(self, e: &mut InkStream) {
         match self {
             StepOp::Rescale(l) => e.round_rescale(l),
             StepOp::Process(l) => e.round_process(l),

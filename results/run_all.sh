@@ -11,9 +11,6 @@ B=./target/release
 { time $B/fig9                          ; } > results/fig9.txt   2> results/fig9.log
 { time $B/memcost --scale 0.25          ; } > results/memcost.txt 2> results/memcost.log
 { time $B/fig7   --scale 0.25           ; } > results/fig7.txt   2> results/fig7.log
-{ time $B/pipeline                      ; } > /dev/null          2> results/pipeline.log
-{ time $B/kernels                       ; } > /dev/null          2> results/kernels.log
 { time $B/drift                         ; } > /dev/null          2> results/drift.log
 { time $B/serve  --scale 0.25           ; } > /dev/null          2> results/serve.log
-{ time $B/partition --scale 0.25        ; } > /dev/null          2> results/partition.log
 echo ALL_DONE

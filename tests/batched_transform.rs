@@ -11,7 +11,10 @@
 //!   deferred targets' neighborhoods into panels and folding them with the
 //!   row-panel aggregator kernels replays the exact per-target reduction
 //!   order, so the batched engine also runs with `apply_batch_threshold: 1`
-//!   here while the reference engine uses `per_target_apply()`.
+//!   here. The reference engine pins both scalar paths with
+//!   `batch_threshold` / `apply_batch_threshold` = `usize::MAX`.
+//! * At the shipped default thresholds the size-based selection takes the
+//!   scalar side on a small round and the batched side on a large one.
 //! * Repeated recompute epochs (`resync`) on a hook-free engine reuse the
 //!   cached matrices and pooled temporaries — reserved bytes stay flat.
 
@@ -41,6 +44,16 @@ fn model_for(kind: u8, rng: &mut StdRng, agg: Aggregator) -> Model {
     }
 }
 
+/// The bitwise oracle: thresholds no round can reach, so both phases stay on
+/// their scalar per-node / per-target paths.
+fn scalar() -> UpdateConfig {
+    UpdateConfig {
+        batch_threshold: usize::MAX,
+        apply_batch_threshold: usize::MAX,
+        ..UpdateConfig::default()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -66,7 +79,7 @@ proptest! {
             let model = model_for(kind, &mut rng, agg);
             InkStream::new(model, g.clone(), x, cfg).unwrap()
         };
-        let mut per_node = make(UpdateConfig::default().per_node_transform().per_target_apply());
+        let mut per_node = make(scalar());
         let mut batched = make(UpdateConfig {
             batch_threshold: 1,
             apply_batch_threshold: 1,
@@ -83,7 +96,7 @@ proptest! {
         let rb = batched.apply_delta(&delta);
         prop_assert_eq!(rp.batched_rows(), 0);
         prop_assert_eq!(rp.gemm_flops, 0);
-        // Per-target apply must stay scalar.
+        // The scalar reference must not fold panels in the apply phase either.
         prop_assert_eq!(rp.batched_apply_rows(), 0);
         prop_assert_eq!(batched.output(), per_node.output());
         for l in 0..per_node.model().num_layers() {
@@ -94,6 +107,52 @@ proptest! {
         if rb.nodes_visited > 0 {
             prop_assert!(rb.batched_rows() > 0, "threshold 1 must engage the batched path");
         }
+    }
+}
+
+/// `UpdateConfig::default()` picks scalar vs batched from the observed round
+/// size alone: a round below both shipped thresholds batches nothing, a round
+/// at/above them batches in both phases, and either way the state is
+/// bitwise-equal to the scalar oracle's.
+#[test]
+fn default_thresholds_select_scalar_below_and_batched_above() {
+    let cfg = UpdateConfig::default();
+    // Every `(0, v)` insert below lands on a so-far isolated `v`, whose empty
+    // old neighborhood defers it to the recompute pass. Targets hash into
+    // `shard_count()` shards, so this many of them put at least
+    // `apply_batch_threshold` into one shard whatever the machine's fan-out.
+    let big = (cfg.apply_batch_threshold - 1) * cfg.shard_count() + 1;
+    assert!(big >= cfg.batch_threshold);
+    // A 3-vertex path plus isolated vertices 3..n.
+    let n = 4 + big;
+    let g = DynGraph::undirected_from_edges(n, &[(0, 1), (1, 2)]);
+    let make = |cfg: UpdateConfig| {
+        let mut rng = seeded_rng(5);
+        let x = uniform(&mut rng, n, 4, -1.0, 1.0);
+        let model = Model::gcn(&mut rng, &[4, 6, 3], Aggregator::Max);
+        InkStream::new(model, g.clone(), x, cfg).unwrap()
+    };
+    let (mut default, mut oracle) = (make(cfg), make(scalar()));
+    let attach = |vs: std::ops::Range<usize>| {
+        DeltaBatch::new(vs.map(|v| ink_graph::EdgeChange::insert(0, v as u32)).collect())
+    };
+
+    let small = attach(3..4);
+    let (rd, ro) = (default.apply_delta(&small), oracle.apply_delta(&small));
+    assert!(rd.nodes_visited > 0);
+    assert_eq!((rd.batched_rows(), rd.batched_apply_rows()), (0, 0), "below both thresholds");
+    assert_eq!((ro.batched_rows(), ro.batched_apply_rows()), (0, 0));
+    assert_eq!(default.output(), oracle.output());
+
+    let large = attach(4..n);
+    let (rd, ro) = (default.apply_delta(&large), oracle.apply_delta(&large));
+    assert!(rd.batched_rows() > 0, "at/above batch_threshold the GEMM path must engage");
+    assert!(rd.batched_apply_rows() > 0, "at/above apply_batch_threshold panels must fold");
+    assert_eq!((ro.batched_rows(), ro.batched_apply_rows()), (0, 0));
+    assert_eq!(default.output(), oracle.output());
+    for l in 0..default.model().num_layers() {
+        assert_eq!(default.state().m[l], oracle.state().m[l]);
+        assert_eq!(default.state().alpha[l], oracle.state().alpha[l]);
     }
 }
 

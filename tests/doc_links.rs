@@ -1,7 +1,8 @@
 //! Documentation link integrity (the CI docs job runs this): every relative
 //! markdown link in the operator docs resolves to a real file, and the
 //! protocol spec is cross-linked from the places a reader would start —
-//! README, DESIGN.md and the `ink-serve` rustdoc.
+//! README, DESIGN.md and the `ink-serve` rustdoc. The metric catalogue in
+//! DESIGN.md §8 is held to the instruments a running system registers.
 
 use std::path::{Path, PathBuf};
 
@@ -109,4 +110,85 @@ fn spec_tag_tables_match_the_implementation() {
     for tag in tags {
         assert!(spec.contains(&tag), "spec is missing implemented tag {tag}");
     }
+}
+
+/// Family names (`# TYPE <name> <kind>` lines) of a Prometheus text scrape.
+fn families(scrape: &str) -> Vec<String> {
+    scrape
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|l| l.split(' ').next())
+        .filter(|name| name.starts_with("ink_"))
+        .map(str::to_string)
+        .collect()
+}
+
+/// Every backticked `ink_*` token of a catalogue table row.
+fn backticked_ink_names(row: &str) -> Vec<&str> {
+    row.split('`').skip(1).step_by(2).filter(|t| t.starts_with("ink_")).collect()
+}
+
+#[test]
+fn metric_catalogue_matches_the_registered_instruments() {
+    use ink_gnn::{Aggregator, Model};
+    use ink_graph::generators::erdos_renyi;
+    use ink_partition::{HashPartitioner, PartitionConfig, PartitionedInkStream};
+    use ink_serve::{InkClient, InkServer, ServeConfig};
+    use ink_tensor::init::{seeded_rng, uniform};
+    use inkstream::{InkStream, StreamSession, UpdateConfig};
+
+    // What a running system registers: a default session, a 2-part
+    // partitioned engine, and a server on loopback (scraped over the wire).
+    let model = || Model::gcn(&mut seeded_rng(3), &[4, 5, 3], Aggregator::Max);
+    let mut rng = seeded_rng(4);
+    let g = erdos_renyi(&mut rng, 24, 60);
+    let x = uniform(&mut rng, 24, 4, -1.0, 1.0);
+    let session = || {
+        let engine = InkStream::new(model(), g.clone(), x.clone(), UpdateConfig::default());
+        StreamSession::new(engine.unwrap())
+    };
+    let mut registered = families(&session().metrics().render_prometheus());
+    let parted = PartitionedInkStream::new(
+        model,
+        g.clone(),
+        x.clone(),
+        HashPartitioner,
+        PartitionConfig { parts: 2, ..Default::default() },
+    )
+    .unwrap();
+    registered.extend(families(&parted.metrics().render_prometheus()));
+    let server = InkServer::bind("127.0.0.1:0", session(), ServeConfig::default()).unwrap();
+    let scrape = InkClient::connect(server.local_addr()).unwrap().metrics().unwrap();
+    server.shutdown().unwrap();
+    registered.extend(families(&scrape));
+    registered.sort();
+    registered.dedup();
+    assert!(registered.len() > 40, "scrapes look truncated: {registered:?}");
+
+    // The catalogue: the table under "Metric naming scheme", first column a
+    // name or a `prefix_*` pattern, last column concrete example names.
+    let design = read("DESIGN.md");
+    let section = design.split("### Metric naming scheme").nth(1).expect("§8 naming section");
+    let section = section.split("\n### ").next().unwrap();
+    let rows: Vec<&str> = section.lines().filter(|l| l.starts_with("| `ink_")).collect();
+    assert!(rows.len() >= 8, "catalogue table not found");
+    let patterns: Vec<&str> = rows.iter().map(|r| backticked_ink_names(r)[0]).collect();
+
+    let matches = |name: &str, pattern: &str| match pattern.strip_suffix('*') {
+        Some(prefix) => name.starts_with(prefix),
+        None => name == pattern,
+    };
+    let undocumented: Vec<&String> = registered
+        .iter()
+        .filter(|name| !patterns.iter().any(|p| matches(name, p)))
+        .collect();
+    assert!(undocumented.is_empty(), "registered but not in DESIGN.md §8: {undocumented:?}");
+
+    // Every pattern and every spelled-out name in the table.
+    let stale: Vec<&str> = rows
+        .iter()
+        .flat_map(|row| backticked_ink_names(row))
+        .filter(|token| !registered.iter().any(|name| matches(name, token)))
+        .collect();
+    assert!(stale.is_empty(), "in DESIGN.md §8 but registered by nothing: {stale:?}");
 }

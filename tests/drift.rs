@@ -102,42 +102,6 @@ proptest! {
     }
 }
 
-/// An adaptive engine — dispatcher free to flip between sequential, batched
-/// and parallel arms mid-stream — tracks a fixed-config engine bitwise for
-/// monotonic aggregation over a long churning stream. The arms differ only
-/// in scheduling, never in reduction order, so drift must stay exactly zero.
-#[test]
-fn adaptive_stream_matches_fixed_config_bitwise() {
-    for agg in [Aggregator::Max, Aggregator::Min] {
-        let (mut fixed, mut drng) = build_engine(48, agg, 1, false);
-        let mut rng = seeded_rng(48);
-        let g = erdos_renyi(&mut rng, 30, 60);
-        let x = uniform(&mut rng, 30, 4, -1.0, 1.0);
-        let model = Model::sage(&mut rng, &[4, 5, 3], agg);
-        let cfg = UpdateConfig {
-            adaptive_min_work: 0,
-            adaptive_probes: 1,
-            apply_batch_threshold: 1,
-            num_workers: 2,
-            num_shards: 4,
-            parallel_threshold: 0,
-            ..UpdateConfig::default()
-        }
-        .adaptive();
-        let mut adaptive = InkStream::new(model, g, x, cfg).unwrap();
-        let mut arms = std::collections::HashSet::new();
-        for _ in 0..10 {
-            let delta = DeltaBatch::random_scenario(fixed.graph(), &mut drng, 5);
-            fixed.apply_delta(&delta);
-            let r = adaptive.apply_delta(&delta);
-            arms.insert(r.dispatch.expect("adaptive rounds report their arm"));
-            assert_eq!(adaptive.output(), fixed.output(), "{agg:?}: adaptive diverged");
-        }
-        assert!(arms.len() >= 2, "{agg:?}: probing should exercise multiple arms, saw {arms:?}");
-        assert_eq!(adaptive.audit_full(), 0.0);
-    }
-}
-
 /// NaN poison in one cached α channel: the full audit detects it (NaN, not a
 /// silent pass), the breach is recorded, and `Resync` restores output
 /// bitwise equal to `recompute_reference()`.

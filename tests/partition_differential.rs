@@ -46,6 +46,7 @@ fn build_pair(
     model_pick: usize,
     parts: usize,
     greedy: bool,
+    pool_workers: Option<usize>,
 ) -> (InkStream, PartitionedInkStream) {
     let (g, x) = base_inputs(seed);
     // Threshold 1 keeps the batched apply path engaged, mirroring the
@@ -54,7 +55,7 @@ fn build_pair(
     let single = InkStream::new(make_model(seed, agg, model_pick), g.clone(), x.clone(), cfg)
         .expect("single engine");
     let factory = move || make_model(seed, agg, model_pick);
-    let pcfg = PartitionConfig { parts, update: cfg, ..Default::default() };
+    let pcfg = PartitionConfig { parts, update: cfg, pool_workers, ..Default::default() };
     let parted = if greedy {
         PartitionedInkStream::new(factory, g, x, GreedyEdgeCut, pcfg)
     } else {
@@ -76,7 +77,9 @@ proptest! {
     /// The tentpole acceptance property: streams of random edge churn with
     /// periodic boundary-vertex feature updates keep the merged partitioned
     /// output bitwise equal to the single engine, for every aggregator,
-    /// model family, partition count 1–8, and both partitioners.
+    /// model family, partition count 1–8, both partitioners, and the pool
+    /// at one worker per partition or squeezed to a single worker (whose
+    /// round-robin engine assignment must still cover every partition).
     #[test]
     fn partitioned_stream_is_bitwise_identical(
         seed in 0u64..500,
@@ -84,10 +87,11 @@ proptest! {
         agg_pick in 0usize..4,
         model_pick in 0usize..3,
         parts in 1usize..=8,
-        greedy in proptest::bool::ANY,
+        (greedy, narrow_pool) in (proptest::bool::ANY, proptest::bool::ANY),
     ) {
         let agg = AGGS[agg_pick];
-        let (mut single, mut parted) = build_pair(seed, agg, model_pick, parts, greedy);
+        let (mut single, mut parted) =
+            build_pair(seed, agg, model_pick, parts, greedy, narrow_pool.then_some(1));
         prop_assert_eq!(&parted.output(), single.output());
         let mut drng = StdRng::seed_from_u64(seed ^ 0xd41f);
         let mut frng = seeded_rng(seed ^ 0x11fe);
@@ -126,10 +130,11 @@ proptest! {
         agg_pick in 0usize..4,
         model_pick in 0usize..3,
         parts in 2usize..=8,
-        greedy in proptest::bool::ANY,
+        (greedy, narrow_pool) in (proptest::bool::ANY, proptest::bool::ANY),
     ) {
         let agg = AGGS[agg_pick];
-        let (mut single, mut parted) = build_pair(seed, agg, model_pick, parts, greedy);
+        let (mut single, mut parted) =
+            build_pair(seed, agg, model_pick, parts, greedy, narrow_pool.then_some(1));
         let Some(v) = boundary_vertex(&parted) else {
             // A split with no cut at this size is astronomically unlikely,
             // but not a correctness failure.
