@@ -95,7 +95,17 @@ pub struct InkStream {
     owned: Option<Vec<bool>>,
     /// The round currently being stepped, if any.
     round: Option<RoundState>,
+    /// Output rows rewritten since the last [`InkStream::take_dirty_rows`]
+    /// (duplicates allowed); meaningless while `dirty_all` is set.
+    dirty: Vec<VertexId>,
+    /// The output changed in ways `dirty` does not list row by row.
+    dirty_all: bool,
 }
+
+/// `dirty` gives up and reads "all rows" once it outgrows |V| / this: a
+/// consumer copying that many scattered rows is no better off than with one
+/// streaming copy, and a user who never drains the list holds no memory.
+const DIRTY_ROWS_DIVISOR: usize = 8;
 
 impl InkStream {
     /// Bootstraps the engine with a full-graph inference (the paper's
@@ -150,6 +160,8 @@ impl InkStream {
             scratch: ScratchPool::default(),
             owned: None,
             round: None,
+            dirty: Vec::new(),
+            dirty_all: false,
         })
     }
 
@@ -213,6 +225,8 @@ impl InkStream {
             scratch: ScratchPool::default(),
             owned: None,
             round: None,
+            dirty: Vec::new(),
+            dirty_all: false,
         })
     }
 
@@ -265,7 +279,29 @@ impl InkStream {
     /// maintains the state invariants itself, and a hand-edited state is by
     /// definition out of sync until [`InkStream::resync`] runs.
     pub fn state_mut(&mut self) -> &mut FullState {
+        self.mark_all_dirty();
         &mut self.state
+    }
+
+    /// Appends to `out` every output row ([`InkStream::output`]) rewritten
+    /// since the previous call (or since construction) and forgets them. A
+    /// row may appear more than once. Returns `false` — appending nothing —
+    /// when the changes are not known row by row and every row must be
+    /// treated as changed: after [`InkStream::resync`],
+    /// [`InkStream::adopt_state`], [`InkStream::add_vertex`],
+    /// [`InkStream::state_mut`], or once the undrained list outgrew an
+    /// eighth of the vertex count.
+    ///
+    /// This is what lets a snapshot publish cost O(rows changed) instead of
+    /// O(|V|); see [`crate::snapshot::SnapshotPublisher::publish_rows`].
+    pub fn take_dirty_rows(&mut self, out: &mut Vec<VertexId>) -> bool {
+        out.append(&mut self.dirty);
+        !std::mem::take(&mut self.dirty_all)
+    }
+
+    fn mark_all_dirty(&mut self) {
+        self.dirty.clear();
+        self.dirty_all = true;
     }
 
     /// True when any cached matrix (`m`, `α`, `h`) holds a NaN or infinity.
@@ -388,6 +424,7 @@ impl InkStream {
             .chain(std::iter::once(&self.state.h))
             .map(|m| m.rows() * m.cols())
             .sum::<usize>() as u64;
+        self.mark_all_dirty();
         ResyncReport { elapsed: t0.elapsed(), f32_written }
     }
 
@@ -491,6 +528,8 @@ impl InkStream {
         }
         let v = self.graph.add_vertex();
         self.features.push_row(feat);
+        // The output grows a row: no row list describes a shape change.
+        self.mark_all_dirty();
         // Build the new vertex's self-consistent isolated chain: empty
         // neighborhood → α = 0 at every layer.
         let k = self.model.num_layers();
@@ -1390,6 +1429,9 @@ impl InkStream {
                         if chunk != self.state.h.row(u as usize) {
                             self.state.h.set_row(u as usize, chunk);
                             report.output_changed += 1;
+                            if !self.dirty_all {
+                                self.dirty.push(u);
+                            }
                         }
                     } else {
                         let changed = chunk != self.state.m[l + 1].row(u as usize);
@@ -1409,6 +1451,9 @@ impl InkStream {
                         }
                     }
                 }
+            }
+            if is_last && self.dirty.len() > self.graph.num_vertices() / DIRTY_ROWS_DIVISOR {
+                self.mark_all_dirty();
             }
             layer_stats.phases.next_messages = t_next.elapsed();
 
@@ -1531,6 +1576,7 @@ impl InkStream {
             .map(|l| self.hooks.as_deref().and_then(|h| h.init_cache(l, &state.m[l])))
             .collect();
         self.state = state;
+        self.mark_all_dirty();
         Ok(())
     }
 }
@@ -2043,5 +2089,28 @@ mod tests {
             warm,
             "steady-state rounds must not allocate in the pooled phases"
         );
+    }
+
+    #[test]
+    fn undrained_dirty_list_stops_growing_at_its_cap() {
+        let mut rng = seeded_rng(9);
+        let model = Model::gcn(&mut rng, &[4, 6, 3], Aggregator::Max);
+        let mut engine =
+            InkStream::new(model, ring(64), feats(64, 4), UpdateConfig::default()).unwrap();
+        let cap = 64 / DIRTY_ROWS_DIVISOR;
+        let mut rewritten = 0;
+        for i in 0..40 {
+            let (s, d) = (i % 64, (i * 7 + 20) % 64);
+            let delta = DeltaBatch::new(vec![EdgeChange::insert(s, d)]);
+            rewritten += engine.apply_delta(&delta).output_changed;
+            assert!(engine.dirty.len() <= cap, "round {i}: {} rows held", engine.dirty.len());
+        }
+        assert!(rewritten as usize > cap, "the stream must be able to overflow the list");
+        assert!(engine.dirty_all && engine.dirty.is_empty());
+        let mut rows = Vec::new();
+        assert!(!engine.take_dirty_rows(&mut rows) && rows.is_empty());
+        // Drained, it lists rows again.
+        engine.apply_delta(&DeltaBatch::new(vec![EdgeChange::remove(0, 20)]));
+        assert!(engine.take_dirty_rows(&mut rows) && !rows.is_empty());
     }
 }

@@ -62,5 +62,7 @@ pub use session::{
     AuditKind, DriftAction, DriftError, DriftPolicy, DriftStats, IngestReport, ServeStats,
     SessionConfig, SessionSummary, StreamSession, DEFAULT_TRACE_CAPACITY,
 };
-pub use snapshot::{EmbeddingSnapshot, SnapshotPublisher, SnapshotReader};
+pub use snapshot::{
+    EmbeddingSnapshot, PublishReport, RowSource, SnapshotPublisher, SnapshotReader,
+};
 pub use stats::{ConditionCounts, LayerStats, PhaseTimes, UpdateReport};

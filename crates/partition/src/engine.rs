@@ -43,8 +43,8 @@ use ink_obs::MetricsRegistry;
 use ink_tensor::Matrix;
 use inkstream::{
     AuditKind, DriftAction, DriftError, DriftStats, IngestReport, InkError, InkStream,
-    PhaseTimes, ResyncReport, SessionConfig, SessionSummary, ServeStats, UpdateConfig,
-    UpdateReport, UserHooks,
+    PhaseTimes, ResyncReport, RowSource, SessionConfig, SessionSummary, ServeStats,
+    UpdateConfig, UpdateReport, UserHooks,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -359,8 +359,8 @@ impl PartitionedInkStream {
     }
 
     /// Writes the merged output into `out` (resized when the shape differs),
-    /// so a caller republishing every epoch — the serving writer — reuses
-    /// one gather target instead of allocating a fresh matrix per epoch.
+    /// so a caller gathering repeatedly reuses one target instead of
+    /// allocating a fresh matrix each time.
     pub fn output_into(&self, out: &mut Matrix) {
         let n = self.graph.num_vertices();
         let d = self.engines[0].model().out_dim();
@@ -371,6 +371,21 @@ impl PartitionedInkStream {
             let owner = self.router.owner(v as VertexId) as usize;
             out.set_row(v, self.engines[owner].state().h.row(v));
         }
+    }
+
+    /// Appends every output row rewritten since the previous call to `out`
+    /// and forgets them — the union of the engines'
+    /// [`InkStream::take_dirty_rows`] lists, which are disjoint because an
+    /// engine writes output rows only for vertices it owns. Returns `false`
+    /// when any engine cannot list its changes row by row (after a resync
+    /// or a vertex insertion): treat every row as changed.
+    pub fn take_dirty_rows(&mut self, out: &mut Vec<VertexId>) -> bool {
+        let mut known = true;
+        for e in &mut self.engines {
+            // No short circuit: every engine's list must be drained.
+            known &= e.take_dirty_rows(out);
+        }
+        known
     }
 
     /// One vertex's output embedding, read from its owner.
@@ -883,12 +898,12 @@ impl PartitionedInkStream {
         worst
     }
 
-    /// Rolling summary: the [`SessionSummary`] fold over every partition
-    /// plus the partition-specific observables.
-    pub fn summary(&self) -> PartitionSummary {
+    /// The [`SessionSummary`] fold over every partition: counters and the
+    /// latency window only, cheap enough to refresh after every served epoch.
+    pub fn session_summary(&self) -> SessionSummary {
         let mut sorted: Vec<Duration> = self.latencies.iter().copied().collect();
         sorted.sort_unstable();
-        let session = SessionSummary {
+        SessionSummary {
             ingests: self.ingests,
             changes: self.changes,
             latency: (
@@ -901,9 +916,15 @@ impl PartitionedInkStream {
             phase_times: self.phase_times,
             drift: self.drift,
             serve: ServeStats::default(),
-        };
+        }
+    }
+
+    /// Rolling summary: [`PartitionedInkStream::session_summary`] plus the
+    /// partition-specific observables. Measuring the cut quality scans
+    /// every edge of the current graph.
+    pub fn summary(&self) -> PartitionSummary {
         PartitionSummary {
-            session,
+            session: self.session_summary(),
             parts: self.cfg.parts,
             quality: partition_quality(&self.graph, self.router.assignment(), self.cfg.parts),
             boundary_events: self.inst.boundary_events.get(),
@@ -911,6 +932,22 @@ impl PartitionedInkStream {
             mirror_seeds: self.inst.mirror_seeds.get(),
             partition_wall: self.walls.clone(),
         }
+    }
+}
+
+/// Lets a snapshot publish read rows straight from their owning engines
+/// instead of from a gathered copy of the whole output.
+impl RowSource for PartitionedInkStream {
+    fn shape(&self) -> (usize, usize) {
+        (self.graph.num_vertices(), self.engines[0].model().out_dim())
+    }
+
+    fn row(&self, v: usize) -> &[f32] {
+        self.engines[self.router.owner(v as VertexId) as usize].state().h.row(v)
+    }
+
+    fn copy_into(&self, dst: &mut Matrix) {
+        self.output_into(dst);
     }
 }
 

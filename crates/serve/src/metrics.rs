@@ -57,6 +57,14 @@ pub struct ServerMetrics {
     /// Apply-only service time per non-empty epoch in nanoseconds — engine
     /// ingest plus snapshot publish, excluding any queueing.
     pub apply_latency: Arc<Histogram>,
+    /// The snapshot-publish part of `apply_latency`, in nanoseconds.
+    pub publish_latency: Arc<Histogram>,
+    /// Rows copied into the published buffer per publish — on the delta
+    /// path the previous epoch's changed rows plus this one's.
+    pub publish_rows: Arc<Histogram>,
+    /// Publishes that copied the whole output instead (the first one, a
+    /// reader still pinning the recycled buffer, unknown row sets).
+    pub publish_full: Arc<Counter>,
     /// Last published snapshot epoch (gauge mirror of the writer's counter,
     /// for scrapes).
     epochs: Arc<Gauge>,
@@ -123,6 +131,18 @@ impl ServerMetrics {
             apply_latency: registry.histogram(
                 "ink_serve_apply_ns",
                 "Apply-only service time per non-empty epoch in nanoseconds",
+            ),
+            publish_latency: registry.histogram(
+                "ink_serve_publish_ns",
+                "Snapshot publish time per non-empty epoch in nanoseconds",
+            ),
+            publish_rows: registry.histogram(
+                "ink_serve_publish_rows",
+                "Rows copied into the published buffer per publish",
+            ),
+            publish_full: registry.counter(
+                "ink_serve_publish_full_total",
+                "Publishes that fell back to copying the whole output matrix",
             ),
             epochs: registry.gauge("ink_serve_epochs", "Last published snapshot epoch"),
             queue_depth: registry.gauge("ink_serve_queue_depth", "Ingest queue depth"),

@@ -47,11 +47,13 @@ use crate::protocol::{
 };
 use crate::queue::Backpressure;
 use crate::shard::{Drained, ShardPush, ShardedIngest};
-use ink_graph::{DeltaBatch, EdgeChange};
+use ink_graph::{DeltaBatch, EdgeChange, VertexId};
 use ink_obs::{MetricsRegistry, Tracer};
 use ink_partition::{PartitionedInkStream, PreRouted, RoutingView};
 use ink_tensor::Matrix;
-use inkstream::snapshot::{EmbeddingSnapshot, SnapshotPublisher, SnapshotReader};
+use inkstream::snapshot::{
+    EmbeddingSnapshot, PublishReport, SnapshotPublisher, SnapshotReader,
+};
 use inkstream::{SessionSummary, StreamSession};
 use mio::{Events, Interest, Poll, Token, Waker};
 use std::collections::HashMap;
@@ -159,14 +161,8 @@ impl Shared {
 enum BackendKind {
     /// A [`StreamSession`] (single engine).
     Single(Box<StreamSession>),
-    /// A [`PartitionedInkStream`] plus the scratch matrix its merged output
-    /// is gathered into before each publish.
-    Partitioned {
-        /// The partition-parallel driver.
-        part: Box<PartitionedInkStream>,
-        /// Reused gather target (avoids a fresh `Matrix` per epoch).
-        scratch: Matrix,
-    },
+    /// A [`PartitionedInkStream`] (partition-parallel driver).
+    Partitioned(Box<PartitionedInkStream>),
 }
 
 impl BackendKind {
@@ -179,7 +175,7 @@ impl BackendKind {
     fn ingest(&mut self, batch: &DeltaBatch, routed: Option<&PreRouted>) -> bool {
         match self {
             BackendKind::Single(session) => session.ingest(batch).is_ok(),
-            BackendKind::Partitioned { part, .. } => match routed {
+            BackendKind::Partitioned(part) => match routed {
                 Some(pre) => part.ingest_prerouted(batch, pre).is_ok(),
                 None => part.ingest(batch).is_ok(),
             },
@@ -190,16 +186,29 @@ impl BackendKind {
     fn routing_view(&self) -> Option<RoutingView> {
         match self {
             BackendKind::Single(_) => None,
-            BackendKind::Partitioned { part, .. } => Some(part.routing_view()),
+            BackendKind::Partitioned(part) => Some(part.routing_view()),
         }
     }
 
-    fn publish(&mut self, publisher: &mut SnapshotPublisher, epoch: u64) {
+    /// Publishes the backend's output at `epoch`, copying only the rows the
+    /// engine(s) rewrote since the last publish when they are known — the
+    /// partitioned backend reads them straight from their owning engines.
+    /// `rows` is the caller's reused scratch list.
+    fn publish(
+        &mut self,
+        publisher: &mut SnapshotPublisher,
+        rows: &mut Vec<VertexId>,
+        epoch: u64,
+    ) -> PublishReport {
+        rows.clear();
         match self {
-            BackendKind::Single(session) => publisher.publish(session.engine().output(), epoch),
-            BackendKind::Partitioned { part, scratch } => {
-                part.output_into(scratch);
-                publisher.publish(scratch, epoch);
+            BackendKind::Single(session) => {
+                let known = session.engine_mut().take_dirty_rows(rows);
+                publisher.publish_rows(session.engine().output(), known.then_some(&rows[..]), epoch)
+            }
+            BackendKind::Partitioned(part) => {
+                let known = part.take_dirty_rows(rows);
+                publisher.publish_rows(&**part, known.then_some(&rows[..]), epoch)
             }
         }
     }
@@ -207,7 +216,7 @@ impl BackendKind {
     fn summary(&self) -> SessionSummary {
         match self {
             BackendKind::Single(session) => session.summary(),
-            BackendKind::Partitioned { part, .. } => part.summary().session,
+            BackendKind::Partitioned(part) => part.session_summary(),
         }
     }
 }
@@ -258,11 +267,10 @@ impl InkServer {
         let tracer = Arc::new(Tracer::new(4096));
         let num_vertices = part.graph().num_vertices() as u64;
         let directed = part.graph().is_directed();
-        let initial = part.summary().session;
-        let scratch = bootstrap.clone();
+        let initial = part.session_summary();
         let inner = bind_inner(
             addr,
-            BackendKind::Partitioned { part: Box::new(part), scratch },
+            BackendKind::Partitioned(Box::new(part)),
             bootstrap,
             registry,
             tracer,
@@ -410,6 +418,12 @@ impl ServerHandle {
         self.inner.shared.stats_summary()
     }
 
+    /// An in-process reader of the published snapshots — what the query
+    /// path loads from, without the wire in between.
+    pub fn snapshot_reader(&self) -> SnapshotReader {
+        self.inner.shared.reader.clone()
+    }
+
     /// Per-shard ingest depths `(current, high-water)` — the
     /// capacity-planning view of queue pressure (a single hot shard with
     /// idle siblings means the workload hashes to one canonical edge
@@ -458,6 +472,12 @@ impl PartitionedServerHandle {
         self.inner.shared.stats_summary()
     }
 
+    /// An in-process reader of the published snapshots; see
+    /// [`ServerHandle::snapshot_reader`].
+    pub fn snapshot_reader(&self) -> SnapshotReader {
+        self.inner.shared.reader.clone()
+    }
+
     /// Per-shard ingest depths `(current, high-water)`; see
     /// [`ServerHandle::shard_depths`].
     pub fn shard_depths(&self) -> (Vec<usize>, Vec<usize>) {
@@ -472,7 +492,7 @@ impl PartitionedServerHandle {
     /// partition set from a checkpointed session instead.)
     pub fn shutdown(mut self) -> io::Result<(PartitionedInkStream, SessionSummary)> {
         let (backend, summary) = self.inner.shutdown_backend()?;
-        let BackendKind::Partitioned { part, .. } = backend else {
+        let BackendKind::Partitioned(part) = backend else {
             unreachable!("partitioned handle owns a partitioned backend");
         };
         Ok((*part, summary))
@@ -511,6 +531,7 @@ fn prepare(drained: Drained, directed: bool, view: Option<&RoutingView>) -> Prep
 fn apply_epoch(
     backend: &mut BackendKind,
     publisher: &mut SnapshotPublisher,
+    dirty_rows: &mut Vec<VertexId>,
     shared: &Shared,
     completions: &crossbeam::channel::Sender<(u64, u64)>,
     prepared: PreparedEpoch,
@@ -521,12 +542,25 @@ fn apply_epoch(
         shared.metrics.events_received.add(received);
         shared.metrics.events_applied.add(batch.len() as u64);
         let apply_start = Instant::now();
-        if !backend.ingest(&batch, routed.as_ref()) {
-            shared.metrics.apply_errors.inc();
+        {
+            let _span = shared.tracer.span("serve", "ingest");
+            if !backend.ingest(&batch, routed.as_ref()) {
+                shared.metrics.apply_errors.inc();
+            }
         }
         let epoch = shared.epochs.load(Ordering::Relaxed) + 1;
-        backend.publish(publisher, epoch);
-        shared.metrics.apply_latency.record(apply_start.elapsed().as_nanos() as u64);
+        let publish_start = Instant::now();
+        let published = {
+            let _span = shared.tracer.span("serve", "publish");
+            backend.publish(publisher, dirty_rows, epoch)
+        };
+        let done = Instant::now();
+        shared.metrics.publish_latency.record((done - publish_start).as_nanos() as u64);
+        shared.metrics.publish_rows.record(published.rows_copied as u64);
+        if published.full_copy {
+            shared.metrics.publish_full.inc();
+        }
+        shared.metrics.apply_latency.record((done - apply_start).as_nanos() as u64);
         shared.epochs.store(epoch, Ordering::SeqCst);
         *shared.summary.lock().expect("summary lock poisoned") = backend.summary();
     }
@@ -571,13 +605,22 @@ fn writer_loop(
     pipelined: bool,
     completions: crossbeam::channel::Sender<(u64, u64)>,
 ) -> BackendKind {
+    // Reused across epochs: the rows each publish has to copy.
+    let mut dirty_rows: Vec<VertexId> = Vec::new();
     if !pipelined {
         // Single-writer loop of record: drain, prepare, apply on one thread.
         loop {
             let drained = shared.ingest.drain_wait(max_drain);
             let prepared = prepare(drained, shared.directed, None);
             let finished = prepared.finished;
-            apply_epoch(&mut backend, &mut publisher, &shared, &completions, prepared);
+            apply_epoch(
+                &mut backend,
+                &mut publisher,
+                &mut dirty_rows,
+                &shared,
+                &completions,
+                prepared,
+            );
             if finished {
                 return backend;
             }
@@ -607,7 +650,7 @@ fn writer_loop(
     };
     while let Ok(prepared) = rx.recv() {
         let finished = prepared.finished;
-        apply_epoch(&mut backend, &mut publisher, &shared, &completions, prepared);
+        apply_epoch(&mut backend, &mut publisher, &mut dirty_rows, &shared, &completions, prepared);
         if finished {
             break;
         }

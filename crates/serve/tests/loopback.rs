@@ -546,3 +546,158 @@ fn partitioned_backend_matches_single_threaded_reference_bitwise() {
         "partitioned final state equals the reference replay bitwise"
     );
 }
+
+/// A graph large enough that a few changes per epoch stay far below the
+/// engine's dirty-row cap (an eighth of the vertices), so every publish
+/// after the first takes the delta path unless a reader gets in its way.
+const BIG_N: usize = 1200;
+
+fn big_engine() -> InkStream {
+    let g = erdos_renyi(&mut seeded_rng(GRAPH_SEED), BIG_N, 3 * BIG_N);
+    let feats = sparse_power_law(&mut seeded_rng(FEAT_SEED), BIG_N, FEAT_DIM, 0.2, 0.9);
+    InkStream::new(model(), g, feats, UpdateConfig::default()).unwrap()
+}
+
+fn big_batches(count: usize) -> Vec<Vec<EdgeChange>> {
+    let mut rng = seeded_rng(0xDE17A);
+    (0..count)
+        .map(|i| {
+            (0..3)
+                .map(|_| {
+                    let src = rng.random_range(0..BIG_N as u32);
+                    let dst = (src + rng.random_range(1..BIG_N as u32)) % BIG_N as u32;
+                    if i % 3 == 2 {
+                        EdgeChange::remove(src, dst)
+                    } else {
+                        EdgeChange::insert(src, dst)
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+fn scraped(client: &mut InkClient, sample: &str) -> f64 {
+    let families = ink_obs::parse::parse_prometheus(&client.metrics().unwrap()).unwrap();
+    families
+        .iter()
+        .flat_map(|f| &f.samples)
+        .find(|s| s.name == sample)
+        .unwrap_or_else(|| panic!("missing {sample}"))
+        .value
+}
+
+/// Delta publish under a pinning reader, on both backends: an in-process
+/// reader holds one snapshot across more than 50 epochs. It must never
+/// change, every later epoch must still equal the single-threaded replay
+/// bitwise (whole matrix, not a sampled row), and the pin may cost exactly
+/// one whole-matrix copy — the publish that wanted the pinned buffer back —
+/// on top of the first publish, which has no buffer to recycle.
+#[test]
+fn pinned_reader_sees_its_snapshot_unchanged_across_delta_publishes() {
+    use ink_partition::{HashPartitioner, PartitionConfig, PartitionedInkStream};
+    const EPOCHS: usize = 56;
+    const PIN_AT: usize = 3;
+    const { assert!(EPOCHS - PIN_AT >= 50, "the pin must span at least 50 epochs") };
+
+    let batches = big_batches(EPOCHS);
+    let mut reference = big_engine();
+    let mut expected = vec![bits(reference.output())];
+    for batch in &batches {
+        reference.apply_delta(&DeltaBatch::new(batch.clone()));
+        expected.push(bits(reference.output()));
+    }
+
+    for partitioned in [false, true] {
+        let (addr, reader, shutdown): (_, _, Box<dyn FnOnce() -> Matrix>) = if partitioned {
+            let seed_engine = big_engine();
+            let parted = PartitionedInkStream::new(
+                model,
+                seed_engine.graph().clone(),
+                seed_engine.features().clone(),
+                HashPartitioner,
+                PartitionConfig { parts: 3, ..Default::default() },
+            )
+            .unwrap();
+            let h = InkServer::bind_partitioned("127.0.0.1:0", parted, ServeConfig::default())
+                .unwrap();
+            (h.local_addr(), h.snapshot_reader(), Box::new(move || h.shutdown().unwrap().0.output()))
+        } else {
+            let session = StreamSession::new(big_engine());
+            let h = InkServer::bind("127.0.0.1:0", session, ServeConfig::default()).unwrap();
+            (
+                h.local_addr(),
+                h.snapshot_reader(),
+                Box::new(move || h.shutdown().unwrap().0.engine().output().clone()),
+            )
+        };
+
+        let mut client = InkClient::connect(addr).unwrap();
+        let mut pinned = None;
+        for (i, batch) in batches.iter().enumerate() {
+            client.update(batch.clone()).unwrap().expect("block mode never rejects");
+            let epoch = client.flush().unwrap() as usize;
+            assert_eq!(epoch, i + 1, "one epoch per flushed update");
+            // Loaded and dropped before the next update: never in the way.
+            let snap = reader.load();
+            assert_eq!(snap.epoch as usize, epoch);
+            assert!(
+                bits(&snap.embeddings) == expected[epoch],
+                "epoch {epoch} differs from the replay (partitioned={partitioned})"
+            );
+            if epoch == PIN_AT {
+                pinned = Some(snap);
+            }
+        }
+        let pinned = pinned.expect("the stream is longer than PIN_AT");
+        assert_eq!(pinned.epoch as usize, PIN_AT);
+        assert!(bits(&pinned.embeddings) == expected[PIN_AT], "a held snapshot never changes");
+
+        assert_eq!(scraped(&mut client, "ink_serve_publish_rows_count"), EPOCHS as f64);
+        let full = scraped(&mut client, "ink_serve_publish_full_total");
+        assert_eq!(full, 2.0, "first publish + the one pinned swap (partitioned={partitioned})");
+        drop(client);
+
+        let final_output = shutdown();
+        assert!(bits(&final_output) == expected[EPOCHS]);
+        assert!(bits(&reader.load().embeddings) == expected[EPOCHS]);
+        assert!(bits(&pinned.embeddings) == expected[PIN_AT], "not even by shutdown");
+    }
+}
+
+/// Shutdown racing the writer: updates are acknowledged but never flushed,
+/// so `shutdown()` closes the queue while epochs are still being applied and
+/// published. Whatever the interleaving, the session handed back and the
+/// last published snapshot must be the same state — every acknowledged
+/// update applied, bitwise.
+#[test]
+fn publish_racing_shutdown_leaves_snapshot_and_session_identical() {
+    let batches = big_batches(40);
+    let mut reference = big_engine();
+    for batch in &batches {
+        reference.apply_delta(&DeltaBatch::new(batch.clone()));
+    }
+
+    let handle = InkServer::bind(
+        "127.0.0.1:0",
+        StreamSession::new(big_engine()),
+        ServeConfig { max_drain: 2, ..ServeConfig::default() },
+    )
+    .unwrap();
+    let reader = handle.snapshot_reader();
+    let mut client = InkClient::connect(handle.local_addr()).unwrap();
+    for batch in &batches {
+        client.update(batch.clone()).unwrap().expect("block mode never rejects");
+    }
+    drop(client);
+    let (session, summary) = handle.shutdown().unwrap();
+
+    let last = reader.load();
+    assert_eq!(last.epoch, summary.serve.epochs);
+    assert!(bits(&last.embeddings) == bits(session.engine().output()));
+    assert!(bits(&last.embeddings) == bits(reference.output()), "every acked update applied");
+}
