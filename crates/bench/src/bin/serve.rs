@@ -1,7 +1,7 @@
 //! Serving data-plane load generator: sustained update/query throughput of
 //! the `ink-serve` readiness loop under a thousand-client, Zipf-skewed mix.
 //!
-//! Two phases against the same engine:
+//! Two phases against the same engine, then a raw-apply series:
 //!
 //! * **v1 baseline** — a handful of strict request/response clients, one
 //!   `Update` frame (16 edge ops) per round trip. This is the PR 3 serving
@@ -13,12 +13,17 @@
 //!   set of celebrity vertices absorbs most traffic, as in production
 //!   feeds. Coalescing in the writer collapses the hot-edge churn into
 //!   small net batches — the InkStream serving story end to end.
+//! * **raw apply** — a 4-part partitioned engine behind the same
+//!   `InkServer::bind`, fed a unique-edge stream (nothing coalesces) through
+//!   one connection: applied events per second of the writer's drain →
+//!   coalesce → apply → publish loop.
 //!
 //! Output goes to `results/BENCH_serve.json` (+ `.prom`) via the shared
 //! writer; the schema is documented in EXPERIMENTS.md. Set
 //! `INK_BENCH_MIN_UPDATES_PER_S` to a float to turn the run into a smoke
 //! gate: the process exits non-zero when the v2 sustained edge-op
-//! throughput lands below the floor.
+//! throughput lands below the floor; `INK_BENCH_MIN_APPLY_PER_S` does the
+//! same for the raw-apply series.
 
 use ink_bench::workload::Zipf;
 use ink_bench::{latency_us, write_metrics, write_results, BenchOpts, ModelKind};
@@ -28,7 +33,7 @@ use ink_gnn::Aggregator;
 use ink_partition::{HashPartitioner, PartitionConfig, PartitionedInkStream};
 use ink_serve::{InkClient, InkServer, Request, Response, ServeConfig, ServerHandle};
 use ink_tensor::init::{seeded_rng, sparse_power_law};
-use inkstream::{InkStream, Json, StreamSession, UpdateConfig};
+use inkstream::{InkStream, Json, SessionConfig, StreamSession, UpdateConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -394,79 +399,55 @@ fn main() {
         v2_summary.serve.events_received,
     );
 
-    // ---- Phase 3: raw apply throughput, pipelined vs single-writer. ----
-    // Partitioned backend, unique-edge stream (zero coalescing): the series
-    // isolates the writer's apply path. Pipelining overlaps drain + coalesce
-    // + routing (stage A) with engine rounds + publish (stage B), so the
-    // applied-events/s ceiling moves even on one core when stage A's work is
-    // a real fraction of the epoch.
+    // ---- Phase 3: raw apply throughput of the writer loop. ----
+    // Partitioned engine, unique-edge stream (zero coalescing): the series
+    // isolates drain + coalesce + engine rounds + publish.
     let apply_parts = 4usize;
     let apply_frames = if opts.quick { 400 } else { 2000 };
     let apply_batches = unique_edge_batches(n as u32, apply_frames);
     let hidden = opts.hidden;
-    let mut apply_rows: Vec<(&str, Json)> = Vec::new();
-    let mut apply_rates = [0.0f64; 2];
-    for (i, (mode, pipelined)) in
-        [("pipelined", true), ("single_writer", false)].into_iter().enumerate()
-    {
-        let mut prng = seeded_rng(SEED);
-        let pgraph = erdos_renyi(&mut prng, n, edges);
-        let pfeats = sparse_power_law(&mut prng, n, FEAT_DIM, 0.2, 0.9);
-        let parted = PartitionedInkStream::new(
-            move || {
-                let mut mr = seeded_rng(SEED ^ 0xA11);
-                ink_gnn::Model::gcn(&mut mr, &[FEAT_DIM, hidden, hidden], Aggregator::Max)
-            },
-            pgraph,
-            pfeats,
-            HashPartitioner,
-            PartitionConfig { parts: apply_parts, ..Default::default() },
-        )
-        .expect("partitioned bootstrap");
-        // max_drain bounds the epoch at 64 batches so both modes form many
-        // comparable epochs instead of swallowing the backlog whole — the
-        // series measures steady-state apply, not one giant batch.
-        let config = ServeConfig {
-            queue_capacity: 1024,
-            shards: 4,
-            max_drain: 64,
-            pipelined,
-            ..ServeConfig::default()
-        };
-        let handle =
-            InkServer::bind_partitioned("127.0.0.1:0", parted, config).expect("bind apply");
-        let wall = drive_apply(handle.local_addr(), &apply_batches).expect("apply driver");
-        let (_parted, summary) = handle.shutdown().expect("apply shutdown");
-        let applied = summary.serve.events_applied;
-        let wall_s = wall.as_secs_f64();
-        let per_s = applied as f64 / wall_s;
-        apply_rates[i] = per_s;
-        eprintln!(
-            "  apply[{mode}]: {applied} events ({} epochs) in {wall_s:.2}s -> \
-             {per_s:.0} applied events/s",
-            summary.serve.epochs
-        );
-        apply_rows.push((
-            mode,
-            Json::obj([
-                ("applied_events", Json::from(applied)),
-                ("received_events", Json::from(summary.serve.events_received)),
-                ("epochs", Json::from(summary.serve.epochs)),
-                ("wall_s", inkstream::json::rounded(wall_s, 3)),
-                ("applied_events_per_s", inkstream::json::rounded(per_s, 1)),
-                ("server", summary.serve.to_json()),
-            ]),
-        ));
-    }
-    let apply_ratio = apply_rates[0] / apply_rates[1];
-    eprintln!("  apply: pipelined vs single-writer {apply_ratio:.2}x");
-    let mut apply_doc = vec![
+    let mut prng = seeded_rng(SEED);
+    let pgraph = erdos_renyi(&mut prng, n, edges);
+    let pfeats = sparse_power_law(&mut prng, n, FEAT_DIM, 0.2, 0.9);
+    let parted = PartitionedInkStream::new(
+        move || {
+            let mut mr = seeded_rng(SEED ^ 0xA11);
+            ink_gnn::Model::gcn(&mut mr, &[FEAT_DIM, hidden, hidden], Aggregator::Max)
+        },
+        pgraph,
+        pfeats,
+        HashPartitioner,
+        PartitionConfig { parts: apply_parts, ..Default::default() },
+    )
+    .expect("partitioned bootstrap")
+    .into_session(SessionConfig::default());
+    // max_drain bounds the epoch at 64 batches so the run forms many epochs
+    // instead of swallowing the backlog whole — the series measures
+    // steady-state apply, not one giant batch.
+    let config =
+        ServeConfig { queue_capacity: 1024, shards: 4, max_drain: 64, ..ServeConfig::default() };
+    let handle = InkServer::bind("127.0.0.1:0", parted, config).expect("bind apply");
+    let wall = drive_apply(handle.local_addr(), &apply_batches).expect("apply driver");
+    let (_parted, summary) = handle.shutdown().expect("apply shutdown");
+    let applied = summary.serve.events_applied;
+    let wall_s = wall.as_secs_f64();
+    let apply_per_s = applied as f64 / wall_s;
+    eprintln!(
+        "  apply: {applied} events ({} epochs) in {wall_s:.2}s -> \
+         {apply_per_s:.0} applied events/s",
+        summary.serve.epochs
+    );
+    let apply_doc = Json::obj([
         ("parts", Json::from(apply_parts)),
         ("frames", Json::from(apply_frames)),
         ("batch", Json::from(BATCH)),
-        ("pipelined_vs_single_writer", inkstream::json::rounded(apply_ratio, 3)),
-    ];
-    apply_doc.extend(apply_rows);
+        ("applied_events", Json::from(applied)),
+        ("received_events", Json::from(summary.serve.events_received)),
+        ("epochs", Json::from(summary.serve.epochs)),
+        ("wall_s", inkstream::json::rounded(wall_s, 3)),
+        ("applied_events_per_s", inkstream::json::rounded(apply_per_s, 1)),
+        ("server", summary.serve.to_json()),
+    ]);
 
     let doc = Json::obj([
         ("bench", Json::from("serve")),
@@ -517,7 +498,7 @@ fn main() {
                 ("server", v2_summary.serve.to_json()),
             ]),
         ),
-        ("apply", Json::obj(apply_doc)),
+        ("apply", apply_doc),
         ("speedup_vs_v1", inkstream::json::rounded(speedup, 2)),
         ("pr3_reference_edge_ops_per_s", inkstream::json::rounded(pr3_reference_ops_per_s, 1)),
         (
@@ -538,15 +519,15 @@ fn main() {
         }
         eprintln!("throughput floor OK: {v2_ops_per_s:.0} >= {floor:.0} edge-ops/s");
     }
-    // Apply floor: the pipelined raw-apply series must sustain the floor —
-    // a regression in the pool, the router snapshot, or the pipeline handoff
-    // shows up here even when admission throughput is unaffected.
+    // Apply floor: the raw-apply series must sustain the floor — a
+    // regression in the pool, the router or the writer loop shows up here
+    // even when admission throughput is unaffected.
     if let Ok(floor) = std::env::var("INK_BENCH_MIN_APPLY_PER_S") {
         let floor: f64 = floor.parse().expect("INK_BENCH_MIN_APPLY_PER_S must be a float");
-        if apply_rates[0] < floor {
-            eprintln!("FAIL: pipelined apply {:.0} events/s < floor {floor:.0}", apply_rates[0]);
+        if apply_per_s < floor {
+            eprintln!("FAIL: apply {apply_per_s:.0} events/s < floor {floor:.0}");
             std::process::exit(1);
         }
-        eprintln!("apply floor OK: {:.0} >= {floor:.0} applied events/s", apply_rates[0]);
+        eprintln!("apply floor OK: {apply_per_s:.0} >= {floor:.0} applied events/s");
     }
 }

@@ -39,6 +39,12 @@ pub enum InkError {
         /// Rendered panic payload, when it was a string.
         detail: String,
     },
+    /// The engine does not implement the requested operation (e.g. a
+    /// checkpoint of a partitioned engine).
+    Unsupported {
+        /// What was asked for, and what to do instead.
+        detail: String,
+    },
 }
 
 impl InkError {
@@ -71,6 +77,7 @@ impl std::fmt::Display for InkError {
                 f,
                 "partition {partition} worker panicked ({detail}); pool poisoned until resync"
             ),
+            InkError::Unsupported { detail } => write!(f, "unsupported: {detail}"),
         }
     }
 }
@@ -92,6 +99,7 @@ mod tests {
         assert!(InkError::Io { detail: "disk".into() }.to_string().contains("disk"));
         let p = InkError::WorkerPanic { partition: 3, detail: "boom".into() }.to_string();
         assert!(p.contains('3') && p.contains("boom") && p.contains("resync"));
+        assert!(InkError::Unsupported { detail: "no".into() }.to_string().contains("no"));
     }
 
     #[test]

@@ -59,8 +59,9 @@ pub use hooks::{LinearSelfTerm, UserEvent, UserHooks};
 pub use monotonic::Condition;
 pub use json::Json;
 pub use session::{
-    AuditKind, DriftAction, DriftError, DriftPolicy, DriftStats, IngestReport, ServeStats,
-    SessionConfig, SessionSummary, StreamSession, DEFAULT_TRACE_CAPACITY,
+    AuditKind, DriftAction, DriftError, DriftPolicy, DriftStats, Engine, IngestError,
+    IngestReport, ServeStats, SessionConfig, SessionSummary, StreamSession,
+    DEFAULT_TRACE_CAPACITY,
 };
 pub use snapshot::{
     EmbeddingSnapshot, PublishReport, RowSource, SnapshotPublisher, SnapshotReader,

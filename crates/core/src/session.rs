@@ -1,7 +1,9 @@
 //! Streaming session: the operational wrapper a deployment actually runs.
 //!
-//! [`StreamSession`] owns an [`InkStream`] engine and adds the concerns the
-//! paper's evaluation protocol implies but the core algorithm doesn't cover:
+//! [`StreamSession`] owns an [`Engine`] — a single [`InkStream`] by default,
+//! or any other implementor such as the partition-parallel driver in
+//! `ink-partition` — and adds the concerns the paper's evaluation protocol
+//! implies but the core algorithm doesn't cover:
 //! splitting oversized deltas into refresh batches (speedup falls with ΔG —
 //! paper Fig. 7 — so bounded batches keep latency predictable), rolling
 //! latency statistics, and a drift auditor for accumulative aggregation,
@@ -12,7 +14,7 @@
 //! (`O(samples · deg · dim)` — independent of graph size), *full audits*
 //! compare the whole output against a fresh bootstrap, and a breach triggers
 //! the configured [`DriftAction`] — fail the ingest, log and continue, or
-//! self-heal with [`InkStream::resync`]. NaN anywhere in the audited state
+//! self-heal with [`Engine::resync`]. NaN anywhere in the audited state
 //! always reads as a breach (audits propagate NaN instead of dropping it).
 //! [`DriftStats`] keeps the audit/resync bookkeeping separate from ingest
 //! latency. See DESIGN.md, "Drift auditing and resync".
@@ -34,8 +36,8 @@
 //! Metric names are catalogued in DESIGN.md §8.
 
 use crate::json::{rounded, Json};
-use crate::{InkStream, PhaseTimes, UpdateReport};
-use ink_graph::{DeltaBatch, VertexId};
+use crate::{InkError, InkStream, PhaseTimes, ResyncReport, RowSource, UpdateReport};
+use ink_graph::{DeltaBatch, DynGraph, VertexId};
 use ink_obs::{Counter, Gauge, Histogram, MetricsRegistry, Tracer};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -44,6 +46,71 @@ use std::time::{Duration, Instant};
 /// Default capacity of the session's span ring (events retained for a
 /// [`Tracer::dump_chrome_trace`] dump).
 pub const DEFAULT_TRACE_CAPACITY: usize = 8192;
+
+/// What a [`StreamSession`] and a serving front end need from an incremental
+/// engine: apply ΔG, measure how far the cached state is from recomputation,
+/// rebuild it, and read the output rows ([`RowSource`]). [`InkStream`]
+/// implements it here; `ink_partition::PartitionedInkStream` is the second
+/// implementor.
+pub trait Engine: RowSource {
+    /// Applies one batch of edge changes. An `Err` means the engine refused
+    /// the batch (e.g. [`InkError::WorkerPanic`]) and needs
+    /// [`Engine::resync`] before it accepts another.
+    fn apply(&mut self, delta: &DeltaBatch) -> Result<UpdateReport, InkError>;
+    /// Worst deviation of the whole cached state from recomputation; NaN
+    /// when any of it is non-finite.
+    fn audit_full(&self) -> f32;
+    /// Worst deviation over the sampled vertices, recomputed from cached
+    /// inputs; NaN-propagating.
+    fn audit_vertices(&self, vs: &[VertexId]) -> f32;
+    /// Rebuilds all cached state; afterwards the output is bitwise equal to
+    /// full recomputation.
+    fn resync(&mut self) -> ResyncReport;
+    /// The current graph (vertex bound and directedness).
+    fn graph(&self) -> &DynGraph;
+    /// Appends the output rows rewritten since the previous call; `false`
+    /// when they are not known row by row (see
+    /// [`InkStream::take_dirty_rows`]).
+    fn take_dirty_rows(&mut self, out: &mut Vec<VertexId>) -> bool;
+    /// Heap bytes reserved by reusable scratch buffers.
+    fn scratch_bytes(&self) -> usize;
+    /// Writes a checkpoint a later process can restore the engine from.
+    fn checkpoint(&self, w: &mut dyn std::io::Write) -> Result<(), InkError>;
+}
+
+impl Engine for InkStream {
+    fn apply(&mut self, delta: &DeltaBatch) -> Result<UpdateReport, InkError> {
+        Ok(self.apply_delta(delta))
+    }
+
+    fn audit_full(&self) -> f32 {
+        InkStream::audit_full(self)
+    }
+
+    fn audit_vertices(&self, vs: &[VertexId]) -> f32 {
+        InkStream::audit_vertices(self, vs)
+    }
+
+    fn resync(&mut self) -> ResyncReport {
+        InkStream::resync(self)
+    }
+
+    fn graph(&self) -> &DynGraph {
+        InkStream::graph(self)
+    }
+
+    fn take_dirty_rows(&mut self, out: &mut Vec<VertexId>) -> bool {
+        InkStream::take_dirty_rows(self, out)
+    }
+
+    fn scratch_bytes(&self) -> usize {
+        InkStream::scratch_bytes(self)
+    }
+
+    fn checkpoint(&self, mut w: &mut dyn std::io::Write) -> Result<(), InkError> {
+        crate::checkpoint::save(self, &mut w).map_err(|e| InkError::Io { detail: e.to_string() })
+    }
+}
 
 /// Renders a `(p50, p90, p99, max)` latency tuple as microseconds.
 fn latency_json(l: &(Duration, Duration, Duration, Duration)) -> Json {
@@ -58,7 +125,7 @@ pub enum DriftAction {
     Fail,
     /// Record the breach in [`DriftStats`] and carry on.
     Warn,
-    /// Self-heal: rebuild all cached state via [`InkStream::resync`], after
+    /// Self-heal: rebuild all cached state via [`Engine::resync`], after
     /// which the output is bitwise equal to full recomputation.
     Resync,
 }
@@ -213,6 +280,28 @@ impl std::fmt::Display for DriftError {
 }
 
 impl std::error::Error for DriftError {}
+
+/// Why a [`StreamSession::ingest`] failed.
+#[derive(Clone, Debug)]
+pub enum IngestError {
+    /// An audit breached tolerance under [`DriftAction::Fail`]; the batches
+    /// were applied.
+    Drift(DriftError),
+    /// The engine refused a batch ([`Engine::apply`] returned `Err`); the
+    /// batches before it were applied, it and the rest were not.
+    Engine(InkError),
+}
+
+impl std::fmt::Display for IngestError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            IngestError::Drift(e) => e.fmt(f),
+            IngestError::Engine(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for IngestError {}
 
 /// What one [`StreamSession::ingest`] call did.
 #[derive(Clone, Debug, Default)]
@@ -385,8 +474,8 @@ impl SessionSummary {
 /// assert!(scrape.contains("ink_drift_spot_audits_total 1"));
 /// assert!(session.tracer().dump_chrome_trace().contains("\"name\":\"generate\""));
 /// ```
-pub struct StreamSession {
-    engine: InkStream,
+pub struct StreamSession<E: Engine = InkStream> {
+    engine: E,
     config: SessionConfig,
     registry: Arc<MetricsRegistry>,
     tracer: Arc<Tracer>,
@@ -507,7 +596,8 @@ impl SessionInstruments {
 
 /// SplitMix64 — the session's spot-sampling stream. Inline so the core crate
 /// stays free of RNG dependencies; statistically fine for picking audit
-/// vertices.
+/// vertices. One generator for every engine, so identical policies sample
+/// identical vertices.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -516,9 +606,9 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-impl StreamSession {
+impl<E: Engine> StreamSession<E> {
     /// Wraps an engine with default session settings.
-    pub fn new(engine: InkStream) -> Self {
+    pub fn new(engine: E) -> Self {
         Self::with_config(engine, SessionConfig::default())
     }
 
@@ -529,7 +619,7 @@ impl StreamSession {
     /// On a malformed config: `max_batch` or `latency_window` of 0, an audit
     /// interval of `Some(0)` (ambiguous — use `None` to disable), a spot
     /// policy sampling 0 vertices, or a non-finite/negative tolerance.
-    pub fn with_config(engine: InkStream, config: SessionConfig) -> Self {
+    pub fn with_config(engine: E, config: SessionConfig) -> Self {
         Self::with_observability(
             engine,
             config,
@@ -552,7 +642,7 @@ impl StreamSession {
     /// registry already holds an `ink_session_*` name as a different
     /// instrument kind.
     pub fn with_observability(
-        engine: InkStream,
+        engine: E,
         config: SessionConfig,
         registry: Arc<MetricsRegistry>,
         tracer: Arc<Tracer>,
@@ -602,12 +692,12 @@ impl StreamSession {
     }
 
     /// The wrapped engine (read access).
-    pub fn engine(&self) -> &InkStream {
+    pub fn engine(&self) -> &E {
         &self.engine
     }
 
     /// The wrapped engine (e.g. for vertex operations).
-    pub fn engine_mut(&mut self) -> &mut InkStream {
+    pub fn engine_mut(&mut self) -> &mut E {
         &mut self.engine
     }
 
@@ -634,14 +724,15 @@ impl StreamSession {
     /// Applies a delta, split into batches of at most `max_batch` changes,
     /// then runs whichever audit the [`DriftPolicy`] schedules for this
     /// ingest. On a breach with [`DriftAction::Fail`] the returned error
-    /// carries the ingest report — the batches were already applied.
-    pub fn ingest(&mut self, delta: &DeltaBatch) -> Result<IngestReport, DriftError> {
+    /// carries the ingest report — the batches were already applied. An
+    /// engine error ends the ingest at the batch that raised it.
+    pub fn ingest(&mut self, delta: &DeltaBatch) -> Result<IngestReport, IngestError> {
         let t0 = Instant::now();
         let mut report = IngestReport::default();
         for chunk in delta.changes().chunks(self.config.max_batch) {
             let batch = DeltaBatch::new(chunk.to_vec());
             let t = Instant::now();
-            let r: UpdateReport = self.engine.apply_delta(&batch);
+            let r: UpdateReport = self.engine.apply(&batch).map_err(IngestError::Engine)?;
             let elapsed = t.elapsed();
             if self.batch_latencies.len() == self.config.latency_window {
                 self.batch_latencies.pop_front();
@@ -676,7 +767,7 @@ impl StreamSession {
         if self.config.drift.enabled() {
             if let Some(err) = self.run_audit(&mut report) {
                 report.elapsed = t0.elapsed();
-                return Err(DriftError { report, ..err });
+                return Err(IngestError::Drift(DriftError { report, ..err }));
             }
         }
         report.elapsed = t0.elapsed();
@@ -685,7 +776,7 @@ impl StreamSession {
 
     /// Feeds one batch's engine-measured phase times into the phase
     /// histograms and synthesizes tracer spans: one `"batch"` span for the
-    /// whole `apply_delta` call and one consecutive span per phase starting
+    /// whole [`Engine::apply`] call and one consecutive span per phase starting
     /// at the batch start (the engine measures phases per layer; the spans
     /// show their per-batch totals laid end to end).
     fn record_phases(&self, start: Instant, elapsed: Duration, pt: &PhaseTimes) {
@@ -938,7 +1029,9 @@ mod tests {
             },
         );
         s.engine_mut().state_mut().alpha[0].set(3, 1, f32::NAN);
-        let err = s.ingest(&delta(&s, 33, 5)).unwrap_err();
+        let IngestError::Drift(err) = s.ingest(&delta(&s, 33, 5)).unwrap_err() else {
+            panic!("a single engine never refuses a batch");
+        };
         assert!(err.max_diff.is_nan());
         assert_eq!(err.report.batches, 3, "the applied work survives in the error");
         assert!(err.report.drift_breached);

@@ -77,6 +77,20 @@ impl RowSource for Matrix {
     }
 }
 
+impl RowSource for crate::InkStream {
+    fn shape(&self) -> (usize, usize) {
+        self.output().shape()
+    }
+
+    fn row(&self, v: usize) -> &[f32] {
+        self.output().row(v)
+    }
+
+    fn copy_into(&self, dst: &mut Matrix) {
+        self.output().copy_into(dst);
+    }
+}
+
 /// What one publish copied.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PublishReport {

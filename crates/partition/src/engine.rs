@@ -35,18 +35,17 @@ use crate::metrics::PartitionInstruments;
 use crate::partitioner::Partitioner;
 use crate::pool::{StepOp, WorkerPool};
 use crate::replication::ReplicationTable;
-use crate::router::{DeltaRouter, PreRouted, RoutingView};
+use crate::router::DeltaRouter;
 use ink_graph::stats::{partition_quality, PartitionQuality};
 use ink_graph::{DeltaBatch, DynGraph, EdgeChange, EdgeOp, FxHashMap, VertexId};
 use ink_gnn::Model;
-use ink_obs::MetricsRegistry;
+use ink_obs::{MetricsRegistry, Tracer};
+use ink_tensor::ops::nan_max;
 use ink_tensor::Matrix;
 use inkstream::{
-    AuditKind, DriftAction, DriftError, DriftStats, IngestReport, InkError, InkStream,
-    PhaseTimes, ResyncReport, RowSource, SessionConfig, SessionSummary, ServeStats,
-    UpdateConfig, UpdateReport, UserHooks,
+    Engine, InkError, InkStream, ResyncReport, RowSource, SessionConfig, StreamSession,
+    UpdateConfig, UpdateReport, UserHooks, DEFAULT_TRACE_CAPACITY,
 };
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -68,8 +67,6 @@ pub struct PartitionConfig {
     pub parts: usize,
     /// Per-engine update configuration (shared by every partition).
     pub update: UpdateConfig,
-    /// Session-layer settings: ingest batching, drift policy, latency window.
-    pub session: SessionConfig,
     /// Step the partitions on the persistent [`WorkerPool`] (`false` =
     /// serial on the caller's thread, same results — parallelism only
     /// trades wall-clock). A single partition always steps serially.
@@ -84,46 +81,16 @@ impl Default for PartitionConfig {
         Self {
             parts: 2,
             update: UpdateConfig::default(),
-            session: SessionConfig::default(),
             parallel: true,
             pool_workers: None,
         }
     }
 }
 
-/// Failure modes of a partitioned ingest: the drift auditor breached under a
-/// `Fail` policy, or a pool worker panicked mid-round (the session then
-/// fails fast until [`PartitionedInkStream::resync`]).
-#[derive(Clone, Debug)]
-pub enum PartitionError {
-    /// Drift audit breach with a `Fail` action.
-    Drift(DriftError),
-    /// A pool worker panicked (always [`InkError::WorkerPanic`]).
-    Worker(InkError),
-}
-
-impl std::fmt::Display for PartitionError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PartitionError::Drift(e) => write!(f, "{e}"),
-            PartitionError::Worker(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for PartitionError {}
-
-impl From<DriftError> for PartitionError {
-    fn from(e: DriftError) -> Self {
-        PartitionError::Drift(e)
-    }
-}
-
-/// [`SessionSummary`] plus the partition-specific observables.
+/// The partition-specific observables; the session-level ones come from the
+/// [`StreamSession`] wrapping the driver.
 #[derive(Clone, Debug)]
 pub struct PartitionSummary {
-    /// The folded per-partition session summary.
-    pub session: SessionSummary,
     /// Partition count.
     pub parts: usize,
     /// Edge-cut quality of the *current* graph under the current assignment.
@@ -138,34 +105,9 @@ pub struct PartitionSummary {
     pub partition_wall: Vec<Duration>,
 }
 
-impl PartitionSummary {
-    /// JSON rendering for bench artifacts, superset of the session schema.
-    pub fn to_json(&self) -> inkstream::Json {
-        use inkstream::Json;
-        Json::obj([
-            ("session", self.session.to_json()),
-            ("parts", Json::from(self.parts as u64)),
-            ("cut_edges", Json::from(self.quality.cut_edges as u64)),
-            ("replication_factor", Json::from(self.quality.replication_factor)),
-            ("balance", Json::from(self.quality.balance)),
-            ("boundary_events", Json::from(self.boundary_events)),
-            ("replica_refreshes", Json::from(self.replica_refreshes)),
-            ("mirror_seeds", Json::from(self.mirror_seeds)),
-            (
-                "partition_wall_ms",
-                Json::Arr(
-                    self.partition_wall
-                        .iter()
-                        .map(|d| Json::from(d.as_secs_f64() * 1e3))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-/// A partition-parallel incremental engine with the same session-style
-/// surface as a single [`InkStream`] + [`inkstream::StreamSession`]. See the
+/// A partition-parallel incremental engine with the same surface as a single
+/// [`InkStream`]; as an [`Engine`] it runs under the same [`StreamSession`]
+/// ([`PartitionedInkStream::into_session`]) and the same server. See the
 /// crate docs for the ownership model and the module docs for the round
 /// schedule.
 pub struct PartitionedInkStream {
@@ -181,19 +123,7 @@ pub struct PartitionedInkStream {
     hooks_factory: Option<HooksFactory>,
     cfg: PartitionConfig,
     cut_edges: usize,
-
-    // Session bookkeeping (the driver is its own session layer — per-batch
-    // rounds cross all engines, so a per-engine StreamSession cannot wrap
-    // them).
-    ingests: usize,
-    changes: usize,
-    batches: u64,
-    total_affected: u64,
-    output_changed_total: u64,
-    phase_times: PhaseTimes,
-    latencies: VecDeque<Duration>,
-    drift: DriftStats,
-    sample_state: u64,
+    /// Cumulative wall time each partition spent inside round steps.
     walls: Vec<Duration>,
     registry: Arc<MetricsRegistry>,
     inst: PartitionInstruments,
@@ -278,7 +208,6 @@ impl PartitionedInkStream {
         inst.parts.set_u64(parts as u64);
         inst.cut_edges.set_u64(cut_edges as u64);
         inst.replicas.set_u64(table.total_mirrors() as u64);
-        let sample_state = cfg.session.drift.seed;
         let router = DeltaRouter::new(assignment, parts, graph.is_directed());
         let pool = (cfg.parallel && parts > 1)
             .then(|| WorkerPool::new(parts, cfg.pool_workers.unwrap_or(parts), &registry));
@@ -293,15 +222,6 @@ impl PartitionedInkStream {
             hooks_factory,
             cfg,
             cut_edges,
-            ingests: 0,
-            changes: 0,
-            batches: 0,
-            total_affected: 0,
-            output_changed_total: 0,
-            phase_times: PhaseTimes::default(),
-            latencies: VecDeque::new(),
-            drift: DriftStats::default(),
-            sample_state,
             walls: vec![Duration::ZERO; parts],
             registry,
             inst,
@@ -347,6 +267,16 @@ impl PartitionedInkStream {
     /// The driver's metrics registry (`ink_partition_*` instruments).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.registry
+    }
+
+    /// Wraps the driver in the session layer, registering the session's
+    /// instruments into the driver's registry so one scrape shows
+    /// `ink_partition_*` next to `ink_session_*`, `ink_drift_*` and the
+    /// pipeline phases.
+    pub fn into_session(self, config: SessionConfig) -> StreamSession<Self> {
+        let registry = self.registry.clone();
+        let tracer = Arc::new(Tracer::new(DEFAULT_TRACE_CAPACITY));
+        StreamSession::with_observability(self, config, registry, tracer)
     }
 
     /// The merged output embeddings: every vertex's row taken from its
@@ -424,8 +354,9 @@ impl PartitionedInkStream {
     /// # Panics
     ///
     /// When the worker pool is poisoned by an earlier panic — callers that
-    /// must survive a worker panic (the serving writer) use
-    /// [`PartitionedInkStream::try_apply_delta`] instead.
+    /// must survive a worker panic use
+    /// [`PartitionedInkStream::try_apply_delta`] (which is what
+    /// [`Engine::apply`] calls) instead.
     pub fn apply_delta(&mut self, delta: &DeltaBatch) -> UpdateReport {
         self.try_apply_delta(delta)
             .expect("edge-only rounds cannot fail validation on a healthy pool")
@@ -436,7 +367,7 @@ impl PartitionedInkStream {
     /// caller. After such an error the pool is poisoned — every further call
     /// fails fast with the same error until [`PartitionedInkStream::resync`].
     pub fn try_apply_delta(&mut self, delta: &DeltaBatch) -> Result<UpdateReport, InkError> {
-        self.round(delta, &[], None)
+        self.round(delta, &[])
     }
 
     /// Updates one vertex's input feature everywhere (ghost copies included)
@@ -447,7 +378,7 @@ impl PartitionedInkStream {
         v: VertexId,
         new_feat: &[f32],
     ) -> Result<UpdateReport, InkError> {
-        self.round(&DeltaBatch::default(), &[(v, new_feat.to_vec())], None)
+        self.round(&DeltaBatch::default(), &[(v, new_feat.to_vec())])
     }
 
     /// Adds a vertex with `feat` and edges to `neighbors`; ownership comes
@@ -550,15 +481,10 @@ impl PartitionedInkStream {
     }
 
     /// One partitioned round: see the module docs for the schedule.
-    /// `pre_routed` is an optional pre-computed routing of `delta` (one
-    /// delta per partition, from a current-generation [`RoutingView`]) — the
-    /// pipelined serve writer routes epoch N+1 off-thread while this driver
-    /// applies epoch N. Falls back to live routing when absent or misshapen.
     fn round(
         &mut self,
         delta: &DeltaBatch,
         fx: &[(VertexId, Vec<f32>)],
-        pre_routed: Option<&[DeltaBatch]>,
     ) -> Result<UpdateReport, InkError> {
         let t0 = Instant::now();
         // Fail fast on a poisoned pool before mutating any graph replica —
@@ -640,18 +566,9 @@ impl PartitionedInkStream {
 
         // Open the round everywhere. Feature updates go to every engine
         // (ghost feature rows stay fresh for audits); each engine's
-        // ownership mask decides who actually seeds propagation. Routing is
-        // a pure function of the assignment, so a pre-routed split from a
-        // current-generation view is byte-identical to routing here.
-        let routed_local;
-        let routed: &[DeltaBatch] = match pre_routed {
-            Some(r) if r.len() == self.cfg.parts => r,
-            _ => {
-                routed_local = self.router.route(delta);
-                &routed_local
-            }
-        };
-        for (e, d) in self.engines.iter_mut().zip(routed) {
+        // ownership mask decides who actually seeds propagation.
+        let routed = self.router.route(delta);
+        for (e, d) in self.engines.iter_mut().zip(&routed) {
             e.round_begin(d, fx).expect("validated against the global replica");
         }
 
@@ -737,150 +654,21 @@ impl PartitionedInkStream {
         Ok(())
     }
 
-    /// A [`RoutingView`] snapshot of the current assignment + ingest chunk
-    /// size: the pipelined serve writer routes the next epoch's delta with it
-    /// on another thread, then feeds the result to
-    /// [`PartitionedInkStream::ingest_prerouted`].
-    pub fn routing_view(&self) -> RoutingView {
-        self.router.view(self.cfg.session.max_batch)
+    /// A copy of the routing function (the assignment sits behind an `Arc`,
+    /// so the clone is cheap): lets a caller time or inspect
+    /// [`DeltaRouter::route`] without borrowing the driver.
+    pub fn routing_view(&self) -> DeltaRouter {
+        self.router.clone()
     }
 
-    /// Applies a delta split into `max_batch` chunks, then runs whichever
-    /// audit the drift policy schedules — the partitioned analogue of
-    /// [`inkstream::StreamSession::ingest`], with audits running per
-    /// partition on owned vertices plus a mirror-consistency sweep.
-    pub fn ingest(&mut self, delta: &DeltaBatch) -> Result<IngestReport, PartitionError> {
-        self.ingest_inner(delta, None)
-    }
-
-    /// [`PartitionedInkStream::ingest`] with the routing work already done:
-    /// `pre` comes from [`RoutingView::route`] on a snapshot taken via
-    /// [`PartitionedInkStream::routing_view`]. A stale snapshot (vertex
-    /// added since) is detected by generation and silently re-routed live —
-    /// the result is identical either way, pre-routing only moves the work
-    /// off this thread.
-    pub fn ingest_prerouted(
-        &mut self,
-        delta: &DeltaBatch,
-        pre: &PreRouted,
-    ) -> Result<IngestReport, PartitionError> {
-        let current = pre.generation == self.router.generation();
-        self.ingest_inner(delta, current.then_some(pre))
-    }
-
-    fn ingest_inner(
-        &mut self,
-        delta: &DeltaBatch,
-        pre: Option<&PreRouted>,
-    ) -> Result<IngestReport, PartitionError> {
-        let t0 = Instant::now();
-        let mut report = IngestReport::default();
-        for (i, chunk) in delta.changes().chunks(self.cfg.session.max_batch).enumerate() {
-            let batch = DeltaBatch::new(chunk.to_vec());
-            let routed = pre.and_then(|p| p.chunks.get(i)).map(|v| v.as_slice());
-            let t = Instant::now();
-            let r = self.round(&batch, &[], routed).map_err(PartitionError::Worker)?;
-            let elapsed = t.elapsed();
-            if self.latencies.len() == self.cfg.session.latency_window {
-                self.latencies.pop_front();
-            }
-            self.latencies.push_back(elapsed);
-            self.batches += 1;
-            report.batches += 1;
-            report.skipped += r.skipped_changes;
-            report.changes_applied += chunk.len() - r.skipped_changes;
-            report.output_changed += r.output_changed;
-            self.total_affected += r.real_affected;
-            self.phase_times.merge(&r.phase_times());
-        }
-        self.ingests += 1;
-        self.changes += report.changes_applied;
-        self.output_changed_total += report.output_changed;
-
-        if let Some(err) = self.run_audit(&mut report) {
-            report.elapsed = t0.elapsed();
-            return Err(PartitionError::Drift(DriftError { report, ..err }));
-        }
-        report.elapsed = t0.elapsed();
-        Ok(report)
-    }
-
-    /// Spot audit: sampled vertices audited on their owners. Full audit:
-    /// every vertex audited on its owner, plus every ghost message row
-    /// checked against the owner's copy (a partition-only failure mode a
-    /// vertex-level audit cannot see).
-    fn run_audit(&mut self, report: &mut IngestReport) -> Option<DriftError> {
-        use ink_tensor::ops::nan_max;
-        let policy = self.cfg.session.drift;
-        let spot_enabled = policy.spot_every.is_some();
-        let full_enabled = policy.full_every.is_some();
-        if !spot_enabled && !full_enabled {
-            return None;
-        }
-        let due_full = policy.full_every.is_some_and(|e| self.ingests.is_multiple_of(e));
-        let due_spot =
-            !due_full && policy.spot_every.is_some_and(|e| self.ingests.is_multiple_of(e));
-        if !due_full && !due_spot {
-            return None;
-        }
-        let t_audit = Instant::now();
-        let diff = if due_full {
-            self.drift.full_audits += 1;
-            report.audit = Some(AuditKind::Full);
-            let mut worst = 0.0f32;
-            for v in 0..self.graph.num_vertices() as VertexId {
-                let owner = self.router.owner(v) as usize;
-                worst = nan_max(worst, self.engines[owner].audit_vertex(v));
-            }
-            worst = nan_max(worst, self.mirror_deviation());
-            worst
-        } else {
-            self.drift.spot_audits += 1;
-            report.audit = Some(AuditKind::Spot);
-            let n = self.graph.num_vertices() as u64;
-            let mut worst = 0.0f32;
-            for _ in 0..policy.spot_samples {
-                let v = (splitmix64(&mut self.sample_state) % n.max(1)) as VertexId;
-                let owner = self.router.owner(v) as usize;
-                worst = nan_max(worst, self.engines[owner].audit_vertex(v));
-            }
-            worst
-        };
-        report.audit_time = t_audit.elapsed();
-        self.drift.audit_time += report.audit_time;
-        report.verified_diff = Some(diff);
-        if diff.is_nan() {
-            self.drift.nan_detected += 1;
-        } else {
-            self.drift.max_deviation = self.drift.max_deviation.max(diff);
-        }
-        let breached = diff.is_nan() || diff > policy.tolerance;
-        report.drift_breached = breached;
-        if !breached {
-            return None;
-        }
-        self.drift.breaches += 1;
-        match policy.action {
-            DriftAction::Warn => None,
-            DriftAction::Resync => {
-                let r = self.resync();
-                self.drift.resyncs += 1;
-                self.drift.resync_time += r.elapsed;
-                report.resynced = true;
-                None
-            }
-            DriftAction::Fail => Some(DriftError {
-                max_diff: diff,
-                tolerance: policy.tolerance,
-                report: IngestReport::default(),
-            }),
-        }
+    /// [`InkStream::audit_vertex`] of `v` on the engine that owns it.
+    fn audit_vertex(&self, v: VertexId) -> f32 {
+        self.engines[self.router.owner(v) as usize].audit_vertex(v)
     }
 
     /// Worst absolute difference between any ghost message row and its
     /// owner's authoritative copy — 0.0 when every mirror is coherent.
     pub fn mirror_deviation(&self) -> f32 {
-        use ink_tensor::ops::nan_max;
         let k = self.engines[0].model().num_layers();
         let mut worst = 0.0f32;
         for v in 0..self.graph.num_vertices() as VertexId {
@@ -898,33 +686,10 @@ impl PartitionedInkStream {
         worst
     }
 
-    /// The [`SessionSummary`] fold over every partition: counters and the
-    /// latency window only, cheap enough to refresh after every served epoch.
-    pub fn session_summary(&self) -> SessionSummary {
-        let mut sorted: Vec<Duration> = self.latencies.iter().copied().collect();
-        sorted.sort_unstable();
-        SessionSummary {
-            ingests: self.ingests,
-            changes: self.changes,
-            latency: (
-                percentile_of(&sorted, 0.50),
-                percentile_of(&sorted, 0.90),
-                percentile_of(&sorted, 0.99),
-                sorted.last().copied().unwrap_or_default(),
-            ),
-            avg_real_affected: self.total_affected as f64 / self.batches.max(1) as f64,
-            phase_times: self.phase_times,
-            drift: self.drift,
-            serve: ServeStats::default(),
-        }
-    }
-
-    /// Rolling summary: [`PartitionedInkStream::session_summary`] plus the
-    /// partition-specific observables. Measuring the cut quality scans
+    /// The partition-specific observables. Measuring the cut quality scans
     /// every edge of the current graph.
     pub fn summary(&self) -> PartitionSummary {
         PartitionSummary {
-            session: self.session_summary(),
             parts: self.cfg.parts,
             quality: partition_quality(&self.graph, self.router.assignment(), self.cfg.parts),
             boundary_events: self.inst.boundary_events.get(),
@@ -932,6 +697,49 @@ impl PartitionedInkStream {
             mirror_seeds: self.inst.mirror_seeds.get(),
             partition_wall: self.walls.clone(),
         }
+    }
+}
+
+/// The driver under a [`StreamSession`] or a server: audits run on
+/// each vertex's owner, and the full audit adds the mirror-consistency sweep
+/// (a partition-only failure mode a vertex-level audit cannot see).
+impl Engine for PartitionedInkStream {
+    fn apply(&mut self, delta: &DeltaBatch) -> Result<UpdateReport, InkError> {
+        self.try_apply_delta(delta)
+    }
+
+    fn audit_full(&self) -> f32 {
+        let owned = (0..self.graph.num_vertices() as VertexId)
+            .fold(0.0, |worst, v| nan_max(worst, self.audit_vertex(v)));
+        nan_max(owned, self.mirror_deviation())
+    }
+
+    fn audit_vertices(&self, vs: &[VertexId]) -> f32 {
+        vs.iter().fold(0.0, |worst, &v| nan_max(worst, self.audit_vertex(v)))
+    }
+
+    fn resync(&mut self) -> ResyncReport {
+        PartitionedInkStream::resync(self)
+    }
+
+    fn graph(&self) -> &DynGraph {
+        &self.graph
+    }
+
+    fn take_dirty_rows(&mut self, out: &mut Vec<VertexId>) -> bool {
+        PartitionedInkStream::take_dirty_rows(self, out)
+    }
+
+    fn scratch_bytes(&self) -> usize {
+        self.engines.iter().map(InkStream::scratch_bytes).sum()
+    }
+
+    fn checkpoint(&self, _w: &mut dyn std::io::Write) -> Result<(), InkError> {
+        Err(InkError::Unsupported {
+            detail: "a partitioned engine has no checkpoint format; checkpoint a single \
+                     engine and partition it on restore"
+                .into(),
+        })
     }
 }
 
@@ -976,25 +784,6 @@ fn count_cut_edges(g: &DynGraph, assignment: &[u32]) -> usize {
         .iter()
         .filter(|&&(u, v)| assignment[u as usize] != assignment[v as usize])
         .count()
-}
-
-/// Nearest-rank percentile of an ascending-sorted slice.
-fn percentile_of(sorted: &[Duration], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p.clamp(0.0, 1.0)).round() as usize;
-    sorted[idx]
-}
-
-/// SplitMix64 — the spot-audit sampling stream (same generator as the
-/// single-engine session, so identical policies sample identical vertices).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -1159,27 +948,6 @@ mod tests {
         });
         expect.truncate(5);
         assert_eq!(items, expect);
-    }
-
-    #[test]
-    fn ingest_chunks_audits_and_summarizes() {
-        let (_, mut parted) = setup(2);
-        parted.cfg.session.max_batch = 2;
-        parted.cfg.session.drift = inkstream::DriftPolicy::full(1, 1e-3);
-        let delta = DeltaBatch::new(vec![
-            EdgeChange::insert(0, 7),
-            EdgeChange::insert(3, 15),
-            EdgeChange::remove(0, 7),
-        ]);
-        let r = parted.ingest(&delta).unwrap();
-        assert_eq!(r.batches, 2);
-        assert_eq!(r.audit, Some(AuditKind::Full));
-        assert!(!r.drift_breached, "diff {:?}", r.verified_diff);
-        let s = parted.summary();
-        assert_eq!(s.session.ingests, 1);
-        assert_eq!(s.parts, 2);
-        assert_eq!(s.session.drift.full_audits, 1);
-        assert!(s.partition_wall.iter().any(|d| !d.is_zero()));
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //! * [`replication`] — [`ReplicationTable`] tracks, per boundary vertex, the
 //!   foreign partitions holding a ghost copy, refcounted by cut edges.
 //! * [`engine`] — [`PartitionedInkStream`]: the BSP driver stepping every
-//!   engine layer by layer with a boundary-row exchange in between, plus the
-//!   session layer (ingest batching, drift audits, resync, summary fold).
+//!   engine layer by layer with a boundary-row exchange in between. It
+//!   implements [`inkstream::Engine`], so ingest batching, drift audits,
+//!   breach actions and the summary come from the one
+//!   [`inkstream::StreamSession`] that also wraps a single engine.
 //! * [`pool`] — [`pool::WorkerPool`]: one persistent, parked worker thread
 //!   per partition, woken per round step via condvar/epoch-counter barriers;
 //!   worker panics poison the pool into a typed error instead of aborting.
@@ -73,8 +75,8 @@ pub mod pool;
 pub mod replication;
 pub mod router;
 
-pub use engine::{PartitionConfig, PartitionError, PartitionSummary, PartitionedInkStream};
+pub use engine::{PartitionConfig, PartitionSummary, PartitionedInkStream};
 pub use partitioner::{GreedyEdgeCut, HashPartitioner, Partitioner};
 pub use pool::{PoolPanic, StepOp, WorkerPool};
 pub use replication::ReplicationTable;
-pub use router::{DeltaRouter, PreRouted, RoutingView};
+pub use router::DeltaRouter;

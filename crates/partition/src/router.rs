@@ -12,16 +12,13 @@ use ink_graph::{DeltaBatch, EdgeChange, VertexId};
 use std::sync::Arc;
 
 /// Routes [`DeltaBatch`]es onto per-partition deltas according to a vertex
-/// ownership assignment. The assignment lives behind an [`Arc`] so a
-/// [`RoutingView`] snapshot shares it with a pre-routing thread for free;
-/// [`DeltaRouter::push_vertex`] copies-on-write and bumps the generation,
-/// which is how stale views are detected.
+/// ownership assignment. The assignment lives behind an [`Arc`], so a clone
+/// shares it for free; [`DeltaRouter::push_vertex`] copies-on-write.
 #[derive(Clone, Debug)]
 pub struct DeltaRouter {
     assignment: Arc<Vec<u32>>,
     parts: usize,
     directed: bool,
-    generation: u64,
 }
 
 impl DeltaRouter {
@@ -36,7 +33,7 @@ impl DeltaRouter {
             assignment.iter().all(|&p| (p as usize) < parts),
             "partition labels must be < parts"
         );
-        Self { assignment: Arc::new(assignment), parts, directed, generation: 0 }
+        Self { assignment: Arc::new(assignment), parts, directed }
     }
 
     /// The partition owning vertex `v`.
@@ -59,32 +56,10 @@ impl DeltaRouter {
     }
 
     /// Extends the assignment with the owner of a newly added vertex (ids
-    /// are dense, so the new vertex is `assignment.len()`). Invalidates every
-    /// outstanding [`RoutingView`] by bumping the generation.
+    /// are dense, so the new vertex is `assignment.len()`).
     pub fn push_vertex(&mut self, part: u32) {
         assert!((part as usize) < self.parts, "partition label out of range");
         Arc::make_mut(&mut self.assignment).push(part);
-        self.generation += 1;
-    }
-
-    /// The assignment generation: bumped whenever the vertex set (and hence
-    /// the routing function) changes.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// An immutable snapshot of the routing function, cheap to clone and
-    /// safe to hand to another thread: the serve writer's stage-A thread
-    /// pre-routes epoch N+1 with it while the driver applies epoch N.
-    /// `max_batch` is the ingest chunk size the view must reproduce.
-    pub fn view(&self, max_batch: usize) -> RoutingView {
-        RoutingView {
-            assignment: Arc::clone(&self.assignment),
-            parts: self.parts,
-            directed: self.directed,
-            generation: self.generation,
-            max_batch: max_batch.max(1),
-        }
     }
 
     /// The partitions a single change lands on: the second slot is occupied
@@ -111,81 +86,19 @@ impl DeltaRouter {
     /// both endpoint owners' deltas; every other change appears exactly
     /// once.
     pub fn route(&self, delta: &DeltaBatch) -> Vec<DeltaBatch> {
-        route_changes(&self.assignment, self.parts, self.directed, delta.changes())
-    }
-}
-
-/// The shared routing kernel: one output delta per partition, relative order
-/// preserved (see [`DeltaRouter::route`]).
-fn route_changes(
-    assignment: &[u32],
-    parts: usize,
-    directed: bool,
-    changes: &[EdgeChange],
-) -> Vec<DeltaBatch> {
-    let mut out: Vec<Vec<EdgeChange>> = vec![Vec::new(); parts];
-    for c in changes {
-        let (ps, pd) = (assignment[c.src as usize], assignment[c.dst as usize]);
-        if directed {
-            out[pd as usize].push(*c);
-        } else {
-            out[ps as usize].push(*c);
-            if ps != pd {
+        let mut out: Vec<Vec<EdgeChange>> = vec![Vec::new(); self.parts];
+        for c in delta.changes() {
+            let (ps, pd) = (self.owner(c.src), self.owner(c.dst));
+            if self.directed {
                 out[pd as usize].push(*c);
+            } else {
+                out[ps as usize].push(*c);
+                if ps != pd {
+                    out[pd as usize].push(*c);
+                }
             }
         }
-    }
-    out.into_iter().map(DeltaBatch::new).collect()
-}
-
-/// A frozen snapshot of the routing function (assignment + directedness +
-/// ingest chunking), taken via [`DeltaRouter::view`]. Routing is a pure
-/// function of the assignment — independent of graph state — so a snapshot
-/// routes future deltas exactly as the live router will, as long as the
-/// generation still matches (no vertex was added in between).
-#[derive(Clone, Debug)]
-pub struct RoutingView {
-    assignment: Arc<Vec<u32>>,
-    parts: usize,
-    directed: bool,
-    generation: u64,
-    max_batch: usize,
-}
-
-impl RoutingView {
-    /// Routes `delta` ahead of time: the batch is split into the same
-    /// `max_batch` chunks `PartitionedInkStream::ingest` will form, and each
-    /// chunk is routed onto per-partition deltas. The result is only
-    /// consumed when its generation still matches the live router.
-    pub fn route(&self, delta: &DeltaBatch) -> PreRouted {
-        let chunks = delta
-            .changes()
-            .chunks(self.max_batch)
-            .map(|chunk| route_changes(&self.assignment, self.parts, self.directed, chunk))
-            .collect();
-        PreRouted { generation: self.generation, chunks }
-    }
-
-    /// The assignment generation this view was taken at.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-}
-
-/// Per-chunk routed deltas produced by [`RoutingView::route`], aligned with
-/// the chunking `PartitionedInkStream::ingest` performs. Consumed by
-/// `ingest_prerouted`, which falls back to live routing when the generation
-/// is stale.
-#[derive(Clone, Debug, Default)]
-pub struct PreRouted {
-    pub(crate) generation: u64,
-    pub(crate) chunks: Vec<Vec<DeltaBatch>>,
-}
-
-impl PreRouted {
-    /// Number of ingest chunks routed.
-    pub fn chunks(&self) -> usize {
-        self.chunks.len()
+        out.into_iter().map(DeltaBatch::new).collect()
     }
 }
 
@@ -249,28 +162,5 @@ mod tests {
         let mut r = DeltaRouter::new(vec![0], 2, false);
         r.push_vertex(1);
         assert_eq!(r.owner(1), 1);
-    }
-
-    #[test]
-    fn view_routes_like_the_live_router_until_invalidated() {
-        let mut r = DeltaRouter::new(vec![0, 1, 1, 0], 2, false);
-        let view = r.view(2);
-        let d = DeltaBatch::new(vec![
-            change(0, 1, EdgeOp::Insert),
-            change(2, 3, EdgeOp::Insert),
-            change(1, 2, EdgeOp::Remove),
-        ]);
-        let pre = view.route(&d);
-        assert_eq!(pre.chunks(), 2, "3 changes at max_batch=2 form 2 chunks");
-        // Chunk-by-chunk, the view matches routing the same chunk live.
-        for (i, chunk) in d.changes().chunks(2).enumerate() {
-            let live = r.route(&DeltaBatch::new(chunk.to_vec()));
-            for (a, b) in pre.chunks[i].iter().zip(&live) {
-                assert_eq!(a.changes(), b.changes());
-            }
-        }
-        assert_eq!(view.generation(), r.generation());
-        r.push_vertex(1);
-        assert_ne!(view.generation(), r.generation(), "vertex add invalidates the view");
     }
 }

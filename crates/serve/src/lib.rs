@@ -45,5 +45,5 @@ pub use client::{InkClient, ServerHello};
 pub use metrics::ServerMetrics;
 pub use protocol::{DecodeError, Request, Response, MAX_FRAME, PROTOCOL_VERSION};
 pub use queue::{Admission, Backpressure, IngestQueue, QueueItem};
-pub use server::{InkServer, PartitionedServerHandle, ServeConfig, ServerHandle};
+pub use server::{InkServer, ServeConfig, ServerHandle};
 pub use shard::{Drained, ShardPush, ShardedIngest};

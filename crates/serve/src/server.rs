@@ -14,20 +14,16 @@
 //!   write queue, no intermediate `Response` allocation — and routes
 //!   updates into the [`ShardedIngest`] queue. Pipelined responses go out
 //!   strictly in request order per connection.
-//! * **writer thread** — the only thread that owns the engine backend
-//!   (a [`StreamSession`] or a [`PartitionedInkStream`]): drains a
+//! * **writer thread** — the only thread that owns the
+//!   [`StreamSession`] (over any [`Engine`]: a single `InkStream`, or the
+//!   partition-parallel driver from `ink-partition`): drains a
 //!   ticket-ordered prefix of the sharded queue, coalesces it into one net
-//!   [`DeltaBatch`], applies it, and publishes a fresh snapshot epoch. It
-//!   parks on the queue's condvar between drains (no polling) and signals
-//!   the event loop through a [`mio::Waker`] when flush barriers resolve or
-//!   shard space frees up. With [`ServeConfig::pipelined`] (the default)
-//!   the writer splits in two: a **stager** thread drains, coalesces, and
-//!   (partitioned backend) pre-routes epoch N+1 while the apply thread is
-//!   still applying and publishing epoch N. The stages hand off prepared
-//!   epochs over a bounded single-slot channel, so the global
-//!   ticket order, epoch monotonicity, and flush-barrier semantics are
-//!   exactly those of the single-writer loop — pipelining only overlaps
-//!   the queue-side work with the engine-side work.
+//!   [`DeltaBatch`], ingests it, and publishes a fresh snapshot epoch — all
+//!   on this one thread, so global ticket order, epoch monotonicity and
+//!   flush-barrier semantics need no hand-off to preserve them. It parks on
+//!   the queue's condvar between drains (no polling) and signals the event
+//!   loop through a [`mio::Waker`] when flush barriers resolve or shard
+//!   space frees up.
 //!
 //! Readers therefore never block on an in-flight update: a query served
 //! mid-apply simply sees the previous epoch. Backpressure is
@@ -49,12 +45,9 @@ use crate::queue::Backpressure;
 use crate::shard::{Drained, ShardPush, ShardedIngest};
 use ink_graph::{DeltaBatch, EdgeChange, VertexId};
 use ink_obs::{MetricsRegistry, Tracer};
-use ink_partition::{PartitionedInkStream, PreRouted, RoutingView};
 use ink_tensor::Matrix;
-use inkstream::snapshot::{
-    EmbeddingSnapshot, PublishReport, SnapshotPublisher, SnapshotReader,
-};
-use inkstream::{SessionSummary, StreamSession};
+use inkstream::snapshot::{EmbeddingSnapshot, SnapshotPublisher, SnapshotReader};
+use inkstream::{Engine, InkStream, SessionSummary, StreamSession};
 use mio::{Events, Interest, Poll, Token, Waker};
 use std::collections::HashMap;
 use std::io;
@@ -88,11 +81,6 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Where the shutdown checkpoint goes (`None` disables it).
     pub checkpoint_path: Option<PathBuf>,
-    /// Two-stage writer: a stager thread drains + coalesces (+ pre-routes,
-    /// partitioned backend) the next epoch while the apply thread applies
-    /// the current one. `false` keeps the single-writer loop of record —
-    /// identical published epochs, no overlap.
-    pub pipelined: bool,
     /// Upper bound on one event-loop tick: the poll timeout used when no
     /// I/O is ready. Wakeups (new completions, freed shard space, shutdown)
     /// arrive eagerly through the waker; this only bounds the idle tick.
@@ -107,7 +95,6 @@ impl Default for ServeConfig {
             max_drain: 32,
             shards: 4,
             checkpoint_path: None,
-            pipelined: true,
             poll_interval: Duration::from_millis(50),
         }
     }
@@ -154,224 +141,144 @@ impl Shared {
     }
 }
 
-/// The engine side of the writer thread: one single-threaded session or one
-/// partition-parallel driver. Both apply the identical globally ordered,
-/// globally coalesced batch stream, so the published snapshots are bitwise
-/// equal either way.
-enum BackendKind {
-    /// A [`StreamSession`] (single engine).
-    Single(Box<StreamSession>),
-    /// A [`PartitionedInkStream`] (partition-parallel driver).
-    Partitioned(Box<PartitionedInkStream>),
-}
-
-impl BackendKind {
-    /// Applies one coalesced batch; `routed` carries the stager's pre-routed
-    /// split when the backend is partitioned and the pipeline produced one.
-    /// Returns `false` on an apply error — a Fail drift-policy breach, or a
-    /// worker panic that poisoned the partition pool. The serving loop keeps
-    /// going either way (readers stay on the last good snapshot); errors are
-    /// tallied in `ink_serve_apply_errors_total`.
-    fn ingest(&mut self, batch: &DeltaBatch, routed: Option<&PreRouted>) -> bool {
-        match self {
-            BackendKind::Single(session) => session.ingest(batch).is_ok(),
-            BackendKind::Partitioned(part) => match routed {
-                Some(pre) => part.ingest_prerouted(batch, pre).is_ok(),
-                None => part.ingest(batch).is_ok(),
-            },
-        }
-    }
-
-    /// A routing snapshot for the stager thread (partitioned backend only).
-    fn routing_view(&self) -> Option<RoutingView> {
-        match self {
-            BackendKind::Single(_) => None,
-            BackendKind::Partitioned(part) => Some(part.routing_view()),
-        }
-    }
-
-    /// Publishes the backend's output at `epoch`, copying only the rows the
-    /// engine(s) rewrote since the last publish when they are known — the
-    /// partitioned backend reads them straight from their owning engines.
-    /// `rows` is the caller's reused scratch list.
-    fn publish(
-        &mut self,
-        publisher: &mut SnapshotPublisher,
-        rows: &mut Vec<VertexId>,
-        epoch: u64,
-    ) -> PublishReport {
-        rows.clear();
-        match self {
-            BackendKind::Single(session) => {
-                let known = session.engine_mut().take_dirty_rows(rows);
-                publisher.publish_rows(session.engine().output(), known.then_some(&rows[..]), epoch)
-            }
-            BackendKind::Partitioned(part) => {
-                let known = part.take_dirty_rows(rows);
-                publisher.publish_rows(&**part, known.then_some(&rows[..]), epoch)
-            }
-        }
-    }
-
-    fn summary(&self) -> SessionSummary {
-        match self {
-            BackendKind::Single(session) => session.summary(),
-            BackendKind::Partitioned(part) => part.session_summary(),
-        }
-    }
-}
-
 /// The entry point: bind, spawn the thread pair, return a handle.
 pub struct InkServer;
 
 impl InkServer {
     /// Starts serving `session` on `addr` (use port 0 for an ephemeral
-    /// port; the bound address is on the returned handle).
-    pub fn bind(
+    /// port; the bound address is on the returned handle). The session may
+    /// wrap any [`Engine`]; every engine applies the identical globally
+    /// ordered, globally coalesced batch stream, so the published snapshots
+    /// are bitwise equal whichever one runs.
+    pub fn bind<E: Engine + Send + 'static>(
         addr: impl ToSocketAddrs,
-        session: StreamSession,
+        session: StreamSession<E>,
         config: ServeConfig,
-    ) -> io::Result<ServerHandle> {
-        let bootstrap = session.engine().output().clone();
+    ) -> io::Result<ServerHandle<E>> {
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
+        let shards = config.shards.max(1);
+        let per_shard = config.queue_capacity.div_ceil(shards).max(1);
+        let engine = session.engine();
+        let (rows, cols) = engine.shape();
+        let mut bootstrap = Matrix::zeros(rows, cols);
+        engine.copy_into(&mut bootstrap);
+        let (publisher, reader) = SnapshotPublisher::new(bootstrap);
+        let poll = Poll::new()?;
+        poll.register(&listener, Token(LISTENER), Interest::READABLE)?;
+        let waker = Arc::new(Waker::new(&poll, Token(WAKER))?);
+        let (completions_tx, completions_rx) = crossbeam::channel::bounded(1024);
         let registry = session.metrics().clone();
-        let tracer = session.tracer().clone();
-        let num_vertices = session.engine().graph().num_vertices() as u64;
-        let directed = session.engine().graph().is_directed();
-        let initial = session.summary();
-        let inner = bind_inner(
-            addr,
-            BackendKind::Single(Box::new(session)),
-            bootstrap,
+        let shared = Arc::new(Shared {
+            ingest: ShardedIngest::new(shards, per_shard, config.backpressure),
+            metrics: ServerMetrics::register(&registry),
             registry,
-            tracer,
-            initial,
-            num_vertices,
-            directed,
-            config,
-        )?;
-        Ok(ServerHandle { inner })
-    }
-
-    /// Starts serving a [`PartitionedInkStream`] on `addr`: the same wire
-    /// protocol and snapshot semantics as [`InkServer::bind`], with the
-    /// writer thread driving the per-partition engines instead of one
-    /// session. Published epochs stay bitwise identical to the
-    /// single-engine server fed the same update stream.
-    pub fn bind_partitioned(
-        addr: impl ToSocketAddrs,
-        part: PartitionedInkStream,
-        config: ServeConfig,
-    ) -> io::Result<PartitionedServerHandle> {
-        let bootstrap = part.output();
-        let registry = part.metrics().clone();
-        let tracer = Arc::new(Tracer::new(4096));
-        let num_vertices = part.graph().num_vertices() as u64;
-        let directed = part.graph().is_directed();
-        let initial = part.session_summary();
-        let inner = bind_inner(
+            tracer: session.tracer().clone(),
+            reader,
+            summary: Mutex::new(session.summary()),
+            epochs: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
+            num_vertices: engine.graph().num_vertices() as u64,
+            feat_dim: cols as u32,
+            directed: engine.graph().is_directed(),
+            poll_interval: config.poll_interval,
+            waker,
+        });
+        let writer_thread = {
+            let shared = shared.clone();
+            let max_drain = config.max_drain;
+            std::thread::Builder::new()
+                .name("ink-serve-writer".into())
+                .spawn(move || writer_loop(session, publisher, shared, max_drain, completions_tx))?
+        };
+        let event_thread = {
+            let shared = shared.clone();
+            std::thread::Builder::new().name("ink-serve-loop".into()).spawn(move || {
+                EventLoop {
+                    poll,
+                    listener,
+                    conns: HashMap::new(),
+                    next_token: FIRST_CONN,
+                    shared,
+                    completions: completions_rx,
+                    flush_waiters: HashMap::new(),
+                    next_flush_id: 0,
+                }
+                .run()
+            })?
+        };
+        Ok(ServerHandle {
             addr,
-            BackendKind::Partitioned(Box::new(part)),
-            bootstrap,
-            registry,
-            tracer,
-            initial,
-            num_vertices,
-            directed,
-            config,
-        )?;
-        Ok(PartitionedServerHandle { inner })
+            shared,
+            event_thread: Some(event_thread),
+            writer_thread: Some(writer_thread),
+            checkpoint_path: config.checkpoint_path,
+        })
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn bind_inner(
-    addr: impl ToSocketAddrs,
-    backend: BackendKind,
-    bootstrap: Matrix,
-    registry: Arc<MetricsRegistry>,
-    tracer: Arc<Tracer>,
-    initial_summary: SessionSummary,
-    num_vertices: u64,
-    directed: bool,
-    config: ServeConfig,
-) -> io::Result<HandleInner> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-    let shards = config.shards.max(1);
-    let per_shard = config.queue_capacity.div_ceil(shards).max(1);
-    let feat_dim = bootstrap.cols() as u32;
-    let (publisher, reader) = SnapshotPublisher::new(bootstrap);
-    let poll = Poll::new()?;
-    poll.register(&listener, Token(LISTENER), Interest::READABLE)?;
-    let waker = Arc::new(Waker::new(&poll, Token(WAKER))?);
-    let (completions_tx, completions_rx) = crossbeam::channel::bounded(1024);
-    let shared = Arc::new(Shared {
-        ingest: ShardedIngest::new(shards, per_shard, config.backpressure),
-        metrics: ServerMetrics::register(&registry),
-        registry,
-        tracer,
-        reader,
-        summary: Mutex::new(initial_summary),
-        epochs: AtomicU64::new(0),
-        shutdown: AtomicBool::new(false),
-        num_vertices,
-        feat_dim,
-        directed,
-        poll_interval: config.poll_interval,
-        waker,
-    });
-    let writer_thread = {
-        let shared = shared.clone();
-        let max_drain = config.max_drain;
-        let pipelined = config.pipelined;
-        std::thread::Builder::new().name("ink-serve-writer".into()).spawn(move || {
-            writer_loop(backend, publisher, shared, max_drain, pipelined, completions_tx)
-        })?
-    };
-    let event_thread = {
-        let shared = shared.clone();
-        std::thread::Builder::new().name("ink-serve-loop".into()).spawn(move || {
-            EventLoop {
-                poll,
-                listener,
-                conns: HashMap::new(),
-                next_token: FIRST_CONN,
-                shared,
-                completions: completions_rx,
-                flush_waiters: HashMap::new(),
-                next_flush_id: 0,
-            }
-            .run()
-        })?
-    };
-    Ok(HandleInner {
-        addr,
-        shared,
-        event_thread: Some(event_thread),
-        writer_thread: Some(writer_thread),
-        checkpoint_path: config.checkpoint_path,
-    })
-}
-
-/// The running-server state common to both handle flavours.
-struct HandleInner {
+/// A running server. Dropping the handle without calling
+/// [`ServerHandle::shutdown`] stops the threads without draining — call
+/// `shutdown` for a graceful drain.
+pub struct ServerHandle<E: Engine = InkStream> {
     addr: SocketAddr,
     shared: Arc<Shared>,
     event_thread: Option<JoinHandle<()>>,
-    writer_thread: Option<JoinHandle<BackendKind>>,
+    writer_thread: Option<JoinHandle<StreamSession<E>>>,
     checkpoint_path: Option<PathBuf>,
 }
 
-impl HandleInner {
-    /// Graceful drain: close the queue, let the writer apply everything
-    /// admitted and publish the final epoch, then stop the event loop
+impl<E: Engine> Drop for ServerHandle<E> {
+    fn drop(&mut self) {
+        // Un-graceful path: stop the threads so tests that panic don't hang.
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.ingest.close();
+        let _ = self.shared.waker.wake();
+    }
+}
+
+impl<E: Engine> ServerHandle<E> {
+    /// The bound address (resolves port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Current snapshot epoch.
+    pub fn epoch(&self) -> u64 {
+        self.shared.epochs.load(Ordering::Relaxed)
+    }
+
+    /// Live summary (same document the `stats` request serves).
+    pub fn summary(&self) -> SessionSummary {
+        self.shared.stats_summary()
+    }
+
+    /// An in-process reader of the published snapshots — what the query
+    /// path loads from, without the wire in between.
+    pub fn snapshot_reader(&self) -> SnapshotReader {
+        self.shared.reader.clone()
+    }
+
+    /// Per-shard ingest depths `(current, high-water)` — the
+    /// capacity-planning view of queue pressure (a single hot shard with
+    /// idle siblings means the workload hashes to one canonical edge
+    /// neighbourhood; raise `queue_capacity` rather than `shards`).
+    pub fn shard_depths(&self) -> (Vec<usize>, Vec<usize>) {
+        (self.shared.ingest.per_shard_depths(), self.shared.ingest.per_shard_max_depths())
+    }
+
+    /// Graceful shutdown: stop admitting work, let the writer apply
+    /// everything admitted and publish the final epoch, stop the event loop
     /// (which delivers the final flush acks and best-effort writes before
-    /// the sockets drop).
-    fn shutdown_backend(&mut self) -> io::Result<(BackendKind, SessionSummary)> {
+    /// the sockets drop), write the checkpoint (when configured) and return
+    /// the session with the final summary. An engine that cannot checkpoint
+    /// ([`Engine::checkpoint`] returned `Err`) fails the shutdown after the
+    /// drain and leaves no file behind.
+    pub fn shutdown(mut self) -> io::Result<(StreamSession<E>, SessionSummary)> {
         self.shared.ingest.close();
         let writer = self.writer_thread.take().expect("shutdown runs once");
-        let backend =
+        let session =
             writer.join().map_err(|_| io::Error::other("ink-serve writer thread panicked"))?;
         // Flag the loop only after the writer has drained — its last flush
         // completions are already in the channel, so the loop's exit pass
@@ -381,162 +288,35 @@ impl HandleInner {
         if let Some(ev) = self.event_thread.take() {
             ev.join().map_err(|_| io::Error::other("ink-serve event loop panicked"))?;
         }
-        let summary = self.shared.stats_summary();
-        Ok((backend, summary))
-    }
-}
-
-impl Drop for HandleInner {
-    fn drop(&mut self) {
-        // Un-graceful path: stop the threads so tests that panic don't hang.
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.ingest.close();
-        let _ = self.shared.waker.wake();
-    }
-}
-
-/// A running single-session server. Dropping the handle without calling
-/// [`ServerHandle::shutdown`] stops the threads without draining — call
-/// `shutdown` for a graceful drain.
-pub struct ServerHandle {
-    inner: HandleInner,
-}
-
-impl ServerHandle {
-    /// The bound address (resolves port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.inner.addr
-    }
-
-    /// Current snapshot epoch.
-    pub fn epoch(&self) -> u64 {
-        self.inner.shared.epochs.load(Ordering::Relaxed)
-    }
-
-    /// Live summary (same document the `stats` request serves).
-    pub fn summary(&self) -> SessionSummary {
-        self.inner.shared.stats_summary()
-    }
-
-    /// An in-process reader of the published snapshots — what the query
-    /// path loads from, without the wire in between.
-    pub fn snapshot_reader(&self) -> SnapshotReader {
-        self.inner.shared.reader.clone()
-    }
-
-    /// Per-shard ingest depths `(current, high-water)` — the
-    /// capacity-planning view of queue pressure (a single hot shard with
-    /// idle siblings means the workload hashes to one canonical edge
-    /// neighbourhood; raise `queue_capacity` rather than `shards`).
-    pub fn shard_depths(&self) -> (Vec<usize>, Vec<usize>) {
-        (
-            self.inner.shared.ingest.per_shard_depths(),
-            self.inner.shared.ingest.per_shard_max_depths(),
-        )
-    }
-
-    /// Graceful shutdown: stop admitting work, drain the queue through the
-    /// writer, publish the final epoch, write the checkpoint (when
-    /// configured) and return the session with the final summary.
-    pub fn shutdown(mut self) -> io::Result<(StreamSession, SessionSummary)> {
-        let (backend, summary) = self.inner.shutdown_backend()?;
-        let BackendKind::Single(session) = backend else {
-            unreachable!("single-session handle owns a single-session backend");
-        };
-        if let Some(path) = &self.inner.checkpoint_path {
+        if let Some(path) = &self.checkpoint_path {
             let mut f = std::fs::File::create(path)?;
-            inkstream::checkpoint::save(session.engine(), &mut f)?;
+            if let Err(e) = session.engine().checkpoint(&mut f) {
+                drop(f);
+                let _ = std::fs::remove_file(path);
+                return Err(io::Error::other(e));
+            }
         }
-        Ok((*session, summary))
+        Ok((session, self.shared.stats_summary()))
     }
 }
 
-/// A running partition-parallel server (from [`InkServer::bind_partitioned`]).
-pub struct PartitionedServerHandle {
-    inner: HandleInner,
-}
-
-impl PartitionedServerHandle {
-    /// The bound address (resolves port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.inner.addr
-    }
-
-    /// Current snapshot epoch.
-    pub fn epoch(&self) -> u64 {
-        self.inner.shared.epochs.load(Ordering::Relaxed)
-    }
-
-    /// Live summary (same document the `stats` request serves).
-    pub fn summary(&self) -> SessionSummary {
-        self.inner.shared.stats_summary()
-    }
-
-    /// An in-process reader of the published snapshots; see
-    /// [`ServerHandle::snapshot_reader`].
-    pub fn snapshot_reader(&self) -> SnapshotReader {
-        self.inner.shared.reader.clone()
-    }
-
-    /// Per-shard ingest depths `(current, high-water)`; see
-    /// [`ServerHandle::shard_depths`].
-    pub fn shard_depths(&self) -> (Vec<usize>, Vec<usize>) {
-        (
-            self.inner.shared.ingest.per_shard_depths(),
-            self.inner.shared.ingest.per_shard_max_depths(),
-        )
-    }
-
-    /// Graceful shutdown; returns the partition driver with the final
-    /// summary. (Checkpointing is a single-engine feature — resync a fresh
-    /// partition set from a checkpointed session instead.)
-    pub fn shutdown(mut self) -> io::Result<(PartitionedInkStream, SessionSummary)> {
-        let (backend, summary) = self.inner.shutdown_backend()?;
-        let BackendKind::Partitioned(part) = backend else {
-            unreachable!("partitioned handle owns a partitioned backend");
-        };
-        Ok((*part, summary))
-    }
-}
-
-/// One stager product: a coalesced epoch candidate plus everything that must
-/// travel with it — the pre-routed split (partitioned backend), the
-/// pre-coalescing event count, admission stamps for latency attribution, and
-/// the control signals (flush barriers, queue closure) drained in the same
-/// ticket-ordered prefix. Flush ids ride *inside* the epoch they follow, so
-/// acking after that epoch publishes preserves read-your-writes exactly.
-struct PreparedEpoch {
-    batch: DeltaBatch,
-    routed: Option<PreRouted>,
-    received: u64,
-    batches: usize,
-    admitted: Vec<Instant>,
-    flushes: Vec<u64>,
-    finished: bool,
-}
-
-/// Stage A: coalesce one drained ticket prefix into an epoch candidate and,
-/// when a routing view is at hand, pre-route it for the partitioned driver.
-fn prepare(drained: Drained, directed: bool, view: Option<&RoutingView>) -> PreparedEpoch {
-    let Drained { changes, batches, flushes, admitted, finished } = drained;
-    let received = changes.len() as u64;
-    let batch = DeltaBatch::new(changes).coalesce(directed);
-    let routed = if batch.is_empty() { None } else { view.map(|v| v.route(&batch)) };
-    PreparedEpoch { batch, routed, received, batches, admitted, flushes, finished }
-}
-
-/// Stage B: apply and publish one prepared epoch, record the latency
-/// attribution (apply-only service time; admission-to-visibility wait per
-/// drained batch), resolve its flush barriers, and signal the event loop.
-fn apply_epoch(
-    backend: &mut BackendKind,
+/// Applies and publishes one drained ticket prefix as an epoch: coalesce,
+/// ingest, publish, record the latency attribution (apply-only service
+/// time; admission-to-visibility wait per drained batch), resolve the flush
+/// barriers drained with it, and signal the event loop. Flush ids ride
+/// *inside* the drain they follow, so acking after its epoch publishes
+/// preserves read-your-writes exactly.
+fn apply_epoch<E: Engine>(
+    session: &mut StreamSession<E>,
     publisher: &mut SnapshotPublisher,
     dirty_rows: &mut Vec<VertexId>,
     shared: &Shared,
     completions: &crossbeam::channel::Sender<(u64, u64)>,
-    prepared: PreparedEpoch,
+    drained: Drained,
 ) {
-    let PreparedEpoch { batch, routed, received, batches, admitted, flushes, .. } = prepared;
+    let Drained { changes, batches, flushes, admitted, .. } = drained;
+    let received = changes.len() as u64;
+    let batch = DeltaBatch::new(changes).coalesce(shared.directed);
     if !batch.is_empty() {
         let _span = shared.tracer.span("serve", "epoch");
         shared.metrics.events_received.add(received);
@@ -544,7 +324,11 @@ fn apply_epoch(
         let apply_start = Instant::now();
         {
             let _span = shared.tracer.span("serve", "ingest");
-            if !backend.ingest(&batch, routed.as_ref()) {
+            // A Fail drift-policy breach, or an engine that refused the
+            // batch (a worker panic poisoned the partition pool). The
+            // serving loop keeps going either way — readers stay on the
+            // last good snapshot.
+            if session.ingest(&batch).is_err() {
                 shared.metrics.apply_errors.inc();
             }
         }
@@ -552,7 +336,11 @@ fn apply_epoch(
         let publish_start = Instant::now();
         let published = {
             let _span = shared.tracer.span("serve", "publish");
-            backend.publish(publisher, dirty_rows, epoch)
+            // Copy only the rows the engine rewrote since the last publish,
+            // when it knows them.
+            dirty_rows.clear();
+            let known = session.engine_mut().take_dirty_rows(dirty_rows);
+            publisher.publish_rows(session.engine(), known.then_some(&dirty_rows[..]), epoch)
         };
         let done = Instant::now();
         shared.metrics.publish_latency.record((done - publish_start).as_nanos() as u64);
@@ -562,10 +350,10 @@ fn apply_epoch(
         }
         shared.metrics.apply_latency.record((done - apply_start).as_nanos() as u64);
         shared.epochs.store(epoch, Ordering::SeqCst);
-        *shared.summary.lock().expect("summary lock poisoned") = backend.summary();
+        *shared.summary.lock().expect("summary lock poisoned") = session.summary();
     }
     // Every batch in this drain is snapshot-visible from here on: the gap
-    // back to its admission stamp is pure queueing + pipeline wait.
+    // back to its admission stamp is pure queueing wait.
     let visible_at = Instant::now();
     for t in &admitted {
         shared
@@ -592,71 +380,26 @@ fn apply_epoch(
     }
 }
 
-/// The writer: owns the engine backend and the epoch counter. Pipelined, it
-/// splits into a stager thread (stage A) feeding this thread (stage B)
-/// through a single-slot channel — the FIFO handoff preserves the queue's
-/// global ticket order, and publishing stays in one thread, so epochs remain
-/// monotonic and bitwise equal to the single-writer loop.
-fn writer_loop(
-    mut backend: BackendKind,
+/// The writer: owns the session and the epoch counter, and runs drain →
+/// coalesce → apply → publish on one thread until the queue is closed and
+/// empty.
+fn writer_loop<E: Engine>(
+    mut session: StreamSession<E>,
     mut publisher: SnapshotPublisher,
     shared: Arc<Shared>,
     max_drain: usize,
-    pipelined: bool,
     completions: crossbeam::channel::Sender<(u64, u64)>,
-) -> BackendKind {
+) -> StreamSession<E> {
     // Reused across epochs: the rows each publish has to copy.
     let mut dirty_rows: Vec<VertexId> = Vec::new();
-    if !pipelined {
-        // Single-writer loop of record: drain, prepare, apply on one thread.
-        loop {
-            let drained = shared.ingest.drain_wait(max_drain);
-            let prepared = prepare(drained, shared.directed, None);
-            let finished = prepared.finished;
-            apply_epoch(
-                &mut backend,
-                &mut publisher,
-                &mut dirty_rows,
-                &shared,
-                &completions,
-                prepared,
-            );
-            if finished {
-                return backend;
-            }
-        }
-    }
-    let view = backend.routing_view();
-    let (tx, rx) = crossbeam::channel::bounded::<PreparedEpoch>(1);
-    let stager = {
-        let shared = shared.clone();
-        std::thread::Builder::new()
-            .name("ink-serve-stager".into())
-            .spawn(move || loop {
-                let drained = shared.ingest.drain_wait(max_drain);
-                let prepared = prepare(drained, shared.directed, view.as_ref());
-                // Freed shard space wakes the event loop from here — a
-                // stalled connection re-admits while the apply stage is
-                // still busy with an earlier epoch.
-                if prepared.batches > 0 {
-                    let _ = shared.waker.wake();
-                }
-                let finished = prepared.finished;
-                if tx.send(prepared).is_err() || finished {
-                    return;
-                }
-            })
-            .expect("spawn ink-serve-stager")
-    };
-    while let Ok(prepared) = rx.recv() {
-        let finished = prepared.finished;
-        apply_epoch(&mut backend, &mut publisher, &mut dirty_rows, &shared, &completions, prepared);
+    loop {
+        let drained = shared.ingest.drain_wait(max_drain);
+        let finished = drained.finished;
+        apply_epoch(&mut session, &mut publisher, &mut dirty_rows, &shared, &completions, drained);
         if finished {
-            break;
+            return session;
         }
     }
-    stager.join().expect("ink-serve-stager panicked");
-    backend
 }
 
 /// The one-thread readiness loop multiplexing the listener, the waker and

@@ -13,11 +13,12 @@
 use ink_gnn::{Aggregator, Model};
 use ink_graph::generators::erdos_renyi;
 use ink_graph::{DeltaBatch, DynGraph, EdgeChange};
+use ink_partition::{HashPartitioner, PartitionConfig, PartitionedInkStream};
 use ink_serve::protocol::{read_frame, write_frame, Request, Response};
 use ink_serve::{Backpressure, InkClient, InkServer, ServeConfig};
 use ink_tensor::init::{seeded_rng, sparse_power_law};
 use ink_tensor::Matrix;
-use inkstream::{InkStream, StreamSession, UpdateConfig};
+use inkstream::{InkStream, SessionConfig, StreamSession, UpdateConfig};
 use rand::RngExt;
 use std::io::Write;
 use std::net::TcpStream;
@@ -45,6 +46,20 @@ fn graph() -> DynGraph {
 fn engine() -> InkStream {
     let feats = sparse_power_law(&mut seeded_rng(FEAT_SEED), N, FEAT_DIM, 0.2, 0.9);
     InkStream::new(model(), graph(), feats, UpdateConfig::default()).unwrap()
+}
+
+/// The same model, graph and features as `source`, split three ways behind
+/// the one session layer (and the one `InkServer::bind`).
+fn parted_session(source: &InkStream) -> StreamSession<PartitionedInkStream> {
+    PartitionedInkStream::new(
+        model,
+        source.graph().clone(),
+        source.features().clone(),
+        HashPartitioner,
+        PartitionConfig { parts: 3, ..Default::default() },
+    )
+    .expect("partitioned bootstrap")
+    .into_session(SessionConfig::default())
 }
 
 /// The deterministic update stream both the server and the reference see.
@@ -445,83 +460,19 @@ fn pipelined_batch_frames_match_reference_bitwise() {
     assert_eq!(session.engine().output().as_slice(), want.as_slice());
 }
 
-/// Pipelining is a pure overlap optimisation: with `pipelined: false` the
-/// writer collapses back to the one-thread loop of record, and both backends
-/// must publish exactly the epochs the pipelined writer publishes — which are
-/// in turn the single-threaded reference replay, bitwise, with the same
-/// one-epoch-per-flushed-update accounting.
-#[test]
-fn single_writer_mode_matches_reference_bitwise() {
-    use ink_partition::{HashPartitioner, PartitionConfig, PartitionedInkStream};
-
-    let batches = update_batches();
-    let expected = reference_outputs(&batches);
-
-    let config = || ServeConfig {
-        queue_capacity: 8,
-        backpressure: Backpressure::Block,
-        pipelined: false,
-        ..ServeConfig::default()
-    };
-    let run = |handle_addr: std::net::SocketAddr| {
-        let mut client = InkClient::connect(handle_addr).unwrap();
-        for (i, batch) in batches.iter().enumerate() {
-            client.update(batch.clone()).unwrap().expect("block mode never rejects");
-            let epoch = client.flush().unwrap();
-            assert_eq!(epoch as usize, i + 1, "one epoch per flushed update");
-            let v = (i % N) as u32;
-            let (e, values) = client.embedding(v).unwrap();
-            assert_eq!(e, epoch);
-            assert_eq!(values, expected[e as usize].row(v as usize), "bitwise at epoch {e}");
-        }
-    };
-
-    let handle =
-        InkServer::bind("127.0.0.1:0", StreamSession::new(engine()), config()).unwrap();
-    run(handle.local_addr());
-    let (session, summary) = handle.shutdown().unwrap();
-    assert_eq!(summary.serve.epochs, BATCHES as u64);
-    assert_eq!(session.engine().output().as_slice(), expected.last().unwrap().as_slice());
-
-    let feats = sparse_power_law(&mut seeded_rng(FEAT_SEED), N, FEAT_DIM, 0.2, 0.9);
-    let parted = PartitionedInkStream::new(
-        model,
-        graph(),
-        feats,
-        HashPartitioner,
-        PartitionConfig { parts: 3, ..Default::default() },
-    )
-    .unwrap();
-    let handle = InkServer::bind_partitioned("127.0.0.1:0", parted, config()).unwrap();
-    run(handle.local_addr());
-    let (parted, summary) = handle.shutdown().unwrap();
-    assert_eq!(summary.serve.epochs, BATCHES as u64);
-    assert_eq!(parted.output().as_slice(), expected.last().unwrap().as_slice());
-}
-
-/// The partition-parallel backend behind the same wire protocol: a server
-/// bound with [`InkServer::bind_partitioned`] fed the identical update
-/// stream must publish epochs bitwise equal to the single-threaded
-/// reference (max aggregation makes incremental == full recompute exactly).
+/// The partition-parallel engine behind the same `bind`, wire protocol and
+/// session layer: fed the identical update stream it must publish epochs
+/// bitwise equal to the single-threaded reference (max aggregation makes
+/// incremental == full recompute exactly), and its scrape and trace dump
+/// must carry the session's families and spans next to `ink_partition_*`.
 #[test]
 fn partitioned_backend_matches_single_threaded_reference_bitwise() {
-    use ink_partition::{HashPartitioner, PartitionConfig, PartitionedInkStream};
-
     let batches = update_batches();
     let expected = reference_outputs(&batches);
 
-    let feats = sparse_power_law(&mut seeded_rng(FEAT_SEED), N, FEAT_DIM, 0.2, 0.9);
-    let parted = PartitionedInkStream::new(
-        model,
-        graph(),
-        feats,
-        HashPartitioner,
-        PartitionConfig { parts: 3, ..Default::default() },
-    )
-    .expect("partitioned bootstrap");
-    let handle = InkServer::bind_partitioned(
+    let handle = InkServer::bind(
         "127.0.0.1:0",
-        parted,
+        parted_session(&engine()),
         ServeConfig { queue_capacity: 8, backpressure: Backpressure::Block, ..ServeConfig::default() },
     )
     .unwrap();
@@ -536,15 +487,68 @@ fn partitioned_backend_matches_single_threaded_reference_bitwise() {
         assert_eq!(e, epoch);
         assert_eq!(values, expected[e as usize].row(v as usize), "bitwise at epoch {e}");
     }
+
+    assert_eq!(scraped(&mut client, "ink_session_ingests_total"), BATCHES as f64);
+    assert_eq!(scraped(&mut client, "ink_partition_rounds_total"), BATCHES as f64);
+    assert_eq!(scraped(&mut client, "ink_pipeline_phase_apply_ns_count"), BATCHES as f64);
+    let trace = client.trace_dump().unwrap();
+    for name in ["\"epoch\"", "\"batch\"", "\"generate\"", "\"apply\""] {
+        assert!(trace.contains(name), "partitioned trace dump missing {name}");
+    }
     drop(client);
 
-    let (parted, summary) = handle.shutdown().unwrap();
+    let (session, summary) = handle.shutdown().unwrap();
     assert_eq!(summary.serve.epochs, BATCHES as u64);
+    assert_eq!(summary.ingests, BATCHES, "the session summary is the partitioned one");
     assert_eq!(
-        parted.output().as_slice(),
+        session.engine().output().as_slice(),
         expected.last().unwrap().as_slice(),
         "partitioned final state equals the reference replay bitwise"
     );
+}
+
+/// `ServeConfig::checkpoint_path` means the same thing for every engine:
+/// either shutdown leaves a loadable checkpoint, or it says why not. The
+/// partitioned engine has no checkpoint format — its shutdown still drains
+/// and publishes everything admitted, then fails with the engine's typed
+/// error and leaves no file — never success with nothing written.
+#[test]
+fn checkpoint_path_is_honoured_or_refused_never_ignored() {
+    let dir = std::env::temp_dir().join(format!("ink-serve-ckpt-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let batch = update_batches().remove(0);
+    let mut reference = engine();
+    reference.apply_delta(&DeltaBatch::new(batch.clone()));
+    let config = |name: &str| ServeConfig {
+        checkpoint_path: Some(dir.join(name)),
+        ..ServeConfig::default()
+    };
+    let drive = |addr| {
+        let mut client = InkClient::connect(addr).unwrap();
+        client.update(batch.clone()).unwrap().expect("block mode never rejects");
+        // No flush: the drain is shutdown's job.
+    };
+
+    let handle = InkServer::bind("127.0.0.1:0", StreamSession::new(engine()), config("single"))
+        .unwrap();
+    drive(handle.local_addr());
+    handle.shutdown().expect("a single engine checkpoints");
+    let mut f = std::fs::File::open(dir.join("single")).expect("shutdown wrote a checkpoint");
+    let restored =
+        inkstream::checkpoint::load(model(), &mut f, UpdateConfig::default(), None).unwrap();
+    assert!(bits(restored.output()) == bits(reference.output()));
+
+    let handle =
+        InkServer::bind("127.0.0.1:0", parted_session(&engine()), config("parted")).unwrap();
+    let reader = handle.snapshot_reader();
+    drive(handle.local_addr());
+    let err = handle.shutdown().err().expect("a partitioned engine cannot checkpoint");
+    assert!(err.to_string().contains("no checkpoint format"), "{err}");
+    assert!(!dir.join("parted").exists(), "a refused checkpoint leaves no file");
+    let last = reader.load();
+    assert_eq!(last.epoch, 1, "the refusal comes after the drain");
+    assert!(bits(&last.embeddings) == bits(reference.output()));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A graph large enough that a few changes per epoch stay far below the
@@ -599,7 +603,6 @@ fn scraped(client: &mut InkClient, sample: &str) -> f64 {
 /// on top of the first publish, which has no buffer to recycle.
 #[test]
 fn pinned_reader_sees_its_snapshot_unchanged_across_delta_publishes() {
-    use ink_partition::{HashPartitioner, PartitionConfig, PartitionedInkStream};
     const EPOCHS: usize = 56;
     const PIN_AT: usize = 3;
     const { assert!(EPOCHS - PIN_AT >= 50, "the pin must span at least 50 epochs") };
@@ -614,18 +617,13 @@ fn pinned_reader_sees_its_snapshot_unchanged_across_delta_publishes() {
 
     for partitioned in [false, true] {
         let (addr, reader, shutdown): (_, _, Box<dyn FnOnce() -> Matrix>) = if partitioned {
-            let seed_engine = big_engine();
-            let parted = PartitionedInkStream::new(
-                model,
-                seed_engine.graph().clone(),
-                seed_engine.features().clone(),
-                HashPartitioner,
-                PartitionConfig { parts: 3, ..Default::default() },
+            let session = parted_session(&big_engine());
+            let h = InkServer::bind("127.0.0.1:0", session, ServeConfig::default()).unwrap();
+            (
+                h.local_addr(),
+                h.snapshot_reader(),
+                Box::new(move || h.shutdown().unwrap().0.engine().output()),
             )
-            .unwrap();
-            let h = InkServer::bind_partitioned("127.0.0.1:0", parted, ServeConfig::default())
-                .unwrap();
-            (h.local_addr(), h.snapshot_reader(), Box::new(move || h.shutdown().unwrap().0.output()))
         } else {
             let session = StreamSession::new(big_engine());
             let h = InkServer::bind("127.0.0.1:0", session, ServeConfig::default()).unwrap();

@@ -1,9 +1,9 @@
-//! Property test for the pipelined writer's ordering contract: under random
+//! Property test for the writer's ordering contract: under random
 //! interleavings of updates, flush barriers and queries, a client must
 //! observe **read-your-writes at every flush** — the epoch a flush returns
 //! already reflects every update the client admitted before it, bitwise —
-//! for both backends (single session and partition-parallel) and in both
-//! writer modes (pipelined two-stage and the single-writer loop of record).
+//! for both engines (single and partition-parallel) behind the one
+//! `InkServer::bind` and its one writer loop.
 //!
 //! Max aggregation keeps incremental outputs bitwise equal to full
 //! recomputation, so the reference replay is exact, not approximate.
@@ -14,7 +14,7 @@ use ink_graph::{DeltaBatch, EdgeChange};
 use ink_partition::{HashPartitioner, PartitionConfig, PartitionedInkStream};
 use ink_serve::{Backpressure, InkClient, InkServer, ServeConfig};
 use ink_tensor::init::{seeded_rng, uniform};
-use inkstream::{InkStream, StreamSession, UpdateConfig};
+use inkstream::{Engine, InkStream, SessionConfig, StreamSession, UpdateConfig};
 use proptest::prelude::*;
 
 const N: usize = 24;
@@ -49,37 +49,20 @@ fn to_changes(spec: &[(u32, u32, bool)]) -> Vec<EdgeChange> {
         .collect()
 }
 
-fn check_interleaving(seed: u64, steps: &[Step], partitioned: bool, pipelined: bool) {
+fn check_interleaving<E: Engine + Send + 'static>(
+    seed: u64,
+    steps: &[Step],
+    session: StreamSession<E>,
+) {
     let config = ServeConfig {
         queue_capacity: 8,
         backpressure: Backpressure::Block,
-        pipelined,
         ..ServeConfig::default()
     };
     let mut refeng = reference(seed);
-    let (addr, handle_single, handle_part);
-    if partitioned {
-        let parted = PartitionedInkStream::new(
-            move || model(seed),
-            refeng.graph().clone(),
-            refeng.features().clone(),
-            HashPartitioner,
-            PartitionConfig { parts: 3, ..Default::default() },
-        )
-        .unwrap();
-        let h = InkServer::bind_partitioned("127.0.0.1:0", parted, config).unwrap();
-        addr = h.local_addr();
-        handle_part = Some(h);
-        handle_single = None;
-    } else {
-        let session = StreamSession::new(reference(seed));
-        let h = InkServer::bind("127.0.0.1:0", session, config).unwrap();
-        addr = h.local_addr();
-        handle_single = Some(h);
-        handle_part = None;
-    }
+    let handle = InkServer::bind("127.0.0.1:0", session, config).unwrap();
 
-    let mut client = InkClient::connect(addr).unwrap();
+    let mut client = InkClient::connect(handle.local_addr()).unwrap();
     let mut last_epoch = 0u64;
     for (runs, query_v) in steps {
         for spec in runs {
@@ -94,21 +77,13 @@ fn check_interleaving(seed: u64, steps: &[Step], partitioned: bool, pipelined: b
         // admitted above, bitwise (no other writer is running).
         let (e, values) = client.embedding(*query_v).unwrap();
         assert!(e >= epoch, "a read after the barrier never sees an older epoch");
-        assert_eq!(
-            values,
-            refeng.output().row(*query_v as usize),
-            "read-your-writes bitwise, partitioned={partitioned} pipelined={pipelined}"
-        );
+        assert_eq!(values, refeng.output().row(*query_v as usize), "read-your-writes bitwise");
     }
     drop(client);
 
-    if let Some(h) = handle_single {
-        let (session, _) = h.shutdown().unwrap();
-        assert_eq!(session.engine().output().as_slice(), refeng.output().as_slice());
-    }
-    if let Some(h) = handle_part {
-        let (parted, _) = h.shutdown().unwrap();
-        assert_eq!(parted.output().as_slice(), refeng.output().as_slice());
+    let (session, _) = handle.shutdown().unwrap();
+    for v in 0..N {
+        assert_eq!(session.engine().row(v), refeng.output().row(v), "final state bitwise");
     }
 }
 
@@ -132,10 +107,17 @@ proptest! {
             1..6,
         ),
     ) {
-        for partitioned in [false, true] {
-            for pipelined in [true, false] {
-                check_interleaving(seed, &steps, partitioned, pipelined);
-            }
-        }
+        let single = reference(seed);
+        let parted = PartitionedInkStream::new(
+            move || model(seed),
+            single.graph().clone(),
+            single.features().clone(),
+            HashPartitioner,
+            PartitionConfig { parts: 3, ..Default::default() },
+        )
+        .unwrap()
+        .into_session(SessionConfig::default());
+        check_interleaving(seed, &steps, StreamSession::new(single));
+        check_interleaving(seed, &steps, parted);
     }
 }

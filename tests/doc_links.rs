@@ -135,10 +135,11 @@ fn metric_catalogue_matches_the_registered_instruments() {
     use ink_partition::{HashPartitioner, PartitionConfig, PartitionedInkStream};
     use ink_serve::{InkClient, InkServer, ServeConfig};
     use ink_tensor::init::{seeded_rng, uniform};
-    use inkstream::{InkStream, StreamSession, UpdateConfig};
+    use inkstream::{InkStream, SessionConfig, StreamSession, UpdateConfig};
 
-    // What a running system registers: a default session, a 2-part
-    // partitioned engine, and a server on loopback (scraped over the wire).
+    // What a running system registers: a default session, and a server on
+    // loopback (scraped over the wire) over a single engine and over a
+    // 2-part partitioned one.
     let model = || Model::gcn(&mut seeded_rng(3), &[4, 5, 3], Aggregator::Max);
     let mut rng = seeded_rng(4);
     let g = erdos_renyi(&mut rng, 24, 60);
@@ -155,12 +156,24 @@ fn metric_catalogue_matches_the_registered_instruments() {
         HashPartitioner,
         PartitionConfig { parts: 2, ..Default::default() },
     )
-    .unwrap();
-    registered.extend(families(&parted.metrics().render_prometheus()));
+    .unwrap()
+    .into_session(SessionConfig::default());
     let server = InkServer::bind("127.0.0.1:0", session(), ServeConfig::default()).unwrap();
-    let scrape = InkClient::connect(server.local_addr()).unwrap().metrics().unwrap();
+    let single_scrape =
+        families(&InkClient::connect(server.local_addr()).unwrap().metrics().unwrap());
     server.shutdown().unwrap();
-    registered.extend(families(&scrape));
+    let server = InkServer::bind("127.0.0.1:0", parted, ServeConfig::default()).unwrap();
+    let parted_scrape =
+        families(&InkClient::connect(server.local_addr()).unwrap().metrics().unwrap());
+    server.shutdown().unwrap();
+    // One session layer, one server: the partitioned scrape is the
+    // single-engine one plus `ink_partition_*`, never less.
+    let missing: Vec<&String> =
+        single_scrape.iter().filter(|f| !parted_scrape.contains(f)).collect();
+    assert!(missing.is_empty(), "families a partitioned server does not export: {missing:?}");
+    assert!(parted_scrape.iter().any(|f| f == "ink_partition_rounds_total"));
+    registered.extend(single_scrape);
+    registered.extend(parted_scrape);
     registered.sort();
     registered.dedup();
     assert!(registered.len() > 40, "scrapes look truncated: {registered:?}");

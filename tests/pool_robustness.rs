@@ -3,14 +3,20 @@
 //! [`InkError::WorkerPanic`] instead of aborting the process, poison the pool
 //! so every subsequent apply fails fast without touching the graph, and heal
 //! completely under [`PartitionedInkStream::resync`] — after which the merged
-//! output is again bitwise equal to the single-engine reference.
+//! output is again bitwise equal to the single-engine reference. The second
+//! test takes the same fault through the session layer and a loopback
+//! server: a typed ingest error, a tick of `ink_serve_apply_errors_total`,
+//! no hang.
 
 use ink_gnn::Aggregator;
 use ink_graph::DeltaBatch;
 use ink_partition::{HashPartitioner, PartitionConfig, PartitionedInkStream};
 use ink_tensor::init::{seeded_rng, uniform};
 use ink_tensor::Matrix;
-use inkstream::{InkError, InkStream, UpdateConfig, UserEvent, UserHooks};
+use ink_serve::{InkClient, InkServer, ServeConfig};
+use inkstream::{
+    IngestError, InkError, InkStream, SessionConfig, UpdateConfig, UserEvent, UserHooks,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -48,16 +54,14 @@ fn model(seed: u64) -> ink_gnn::Model {
     ink_gnn::Model::gcn(&mut rng, &[4, 5, 3], Aggregator::Max)
 }
 
-#[test]
-fn worker_panic_poisons_pool_and_resync_recovers() {
-    let seed = 0x9021u64;
+/// A single engine and a 4-part partitioned one over the same inputs, both
+/// wired to the same tripwire.
+fn tripwired_pair(seed: u64, arm: &Arc<AtomicBool>) -> (InkStream, PartitionedInkStream) {
     let mut rng = seeded_rng(seed);
     let g = ink_graph::generators::erdos_renyi(&mut rng, 30, 70);
     let x = uniform(&mut rng, 30, 4, -1.0, 1.0);
     let cfg = UpdateConfig::default();
-    let arm = Arc::new(AtomicBool::new(false));
-
-    let mut single = InkStream::with_hooks(
+    let single = InkStream::with_hooks(
         model(seed),
         g.clone(),
         x.clone(),
@@ -66,7 +70,7 @@ fn worker_panic_poisons_pool_and_resync_recovers() {
     )
     .unwrap();
     let hook_arm = arm.clone();
-    let mut parted = PartitionedInkStream::with_hooks(
+    let parted = PartitionedInkStream::with_hooks(
         move || model(seed),
         g,
         x,
@@ -79,6 +83,14 @@ fn worker_panic_poisons_pool_and_resync_recovers() {
     )
     .unwrap();
     assert_eq!(&parted.output(), single.output(), "bootstrap parity");
+    (single, parted)
+}
+
+#[test]
+fn worker_panic_poisons_pool_and_resync_recovers() {
+    let seed = 0x9021u64;
+    let arm = Arc::new(AtomicBool::new(false));
+    let (mut single, mut parted) = tripwired_pair(seed, &arm);
 
     // A healthy round with the hooks disarmed stays bitwise identical.
     let mut drng = StdRng::seed_from_u64(seed ^ 0xfa11);
@@ -121,4 +133,52 @@ fn worker_panic_poisons_pool_and_resync_recovers() {
     single.apply_delta(&delta3);
     parted.try_apply_delta(&delta3).expect("pool recovered after resync");
     assert_eq!(&parted.output(), single.output(), "post-recovery parity");
+}
+
+/// The same fault one layer up. In a session the panic is an
+/// [`IngestError::Engine`]; behind a server it costs one
+/// `ink_serve_apply_errors_total` per refused epoch while flushes keep
+/// resolving; and the session `shutdown()` hands back heals under
+/// `resync()` to the single engine's bits.
+#[test]
+fn worker_panic_through_the_session_and_the_server() {
+    let seed = 0x9022u64;
+    let arm = Arc::new(AtomicBool::new(false));
+    let (mut single, parted) = tripwired_pair(seed, &arm);
+    let mut session = parted.into_session(SessionConfig::default());
+
+    let mut drng = StdRng::seed_from_u64(seed ^ 0xfa11);
+    let delta1 = DeltaBatch::random_scenario(single.graph(), &mut drng, 6);
+    single.apply_delta(&delta1);
+    session.ingest(&delta1).expect("disarmed ingest succeeds");
+
+    let delta2 = DeltaBatch::random_scenario(single.graph(), &mut drng, 6);
+    single.apply_delta(&delta2);
+    arm.store(true, Ordering::SeqCst);
+    let err = session.ingest(&delta2).expect_err("armed ingest fails");
+    arm.store(false, Ordering::SeqCst);
+    let IngestError::Engine(InkError::WorkerPanic { detail, .. }) = &err else {
+        panic!("expected the typed worker panic, got {err:?}");
+    };
+    assert!(detail.contains("tripwire"), "panic payload surfaces in the error: {detail}");
+
+    // Still poisoned when the server takes over: the writer counts the
+    // refused epoch and keeps serving instead of hanging the flush.
+    let handle = InkServer::bind("127.0.0.1:0", session, ServeConfig::default()).unwrap();
+    let mut client = InkClient::connect(handle.local_addr()).unwrap();
+    let delta3 = DeltaBatch::random_scenario(single.graph(), &mut drng, 6);
+    client.update(delta3.changes().to_vec()).unwrap().expect("admitted");
+    assert_eq!(client.flush().unwrap(), 1, "the barrier resolves past a refused epoch");
+    let scrape = client.metrics().unwrap();
+    assert!(scrape.contains("ink_serve_apply_errors_total 1"), "{scrape}");
+    drop(client);
+    let (mut session, _) = handle.shutdown().unwrap();
+
+    // delta2 reached the driver's graph before the panic; delta3 was
+    // refused before any mutation. Resync rebuilds from exactly that graph.
+    session.engine_mut().resync();
+    assert_eq!(&session.engine().output(), single.output(), "resync heals bitwise");
+    single.apply_delta(&delta3);
+    session.ingest(&delta3).expect("pool recovered after resync");
+    assert_eq!(&session.engine().output(), single.output(), "post-recovery parity");
 }
