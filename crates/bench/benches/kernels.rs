@@ -96,9 +96,44 @@ fn bench_incremental_vs_recompute(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_channel_repair(c: &mut Criterion) {
+    // The exposed-reset repair: re-aggregating a few channels of a target
+    // over its whole neighborhood, against the full-row fold it replaced.
+    let mut group = c.benchmark_group("exposed_channel_repair");
+    let mut rng = seeded_rng(4);
+    for &degree in &[64usize, 1024] {
+        let msgs = uniform(&mut rng, degree, DIM, -1.0, 1.0);
+        let mut out = vec![0.0f32; DIM];
+        for &width in &[1usize, 4, 32] {
+            // Evenly spread over the row, as exposed channels are.
+            let channels: Vec<u32> = (0..width).map(|i| (i * DIM / width) as u32).collect();
+            group.bench_with_input(
+                BenchmarkId::new(format!("channels_{width}"), degree),
+                &degree,
+                |b, _| {
+                    b.iter(|| {
+                        Aggregator::Max.aggregate_channels_into(
+                            msgs.rows_iter(),
+                            black_box(&channels),
+                            black_box(&mut out),
+                        );
+                    });
+                },
+            );
+        }
+        group.bench_with_input(BenchmarkId::new("full_row", degree), &degree, |b, _| {
+            b.iter(|| {
+                Aggregator::Max.aggregate_into(msgs.rows_iter(), black_box(&mut out));
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_aggregate, bench_grouping, bench_incremental_vs_recompute
+    targets =
+        bench_aggregate, bench_grouping, bench_incremental_vs_recompute, bench_channel_repair
 }
 criterion_main!(kernels);

@@ -45,8 +45,9 @@ pub struct UpdateConfig {
     pub batch_threshold: usize,
     /// Minimum deferred-recompute count per shard before the apply phase
     /// switches from the scalar per-target loop to batched aggregator
-    /// recomputation: targets that fall off the incremental path (exposed
-    /// resets, empty-old neighborhoods, forced recomputes) are grouped by
+    /// recomputation: targets that need every channel rebuilt (empty-old
+    /// neighborhoods, forced recomputes — an exposed reset repairs only its
+    /// exposed channels and never comes here) are grouped by
     /// event kind × degree class, their neighbor messages gathered into
     /// contiguous panels, and each panel folded with one batched reduction.
     /// Bitwise identical either way (rows fold in the same order with the

@@ -11,9 +11,12 @@
 //! 2. **group** — target-sharded reduction of each shard's events to at
 //!    most one deletion/addition payload (monotonic) or one signed sum
 //!    (accumulative) per target, payloads living in flat per-shard buffers;
-//! 3. **apply** — per-target evolvability check (no reset / covered reset /
-//!    exposed reset → recompute) or accumulative update, α values written
-//!    into flat per-shard output buffers;
+//! 3. **apply** — per-target, per-channel evolvability check (no reset /
+//!    covered reset / exposed reset → re-aggregate only the exposed channels
+//!    over the in-neighbors) or accumulative update, α values written into
+//!    flat per-shard output buffers; only targets that need every channel
+//!    rebuilt (empty old neighborhood, `incremental: false`) take the
+//!    gathered-panel recomputation;
 //! 4. **write** — sequential commit of changed α rows, condition stats,
 //!    user events, and the merged next-layer target list;
 //! 5. **next-messages** — rebuild of next-layer messages (or final outputs)
@@ -1031,13 +1034,15 @@ impl InkStream {
             layer_stats.phases.group = t_group.elapsed();
 
             // ── Phase 3: apply ────────────────────────────────────────────
-            // Per-target incremental update / recomputation, α written into
-            // each shard's flat output buffer. Two passes per shard: pass 1
-            // classifies every entry and applies the cheap incremental
-            // updates in place; entries that need a full neighborhood
-            // recomputation are deferred, grouped by event kind × degree
-            // class, gathered into contiguous panels and folded with the
-            // batched reduction kernels in pass 2.
+            // Per-target incremental update, α written into each shard's
+            // flat output buffer. Two passes per shard: pass 1 classifies
+            // every entry and finishes every incremental update in place —
+            // a monotonic exposed reset included, which re-aggregates only
+            // its exposed channels over the in-neighbors. Entries that need
+            // *every* channel rebuilt (empty-old targets, the
+            // `incremental: false` ablation) are deferred, grouped by kind ×
+            // degree class, gathered into contiguous panels and folded with
+            // the full-row reduction kernels in pass 2.
             let t_apply = Instant::now();
             let par_apply = cfg.parallel && total_targets >= cfg.parallel_threshold;
             {
@@ -1050,6 +1055,9 @@ impl InkStream {
                         buf,
                         alpha_buf,
                         outcomes,
+                        exposed,
+                        exposed_channels,
+                        exposed_rows,
                         recompute,
                         apply_comp,
                         gemm,
@@ -1075,19 +1083,28 @@ impl InkStream {
                                 deferred = Some(RecomputeKind::EmptyOld);
                                 CondKind::Mono(Condition::ExposedReset)
                             } else {
-                                match apply_monotonic_into(
+                                let condition = apply_monotonic_into(
                                     agg,
                                     alpha_old,
                                     slot_in(buf, e.del, dim),
                                     slot_in(buf, e.add, dim),
                                     out,
-                                ) {
-                                    Some(condition) => CondKind::Mono(condition),
-                                    None => {
-                                        deferred = Some(RecomputeKind::Exposed);
-                                        CondKind::Mono(Condition::ExposedReset)
-                                    }
+                                    exposed,
+                                );
+                                if condition == Condition::ExposedReset {
+                                    // `out` is exact everywhere but on the
+                                    // exposed channels: repair just those.
+                                    let neighbors = this.graph.in_neighbors(u);
+                                    agg.aggregate_channels_into(
+                                        neighbors.iter().map(|&v| this.state.m[l].row(v as usize)),
+                                        exposed,
+                                        out,
+                                    );
+                                    reads += (neighbors.len() * exposed.len()) as u64;
+                                    *exposed_channels += exposed.len();
+                                    *exposed_rows += neighbors.len();
                                 }
+                                CondKind::Mono(condition)
                             }
                         } else {
                             let sum =
@@ -1187,8 +1204,11 @@ impl InkStream {
                     shards.iter_mut().enumerate().for_each(run);
                 }
             }
-            layer_stats.batched_apply_rows =
-                scratch.shards[..ns].iter().map(|s| s.batched_apply_rows).sum();
+            for shard in &scratch.shards[..ns] {
+                layer_stats.batched_apply_rows += shard.batched_apply_rows;
+                layer_stats.exposed_channels += shard.exposed_channels;
+                layer_stats.exposed_rows += shard.exposed_rows;
+            }
             layer_stats.phases.apply = t_apply.elapsed();
 
             // ── Phase 4: write ────────────────────────────────────────────
@@ -2001,22 +2021,27 @@ mod tests {
     #[test]
     fn batched_apply_is_bitwise_equal_to_per_target() {
         for agg in [Aggregator::Max, Aggregator::Min, Aggregator::Sum, Aggregator::Mean] {
-            // Default config exercises the exposed-reset recomputes of the
-            // monotonic path; recompute_all forces every target (including
-            // accumulative ones) through the recompute pass.
+            // Default config reaches the recompute pass through an empty-old
+            // target only (exposed resets repair their channels in pass 1);
+            // recompute_all forces every target (including accumulative
+            // ones) through it.
             for base in [UpdateConfig::default(), UpdateConfig::recompute_all()] {
+                // A 24-ring plus the isolated vertex 24.
                 let make = |cfg: UpdateConfig| {
                     let mut rng = seeded_rng(41);
                     let model = Model::gcn(&mut rng, &[4, 6, 3], agg);
-                    InkStream::new(model, ring(24), feats(24, 4), cfg).unwrap()
+                    let mut g = ring(24);
+                    g.add_vertex();
+                    InkStream::new(model, g, feats(25, 4), cfg).unwrap()
                 };
-                // Removals drive monotonic exposed resets; the insert into a
-                // fresh target adds an empty-old recompute.
+                // Removals drive monotonic exposed resets; the insert gives
+                // the isolated vertex its first neighbor — an empty-old
+                // recompute.
                 let delta = DeltaBatch::new(vec![
                     EdgeChange::remove(0, 1),
                     EdgeChange::remove(5, 6),
                     EdgeChange::remove(12, 13),
-                    EdgeChange::insert(2, 18),
+                    EdgeChange::insert(2, 24),
                 ]);
                 let mut scalar = make(UpdateConfig { apply_batch_threshold: usize::MAX, ..base });
                 let mut batched = make(UpdateConfig { apply_batch_threshold: 1, ..base });
@@ -2034,12 +2059,26 @@ mod tests {
                 assert_eq!(sharded.output(), scalar.output(), "{agg:?} {base:?} sharded");
                 assert_eq!(batched.state().alpha[1], scalar.state().alpha[1], "{agg:?}");
                 assert_eq!(rs.batched_apply_rows(), 0, "{agg:?}: scalar engine must not batch");
-                if !base.incremental {
+                if !base.incremental || agg.is_monotonic() {
                     assert!(
                         rb.batched_apply_rows() > 0 && rp.batched_apply_rows() > 0,
-                        "{agg:?}: forced recomputes must take the panel path"
+                        "{agg:?} {base:?}: full-row recomputes must take the panel path"
                     );
                 }
+                // The channel repair is independent of the recompute pass's
+                // batching, and the ablation never classifies at all.
+                let repaired = |r: &UpdateReport| -> (usize, usize) {
+                    r.per_layer.iter().fold((0, 0), |(c, n), l| {
+                        (c + l.exposed_channels, n + l.exposed_rows)
+                    })
+                };
+                assert_eq!(repaired(&rb), repaired(&rs), "{agg:?} {base:?}");
+                assert_eq!(repaired(&rp), repaired(&rs), "{agg:?} {base:?} sharded");
+                assert_eq!(
+                    repaired(&rs).0 > 0,
+                    base.incremental && agg.is_monotonic(),
+                    "{agg:?} {base:?}: exposed resets repair channels, nothing else does"
+                );
             }
         }
     }

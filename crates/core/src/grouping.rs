@@ -102,10 +102,11 @@ pub fn group_events(events: &[Event], arena: &PayloadArena, agg: Aggregator) -> 
     Grouped { groups, events_before: events.len(), payload_values_read }
 }
 
-/// Why a target fell off the incremental path into a full neighborhood
-/// recomputation. The batched apply path sorts deferred targets by
-/// `(kind, degree class)` so each gathered panel holds attribution- and
-/// size-homogeneous work.
+/// Why a target needs every channel of its neighborhood re-aggregated. The
+/// batched apply path sorts these deferred targets by `(kind, degree class)`
+/// so each gathered panel holds attribution- and size-homogeneous work. A
+/// monotonic exposed reset is *not* among them: it repairs only its exposed
+/// channels, in place, in the apply phase's first pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum RecomputeKind {
     /// Incremental updates disabled (ablation runs).
@@ -113,8 +114,6 @@ pub(crate) enum RecomputeKind {
     /// The target's old neighborhood was empty, so its cached `α⁻ = 0` is a
     /// convention and the incremental rules do not apply.
     EmptyOld = 1,
-    /// Monotonic exposed reset.
-    Exposed = 2,
 }
 
 /// log₂ size bucket for panel grouping: 0 for degree 0, otherwise
@@ -248,22 +247,18 @@ mod tests {
     fn recompute_keys_group_by_kind_then_class() {
         // Same kind, same class → same panel.
         assert_eq!(
-            recompute_sort_key(RecomputeKind::Exposed, 5),
-            recompute_sort_key(RecomputeKind::Exposed, 6),
+            recompute_sort_key(RecomputeKind::EmptyOld, 5),
+            recompute_sort_key(RecomputeKind::EmptyOld, 6),
         );
         // Kind dominates class in the ordering.
         assert!(
             recompute_sort_key(RecomputeKind::Forced, 1 << 20)
                 < recompute_sort_key(RecomputeKind::EmptyOld, 1)
         );
-        assert!(
-            recompute_sort_key(RecomputeKind::EmptyOld, 1)
-                < recompute_sort_key(RecomputeKind::Exposed, 1)
-        );
         // Within a kind, bigger degrees sort later.
         assert!(
-            recompute_sort_key(RecomputeKind::Exposed, 2)
-                < recompute_sort_key(RecomputeKind::Exposed, 64)
+            recompute_sort_key(RecomputeKind::Forced, 2)
+                < recompute_sort_key(RecomputeKind::Forced, 64)
         );
     }
 

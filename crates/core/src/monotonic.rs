@@ -1,17 +1,24 @@
 //! Intra-layer incremental update for monotonic aggregation (paper §II-C1).
 //!
 //! Given a target's old aggregated neighborhood `α⁻` and its reduced event
-//! group, the effect falls into one of three conditions:
+//! group, the rule is stated — and applied — **per channel**. With
+//! `D = { i : α⁻[i] == m⁻_A[i] }` the reset channels:
 //!
-//! * **No reset** — no channel of `α⁻` equals the reduced deletion, so the
-//!   deletions were never the per-channel extreme: `α = A(α⁻, m_A)`. If
-//!   nothing changes the node is *resilient* and propagation is pruned.
-//! * **Covered reset** — some channels must reset, but the reduced addition
-//!   dominates the deleted value there; by transitivity it dominates every
-//!   hidden neighbor too, so `α = A(α⁻, m_A)` is still exact.
-//! * **Exposed reset** — a reset channel is not covered: the extreme was
-//!   deleted and nothing at hand bounds the remaining neighbors. Recompute
-//!   from the full neighborhood.
+//! * **No reset** — `D` is empty, so the deletions were never the per-channel
+//!   extreme: `α = A(α⁻, m_A)`. If nothing changes the node is *resilient*
+//!   and propagation is pruned.
+//! * **Covered reset** — the reduced addition dominates the deleted value on
+//!   every channel of `D`; by transitivity it dominates every hidden neighbor
+//!   too, so `α = A(α⁻, m_A)` is still exact.
+//! * **Exposed reset** — some channels of `D` are not covered: there the
+//!   extreme was deleted and nothing at hand bounds the remaining neighbors.
+//!   Only *those* channels are unknown. On every other channel
+//!   `A(α⁻, m_A)` is exact: a channel outside `D` has `m⁻_A[i]` strictly
+//!   inside `α⁻[i]`, so the neighbor holding the extreme is not among the
+//!   deleted messages and still bounds the rest; a covered channel of `D` is
+//!   the covered-reset argument. The check therefore hands back the exposed
+//!   channel list, and the caller re-aggregates just those channels from the
+//!   neighborhood ([`Aggregator::aggregate_channels_into`]).
 //!
 //! All comparisons are bit-exact `f32` equality — that is what makes the
 //! incremental result *bitwise identical* to recomputation.
@@ -27,7 +34,8 @@ pub enum Condition {
     NoReset,
     /// Reset channels fully covered by the addition.
     CoveredReset,
-    /// Reset channels not covered — full recomputation required.
+    /// Some reset channels not covered — those channels are re-aggregated
+    /// from the neighborhood.
     ExposedReset,
 }
 
@@ -54,12 +62,19 @@ pub enum MonoOutcome {
         /// The new aggregated neighborhood.
         alpha: Vec<f32>,
     },
-    /// Exposed reset — the caller must recompute from the neighborhood.
-    Recompute,
+    /// Exposed reset: `alpha` is `A(α⁻, m_A)`, exact on every channel except
+    /// the listed ones, which the caller must re-aggregate from the
+    /// neighborhood.
+    Exposed {
+        /// `A(α⁻, m_A)` — final on every channel not in `channels`.
+        alpha: Vec<f32>,
+        /// The exposed channels (reset and not covered), ascending.
+        channels: Vec<u32>,
+    },
 }
 
 /// Classifies the reduced group against `alpha_old` and applies the
-/// incremental update when one of the paper's two evolvable conditions holds.
+/// incremental update, complete or up to the exposed channels.
 pub fn apply_monotonic(
     agg: Aggregator,
     alpha_old: &[f32],
@@ -67,58 +82,58 @@ pub fn apply_monotonic(
     add: Option<&[f32]>,
 ) -> MonoOutcome {
     let mut alpha = vec![0.0; alpha_old.len()];
-    match apply_monotonic_into(agg, alpha_old, del, add, &mut alpha) {
-        Some(condition) => MonoOutcome::Updated { condition, alpha },
-        None => MonoOutcome::Recompute,
+    let mut channels = Vec::new();
+    match apply_monotonic_into(agg, alpha_old, del, add, &mut alpha, &mut channels) {
+        Condition::ExposedReset => MonoOutcome::Exposed { alpha, channels },
+        condition => MonoOutcome::Updated { condition, alpha },
     }
 }
 
-/// Allocation-free form of [`apply_monotonic`]: writes the new `α` into
-/// `out` and returns the condition, or `None` for an exposed reset (in
-/// which case `out` is untouched and the caller must recompute).
+/// Allocation-free form of [`apply_monotonic`]: always writes
+/// `A(α⁻, m_A)` into `out`, lists the exposed channels (ascending) in the
+/// caller's reusable `exposed` buffer, and returns the condition —
+/// [`Condition::ExposedReset`] exactly when the list is non-empty, in which
+/// case the caller must re-aggregate the listed channels of `out`.
 pub fn apply_monotonic_into(
     agg: Aggregator,
     alpha_old: &[f32],
     del: Option<&[f32]>,
     add: Option<&[f32]>,
     out: &mut [f32],
-) -> Option<Condition> {
+    exposed: &mut Vec<u32>,
+) -> Condition {
     debug_assert!(agg.is_monotonic());
     debug_assert_eq!(out.len(), alpha_old.len());
 
-    // Reset channels: D = { i : α⁻[i] == m⁻_A[i] }.
-    let has_reset = |del: &[f32]| alpha_old.iter().zip(del).any(|(a, d)| a == d);
-
-    match del {
-        None => {}
-        Some(del) if !has_reset(del) => {}
-        Some(del) => {
-            // Covered iff the reduced addition dominates the deleted value on
-            // every reset channel.
-            let covered = match add {
-                Some(add) => alpha_old
-                    .iter()
-                    .zip(del)
-                    .zip(add)
-                    .all(|((a, d), m)| a != d || agg.dominates(*m, *d)),
-                None => false,
-            };
-            if !covered {
-                return None;
-            }
-            let add = add.expect("covered implies an addition exists");
-            out.copy_from_slice(alpha_old);
-            agg.combine_into(out, add);
-            return Some(Condition::CoveredReset);
-        }
-    }
-
-    // No-reset path (including "no deletions at all").
     out.copy_from_slice(alpha_old);
     if let Some(add) = add {
         agg.combine_into(out, add);
     }
-    Some(if &*out == alpha_old { Condition::Resilient } else { Condition::NoReset })
+
+    // Reset channels: D = { i : α⁻[i] == m⁻_A[i] }; a reset channel is
+    // covered iff the reduced addition dominates the deleted value there.
+    exposed.clear();
+    let mut reset = false;
+    if let Some(del) = del {
+        for (i, (a, d)) in alpha_old.iter().zip(del).enumerate() {
+            if a == d {
+                reset = true;
+                if !add.is_some_and(|add| agg.dominates(add[i], *d)) {
+                    exposed.push(i as u32);
+                }
+            }
+        }
+    }
+
+    if !exposed.is_empty() {
+        Condition::ExposedReset
+    } else if reset {
+        Condition::CoveredReset
+    } else if &*out == alpha_old {
+        Condition::Resilient
+    } else {
+        Condition::NoReset
+    }
 }
 
 #[cfg(test)]
@@ -128,7 +143,14 @@ mod tests {
     fn unwrap_updated(out: MonoOutcome) -> (Condition, Vec<f32>) {
         match out {
             MonoOutcome::Updated { condition, alpha } => (condition, alpha),
-            MonoOutcome::Recompute => panic!("expected an incremental update"),
+            MonoOutcome::Exposed { .. } => panic!("expected an incremental update"),
+        }
+    }
+
+    fn unwrap_exposed(out: MonoOutcome) -> (Vec<f32>, Vec<u32>) {
+        match out {
+            MonoOutcome::Exposed { alpha, channels } => (alpha, channels),
+            MonoOutcome::Updated { .. } => panic!("expected an exposed reset"),
         }
     }
 
@@ -183,10 +205,58 @@ mod tests {
             Aggregator::Max,
             &[14.0, 16.0, 12.0, 3.0],
             Some(&[14.0, 16.0, 8.0, 1.0]),
-            Some(&[11.0, 16.0, 12.0, 3.0]),
+            Some(&[11.0, 16.0, 13.0, 3.0]),
         );
-        // channel 0: reset (14 == 14) and add 11 < 14 → exposed.
-        assert!(matches!(out, MonoOutcome::Recompute));
+        // channel 0: reset (14 == 14) and add 11 < 14 → exposed. Channel 1
+        // resets too but the tie 16 == 16 covers it; channels 2 and 3 never
+        // reset and take the plain update.
+        let (alpha, channels) = unwrap_exposed(out);
+        assert_eq!(channels, vec![0]);
+        assert_eq!(alpha, vec![14.0, 16.0, 13.0, 3.0]);
+    }
+
+    #[test]
+    fn exposed_channels_beyond_a_machine_word_are_listed() {
+        // 130 channels; resets at 0, 64, 65 and 129, the addition covers 65.
+        let dim = 130;
+        let alpha_old = vec![5.0f32; dim];
+        let mut del = vec![1.0f32; dim];
+        let mut add = vec![2.0f32; dim];
+        for c in [0, 64, 65, 129] {
+            del[c] = 5.0;
+        }
+        add[65] = 6.0;
+        let out = apply_monotonic(Aggregator::Max, &alpha_old, Some(&del), Some(&add));
+        let (alpha, channels) = unwrap_exposed(out);
+        assert_eq!(channels, vec![0, 64, 129]);
+        let mut want = alpha_old.clone();
+        want[65] = 6.0;
+        assert_eq!(alpha, want);
+    }
+
+    #[test]
+    fn exposed_buffer_is_cleared_between_calls() {
+        let mut out = [0.0f32; 2];
+        let mut exposed = vec![7, 8, 9];
+        let cond = apply_monotonic_into(
+            Aggregator::Max,
+            &[10.0, 20.0],
+            Some(&[10.0, 5.0]),
+            None,
+            &mut out,
+            &mut exposed,
+        );
+        assert_eq!((cond, exposed.as_slice()), (Condition::ExposedReset, &[0u32][..]));
+        let cond = apply_monotonic_into(
+            Aggregator::Max,
+            &[10.0, 20.0],
+            Some(&[5.0, 5.0]),
+            None,
+            &mut out,
+            &mut exposed,
+        );
+        assert_eq!(cond, Condition::Resilient);
+        assert!(exposed.is_empty());
     }
 
     #[test]
@@ -202,7 +272,9 @@ mod tests {
     fn deletion_only_with_reset_recomputes() {
         let out =
             apply_monotonic(Aggregator::Max, &[10.0, 20.0], Some(&[10.0, 5.0]), None);
-        assert!(matches!(out, MonoOutcome::Recompute));
+        let (alpha, channels) = unwrap_exposed(out);
+        assert_eq!(channels, vec![0]);
+        assert_eq!(alpha, vec![10.0, 20.0], "nothing added: α⁻ stands on channel 1");
     }
 
     #[test]
@@ -244,7 +316,9 @@ mod tests {
             Some(&[3.0, 9.0]),
             Some(&[4.0, 10.0]),
         );
-        assert!(matches!(out, MonoOutcome::Recompute));
+        let (alpha, channels) = unwrap_exposed(out);
+        assert_eq!(channels, vec![0]);
+        assert_eq!(alpha, vec![3.0, 5.0]);
     }
 
     #[test]

@@ -90,12 +90,16 @@ pub(crate) struct GroupEntry {
 }
 
 /// The apply phase's split-borrow view of one shard: groups are read while α
-/// values, outcomes and the batched-recompute machinery are written.
+/// values, outcomes, the exposed-channel repair state and the
+/// batched-recompute machinery are written.
 pub(crate) struct ApplyParts<'a> {
     pub entries: &'a [GroupEntry],
     pub buf: &'a [f32],
     pub alpha_buf: &'a mut Vec<f32>,
     pub outcomes: &'a mut Vec<ApplyOutcome>,
+    pub exposed: &'a mut Vec<u32>,
+    pub exposed_channels: &'a mut usize,
+    pub exposed_rows: &'a mut usize,
     pub recompute: &'a mut Vec<(u32, u32)>,
     pub apply_comp: &'a mut Vec<f32>,
     pub gemm: &'a mut ink_tensor::GemmScratch,
@@ -117,6 +121,13 @@ pub(crate) struct ShardScratch {
     pub outcomes: Vec<ApplyOutcome>,
     pub alpha_buf: Vec<f32>,
     pub payload_reads: usize,
+    /// Exposed channel list of the target being applied, rewritten per
+    /// target by [`crate::monotonic::apply_monotonic_into`].
+    pub exposed: Vec<u32>,
+    /// Channels this shard re-aggregated for exposed resets this layer.
+    pub exposed_channels: usize,
+    /// Neighbor rows this shard visited for those repairs this layer.
+    pub exposed_rows: usize,
     /// Entries deferred to full recomputation by the apply phase's first
     /// pass: `(sort key, entry index)` with the key from
     /// [`crate::grouping::recompute_sort_key`]. Sorting the pairs groups the
@@ -143,6 +154,8 @@ impl ShardScratch {
         self.outcomes.clear();
         self.alpha_buf.clear();
         self.payload_reads = 0;
+        self.exposed_channels = 0;
+        self.exposed_rows = 0;
         self.recompute.clear();
         self.apply_comp.clear();
         self.batched_apply_rows = 0;
@@ -163,6 +176,9 @@ impl ShardScratch {
             buf: &self.buf,
             alpha_buf: &mut self.alpha_buf,
             outcomes: &mut self.outcomes,
+            exposed: &mut self.exposed,
+            exposed_channels: &mut self.exposed_channels,
+            exposed_rows: &mut self.exposed_rows,
             recompute: &mut self.recompute,
             apply_comp: &mut self.apply_comp,
             gemm: &mut self.gemm,
@@ -254,6 +270,7 @@ impl ShardScratch {
             + (self.buf.capacity() + self.comp.capacity() + self.alpha_buf.capacity())
                 * std::mem::size_of::<f32>()
             + self.outcomes.capacity() * std::mem::size_of::<ApplyOutcome>()
+            + self.exposed.capacity() * std::mem::size_of::<u32>()
             + self.recompute.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.apply_comp.capacity() * std::mem::size_of::<f32>()
             + self.gemm.bytes()

@@ -511,6 +511,11 @@ struct SessionInstruments {
     gemm_batch_rows: Arc<Histogram>,
     apply_rows: Arc<Counter>,
     apply_batch_rows: Arc<Histogram>,
+    /// The monotonic condition mix (paper Fig. 8): resilient, no reset,
+    /// covered reset, exposed reset.
+    conditions: [Arc<Counter>; 4],
+    exposed_channels: Arc<Counter>,
+    exposed_rows: Arc<Counter>,
 }
 
 /// Pipeline phase names, in execution order (also the tracer span names).
@@ -589,6 +594,32 @@ impl SessionInstruments {
             apply_batch_rows: r.histogram(
                 "ink_apply_batch_rows",
                 "Per-layer batched apply-phase row counts (batched layers only)",
+            ),
+            conditions: [
+                r.counter(
+                    "ink_cond_resilient_total",
+                    "Monotonic targets left unchanged (propagation pruned)",
+                ),
+                r.counter(
+                    "ink_cond_no_reset_total",
+                    "Monotonic targets updated incrementally without a reset",
+                ),
+                r.counter(
+                    "ink_cond_covered_reset_total",
+                    "Monotonic targets updated incrementally under a covered reset",
+                ),
+                r.counter(
+                    "ink_cond_exposed_reset_total",
+                    "Monotonic targets with an exposed reset (channels re-aggregated)",
+                ),
+            ],
+            exposed_channels: r.counter(
+                "ink_exposed_channels_total",
+                "Channels re-aggregated from the neighborhood for exposed resets",
+            ),
+            exposed_rows: r.counter(
+                "ink_exposed_rows_total",
+                "Neighbor rows visited by exposed-reset channel repairs",
             ),
         }
     }
@@ -748,7 +779,18 @@ impl<E: Engine> StreamSession<E> {
             self.inst.gemm_rows.add(r.batched_rows() as u64);
             self.inst.gemm_flops.add(r.gemm_flops);
             self.inst.apply_rows.add(r.batched_apply_rows() as u64);
+            let c = r.conditions();
+            for (counter, n) in self
+                .inst
+                .conditions
+                .iter()
+                .zip([c.resilient, c.no_reset, c.covered_reset, c.exposed_reset])
+            {
+                counter.add(n);
+            }
             for layer in &r.per_layer {
+                self.inst.exposed_channels.add(layer.exposed_channels as u64);
+                self.inst.exposed_rows.add(layer.exposed_rows as u64);
                 if layer.batched_rows > 0 {
                     self.inst.gemm_batch_rows.record(layer.batched_rows as u64);
                 }
@@ -1119,6 +1161,33 @@ mod tests {
         assert!(scrape.contains("ink_gemm_batch_rows"), "row histogram must be registered");
         assert!(scrape.contains("ink_apply_rows_total"), "apply row counter must be registered");
         assert!(scrape.contains("ink_apply_batch_rows"), "apply histogram must be registered");
+    }
+
+    #[test]
+    fn condition_mix_and_channel_repair_follow_the_reports() {
+        // A bare twin engine sees the same batches; its reports are what the
+        // session's counters must add up to.
+        let mut s = StreamSession::new(engine(23));
+        let mut twin = engine(23);
+        let (mut conds, mut channels, mut rows) = (crate::ConditionCounts::default(), 0u64, 0u64);
+        for i in 0..6 {
+            let d = delta(&s, 60 + i, 8);
+            s.ingest(&d).unwrap();
+            let r = twin.apply_delta(&d);
+            conds.merge(&r.conditions());
+            for l in &r.per_layer {
+                channels += l.exposed_channels as u64;
+                rows += l.exposed_rows as u64;
+            }
+        }
+        let get = |name: &str| s.metrics().counter(name, "").get();
+        assert_eq!(get("ink_cond_resilient_total"), conds.resilient);
+        assert_eq!(get("ink_cond_no_reset_total"), conds.no_reset);
+        assert_eq!(get("ink_cond_covered_reset_total"), conds.covered_reset);
+        assert_eq!(get("ink_cond_exposed_reset_total"), conds.exposed_reset);
+        assert_eq!(get("ink_exposed_channels_total"), channels);
+        assert_eq!(get("ink_exposed_rows_total"), rows);
+        assert!(channels > 0 && rows > 0, "the stream must reach the channel repair");
     }
 
     #[test]

@@ -58,7 +58,9 @@ pub struct ConditionCounts {
     pub no_reset: u64,
     /// Incrementally updated under a covered reset.
     pub covered_reset: u64,
-    /// Recomputed from the full neighborhood (exposed reset).
+    /// Exposed reset: the uncovered reset channels were re-aggregated from
+    /// the neighborhood, the rest updated incrementally. Also counts targets
+    /// whose old neighborhood was empty (rebuilt whole).
     pub exposed_reset: u64,
     /// Accumulative targets (always incrementally updated).
     pub accumulative: u64,
@@ -117,6 +119,14 @@ pub struct LayerStats {
     /// recomputation (0 when every recompute took the scalar per-target
     /// loop).
     pub batched_apply_rows: usize,
+    /// Channels the apply phase re-aggregated for exposed resets, summed over
+    /// targets; `exposed_channels / conditions.exposed_reset` is the mean
+    /// repair width (empty-old targets are rebuilt whole by the panel path
+    /// and add nothing here).
+    pub exposed_channels: usize,
+    /// Neighbor rows visited by those channel repairs (the in-degrees of the
+    /// repaired targets, summed).
+    pub exposed_rows: usize,
     /// Per-phase wall times of this layer's pipeline pass.
     pub phases: PhaseTimes,
 }
@@ -131,6 +141,8 @@ impl LayerStats {
         self.conditions.merge(&other.conditions);
         self.batched_rows += other.batched_rows;
         self.batched_apply_rows += other.batched_apply_rows;
+        self.exposed_channels += other.exposed_channels;
+        self.exposed_rows += other.exposed_rows;
         self.phases.merge(&other.phases);
     }
 }

@@ -59,7 +59,11 @@ impl Aggregator {
         }
     }
 
-    /// Scalar reduction of two values.
+    /// Scalar reduction of two values. A classification helper (it backs
+    /// [`Aggregator::dominates`]), **not** the fold kernel: `f32::max`/`min`
+    /// treat `±0.0` ties and NaN differently from the `s > d` / `s < d`
+    /// compare of [`Aggregator::combine_into`], so never rebuild an aggregate
+    /// with it.
     #[inline]
     pub fn combine_scalar(self, a: f32, b: f32) -> f32 {
         match self {
@@ -159,13 +163,73 @@ impl Aggregator {
         self.finalize(out, degree);
     }
 
+    /// Re-aggregates only the listed `channels` of `out` over `msgs`, in
+    /// message order; every other channel of `out` is left as it is. The
+    /// per-channel counterpart of [`Aggregator::aggregate_into`] for the
+    /// exposed-reset repair: each listed channel is reset to the identity,
+    /// folded with the compare [`Aggregator::combine_into`] uses (`s > d` for
+    /// max, `s < d` for min) and finalized (zero for an empty neighborhood),
+    /// so it is **bitwise-identical** to `aggregate_into` on those channels —
+    /// `±0.0` ties included — while reading `channels.len()` floats per
+    /// message instead of the whole row.
+    ///
+    /// # Panics
+    ///
+    /// For sum/mean: an accumulative aggregate is reversible and never needs
+    /// a channel repair.
+    pub fn aggregate_channels_into<'a>(
+        self,
+        msgs: impl Iterator<Item = &'a [f32]>,
+        channels: &[u32],
+        out: &mut [f32],
+    ) {
+        for &c in channels {
+            out[c as usize] = self.identity();
+        }
+        let degree = match self {
+            Aggregator::Max => fold_channels(msgs, channels, out, |s, d| s > d),
+            Aggregator::Min => fold_channels(msgs, channels, out, |s, d| s < d),
+            Aggregator::Sum | Aggregator::Mean => {
+                panic!("aggregate_channels_into serves monotonic aggregators only")
+            }
+        };
+        if degree == 0 {
+            for &c in channels {
+                out[c as usize] = 0.0;
+            }
+        }
+    }
+
     /// True when `a` wins the reduction against `b` (`A(a, b) == a`). Used by
     /// the covered-reset check: the added message must *dominate* the deleted
-    /// one on every reset channel.
+    /// one on every reset channel. Classification only — see
+    /// [`Aggregator::combine_scalar`].
     #[inline]
     pub fn dominates(self, a: f32, b: f32) -> bool {
         self.combine_scalar(a, b) == a
     }
+}
+
+/// `out[c] = m[c]` wherever `wins(m[c], out[c])`, for every message and every
+/// listed channel, messages outermost so each row is visited once. Returns
+/// the message count.
+fn fold_channels<'a>(
+    msgs: impl Iterator<Item = &'a [f32]>,
+    channels: &[u32],
+    out: &mut [f32],
+    wins: impl Fn(f32, f32) -> bool,
+) -> usize {
+    let mut degree = 0usize;
+    for m in msgs {
+        for &c in channels {
+            let c = c as usize;
+            if wins(m[c], out[c]) {
+                out[c] = m[c];
+            }
+        }
+        degree += 1;
+    }
+    degree
 }
 
 #[cfg(test)]
@@ -267,6 +331,84 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The channel fold against `aggregate_into` restricted to the listed
+    /// channels, bit for bit; untouched channels keep their sentinel.
+    fn assert_channel_fold_matches(a: Aggregator, msgs: &[&[f32]], channels: &[u32]) {
+        let dim = msgs[0].len();
+        let mut want = vec![f32::NAN; dim];
+        a.aggregate_into(msgs.iter().copied(), &mut want);
+        const SENTINEL: f32 = 12345.0;
+        let mut got = vec![SENTINEL; dim];
+        a.aggregate_channels_into(msgs.iter().copied(), channels, &mut got);
+        for c in 0..dim {
+            let expect = if channels.contains(&(c as u32)) { want[c] } else { SENTINEL };
+            assert_eq!(
+                got[c].to_bits(),
+                expect.to_bits(),
+                "{a:?} channel {c} of {channels:?} over {msgs:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn channel_fold_matches_full_row_fold_bitwise() {
+        let dim = 67; // more than 64 channels: nothing may assume a word mask
+        let mut s = 0xFEEDu32;
+        for degree in [1usize, 2, 7, 33] {
+            let rows: Vec<Vec<f32>> = (0..degree)
+                .map(|_| {
+                    (0..dim)
+                        .map(|_| {
+                            s = s.wrapping_mul(1664525).wrapping_add(1013904223);
+                            // Coarse grid so ties between neighbors are common.
+                            ((s >> 28) as f32 - 8.0) * 0.25
+                        })
+                        .collect()
+                })
+                .collect();
+            let msgs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
+            for a in [Aggregator::Max, Aggregator::Min] {
+                for channels in [&[][..], &[0], &[66], &[3, 64, 65], &[1, 2, 5, 8, 13, 21, 34, 55]] {
+                    assert_channel_fold_matches(a, &msgs, channels);
+                }
+                let all: Vec<u32> = (0..dim as u32).collect();
+                assert_channel_fold_matches(a, &msgs, &all);
+            }
+        }
+    }
+
+    #[test]
+    fn channel_fold_keeps_the_first_signed_zero_like_the_row_fold() {
+        // `s > d` / `s < d` never replace +0.0 by -0.0 or the reverse, so the
+        // first zero met wins — in both orders, for both aggregators.
+        for a in [Aggregator::Max, Aggregator::Min] {
+            assert_channel_fold_matches(a, &[&[0.0, -0.0], &[-0.0, 0.0]], &[0, 1]);
+            assert_channel_fold_matches(a, &[&[-0.0, 0.0], &[0.0, -0.0]], &[0, 1]);
+        }
+        let mut out = [9.0f32; 2];
+        Aggregator::Max.aggregate_channels_into(
+            [&[-0.0f32, 0.0][..], &[0.0, -0.0]].into_iter(),
+            &[0, 1],
+            &mut out,
+        );
+        assert_eq!(out.map(f32::to_bits), [(-0.0f32).to_bits(), 0.0f32.to_bits()]);
+    }
+
+    #[test]
+    fn channel_fold_of_an_empty_neighborhood_is_zero_not_identity() {
+        for a in [Aggregator::Max, Aggregator::Min] {
+            let mut out = [7.0f32; 4];
+            a.aggregate_channels_into(std::iter::empty(), &[1, 3], &mut out);
+            assert_eq!(out, [7.0, 0.0, 7.0, 0.0], "{a:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "monotonic aggregators only")]
+    fn channel_fold_rejects_accumulative_aggregators() {
+        Aggregator::Sum.aggregate_channels_into(std::iter::empty(), &[0], &mut [0.0]);
     }
 
     #[test]

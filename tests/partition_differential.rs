@@ -53,8 +53,8 @@ fn build_pair(
     pool_workers: Option<usize>,
 ) -> (InkStream, PartitionedInkStream) {
     let (g, x) = base_inputs(seed);
-    // Threshold 1 keeps the batched apply path engaged, mirroring the
-    // single-engine drift harness.
+    // Threshold 1 sends every empty-old target's full-row recomputation
+    // through the panel path, mirroring the single-engine drift harness.
     let cfg = UpdateConfig { apply_batch_threshold: 1, ..UpdateConfig::default() };
     let single = InkStream::new(make_model(seed, agg, model_pick), g.clone(), x.clone(), cfg)
         .expect("single engine");

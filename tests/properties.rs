@@ -81,59 +81,75 @@ proptest! {
 
     /// The condition rules against a brute-force multiset model: aggregate a
     /// random neighborhood, delete a random subset, add new messages, and
-    /// check the incremental answer (when one is produced) is exact.
+    /// check the incremental answer is exact — the whole row when the check
+    /// says so, and for an exposed reset every channel it does *not* list,
+    /// with the listed ones exact once repaired from `remaining ∪ added`.
+    /// Each case runs at channel counts on both sides of 64 (prefixes of the
+    /// drawn rows) so nothing can lean on a one-word mask.
     #[test]
     fn monotonic_rules_match_bruteforce(
         neigh in proptest::collection::vec(
-            proptest::collection::vec(-10i32..10, 3), 1..7),
+            proptest::collection::vec(-10i32..10, 130), 1..7),
         added in proptest::collection::vec(
-            proptest::collection::vec(-10i32..10, 3), 0..4),
+            proptest::collection::vec(-10i32..10, 130), 0..4),
         del_mask in proptest::collection::vec(proptest::bool::ANY, 7),
         use_min in proptest::bool::ANY,
     ) {
         let agg = if use_min { Aggregator::Min } else { Aggregator::Max };
-        let to_f = |v: &Vec<i32>| v.iter().map(|&x| x as f32).collect::<Vec<f32>>();
-        let neigh: Vec<Vec<f32>> = neigh.iter().map(to_f).collect();
-        let added: Vec<Vec<f32>> = added.iter().map(to_f).collect();
-        // Old aggregate over the full neighborhood.
-        let mut alpha_old = vec![0.0; 3];
-        agg.aggregate_into(neigh.iter().map(|v| v.as_slice()), &mut alpha_old);
-        // Delete a subset (but never everything: the engine routes the
-        // empty-old-neighborhood case to recomputation separately).
-        let deleted: Vec<&Vec<f32>> = neigh
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| del_mask[*i % del_mask.len()])
-            .map(|(_, v)| v)
-            .collect();
-        prop_assume!(deleted.len() < neigh.len());
-        let remaining: Vec<&Vec<f32>> = neigh
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !del_mask[*i % del_mask.len()])
-            .map(|(_, v)| v)
-            .collect();
-        // Ground truth over remaining ∪ added.
-        let mut truth = vec![0.0; 3];
-        agg.aggregate_into(
-            remaining.iter().map(|v| v.as_slice()).chain(added.iter().map(|v| v.as_slice())),
-            &mut truth,
-        );
-        // Reduced del/add groups, as grouping would produce.
-        let reduce = |msgs: &[&Vec<f32>]| -> Option<Vec<f32>> {
-            let mut it = msgs.iter();
-            let first = it.next()?;
-            let mut acc = (*first).clone();
-            for m in it {
-                agg.combine_into(&mut acc, m);
+        let deleted_at = |i: usize| del_mask[i % del_mask.len()];
+        // Never delete everything: the engine routes the
+        // empty-old-neighborhood case to recomputation separately.
+        prop_assume!((0..neigh.len()).any(|i| !deleted_at(i)));
+        for dim in [1usize, 3, 64, 65, 130] {
+            let to_f = |v: &Vec<i32>| v[..dim].iter().map(|&x| x as f32).collect::<Vec<f32>>();
+            let neigh: Vec<Vec<f32>> = neigh.iter().map(to_f).collect();
+            let added: Vec<Vec<f32>> = added.iter().map(to_f).collect();
+            // Old aggregate over the full neighborhood.
+            let mut alpha_old = vec![0.0; dim];
+            agg.aggregate_into(neigh.iter().map(|v| v.as_slice()), &mut alpha_old);
+            let pick = |want_deleted: bool| -> Vec<&Vec<f32>> {
+                neigh
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| deleted_at(*i) == want_deleted)
+                    .map(|(_, v)| v)
+                    .collect()
+            };
+            let (deleted, remaining) = (pick(true), pick(false));
+            // Ground truth over remaining ∪ added.
+            let survivors = || {
+                remaining.iter().map(|v| v.as_slice()).chain(added.iter().map(|v| v.as_slice()))
+            };
+            let mut truth = vec![0.0; dim];
+            agg.aggregate_into(survivors(), &mut truth);
+            // Reduced del/add groups, as grouping would produce.
+            let reduce = |msgs: &[&Vec<f32>]| -> Option<Vec<f32>> {
+                let mut it = msgs.iter();
+                let first = it.next()?;
+                let mut acc = (*first).clone();
+                for m in it {
+                    agg.combine_into(&mut acc, m);
+                }
+                Some(acc)
+            };
+            let del = reduce(&deleted);
+            let add = reduce(&added.iter().collect::<Vec<_>>());
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            match apply_monotonic(agg, &alpha_old, del.as_deref(), add.as_deref()) {
+                MonoOutcome::Updated { alpha, .. } => prop_assert_eq!(bits(&alpha), bits(&truth)),
+                MonoOutcome::Exposed { mut alpha, channels } => {
+                    prop_assert!(!channels.is_empty());
+                    prop_assert!(channels.windows(2).all(|w| w[0] < w[1]), "ascending");
+                    for c in (0..dim).filter(|c| !channels.contains(&(*c as u32))) {
+                        prop_assert!(
+                            alpha[c].to_bits() == truth[c].to_bits(),
+                            "dim {}: channel {} is not listed in {:?} yet differs", dim, c, channels
+                        );
+                    }
+                    agg.aggregate_channels_into(survivors(), &channels, &mut alpha);
+                    prop_assert_eq!(bits(&alpha), bits(&truth));
+                }
             }
-            Some(acc)
-        };
-        let del = reduce(&deleted);
-        let add = reduce(&added.iter().collect::<Vec<_>>());
-        match apply_monotonic(agg, &alpha_old, del.as_deref(), add.as_deref()) {
-            MonoOutcome::Updated { alpha, .. } => prop_assert_eq!(alpha, truth),
-            MonoOutcome::Recompute => { /* recompute is always safe */ }
         }
     }
 
