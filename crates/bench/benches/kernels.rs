@@ -3,8 +3,9 @@
 //! recompute decision that Table V's memory savings come from.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ink_gnn::Aggregator;
+use ink_gnn::{Aggregator, Conv, SageConv};
 use ink_tensor::init::{seeded_rng, uniform};
+use ink_tensor::GemmScratch;
 use inkstream::monotonic::apply_monotonic;
 use inkstream::{group_events, Event, EventOp, PayloadArena};
 use std::hint::black_box;
@@ -130,10 +131,66 @@ fn bench_channel_repair(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_delta_rule(c: &mut Criterion) {
+    // One round's output rebuild on an α-affine layer, both ways: the full
+    // transform runs SAGE's two 64×64 GEMMs over every target's gathered α
+    // and self rows; the delta rule transforms the round's ≈ 48 payloads once
+    // and adds one scaled row per target. 32 rows is what still takes the
+    // transform on `engine_accum`, 6000 what used to.
+    const SOURCES: usize = 48;
+    let mut group = c.benchmark_group("delta_rule");
+    let mut rng = seeded_rng(5);
+    let conv = SageConv::new(&mut rng, DIM, DIM, Aggregator::Mean);
+    let w = conv.alpha_weight().expect("SAGE is affine in α");
+    let payloads = uniform(&mut rng, SOURCES, DIM, -1.0, 1.0);
+    for &rows in &[32usize, 6000] {
+        let alpha = uniform(&mut rng, rows, DIM, -1.0, 1.0);
+        let own = uniform(&mut rng, rows, DIM, -1.0, 1.0);
+        let mut h = vec![0.0f32; rows * DIM];
+        let mut scratch = GemmScratch::new();
+        group.bench_with_input(
+            BenchmarkId::new("two_gemms_per_row", rows),
+            &rows,
+            |b, &rows| {
+                b.iter(|| {
+                    conv.update_batch_into(
+                        rows,
+                        black_box(alpha.as_slice()),
+                        own.as_slice(),
+                        black_box(&mut h),
+                        &mut scratch,
+                    )
+                });
+            },
+        );
+        let mut transformed = vec![0.0f32; SOURCES * DIM];
+        group.bench_with_input(
+            BenchmarkId::new("source_transform_plus_row_axpy", rows),
+            &rows,
+            |b, &rows| {
+                b.iter(|| {
+                    for (p, t) in payloads.rows_iter().zip(transformed.chunks_exact_mut(DIM)) {
+                        w.vecmul(black_box(p), t);
+                    }
+                    for (i, row) in h.chunks_exact_mut(DIM).take(rows).enumerate() {
+                        let sum = &transformed[(i % SOURCES) * DIM..(i % SOURCES + 1) * DIM];
+                        ink_tensor::ops::axpy(black_box(row), 0.125, sum);
+                    }
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
     targets =
-        bench_aggregate, bench_grouping, bench_incremental_vs_recompute, bench_channel_repair
+        bench_aggregate,
+        bench_grouping,
+        bench_incremental_vs_recompute,
+        bench_channel_repair,
+        bench_delta_rule
 }
 criterion_main!(kernels);

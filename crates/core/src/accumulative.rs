@@ -12,8 +12,30 @@
 //!
 //! There is no pruning decision here: accumulative updates are always
 //! applied and always propagate (paper Algorithm 1, lines 18-21).
+//!
+//! # The delta rule
+//!
+//! Propagation is where the cost sits: a hub's changed message reaches
+//! thousands of targets, and rebuilding each target's output row
+//! `h_u = T(α_u, m_u)` means a transform per target although the only new
+//! information is `Δα_u`. Where `h_u` is *affine in α* — `delta_weight`
+//! decides that per layer, from the model alone — the transform moves to the
+//! source: every pushed payload is widened to `[Δm ‖ Δm·W]`, the group phase
+//! sums both halves in one slot, and a target whose self term and denominator
+//! did not move is committed as
+//!
+//! * sum:  `h_u += Σ Δm·W`
+//! * mean: `h_u += (Σ Δm·W)·(1/d_u)` — only while `d_u` is unchanged
+//!
+//! ([`delta_row_scale`]). A target whose degree changed under mean (the old
+//! `α⁻·W` term would need the `d⁻/d` factor, and `h` does not store it
+//! separately from the self term) or whose own message changed (the `g(m_u)`
+//! term moved) takes the full transform as before. The cached `h` row then
+//! carries one rounding per update of its own, next to α's; `audit_vertex`'s
+//! chain check measures it and `resync()` clears it.
 
-use ink_gnn::Aggregator;
+use ink_gnn::{Aggregator, Model};
+use ink_tensor::{Activation, Matrix};
 
 /// Applies the accumulative update and returns the new `α`.
 ///
@@ -82,9 +104,126 @@ pub fn apply_accumulative_into(
     }
 }
 
+/// `Some(W)` iff layer `l`'s cached output rows are affine in α with weight
+/// `W` and may therefore be updated by the delta rule: the last layer (its
+/// output is the cached `h`; an inner layer's feeds an activation whose
+/// pre-image is not cached), an accumulative aggregator, no activation, norm
+/// or degree scaling between `T` and the cache, no user hooks contributing to
+/// the row, and a conv that hands out its α-side weight
+/// ([`ink_gnn::Conv::alpha_weight`]). The one place this is decided — from
+/// the model and the presence of hooks, never from a config field.
+pub(crate) fn delta_weight(model: &Model, l: usize, hooked: bool) -> Option<&Matrix> {
+    let layer = model.layer(l);
+    let affine = l + 1 == model.num_layers()
+        && !hooked
+        && layer.conv.aggregator().is_accumulative()
+        && layer.act == Activation::Identity
+        && layer.norm.is_none()
+        && !layer.conv.degree_scaled();
+    if affine {
+        layer.conv.alpha_weight()
+    } else {
+        None
+    }
+}
+
+/// The delta rule for one target of a layer affine in α (see the module
+/// docs) whose own message did not change this round: `Some(s)` when its
+/// cached output row may be updated as `h += s · Σ Δm·W`, `None` when it must
+/// take the full transform. Sum always qualifies (`s = 1`); mean only while
+/// the target's degree is unchanged and non-zero (`s = 1/d`) — with a changed
+/// degree the old `α⁻·W` share of `h` would have to be rescaled by `d⁻/d`,
+/// and `h` does not keep it apart from the self term.
+pub fn delta_row_scale(agg: Aggregator, degree_new: usize, degree_delta: i32) -> Option<f32> {
+    match agg {
+        Aggregator::Sum => Some(1.0),
+        Aggregator::Mean if degree_delta == 0 && degree_new > 0 => Some(1.0 / degree_new as f32),
+        _ => None,
+    }
+}
+
+/// Commits one delta row, `h += scale · w_sum`; true when any channel of `h`
+/// changed bitwise (the same test the full transform's commit applies).
+pub(crate) fn apply_delta_row(h: &mut [f32], scale: f32, w_sum: &[f32]) -> bool {
+    debug_assert_eq!(h.len(), w_sum.len());
+    let mut changed = false;
+    for (h, &w) in h.iter_mut().zip(w_sum) {
+        let new = *h + w * scale;
+        changed |= new != *h;
+        *h = new;
+    }
+    changed
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ink_gnn::{Conv, GraphNorm, GraphNormMode, LayerDef, SageConv};
+    use ink_tensor::init::seeded_rng;
+
+    #[test]
+    fn only_an_alpha_affine_last_layer_takes_the_delta_rule() {
+        let eligible = |model: &Model, hooked: bool| -> Vec<bool> {
+            (0..model.num_layers()).map(|l| delta_weight(model, l, hooked).is_some()).collect()
+        };
+        // Model::sage's shape, with the last layer's epilogue up to the case.
+        let sage_with = |agg, act, norm: Option<GraphNormMode>| {
+            let mut rng = seeded_rng(1);
+            let conv = |rng: &mut _, i, o| Box::new(SageConv::new(rng, i, o, agg)) as Box<dyn Conv>;
+            Model::new(vec![
+                LayerDef { conv: conv(&mut rng, 4, 5), norm: None, act: Activation::Relu },
+                LayerDef { conv: conv(&mut rng, 5, 3), norm, act },
+            ])
+        };
+        let sage = |agg| sage_with(agg, Activation::Identity, None);
+        for agg in [Aggregator::Sum, Aggregator::Mean] {
+            // The inner layer feeds a ReLU; the last one is cached as is.
+            assert_eq!(eligible(&sage(agg), false), [false, true], "{agg:?}");
+            assert_eq!(eligible(&sage(agg), true), [false, false], "{agg:?} with hooks");
+        }
+        assert_eq!(eligible(&sage(Aggregator::Max), false), [false, false]);
+        let relu_last = sage_with(Aggregator::Mean, Activation::Relu, None);
+        assert_eq!(eligible(&relu_last, false), [false, false]);
+        let frozen = GraphNormMode::Cached {
+            norm: GraphNorm::unit(3),
+            mean: vec![0.0; 3],
+            var: vec![1.0; 3],
+        };
+        let norm_last = sage_with(Aggregator::Mean, Activation::Identity, Some(frozen));
+        assert_eq!(eligible(&norm_last, false), [false, false]);
+
+        // No α-side weight handed out: GCN, GIN's MLP, LightGCN's scaling.
+        let gcn = Model::gcn(&mut seeded_rng(2), &[4, 5, 3], Aggregator::Sum);
+        assert_eq!(eligible(&gcn, false), [false, false]);
+        let gin = Model::gin(&mut seeded_rng(3), 4, 5, 2, 0.1, Aggregator::Sum);
+        assert_eq!(eligible(&gin, false), [false, false]);
+        assert_eq!(eligible(&Model::lightgcn(4, 2), false), [false, false]);
+    }
+
+    #[test]
+    fn delta_row_scale_follows_the_denominator() {
+        assert_eq!(delta_row_scale(Aggregator::Sum, 5, 0), Some(1.0));
+        assert_eq!(delta_row_scale(Aggregator::Sum, 0, -3), Some(1.0), "sum has no denominator");
+        assert_eq!(delta_row_scale(Aggregator::Mean, 4, 0), Some(0.25));
+        assert_eq!(delta_row_scale(Aggregator::Mean, 4, 1), None, "d⁻/d would rescale α⁻·W");
+        assert_eq!(delta_row_scale(Aggregator::Mean, 4, -1), None);
+        assert_eq!(delta_row_scale(Aggregator::Mean, 0, 0), None, "empty neighborhood");
+        assert_eq!(delta_row_scale(Aggregator::Max, 4, 0), None);
+    }
+
+    #[test]
+    fn delta_row_matches_the_transform_of_the_new_alpha() {
+        // h = α·W + g with W = [[1, 2], [0, -1]], g = (10, 20); mean over d = 2.
+        let transform = |a: &[f32]| [a[0] + 10.0, 2.0 * a[0] - a[1] + 20.0];
+        let (alpha_old, sum) = ([3.0f32, 1.0], [2.0f32, -4.0]);
+        let alpha_new = apply_accumulative(Aggregator::Mean, &alpha_old, &sum, 2, 0, false);
+        let w_sum = [sum[0], 2.0 * sum[0] - sum[1]];
+        let mut h = transform(&alpha_old);
+        let scale = delta_row_scale(Aggregator::Mean, 2, 0).unwrap();
+        assert!(apply_delta_row(&mut h, scale, &w_sum));
+        assert_eq!(h, transform(&alpha_new));
+        assert!(!apply_delta_row(&mut h, scale, &[0.0, 0.0]), "a zero delta changes nothing");
+    }
 
     #[test]
     fn sum_adds_payload() {

@@ -23,6 +23,13 @@
 //!    for every target, emitting the next layer's effect seeds unless
 //!    pruned.
 //!
+//! On a layer whose cached output is affine in α (the last layer of a
+//! sum/mean GraphSAGE — [`crate::accumulative`] decides) the transform moves
+//! to the source: generate widens every payload to `[Δm ‖ Δm·W]`, group sums
+//! both halves in one slot, write routes the targets whose own message and
+//! denominator did not move to a delta-row list, and next-messages commits
+//! those as `h += s·Σ Δm·W` — only the rest goes through the rebuild.
+//!
 //! Workers process contiguous ordered chunks and every target belongs to
 //! exactly one shard, so the pipeline's result is bitwise identical for
 //! every worker/shard count — including the sequential 1×1 configuration.
@@ -32,7 +39,9 @@
 //! Monotonic updates are bitwise identical to full recomputation; the
 //! integration suite asserts that per aggregation function.
 
-use crate::accumulative::apply_accumulative_into;
+use crate::accumulative::{
+    apply_accumulative_into, apply_delta_row, delta_row_scale, delta_weight,
+};
 use crate::config::UpdateConfig;
 use crate::error::InkError;
 use crate::event::{Event, EventOp};
@@ -40,8 +49,8 @@ use crate::grouping::{recompute_sort_key, RecomputeKind};
 use crate::hooks::{UserEvent, UserHooks};
 use crate::monotonic::{apply_monotonic_into, Condition};
 use crate::pipeline::{
-    shard_of, slot_in, worker_chunk, ApplyOutcome, ApplyParts, CondKind, ScratchPool,
-    ShardScratch, WorkerScratch,
+    acc_slot_in, shard_of, slot_in, worker_chunk, ApplyOutcome, ApplyParts, CondKind, DeltaRow,
+    ScratchPool, ShardScratch, WorkerScratch,
 };
 use crate::stats::{LayerStats, UpdateReport};
 use ink_graph::{DeltaBatch, DynGraph, EdgeChange, EdgeOp, FxHashMap, VertexId};
@@ -79,6 +88,10 @@ struct RoundState {
     /// Wall time of the most recent [`InkStream::round_rescale`], folded
     /// into that layer's generate-phase time by `round_process`.
     rescale_elapsed: std::time::Duration,
+    /// Transformed channels behind every payload of the layer being stepped:
+    /// the delta rule's `W` width where [`delta_weight`] grants it, else 0.
+    /// Decided once per layer by [`InkStream::round_rescale`].
+    tail: usize,
 }
 
 /// The incremental GNN inference engine.
@@ -666,6 +679,7 @@ impl InkStream {
             f32_read: 0,
             f32_written: 0,
             rescale_elapsed: std::time::Duration::ZERO,
+            tail: 0,
         });
     }
 
@@ -724,10 +738,13 @@ impl InkStream {
         let scratch = &mut rs.scratch;
         let degree_scaled = self.model.layer(l).conv.degree_scaled();
         let dim = self.model.msg_dim(l);
+        // A delta-rule layer's payloads carry their transform behind the
+        // message (never a degree-scaled layer, so nothing below pushes one).
+        rs.tail = delta_weight(&self.model, l, self.hooks.is_some()).map_or(0, Matrix::cols);
         // Workers begin here (not in `round_process`) so the rescale stage
         // can already stage rows into their arenas.
         for ws in &mut scratch.workers[..nw] {
-            ws.begin(ns, dim);
+            ws.begin(ns, dim, rs.tail);
         }
 
         if degree_scaled {
@@ -885,6 +902,13 @@ impl InkStream {
             let out_dim = self.model.layer(l).conv.out_dim();
             let is_last = l + 1 == k;
             let prod_dim = if is_last { out_dim } else { self.model.msg_dim(l + 1) };
+            // `Some(W)` on a layer whose cached output is affine in α
+            // (`round_rescale` decided): its payloads are `[Δm ‖ Δm·W]`
+            // through generate and group, and targets whose self term and
+            // denominator did not move are committed by the delta rule
+            // (`crate::accumulative`).
+            let tail = rs.tail;
+            let delta_w = self.model.layer(l).conv.alpha_weight().filter(|_| tail > 0);
             let mut layer_stats = LayerStats::default();
 
             // ── Phase 1: generate ─────────────────────────────────────────
@@ -988,6 +1012,11 @@ impl InkStream {
                             }
                         }
                     }
+                    // The source transform of a delta-rule layer: once per
+                    // payload, shared by all its events as the payload is.
+                    if let Some(w) = delta_w {
+                        ws.arena.transform_tails(w);
+                    }
                 };
                 if par_generate {
                     workers.par_iter_mut().enumerate().for_each(run);
@@ -997,8 +1026,11 @@ impl InkStream {
             }
             layer_stats.events_created =
                 scratch.workers[..nw].iter().map(WorkerScratch::events_emitted).sum();
-            f32_written +=
-                scratch.workers[..nw].iter().map(|ws| ws.arena.len() * dim).sum::<usize>() as u64;
+            let payloads: usize = scratch.workers[..nw].iter().map(|ws| ws.arena.len()).sum();
+            f32_written += (payloads * (dim + tail)) as u64;
+            if delta_w.is_some() {
+                layer_stats.delta_sources = payloads;
+            }
             layer_stats.phases.generate = t_generate.elapsed() + rescale_elapsed;
 
             // ── Phase 2: group ────────────────────────────────────────────
@@ -1013,10 +1045,10 @@ impl InkStream {
                 let run = |(s, shard): (usize, &mut ShardScratch)| {
                     shard.begin();
                     for ws in workers {
-                        shard.reduce_bucket(&ws.dg[s], &ws.arena, agg, dim, cfg.compensated);
+                        shard.reduce_bucket(&ws.dg[s], &ws.arena, agg, cfg.compensated);
                     }
                     for ws in workers {
-                        shard.reduce_bucket(&ws.fx[s], &ws.arena, agg, dim, cfg.compensated);
+                        shard.reduce_bucket(&ws.fx[s], &ws.arena, agg, cfg.compensated);
                     }
                     if cfg.compensated && !mono {
                         shard.fold_compensation();
@@ -1107,8 +1139,7 @@ impl InkStream {
                                 CondKind::Mono(condition)
                             }
                         } else {
-                            let sum =
-                                slot_in(buf, e.add, dim).expect("acc group always has a sum");
+                            let (sum, _) = acc_slot_in(buf, e.add, dim, tail);
                             apply_accumulative_into(
                                 agg,
                                 alpha_old,
@@ -1216,9 +1247,11 @@ impl InkStream {
             // events, and the merged + sorted next-layer target list.
             let t_write = Instant::now();
             {
-                let ScratchPool { shards, affected, next_targets, .. } = &mut *scratch;
+                let ScratchPool { shards, affected, next_targets, delta_rows, old, .. } =
+                    &mut *scratch;
                 next_targets.clear();
-                for shard in shards[..ns].iter() {
+                delta_rows.clear();
+                for (s, shard) in shards[..ns].iter().enumerate() {
                     for (i, (e, o)) in shard.entries.iter().zip(&shard.outcomes).enumerate() {
                         f32_read += o.reads;
                         match o.cond {
@@ -1244,7 +1277,8 @@ impl InkStream {
                         }
                         // Accumulative targets always propagate (Algorithm 1
                         // l.18-21).
-                        let propagates = matches!(o.cond, CondKind::Acc) || o.changed;
+                        let incremental_acc = matches!(o.cond, CondKind::Acc);
+                        let propagates = incremental_acc || o.changed;
                         if o.changed {
                             self.state.alpha[l].set_row(
                                 e.target as usize,
@@ -1255,7 +1289,27 @@ impl InkStream {
                             affected.insert(e.target);
                         }
                         if propagates || !cfg.pruning {
-                            next_targets.push(e.target);
+                            // The delta rule serves an incrementally updated
+                            // target whose own message stayed put (else the
+                            // self term of its output row moved too).
+                            let scale = if delta_w.is_some()
+                                && incremental_acc
+                                && !old.contains(l, e.target)
+                            {
+                                let degree = self.graph.in_degree(e.target);
+                                delta_row_scale(agg, degree, e.degree_delta)
+                            } else {
+                                None
+                            };
+                            match scale {
+                                Some(scale) => delta_rows.push(DeltaRow {
+                                    target: e.target,
+                                    scale,
+                                    shard: s as u32,
+                                    slot: e.add,
+                                }),
+                                None => next_targets.push(e.target),
+                            }
                         }
                     }
                 }
@@ -1296,14 +1350,20 @@ impl InkStream {
             }
             scratch.next_targets.sort_unstable();
             scratch.next_targets.dedup();
-            layer_stats.targets = layer_stats.targets.max(scratch.next_targets.len());
-            report.nodes_visited += scratch.next_targets.len() as u64;
+            // Delta rows are disjoint from the list above: one group entry
+            // per target, and none of them is in `changed_order`.
+            let nd = scratch.delta_rows.len();
+            layer_stats.delta_rows = nd;
+            layer_stats.targets = layer_stats.targets.max(scratch.next_targets.len() + nd);
+            report.nodes_visited += (scratch.next_targets.len() + nd) as u64;
             layer_stats.phases.write = t_write.elapsed();
 
             // ── Phase 5: next-messages ────────────────────────────────────
             // Rebuild next-layer messages / final outputs into the flat
             // production buffer — gather→GEMM→scatter when the target set is
             // big enough, per-node otherwise — then commit sequentially.
+            // Delta rows skip all of that: their transform already happened
+            // at the source, the commit is one scaled row add.
             let t_next = Instant::now();
             let nt = scratch.next_targets.len();
             let par_next = cfg.parallel && nt >= cfg.parallel_threshold;
@@ -1439,8 +1499,8 @@ impl InkStream {
                     next_buf.chunks_mut(prod_dim.max(1)).enumerate().for_each(run);
                 }
             }
-            f32_read += (nt * 2 * dim) as u64;
-            f32_written += (nt * out_dim) as u64;
+            f32_read += (nt * 2 * dim + nd * 2 * out_dim) as u64;
+            f32_written += ((nt + nd) * out_dim) as u64;
 
             {
                 let ScratchPool { next_targets, next_buf, old, pending_user, .. } = &mut *scratch;
@@ -1469,6 +1529,15 @@ impl InkStream {
                                 self.state.m[l + 1].set_row(u as usize, chunk);
                             }
                         }
+                    }
+                }
+            }
+            for r in &scratch.delta_rows {
+                let (_, w_sum) = scratch.shards[r.shard as usize].acc_slot(r.slot, dim, tail);
+                if apply_delta_row(self.state.h.row_mut(r.target as usize), r.scale, w_sum) {
+                    report.output_changed += 1;
+                    if !self.dirty_all {
+                        self.dirty.push(r.target);
                     }
                 }
             }
@@ -2106,28 +2175,41 @@ mod tests {
 
     #[test]
     fn scratch_pool_stops_growing_after_warmup() {
+        // GCN-max, and SAGE-mean whose last layer widens its payload rows
+        // (arena, shard slots).
         let mut rng = seeded_rng(8);
-        let model = Model::gcn(&mut rng, &[4, 6, 3], Aggregator::Max);
-        let mut engine =
-            InkStream::new(model, ring(64), feats(64, 4), UpdateConfig::default()).unwrap();
-        let insert = DeltaBatch::new(vec![EdgeChange::insert(0, 32), EdgeChange::insert(5, 40)]);
-        let remove = DeltaBatch::new(vec![EdgeChange::remove(0, 32), EdgeChange::remove(5, 40)]);
-        // Warm up: the first rounds grow the pool to the workload's size.
-        for _ in 0..2 {
-            engine.apply_delta(&insert);
-            engine.apply_delta(&remove);
+        let models = [
+            Model::gcn(&mut rng, &[4, 6, 3], Aggregator::Max),
+            Model::sage(&mut rng, &[4, 6, 3], Aggregator::Mean),
+        ];
+        for model in models {
+            let mut engine =
+                InkStream::new(model, ring(64), feats(64, 4), UpdateConfig::default()).unwrap();
+            let insert = DeltaBatch::new(
+                (0..6).map(|i| EdgeChange::insert(i * 5, i * 5 + 32)).collect(),
+            );
+            let remove = DeltaBatch::new(
+                (0..6).map(|i| EdgeChange::remove(i * 5, i * 5 + 32)).collect(),
+            );
+            // Warm up: the first rounds grow the pool to the workload's size.
+            for _ in 0..2 {
+                engine.apply_delta(&insert);
+                engine.apply_delta(&remove);
+            }
+            let warm = engine.scratch_bytes();
+            assert!(warm > 0, "the pool must retain capacity between rounds");
+            for _ in 0..4 {
+                let r = engine.apply_delta(&insert);
+                let widened = engine.model.layer(1).conv.alpha_weight().is_some();
+                assert_eq!(r.per_layer[1].delta_sources > 0, widened);
+                engine.apply_delta(&remove);
+            }
+            assert_eq!(
+                engine.scratch_bytes(),
+                warm,
+                "steady-state rounds must not allocate in the pooled phases"
+            );
         }
-        let warm = engine.scratch_bytes();
-        assert!(warm > 0, "the pool must retain capacity between rounds");
-        for _ in 0..4 {
-            engine.apply_delta(&insert);
-            engine.apply_delta(&remove);
-        }
-        assert_eq!(
-            engine.scratch_bytes(),
-            warm,
-            "steady-state rounds must not allocate in the pooled phases"
-        );
     }
 
     #[test]

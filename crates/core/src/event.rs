@@ -8,6 +8,7 @@
 //! [`Event`] is 12 bytes and points into a [`PayloadArena`].
 
 use ink_graph::VertexId;
+use ink_tensor::Matrix;
 
 /// The operation an event performs on its target (paper §II-B: `Add`/`Del`
 /// for monotonic aggregation, `Update` for accumulative; user-defined
@@ -43,16 +44,25 @@ pub struct Event {
 
 /// Flat storage for the fixed-dimension payload vectors of one layer's
 /// events. Payloads are written once and shared by any number of events.
+///
+/// A layer that takes the delta rule (see [`crate::accumulative`]) stores
+/// *widened* payloads `[Δm ‖ Δm·W]`: the `push*` methods still take the
+/// message-wide head and leave `tail` zeroed floats behind it, which
+/// `transform_tails` fills. Everything downstream — [`PayloadArena::get`],
+/// the group phase's reduce — sees one `dim`-wide payload.
 #[derive(Clone, Debug, Default)]
 pub struct PayloadArena {
+    /// Stored floats per payload, tail included.
     dim: usize,
+    /// Trailing floats of each payload that `push*` zero-fills.
+    tail: usize,
     data: Vec<f32>,
 }
 
 impl PayloadArena {
     /// An arena for `dim`-channel payloads.
     pub fn new(dim: usize) -> Self {
-        Self { dim, data: Vec::new() }
+        Self { dim, tail: 0, data: Vec::new() }
     }
 
     /// Channel count of every payload.
@@ -72,38 +82,61 @@ impl PayloadArena {
 
     /// Stores a payload, returning its shareable id.
     pub fn push(&mut self, payload: &[f32]) -> PayloadId {
-        assert_eq!(payload.len(), self.dim, "payload dim mismatch");
+        assert_eq!(payload.len(), self.dim - self.tail, "payload dim mismatch");
         let id = self.len() as u32;
         self.data.extend_from_slice(payload);
+        self.pad_tail();
         PayloadId(id)
     }
 
     /// Stores the element-wise negation of `payload` (accumulative edge
     /// removals carry `−m⁻`).
     pub fn push_negated(&mut self, payload: &[f32]) -> PayloadId {
-        assert_eq!(payload.len(), self.dim, "payload dim mismatch");
+        assert_eq!(payload.len(), self.dim - self.tail, "payload dim mismatch");
         let id = self.len() as u32;
         self.data.extend(payload.iter().map(|x| -x));
+        self.pad_tail();
         PayloadId(id)
     }
 
     /// Stores `new − old` (accumulative effect propagation carries the change
     /// in a neighbor's message).
     pub fn push_diff(&mut self, new: &[f32], old: &[f32]) -> PayloadId {
-        assert_eq!(new.len(), self.dim, "payload dim mismatch");
-        assert_eq!(old.len(), self.dim, "payload dim mismatch");
+        assert_eq!(new.len(), self.dim - self.tail, "payload dim mismatch");
+        assert_eq!(old.len(), new.len(), "payload dim mismatch");
         let id = self.len() as u32;
         self.data.extend(new.iter().zip(old).map(|(n, o)| n - o));
+        self.pad_tail();
         PayloadId(id)
     }
 
     /// Stores `payload · factor` (degree-rescaled messages carry the old
     /// vector scaled by the weight ratio).
     pub fn push_scaled(&mut self, payload: &[f32], factor: f32) -> PayloadId {
-        assert_eq!(payload.len(), self.dim, "payload dim mismatch");
+        assert_eq!(payload.len(), self.dim - self.tail, "payload dim mismatch");
         let id = self.len() as u32;
         self.data.extend(payload.iter().map(|x| x * factor));
+        self.pad_tail();
         PayloadId(id)
+    }
+
+    /// Appends the zeroed tail of the payload just pushed.
+    #[inline]
+    fn pad_tail(&mut self) {
+        if self.tail > 0 {
+            self.data.resize(self.data.len() + self.tail, 0.0);
+        }
+    }
+
+    /// Fills every payload's tail with `head · w` — the delta rule's source
+    /// transform, one `vecmul` per payload however many events share it.
+    pub(crate) fn transform_tails(&mut self, w: &Matrix) {
+        let head = self.dim - self.tail;
+        debug_assert_eq!(w.shape(), (head, self.tail));
+        for payload in self.data.chunks_exact_mut(self.dim) {
+            let (h, t) = payload.split_at_mut(head);
+            w.vecmul(h, t);
+        }
     }
 
     /// The payload for `id`.
@@ -126,8 +159,15 @@ impl PayloadArena {
     /// the allocation (the scratch-pool path between layers of different
     /// widths).
     pub fn reset(&mut self, dim: usize) {
+        self.reset_widened(dim, 0);
+    }
+
+    /// [`PayloadArena::reset`] to widened payloads: `head` pushed floats
+    /// followed by `tail` floats for [`PayloadArena::transform_tails`].
+    pub(crate) fn reset_widened(&mut self, head: usize, tail: usize) {
         self.data.clear();
-        self.dim = dim;
+        self.dim = head + tail;
+        self.tail = tail;
     }
 
     /// Reserved `f32` capacity — the scratch-reuse tests watch this to prove
@@ -206,6 +246,24 @@ mod tests {
         assert_eq!(a.capacity(), cap, "reset must keep the allocation");
         let p = a.push(&[2.0; 8]);
         assert_eq!(a.get(p), &[2.0; 8]);
+    }
+
+    #[test]
+    fn widened_payloads_carry_their_transform_behind_the_head() {
+        let w = Matrix::from_vec(2, 3, vec![1.0, 0.0, 2.0, 0.0, 1.0, -1.0]);
+        let mut a = PayloadArena::new(2);
+        a.reset_widened(2, 3);
+        assert_eq!(a.dim(), 5);
+        let plain = a.push(&[1.0, 2.0]);
+        let diff = a.push_diff(&[5.0, 1.0], &[2.0, 4.0]);
+        assert_eq!(a.get(plain), &[1.0, 2.0, 0.0, 0.0, 0.0], "tail is zeroed until transformed");
+        a.transform_tails(&w);
+        assert_eq!(a.get(plain), &[1.0, 2.0, 1.0, 2.0, 0.0]);
+        assert_eq!(a.get(diff), &[3.0, -3.0, 3.0, -3.0, 9.0]);
+        assert_eq!(a.len(), 2);
+        a.reset(2);
+        let narrow = a.push(&[7.0, 8.0]);
+        assert_eq!(a.get(narrow), &[7.0, 8.0], "reset drops the tail");
     }
 
     #[test]

@@ -60,6 +60,14 @@ pub(crate) fn slot_in(buf: &[f32], slot: u32, dim: usize) -> Option<&[f32]> {
     }
 }
 
+/// An accumulative group's reduced payload at `slot` of a flat shard buffer,
+/// split the way [`PayloadArena`] lays a payload out: `Σ Δm` (`head` floats),
+/// then `Σ Δm·W` (`tail` floats — empty off a delta-rule layer).
+#[inline]
+pub(crate) fn acc_slot_in(buf: &[f32], slot: u32, head: usize, tail: usize) -> (&[f32], &[f32]) {
+    slot_in(buf, slot, head + tail).expect("acc group always has a sum").split_at(head)
+}
+
 /// Per-target outcome classification of the apply phase.
 pub(crate) enum CondKind {
     /// Monotonic target, classified by the evolvability check.
@@ -87,6 +95,19 @@ pub(crate) struct GroupEntry {
     pub del: u32,
     pub add: u32,
     pub degree_delta: i32,
+}
+
+/// A target the write phase routed to the delta rule (see
+/// [`crate::accumulative`]): where its reduced `Σ Δm·W` lives and the factor
+/// the next-messages phase commits it with.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct DeltaRow {
+    pub target: VertexId,
+    /// From [`crate::accumulative::delta_row_scale`].
+    pub scale: f32,
+    pub shard: u32,
+    /// The entry's widened `add` slot in that shard.
+    pub slot: u32,
 }
 
 /// The apply phase's split-borrow view of one shard: groups are read while α
@@ -167,6 +188,11 @@ impl ShardScratch {
         slot_in(&self.buf, slot, dim)
     }
 
+    /// [`acc_slot_in`] on this shard's buffer.
+    pub fn acc_slot(&self, slot: u32, head: usize, tail: usize) -> (&[f32], &[f32]) {
+        acc_slot_in(&self.buf, slot, head, tail)
+    }
+
     /// Splits the shard into the apply phase's read/write halves so groups
     /// can be read while α values, outcomes and the recompute batching state
     /// are written.
@@ -187,17 +213,19 @@ impl ShardScratch {
     }
 
     /// Reduces one bucket of events (all targeting this shard) into the
-    /// group entries, in bucket order. With `compensated`, accumulative
-    /// slots carry a Neumaier error channel in `comp`; call
+    /// group entries, in bucket order. A slot is as wide as the arena's
+    /// payloads — the message, plus the transformed tail on a delta-rule
+    /// layer, which is summed in the same slot. With `compensated`,
+    /// accumulative slots carry a Neumaier error channel in `comp`; call
     /// [`ShardScratch::fold_compensation`] after the last bucket.
     pub fn reduce_bucket(
         &mut self,
         events: &[Event],
         arena: &PayloadArena,
         agg: Aggregator,
-        dim: usize,
         compensated: bool,
     ) {
+        let dim = arena.dim();
         let mono = agg.is_monotonic();
         let compensated = compensated && !mono;
         for ev in events {
@@ -292,10 +320,11 @@ pub(crate) struct WorkerScratch {
 }
 
 impl WorkerScratch {
-    /// Clears the worker for a new layer of `dim`-channel payloads and
-    /// `shards` buckets, keeping allocations.
-    pub fn begin(&mut self, shards: usize, dim: usize) {
-        self.arena.reset(dim);
+    /// Clears the worker for a new layer of `dim`-channel payloads (widened
+    /// by `tail` transformed channels on a delta-rule layer) and `shards`
+    /// buckets, keeping allocations.
+    pub fn begin(&mut self, shards: usize, dim: usize, tail: usize) {
+        self.arena.reset_widened(dim, tail);
         self.rescaled.clear();
         for b in [&mut self.dg, &mut self.fx] {
             // Grow-only, like the pool itself. Buckets beyond this round's
@@ -407,8 +436,10 @@ pub(crate) struct ScratchPool {
     pub pending_user: Vec<Vec<UserEvent>>,
     /// Vertices whose α changed in any layer (the *real affected* set).
     pub affected: FxHashSet<VertexId>,
-    /// Targets entering the next-messages phase.
+    /// Targets entering the next-messages phase's full transform.
     pub next_targets: Vec<VertexId>,
+    /// Targets the next-messages phase commits by the delta rule instead.
+    pub delta_rows: Vec<DeltaRow>,
     /// Flat row-major output of the next-messages phase.
     pub next_buf: Vec<f32>,
     /// Gathered (degree-scaled) α rows of the batched transform.
@@ -465,6 +496,7 @@ impl ScratchPool {
             + self.covered.capacity() * std::mem::size_of::<(VertexId, VertexId)>()
             + self.affected.capacity() * std::mem::size_of::<VertexId>()
             + self.next_targets.capacity() * std::mem::size_of::<VertexId>()
+            + self.delta_rows.capacity() * std::mem::size_of::<DeltaRow>()
             + (self.next_buf.capacity()
                 + self.gather_alpha.capacity()
                 + self.gather_self.capacity()
@@ -525,7 +557,7 @@ mod tests {
                 .map(|_| WorkerScratch::default())
                 .collect();
             for (w, ws) in workers.iter_mut().enumerate() {
-                ws.begin(num_shards, dim);
+                ws.begin(num_shards, dim, 0);
                 for e in &events[worker_chunk(events.len(), w, num_workers)] {
                     let payload = ws.arena.push(arena.get(e.payload));
                     ws.dg[shard_of(e.target, num_shards)].push(Event { payload, ..*e });
@@ -537,7 +569,7 @@ mod tests {
             for (s, shard) in shards.iter_mut().enumerate() {
                 shard.begin();
                 for ws in &workers {
-                    shard.reduce_bucket(&ws.dg[s], &ws.arena, agg, dim, false);
+                    shard.reduce_bucket(&ws.dg[s], &ws.arena, agg, false);
                 }
                 total_entries += shard.entries.len();
                 for e in &shard.entries {
@@ -581,7 +613,7 @@ mod tests {
         for (compensated, want) in [(false, 0.0f32), (true, tiny)] {
             let mut shard = ShardScratch::default();
             shard.begin();
-            shard.reduce_bucket(&events, &arena, Aggregator::Sum, dim, compensated);
+            shard.reduce_bucket(&events, &arena, Aggregator::Sum, compensated);
             shard.fold_compensation();
             assert_eq!(shard.slot(shard.entries[0].add, dim), Some(&[want][..]));
         }
@@ -642,7 +674,7 @@ mod tests {
             }
             pool.old.keys_sorted_into(0, &mut pool.changed_order);
             for ws in &mut pool.workers {
-                ws.begin(4, 4);
+                ws.begin(4, 4, 0);
                 let p = ws.arena.push(&[1.0; 4]);
                 for v in 0..50u32 {
                     ws.dg[shard_of(v, 4)].push(Event {

@@ -516,6 +516,8 @@ struct SessionInstruments {
     conditions: [Arc<Counter>; 4],
     exposed_channels: Arc<Counter>,
     exposed_rows: Arc<Counter>,
+    delta_rows: Arc<Counter>,
+    delta_sources: Arc<Counter>,
 }
 
 /// Pipeline phase names, in execution order (also the tracer span names).
@@ -620,6 +622,14 @@ impl SessionInstruments {
             exposed_rows: r.counter(
                 "ink_exposed_rows_total",
                 "Neighbor rows visited by exposed-reset channel repairs",
+            ),
+            delta_rows: r.counter(
+                "ink_delta_rows_total",
+                "Output rows committed by the delta rule instead of the full transform",
+            ),
+            delta_sources: r.counter(
+                "ink_delta_sources_total",
+                "Payloads transformed once at their source for the delta rule",
             ),
         }
     }
@@ -791,6 +801,8 @@ impl<E: Engine> StreamSession<E> {
             for layer in &r.per_layer {
                 self.inst.exposed_channels.add(layer.exposed_channels as u64);
                 self.inst.exposed_rows.add(layer.exposed_rows as u64);
+                self.inst.delta_rows.add(layer.delta_rows as u64);
+                self.inst.delta_sources.add(layer.delta_sources as u64);
                 if layer.batched_rows > 0 {
                     self.inst.gemm_batch_rows.record(layer.batched_rows as u64);
                 }
@@ -1188,6 +1200,39 @@ mod tests {
         assert_eq!(get("ink_exposed_channels_total"), channels);
         assert_eq!(get("ink_exposed_rows_total"), rows);
         assert!(channels > 0 && rows > 0, "the stream must reach the channel repair");
+    }
+
+    #[test]
+    fn delta_rule_counters_follow_the_reports() {
+        // SAGE-mean takes delta rows on its last layer; the module's GCN-max
+        // engine never does. A bare twin sees the same batches.
+        let sage = |seed| {
+            let mut rng = seeded_rng(seed);
+            let g = erdos_renyi(&mut rng, 40, 100);
+            let x = uniform(&mut rng, 40, 4, -1.0, 1.0);
+            let model = Model::sage(&mut rng, &[4, 6, 3], Aggregator::Mean);
+            InkStream::new(model, g, x, UpdateConfig::default()).unwrap()
+        };
+        let mut s = StreamSession::new(sage(24));
+        let mut twin = sage(24);
+        let (mut rows, mut sources) = (0u64, 0u64);
+        for i in 0..6 {
+            let d = delta(&s, 70 + i, 8);
+            s.ingest(&d).unwrap();
+            for l in &twin.apply_delta(&d).per_layer {
+                rows += l.delta_rows as u64;
+                sources += l.delta_sources as u64;
+            }
+        }
+        let get = |s: &StreamSession, name: &str| s.metrics().counter(name, "").get();
+        assert_eq!(get(&s, "ink_delta_rows_total"), rows);
+        assert_eq!(get(&s, "ink_delta_sources_total"), sources);
+        assert!(rows > 0 && sources > 0, "the stream must reach the delta rule");
+
+        let mut mono = StreamSession::new(engine(25));
+        mono.ingest(&delta(&mono, 80, 8)).unwrap();
+        assert_eq!(get(&mono, "ink_delta_rows_total"), 0);
+        assert_eq!(get(&mono, "ink_delta_sources_total"), 0);
     }
 
     #[test]

@@ -113,7 +113,8 @@ pub struct LayerStats {
     /// Condition distribution for this layer.
     pub conditions: ConditionCounts,
     /// Rows the next-messages phase pushed through the batched
-    /// gather→GEMM→scatter transform (0 when the per-node path ran).
+    /// gather→GEMM→scatter transform (0 when the per-node path ran). Delta
+    /// rows never come here.
     pub batched_rows: usize,
     /// Neighbor rows the apply phase folded through the batched panel
     /// recomputation (0 when every recompute took the scalar per-target
@@ -127,6 +128,16 @@ pub struct LayerStats {
     /// Neighbor rows visited by those channel repairs (the in-degrees of the
     /// repaired targets, summed).
     pub exposed_rows: usize,
+    /// Targets whose cached output row the next-messages phase committed by
+    /// the delta rule (`h += s·Σ Δm·W`, see [`crate::accumulative`]) instead
+    /// of the full transform; `delta_rows / targets` is the share of the
+    /// layer's work that had the property. 0 on a layer that is not affine
+    /// in α.
+    pub delta_rows: usize,
+    /// Payloads the generate phase widened with their `Δm·W` transform — the
+    /// source transforms that replace the per-target ones. 0 on a layer that
+    /// is not affine in α.
+    pub delta_sources: usize,
     /// Per-phase wall times of this layer's pipeline pass.
     pub phases: PhaseTimes,
 }
@@ -143,6 +154,8 @@ impl LayerStats {
         self.batched_apply_rows += other.batched_apply_rows;
         self.exposed_channels += other.exposed_channels;
         self.exposed_rows += other.exposed_rows;
+        self.delta_rows += other.delta_rows;
+        self.delta_sources += other.delta_sources;
         self.phases.merge(&other.phases);
     }
 }
@@ -168,8 +181,11 @@ pub struct UpdateReport {
     /// Requested changes that were no-ops against the current graph
     /// (duplicate inserts, missing removals) and were skipped.
     pub skipped_changes: usize,
-    /// Floating-point operations spent in batched GEMM kernels during the
-    /// next-messages phase (0 when every layer took the per-node path).
+    /// Floating-point operations spent in batched GEMM kernels (the
+    /// next-messages phase's gather→GEMM→scatter transform). 0 when every
+    /// layer took the per-node path. A delta-rule layer's source transforms
+    /// are `vecmul`s and not counted here; their work is
+    /// [`LayerStats::delta_sources`] × `2·dim·out_dim`.
     pub gemm_flops: u64,
     /// The *worst* (most expensive) condition each monotonic target hit
     /// across layers — the per-node view behind the paper's Fig. 8. Nodes of
@@ -349,14 +365,19 @@ mod tests {
             f32_read: 10,
             ..Default::default()
         };
-        a.per_layer.push(LayerStats { targets: 2, ..Default::default() });
+        a.per_layer.push(LayerStats { targets: 2, delta_rows: 1, ..Default::default() });
         let mut b = UpdateReport {
             elapsed: Duration::from_micros(80),
             real_affected: 4,
             f32_written: 7,
             ..Default::default()
         };
-        b.per_layer.push(LayerStats { targets: 5, ..Default::default() });
+        b.per_layer.push(LayerStats {
+            targets: 5,
+            delta_rows: 3,
+            delta_sources: 2,
+            ..Default::default()
+        });
         b.per_layer.push(LayerStats { targets: 1, ..Default::default() });
         b.per_node_condition.insert(9, Condition::ExposedReset);
         a.absorb(&b);
@@ -365,6 +386,7 @@ mod tests {
         assert_eq!((a.f32_read, a.f32_written), (10, 7));
         assert_eq!(a.per_layer.len(), 2);
         assert_eq!(a.per_layer[0].targets, 7);
+        assert_eq!((a.per_layer[0].delta_rows, a.per_layer[0].delta_sources), (4, 2));
         assert_eq!(a.per_layer[1].targets, 1);
         assert_eq!(a.per_node_condition[&9], Condition::ExposedReset);
     }

@@ -15,9 +15,14 @@
 //! message propagates to the node itself in the next layer (true for
 //! GraphSAGE and GIN, false for GCN) — the distinction behind the paper's
 //! observation that GCN enjoys larger speedups.
+//!
+//! [`Conv::alpha_weight`] tells it whether `T` is *affine in α*
+//! (`T(α, m) = α·W + g(m)`). Only then can a change `Δα` be turned into the
+//! change `Δα·W` of the output without re-evaluating `T` — the property the
+//! engine's delta rows rest on (GraphSAGE has it; GIN's MLP does not).
 
 use crate::Aggregator;
-use ink_tensor::GemmScratch;
+use ink_tensor::{GemmScratch, Matrix};
 
 /// One GNN convolution layer (combination + aggregation, minus activation).
 pub trait Conv: Send + Sync {
@@ -53,6 +58,16 @@ pub trait Conv: Send + Sync {
 
     /// Parameter count (for the memory model).
     fn param_count(&self) -> usize;
+
+    /// The α-side weight of an update that is affine in α: `Some(W)`
+    /// (`msg_dim × out_dim`) iff `update_into(α, m) = α·W + g(m)` with `g`
+    /// independent of α. A caller may then update a cached output by
+    /// `Δα·W` instead of re-running the update. `None` (the default)
+    /// promises nothing — an MLP over `α`, or a layer that simply does not
+    /// expose its weight.
+    fn alpha_weight(&self) -> Option<&Matrix> {
+        None
+    }
 
     /// True when the layer's aggregation weights depend on vertex degrees —
     /// the topology-only weighted sum the paper names LightGCN-style

@@ -8,7 +8,7 @@
 
 use crate::{Aggregator, Conv};
 use ink_tensor::gemm::{self, GemmScratch};
-use ink_tensor::Linear;
+use ink_tensor::{Linear, Matrix};
 use rand::rngs::StdRng;
 
 /// A GraphSAGE layer with a configurable neighborhood aggregator.
@@ -124,13 +124,18 @@ impl Conv for SageConv {
     fn param_count(&self) -> usize {
         self.w_neigh.param_count() + self.w_self.param_count()
     }
+
+    /// `update_into(α, m) = α·W₁ + (b + m·W₂)`.
+    fn alpha_weight(&self) -> Option<&Matrix> {
+        Some(self.w_neigh.weight())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{GcnConv, GinConv, LightGcnConv};
     use ink_tensor::init::seeded_rng;
-    use ink_tensor::Matrix;
 
     fn ident_linear(dim: usize) -> Linear {
         Linear::identity(dim)
@@ -178,6 +183,32 @@ mod tests {
         let mut msg = vec![0.0; 9 * 4];
         conv.message_batch_into(9, alpha.as_slice(), &mut msg, &mut scratch);
         assert_eq!(&msg[..], alpha.as_slice(), "identity message is a copy");
+    }
+
+    #[test]
+    fn update_is_affine_in_alpha_with_the_advertised_weight() {
+        let mut rng = seeded_rng(18);
+        let conv = SageConv::new(&mut rng, 6, 4, Aggregator::Mean);
+        let w = conv.alpha_weight().expect("SAGE is affine in α");
+        assert_eq!(w.shape(), (conv.msg_dim(), conv.out_dim()));
+        let rows = ink_tensor::init::uniform(&mut rng, 3, 6, -1.0, 1.0);
+        let (alpha, delta, m) = (rows.row(0), rows.row(1), rows.row(2));
+        let shifted: Vec<f32> = alpha.iter().zip(delta).map(|(a, d)| a + d).collect();
+        let (base, moved) = (conv.update(alpha, m), conv.update(&shifted, m));
+        let mut dw = vec![0.0; 4];
+        w.vecmul(delta, &mut dw);
+        for j in 0..4 {
+            let got = moved[j] - base[j];
+            assert!((got - dw[j]).abs() < 1e-5, "channel {j}: {got} vs δ·W₁ = {}", dw[j]);
+        }
+    }
+
+    #[test]
+    fn only_sage_hands_out_an_alpha_weight() {
+        let mut rng = seeded_rng(19);
+        assert!(GcnConv::new(&mut rng, 4, 3, Aggregator::Sum).alpha_weight().is_none());
+        assert!(GinConv::new(&mut rng, 4, 3, 0.1, Aggregator::Sum).alpha_weight().is_none());
+        assert!(LightGcnConv::new(4).alpha_weight().is_none());
     }
 
     #[test]
