@@ -33,6 +33,14 @@
 //! term moved) takes the full transform as before. The cached `h` row then
 //! carries one rounding per update of its own, next to α's; `audit_vertex`'s
 //! chain check measures it and `resync()` clears it.
+//!
+//! A delta row needs nothing the full transform computes, so the engine
+//! commits it where its reduced payload is read: the apply phase updates the
+//! α row in place with `accumulate_in_place` — the per-channel expression
+//! of [`apply_accumulative_into`], no staging copy — and then the `h` row
+//! with `apply_delta_row`, both on rows its shard owns (see
+//! `pipeline::ShardRows`). The two change tests it returns are all the
+//! write phase still needs of the row.
 
 use ink_gnn::{Aggregator, Model};
 use ink_tensor::{Activation, Matrix};
@@ -71,33 +79,52 @@ pub fn apply_accumulative_into(
     compensated: bool,
     out: &mut [f32],
 ) {
-    debug_assert!(agg.is_accumulative());
     debug_assert_eq!(out.len(), alpha_old.len());
-    match agg {
-        Aggregator::Sum => {
-            out.copy_from_slice(alpha_old);
-            ink_tensor::ops::add_assign(out, sum);
+    out.copy_from_slice(alpha_old);
+    accumulate_in_place(agg, out, sum, degree_new, degree_delta, compensated);
+}
+
+/// In-place form of [`apply_accumulative_into`]: `alpha` holds `α⁻` on
+/// entry and `α` on return, every channel computed by the same expression,
+/// so both forms agree bit for bit. Returns true when any channel changed
+/// bitwise — the apply phase's change test, without a second copy of the
+/// row to compare against.
+pub(crate) fn accumulate_in_place(
+    agg: Aggregator,
+    alpha: &mut [f32],
+    sum: &[f32],
+    degree_new: usize,
+    degree_delta: i32,
+    compensated: bool,
+) -> bool {
+    debug_assert!(agg.is_accumulative());
+    debug_assert_eq!(alpha.len(), sum.len());
+    #[inline(always)]
+    fn update(alpha: &mut [f32], sum: &[f32], f: impl Fn(f32, f32) -> f32) -> bool {
+        let mut changed = false;
+        for (a, &s) in alpha.iter_mut().zip(sum) {
+            let new = f(*a, s);
+            changed |= new != *a;
+            *a = new;
         }
+        changed
+    }
+    match agg {
+        Aggregator::Sum => update(alpha, sum, |a, s| a + s),
         Aggregator::Mean => {
             let degree_old = degree_new as i64 - degree_delta as i64;
             debug_assert!(degree_old >= 0, "degree bookkeeping went negative");
             if degree_new == 0 {
                 // Empty-neighborhood convention: zeros.
-                out.fill(0.0);
-                return;
-            }
-            if compensated {
+                update(alpha, sum, |_, _| 0.0)
+            } else if compensated {
                 let d_old = degree_old as f64;
                 let inv_new = 1.0 / degree_new as f64;
-                for ((o, &a), &s) in out.iter_mut().zip(alpha_old).zip(sum) {
-                    *o = ((a as f64 * d_old + s as f64) * inv_new) as f32;
-                }
-                return;
-            }
-            let d_old = degree_old as f32;
-            let inv_new = 1.0 / degree_new as f32;
-            for ((o, &a), &s) in out.iter_mut().zip(alpha_old).zip(sum) {
-                *o = (a * d_old + s) * inv_new;
+                update(alpha, sum, |a, s| ((a as f64 * d_old + s as f64) * inv_new) as f32)
+            } else {
+                let d_old = degree_old as f32;
+                let inv_new = 1.0 / degree_new as f32;
+                update(alpha, sum, |a, s| (a * d_old + s) * inv_new)
             }
         }
         _ => unreachable!("monotonic aggregators use apply_monotonic"),
@@ -223,6 +250,31 @@ mod tests {
         assert!(apply_delta_row(&mut h, scale, &w_sum));
         assert_eq!(h, transform(&alpha_new));
         assert!(!apply_delta_row(&mut h, scale, &[0.0, 0.0]), "a zero delta changes nothing");
+    }
+
+    /// The in-place commit of a delta row and the staged update agree bit
+    /// for bit, and its change test is the row comparison.
+    #[test]
+    fn in_place_update_matches_the_staged_one_bitwise() {
+        let alpha_old = [0.1f32, -3.7, 2.5e7, 0.0, 1.0 / 3.0];
+        let sum = [0.3f32, 3.7, 1.0, 0.0, -1.0e-9];
+        for agg in [Aggregator::Sum, Aggregator::Mean] {
+            for (degree, dd) in [(7usize, 0i32), (8, 1), (3, -2), (0, -1)] {
+                for compensated in [false, true] {
+                    let staged =
+                        apply_accumulative(agg, &alpha_old, &sum, degree, dd, compensated);
+                    let mut alpha = alpha_old;
+                    let changed =
+                        accumulate_in_place(agg, &mut alpha, &sum, degree, dd, compensated);
+                    let bits = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let what = format!("{agg:?} d={degree} dd={dd} compensated={compensated}");
+                    assert_eq!(bits(&alpha), bits(&staged), "{what}");
+                    assert_eq!(changed, staged[..] != alpha_old[..], "{what}");
+                }
+            }
+        }
+        let mut alpha = [1.0f32, 2.0];
+        assert!(!accumulate_in_place(Aggregator::Sum, &mut alpha, &[0.0, -0.0], 2, 0, false));
     }
 
     #[test]

@@ -26,9 +26,17 @@
 //! On a layer whose cached output is affine in α (the last layer of a
 //! sum/mean GraphSAGE — [`crate::accumulative`] decides) the transform moves
 //! to the source: generate widens every payload to `[Δm ‖ Δm·W]`, group sums
-//! both halves in one slot, write routes the targets whose own message and
-//! denominator did not move to a delta-row list, and next-messages commits
-//! those as `h += s·Σ Δm·W` — only the rest goes through the rebuild.
+//! both halves in one slot, and apply commits every target whose own message
+//! and denominator did not move — a *delta row* — in place: the α row from
+//! `Σ Δm`, then `h += s·Σ Δm·W`. To write rows from parallel shards without
+//! `unsafe`, such a layer shards targets by a hash of their 64-row vertex
+//! block instead of the vertex and hands each shard its own blocks of α and
+//! `h` as disjoint mutable slices (`pipeline::ShardRows`). Write then only
+//! counts a delta row; write and next-messages move α rows and rebuild
+//! outputs for the few remaining targets. Every other layer keeps the
+//! vertex key — a block key would leave graphs under 64 vertices, the ones
+//! the shard-sweep tests use, with a single shard — and cuts no blocks, so
+//! it does no O(|V|) work per round.
 //!
 //! Workers process contiguous ordered chunks and every target belongs to
 //! exactly one shard, so the pipeline's result is bitwise identical for
@@ -40,7 +48,7 @@
 //! integration suite asserts that per aggregation function.
 
 use crate::accumulative::{
-    apply_accumulative_into, apply_delta_row, delta_row_scale, delta_weight,
+    accumulate_in_place, apply_accumulative_into, apply_delta_row, delta_row_scale, delta_weight,
 };
 use crate::config::UpdateConfig;
 use crate::error::InkError;
@@ -49,8 +57,8 @@ use crate::grouping::{recompute_sort_key, RecomputeKind};
 use crate::hooks::{UserEvent, UserHooks};
 use crate::monotonic::{apply_monotonic_into, Condition};
 use crate::pipeline::{
-    acc_slot_in, shard_of, slot_in, worker_chunk, ApplyOutcome, ApplyParts, CondKind, DeltaRow,
-    ScratchPool, ShardScratch, WorkerScratch,
+    acc_slot_in, shard_of, slot_in, worker_chunk, AlphaRows, ApplyOutcome, ApplyParts, CondKind,
+    ScratchPool, ShardRows, ShardScratch, WorkerScratch, NO_SLOT,
 };
 use crate::stats::{LayerStats, UpdateReport};
 use ink_graph::{DeltaBatch, DynGraph, EdgeChange, EdgeOp, FxHashMap, VertexId};
@@ -904,11 +912,13 @@ impl InkStream {
             let prod_dim = if is_last { out_dim } else { self.model.msg_dim(l + 1) };
             // `Some(W)` on a layer whose cached output is affine in α
             // (`round_rescale` decided): its payloads are `[Δm ‖ Δm·W]`
-            // through generate and group, and targets whose self term and
-            // denominator did not move are committed by the delta rule
+            // through generate and group, targets are sharded by 64-row
+            // block, and apply commits every target whose self term and
+            // denominator did not move by the delta rule
             // (`crate::accumulative`).
             let tail = rs.tail;
             let delta_w = self.model.layer(l).conv.alpha_weight().filter(|_| tail > 0);
+            let blocked = delta_w.is_some();
             let mut layer_stats = LayerStats::default();
 
             // ── Phase 1: generate ─────────────────────────────────────────
@@ -952,7 +962,7 @@ impl InkStream {
                                 } else {
                                     (EventOp::Update, ws.arena.push_negated(old_row))
                                 };
-                                ws.dg[shard_of(t, ns)].push(Event {
+                                ws.dg[shard_of(t, ns, blocked)].push(Event {
                                     op: ev_op,
                                     target: t,
                                     payload,
@@ -962,7 +972,7 @@ impl InkStream {
                             EdgeOp::Insert => {
                                 let payload = ws.arena.push(this.state.m[l].row(s as usize));
                                 let ev_op = if mono { EventOp::Add } else { EventOp::Update };
-                                ws.dg[shard_of(t, ns)].push(Event {
+                                ws.dg[shard_of(t, ns, blocked)].push(Event {
                                     op: ev_op,
                                     target: t,
                                     payload,
@@ -983,7 +993,7 @@ impl InkStream {
                                 if covered.contains(&(v, x)) || !this.owns(x) {
                                     continue;
                                 }
-                                let sh = shard_of(x, ns);
+                                let sh = shard_of(x, ns, blocked);
                                 ws.fx[sh].push(Event {
                                     op: EventOp::Del,
                                     target: x,
@@ -1003,7 +1013,7 @@ impl InkStream {
                                 if covered.contains(&(v, x)) || !this.owns(x) {
                                     continue;
                                 }
-                                ws.fx[shard_of(x, ns)].push(Event {
+                                ws.fx[shard_of(x, ns, blocked)].push(Event {
                                     op: EventOp::Update,
                                     target: x,
                                     payload: diff_id,
@@ -1075,13 +1085,19 @@ impl InkStream {
             // `incremental: false` ablation) are deferred, grouped by kind ×
             // degree class, gathered into contiguous panels and folded with
             // the full-row reduction kernels in pass 2.
+            //
+            // On a delta-rule layer pass 1 also *commits* every delta row:
+            // the α row from `Σ Δm`, then `h += s·Σ Δm·W`, both in place in
+            // the 64-row blocks the shard owns. Its outcome carries the two
+            // change tests, and nothing is staged for it.
             let t_apply = Instant::now();
             let par_apply = cfg.parallel && total_targets >= cfg.parallel_threshold;
             {
-                let this = &*self;
-                let ScratchPool { shards, .. } = &mut *scratch;
-                let shards = &mut shards[..ns];
-                let run = |(_, shard): (usize, &mut ShardScratch)| {
+                let ScratchPool { shards, block_rank, old, .. } = &mut *scratch;
+                let (shards, old, graph) = (&mut shards[..ns], &*old, &self.graph);
+                let FullState { m, alpha, h, .. } = &mut self.state;
+                let m_l = &m[l];
+                let run = |shard: &mut ShardScratch, alpha_rows: &mut AlphaRows| {
                     let ApplyParts {
                         entries,
                         buf,
@@ -1095,12 +1111,51 @@ impl InkStream {
                         gemm,
                         batched_apply_rows,
                     } = shard.apply_parts();
-                    alpha_buf.resize(entries.len() * dim, 0.0);
-                    // Pass 1: classify and update incrementally.
+                    // Pass 1: classify and update incrementally. Every entry
+                    // stages its new α, except a delta-rule layer's delta
+                    // rows, so the buffer grows per staged row.
+                    let mut staged_rows = 0u32;
                     for (i, e) in entries.iter().enumerate() {
-                        let out = &mut alpha_buf[i * dim..(i + 1) * dim];
                         let u = e.target;
-                        let alpha_old = this.state.alpha[l].row(u as usize);
+                        if let AlphaRows::Owned(owned) = alpha_rows {
+                            // The delta rule serves an incrementally updated
+                            // target whose own message stayed put (else the
+                            // self term of its output row moved too).
+                            let degree = graph.in_degree(u);
+                            let scale = if cfg.incremental && !old.contains(l, u) {
+                                delta_row_scale(agg, degree, e.degree_delta)
+                            } else {
+                                None
+                            };
+                            if let Some(scale) = scale {
+                                let (sum, w_sum) = acc_slot_in(buf, e.add, dim, tail);
+                                let (alpha_row, h_row) = owned.rows_mut(u);
+                                let changed = accumulate_in_place(
+                                    agg,
+                                    alpha_row,
+                                    sum,
+                                    degree,
+                                    e.degree_delta,
+                                    cfg.compensated,
+                                );
+                                outcomes.push(ApplyOutcome {
+                                    cond: CondKind::Acc,
+                                    reads: dim as u64,
+                                    changed,
+                                    staged: NO_SLOT,
+                                    output_changed: apply_delta_row(h_row, scale, w_sum),
+                                });
+                                continue;
+                            }
+                        }
+                        let staged = staged_rows;
+                        staged_rows += 1;
+                        let start = staged as usize * dim;
+                        if alpha_buf.len() < start + dim {
+                            alpha_buf.resize(start + dim, 0.0);
+                        }
+                        let out = &mut alpha_buf[start..start + dim];
+                        let alpha_old = alpha_rows.alpha(u);
                         let mut reads = dim as u64;
                         let mut deferred = None;
                         let cond = if !cfg.incremental {
@@ -1110,7 +1165,7 @@ impl InkStream {
                             // A target whose *old* neighborhood was empty has
                             // α⁻ = 0 by convention, not as a real aggregate:
                             // the incremental rules don't apply there.
-                            let old_deg = this.graph.in_degree(u) as i64 - e.degree_delta as i64;
+                            let old_deg = graph.in_degree(u) as i64 - e.degree_delta as i64;
                             if old_deg <= 0 {
                                 deferred = Some(RecomputeKind::EmptyOld);
                                 CondKind::Mono(Condition::ExposedReset)
@@ -1126,9 +1181,9 @@ impl InkStream {
                                 if condition == Condition::ExposedReset {
                                     // `out` is exact everywhere but on the
                                     // exposed channels: repair just those.
-                                    let neighbors = this.graph.in_neighbors(u);
+                                    let neighbors = graph.in_neighbors(u);
                                     agg.aggregate_channels_into(
-                                        neighbors.iter().map(|&v| this.state.m[l].row(v as usize)),
+                                        neighbors.iter().map(|&v| m_l.row(v as usize)),
                                         exposed,
                                         out,
                                     );
@@ -1144,7 +1199,7 @@ impl InkStream {
                                 agg,
                                 alpha_old,
                                 sum,
-                                this.graph.in_degree(u),
+                                graph.in_degree(u),
                                 e.degree_delta,
                                 cfg.compensated,
                                 out,
@@ -1153,13 +1208,19 @@ impl InkStream {
                         };
                         if let Some(kind) = deferred {
                             recompute
-                                .push((recompute_sort_key(kind, this.graph.in_degree(u)), i as u32));
-                            reads += (this.graph.in_degree(u) * dim) as u64;
+                                .push((recompute_sort_key(kind, graph.in_degree(u)), i as u32));
+                            reads += (graph.in_degree(u) * dim) as u64;
                         }
                         // `changed` of deferred entries is backfilled once
                         // their α is actually recomputed below.
                         let changed = deferred.is_none() && &*out != alpha_old;
-                        outcomes.push(ApplyOutcome { cond, reads, changed });
+                        outcomes.push(ApplyOutcome {
+                            cond,
+                            reads,
+                            changed,
+                            staged,
+                            output_changed: false,
+                        });
                     }
                     if recompute.is_empty() {
                         return;
@@ -1170,6 +1231,7 @@ impl InkStream {
                     // it with the batched kernels — bitwise identical to the
                     // scalar loop because every target's rows still fold in
                     // the same order with the same kernels.
+                    let staged_row = |s: u32| s as usize * dim..(s as usize + 1) * dim;
                     if dim > 0 && recompute.len() >= cfg.apply_batch_threshold.max(1) {
                         recompute.sort_unstable();
                         let mut g = 0;
@@ -1178,18 +1240,17 @@ impl InkStream {
                             let mut end = g;
                             let mut rows = 0usize;
                             while end < recompute.len() && recompute[end].0 == key {
-                                rows +=
-                                    this.graph.in_degree(entries[recompute[end].1 as usize].target);
+                                rows += graph.in_degree(entries[recompute[end].1 as usize].target);
                                 end += 1;
                             }
                             let mut panel = gemm.take(rows * dim);
                             let mut off = 0usize;
                             for &(_, idx) in &recompute[g..end] {
                                 let u = entries[idx as usize].target;
-                                let deg = this.graph.in_degree(u);
+                                let deg = graph.in_degree(u);
                                 gather_rows_into(
-                                    &this.state.m[l],
-                                    this.graph.in_neighbors(u).iter().map(|&v| v as usize),
+                                    m_l,
+                                    graph.in_neighbors(u).iter().map(|&v| v as usize),
                                     &mut panel[off * dim..(off + deg) * dim],
                                 );
                                 off += deg;
@@ -1197,10 +1258,10 @@ impl InkStream {
                             let mut off = 0usize;
                             for &(_, idx) in &recompute[g..end] {
                                 let i = idx as usize;
-                                let deg = this.graph.in_degree(entries[i].target);
+                                let deg = graph.in_degree(entries[i].target);
                                 agg.aggregate_rows_into(
                                     &panel[off * dim..(off + deg) * dim],
-                                    &mut alpha_buf[i * dim..(i + 1) * dim],
+                                    &mut alpha_buf[staged_row(outcomes[i].staged)],
                                     apply_comp,
                                 );
                                 off += deg;
@@ -1214,25 +1275,38 @@ impl InkStream {
                             let i = idx as usize;
                             let u = entries[i].target;
                             agg.aggregate_into(
-                                this.graph
-                                    .in_neighbors(u)
-                                    .iter()
-                                    .map(|&v| this.state.m[l].row(v as usize)),
-                                &mut alpha_buf[i * dim..(i + 1) * dim],
+                                graph.in_neighbors(u).iter().map(|&v| m_l.row(v as usize)),
+                                &mut alpha_buf[staged_row(outcomes[i].staged)],
                             );
                         }
                     }
                     for &(_, idx) in recompute.iter() {
                         let i = idx as usize;
-                        let u = entries[i].target;
-                        outcomes[i].changed = alpha_buf[i * dim..(i + 1) * dim]
-                            != *this.state.alpha[l].row(u as usize);
+                        let new = &alpha_buf[staged_row(outcomes[i].staged)];
+                        outcomes[i].changed = new != alpha_rows.alpha(entries[i].target);
                     }
                 };
-                if par_apply {
-                    shards.par_iter_mut().enumerate().for_each(run);
+                if blocked {
+                    // Each shard paired with its own blocks of α and `h`.
+                    let rows = ShardRows::split(&mut alpha[l], h, ns, block_rank);
+                    let mut work: Vec<_> =
+                        shards.iter_mut().zip(rows.into_iter().map(AlphaRows::Owned)).collect();
+                    let owned =
+                        |(shard, rows): &mut (&mut ShardScratch, AlphaRows)| run(shard, rows);
+                    if par_apply {
+                        work.par_iter_mut().for_each(owned);
+                    } else {
+                        work.iter_mut().for_each(owned);
+                    }
                 } else {
-                    shards.iter_mut().enumerate().for_each(run);
+                    let alpha_l = &alpha[l];
+                    let shared =
+                        |shard: &mut ShardScratch| run(shard, &mut AlphaRows::Shared(alpha_l));
+                    if par_apply {
+                        shards.par_iter_mut().for_each(shared);
+                    } else {
+                        shards.iter_mut().for_each(shared);
+                    }
                 }
             }
             for shard in &scratch.shards[..ns] {
@@ -1243,16 +1317,17 @@ impl InkStream {
             layer_stats.phases.apply = t_apply.elapsed();
 
             // ── Phase 4: write ────────────────────────────────────────────
-            // Sequential commit: changed α rows, condition stats, user
-            // events, and the merged + sorted next-layer target list.
+            // Sequential commit: staged α rows, condition stats, user
+            // events, and the merged + sorted next-layer target list. A
+            // delta row's rows are already committed; it only leaves its
+            // counts and its dirty-row entry here.
             let t_write = Instant::now();
+            let mut nd = 0usize;
             {
-                let ScratchPool { shards, affected, next_targets, delta_rows, old, .. } =
-                    &mut *scratch;
+                let ScratchPool { shards, affected, next_targets, .. } = &mut *scratch;
                 next_targets.clear();
-                delta_rows.clear();
-                for (s, shard) in shards[..ns].iter().enumerate() {
-                    for (i, (e, o)) in shard.entries.iter().zip(&shard.outcomes).enumerate() {
+                for shard in &shards[..ns] {
+                    for (e, o) in shard.entries.iter().zip(&shard.outcomes) {
                         f32_read += o.reads;
                         match o.cond {
                             CondKind::Mono(c) => {
@@ -1275,41 +1350,31 @@ impl InkStream {
                                     .insert(e.target, Condition::ExposedReset);
                             }
                         }
-                        // Accumulative targets always propagate (Algorithm 1
-                        // l.18-21).
-                        let incremental_acc = matches!(o.cond, CondKind::Acc);
-                        let propagates = incremental_acc || o.changed;
                         if o.changed {
-                            self.state.alpha[l].set_row(
-                                e.target as usize,
-                                &shard.alpha_buf[i * dim..(i + 1) * dim],
-                            );
+                            if o.staged != NO_SLOT {
+                                let s = o.staged as usize;
+                                self.state.alpha[l].set_row(
+                                    e.target as usize,
+                                    &shard.alpha_buf[s * dim..(s + 1) * dim],
+                                );
+                            }
                             f32_written += dim as u64;
                             layer_stats.alpha_changed += 1;
                             affected.insert(e.target);
                         }
-                        if propagates || !cfg.pruning {
-                            // The delta rule serves an incrementally updated
-                            // target whose own message stayed put (else the
-                            // self term of its output row moved too).
-                            let scale = if delta_w.is_some()
-                                && incremental_acc
-                                && !old.contains(l, e.target)
-                            {
-                                let degree = self.graph.in_degree(e.target);
-                                delta_row_scale(agg, degree, e.degree_delta)
-                            } else {
-                                None
-                            };
-                            match scale {
-                                Some(scale) => delta_rows.push(DeltaRow {
-                                    target: e.target,
-                                    scale,
-                                    shard: s as u32,
-                                    slot: e.add,
-                                }),
-                                None => next_targets.push(e.target),
+                        // Accumulative targets always propagate (Algorithm 1
+                        // l.18-21) — a delta row did so in the apply phase.
+                        let propagates = matches!(o.cond, CondKind::Acc) || o.changed;
+                        if o.staged == NO_SLOT {
+                            nd += 1;
+                            if o.output_changed {
+                                report.output_changed += 1;
+                                if !self.dirty_all {
+                                    self.dirty.push(e.target);
+                                }
                             }
+                        } else if propagates || !cfg.pruning {
+                            next_targets.push(e.target);
                         }
                     }
                 }
@@ -1352,7 +1417,6 @@ impl InkStream {
             scratch.next_targets.dedup();
             // Delta rows are disjoint from the list above: one group entry
             // per target, and none of them is in `changed_order`.
-            let nd = scratch.delta_rows.len();
             layer_stats.delta_rows = nd;
             layer_stats.targets = layer_stats.targets.max(scratch.next_targets.len() + nd);
             report.nodes_visited += (scratch.next_targets.len() + nd) as u64;
@@ -1362,8 +1426,7 @@ impl InkStream {
             // Rebuild next-layer messages / final outputs into the flat
             // production buffer — gather→GEMM→scatter when the target set is
             // big enough, per-node otherwise — then commit sequentially.
-            // Delta rows skip all of that: their transform already happened
-            // at the source, the commit is one scaled row add.
+            // Delta rows never come here: the apply phase committed them.
             let t_next = Instant::now();
             let nt = scratch.next_targets.len();
             let par_next = cfg.parallel && nt >= cfg.parallel_threshold;
@@ -1529,15 +1592,6 @@ impl InkStream {
                                 self.state.m[l + 1].set_row(u as usize, chunk);
                             }
                         }
-                    }
-                }
-            }
-            for r in &scratch.delta_rows {
-                let (_, w_sum) = scratch.shards[r.shard as usize].acc_slot(r.slot, dim, tail);
-                if apply_delta_row(self.state.h.row_mut(r.target as usize), r.scale, w_sum) {
-                    report.output_changed += 1;
-                    if !self.dirty_all {
-                        self.dirty.push(r.target);
                     }
                 }
             }
@@ -1723,7 +1777,9 @@ fn compute_next_hidden(
 /// (inter-layer hidden buffers, GEMM packing, MLP ping-pong) come from
 /// `scratch`, so repeated in-place rebuilds over same-shaped inputs allocate
 /// nothing after the first — hook caches excepted, as `init_cache` returns
-/// fresh matrices by contract.
+/// fresh matrices by contract. At most one hidden matrix is out of the pool
+/// at a time: `h_l` goes back as soon as `m_l` is built from it, and the
+/// last layer writes straight into `state.h`.
 fn bootstrap_into(
     model: &Model,
     graph: &DynGraph,
@@ -1748,7 +1804,7 @@ fn bootstrap_into(
     }
     let FullState { m, alpha, h, .. } = state;
     // `cur` carries h_l between layers; layer 0 reads the features directly.
-    let mut cur = scratch.take(0);
+    let mut cur = Vec::new();
 
     for l in 0..k {
         let layer = model.layer(l);
@@ -1757,10 +1813,22 @@ fn bootstrap_into(
         let dim = conv.msg_dim();
         let h_slice: &[f32] = if l == 0 { features.as_slice() } else { &cur };
         batch_message_into(model, l, h_slice, graph, &mut m[l], scratch);
+        if l > 0 {
+            // `m[l]` is all this layer needs of h_l: its buffer goes back to
+            // the pool now, so the update below can reuse it.
+            scratch.put(std::mem::take(&mut cur));
+        }
         user_cache[l] = hooks.and_then(|hk| hk.init_cache(l, &m[l]));
         batch_aggregate_into(model, l, graph, &m[l], &mut alpha[l]);
 
-        let mut nxt = scratch.take(n * out_dim);
+        // The last layer writes straight into the cached output.
+        let out: &mut [f32] = if l + 1 == k {
+            h.resize_to(n, out_dim);
+            h.as_mut_slice()
+        } else {
+            cur = scratch.take(n * out_dim);
+            &mut cur
+        };
         let self_msg: &[f32] = if conv.self_dependent() { m[l].as_slice() } else { &[] };
         if conv.degree_scaled() {
             // Fold the target-side degree weight into a scaled copy of α —
@@ -1771,13 +1839,13 @@ fn bootstrap_into(
                 (0..n).map(|u| (u, conv.update_scale(graph.in_degree(u as VertexId)))),
                 &mut scaled,
             );
-            conv.update_batch_into(n, &scaled, self_msg, &mut nxt, scratch);
+            conv.update_batch_into(n, &scaled, self_msg, out, scratch);
             scratch.put(scaled);
         } else {
-            conv.update_batch_into(n, alpha[l].as_slice(), self_msg, &mut nxt, scratch);
+            conv.update_batch_into(n, alpha[l].as_slice(), self_msg, out, scratch);
         }
         let cache = user_cache[l].as_ref();
-        nxt.par_chunks_mut(out_dim.max(1)).enumerate().for_each(|(u, out)| {
+        out.par_chunks_mut(out_dim.max(1)).enumerate().for_each(|(u, out)| {
             if let (Some(hk), Some(c)) = (hooks, cache) {
                 hk.contribute(l, u as VertexId, out, c.row(u));
             }
@@ -1786,15 +1854,7 @@ fn bootstrap_into(
             }
             layer.act.apply(out);
         });
-        if l + 1 == k {
-            h.resize_to(n, out_dim);
-            h.as_mut_slice().copy_from_slice(&nxt);
-            scratch.put(nxt);
-        } else {
-            scratch.put(std::mem::replace(&mut cur, nxt));
-        }
     }
-    scratch.put(cur);
 }
 
 /// Allocating [`bootstrap_into`] wrapper — the construction-time path, where
@@ -2171,6 +2231,49 @@ mod tests {
             "steady-state resyncs must reuse cached matrices and pooled temporaries"
         );
         assert_eq!(engine.output(), &engine.recompute_reference());
+    }
+
+    /// A resync keeps at most one `n × hidden` matrix out of the GEMM pool at
+    /// a time — `h_l` goes back once `m_l` is built from it, and the last
+    /// layer writes straight into `state.h` — so a warmed pool holds one such
+    /// buffer plus what the model's largest single batched call packs.
+    #[test]
+    fn resync_pools_one_hidden_matrix_plus_packing() {
+        let (n, hidden) = (64, 32);
+        let mut rng = seeded_rng(14);
+        let models = [
+            Model::sage(&mut rng, &[4, hidden, 4], Aggregator::Mean),
+            Model::gin(&mut rng, 4, hidden, 2, 0.1, Aggregator::Sum),
+        ];
+        for model in models {
+            // What one batched message or update call leaves in a fresh pool.
+            let packing = (0..model.num_layers())
+                .map(|l| {
+                    let conv = &model.layer(l).conv;
+                    let mut msg = vec![0.0; n * conv.msg_dim()];
+                    let mut pool = GemmScratch::new();
+                    conv.message_batch_into(n, &vec![0.0; n * conv.in_dim()], &mut msg, &mut pool);
+                    let self_msg = if conv.self_dependent() { msg.clone() } else { Vec::new() };
+                    let mut out = vec![0.0; n * conv.out_dim()];
+                    let mut update_pool = GemmScratch::new();
+                    conv.update_batch_into(n, &msg, &self_msg, &mut out, &mut update_pool);
+                    pool.bytes().max(update_pool.bytes())
+                })
+                .max()
+                .unwrap();
+            let mut engine =
+                InkStream::new(model, ring(n), feats(n, 4), UpdateConfig::default()).unwrap();
+            engine.resync();
+            engine.resync();
+            let held = engine.scratch.gemm.bytes();
+            let hidden_matrix = n * hidden * std::mem::size_of::<f32>();
+            assert!(
+                held <= hidden_matrix + packing,
+                "{held} pooled bytes: more than one {hidden_matrix}-byte hidden matrix \
+                 plus {packing} bytes of packing"
+            );
+            assert_eq!(engine.output(), &engine.recompute_reference());
+        }
     }
 
     #[test]

@@ -11,10 +11,14 @@
 //!   *contiguous, ordered* chunks of the work list, and buckets are drained
 //!   phase-major then worker-major, so the per-target event order is exactly
 //!   the sequential emission order no matter how many workers run.
-//! * [`ShardScratch`] — one per target shard (`shard_of(target)`): the
+//! * [`ShardScratch`] — one per target shard ([`shard_of`]): the
 //!   reduced [`GroupEntry`] per target with payloads as slots in a flat
 //!   `f32` buffer (no per-group `Vec` allocations), plus the apply phase's
-//!   outputs (`alpha_buf`, [`ApplyOutcome`]).
+//!   outputs (`alpha_buf` for the α rows the write phase commits,
+//!   [`ApplyOutcome`]).
+//! * [`ShardRows`] — on a delta-rule layer only, one shard's 64-row blocks
+//!   of `α` and `h`, cut from the two matrices as disjoint mutable slices,
+//!   so the apply phase commits delta rows in place in parallel.
 //! * [`OldMsgs`] — the per-layer "old value of every changed message" map,
 //!   values stored in per-layer arenas instead of one `Vec<f32>` per entry.
 //! * [`ScratchPool`] — the whole bundle, owned by
@@ -31,15 +35,30 @@ use crate::hooks::UserEvent;
 use crate::monotonic::Condition;
 use ink_graph::{FxHashMap, FxHashSet, VertexId};
 use ink_gnn::Aggregator;
+use ink_tensor::Matrix;
 
-/// Sentinel for "no payload slot assigned yet" in a [`GroupEntry`].
+/// Sentinel for "no payload slot assigned yet" in a [`GroupEntry`], and for
+/// "nothing staged" in an [`ApplyOutcome`].
 pub(crate) const NO_SLOT: u32 = u32::MAX;
 
+/// Rows per ownership block on a delta-rule layer (see [`shard_of`]).
+pub(crate) const BLOCK_ROWS: usize = 64;
+
 /// The shard a target's events are reduced in. Multiply-shift hash so that
-/// consecutive vertex ids spread across shards instead of striping.
+/// consecutive keys spread across shards instead of striping: in an R-MAT
+/// or degree-sorted graph the low bits of busy ids are mostly zero, so
+/// `key % num_shards` would pile the work onto a few shards.
+///
+/// The key is the target itself, except on a delta-rule layer (`blocked`),
+/// where it is the target's 64-row block: there the apply phase writes α and
+/// `h` rows in place, and a shard must own whole blocks of both matrices
+/// ([`ShardRows`]). Every other layer keeps the per-vertex key. A block key
+/// there would put every target of a graph under 64 vertices in one shard,
+/// and the worker/shard-sweep determinism tests run on such graphs.
 #[inline]
-pub(crate) fn shard_of(target: VertexId, num_shards: usize) -> usize {
-    (((target as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % num_shards
+pub(crate) fn shard_of(target: VertexId, num_shards: usize, blocked: bool) -> usize {
+    let key = if blocked { target as u64 / BLOCK_ROWS as u64 } else { target as u64 };
+    ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % num_shards
 }
 
 /// The contiguous chunk of `n` work items assigned to worker `w` of `total`.
@@ -78,12 +97,18 @@ pub(crate) enum CondKind {
     Forced,
 }
 
-/// What the apply phase decided for one group entry. The new α lives in the
-/// owning shard's `alpha_buf` at the entry's index.
+/// What the apply phase decided for one group entry.
 pub(crate) struct ApplyOutcome {
     pub cond: CondKind,
     pub reads: u64,
+    /// The new α differs bitwise from `α⁻`.
     pub changed: bool,
+    /// The row of the owning shard's `alpha_buf` where the new α waits for
+    /// the write phase; [`NO_SLOT`] for a delta row, whose α and `h` rows the
+    /// apply phase already committed in place.
+    pub staged: u32,
+    /// A delta row's `h` row changed bitwise (always false otherwise).
+    pub output_changed: bool,
 }
 
 /// The reduced events heading to one target: payload slots into the owning
@@ -97,17 +122,110 @@ pub(crate) struct GroupEntry {
     pub degree_delta: i32,
 }
 
-/// A target the write phase routed to the delta rule (see
-/// [`crate::accumulative`]): where its reduced `Σ Δm·W` lives and the factor
-/// the next-messages phase commits it with.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct DeltaRow {
-    pub target: VertexId,
-    /// From [`crate::accumulative::delta_row_scale`].
-    pub scale: f32,
-    pub shard: u32,
-    /// The entry's widened `add` slot in that shard.
-    pub slot: u32,
+/// One shard's exclusive share of a delta-rule layer's `α` and `h` matrices:
+/// the 64-row blocks [`shard_of`] assigns it, as disjoint `split_at_mut`
+/// views. Shards own disjoint target sets *and* disjoint rows, so each one
+/// commits its delta rows in place while the others do the same — the
+/// borrow checker sees only safe, non-overlapping `&mut` slices, no `unsafe`.
+pub(crate) struct ShardRows<'a> {
+    /// Each block's position in its owner's `alpha` / `h` lists.
+    rank: &'a [u32],
+    alpha: Vec<&'a mut [f32]>,
+    h: Vec<&'a mut [f32]>,
+    dim: usize,
+    out_dim: usize,
+}
+
+impl<'a> ShardRows<'a> {
+    /// Cuts `alpha` (`n × dim`) and `h` (`n × out_dim`) into 64-row blocks
+    /// and hands every block to the shard [`shard_of`] assigns it, in block
+    /// order; `rank` (pooled) records each block's position in its owner's
+    /// list. O(n / 64) per call, so only delta-rule layers pay it.
+    pub fn split(
+        alpha: &'a mut Matrix,
+        h: &'a mut Matrix,
+        num_shards: usize,
+        rank: &'a mut Vec<u32>,
+    ) -> Vec<Self> {
+        let n = alpha.rows();
+        debug_assert_eq!(h.rows(), n);
+        let (dim, out_dim) = (alpha.cols(), h.cols());
+        let blocks = n.div_ceil(BLOCK_ROWS);
+        // The hash spreads blocks about evenly: a quarter above the mean
+        // spares nearly every shard a regrow.
+        let per_shard = blocks.div_ceil(num_shards) * 5 / 4 + 1;
+        let mut views: Vec<Self> = (0..num_shards)
+            .map(|_| Self {
+                rank: &[],
+                alpha: Vec::with_capacity(per_shard),
+                h: Vec::with_capacity(per_shard),
+                dim,
+                out_dim,
+            })
+            .collect();
+        rank.clear();
+        let (mut a_rest, mut h_rest) = (alpha.as_mut_slice(), h.as_mut_slice());
+        for b in 0..blocks {
+            let rows = BLOCK_ROWS.min(n - b * BLOCK_ROWS);
+            let (a, a_tail) = std::mem::take(&mut a_rest).split_at_mut(rows * dim);
+            let (hb, h_tail) = std::mem::take(&mut h_rest).split_at_mut(rows * out_dim);
+            (a_rest, h_rest) = (a_tail, h_tail);
+            let owner = &mut views[shard_of((b * BLOCK_ROWS) as VertexId, num_shards, true)];
+            rank.push(owner.alpha.len() as u32);
+            owner.alpha.push(a);
+            owner.h.push(hb);
+        }
+        let rank: &'a [u32] = rank;
+        for v in &mut views {
+            v.rank = rank;
+        }
+        views
+    }
+
+    /// The block of `u` in this shard's lists and `u`'s row within it.
+    #[inline]
+    fn locate(&self, u: VertexId) -> (usize, usize) {
+        let (b, r) = (u as usize / BLOCK_ROWS, u as usize % BLOCK_ROWS);
+        (self.rank[b] as usize, r)
+    }
+
+    /// The current α row of `u`, a target of this shard.
+    #[inline]
+    pub fn alpha(&self, u: VertexId) -> &[f32] {
+        let (i, r) = self.locate(u);
+        &self.alpha[i][r * self.dim..(r + 1) * self.dim]
+    }
+
+    /// The α and `h` rows of `u`, a target of this shard, for writing.
+    #[inline]
+    pub fn rows_mut(&mut self, u: VertexId) -> (&mut [f32], &mut [f32]) {
+        let (i, r) = self.locate(u);
+        (
+            &mut self.alpha[i][r * self.dim..(r + 1) * self.dim],
+            &mut self.h[i][r * self.out_dim..(r + 1) * self.out_dim],
+        )
+    }
+}
+
+/// Where the apply phase of one shard reads `α⁻` from.
+pub(crate) enum AlphaRows<'a> {
+    /// Every layer but a delta-rule one: the whole matrix, read-only; new α
+    /// rows are staged and the write phase commits them.
+    Shared(&'a Matrix),
+    /// A delta-rule layer: the shard's own blocks of α and `h`, which pass 1
+    /// updates in place for every delta row.
+    Owned(ShardRows<'a>),
+}
+
+impl AlphaRows<'_> {
+    /// The current α row of `u`.
+    #[inline]
+    pub fn alpha(&self, u: VertexId) -> &[f32] {
+        match self {
+            AlphaRows::Shared(m) => m.row(u as usize),
+            AlphaRows::Owned(rows) => rows.alpha(u),
+        }
+    }
 }
 
 /// The apply phase's split-borrow view of one shard: groups are read while α
@@ -129,6 +247,10 @@ pub(crate) struct ApplyParts<'a> {
 
 /// One target shard of the group-reduce phase, plus the apply phase's
 /// per-entry outputs. All storage is recycled between rounds.
+///
+/// The shard's targets are the ones [`shard_of`] maps to it: by vertex on
+/// most layers, by 64-row block on a delta-rule layer, where the apply phase
+/// also receives the matching [`ShardRows`].
 #[derive(Default)]
 pub(crate) struct ShardScratch {
     index: FxHashMap<VertexId, u32>,
@@ -140,6 +262,8 @@ pub(crate) struct ShardScratch {
     /// the sums once all buckets are reduced.
     comp: Vec<f32>,
     pub outcomes: Vec<ApplyOutcome>,
+    /// New α rows the write phase commits, one per outcome with a
+    /// `staged` row — delta rows, committed in place, take none.
     pub alpha_buf: Vec<f32>,
     pub payload_reads: usize,
     /// Exposed channel list of the target being applied, rewritten per
@@ -186,11 +310,6 @@ impl ShardScratch {
     #[cfg(test)]
     pub fn slot(&self, slot: u32, dim: usize) -> Option<&[f32]> {
         slot_in(&self.buf, slot, dim)
-    }
-
-    /// [`acc_slot_in`] on this shard's buffer.
-    pub fn acc_slot(&self, slot: u32, head: usize, tail: usize) -> (&[f32], &[f32]) {
-        acc_slot_in(&self.buf, slot, head, tail)
     }
 
     /// Splits the shard into the apply phase's read/write halves so groups
@@ -438,8 +557,8 @@ pub(crate) struct ScratchPool {
     pub affected: FxHashSet<VertexId>,
     /// Targets entering the next-messages phase's full transform.
     pub next_targets: Vec<VertexId>,
-    /// Targets the next-messages phase commits by the delta rule instead.
-    pub delta_rows: Vec<DeltaRow>,
+    /// [`ShardRows::split`]'s block positions on a delta-rule layer.
+    pub block_rank: Vec<u32>,
     /// Flat row-major output of the next-messages phase.
     pub next_buf: Vec<f32>,
     /// Gathered (degree-scaled) α rows of the batched transform.
@@ -496,7 +615,7 @@ impl ScratchPool {
             + self.covered.capacity() * std::mem::size_of::<(VertexId, VertexId)>()
             + self.affected.capacity() * std::mem::size_of::<VertexId>()
             + self.next_targets.capacity() * std::mem::size_of::<VertexId>()
-            + self.delta_rows.capacity() * std::mem::size_of::<DeltaRow>()
+            + self.block_rank.capacity() * std::mem::size_of::<u32>()
             + (self.next_buf.capacity()
                 + self.gather_alpha.capacity()
                 + self.gather_self.capacity()
@@ -560,7 +679,7 @@ mod tests {
                 ws.begin(num_shards, dim, 0);
                 for e in &events[worker_chunk(events.len(), w, num_workers)] {
                     let payload = ws.arena.push(arena.get(e.payload));
-                    ws.dg[shard_of(e.target, num_shards)].push(Event { payload, ..*e });
+                    ws.dg[shard_of(e.target, num_shards, false)].push(Event { payload, ..*e });
                 }
             }
             let mut shards: Vec<ShardScratch> =
@@ -621,13 +740,47 @@ mod tests {
 
     #[test]
     fn shard_of_is_total_and_stable() {
-        for v in 0..1000u32 {
-            let s = shard_of(v, 8);
-            assert!(s < 8);
-            assert_eq!(s, shard_of(v, 8));
+        for blocked in [false, true] {
+            for v in 0..1000u32 {
+                let s = shard_of(v, 8, blocked);
+                assert!(s < 8);
+                assert_eq!(s, shard_of(v, 8, blocked));
+            }
+            // All targets land in shard 0 when there is only one shard.
+            assert!((0..100u32).all(|v| shard_of(v, 1, blocked) == 0));
         }
-        // All targets land in shard 0 when there is only one shard.
-        assert!((0..100u32).all(|v| shard_of(v, 1) == 0));
+        // Blocked, a whole 64-row block shares one shard.
+        for v in 0..1000u32 {
+            let first = v - v % BLOCK_ROWS as u32;
+            assert_eq!(shard_of(v, 8, true), shard_of(first, 8, true));
+        }
+    }
+
+    /// Every row of both matrices is reachable through exactly the shard
+    /// that owns its block, including the rows of a partial last block.
+    #[test]
+    fn shard_rows_partition_both_matrices_by_block() {
+        for (n, shards) in [(1usize, 1usize), (63, 3), (64, 2), (200, 8), (130, 64)] {
+            let (dim, out_dim) = (3, 2);
+            let mut alpha = Matrix::from_fn(n, dim, |r, c| (r * dim + c) as f32);
+            let mut h = Matrix::from_fn(n, out_dim, |r, c| -((r * out_dim + c) as f32));
+            let mut rank = Vec::new();
+            let mut views = ShardRows::split(&mut alpha, &mut h, shards, &mut rank);
+            assert_eq!(views.len(), shards);
+            for u in 0..n as VertexId {
+                let rows = &mut views[shard_of(u, shards, true)];
+                let want: Vec<f32> = (0..dim).map(|c| (u as usize * dim + c) as f32).collect();
+                assert_eq!(rows.alpha(u), want.as_slice(), "n={n} shards={shards} u={u}");
+                let (a, hr) = rows.rows_mut(u);
+                a[0] += 0.5;
+                hr[1] = 7.0;
+            }
+            drop(views);
+            for u in 0..n {
+                assert_eq!(alpha.get(u, 0), (u * dim) as f32 + 0.5);
+                assert_eq!(h.row(u), [-((u * out_dim) as f32), 7.0]);
+            }
+        }
     }
 
     #[test]
@@ -677,7 +830,7 @@ mod tests {
                 ws.begin(4, 4, 0);
                 let p = ws.arena.push(&[1.0; 4]);
                 for v in 0..50u32 {
-                    ws.dg[shard_of(v, 4)].push(Event {
+                    ws.dg[shard_of(v, 4, false)].push(Event {
                         op: EventOp::Add,
                         target: v,
                         payload: p,

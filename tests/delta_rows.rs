@@ -297,6 +297,106 @@ fn ablation_and_relu_last_take_no_delta_rows() {
     }
 }
 
+/// A star on vertex 0 over `n` vertices, plus a ring through the leaves so
+/// that no leaf's neighborhood is the hub alone.
+fn star_ring(n: usize) -> DynGraph {
+    let mut edges: Vec<(VertexId, VertexId)> = (1..n as VertexId).map(|v| (HUB, v)).collect();
+    edges.extend((1..n as VertexId).map(|v| (v, v % (n as VertexId - 1) + 1)));
+    DynGraph::undirected_from_edges(n, &edges)
+}
+
+/// The counts a shard/worker split must not move: the last layer's delta
+/// rows, α changes per layer, output rows changed and the traffic.
+fn split_counts(r: &UpdateReport) -> (usize, Vec<usize>, u64, u64) {
+    let alpha_changed = r.per_layer.iter().map(|l| l.alpha_changed).collect();
+    (delta_counts(r).0, alpha_changed, r.output_changed, r.traffic())
+}
+
+/// On a delta-rule layer targets are sharded by 64-row vertex block and
+/// every shard commits its delta rows in place in the blocks of α and `h`
+/// it owns. Graphs smaller than one block and graphs whose last block is
+/// partial, shard counts from one to more shards than blocks, and 1–4
+/// workers with the parallel paths forced on must all agree bitwise with the
+/// sequential engine — output, α and counts — and with a 2-part engine,
+/// whose traffic alone differs.
+#[test]
+fn block_sharding_is_bitwise_stable_for_every_split() {
+    for n in [40usize, 150] {
+        for (agg, depth) in [(Aggregator::Sum, 1), (Aggregator::Mean, 1), (Aggregator::Mean, 2)] {
+            let ctx = format!("n={n} {agg:?} depth {depth}");
+            let x = uniform(&mut seeded_rng(n as u64), n, FEAT, -1.0, 1.0);
+            let g = star_ring(n);
+            let make = move || sage(11, agg, depth);
+            let engine = |cfg| InkStream::new(make(), g.clone(), x.clone(), cfg).unwrap();
+            let base = UpdateConfig::default();
+            let mut reference = engine(base.sequential());
+            let mut parted = PartitionedInkStream::new(
+                make,
+                g.clone(),
+                x.clone(),
+                HashPartitioner,
+                PartitionConfig { parts: 2, update: base, ..Default::default() },
+            )
+            .unwrap();
+            let mut grid: Vec<(usize, usize, InkStream)> = [1usize, 3, 8, 64]
+                .into_iter()
+                .flat_map(|s| [1usize, 2, 4].map(|w| (s, w)))
+                .map(|(s, w)| {
+                    let cfg = UpdateConfig {
+                        num_shards: s,
+                        num_workers: w,
+                        parallel_threshold: 0,
+                        ..base
+                    };
+                    (s, w, engine(cfg))
+                })
+                .collect();
+            let mut drng = StdRng::seed_from_u64(n as u64 ^ 0xb10c);
+            for round in 0..8 {
+                // Every third round moves the hub's feature: with one layer
+                // every neighbor of the hub, the last partial block's
+                // included, is a delta row.
+                let feature = round % 3 == 0;
+                let delta = DeltaBatch::random_scenario(reference.graph(), &mut drng, 6);
+                let feat: Vec<f32> =
+                    (0..FEAT).map(|c| (round * FEAT + c) as f32 * 0.1 - 1.0).collect();
+                let step = |e: &mut InkStream| {
+                    if feature {
+                        e.update_vertex_feature(HUB, &feat).unwrap()
+                    } else {
+                        e.apply_delta(&delta)
+                    }
+                };
+                let want = step(&mut reference);
+                if feature && depth == 1 {
+                    let hub_nbrs = reference.graph().out_neighbors(HUB);
+                    let last_block = n / 64 * 64;
+                    assert!(hub_nbrs.iter().any(|&v| v as usize >= last_block), "{ctx}");
+                    assert_eq!(delta_counts(&want).0, hub_nbrs.len(), "{ctx} round {round}");
+                }
+                for (s, w, e) in &mut grid {
+                    let r = step(e);
+                    let what = format!("{ctx} round {round}: {s} shards × {w} workers");
+                    assert_eq!(split_counts(&r), split_counts(&want), "{what}");
+                    assert!(e.output() == reference.output(), "{what}: output");
+                    assert!(e.state().alpha == reference.state().alpha, "{what}: α");
+                }
+                let r = if feature {
+                    parted.update_vertex_feature(HUB, &feat).unwrap()
+                } else {
+                    parted.apply_delta(&delta)
+                };
+                // Traffic aside: the parts also read the rows they mirror.
+                let (d, a, o, _) = split_counts(&r);
+                let (dw, aw, ow, _) = split_counts(&want);
+                assert_eq!((d, a, o), (dw, aw, ow), "{ctx} round {round}: 2-part");
+                let out = parted.output();
+                assert!(&out == reference.output(), "{ctx} round {round}: 2-part output");
+            }
+        }
+    }
+}
+
 /// Long-horizon drift (ROADMAP 5d's small brother): 2000 updates of ΔG = 8 on
 /// a 2048-vertex R-MAT graph. A delta row adds one rounding of its own per
 /// update to the cached `h`; the output must stay NaN-free and within 1e-5
