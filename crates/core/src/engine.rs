@@ -38,9 +38,12 @@
 //! the shard-sweep tests use, with a single shard — and cuts no blocks, so
 //! it does no O(|V|) work per round.
 //!
-//! Workers process contiguous ordered chunks and every target belongs to
-//! exactly one shard, so the pipeline's result is bitwise identical for
-//! every worker/shard count — including the sequential 1×1 configuration.
+//! A parallel round takes one worker per rayon thread and the next power of
+//! two of four shards per worker (`round_split`); each phase goes to the
+//! pool only past [`PARALLEL_MIN_ITEMS`] work items (`fan_out`). Workers
+//! process contiguous ordered chunks and every target belongs to exactly one
+//! shard, so the pipeline's result is bitwise identical for every thread
+//! count — including the sequential 1×1 configuration, the scalar oracle.
 //! All scratch storage is pooled in the engine and reused across rounds, so
 //! steady-state updates allocate nothing in the generate and group phases.
 //!
@@ -50,7 +53,7 @@
 use crate::accumulative::{
     accumulate_in_place, apply_accumulative_into, apply_delta_row, delta_row_scale, delta_weight,
 };
-use crate::config::UpdateConfig;
+use crate::config::{UpdateConfig, BATCH_MIN_TARGETS, PARALLEL_MIN_ITEMS};
 use crate::error::InkError;
 use crate::event::{Event, EventOp};
 use crate::grouping::{recompute_sort_key, RecomputeKind};
@@ -130,6 +133,36 @@ pub struct InkStream {
 /// consumer copying that many scattered rows is no better off than with one
 /// streaming copy, and a user who never drains the list holds no memory.
 const DIRTY_ROWS_DIVISOR: usize = 8;
+
+/// The round's `(workers, shards)`: `(1, 1)` for the sequential oracle,
+/// else one worker per thread of the rayon pool the round runs in and the
+/// next power of two of four shards per worker.
+fn round_split(parallel: bool) -> (usize, usize) {
+    if !parallel {
+        return (1, 1);
+    }
+    let workers = rayon::current_num_threads().max(1);
+    (workers, (4 * workers).next_power_of_two())
+}
+
+/// The pipeline's one parallel gate: runs `f` over the `size`-wide chunks of
+/// `data`, with their indices, on the rayon pool when the round is
+/// `parallel` and the phase has at least [`PARALLEL_MIN_ITEMS`] work items,
+/// inline otherwise. Which one never changes results. Worker and shard
+/// lists go through with `size == 1`.
+fn fan_out<T: Send>(
+    parallel: bool,
+    work: usize,
+    data: &mut [T],
+    size: usize,
+    f: impl Fn((usize, &mut [T])) + Sync,
+) {
+    if parallel && work >= PARALLEL_MIN_ITEMS {
+        data.par_chunks_mut(size).enumerate().for_each(f);
+    } else {
+        data.chunks_mut(size).enumerate().for_each(f);
+    }
+}
 
 impl InkStream {
     /// Bootstraps the engine with a full-graph inference (the paper's
@@ -646,16 +679,16 @@ impl InkStream {
         let t0 = Instant::now();
         let k = self.model.num_layers();
         let cfg = self.config;
-        let (nw, ns) = (cfg.worker_count(), cfg.shard_count());
+        let (nw, ns) = round_split(cfg.parallel);
 
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.begin_round(k, nw, ns);
-        // The pool only ever grows (see `begin_round`), so after a
-        // `set_config` that lowers the worker/shard counts there may be more
-        // pooled workers/shards than this round's `nw`/`ns`. Every phase
-        // below iterates only the first `nw` workers and `ns` shards — a
-        // sequential round must not pay per-shard walks over pool capacity
-        // left behind by a parallel one.
+        // The pool only ever grows (see `begin_round`), so after a round on
+        // more threads (or before a `set_config` to the sequential oracle)
+        // there may be more pooled workers/shards than this round's
+        // `nw`/`ns`. Every phase below iterates only the first `nw` workers
+        // and `ns` shards — a sequential round must not pay per-shard walks
+        // over pool capacity left behind by a parallel one.
         for l in 0..k {
             scratch.old.reset_layer(l, self.model.msg_dim(l));
         }
@@ -773,7 +806,6 @@ impl InkStream {
                         .copied(),
                 );
             }
-            let par = cfg.parallel && scratch.rescale_list.len() >= cfg.parallel_threshold;
             {
                 let ScratchPool { workers, rescale_list, .. } = &mut *scratch;
                 let workers = &mut workers[..nw];
@@ -813,11 +845,9 @@ impl InkStream {
                         ws.rescaled.push((v, pid));
                     }
                 };
-                if par {
-                    workers.par_iter_mut().enumerate().for_each(run);
-                } else {
-                    workers.iter_mut().enumerate().for_each(run);
-                }
+                fan_out(cfg.parallel, rescale_list.len(), workers, 1, |(w, ws)| {
+                    run((w, &mut ws[0]))
+                });
             }
             // Commit in worker order (= candidate order): vertices whose
             // message really changed record their old value and hooks.
@@ -936,7 +966,6 @@ impl InkStream {
             }
 
             let gen_work = directed.len() + scratch.changed_order.len();
-            let par_generate = cfg.parallel && gen_work >= cfg.parallel_threshold;
             {
                 let ScratchPool { workers, old, changed_order, covered, .. } = &mut *scratch;
                 let workers = &mut workers[..nw];
@@ -1028,11 +1057,7 @@ impl InkStream {
                         ws.arena.transform_tails(w);
                     }
                 };
-                if par_generate {
-                    workers.par_iter_mut().enumerate().for_each(run);
-                } else {
-                    workers.iter_mut().enumerate().for_each(run);
-                }
+                fan_out(cfg.parallel, gen_work, workers, 1, |(w, ws)| run((w, &mut ws[0])));
             }
             layer_stats.events_created =
                 scratch.workers[..nw].iter().map(WorkerScratch::events_emitted).sum();
@@ -1047,7 +1072,6 @@ impl InkStream {
             // Each shard reduces its buckets phase-major then worker-major —
             // exactly the sequential emission order restricted to the shard.
             let t_group = Instant::now();
-            let par_group = cfg.parallel && layer_stats.events_created >= cfg.parallel_threshold;
             {
                 let ScratchPool { workers, shards, .. } = &mut *scratch;
                 let workers = &workers[..nw];
@@ -1064,11 +1088,8 @@ impl InkStream {
                         shard.fold_compensation();
                     }
                 };
-                if par_group {
-                    shards.par_iter_mut().enumerate().for_each(run);
-                } else {
-                    shards.iter_mut().enumerate().for_each(run);
-                }
+                let events = layer_stats.events_created;
+                fan_out(cfg.parallel, events, shards, 1, |(s, shard)| run((s, &mut shard[0])));
             }
             let total_targets: usize = scratch.shards[..ns].iter().map(|s| s.entries.len()).sum();
             layer_stats.targets = total_targets;
@@ -1091,7 +1112,6 @@ impl InkStream {
             // the 64-row blocks the shard owns. Its outcome carries the two
             // change tests, and nothing is staged for it.
             let t_apply = Instant::now();
-            let par_apply = cfg.parallel && total_targets >= cfg.parallel_threshold;
             {
                 let ScratchPool { shards, block_rank, old, .. } = &mut *scratch;
                 let (shards, old, graph) = (&mut shards[..ns], &*old, &self.graph);
@@ -1291,22 +1311,15 @@ impl InkStream {
                     let rows = ShardRows::split(&mut alpha[l], h, ns, block_rank);
                     let mut work: Vec<_> =
                         shards.iter_mut().zip(rows.into_iter().map(AlphaRows::Owned)).collect();
-                    let owned =
-                        |(shard, rows): &mut (&mut ShardScratch, AlphaRows)| run(shard, rows);
-                    if par_apply {
-                        work.par_iter_mut().for_each(owned);
-                    } else {
-                        work.iter_mut().for_each(owned);
-                    }
+                    fan_out(cfg.parallel, total_targets, &mut work, 1, |(_, w)| {
+                        let (shard, rows) = &mut w[0];
+                        run(shard, rows)
+                    });
                 } else {
                     let alpha_l = &alpha[l];
-                    let shared =
-                        |shard: &mut ShardScratch| run(shard, &mut AlphaRows::Shared(alpha_l));
-                    if par_apply {
-                        shards.par_iter_mut().for_each(shared);
-                    } else {
-                        shards.iter_mut().for_each(shared);
-                    }
+                    fan_out(cfg.parallel, total_targets, shards, 1, |(_, shard)| {
+                        run(&mut shard[0], &mut AlphaRows::Shared(alpha_l))
+                    });
                 }
             }
             for shard in &scratch.shards[..ns] {
@@ -1424,14 +1437,17 @@ impl InkStream {
 
             // ── Phase 5: next-messages ────────────────────────────────────
             // Rebuild next-layer messages / final outputs into the flat
-            // production buffer — gather→GEMM→scatter when the target set is
-            // big enough, per-node otherwise — then commit sequentially.
+            // production buffer — gather→GEMM→scatter on a parallel engine
+            // once the target set reaches `BATCH_MIN_TARGETS`, per-node
+            // otherwise — then commit sequentially.
             // Delta rows never come here: the apply phase committed them.
             let t_next = Instant::now();
             let nt = scratch.next_targets.len();
-            let par_next = cfg.parallel && nt >= cfg.parallel_threshold;
-            let batched =
-                nt >= cfg.batch_threshold.max(1) && dim > 0 && out_dim > 0 && prod_dim > 0;
+            let batched = cfg.parallel
+                && nt >= BATCH_MIN_TARGETS
+                && dim > 0
+                && out_dim > 0
+                && prod_dim > 0;
             if batched {
                 layer_stats.batched_rows = nt;
                 let ScratchPool {
@@ -1501,11 +1517,7 @@ impl InkStream {
                         }
                         layer.act.apply(row);
                     };
-                    if par_next {
-                        h_rows.par_chunks_mut(out_dim).enumerate().for_each(run);
-                    } else {
-                        h_rows.chunks_mut(out_dim).enumerate().for_each(run);
-                    }
+                    fan_out(cfg.parallel, nt, h_rows, out_dim, run);
                 }
                 if !is_last {
                     // One batched message GEMM into the production buffer,
@@ -1518,11 +1530,7 @@ impl InkStream {
                             let s = next_conv.degree_scale(this.graph.in_degree(next_targets[i]));
                             ink_tensor::ops::scale(row, s);
                         };
-                        if par_next {
-                            next_buf.par_chunks_mut(prod_dim).enumerate().for_each(run);
-                        } else {
-                            next_buf.chunks_mut(prod_dim).enumerate().for_each(run);
-                        }
+                        fan_out(cfg.parallel, nt, next_buf, prod_dim, run);
                     }
                 }
             } else {
@@ -1556,11 +1564,7 @@ impl InkStream {
                         chunk.copy_from_slice(&msg);
                     }
                 };
-                if par_next {
-                    next_buf.par_chunks_mut(prod_dim.max(1)).enumerate().for_each(run);
-                } else {
-                    next_buf.chunks_mut(prod_dim.max(1)).enumerate().for_each(run);
-                }
+                fan_out(cfg.parallel, nt, next_buf, prod_dim.max(1), run);
             }
             f32_read += (nt * 2 * dim + nd * 2 * out_dim) as u64;
             f32_written += ((nt + nd) * out_dim) as u64;
@@ -1981,6 +1985,19 @@ mod tests {
         assert!(report.phase_times().total() > std::time::Duration::ZERO);
     }
 
+    fn pool(threads: usize) -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap()
+    }
+
+    #[test]
+    fn round_split_follows_the_pool() {
+        assert_eq!(round_split(false), (1, 1));
+        assert_eq!(pool(5).install(|| round_split(false)), (1, 1));
+        for (threads, shards) in [(1, 4), (2, 8), (3, 16), (4, 16), (16, 64)] {
+            assert_eq!(pool(threads).install(|| round_split(true)), (threads, shards));
+        }
+    }
+
     #[test]
     fn worker_and_shard_counts_do_not_change_results() {
         for agg in [Aggregator::Max, Aggregator::Min, Aggregator::Sum, Aggregator::Mean] {
@@ -1998,14 +2015,13 @@ mod tests {
             ]);
             let mut reference = make(UpdateConfig::default().sequential());
             reference.apply_delta(&delta);
-            for (w, s) in [(1, 1), (2, 3), (4, 8), (3, 16)] {
-                let mut engine = make(UpdateConfig {
-                    num_workers: w,
-                    num_shards: s,
-                    parallel_threshold: 0,
-                    ..UpdateConfig::default()
+            for threads in 1..=4 {
+                let mut engine = make(UpdateConfig::default());
+                let (w, s) = pool(threads).install(|| {
+                    engine.apply_delta(&delta);
+                    round_split(true)
                 });
-                engine.apply_delta(&delta);
+                assert_eq!(w, threads);
                 assert_eq!(
                     engine.output(),
                     reference.output(),
@@ -2132,10 +2148,8 @@ mod tests {
                 EdgeChange::remove(5, 6),
                 EdgeChange::insert(2, 8),
             ]);
-            let mut per_node =
-                make(UpdateConfig { batch_threshold: usize::MAX, ..UpdateConfig::default() });
-            let mut batched =
-                make(UpdateConfig { batch_threshold: 1, ..UpdateConfig::default() });
+            let mut per_node = make(UpdateConfig::default().sequential());
+            let mut batched = make(UpdateConfig::default());
             let rp = per_node.apply_delta(&delta);
             let rb = batched.apply_delta(&delta);
             assert_eq!(batched.output(), per_node.output(), "{agg:?}");
@@ -2174,16 +2188,10 @@ mod tests {
                 ]);
                 let mut scalar = make(UpdateConfig { apply_batch_threshold: usize::MAX, ..base });
                 let mut batched = make(UpdateConfig { apply_batch_threshold: 1, ..base });
-                let mut sharded = make(UpdateConfig {
-                    apply_batch_threshold: 1,
-                    num_workers: 3,
-                    num_shards: 8,
-                    parallel_threshold: 0,
-                    ..base
-                });
+                let mut sharded = make(UpdateConfig { apply_batch_threshold: 1, ..base });
                 let rs = scalar.apply_delta(&delta);
                 let rb = batched.apply_delta(&delta);
-                let rp = sharded.apply_delta(&delta);
+                let rp = pool(3).install(|| sharded.apply_delta(&delta));
                 assert_eq!(batched.output(), scalar.output(), "{agg:?} {base:?}");
                 assert_eq!(sharded.output(), scalar.output(), "{agg:?} {base:?} sharded");
                 assert_eq!(batched.state().alpha[1], scalar.state().alpha[1], "{agg:?}");

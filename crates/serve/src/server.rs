@@ -50,7 +50,7 @@ use mio::{Events, Interest, Poll, Token, Waker};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -255,9 +255,10 @@ impl<E: Engine> ServerHandle<E> {
     /// everything admitted and publish the final epoch, stop the event loop
     /// (which delivers the final flush acks and best-effort writes before
     /// the sockets drop), write the checkpoint (when configured) and return
-    /// the session with the final summary. An engine that cannot checkpoint
-    /// ([`Engine::checkpoint`] returned `Err`) fails the shutdown after the
-    /// drain and leaves no file behind.
+    /// the session with the final summary. The checkpoint goes to a temp
+    /// file renamed over the path, so a crash mid-write never tears it. An
+    /// engine that cannot checkpoint ([`Engine::checkpoint`] returned `Err`)
+    /// fails the shutdown after the drain and leaves the path as it was.
     pub fn shutdown(mut self) -> io::Result<(StreamSession<E>, SessionSummary)> {
         self.shared.ingest.close();
         let writer = self.writer_thread.take().expect("shutdown runs once");
@@ -272,15 +273,31 @@ impl<E: Engine> ServerHandle<E> {
             ev.join().map_err(|_| io::Error::other("ink-serve event loop panicked"))?;
         }
         if let Some(path) = &self.checkpoint_path {
-            let mut f = std::fs::File::create(path)?;
-            if let Err(e) = session.engine().checkpoint(&mut f) {
-                drop(f);
-                let _ = std::fs::remove_file(path);
-                return Err(io::Error::other(e));
-            }
+            write_checkpoint(session.engine(), path)?;
         }
         Ok((session, self.shared.stats_summary()))
     }
+}
+
+/// Writes `engine`'s checkpoint to a sibling temp file, syncs it, renames it
+/// over `path` and syncs the directory, so `path` only ever holds a whole
+/// checkpoint. On any error (a refusing engine included) only the temp file
+/// is removed: the previous checkpoint at `path`, if any, survives unchanged.
+fn write_checkpoint<E: Engine>(engine: &E, path: &Path) -> io::Result<()> {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".tmp");
+    let tmp = path.with_file_name(name);
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    let written = std::fs::File::create(&tmp).and_then(|mut f| {
+        engine.checkpoint(&mut f).map_err(io::Error::other)?;
+        f.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        std::fs::File::open(dir)?.sync_all()
+    });
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 /// Applies and publishes one drained queue prefix as an epoch: coalesce,

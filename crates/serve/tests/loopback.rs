@@ -559,14 +559,26 @@ fn checkpoint_path_is_honoured_or_refused_never_ignored() {
     let restored =
         inkstream::checkpoint::load(model(), &mut f, UpdateConfig::default(), None).unwrap();
     assert!(bits(restored.output()) == bits(reference.output()));
+    let listing = || {
+        let mut names: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        names.sort();
+        names
+    };
+    assert_eq!(listing(), ["single"], "no temp file is left behind");
 
+    // A refused checkpoint must not touch the last good one at its path.
+    let previous = b"last run's checkpoint".to_vec();
+    std::fs::write(dir.join("parted"), &previous).unwrap();
     let handle =
         InkServer::bind("127.0.0.1:0", parted_session(&engine()), config("parted")).unwrap();
     let reader = handle.snapshot_reader();
     drive(handle.local_addr());
     let err = handle.shutdown().err().expect("a partitioned engine cannot checkpoint");
     assert!(err.to_string().contains("no checkpoint format"), "{err}");
-    assert!(!dir.join("parted").exists(), "a refused checkpoint leaves no file");
+    let kept = std::fs::read(dir.join("parted")).expect("a refused checkpoint keeps the old file");
+    assert_eq!(kept, previous, "a refused checkpoint leaves the old file unchanged");
+    assert_eq!(listing(), ["parted", "single"], "no temp file is left behind");
     let last = reader.load();
     assert_eq!(last.epoch, 1, "the refusal comes after the drain");
     assert!(bits(&last.embeddings) == bits(reference.output()));

@@ -2,17 +2,26 @@
 //! Offline stand-in for `rayon`.
 //!
 //! The build environment has no crates.io access, so this crate provides the
-//! slice-parallelism surface the workspace actually uses — `par_iter().map()
-//! .collect()`, `par_iter_mut().for_each()`, `par_chunks_mut().enumerate()
-//! .for_each()` — on `std::thread::scope`. Work is split into one contiguous
-//! band per thread, which keeps `map().collect()` order-stable (a property
-//! the engine's determinism guarantees rely on). With one available core (or
-//! `RAYON_NUM_THREADS=1`) everything runs inline with zero spawn overhead.
+//! surface the workspace actually uses — `par_chunks_mut()` with `.for_each()`
+//! or `.enumerate().for_each()`, [`current_num_threads`], and
+//! [`ThreadPoolBuilder`] / [`ThreadPool::install`] — on `std::thread::scope`.
+//! The chunks are split into one contiguous band per thread; with one thread
+//! (one available core, or `RAYON_NUM_THREADS=1`) everything runs inline with
+//! zero spawn overhead. As upstream, inside `install` the current thread count
+//! and every band split (on the threads spawned for it too) are the pool's.
 
+use std::cell::Cell;
 use std::sync::OnceLock;
 
-/// Number of worker threads parallel operations will use.
-pub fn current_num_threads() -> usize {
+thread_local! {
+    /// Thread count of the innermost [`ThreadPool::install`] running on this
+    /// thread; 0 outside any pool.
+    static POOL_THREADS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The global count: `RAYON_NUM_THREADS` when set and non-zero, else one
+/// per available core.
+fn default_num_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
         std::env::var("RAYON_NUM_THREADS")
@@ -25,76 +34,83 @@ pub fn current_num_threads() -> usize {
     })
 }
 
-/// Runs the two closures, in parallel when more than one thread is available.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 {
-        (a(), b())
-    } else {
-        std::thread::scope(|s| {
-            let hb = s.spawn(b);
-            (a(), hb.join().expect("rayon-shim worker panicked"))
-        })
+/// Number of worker threads parallel operations will use: the count of the
+/// [`ThreadPool`] installed on this thread, else the global count.
+pub fn current_num_threads() -> usize {
+    match POOL_THREADS.with(Cell::get) {
+        0 => default_num_threads(),
+        n => n,
+    }
+}
+
+/// Configures a [`ThreadPool`]; the subset of upstream's builder this
+/// workspace uses.
+#[derive(Debug, Default)]
+pub struct ThreadPoolBuilder {
+    num_threads: usize,
+}
+
+/// The error upstream's [`ThreadPoolBuilder::build`] can return; the shim's
+/// never fails.
+pub type ThreadPoolBuildError = std::convert::Infallible;
+
+impl ThreadPoolBuilder {
+    /// A builder with the default thread count.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Sets the pool's thread count; `0` (the default) means the global
+    /// count, as upstream.
+    pub fn num_threads(mut self, num_threads: usize) -> Self {
+        self.num_threads = num_threads;
+        self
+    }
+
+    /// Builds the pool.
+    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
+        let threads = match self.num_threads {
+            0 => default_num_threads(),
+            n => n,
+        };
+        Ok(ThreadPool { threads })
+    }
+}
+
+/// A thread count that parallel operations inside [`ThreadPool::install`]
+/// split their work into. Upstream keeps resident workers; the shim spawns
+/// scoped threads per operation, as everywhere else in this crate.
+#[derive(Debug)]
+pub struct ThreadPool {
+    threads: usize,
+}
+
+impl ThreadPool {
+    /// Runs `op` in this pool: until it returns (or unwinds) the calling
+    /// thread, and every thread a parallel operation spawns from it, report
+    /// this pool's count. Nested calls restore the outer count on exit.
+    pub fn install<OP, R>(&self, op: OP) -> R
+    where
+        OP: FnOnce() -> R + Send,
+        R: Send,
+    {
+        struct Restore(usize);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                POOL_THREADS.with(|c| c.set(self.0));
+            }
+        }
+        let _restore = Restore(POOL_THREADS.with(|c| c.replace(self.threads)));
+        op()
     }
 }
 
 /// The import surface mirroring `rayon::prelude`.
 pub mod prelude {
-    pub use crate::{
-        IntoParallelRefIterator, IntoParallelRefMutIterator, ParallelSliceMut,
-    };
+    pub use crate::ParallelSliceMut;
 }
 
-/// `par_iter()` on shared slices and vectors.
-pub trait IntoParallelRefIterator<'a> {
-    /// The element type.
-    type Item: Sync + 'a;
-    /// Shared parallel iterator over the elements.
-    fn par_iter(&'a self) -> ParIter<'a, Self::Item>;
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
-    type Item = T;
-    fn par_iter(&'a self) -> ParIter<'a, T> {
-        ParIter { items: self }
-    }
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-    type Item = T;
-    fn par_iter(&'a self) -> ParIter<'a, T> {
-        ParIter { items: self }
-    }
-}
-
-/// `par_iter_mut()` on mutable slices and vectors.
-pub trait IntoParallelRefMutIterator<'a> {
-    /// The element type.
-    type Item: Send + 'a;
-    /// Exclusive parallel iterator over the elements.
-    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, Self::Item>;
-}
-
-impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for [T] {
-    type Item = T;
-    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, T> {
-        ParIterMut { items: self }
-    }
-}
-
-impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for Vec<T> {
-    type Item = T;
-    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, T> {
-        ParIterMut { items: self }
-    }
-}
-
-/// `par_chunks_mut()` on mutable slices and vectors.
+/// `par_chunks_mut()` on mutable slices (and, through deref, vectors).
 pub trait ParallelSliceMut<T: Send> {
     /// Parallel iterator over non-overlapping mutable chunks of `size`.
     fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T>;
@@ -104,149 +120,6 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
     fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T> {
         assert!(size > 0, "chunk size must be non-zero");
         ParChunksMut { data: self, size }
-    }
-}
-
-impl<T: Send> ParallelSliceMut<T> for Vec<T> {
-    fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T> {
-        self.as_mut_slice().par_chunks_mut(size)
-    }
-}
-
-/// Shared parallel iterator over a slice.
-pub struct ParIter<'a, T> {
-    items: &'a [T],
-}
-
-impl<'a, T: Sync> ParIter<'a, T> {
-    /// Maps each element through `f`.
-    pub fn map<R, F>(self, f: F) -> ParMap<'a, T, F>
-    where
-        F: Fn(&'a T) -> R + Sync,
-        R: Send,
-    {
-        ParMap { items: self.items, f }
-    }
-
-    /// Applies `f` to every element.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&'a T) + Sync,
-    {
-        let bands = band_starts(self.items.len());
-        if bands.len() <= 1 {
-            self.items.iter().for_each(f);
-            return;
-        }
-        let fr = &f;
-        std::thread::scope(|s| {
-            for w in bands.windows(2) {
-                let band = &self.items[w[0]..w[1]];
-                s.spawn(move || band.iter().for_each(fr));
-            }
-            self.items[*bands.last().unwrap()..].iter().for_each(fr);
-        });
-    }
-}
-
-/// The result of [`ParIter::map`].
-pub struct ParMap<'a, T, F> {
-    items: &'a [T],
-    f: F,
-}
-
-impl<'a, T, R, F> ParMap<'a, T, F>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&'a T) -> R + Sync,
-{
-    /// Collects the mapped elements, preserving input order.
-    pub fn collect<C: FromIterator<R>>(self) -> C {
-        let n = self.items.len();
-        let bands = band_starts(n);
-        if bands.len() <= 1 {
-            return self.items.iter().map(&self.f).collect();
-        }
-        let f = &self.f;
-        let mut parts: Vec<Vec<R>> = Vec::with_capacity(bands.len());
-        std::thread::scope(|s| {
-            let handles: Vec<_> = bands
-                .windows(2)
-                .map(|w| {
-                    let band = &self.items[w[0]..w[1]];
-                    s.spawn(move || band.iter().map(f).collect::<Vec<R>>())
-                })
-                .collect();
-            let last = &self.items[*bands.last().unwrap()..];
-            let tail: Vec<R> = last.iter().map(f).collect();
-            for h in handles {
-                parts.push(h.join().expect("rayon-shim worker panicked"));
-            }
-            parts.push(tail);
-        });
-        parts.into_iter().flatten().collect()
-    }
-}
-
-/// Exclusive parallel iterator over a slice.
-pub struct ParIterMut<'a, T> {
-    items: &'a mut [T],
-}
-
-impl<'a, T: Send> ParIterMut<'a, T> {
-    /// Applies `f` to every element.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&mut T) + Sync,
-    {
-        self.enumerate().for_each(|(_, item)| f(item));
-    }
-
-    /// Pairs each element with its index.
-    pub fn enumerate(self) -> EnumerateMut<'a, T> {
-        EnumerateMut { items: self.items }
-    }
-}
-
-/// The result of [`ParIterMut::enumerate`].
-pub struct EnumerateMut<'a, T> {
-    items: &'a mut [T],
-}
-
-impl<T: Send> EnumerateMut<'_, T> {
-    /// Applies `f` to every `(index, element)` pair.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn((usize, &mut T)) + Sync,
-    {
-        let n = self.items.len();
-        let bands = band_starts(n);
-        if bands.len() <= 1 {
-            for (i, item) in self.items.iter_mut().enumerate() {
-                f((i, item));
-            }
-            return;
-        }
-        let mut rest = self.items;
-        std::thread::scope(|s| {
-            let mut start = 0usize;
-            for w in bands.windows(2) {
-                let (band, tail) = rest.split_at_mut(w[1] - w[0]);
-                rest = tail;
-                let base = start;
-                let fr = &f;
-                s.spawn(move || {
-                    for (i, item) in band.iter_mut().enumerate() {
-                        fr((base + i, item));
-                    }
-                });
-                start = w[1];
-            }
-            for (i, item) in rest.iter_mut().enumerate() {
-                f((start + i, item));
-            }
-        });
     }
 }
 
@@ -278,64 +151,45 @@ pub struct EnumerateChunksMut<'a, T> {
 }
 
 impl<T: Send> EnumerateChunksMut<'_, T> {
-    /// Applies `f` to every `(chunk_index, chunk)` pair.
+    /// Applies `f` to every `(chunk_index, chunk)` pair, one contiguous band
+    /// of chunks per thread, the first band on the calling thread.
     pub fn for_each<F>(self, f: F)
     where
         F: Fn((usize, &mut [T])) + Sync,
     {
-        let n_chunks = self.data.len().div_ceil(self.size.max(1));
-        let bands = band_starts(n_chunks);
-        if bands.len() <= 1 {
-            for (i, chunk) in self.data.chunks_mut(self.size).enumerate() {
-                f((i, chunk));
+        let size = self.size;
+        let run = |first: usize, band: &mut [T]| {
+            for (i, chunk) in band.chunks_mut(size).enumerate() {
+                f((first + i, chunk));
             }
+        };
+        let n_chunks = self.data.len().div_ceil(size);
+        let threads = current_num_threads().min(n_chunks);
+        if threads <= 1 {
+            run(0, self.data);
             return;
         }
-        let mut rest = self.data;
+        let per = n_chunks.div_ceil(threads);
+        let pool = POOL_THREADS.with(Cell::get);
+        let run = &run;
         std::thread::scope(|s| {
-            let mut chunk_base = 0usize;
-            for w in bands.windows(2) {
-                let elems = ((w[1] - w[0]) * self.size).min(rest.len());
-                let (band, tail) = rest.split_at_mut(elems);
-                rest = tail;
-                let base = chunk_base;
-                let size = self.size;
-                let fr = &f;
+            let mut bands = self.data.chunks_mut(per * size).enumerate();
+            let (_, first) = bands.next().expect("more than one chunk");
+            for (b, band) in bands {
                 s.spawn(move || {
-                    for (i, chunk) in band.chunks_mut(size).enumerate() {
-                        fr((base + i, chunk));
-                    }
+                    POOL_THREADS.with(|c| c.set(pool));
+                    run(b * per, band);
                 });
-                chunk_base = w[1];
             }
-            for (i, chunk) in rest.chunks_mut(self.size).enumerate() {
-                f((chunk_base + i, chunk));
-            }
+            run(0, first);
         });
     }
-}
-
-/// Start offsets of each thread's contiguous band over `n` items, ending
-/// sentinel excluded. A single band means "run inline".
-fn band_starts(n: usize) -> Vec<usize> {
-    let threads = current_num_threads().min(n.max(1));
-    if threads <= 1 || n == 0 {
-        return vec![0];
-    }
-    let per = n.div_ceil(threads);
-    (0..threads).map(|t| t * per).filter(|&s| s < n).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-
-    #[test]
-    fn map_collect_preserves_order() {
-        let input: Vec<u64> = (0..10_000).collect();
-        let out: Vec<u64> = input.par_iter().map(|&x| x * 2).collect();
-        assert_eq!(out, (0..10_000).map(|x| x * 2).collect::<Vec<_>>());
-    }
+    use super::{current_num_threads, ThreadPool, ThreadPoolBuilder};
 
     #[test]
     fn chunks_mut_touches_every_element_once() {
@@ -346,27 +200,69 @@ mod tests {
             }
         });
         assert!(data.iter().enumerate().all(|(i, &x)| x == i as u32 + 1));
-    }
-
-    #[test]
-    fn iter_mut_for_each_mutates_in_place() {
-        let mut data: Vec<usize> = vec![0; 517];
-        data.par_iter_mut().enumerate().for_each(|(i, x)| *x = i + 7);
-        assert!(data.iter().enumerate().all(|(i, &x)| x == i + 7));
+        data.par_chunks_mut(7).for_each(|chunk| chunk.iter_mut().for_each(|x| *x -= 1));
+        assert!(data.iter().enumerate().all(|(i, &x)| x == i as u32));
     }
 
     #[test]
     fn empty_inputs_are_fine() {
-        let empty: Vec<u8> = Vec::new();
-        let out: Vec<u8> = empty.par_iter().map(|&x| x).collect();
-        assert!(out.is_empty());
         let mut nothing: [u16; 0] = [];
         nothing.par_chunks_mut(4).enumerate().for_each(|_| panic!("no chunks expected"));
     }
 
+    fn pool(n: usize) -> ThreadPool {
+        ThreadPoolBuilder::new().num_threads(n).build().unwrap()
+    }
+
     #[test]
-    fn join_returns_both_results() {
-        let (a, b) = super::join(|| 1 + 1, || "two");
-        assert_eq!((a, b), (2, "two"));
+    fn install_scopes_the_thread_count() {
+        let outside = current_num_threads();
+        assert_eq!(pool(3).install(current_num_threads), 3);
+        assert_eq!(current_num_threads(), outside);
+    }
+
+    #[test]
+    fn nested_install_restores_the_outer_count() {
+        let (inner, outer) = pool(5).install(|| {
+            let inner = pool(2).install(current_num_threads);
+            (inner, current_num_threads())
+        });
+        assert_eq!((inner, outer), (2, 5));
+    }
+
+    #[test]
+    fn panic_inside_install_restores_the_callers_count() {
+        let outside = current_num_threads();
+        let caught = std::panic::catch_unwind(|| {
+            pool(7).install(|| panic!("inside the pool"));
+        });
+        assert!(caught.is_err());
+        assert_eq!(current_num_threads(), outside);
+        let inner = pool(4).install(|| {
+            let _ = std::panic::catch_unwind(|| pool(9).install(|| panic!("nested")));
+            current_num_threads()
+        });
+        assert_eq!(inner, 4);
+    }
+
+    #[test]
+    fn bands_spawned_inside_install_see_the_pool_count() {
+        let mut seen = vec![(0, None); 1000];
+        pool(3).install(|| {
+            seen.par_chunks_mut(1).for_each(|c| {
+                c[0] = (current_num_threads(), Some(std::thread::current().id()));
+            })
+        });
+        assert!(seen.iter().all(|&(n, _)| n == 3));
+        let mut ids: Vec<_> = seen.iter().map(|&(_, id)| id).collect();
+        ids.dedup();
+        assert_eq!(ids.len(), 3, "1000 chunks split into one band per pool thread");
+    }
+
+    #[test]
+    fn zero_threads_means_the_default() {
+        let default = current_num_threads();
+        assert_eq!(pool(0).install(current_num_threads), default);
+        assert_eq!(pool(5).install(|| pool(0).install(current_num_threads)), default);
     }
 }

@@ -1,8 +1,8 @@
 //! Equivalence and steady-state properties of the batched
 //! gather→GEMM→scatter transform (the engine's next-messages phase).
 //!
-//! * For every conv family × aggregator × worker/shard split, an engine with
-//!   the batched transform produces bitwise-identical state to the per-node
+//! * For every conv family × aggregator × thread count, an engine with the
+//!   batched transform produces bitwise-identical state to the per-node
 //!   engine. This is exact, not approximate: the GEMM kernel accumulates
 //!   every output element in the same k order as the per-node `vecmul`, and
 //!   tiling/parallelism only change which elements compute together, never
@@ -11,17 +11,20 @@
 //!   deferred targets' neighborhoods into panels and folding them with the
 //!   row-panel aggregator kernels replays the exact per-target reduction
 //!   order, so the batched engine also runs with `apply_batch_threshold: 1`
-//!   here. The reference engine pins both scalar paths with
-//!   `batch_threshold` / `apply_batch_threshold` = `usize::MAX`.
-//! * At the shipped default thresholds the size-based selection takes the
-//!   scalar side on a small round and the batched side on a large one.
+//!   here. The reference engine is the `sequential()` oracle, which never
+//!   runs the batched transform, with `apply_batch_threshold: usize::MAX`
+//!   pinning the scalar apply loop too.
+//! * At the shipped defaults the size-based selection takes the scalar side
+//!   on a small round and the batched side on a large one, and the
+//!   `sequential()` oracle stays scalar however large the round.
 //! * Repeated recompute epochs (`resync`) on a hook-free engine reuse the
 //!   cached matrices and pooled temporaries — reserved bytes stay flat.
 
 use ink_graph::{DeltaBatch, DynGraph};
 use ink_gnn::{Aggregator, Model};
 use ink_tensor::init::{seeded_rng, uniform};
-use inkstream::{InkStream, UpdateConfig};
+use inkstream::config::BATCH_MIN_TARGETS;
+use inkstream::{InkStream, UpdateConfig, UpdateReport};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,85 +47,95 @@ fn model_for(kind: u8, rng: &mut StdRng, agg: Aggregator) -> Model {
     }
 }
 
-/// The bitwise oracle: thresholds no round can reach, so both phases stay on
-/// their scalar per-node / per-target paths.
+/// The bitwise oracle: the sequential engine (per-node transform) with an
+/// apply threshold no round can reach, so both phases stay on their scalar
+/// per-node / per-target paths.
 fn scalar() -> UpdateConfig {
-    UpdateConfig {
-        batch_threshold: usize::MAX,
-        apply_batch_threshold: usize::MAX,
-        ..UpdateConfig::default()
-    }
+    UpdateConfig { apply_batch_threshold: usize::MAX, ..UpdateConfig::default().sequential() }
+}
+
+fn pool(threads: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap()
+}
+
+/// `(0, v)` inserts for every `v` in `vs`: each lands on a so-far isolated
+/// vertex, whose α changes and whose output needs a rebuild.
+fn attach(vs: std::ops::Range<usize>) -> Vec<ink_graph::EdgeChange> {
+    vs.map(|v| ink_graph::EdgeChange::insert(0, v as u32)).collect()
+}
+
+/// Asserts the round ran no GEMM and no batched row in either phase.
+fn assert_scalar(r: &UpdateReport) {
+    assert_eq!((r.gemm_flops, r.batched_rows(), r.batched_apply_rows()), (0, 0, 0));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// Batched engine == per-node engine, bitwise, across GCN/SAGE/GIN ×
-    /// all four aggregators × arbitrary worker/shard splits.
+    /// all four aggregators × 1–4 thread pools. Every round attaches
+    /// `BATCH_MIN_TARGETS` isolated vertices on top of the random delta, so
+    /// the batched path runs on every case.
     #[test]
     fn batched_transform_matches_per_node_bitwise(
         (n, raw_edges) in arb_graph(24),
         seed in 0u64..1000,
         combo in 0usize..12,
-        (workers, shards) in (1usize..5, 1usize..9),
+        threads in 1usize..5,
         delta_size in 1usize..8,
     ) {
         // 12 combos = 3 conv families × 4 aggregators.
         let kind = (combo / 4) as u8;
         let agg =
             [Aggregator::Max, Aggregator::Min, Aggregator::Sum, Aggregator::Mean][combo % 4];
-        let g = DynGraph::undirected_from_edges(n, &raw_edges);
+        let total = n + BATCH_MIN_TARGETS;
+        let g = DynGraph::undirected_from_edges(total, &raw_edges);
         prop_assume!(g.num_edges() > 2);
         let make = |cfg: UpdateConfig| {
             let mut rng = seeded_rng(seed);
-            let x = uniform(&mut rng, n, 4, -1.0, 1.0);
+            let x = uniform(&mut rng, total, 4, -1.0, 1.0);
             let model = model_for(kind, &mut rng, agg);
             InkStream::new(model, g.clone(), x, cfg).unwrap()
         };
         let mut per_node = make(scalar());
-        let mut batched = make(UpdateConfig {
-            batch_threshold: 1,
-            apply_batch_threshold: 1,
-            num_workers: workers,
-            num_shards: shards,
-            parallel_threshold: 0,
-            ..UpdateConfig::default()
-        });
+        let mut batched = make(UpdateConfig { apply_batch_threshold: 1, ..UpdateConfig::default() });
         // Both engines bootstrap to the same state by construction.
         prop_assert_eq!(per_node.output(), batched.output());
         let mut drng = StdRng::seed_from_u64(seed ^ 0x5eed);
-        let delta = DeltaBatch::random_scenario(per_node.graph(), &mut drng, delta_size);
+        let mut changes =
+            DeltaBatch::random_scenario(per_node.graph(), &mut drng, delta_size).changes().to_vec();
+        changes.extend(attach(n..total));
+        let delta = DeltaBatch::new(changes);
         let rp = per_node.apply_delta(&delta);
-        let rb = batched.apply_delta(&delta);
-        prop_assert_eq!(rp.batched_rows(), 0);
-        prop_assert_eq!(rp.gemm_flops, 0);
-        // The scalar reference must not fold panels in the apply phase either.
-        prop_assert_eq!(rp.batched_apply_rows(), 0);
+        let rb = pool(threads).install(|| batched.apply_delta(&delta));
+        // The scalar reference runs no GEMM and folds no panels.
+        assert_scalar(&rp);
         prop_assert_eq!(batched.output(), per_node.output());
         for l in 0..per_node.model().num_layers() {
             prop_assert_eq!(&batched.state().m[l], &per_node.state().m[l]);
             prop_assert_eq!(&batched.state().alpha[l], &per_node.state().alpha[l]);
         }
-        // With threshold 1, any visited target means the batched path ran.
-        if rb.nodes_visited > 0 {
-            prop_assert!(rb.batched_rows() > 0, "threshold 1 must engage the batched path");
-        }
+        prop_assert!(
+            rb.batched_rows() >= BATCH_MIN_TARGETS,
+            "the attached vertices must engage the batched path"
+        );
     }
 }
 
 /// `UpdateConfig::default()` picks scalar vs batched from the observed round
-/// size alone: a round below both shipped thresholds batches nothing, a round
+/// size alone: a round below both shipped cutoffs batches nothing, a round
 /// at/above them batches in both phases, and either way the state is
 /// bitwise-equal to the scalar oracle's.
 #[test]
 fn default_thresholds_select_scalar_below_and_batched_above() {
     let cfg = UpdateConfig::default();
-    // Every `(0, v)` insert below lands on a so-far isolated `v`, whose empty
-    // old neighborhood defers it to the recompute pass. Targets hash into
-    // `shard_count()` shards, so this many of them put at least
-    // `apply_batch_threshold` into one shard whatever the machine's fan-out.
-    let big = (cfg.apply_batch_threshold - 1) * cfg.shard_count() + 1;
-    assert!(big >= cfg.batch_threshold);
+    // A 4-thread pool splits targets into 16 shards. Every `(0, v)` insert
+    // below lands on a so-far isolated `v`, whose empty old neighborhood
+    // defers it to the recompute pass, so this many of them put at least
+    // `apply_batch_threshold` into one shard.
+    let (threads, shards) = (4, 16);
+    let big = (cfg.apply_batch_threshold - 1) * shards + 1;
+    assert!(big >= BATCH_MIN_TARGETS);
     // A 3-vertex path plus isolated vertices 3..n.
     let n = 4 + big;
     let g = DynGraph::undirected_from_edges(n, &[(0, 1), (1, 2)]);
@@ -133,22 +146,46 @@ fn default_thresholds_select_scalar_below_and_batched_above() {
         InkStream::new(model, g.clone(), x, cfg).unwrap()
     };
     let (mut default, mut oracle) = (make(cfg), make(scalar()));
-    let attach = |vs: std::ops::Range<usize>| {
-        DeltaBatch::new(vs.map(|v| ink_graph::EdgeChange::insert(0, v as u32)).collect())
-    };
+    let pool = pool(threads);
 
-    let small = attach(3..4);
-    let (rd, ro) = (default.apply_delta(&small), oracle.apply_delta(&small));
+    let small = DeltaBatch::new(attach(3..4));
+    let (rd, ro) = (pool.install(|| default.apply_delta(&small)), oracle.apply_delta(&small));
     assert!(rd.nodes_visited > 0);
-    assert_eq!((rd.batched_rows(), rd.batched_apply_rows()), (0, 0), "below both thresholds");
-    assert_eq!((ro.batched_rows(), ro.batched_apply_rows()), (0, 0));
+    assert_eq!((rd.batched_rows(), rd.batched_apply_rows()), (0, 0), "below both cutoffs");
+    assert_scalar(&ro);
     assert_eq!(default.output(), oracle.output());
 
-    let large = attach(4..n);
-    let (rd, ro) = (default.apply_delta(&large), oracle.apply_delta(&large));
-    assert!(rd.batched_rows() > 0, "at/above batch_threshold the GEMM path must engage");
+    let large = DeltaBatch::new(attach(4..n));
+    let (rd, ro) = (pool.install(|| default.apply_delta(&large)), oracle.apply_delta(&large));
+    assert!(rd.batched_rows() > 0, "at/above BATCH_MIN_TARGETS the GEMM path must engage");
     assert!(rd.batched_apply_rows() > 0, "at/above apply_batch_threshold panels must fold");
-    assert_eq!((ro.batched_rows(), ro.batched_apply_rows()), (0, 0));
+    assert_scalar(&ro);
+    assert_eq!(default.output(), oracle.output());
+    for l in 0..default.model().num_layers() {
+        assert_eq!(default.state().m[l], oracle.state().m[l]);
+        assert_eq!(default.state().alpha[l], oracle.state().alpha[l]);
+    }
+}
+
+/// `sequential()` is the scalar oracle: however far a round's next-target
+/// count clears `BATCH_MIN_TARGETS`, it runs the per-node transform — no
+/// GEMM, no batched row — and lands bitwise where the default engine's
+/// batched transform does.
+#[test]
+fn sequential_oracle_never_batches() {
+    let n = 3 + 16 * BATCH_MIN_TARGETS;
+    let g = DynGraph::undirected_from_edges(n, &[(0, 1), (1, 2)]);
+    let make = |cfg: UpdateConfig| {
+        let mut rng = seeded_rng(8);
+        let x = uniform(&mut rng, n, 4, -1.0, 1.0);
+        let model = Model::sage(&mut rng, &[4, 6, 3], Aggregator::Mean);
+        InkStream::new(model, g.clone(), x, cfg).unwrap()
+    };
+    let (mut default, mut oracle) = (make(UpdateConfig::default()), make(UpdateConfig::default().sequential()));
+    let delta = DeltaBatch::new(attach(3..n));
+    let (rd, ro) = (default.apply_delta(&delta), oracle.apply_delta(&delta));
+    assert!(rd.batched_rows() >= n - 3 && rd.gemm_flops > 0, "the default engine batches");
+    assert_eq!((ro.gemm_flops, ro.batched_rows()), (0, 0), "the oracle never does");
     assert_eq!(default.output(), oracle.output());
     for l in 0..default.model().num_layers() {
         assert_eq!(default.state().m[l], oracle.state().m[l]);

@@ -315,10 +315,10 @@ fn split_counts(r: &UpdateReport) -> (usize, Vec<usize>, u64, u64) {
 /// On a delta-rule layer targets are sharded by 64-row vertex block and
 /// every shard commits its delta rows in place in the blocks of α and `h`
 /// it owns. Graphs smaller than one block and graphs whose last block is
-/// partial, shard counts from one to more shards than blocks, and 1–4
-/// workers with the parallel paths forced on must all agree bitwise with the
-/// sequential engine — output, α and counts — and with a 2-part engine,
-/// whose traffic alone differs.
+/// partial, and rounds run in 1-, 2-, 4- and 16-thread pools (1–16 workers,
+/// 4–64 shards, always more shards than blocks) must all agree bitwise with
+/// the sequential 1×1 engine — output, α and counts — and with a 2-part
+/// engine, whose traffic alone differs.
 #[test]
 fn block_sharding_is_bitwise_stable_for_every_split() {
     for n in [40usize, 150] {
@@ -338,17 +338,11 @@ fn block_sharding_is_bitwise_stable_for_every_split() {
                 PartitionConfig { parts: 2, update: base, ..Default::default() },
             )
             .unwrap();
-            let mut grid: Vec<(usize, usize, InkStream)> = [1usize, 3, 8, 64]
+            let mut grid: Vec<(usize, rayon::ThreadPool, InkStream)> = [1usize, 2, 4, 16]
                 .into_iter()
-                .flat_map(|s| [1usize, 2, 4].map(|w| (s, w)))
-                .map(|(s, w)| {
-                    let cfg = UpdateConfig {
-                        num_shards: s,
-                        num_workers: w,
-                        parallel_threshold: 0,
-                        ..base
-                    };
-                    (s, w, engine(cfg))
+                .map(|t| {
+                    let pool = rayon::ThreadPoolBuilder::new().num_threads(t).build().unwrap();
+                    (t, pool, engine(base))
                 })
                 .collect();
             let mut drng = StdRng::seed_from_u64(n as u64 ^ 0xb10c);
@@ -374,9 +368,9 @@ fn block_sharding_is_bitwise_stable_for_every_split() {
                     assert!(hub_nbrs.iter().any(|&v| v as usize >= last_block), "{ctx}");
                     assert_eq!(delta_counts(&want).0, hub_nbrs.len(), "{ctx} round {round}");
                 }
-                for (s, w, e) in &mut grid {
-                    let r = step(e);
-                    let what = format!("{ctx} round {round}: {s} shards × {w} workers");
+                for (t, pool, e) in &mut grid {
+                    let r = pool.install(|| step(e));
+                    let what = format!("{ctx} round {round}: {t} threads");
                     assert_eq!(split_counts(&r), split_counts(&want), "{what}");
                     assert!(e.output() == reference.output(), "{what}: output");
                     assert!(e.state().alpha == reference.state().alpha, "{what}: α");

@@ -2,7 +2,8 @@
 //! markdown link in the operator docs resolves to a real file, and the
 //! protocol spec is cross-linked from the places a reader would start —
 //! README, DESIGN.md and the `ink-serve` rustdoc. The metric catalogue in
-//! DESIGN.md §8 is held to the instruments a running system registers.
+//! DESIGN.md §8 is held to the instruments a running system registers, and
+//! the knob list in DESIGN.md §3 to the fields of `UpdateConfig`.
 
 use std::path::{Path, PathBuf};
 
@@ -110,6 +111,36 @@ fn spec_tag_tables_match_the_implementation() {
     for tag in tags {
         assert!(spec.contains(&tag), "spec is missing implemented tag {tag}");
     }
+}
+
+#[test]
+fn knob_catalogue_matches_update_config() {
+    // Grep-level, like the tag tables: the `- `name`` bullets of DESIGN.md
+    // §3's "Ablation flags" list against the `pub` fields of the struct, so
+    // no knob comes (back) undocumented and no documented one is stale.
+    let design = read("DESIGN.md");
+    let section = design
+        .split("### Ablation flags (`UpdateConfig`)")
+        .nth(1)
+        .expect("DESIGN.md §3 lists the UpdateConfig flags");
+    let section = section.split("\n#").next().unwrap();
+    let mut listed: Vec<&str> = section
+        .lines()
+        .filter_map(|l| l.strip_prefix("- `"))
+        .filter_map(|l| l.split('`').next())
+        .collect();
+    let src = read("crates/core/src/config.rs");
+    let body = src.split("pub struct UpdateConfig {").nth(1).expect("UpdateConfig is defined");
+    let body = body.split("\n}").next().unwrap();
+    let mut fields: Vec<&str> = body
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("pub "))
+        .filter_map(|l| l.split(':').next())
+        .collect();
+    listed.sort_unstable();
+    fields.sort_unstable();
+    assert!(fields.len() >= 5, "expected the UpdateConfig fields, found {fields:?}");
+    assert_eq!(listed, fields, "DESIGN.md §3 flag list vs UpdateConfig fields");
 }
 
 /// Family names (`# TYPE <name> <kind>` lines) of a Prometheus text scrape.

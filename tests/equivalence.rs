@@ -10,6 +10,7 @@ use ink_graph::{DeltaBatch, DynGraph, EdgeChange, VertexId};
 use ink_gnn::{full_inference, Aggregator, Model};
 use ink_tensor::init::{seeded_rng, uniform};
 use ink_tensor::Matrix;
+use inkstream::config::PARALLEL_MIN_ITEMS;
 use inkstream::{InkStream, UpdateConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -89,17 +90,26 @@ fn engine_matches_gnn_reference_inference_after_updates() {
 
 #[test]
 fn sequential_and_parallel_configs_agree_bitwise() {
-    let mut a = build_engine("gcn", Aggregator::Max, 11, 80, 240);
-    let mut b = build_engine("gcn", Aggregator::Max, 11, 80, 240);
-    b.set_config(UpdateConfig { parallel_threshold: 1, ..UpdateConfig::default() });
-    let mut cfg_seq = UpdateConfig::default().sequential();
-    cfg_seq.parallel_threshold = usize::MAX;
-    a.set_config(cfg_seq);
+    // Big enough that every gated phase of the round clears
+    // `PARALLEL_MIN_ITEMS`, so the two-thread pool really spawns threads.
+    let mut a = build_engine("gcn", Aggregator::Max, 11, 2000, 6000);
+    let mut b = build_engine("gcn", Aggregator::Max, 11, 2000, 6000);
+    a.set_config(UpdateConfig::default().sequential());
     let mut rng = StdRng::seed_from_u64(3);
-    let delta = DeltaBatch::random_scenario(a.graph(), &mut rng, 20);
-    a.apply_delta(&delta);
-    b.apply_delta(&delta);
+    let delta = DeltaBatch::random_scenario(a.graph(), &mut rng, 400);
+    let ra = a.apply_delta(&delta);
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+    let rb = pool.install(|| b.apply_delta(&delta));
+    let most = |f: fn(&inkstream::LayerStats) -> usize| rb.per_layer.iter().map(f).max();
+    assert!(most(|l| l.events_created) >= Some(PARALLEL_MIN_ITEMS), "group runs on the pool");
+    assert!(most(|l| l.targets) >= Some(PARALLEL_MIN_ITEMS), "apply runs on the pool");
+    assert!(most(|l| l.batched_rows) >= Some(PARALLEL_MIN_ITEMS), "next-messages does");
+    assert_eq!((ra.gemm_flops, ra.batched_rows()), (0, 0), "the oracle never batches");
     assert_eq!(a.output(), b.output());
+    for l in 0..2 {
+        assert_eq!(a.state().alpha[l], b.state().alpha[l], "alpha layer {l}");
+        assert_eq!(a.state().m[l], b.state().m[l], "messages layer {l}");
+    }
 }
 
 #[test]

@@ -179,17 +179,16 @@ proptest! {
 
     /// The sharded parallel pipeline is element-identical to the sequential
     /// one: for every aggregator, random graphs and deltas, an engine with
-    /// `parallel: true` (forced through the parallel code paths with a zero
-    /// threshold and multi-worker/shard splits) must produce bitwise the
-    /// same outputs, α state and messages as `sequential()`.
+    /// `parallel: true` run in a 1–4 thread pool (one worker per thread,
+    /// 4–16 shards) must produce bitwise the same outputs, α state and
+    /// messages as `sequential()`.
     #[test]
     fn parallel_pipeline_matches_sequential_bitwise(
         (n, raw_edges) in arb_graph(24),
         seed in 0u64..1000,
         delta_size in 1usize..10,
         agg_pick in 0usize..4,
-        num_workers in 1usize..5,
-        shard_shift in 0u32..5,
+        threads in 1usize..5,
     ) {
         let agg = [Aggregator::Max, Aggregator::Min, Aggregator::Sum, Aggregator::Mean][agg_pick];
         let g = DynGraph::undirected_from_edges(n, &raw_edges);
@@ -202,17 +201,13 @@ proptest! {
             InkStream::new(model, g.clone(), x, cfg).unwrap()
         };
         let mut seq = make(UpdateConfig::default().sequential());
-        let mut par = make(UpdateConfig {
-            parallel_threshold: 0,
-            num_workers,
-            num_shards: 1 << shard_shift,
-            ..UpdateConfig::default()
-        });
+        let mut par = make(UpdateConfig::default());
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
         let mut drng = StdRng::seed_from_u64(seed ^ 0x5eed);
         for _ in 0..2 {
             let delta = DeltaBatch::random_scenario(seq.graph(), &mut drng, delta_size);
             seq.apply_delta(&delta);
-            par.apply_delta(&delta);
+            pool.install(|| par.apply_delta(&delta));
         }
         prop_assert_eq!(par.output(), seq.output());
         for l in 0..seq.model().num_layers() {
