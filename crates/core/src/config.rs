@@ -5,7 +5,12 @@
 /// rows for generate, events for group, targets for apply and
 /// next-messages) before a parallel engine runs it on the rayon pool.
 /// Below it the phase runs inline. Never changes results.
-pub const PARALLEL_MIN_ITEMS: usize = 512;
+///
+/// The pool's workers are resident, so handing a phase to them costs a few
+/// µs (publish, claim, wait) rather than a thread spawn and join; a sweep
+/// over 32–512 on the repo benchmark found the lowest gate fastest on the
+/// small-batch workloads (DESIGN.md §3, "Gating").
+pub const PARALLEL_MIN_ITEMS: usize = 32;
 
 /// Minimum next-target count before a parallel engine's next-messages phase
 /// switches from the per-node transform to gather→GEMM→scatter: affected

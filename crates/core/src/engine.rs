@@ -149,7 +149,9 @@ fn round_split(parallel: bool) -> (usize, usize) {
 /// `data`, with their indices, on the rayon pool when the round is
 /// `parallel` and the phase has at least [`PARALLEL_MIN_ITEMS`] work items,
 /// inline otherwise. Which one never changes results. Worker and shard
-/// lists go through with `size == 1`.
+/// lists go through with `size == 1`; on the pool, its resident threads and
+/// the caller claim blocks of chunks as they free up, so a shard holding a
+/// hub's targets does not hold the others back.
 fn fan_out<T: Send>(
     parallel: bool,
     work: usize,

@@ -8,7 +8,8 @@
 //!
 //! Neighbor lists are kept sorted so membership tests and edge removal are
 //! `O(log d)` and iteration is cache-friendly. Undirected graphs (all six
-//! benchmark datasets) mirror every edge so the two views coincide.
+//! benchmark datasets) mirror every edge so the two views coincide, and
+//! store only the out-lists: the in-view reads them too.
 
 use crate::{EdgeOp, VertexId};
 
@@ -63,6 +64,8 @@ impl SortedAdj {
 pub struct DynGraph {
     directed: bool,
     out: Vec<SortedAdj>,
+    /// In-lists of a directed graph; empty for an undirected one, whose
+    /// in-lists are its out-lists.
     inn: Vec<SortedAdj>,
     num_edges: usize,
 }
@@ -73,7 +76,7 @@ impl DynGraph {
         Self {
             directed,
             out: vec![SortedAdj::default(); n],
-            inn: vec![SortedAdj::default(); n],
+            inn: if directed { vec![SortedAdj::default(); n] } else { Vec::new() },
             num_edges: 0,
         }
     }
@@ -118,7 +121,9 @@ impl DynGraph {
     /// Adds an isolated vertex, returning its id.
     pub fn add_vertex(&mut self) -> VertexId {
         self.out.push(SortedAdj::default());
-        self.inn.push(SortedAdj::default());
+        if self.directed {
+            self.inn.push(SortedAdj::default());
+        }
         (self.out.len() - 1) as VertexId
     }
 
@@ -138,10 +143,10 @@ impl DynGraph {
         if !self.out[u as usize].insert(v) {
             return false;
         }
-        self.inn[v as usize].insert(u);
-        if !self.directed {
+        if self.directed {
+            self.inn[v as usize].insert(u);
+        } else {
             self.out[v as usize].insert(u);
-            self.inn[u as usize].insert(v);
         }
         self.num_edges += 1;
         true
@@ -152,10 +157,10 @@ impl DynGraph {
         if !self.out[u as usize].remove(v) {
             return false;
         }
-        self.inn[v as usize].remove(u);
-        if !self.directed {
+        if self.directed {
+            self.inn[v as usize].remove(u);
+        } else {
             self.out[v as usize].remove(u);
-            self.inn[u as usize].remove(v);
         }
         self.num_edges -= 1;
         true
@@ -169,10 +174,19 @@ impl DynGraph {
         }
     }
 
+    #[inline]
+    fn in_lists(&self) -> &[SortedAdj] {
+        if self.directed {
+            &self.inn
+        } else {
+            &self.out
+        }
+    }
+
     /// Vertices whose messages `u` aggregates — `N(u)`.
     #[inline]
     pub fn in_neighbors(&self, u: VertexId) -> &[VertexId] {
-        &self.inn[u as usize].0
+        &self.in_lists()[u as usize].0
     }
 
     /// Vertices a change at `u` propagates to.
@@ -184,7 +198,7 @@ impl DynGraph {
     /// In-degree of `u` (`|N(u)|`, the mean-aggregation denominator).
     #[inline]
     pub fn in_degree(&self, u: VertexId) -> usize {
-        self.inn[u as usize].0.len()
+        self.in_lists()[u as usize].0.len()
     }
 
     /// Out-degree of `u`.
@@ -203,7 +217,7 @@ impl DynGraph {
                 removed.push((u, v));
             }
         }
-        for v in self.inn[u as usize].0.clone() {
+        for v in self.in_neighbors(u).to_vec() {
             if self.remove_edge(v, u) {
                 removed.push((v, u));
             }

@@ -91,7 +91,7 @@ fn engine_matches_gnn_reference_inference_after_updates() {
 #[test]
 fn sequential_and_parallel_configs_agree_bitwise() {
     // Big enough that every gated phase of the round clears
-    // `PARALLEL_MIN_ITEMS`, so the two-thread pool really spawns threads.
+    // `PARALLEL_MIN_ITEMS`, so each of them goes to the two-thread pool.
     let mut a = build_engine("gcn", Aggregator::Max, 11, 2000, 6000);
     let mut b = build_engine("gcn", Aggregator::Max, 11, 2000, 6000);
     a.set_config(UpdateConfig::default().sequential());
