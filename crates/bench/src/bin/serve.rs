@@ -507,8 +507,8 @@ fn main() {
         eprintln!("throughput floor OK: {v2_ops_per_s:.0} >= {floor:.0} edge-ops/s");
     }
     // Apply floor: the raw-apply series must sustain the floor — a
-    // regression in the pool, the router or the writer loop shows up here
-    // even when admission throughput is unaffected.
+    // regression in partition stepping, the router or the writer loop
+    // shows up here even when admission throughput is unaffected.
     if let Ok(floor) = std::env::var("INK_BENCH_MIN_APPLY_PER_S") {
         let floor: f64 = floor.parse().expect("INK_BENCH_MIN_APPLY_PER_S must be a float");
         if apply_per_s < floor {

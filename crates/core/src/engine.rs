@@ -248,28 +248,7 @@ impl InkStream {
                 detail: format!("features {:?} for n={n}, in_dim={}", features.shape(), model.in_dim()),
             });
         }
-        if state.m.len() != k || state.alpha.len() != k {
-            return Err(InkError::ShapeMismatch {
-                detail: format!("state has {} layers, model has {k}", state.m.len()),
-            });
-        }
-        for l in 0..k {
-            let want = (n, model.msg_dim(l));
-            if state.m[l].shape() != want || state.alpha[l].shape() != want {
-                return Err(InkError::ShapeMismatch {
-                    detail: format!(
-                        "layer {l}: m {:?} / alpha {:?}, expected {want:?}",
-                        state.m[l].shape(),
-                        state.alpha[l].shape()
-                    ),
-                });
-            }
-        }
-        if state.h.shape() != (n, model.out_dim()) {
-            return Err(InkError::ShapeMismatch {
-                detail: format!("output {:?}, expected ({n}, {})", state.h.shape(), model.out_dim()),
-            });
-        }
+        check_state_shape(&model, n, &state)?;
         let user_cache = (0..k)
             .map(|l| hooks.as_deref().and_then(|h| h.init_cache(l, &state.m[l])))
             .collect();
@@ -1693,34 +1672,8 @@ impl InkStream {
     /// local subgraph instead.
     pub fn adopt_state(&mut self, state: FullState) -> Result<(), InkError> {
         assert!(self.round.is_none(), "cannot adopt state mid-round");
-        let n = self.graph.num_vertices();
+        check_state_shape(&self.model, self.graph.num_vertices(), &state)?;
         let k = self.model.num_layers();
-        if state.m.len() != k || state.alpha.len() != k {
-            return Err(InkError::ShapeMismatch {
-                detail: format!("state has {} layers, model has {k}", state.m.len()),
-            });
-        }
-        for l in 0..k {
-            let want = (n, self.model.msg_dim(l));
-            if state.m[l].shape() != want || state.alpha[l].shape() != want {
-                return Err(InkError::ShapeMismatch {
-                    detail: format!(
-                        "layer {l}: m {:?} / alpha {:?}, expected {want:?}",
-                        state.m[l].shape(),
-                        state.alpha[l].shape()
-                    ),
-                });
-            }
-        }
-        if state.h.shape() != (n, self.model.out_dim()) {
-            return Err(InkError::ShapeMismatch {
-                detail: format!(
-                    "output {:?}, expected ({n}, {})",
-                    state.h.shape(),
-                    self.model.out_dim()
-                ),
-            });
-        }
         self.user_cache = (0..k)
             .map(|l| self.hooks.as_deref().and_then(|h| h.init_cache(l, &state.m[l])))
             .collect();
@@ -1728,6 +1681,35 @@ impl InkStream {
         self.mark_all_dirty();
         Ok(())
     }
+}
+
+/// Checks that `state` has one `m` and one `α` per layer of `model`, each
+/// `n × msg_dim(l)`, and an `n × out_dim` output `h`.
+fn check_state_shape(model: &Model, n: usize, state: &FullState) -> Result<(), InkError> {
+    let k = model.num_layers();
+    if state.m.len() != k || state.alpha.len() != k {
+        return Err(InkError::ShapeMismatch {
+            detail: format!("state has {} layers, model has {k}", state.m.len()),
+        });
+    }
+    for l in 0..k {
+        let want = (n, model.msg_dim(l));
+        if state.m[l].shape() != want || state.alpha[l].shape() != want {
+            return Err(InkError::ShapeMismatch {
+                detail: format!(
+                    "layer {l}: m {:?} / alpha {:?}, expected {want:?}",
+                    state.m[l].shape(),
+                    state.alpha[l].shape()
+                ),
+            });
+        }
+    }
+    if state.h.shape() != (n, model.out_dim()) {
+        return Err(InkError::ShapeMismatch {
+            detail: format!("output {:?}, expected ({n}, {})", state.h.shape(), model.out_dim()),
+        });
+    }
+    Ok(())
 }
 
 /// Shared ownership predicate: no mask means the engine owns everything;

@@ -30,11 +30,11 @@ pub enum InkError {
         /// The rendered `std::io::Error`.
         detail: String,
     },
-    /// A partition worker thread panicked mid-round. The worker pool is
-    /// poisoned: every subsequent round fails fast with this error until
+    /// A partition engine's step panicked mid-round. The partitioned driver
+    /// is poisoned: every subsequent round fails fast with this error until
     /// the session is rebuilt via `resync()`.
     WorkerPanic {
-        /// Index of the partition whose worker panicked.
+        /// Index of the partition whose step panicked.
         partition: usize,
         /// Rendered panic payload, when it was a string.
         detail: String,

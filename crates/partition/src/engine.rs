@@ -12,10 +12,12 @@
 //!    message rows.
 //! 2. **`round_begin`** on every engine (graph mutation + seeds, owner-side
 //!    only thanks to each engine's ownership mask).
-//! 3. Per layer `l`: `round_rescale(l)` on every engine (pool workers) →
-//!    **boundary exchange** (each owner's recorded layer-`l` rows are pushed
-//!    to every mirror via `round_ingest_refresh`) → `round_process(l)` on
-//!    every engine.
+//! 3. Per layer `l`: `round_rescale(l)` on every engine → **boundary
+//!    exchange** (each owner's recorded layer-`l` rows are pushed to every
+//!    mirror via `round_ingest_refresh`) → `round_process(l)` on every
+//!    engine. Both steps run the engines as blocks of one parallel call on
+//!    the caller's rayon pool, so each engine's own phases run inline on the
+//!    thread that claimed it; a 1-thread pool steps them serially.
 //! 4. **`round_finish`** everywhere; the per-partition [`UpdateReport`]s fold
 //!    into one via [`UpdateReport::absorb`].
 //!
@@ -33,7 +35,6 @@
 
 use crate::metrics::PartitionInstruments;
 use crate::partitioner::Partitioner;
-use crate::pool::{StepOp, WorkerPool};
 use crate::replication::ReplicationTable;
 use crate::router::DeltaRouter;
 use ink_graph::stats::{partition_quality, PartitionQuality};
@@ -46,6 +47,8 @@ use inkstream::{
     Engine, InkError, InkStream, ResyncReport, RowSource, SessionConfig, StreamSession,
     UpdateConfig, UpdateReport, UserHooks, DEFAULT_TRACE_CAPACITY,
 };
+use rayon::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -60,29 +63,38 @@ pub type ModelFactory = Box<dyn Fn() -> Model + Send + Sync>;
 /// targeting the vertex whose message changed.
 pub type HooksFactory = Box<dyn Fn() -> Box<dyn UserHooks> + Send + Sync>;
 
-/// Tunables of the partitioned driver.
+/// Tunables of the partitioned driver. How many threads step the
+/// partitions follows the rayon pool the driver is called in (the global
+/// pool, or a `ThreadPool::install`); a 1-thread pool steps them serially,
+/// with the same results.
 #[derive(Clone, Copy, Debug)]
 pub struct PartitionConfig {
     /// Number of partitions (≥ 1).
     pub parts: usize,
     /// Per-engine update configuration (shared by every partition).
     pub update: UpdateConfig,
-    /// Step the partitions on the persistent [`WorkerPool`] (`false` =
-    /// serial on the caller's thread, same results — parallelism only
-    /// trades wall-clock). A single partition always steps serially.
-    pub parallel: bool,
-    /// Pool worker-thread count (`None` = one per partition, clamped to
-    /// `[1, parts]`).
-    pub pool_workers: Option<usize>,
 }
 
 impl Default for PartitionConfig {
     fn default() -> Self {
-        Self {
-            parts: 2,
-            update: UpdateConfig::default(),
-            parallel: true,
-            pool_workers: None,
+        Self { parts: 2, update: UpdateConfig::default() }
+    }
+}
+
+/// The engine step a round runs on every partition.
+#[derive(Clone, Copy)]
+enum StepOp {
+    /// [`InkStream::round_rescale`] on the given layer.
+    Rescale(usize),
+    /// [`InkStream::round_process`] on the given layer.
+    Process(usize),
+}
+
+impl StepOp {
+    fn run(self, e: &mut InkStream) {
+        match self {
+            StepOp::Rescale(l) => e.round_rescale(l),
+            StepOp::Process(l) => e.round_process(l),
         }
     }
 }
@@ -127,10 +139,10 @@ pub struct PartitionedInkStream {
     walls: Vec<Duration>,
     registry: Arc<MetricsRegistry>,
     inst: PartitionInstruments,
-    /// Persistent worker pool. `None` when stepping serially (`parallel`
-    /// off, or a single partition — nothing to overlap with, so a wake +
-    /// park per layer step would be pure overhead).
-    pool: Option<WorkerPool>,
+    /// The [`InkError::WorkerPanic`] of an engine step that panicked. While
+    /// set, every round fails fast with it before touching any graph;
+    /// [`PartitionedInkStream::resync`] clears it.
+    poisoned: Option<InkError>,
 }
 
 impl PartitionedInkStream {
@@ -209,8 +221,6 @@ impl PartitionedInkStream {
         inst.cut_edges.set_u64(cut_edges as u64);
         inst.replicas.set_u64(table.total_mirrors() as u64);
         let router = DeltaRouter::new(assignment, parts, graph.is_directed());
-        let pool = (cfg.parallel && parts > 1)
-            .then(|| WorkerPool::new(parts, cfg.pool_workers.unwrap_or(parts), &registry));
         Ok(Self {
             engines,
             router,
@@ -225,7 +235,7 @@ impl PartitionedInkStream {
             walls: vec![Duration::ZERO; parts],
             registry,
             inst,
-            pool,
+            poisoned: None,
         })
     }
 
@@ -353,19 +363,20 @@ impl PartitionedInkStream {
     ///
     /// # Panics
     ///
-    /// When the worker pool is poisoned by an earlier panic — callers that
-    /// must survive a worker panic use
+    /// When an engine step panicked in this round or an earlier one —
+    /// callers that must survive that use
     /// [`PartitionedInkStream::try_apply_delta`] (which is what
     /// [`Engine::apply`] calls) instead.
     pub fn apply_delta(&mut self, delta: &DeltaBatch) -> UpdateReport {
         self.try_apply_delta(delta)
-            .expect("edge-only rounds cannot fail validation on a healthy pool")
+            .expect("edge-only rounds cannot fail validation on a healthy driver")
     }
 
-    /// Fallible [`PartitionedInkStream::apply_delta`]: surfaces a pool
-    /// worker panic as [`InkError::WorkerPanic`] instead of unwinding the
-    /// caller. After such an error the pool is poisoned — every further call
-    /// fails fast with the same error until [`PartitionedInkStream::resync`].
+    /// Fallible [`PartitionedInkStream::apply_delta`]: surfaces a panic in an
+    /// engine step as [`InkError::WorkerPanic`] instead of unwinding the
+    /// caller. After such an error the driver is poisoned — every further
+    /// round fails fast with the same error until
+    /// [`PartitionedInkStream::resync`].
     pub fn try_apply_delta(&mut self, delta: &DeltaBatch) -> Result<UpdateReport, InkError> {
         self.round(delta, &[])
     }
@@ -389,6 +400,9 @@ impl PartitionedInkStream {
         feat: &[f32],
         neighbors: &[VertexId],
     ) -> Result<(VertexId, UpdateReport), InkError> {
+        // The graph, features, engines and router all grow below, before
+        // the round that wires the edges; a poisoned driver must not start.
+        self.check_poison()?;
         let in_dim = self.engines[0].model().in_dim();
         if feat.len() != in_dim {
             return Err(InkError::ShapeMismatch {
@@ -419,7 +433,7 @@ impl PartitionedInkStream {
         self.router.push_vertex(part);
         let changes: Vec<EdgeChange> =
             neighbors.iter().map(|&n| EdgeChange::insert(v, n)).collect();
-        let report = self.apply_delta(&DeltaBatch::new(changes));
+        let report = self.try_apply_delta(&DeltaBatch::new(changes))?;
         Ok((v, report))
     }
 
@@ -436,7 +450,7 @@ impl PartitionedInkStream {
             changes
                 .extend(self.graph.in_neighbors(v).iter().map(|&n| EdgeChange::remove(n, v)));
         }
-        Ok(self.apply_delta(&DeltaBatch::new(changes)))
+        self.try_apply_delta(&DeltaBatch::new(changes))
     }
 
     /// Rebuilds every partition's cached state from one fresh global
@@ -445,7 +459,7 @@ impl PartitionedInkStream {
     /// equal to full recomputation.
     pub fn resync(&mut self) -> ResyncReport {
         let t0 = Instant::now();
-        // A worker panic can leave sibling engines with rounds still open
+        // A panicked step can leave sibling engines with rounds still open
         // (the driver aborts them on the error path, but belt-and-braces:
         // adopt_state below asserts no round is active).
         for e in &mut self.engines {
@@ -473,10 +487,8 @@ impl PartitionedInkStream {
             e.adopt_state(state.clone()).expect("resync state matches engine shapes");
             f32_written += per_engine;
         }
-        // Every engine's state is authoritative again; the pool may serve.
-        if let Some(pool) = &self.pool {
-            pool.clear_poison();
-        }
+        // Every engine's state is authoritative again; rounds may run.
+        self.poisoned = None;
         ResyncReport { elapsed: t0.elapsed(), f32_written }
     }
 
@@ -487,11 +499,7 @@ impl PartitionedInkStream {
         fx: &[(VertexId, Vec<f32>)],
     ) -> Result<UpdateReport, InkError> {
         let t0 = Instant::now();
-        // Fail fast on a poisoned pool before mutating any graph replica —
-        // the driver and engine graphs must stay in lockstep for resync.
-        if let Some(p) = self.pool.as_ref().and_then(|pool| pool.poisoned()) {
-            return Err(InkError::WorkerPanic { partition: p.partition, detail: p.detail });
-        }
+        self.check_poison()?;
         // Validate feature updates before any mutation anywhere.
         let in_dim = self.engines[0].model().in_dim();
         for (v, feat) in fx {
@@ -610,46 +618,68 @@ impl PartitionedInkStream {
         Ok(report)
     }
 
-    /// Runs `op` over every engine — through the persistent pool, or serially
-    /// when there is none — and accumulates per-partition wall time plus the
-    /// straggler skew. On a worker panic the surviving engines' rounds are
-    /// aborted (restoring the "no active round" invariant `resync` relies
-    /// on) and the typed error propagates.
+    /// Fails fast with the stored [`InkError::WorkerPanic`] while the driver
+    /// is poisoned, before any graph replica mutates: the driver and engine
+    /// graphs must stay in lockstep for resync.
+    fn check_poison(&self) -> Result<(), InkError> {
+        self.poisoned.clone().map_or(Ok(()), Err)
+    }
+
+    /// Runs `op` over every engine, one engine per block of a parallel call
+    /// on the caller's rayon pool, and accumulates per-partition wall time,
+    /// the hand-off delay and the straggler skew. A panicking step is caught
+    /// there; the driver then aborts every engine's round (restoring the "no
+    /// active round" invariant `resync` relies on), poisons itself and
+    /// returns the typed error.
     fn step(&mut self, op: StepOp) -> Result<(), InkError> {
-        let durations: Vec<Duration> = if let Some(pool) = &self.pool {
-            match pool.step(&mut self.engines, op) {
-                Ok(d) => d,
-                Err(p) => {
-                    for e in &mut self.engines {
-                        e.round_abort();
-                    }
-                    return Err(InkError::WorkerPanic {
-                        partition: p.partition,
-                        detail: p.detail,
-                    });
-                }
-            }
-        } else {
-            self.engines
-                .iter_mut()
-                .map(|e| {
-                    let t = Instant::now();
-                    op.run(e);
-                    t.elapsed()
-                })
-                .collect()
-        };
+        struct Slot<'a> {
+            engine: &'a mut InkStream,
+            handoff: Duration,
+            took: Duration,
+            panic: Option<String>,
+        }
+        let start = Instant::now();
+        let mut slots: Vec<Slot<'_>> = self
+            .engines
+            .iter_mut()
+            .map(|engine| Slot {
+                engine,
+                handoff: Duration::ZERO,
+                took: Duration::ZERO,
+                panic: None,
+            })
+            .collect();
+        slots.par_chunks_mut(1).for_each(|chunk| {
+            let slot = &mut chunk[0];
+            let t = Instant::now();
+            slot.handoff = t - start;
+            slot.panic = catch_unwind(AssertUnwindSafe(|| op.run(slot.engine)))
+                .err()
+                .map(|payload| payload_str(payload.as_ref()));
+            slot.took = t.elapsed();
+        });
         let (mut min, mut max) = (Duration::MAX, Duration::ZERO);
-        for ((d, wall), counter) in
-            durations.iter().zip(self.walls.iter_mut()).zip(&self.inst.wall_ns)
-        {
-            *wall += *d;
-            counter.add(d.as_nanos() as u64);
-            min = min.min(*d);
-            max = max.max(*d);
+        let mut panicked = None;
+        for (p, slot) in slots.into_iter().enumerate() {
+            self.walls[p] += slot.took;
+            self.inst.wall_ns[p].add(slot.took.as_nanos() as u64);
+            self.inst.park_ns.record(slot.handoff.as_nanos() as u64);
+            min = min.min(slot.took);
+            max = max.max(slot.took);
+            if let Some(detail) = slot.panic {
+                panicked.get_or_insert(InkError::WorkerPanic { partition: p, detail });
+            }
         }
         if self.engines.len() > 1 {
             self.inst.step_skew.record((max - min).as_nanos() as u64);
+        }
+        if let Some(err) = panicked {
+            for e in &mut self.engines {
+                e.round_abort();
+            }
+            self.inst.panics.inc();
+            self.poisoned = Some(err.clone());
+            return Err(err);
         }
         Ok(())
     }
@@ -778,6 +808,18 @@ fn subgraph(g: &DynGraph, assignment: &[u32], p: u32) -> DynGraph {
     sub
 }
 
+/// Renders a panic payload: the message for `&str`/`String` panics, a
+/// placeholder otherwise.
+fn payload_str(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 /// Cut edges of `g` under `assignment` (undirected edges count once).
 fn count_cut_edges(g: &DynGraph, assignment: &[u32]) -> usize {
     g.edges()
@@ -789,7 +831,7 @@ fn count_cut_edges(g: &DynGraph, assignment: &[u32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partitioner::{GreedyEdgeCut, HashPartitioner};
+    use crate::partitioner::HashPartitioner;
     use ink_gnn::Aggregator;
     use ink_graph::generators::erdos_renyi;
     use ink_tensor::init::{seeded_rng, uniform};
@@ -866,71 +908,23 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_stepping_agree() {
-        let mut rng = seeded_rng(5);
-        let g = erdos_renyi(&mut rng, 20, 45);
-        let x = uniform(&mut rng, 20, 4, -1.0, 1.0);
-        let mk = |parallel| {
-            PartitionedInkStream::new(
-                || gcn(3),
-                g.clone(),
-                x.clone(),
-                GreedyEdgeCut,
-                PartitionConfig { parts: 3, parallel, ..Default::default() },
-            )
-            .unwrap()
-        };
-        let (mut a, mut b) = (mk(true), mk(false));
-        let delta = DeltaBatch::new(vec![EdgeChange::insert(0, 11), EdgeChange::remove(1, 2)]);
-        a.apply_delta(&delta);
-        b.apply_delta(&delta);
-        assert_eq!(a.output(), b.output());
-    }
-
-    #[test]
-    fn single_partition_steps_inline_without_a_pool() {
-        let (mut single, mut parted) = setup(1);
-        assert!(parted.cfg.parallel, "the default config asks for the pool");
-        assert!(parted.pool.is_none(), "one partition has nothing to overlap with");
-        let delta = DeltaBatch::new(vec![EdgeChange::insert(0, 13), EdgeChange::remove(1, 2)]);
-        single.apply_delta(&delta);
-        parted.apply_delta(&delta);
-        assert_eq!(&parted.output(), single.output());
-    }
-
-    #[test]
-    fn pool_narrow_pool_and_serial_agree() {
-        let mut rng = seeded_rng(11);
-        let g = erdos_renyi(&mut rng, 22, 50);
-        let x = uniform(&mut rng, 22, 4, -1.0, 1.0);
-        let mk = |parallel, pool_workers| {
-            PartitionedInkStream::new(
-                || gcn(9),
-                g.clone(),
-                x.clone(),
-                HashPartitioner,
-                PartitionConfig { parts: 4, parallel, pool_workers, ..Default::default() },
-            )
-            .unwrap()
-        };
-        let mut pool = mk(true, None);
-        let mut narrow = mk(true, Some(1));
-        let mut serial = mk(false, None);
-        assert_eq!(pool.pool.as_ref().unwrap().workers(), 4);
-        assert_eq!(narrow.pool.as_ref().unwrap().workers(), 1);
-        assert!(serial.pool.is_none());
+    fn every_pool_width_matches_the_single_engine() {
         let delta = DeltaBatch::new(vec![
             EdgeChange::insert(0, 13),
             EdgeChange::insert(7, 19),
             EdgeChange::remove(0, 13),
+            EdgeChange::remove(1, 2),
         ]);
-        let rs = serial.apply_delta(&delta);
-        let rp = pool.apply_delta(&delta);
-        let rn = narrow.apply_delta(&delta);
-        assert_eq!(pool.output(), serial.output());
-        assert_eq!(narrow.output(), serial.output());
-        assert_eq!(rp.output_changed, rs.output_changed);
-        assert_eq!(rn.output_changed, rs.output_changed);
+        // 4 parts on 1 thread steps every engine inline in turn; on 2
+        // threads each thread takes two; on 4 one each.
+        for threads in [1, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let (mut single, mut parted) = setup(4);
+            let rs = single.apply_delta(&delta);
+            let rp = pool.install(|| parted.apply_delta(&delta));
+            assert_eq!(&parted.output(), single.output(), "{threads} threads");
+            assert_eq!(rp.output_changed, rs.output_changed, "{threads} threads");
+        }
     }
 
     #[test]

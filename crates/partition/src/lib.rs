@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! # ink-partition
 //!
 //! Partition-parallel incremental inference: [`PartitionedInkStream`] splits
@@ -19,13 +20,12 @@
 //! * [`replication`] — [`ReplicationTable`] tracks, per boundary vertex, the
 //!   foreign partitions holding a ghost copy, refcounted by cut edges.
 //! * [`engine`] — [`PartitionedInkStream`]: the BSP driver stepping every
-//!   engine layer by layer with a boundary-row exchange in between. It
+//!   engine layer by layer with a boundary-row exchange in between. Each
+//!   step runs the engines as blocks on the caller's rayon pool; a panicking
+//!   step poisons the driver into a typed error instead of aborting. It
 //!   implements [`inkstream::Engine`], so ingest batching, drift audits,
 //!   breach actions and the summary come from the one
 //!   [`inkstream::StreamSession`] that also wraps a single engine.
-//! * [`pool`] — [`pool::WorkerPool`]: one persistent, parked worker thread
-//!   per partition, woken per round step via condvar/epoch-counter barriers;
-//!   worker panics poison the pool into a typed error instead of aborting.
 //!
 //! ## Ownership model
 //!
@@ -71,12 +71,10 @@
 pub mod engine;
 pub mod metrics;
 pub mod partitioner;
-pub mod pool;
 pub mod replication;
 pub mod router;
 
 pub use engine::{PartitionConfig, PartitionSummary, PartitionedInkStream};
 pub use partitioner::{GreedyEdgeCut, HashPartitioner, Partitioner};
-pub use pool::{PoolPanic, StepOp, WorkerPool};
 pub use replication::ReplicationTable;
 pub use router::DeltaRouter;

@@ -29,6 +29,12 @@ pub struct PartitionInstruments {
     pub step_skew: Arc<Histogram>,
     /// Cumulative per-partition wall time inside rescale/process steps.
     pub wall_ns: Vec<Arc<Counter>>,
+    /// Per partition and step, the delay from the step's start to that
+    /// engine's block starting on the rayon pool: the hand-off cost.
+    pub park_ns: Arc<Histogram>,
+    /// Engine steps that panicked (each one poisons the driver until
+    /// resync).
+    pub panics: Arc<Counter>,
 }
 
 impl PartitionInstruments {
@@ -66,6 +72,14 @@ impl PartitionInstruments {
                     )
                 })
                 .collect(),
+            park_ns: r.histogram(
+                "ink_partition_pool_park_ns",
+                "Delay from a step's start to one engine's block starting on the pool",
+            ),
+            panics: r.counter(
+                "ink_partition_pool_panics_total",
+                "Engine step panics captured (driver poisoned until resync)",
+            ),
         }
     }
 }

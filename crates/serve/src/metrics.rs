@@ -43,7 +43,7 @@ pub struct ServerMetrics {
     /// one connection's frame processing until the next drain).
     pub stalls: Arc<Counter>,
     /// Epochs whose backend apply reported an error (drift-audit breach
-    /// under a `Fail` policy, or a poisoned partition worker pool). The
+    /// under a `Fail` policy, or a poisoned partitioned driver). The
     /// server keeps serving the last good snapshot either way.
     pub apply_errors: Arc<Counter>,
     /// Live client connections.

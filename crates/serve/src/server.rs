@@ -325,9 +325,9 @@ fn apply_epoch<E: Engine>(
         {
             let _span = shared.tracer.span("serve", "ingest");
             // A Fail drift-policy breach, or an engine that refused the
-            // batch (a worker panic poisoned the partition pool). The
-            // serving loop keeps going either way — readers stay on the
-            // last good snapshot.
+            // batch (a panicked engine step poisoned the partitioned
+            // driver). The serving loop keeps going either way — readers
+            // stay on the last good snapshot.
             if session.ingest(&batch).is_err() {
                 shared.metrics.apply_errors.inc();
             }

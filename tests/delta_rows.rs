@@ -87,7 +87,7 @@ impl Trio {
             g.clone(),
             x.clone(),
             HashPartitioner,
-            PartitionConfig { parts: 2, update: base, ..Default::default() },
+            PartitionConfig { parts: 2, update: base },
         )
         .unwrap();
         Self { default, sequential, parted }
@@ -335,7 +335,7 @@ fn block_sharding_is_bitwise_stable_for_every_split() {
                 g.clone(),
                 x.clone(),
                 HashPartitioner,
-                PartitionConfig { parts: 2, update: base, ..Default::default() },
+                PartitionConfig { parts: 2, update: base },
             )
             .unwrap();
             let mut grid: Vec<(usize, rayon::ThreadPool, InkStream)> = [1usize, 2, 4, 16]

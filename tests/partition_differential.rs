@@ -19,6 +19,7 @@ use inkstream::{
     SessionConfig, StreamSession, UpdateConfig, UserHooks,
 };
 use proptest::prelude::*;
+use proptest::TestCaseError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -50,7 +51,6 @@ fn build_pair(
     model_pick: usize,
     parts: usize,
     greedy: bool,
-    pool_workers: Option<usize>,
 ) -> (InkStream, PartitionedInkStream) {
     let (g, x) = base_inputs(seed);
     // Threshold 1 sends every empty-old target's full-row recomputation
@@ -59,7 +59,7 @@ fn build_pair(
     let single = InkStream::new(make_model(seed, agg, model_pick), g.clone(), x.clone(), cfg)
         .expect("single engine");
     let factory = move || make_model(seed, agg, model_pick);
-    let pcfg = PartitionConfig { parts, update: cfg, pool_workers, ..Default::default() };
+    let pcfg = PartitionConfig { parts, update: cfg };
     let parted = if greedy {
         PartitionedInkStream::new(factory, g, x, GreedyEdgeCut, pcfg)
     } else {
@@ -67,6 +67,12 @@ fn build_pair(
     }
     .expect("partitioned engine");
     (single, parted)
+}
+
+/// A rayon pool of `threads` threads: the partitioned driver steps its
+/// engines on whichever pool it is called in.
+fn pool(threads: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap()
 }
 
 /// A vertex currently replicated on at least one foreign partition, if any.
@@ -81,9 +87,9 @@ proptest! {
     /// The tentpole acceptance property: streams of random edge churn with
     /// periodic boundary-vertex feature updates keep the merged partitioned
     /// output bitwise equal to the single engine, for every aggregator,
-    /// model family, partition count 1–8, both partitioners, and the pool
-    /// at one worker per partition or squeezed to a single worker (whose
-    /// round-robin engine assignment must still cover every partition).
+    /// model family, partition count 1–8, both partitioners, and a 1–4
+    /// thread pool (fewer threads than partitions steps several engines on
+    /// one thread; one thread steps them all inline).
     #[test]
     fn partitioned_stream_is_bitwise_identical(
         seed in 0u64..500,
@@ -91,38 +97,40 @@ proptest! {
         agg_pick in 0usize..4,
         model_pick in 0usize..3,
         parts in 1usize..=8,
-        (greedy, narrow_pool) in (proptest::bool::ANY, proptest::bool::ANY),
+        (greedy, threads) in (proptest::bool::ANY, 1usize..=4),
     ) {
         let agg = AGGS[agg_pick];
-        let (mut single, mut parted) =
-            build_pair(seed, agg, model_pick, parts, greedy, narrow_pool.then_some(1));
+        let (mut single, mut parted) = build_pair(seed, agg, model_pick, parts, greedy);
         prop_assert_eq!(&parted.output(), single.output());
-        let mut drng = StdRng::seed_from_u64(seed ^ 0xd41f);
-        let mut frng = seeded_rng(seed ^ 0x11fe);
-        for round in 0..rounds {
-            let delta = DeltaBatch::random_scenario(single.graph(), &mut drng, 5);
-            let rs = single.apply_delta(&delta);
-            let rp = parted.apply_delta(&delta);
-            prop_assert_eq!(rs.skipped_changes, rp.skipped_changes);
-            prop_assert_eq!(rs.output_changed, rp.output_changed);
-            prop_assert_eq!(&parted.output(), single.output());
-            // Every other round, poke a replicated boundary vertex's input
-            // feature so mirror refreshes at layer 0 are exercised.
-            if round % 2 == 1 {
-                if let Some(v) = boundary_vertex(&parted) {
-                    let feat: Vec<f32> = uniform(&mut frng, 1, 4, -1.0, 1.0).row(0).to_vec();
-                    single.update_vertex_feature(v, &feat).unwrap();
-                    parted.update_vertex_feature(v, &feat).unwrap();
-                    prop_assert_eq!(&parted.output(), single.output());
+        pool(threads).install(|| -> Result<(), TestCaseError> {
+            let mut drng = StdRng::seed_from_u64(seed ^ 0xd41f);
+            let mut frng = seeded_rng(seed ^ 0x11fe);
+            for round in 0..rounds {
+                let delta = DeltaBatch::random_scenario(single.graph(), &mut drng, 5);
+                let rs = single.apply_delta(&delta);
+                let rp = parted.apply_delta(&delta);
+                prop_assert_eq!(rs.skipped_changes, rp.skipped_changes);
+                prop_assert_eq!(rs.output_changed, rp.output_changed);
+                prop_assert_eq!(&parted.output(), single.output());
+                // Every other round, poke a replicated boundary vertex's input
+                // feature so mirror refreshes at layer 0 are exercised.
+                if round % 2 == 1 {
+                    if let Some(v) = boundary_vertex(&parted) {
+                        let feat: Vec<f32> = uniform(&mut frng, 1, 4, -1.0, 1.0).row(0).to_vec();
+                        single.update_vertex_feature(v, &feat).unwrap();
+                        parted.update_vertex_feature(v, &feat).unwrap();
+                        prop_assert_eq!(&parted.output(), single.output());
+                    }
                 }
             }
-        }
-        // Ghost rows must mirror their owners exactly after the stream.
-        prop_assert_eq!(parted.mirror_deviation(), 0.0);
-        // Monotonic aggregation additionally matches full recomputation.
-        if agg.is_monotonic() {
-            prop_assert_eq!(&parted.output(), &single.recompute_reference());
-        }
+            // Ghost rows must mirror their owners exactly after the stream.
+            prop_assert_eq!(parted.mirror_deviation(), 0.0);
+            // Monotonic aggregation additionally matches full recomputation.
+            if agg.is_monotonic() {
+                prop_assert_eq!(&parted.output(), &single.recompute_reference());
+            }
+            Ok(())
+        })?;
     }
 
     /// Boundary-vertex churn: deleting a replicated vertex (retiring its
@@ -134,48 +142,50 @@ proptest! {
         agg_pick in 0usize..4,
         model_pick in 0usize..3,
         parts in 2usize..=8,
-        (greedy, narrow_pool) in (proptest::bool::ANY, proptest::bool::ANY),
+        (greedy, threads) in (proptest::bool::ANY, 1usize..=4),
     ) {
         let agg = AGGS[agg_pick];
-        let (mut single, mut parted) =
-            build_pair(seed, agg, model_pick, parts, greedy, narrow_pool.then_some(1));
+        let (mut single, mut parted) = build_pair(seed, agg, model_pick, parts, greedy);
         let Some(v) = boundary_vertex(&parted) else {
             // A split with no cut at this size is astronomically unlikely,
             // but not a correctness failure.
             return Ok(());
         };
-        let mirrors_before = parted.replication().mirrors_of(v).len();
-        prop_assert!(mirrors_before > 0);
+        pool(threads).install(|| -> Result<(), TestCaseError> {
+            let mirrors_before = parted.replication().mirrors_of(v).len();
+            prop_assert!(mirrors_before > 0);
 
-        // Delete the replicated vertex: every mirror must retire and the
-        // outputs must track the single engine bitwise.
-        single.remove_vertex(v).unwrap();
-        parted.remove_vertex(v).unwrap();
-        prop_assert_eq!(&parted.output(), single.output());
-        prop_assert_eq!(parted.replication().mirrors_of(v).len(), 0);
-        prop_assert_eq!(parted.mirror_deviation(), 0.0);
+            // Delete the replicated vertex: every mirror must retire and the
+            // outputs must track the single engine bitwise.
+            single.remove_vertex(v).unwrap();
+            parted.remove_vertex(v).unwrap();
+            prop_assert_eq!(&parted.output(), single.output());
+            prop_assert_eq!(parted.replication().mirrors_of(v).len(), 0);
+            prop_assert_eq!(parted.mirror_deviation(), 0.0);
 
-        // The isolated slot still accepts feature updates (owner-only path).
-        let mut frng = seeded_rng(seed ^ 0x77);
-        let feat: Vec<f32> = uniform(&mut frng, 1, 4, -1.0, 1.0).row(0).to_vec();
-        single.update_vertex_feature(v, &feat).unwrap();
-        parted.update_vertex_feature(v, &feat).unwrap();
-        prop_assert_eq!(&parted.output(), single.output());
+            // The isolated slot still accepts feature updates (owner-only path).
+            let mut frng = seeded_rng(seed ^ 0x77);
+            let feat: Vec<f32> = uniform(&mut frng, 1, 4, -1.0, 1.0).row(0).to_vec();
+            single.update_vertex_feature(v, &feat).unwrap();
+            parted.update_vertex_feature(v, &feat).unwrap();
+            prop_assert_eq!(&parted.output(), single.output());
 
-        // Add a vertex wired across the graph: cross-partition inserts take
-        // the new-mirror seeding path.
-        let neighbors: Vec<VertexId> = vec![0, 7, 14, 21];
-        let (vs, _) = single.add_vertex(&feat, &neighbors).unwrap();
-        let (vp, _) = parted.add_vertex(&feat, &neighbors).unwrap();
-        prop_assert_eq!(vs, vp);
-        prop_assert_eq!(&parted.output(), single.output());
+            // Add a vertex wired across the graph: cross-partition inserts take
+            // the new-mirror seeding path.
+            let neighbors: Vec<VertexId> = vec![0, 7, 14, 21];
+            let (vs, _) = single.add_vertex(&feat, &neighbors).unwrap();
+            let (vp, _) = parted.add_vertex(&feat, &neighbors).unwrap();
+            prop_assert_eq!(vs, vp);
+            prop_assert_eq!(&parted.output(), single.output());
 
-        // And its feature can move again, through whatever mirrors it grew.
-        let feat2: Vec<f32> = uniform(&mut frng, 1, 4, -1.0, 1.0).row(0).to_vec();
-        single.update_vertex_feature(vs, &feat2).unwrap();
-        parted.update_vertex_feature(vp, &feat2).unwrap();
-        prop_assert_eq!(&parted.output(), single.output());
-        prop_assert_eq!(parted.mirror_deviation(), 0.0);
+            // And its feature can move again, through whatever mirrors it grew.
+            let feat2: Vec<f32> = uniform(&mut frng, 1, 4, -1.0, 1.0).row(0).to_vec();
+            single.update_vertex_feature(vs, &feat2).unwrap();
+            parted.update_vertex_feature(vp, &feat2).unwrap();
+            prop_assert_eq!(&parted.output(), single.output());
+            prop_assert_eq!(parted.mirror_deviation(), 0.0);
+            Ok(())
+        })?;
     }
 }
 
@@ -273,7 +283,7 @@ fn hooked_partitioned_engine_matches_hooked_single() {
             g,
             x,
             HashPartitioner,
-            PartitionConfig { parts, update: cfg, ..Default::default() },
+            PartitionConfig { parts, update: cfg },
             Some(Box::new(move || hooked_hooks(seed))),
         )
         .unwrap();
@@ -321,7 +331,7 @@ fn directed_partitioned_stream_is_bitwise_identical() {
             g.clone(),
             x.clone(),
             GreedyEdgeCut,
-            PartitionConfig { parts, update: cfg, ..Default::default() },
+            PartitionConfig { parts, update: cfg },
         )
         .unwrap();
         let mut drng = StdRng::seed_from_u64(123);
@@ -366,7 +376,7 @@ fn one_session_layer_over_both_engines_on_monotonic_streams() {
             },
             ..SessionConfig::default()
         };
-        let (single, parted) = build_pair(seed, agg, i % 3, 2 + i % 3, i % 2 == 0, None);
+        let (single, parted) = build_pair(seed, agg, i % 3, 2 + i % 3, i % 2 == 0);
         let mut single = StreamSession::with_config(single, config);
         let mut parted = parted.into_session(config);
         let mut drng = StdRng::seed_from_u64(seed ^ 0x5e55);
@@ -413,7 +423,7 @@ fn breach_actions_are_engine_independent() {
             drift: DriftPolicy::spot(1, 6, 0.0).with_action(action),
             ..SessionConfig::default()
         };
-        let (single, parted) = build_pair(seed, Aggregator::Mean, 1, 3, true, None);
+        let (single, parted) = build_pair(seed, Aggregator::Mean, 1, 3, true);
         let mut single = StreamSession::with_config(single, config);
         let mut parted = parted.into_session(config);
         let mut drng = StdRng::seed_from_u64(seed ^ 0xb4ea);

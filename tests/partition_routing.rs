@@ -113,7 +113,7 @@ fn fixture(parts: usize) -> (InkStream, PartitionedInkStream) {
         g,
         x,
         HashPartitioner,
-        PartitionConfig { parts, update: cfg, ..Default::default() },
+        PartitionConfig { parts, update: cfg },
     )
     .unwrap();
     (single, parted)

@@ -1,12 +1,12 @@
-//! Worker-panic robustness for the persistent partition pool: a panic inside
-//! a pool worker (here injected through a user hook) must surface as a typed
-//! [`InkError::WorkerPanic`] instead of aborting the process, poison the pool
-//! so every subsequent apply fails fast without touching the graph, and heal
-//! completely under [`PartitionedInkStream::resync`] — after which the merged
-//! output is again bitwise equal to the single-engine reference. The second
-//! test takes the same fault through the session layer and a loopback
-//! server: a typed ingest error, a tick of `ink_serve_apply_errors_total`,
-//! no hang.
+//! Panic robustness for the partitioned driver: a panic inside one engine's
+//! step on the rayon pool (here injected through a user hook) must surface
+//! as a typed [`InkError::WorkerPanic`] instead of aborting the process,
+//! poison the driver so every subsequent apply, vertex insertion and vertex
+//! removal fails fast without touching the graph, and heal completely under
+//! [`PartitionedInkStream::resync`] — after which the merged output is again
+//! bitwise equal to the single-engine reference. The second test takes the
+//! same fault through the session layer and a loopback server: a typed
+//! ingest error, a tick of `ink_serve_apply_errors_total`, no hang.
 
 use ink_gnn::Aggregator;
 use ink_graph::DeltaBatch;
@@ -75,7 +75,7 @@ fn tripwired_pair(seed: u64, arm: &Arc<AtomicBool>) -> (InkStream, PartitionedIn
         g,
         x,
         HashPartitioner,
-        PartitionConfig { parts: 4, update: cfg, ..Default::default() },
+        PartitionConfig { parts: 4, update: cfg },
         Some(Box::new(move || {
             let arm = hook_arm.clone();
             Box::new(Tripwire { arm })
@@ -86,8 +86,20 @@ fn tripwired_pair(seed: u64, arm: &Arc<AtomicBool>) -> (InkStream, PartitionedIn
     (single, parted)
 }
 
+/// Runs on the global pool (four engines spread over its threads) and
+/// inside a 1-thread pool, where every engine steps inline on the caller and
+/// no worker thread exists to catch the panic on.
 #[test]
 fn worker_panic_poisons_pool_and_resync_recovers() {
+    panic_poisons_and_resync_recovers();
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap()
+        .install(panic_poisons_and_resync_recovers);
+}
+
+fn panic_poisons_and_resync_recovers() {
     let seed = 0x9021u64;
     let arm = Arc::new(AtomicBool::new(false));
     let (mut single, mut parted) = tripwired_pair(seed, &arm);
@@ -99,9 +111,9 @@ fn worker_panic_poisons_pool_and_resync_recovers() {
     parted.try_apply_delta(&delta1).expect("disarmed round succeeds");
     assert_eq!(&parted.output(), single.output(), "healthy round parity");
 
-    // Armed: the panic fires inside a pool worker mid-round. It must come
-    // back as a typed error (the barrier releases — no deadlock) and name
-    // the injected fault.
+    // Armed: the panic fires inside an engine step mid-round. It must come
+    // back as a typed error (the step returns — no deadlock) and name the
+    // injected fault.
     let delta2 = DeltaBatch::random_scenario(single.graph(), &mut drng, 6);
     single.apply_delta(&delta2);
     arm.store(true, Ordering::SeqCst);
@@ -117,9 +129,20 @@ fn worker_panic_poisons_pool_and_resync_recovers() {
     // rejected delta must not leak into the partitioned graph.
     let delta3 = DeltaBatch::random_scenario(single.graph(), &mut drng, 6);
     let edges_before = parted.graph().num_edges();
+    let vertices_before = parted.graph().num_vertices();
     let err2 = parted.try_apply_delta(&delta3).expect_err("poisoned pool fails fast");
     assert!(matches!(err2, InkError::WorkerPanic { .. }), "still the typed error: {err2:?}");
     assert_eq!(parted.graph().num_edges(), edges_before, "fail-fast precedes graph mutation");
+
+    // Vertex insertion and removal fail the same way, and neither grows or
+    // rewires the graph first.
+    let feat = [0.3, -0.2, 0.8, 0.1];
+    let err3 = parted.add_vertex(&feat, &[0, 11, 22]).expect_err("poisoned add_vertex fails");
+    assert!(matches!(err3, InkError::WorkerPanic { .. }), "add_vertex: {err3:?}");
+    let err4 = parted.remove_vertex(5).expect_err("poisoned remove_vertex fails");
+    assert!(matches!(err4, InkError::WorkerPanic { .. }), "remove_vertex: {err4:?}");
+    assert_eq!(parted.graph().num_vertices(), vertices_before, "no vertex was added");
+    assert_eq!(parted.graph().num_edges(), edges_before, "no edge was added or removed");
 
     // Resync rebuilds every engine from the (delta2-inclusive) graph and
     // clears the poison; Max aggregation makes the single engine's
@@ -129,10 +152,18 @@ fn worker_panic_poisons_pool_and_resync_recovers() {
     assert_eq!(&parted.output(), single.output(), "resync heals bitwise");
     assert_eq!(parted.mirror_deviation(), 0.0);
 
-    // And the pool is live again: the previously rejected delta applies.
+    // And the driver is live again: the previously rejected delta applies,
+    // and so do the vertex calls.
     single.apply_delta(&delta3);
     parted.try_apply_delta(&delta3).expect("pool recovered after resync");
     assert_eq!(&parted.output(), single.output(), "post-recovery parity");
+    let (vs, _) = single.add_vertex(&feat, &[0, 11, 22]).unwrap();
+    let (vp, _) = parted.add_vertex(&feat, &[0, 11, 22]).expect("add_vertex after resync");
+    assert_eq!(vs, vp);
+    assert_eq!(&parted.output(), single.output(), "add_vertex parity after resync");
+    single.remove_vertex(5).unwrap();
+    parted.remove_vertex(5).expect("remove_vertex after resync");
+    assert_eq!(&parted.output(), single.output(), "remove_vertex parity after resync");
 }
 
 /// The same fault one layer up. In a session the panic is an
