@@ -32,7 +32,8 @@ pub const BATCH_MIN_TARGETS: usize = 8;
 pub struct UpdateConfig {
     /// Component 1 (paper Table VI): intra-layer incremental update. When
     /// off, every event target recomputes its aggregated neighborhood from
-    /// the full neighborhood (still touching only the affected area).
+    /// the full neighborhood (still touching only the affected area), on the
+    /// apply phase's one full-recompute path: gathered neighbor panels.
     pub incremental: bool,
     /// Component 2: inter-layer pruned propagation. When off, resilient
     /// nodes propagate events anyway (monotonic layers lose their savings
@@ -51,16 +52,6 @@ pub struct UpdateConfig {
     /// drift audits exist to bound. Off by default — it costs extra
     /// arithmetic and the monotonic path never needs it.
     pub compensated: bool,
-    /// Minimum deferred-recompute count per shard before the apply phase
-    /// switches from the scalar per-target loop to batched aggregator
-    /// recomputation: targets that need every channel rebuilt (empty-old
-    /// neighborhoods, forced recomputes — an exposed reset repairs only its
-    /// exposed channels and never comes here) are grouped by
-    /// event kind × degree class, their neighbor messages gathered into
-    /// contiguous panels, and each panel folded with one batched reduction.
-    /// Bitwise identical either way (rows fold in the same order with the
-    /// same kernels); `usize::MAX` pins the scalar loop.
-    pub apply_batch_threshold: usize,
 }
 
 impl Default for UpdateConfig {
@@ -70,7 +61,6 @@ impl Default for UpdateConfig {
             pruning: true,
             parallel: true,
             compensated: false,
-            apply_batch_threshold: 8,
         }
     }
 }

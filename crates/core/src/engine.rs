@@ -2,72 +2,27 @@
 //!
 //! [`InkStream`] owns the model, the current graph, the features, and the
 //! cached per-layer state (`m`, `α`, output `h`) from the previous
-//! timestamp. Each update round processes layers in order through a five
-//! phase pipeline (see DESIGN.md, "Update pipeline"):
-//!
-//! 1. **generate** — degree rescaling, ΔG event seeding, and effect
-//!    propagation, fanned out across workers that write into private
-//!    payload arenas and per-shard event buckets;
-//! 2. **group** — target-sharded reduction of each shard's events to at
-//!    most one deletion/addition payload (monotonic) or one signed sum
-//!    (accumulative) per target, payloads living in flat per-shard buffers;
-//! 3. **apply** — per-target, per-channel evolvability check (no reset /
-//!    covered reset / exposed reset → re-aggregate only the exposed channels
-//!    over the in-neighbors) or accumulative update, α values written into
-//!    flat per-shard output buffers; only targets that need every channel
-//!    rebuilt (empty old neighborhood, `incremental: false`) take the
-//!    gathered-panel recomputation;
-//! 4. **write** — sequential commit of changed α rows, condition stats,
-//!    user events, and the merged next-layer target list;
-//! 5. **next-messages** — rebuild of next-layer messages (or final outputs)
-//!    for every target, emitting the next layer's effect seeds unless
-//!    pruned.
-//!
-//! On a layer whose cached output is affine in α (the last layer of a
-//! sum/mean GraphSAGE — [`crate::accumulative`] decides) the transform moves
-//! to the source: generate widens every payload to `[Δm ‖ Δm·W]`, group sums
-//! both halves in one slot, and apply commits every target whose own message
-//! and denominator did not move — a *delta row* — in place: the α row from
-//! `Σ Δm`, then `h += s·Σ Δm·W`. To write rows from parallel shards without
-//! `unsafe`, such a layer shards targets by a hash of their 64-row vertex
-//! block instead of the vertex and hands each shard its own blocks of α and
-//! `h` as disjoint mutable slices (`pipeline::ShardRows`). Write then only
-//! counts a delta row; write and next-messages move α rows and rebuild
-//! outputs for the few remaining targets. Every other layer keeps the
-//! vertex key — a block key would leave graphs under 64 vertices, the ones
-//! the shard-sweep tests use, with a single shard — and cuts no blocks, so
-//! it does no O(|V|) work per round.
-//!
-//! A parallel round takes one worker per rayon thread and the next power of
-//! two of four shards per worker (`round_split`); each phase goes to the
-//! pool only past [`PARALLEL_MIN_ITEMS`] work items (`fan_out`). Workers
-//! process contiguous ordered chunks and every target belongs to exactly one
-//! shard, so the pipeline's result is bitwise identical for every thread
-//! count — including the sequential 1×1 configuration, the scalar oracle.
-//! All scratch storage is pooled in the engine and reused across rounds, so
-//! steady-state updates allocate nothing in the generate and group phases.
+//! timestamp. Each update round steps the layers in order
+//! (`round_rescale`, then `round_process`, per layer). The per-layer
+//! decisions are data — one plan per layer, built when the engine is — and
+//! `round_process` runs the same five phase functions over every plan:
+//! generate, group, apply, write and next-messages. The `phases` module
+//! describes the pipeline; DESIGN.md, "Update pipeline", has the argument
+//! and the measurements.
 //!
 //! Monotonic updates are bitwise identical to full recomputation; the
 //! integration suite asserts that per aggregation function.
 
-use crate::accumulative::{
-    accumulate_in_place, apply_accumulative_into, apply_delta_row, delta_row_scale, delta_weight,
-};
-use crate::config::{UpdateConfig, BATCH_MIN_TARGETS, PARALLEL_MIN_ITEMS};
+use crate::config::UpdateConfig;
 use crate::error::InkError;
-use crate::event::{Event, EventOp};
-use crate::grouping::{recompute_sort_key, RecomputeKind};
 use crate::hooks::{UserEvent, UserHooks};
-use crate::monotonic::{apply_monotonic_into, Condition};
-use crate::pipeline::{
-    acc_slot_in, shard_of, slot_in, worker_chunk, AlphaRows, ApplyOutcome, ApplyParts, CondKind,
-    ScratchPool, ShardRows, ShardScratch, WorkerScratch, NO_SLOT,
-};
+use crate::phases::{self, fan_out, owns_in, Cached, LayerPlan, RoundState};
+use crate::pipeline::{worker_chunk, ScratchPool, WorkerScratch};
 use crate::stats::{LayerStats, UpdateReport};
-use ink_graph::{DeltaBatch, DynGraph, EdgeChange, EdgeOp, FxHashMap, VertexId};
+use ink_graph::{DeltaBatch, DynGraph, EdgeChange, EdgeOp, VertexId};
 use ink_gnn::full::{batch_aggregate_into, batch_message_into};
 use ink_gnn::{FullState, Model};
-use ink_tensor::gemm::{gather_rows_into, gather_rows_scaled_into};
+use ink_tensor::gemm::gather_rows_scaled_into;
 use ink_tensor::{GemmScratch, Matrix};
 use rayon::prelude::*;
 use std::time::Instant;
@@ -82,32 +37,12 @@ pub struct ResyncReport {
     pub f32_written: u64,
 }
 
-/// In-flight context of one update round while it is stepped layer by layer
-/// through the round API ([`InkStream::round_begin`] …
-/// [`InkStream::round_finish`]). The scratch pool moves in here for the
-/// duration of the round and back into the engine at the end, so the
-/// zero-allocation guarantees are unchanged.
-struct RoundState {
-    directed: Vec<(VertexId, VertexId, EdgeOp)>,
-    scratch: ScratchPool,
-    report: UpdateReport,
-    t0: Instant,
-    nw: usize,
-    ns: usize,
-    f32_read: u64,
-    f32_written: u64,
-    /// Wall time of the most recent [`InkStream::round_rescale`], folded
-    /// into that layer's generate-phase time by `round_process`.
-    rescale_elapsed: std::time::Duration,
-    /// Transformed channels behind every payload of the layer being stepped:
-    /// the delta rule's `W` width where [`delta_weight`] grants it, else 0.
-    /// Decided once per layer by [`InkStream::round_rescale`].
-    tail: usize,
-}
-
 /// The incremental GNN inference engine.
 pub struct InkStream {
     model: Model,
+    /// One pipeline plan per layer of `model`, built with the engine: the
+    /// model and the hooks never change after construction.
+    plans: Vec<LayerPlan>,
     graph: DynGraph,
     features: Matrix,
     state: FullState,
@@ -143,27 +78,6 @@ fn round_split(parallel: bool) -> (usize, usize) {
     }
     let workers = rayon::current_num_threads().max(1);
     (workers, (4 * workers).next_power_of_two())
-}
-
-/// The pipeline's one parallel gate: runs `f` over the `size`-wide chunks of
-/// `data`, with their indices, on the rayon pool when the round is
-/// `parallel` and the phase has at least [`PARALLEL_MIN_ITEMS`] work items,
-/// inline otherwise. Which one never changes results. Worker and shard
-/// lists go through with `size == 1`; on the pool, its resident threads and
-/// the caller claim blocks of chunks as they free up, so a shard holding a
-/// hub's targets does not hold the others back.
-fn fan_out<T: Send>(
-    parallel: bool,
-    work: usize,
-    data: &mut [T],
-    size: usize,
-    f: impl Fn((usize, &mut [T])) + Sync,
-) {
-    if parallel && work >= PARALLEL_MIN_ITEMS {
-        data.par_chunks_mut(size).enumerate().for_each(f);
-    } else {
-        data.chunks_mut(size).enumerate().for_each(f);
-    }
 }
 
 impl InkStream {
@@ -208,20 +122,7 @@ impl InkStream {
             });
         }
         let (state, user_cache) = bootstrap(&model, &graph, &features, hooks.as_deref());
-        Ok(Self {
-            model,
-            graph,
-            features,
-            state,
-            config,
-            hooks,
-            user_cache,
-            scratch: ScratchPool::default(),
-            owned: None,
-            round: None,
-            dirty: Vec::new(),
-            dirty_all: false,
-        })
+        Ok(Self::assemble(model, graph, features, state, config, hooks, user_cache))
     }
 
     /// Reassembles an engine from previously cached state *without* a full
@@ -252,7 +153,22 @@ impl InkStream {
         let user_cache = (0..k)
             .map(|l| hooks.as_deref().and_then(|h| h.init_cache(l, &state.m[l])))
             .collect();
-        Ok(Self {
+        Ok(Self::assemble(model, graph, features, state, config, hooks, user_cache))
+    }
+
+    /// The one constructor body behind [`InkStream::with_hooks`] and
+    /// [`InkStream::from_parts`], which validate their inputs first.
+    fn assemble(
+        model: Model,
+        graph: DynGraph,
+        features: Matrix,
+        state: FullState,
+        config: UpdateConfig,
+        hooks: Option<Box<dyn UserHooks>>,
+        user_cache: Vec<Option<Matrix>>,
+    ) -> Self {
+        Self {
+            plans: LayerPlan::for_model(&model, hooks.is_some()),
             model,
             graph,
             features,
@@ -265,7 +181,7 @@ impl InkStream {
             round: None,
             dirty: Vec::new(),
             dirty_all: false,
-        })
+        }
     }
 
     /// The current output embeddings.
@@ -291,6 +207,16 @@ impl InkStream {
     /// The model.
     pub fn model(&self) -> &Model {
         &self.model
+    }
+
+    /// The model over the cached state, for deriving product rows.
+    fn cached(&self) -> Cached<'_> {
+        Cached {
+            model: &self.model,
+            state: &self.state,
+            hooks: self.hooks.as_deref(),
+            user_cache: &self.user_cache,
+        }
     }
 
     /// Replaces the update configuration (e.g. to switch ablation modes).
@@ -391,28 +317,10 @@ impl InkStream {
             }
             // Chain consistency: the downstream row derived from cached α
             // must equal the cached downstream row.
-            let h_next = compute_next_hidden(
-                &self.model,
-                &self.state,
-                self.hooks.as_deref(),
-                &self.user_cache,
-                l,
-                v,
-                degree,
-            );
-            if l + 1 < k {
-                let conv = &self.model.layer(l + 1).conv;
-                let mut msg = conv.message(&h_next);
-                if conv.degree_scaled() {
-                    ink_tensor::ops::scale(&mut msg, conv.degree_scale(degree));
-                }
-                for (a, b) in msg.iter().zip(self.state.m[l + 1].row(v as usize)) {
-                    dev = nan_max(dev, (a - b).abs());
-                }
-            } else {
-                for (a, b) in h_next.iter().zip(self.state.h.row(v as usize)) {
-                    dev = nan_max(dev, (a - b).abs());
-                }
+            let derived = self.cached().product_row(l, v, degree);
+            let stored = if l + 1 < k { &self.state.m[l + 1] } else { &self.state.h };
+            for (a, b) in derived.iter().zip(stored.row(v as usize)) {
+                dev = nan_max(dev, (a - b).abs());
             }
         }
         dev
@@ -508,11 +416,7 @@ impl InkStream {
         if !self.owns(v) {
             return Ok(());
         }
-        let conv0 = &self.model.layer(0).conv;
-        let mut new_m = conv0.message(new_feat);
-        if conv0.degree_scaled() {
-            ink_tensor::ops::scale(&mut new_m, conv0.degree_scale(self.graph.in_degree(v)));
-        }
+        let new_m = self.cached().message_row(0, new_feat, self.graph.in_degree(v));
         let old = self.state.m[0].row(v as usize).to_vec();
         if new_m != old {
             self.state.m[0].set_row(v as usize, &new_m);
@@ -571,11 +475,7 @@ impl InkStream {
         // Build the new vertex's self-consistent isolated chain: empty
         // neighborhood → α = 0 at every layer.
         let k = self.model.num_layers();
-        let conv0 = &self.model.layer(0).conv;
-        let mut msg = conv0.message(feat);
-        if conv0.degree_scaled() {
-            ink_tensor::ops::scale(&mut msg, conv0.degree_scale(0));
-        }
+        let mut msg = self.cached().message_row(0, feat, 0);
         for l in 0..k {
             let dim = self.model.msg_dim(l);
             self.state.m[l].push_row(&msg);
@@ -589,23 +489,11 @@ impl InkStream {
                     .expect("hooked layer must produce a cache row");
                 cache.push_row(row.row(0));
             }
-            let h_next = compute_next_hidden(
-                &self.model,
-                &self.state,
-                self.hooks.as_deref(),
-                &self.user_cache,
-                l,
-                v,
-                0,
-            );
+            let row = self.cached().product_row(l, v, 0);
             if l + 1 < k {
-                let next_conv = &self.model.layer(l + 1).conv;
-                msg = next_conv.message(&h_next);
-                if next_conv.degree_scaled() {
-                    ink_tensor::ops::scale(&mut msg, next_conv.degree_scale(0));
-                }
+                msg = row;
             } else {
-                self.state.h.push_row(&h_next);
+                self.state.h.push_row(&row);
             }
         }
         let changes: Vec<EdgeChange> =
@@ -673,8 +561,12 @@ impl InkStream {
         for l in 0..k {
             scratch.old.reset_layer(l, self.model.msg_dim(l));
         }
+        // Two feature updates of one vertex seed it twice: the first seed
+        // holds the pre-round message, the row the round propagates from.
         for (v, old) in &seeds0 {
-            scratch.old.insert(0, *v, old);
+            if !scratch.old.contains(0, *v) {
+                scratch.old.insert(0, *v, old);
+            }
             scratch.affected.insert(*v);
         }
         scratch.pending_user[0].extend(user0);
@@ -696,12 +588,12 @@ impl InkStream {
             scratch,
             report: UpdateReport::default(),
             t0,
+            cfg,
             nw,
             ns,
             f32_read: 0,
             f32_written: 0,
-            rescale_elapsed: std::time::Duration::ZERO,
-            tail: 0,
+            layer: LayerStats::default(),
         });
     }
 
@@ -755,105 +647,74 @@ impl InkStream {
     pub fn round_rescale(&mut self, l: usize) {
         let mut rs = self.round.take().expect("round_rescale requires an active round");
         let t_rescale = Instant::now();
-        let cfg = self.config;
+        let plan = &self.plans[l];
         let (nw, ns) = (rs.nw, rs.ns);
         let scratch = &mut rs.scratch;
-        let degree_scaled = self.model.layer(l).conv.degree_scaled();
-        let dim = self.model.msg_dim(l);
-        // A delta-rule layer's payloads carry their transform behind the
-        // message (never a degree-scaled layer, so nothing below pushes one).
-        rs.tail = delta_weight(&self.model, l, self.hooks.is_some()).map_or(0, Matrix::cols);
         // Workers begin here (not in `round_process`) so the rescale stage
         // can already stage rows into their arenas.
         for ws in &mut scratch.workers[..nw] {
-            ws.begin(ns, dim, rs.tail);
+            ws.begin(ns, plan.dim, plan.tail);
         }
 
-        if degree_scaled {
-            // Degree-scaled layers (LightGCN-style): a vertex whose
-            // degree changed has a changed message at this layer even if
-            // nothing else touched it. Candidates iterate in sorted
-            // vertex order so the recorded changes are deterministic.
-            {
-                let ScratchPool { rescale_list, degree_order, old, .. } = &mut *scratch;
-                let owned = self.owned.as_deref();
-                rescale_list.clear();
-                rescale_list.extend(
-                    degree_order
-                        .iter()
-                        .filter(|&&(v, net)| {
-                            net != 0 && !old.contains(l, v) && owns_in(owned, v)
-                        })
-                        .copied(),
-                );
-            }
-            {
-                let ScratchPool { workers, rescale_list, .. } = &mut *scratch;
-                let workers = &mut workers[..nw];
-                let rescale_list = &*rescale_list;
-                let this = &*self;
-                // Stage the new message (old scaled by the weight ratio,
-                // or rebuilt from upstream state when the old degree was
-                // 0 and the cached message is the zero convention).
-                let run = |(w, ws): (usize, &mut WorkerScratch)| {
-                    let conv = &this.model.layer(l).conv;
-                    for &(v, net) in
-                        &rescale_list[worker_chunk(rescale_list.len(), w, nw)]
-                    {
-                        let d_new = this.graph.in_degree(v);
-                        let d_old = (d_new as i64 - net).max(0) as usize;
-                        let pid = if d_old == 0 {
-                            let base_h = if l == 0 {
-                                this.features.row(v as usize).to_vec()
-                            } else {
-                                compute_next_hidden(
-                                    &this.model,
-                                    &this.state,
-                                    this.hooks.as_deref(),
-                                    &this.user_cache,
-                                    l - 1,
-                                    v,
-                                    d_new,
-                                )
-                            };
-                            let msg = conv.message(&base_h);
-                            ws.arena.push_scaled(&msg, conv.degree_scale(d_new))
+        if plan.degree_scaled {
+            // Degree-scaled layers (LightGCN-style): a vertex whose degree
+            // changed has a changed message at this layer even if nothing
+            // else touched it. Candidates iterate in sorted vertex order so
+            // the recorded changes are deterministic.
+            let ScratchPool { workers, rescale_list, degree_order, old, .. } = &mut *scratch;
+            let owned = self.owned.as_deref();
+            rescale_list.clear();
+            rescale_list.extend(
+                degree_order
+                    .iter()
+                    .filter(|&&(v, net)| net != 0 && !old.contains(l, v) && owns_in(owned, v))
+                    .copied(),
+            );
+            let rescale_list = &*rescale_list;
+            let (cached, graph, features) = (self.cached(), &self.graph, &self.features);
+            let conv = &self.model.layer(l).conv;
+            // Stage the new message: the old one scaled by the weight ratio,
+            // or rebuilt from upstream state when the old degree was 0 and
+            // the cached message is the zero convention.
+            let run = |(w, ws): (usize, &mut WorkerScratch)| {
+                for &(v, net) in &rescale_list[worker_chunk(rescale_list.len(), w, nw)] {
+                    let d_new = graph.in_degree(v);
+                    let d_old = (d_new as i64 - net).max(0) as usize;
+                    let pid = if d_old == 0 {
+                        let msg = if l == 0 {
+                            cached.message_row(0, features.row(v as usize), d_new)
                         } else {
-                            let ratio =
-                                conv.degree_scale(d_new) / conv.degree_scale(d_old);
-                            ws.arena.push_scaled(this.state.m[l].row(v as usize), ratio)
+                            cached.product_row(l - 1, v, d_new)
                         };
-                        ws.rescaled.push((v, pid));
-                    }
-                };
-                fan_out(cfg.parallel, rescale_list.len(), workers, 1, |(w, ws)| {
-                    run((w, &mut ws[0]))
-                });
-            }
+                        ws.arena.push(&msg)
+                    } else {
+                        let ratio = conv.degree_scale(d_new) / conv.degree_scale(d_old);
+                        ws.arena.push_scaled(cached.state.m[l].row(v as usize), ratio)
+                    };
+                    ws.rescaled.push((v, pid));
+                }
+            };
+            fan_out(rs.cfg.parallel, rescale_list.len(), &mut workers[..nw], 1, |(w, ws)| {
+                run((w, &mut ws[0]))
+            });
             // Commit in worker order (= candidate order): vertices whose
             // message really changed record their old value and hooks.
-            {
-                let ScratchPool { workers, old, pending_user, .. } = &mut *scratch;
-                for ws in workers[..nw].iter() {
-                    for &(v, pid) in &ws.rescaled {
-                        let new = ws.arena.get(pid);
-                        if new != self.state.m[l].row(v as usize) {
-                            old.insert(l, v, self.state.m[l].row(v as usize));
-                            if let Some(hooks) = self.hooks.as_deref() {
-                                pending_user[l].extend(hooks.user_propagate(
-                                    l,
-                                    v,
-                                    old.get(l, v).expect("just inserted"),
-                                    new,
-                                ));
-                            }
-                            self.state.m[l].set_row(v as usize, new);
+            let ScratchPool { workers, old, pending_user, .. } = &mut rs.scratch;
+            for ws in workers[..nw].iter() {
+                for &(v, pid) in &ws.rescaled {
+                    let new = ws.arena.get(pid);
+                    if new != self.state.m[l].row(v as usize) {
+                        old.insert(l, v, self.state.m[l].row(v as usize));
+                        if let Some(hooks) = self.hooks.as_deref() {
+                            let old_row = old.get(l, v).expect("just inserted");
+                            pending_user[l].extend(hooks.user_propagate(l, v, old_row, new));
                         }
+                        self.state.m[l].set_row(v as usize, new);
                     }
                 }
             }
         }
-        rs.rescale_elapsed = t_rescale.elapsed();
+        rs.layer.phases.generate += t_rescale.elapsed();
         self.round = Some(rs);
     }
 
@@ -896,700 +757,58 @@ impl InkStream {
         self.round = Some(rs);
     }
 
-    /// Runs the five pipeline phases of layer `l` for the current round.
-    /// [`InkStream::round_rescale`] for the same layer must have run first.
-    /// With an ownership mask installed, events and commits are restricted
-    /// to owned targets; ghost vertices only *source* events (from rows
-    /// refreshed by their owner).
+    /// Runs the five pipeline phases of layer `l` for the current round
+    /// (`crate::phases`), timing each into the layer's
+    /// [`LayerStats::phases`]. [`InkStream::round_rescale`] for the same
+    /// layer must have run first. With an ownership mask installed, events
+    /// and commits are restricted to owned targets; ghost vertices only
+    /// *source* events (from rows refreshed by their owner).
     pub fn round_process(&mut self, l: usize) {
         let mut rs = self.round.take().expect("round_process requires an active round");
-        let k = self.model.num_layers();
-        let cfg = self.config;
-        let (nw, ns) = (rs.nw, rs.ns);
-        let rescale_elapsed = std::mem::take(&mut rs.rescale_elapsed);
-        let mut f32_read: u64 = 0;
-        let mut f32_written: u64 = 0;
-        let scratch = &mut rs.scratch;
-        let directed = &rs.directed;
-        let report = &mut rs.report;
-        {
-            let agg = self.model.layer(l).conv.aggregator();
-            let mono = agg.is_monotonic();
-            let dim = self.model.msg_dim(l);
-            let degree_scaled = self.model.layer(l).conv.degree_scaled();
-            let self_dependent = self.model.layer(l).conv.self_dependent();
-            let out_dim = self.model.layer(l).conv.out_dim();
-            let is_last = l + 1 == k;
-            let prod_dim = if is_last { out_dim } else { self.model.msg_dim(l + 1) };
-            // `Some(W)` on a layer whose cached output is affine in α
-            // (`round_rescale` decided): its payloads are `[Δm ‖ Δm·W]`
-            // through generate and group, targets are sharded by 64-row
-            // block, and apply commits every target whose self term and
-            // denominator did not move by the delta rule
-            // (`crate::accumulative`).
-            let tail = rs.tail;
-            let delta_w = self.model.layer(l).conv.alpha_weight().filter(|_| tail > 0);
-            let blocked = delta_w.is_some();
-            let mut layer_stats = LayerStats::default();
+        let plan = &self.plans[l];
+        let owned = self.owned.as_deref();
 
-            // ── Phase 1: generate ─────────────────────────────────────────
-            // ΔG seeding and effect propagation, fanned out over workers
-            // (degree rescaling already ran in `round_rescale`). Each worker
-            // owns a contiguous ordered chunk of the work lists and writes
-            // into its private arena/buckets.
-            let t_generate = Instant::now();
+        let t = Instant::now();
+        let w = self.model.layer(l).conv.alpha_weight().filter(|_| plan.blocked());
+        phases::generate(plan, &mut rs, w, &self.graph, &self.state.m[l], owned);
+        rs.layer.phases.generate += t.elapsed();
 
-            // Changed messages propagate in sorted vertex order — the
-            // canonical event order every worker/shard split reproduces.
-            {
-                let ScratchPool { old, changed_order, .. } = &mut *scratch;
-                old.keys_sorted_into(l, changed_order);
-            }
+        let t = Instant::now();
+        phases::group(plan, &mut rs);
+        rs.layer.phases.group = t.elapsed();
 
-            let gen_work = directed.len() + scratch.changed_order.len();
-            {
-                let ScratchPool { workers, old, changed_order, covered, .. } = &mut *scratch;
-                let workers = &mut workers[..nw];
-                let old = &*old;
-                let changed_order = &*changed_order;
-                let covered = &*covered;
-                let directed = &directed[..];
-                let this = &*self;
-                let run = |(w, ws): (usize, &mut WorkerScratch)| {
-                    // ΔG events for this layer. Events targeting non-owned
-                    // vertices are the owning engine's job — skip them.
-                    for &(s, t, op) in &directed[worker_chunk(directed.len(), w, nw)] {
-                        if !this.owns(t) {
-                            continue;
-                        }
-                        match op {
-                            EdgeOp::Remove => {
-                                let old_row = old
-                                    .get(l, s)
-                                    .unwrap_or_else(|| this.state.m[l].row(s as usize));
-                                let (ev_op, payload) = if mono {
-                                    (EventOp::Del, ws.arena.push(old_row))
-                                } else {
-                                    (EventOp::Update, ws.arena.push_negated(old_row))
-                                };
-                                ws.dg[shard_of(t, ns, blocked)].push(Event {
-                                    op: ev_op,
-                                    target: t,
-                                    payload,
-                                    degree_delta: -1,
-                                });
-                            }
-                            EdgeOp::Insert => {
-                                let payload = ws.arena.push(this.state.m[l].row(s as usize));
-                                let ev_op = if mono { EventOp::Add } else { EventOp::Update };
-                                ws.dg[shard_of(t, ns, blocked)].push(Event {
-                                    op: ev_op,
-                                    target: t,
-                                    payload,
-                                    degree_delta: 1,
-                                });
-                            }
-                        }
-                    }
-                    // Effect propagation from messages changed at this
-                    // layer, skipping edges already covered by ΔG events.
-                    for &v in &changed_order[worker_chunk(changed_order.len(), w, nw)] {
-                        let old_row = old.get(l, v).expect("changed_order lists recorded rows");
-                        let new = this.state.m[l].row(v as usize);
-                        if mono {
-                            let del_id = ws.arena.push(old_row);
-                            let add_id = ws.arena.push(new);
-                            for &x in this.graph.out_neighbors(v) {
-                                if covered.contains(&(v, x)) || !this.owns(x) {
-                                    continue;
-                                }
-                                let sh = shard_of(x, ns, blocked);
-                                ws.fx[sh].push(Event {
-                                    op: EventOp::Del,
-                                    target: x,
-                                    payload: del_id,
-                                    degree_delta: 0,
-                                });
-                                ws.fx[sh].push(Event {
-                                    op: EventOp::Add,
-                                    target: x,
-                                    payload: add_id,
-                                    degree_delta: 0,
-                                });
-                            }
-                        } else {
-                            let diff_id = ws.arena.push_diff(new, old_row);
-                            for &x in this.graph.out_neighbors(v) {
-                                if covered.contains(&(v, x)) || !this.owns(x) {
-                                    continue;
-                                }
-                                ws.fx[shard_of(x, ns, blocked)].push(Event {
-                                    op: EventOp::Update,
-                                    target: x,
-                                    payload: diff_id,
-                                    degree_delta: 0,
-                                });
-                            }
-                        }
-                    }
-                    // The source transform of a delta-rule layer: once per
-                    // payload, shared by all its events as the payload is.
-                    if let Some(w) = delta_w {
-                        ws.arena.transform_tails(w);
-                    }
-                };
-                fan_out(cfg.parallel, gen_work, workers, 1, |(w, ws)| run((w, &mut ws[0])));
-            }
-            layer_stats.events_created =
-                scratch.workers[..nw].iter().map(WorkerScratch::events_emitted).sum();
-            let payloads: usize = scratch.workers[..nw].iter().map(|ws| ws.arena.len()).sum();
-            f32_written += (payloads * (dim + tail)) as u64;
-            if delta_w.is_some() {
-                layer_stats.delta_sources = payloads;
-            }
-            layer_stats.phases.generate = t_generate.elapsed() + rescale_elapsed;
+        let t = Instant::now();
+        phases::apply(plan, &mut rs, &self.graph, &mut self.state);
+        rs.layer.phases.apply = t.elapsed();
 
-            // ── Phase 2: group ────────────────────────────────────────────
-            // Each shard reduces its buckets phase-major then worker-major —
-            // exactly the sequential emission order restricted to the shard.
-            let t_group = Instant::now();
-            {
-                let ScratchPool { workers, shards, .. } = &mut *scratch;
-                let workers = &workers[..nw];
-                let shards = &mut shards[..ns];
-                let run = |(s, shard): (usize, &mut ShardScratch)| {
-                    shard.begin();
-                    for ws in workers {
-                        shard.reduce_bucket(&ws.dg[s], &ws.arena, agg, cfg.compensated);
-                    }
-                    for ws in workers {
-                        shard.reduce_bucket(&ws.fx[s], &ws.arena, agg, cfg.compensated);
-                    }
-                    if cfg.compensated && !mono {
-                        shard.fold_compensation();
-                    }
-                };
-                let events = layer_stats.events_created;
-                fan_out(cfg.parallel, events, shards, 1, |(s, shard)| run((s, &mut shard[0])));
-            }
-            let total_targets: usize = scratch.shards[..ns].iter().map(|s| s.entries.len()).sum();
-            layer_stats.targets = total_targets;
-            f32_read += scratch.shards[..ns].iter().map(|s| s.payload_reads).sum::<usize>() as u64;
-            layer_stats.phases.group = t_group.elapsed();
+        let t = Instant::now();
+        let user = self.hooks.as_deref().zip(self.user_cache[l].as_mut());
+        phases::write(plan, &mut rs, &mut self.state.alpha[l], user, owned);
+        rs.layer.phases.write = t.elapsed();
 
-            // ── Phase 3: apply ────────────────────────────────────────────
-            // Per-target incremental update, α written into each shard's
-            // flat output buffer. Two passes per shard: pass 1 classifies
-            // every entry and finishes every incremental update in place —
-            // a monotonic exposed reset included, which re-aggregates only
-            // its exposed channels over the in-neighbors. Entries that need
-            // *every* channel rebuilt (empty-old targets, the
-            // `incremental: false` ablation) are deferred, grouped by kind ×
-            // degree class, gathered into contiguous panels and folded with
-            // the full-row reduction kernels in pass 2.
-            //
-            // On a delta-rule layer pass 1 also *commits* every delta row:
-            // the α row from `Σ Δm`, then `h += s·Σ Δm·W`, both in place in
-            // the 64-row blocks the shard owns. Its outcome carries the two
-            // change tests, and nothing is staged for it.
-            let t_apply = Instant::now();
-            {
-                let ScratchPool { shards, block_rank, old, .. } = &mut *scratch;
-                let (shards, old, graph) = (&mut shards[..ns], &*old, &self.graph);
-                let FullState { m, alpha, h, .. } = &mut self.state;
-                let m_l = &m[l];
-                let run = |shard: &mut ShardScratch, alpha_rows: &mut AlphaRows| {
-                    let ApplyParts {
-                        entries,
-                        buf,
-                        alpha_buf,
-                        outcomes,
-                        exposed,
-                        exposed_channels,
-                        exposed_rows,
-                        recompute,
-                        apply_comp,
-                        gemm,
-                        batched_apply_rows,
-                    } = shard.apply_parts();
-                    // Pass 1: classify and update incrementally. Every entry
-                    // stages its new α, except a delta-rule layer's delta
-                    // rows, so the buffer grows per staged row.
-                    let mut staged_rows = 0u32;
-                    for (i, e) in entries.iter().enumerate() {
-                        let u = e.target;
-                        if let AlphaRows::Owned(owned) = alpha_rows {
-                            // The delta rule serves an incrementally updated
-                            // target whose own message stayed put (else the
-                            // self term of its output row moved too).
-                            let degree = graph.in_degree(u);
-                            let scale = if cfg.incremental && !old.contains(l, u) {
-                                delta_row_scale(agg, degree, e.degree_delta)
-                            } else {
-                                None
-                            };
-                            if let Some(scale) = scale {
-                                let (sum, w_sum) = acc_slot_in(buf, e.add, dim, tail);
-                                let (alpha_row, h_row) = owned.rows_mut(u);
-                                let changed = accumulate_in_place(
-                                    agg,
-                                    alpha_row,
-                                    sum,
-                                    degree,
-                                    e.degree_delta,
-                                    cfg.compensated,
-                                );
-                                outcomes.push(ApplyOutcome {
-                                    cond: CondKind::Acc,
-                                    reads: dim as u64,
-                                    changed,
-                                    staged: NO_SLOT,
-                                    output_changed: apply_delta_row(h_row, scale, w_sum),
-                                });
-                                continue;
-                            }
-                        }
-                        let staged = staged_rows;
-                        staged_rows += 1;
-                        let start = staged as usize * dim;
-                        if alpha_buf.len() < start + dim {
-                            alpha_buf.resize(start + dim, 0.0);
-                        }
-                        let out = &mut alpha_buf[start..start + dim];
-                        let alpha_old = alpha_rows.alpha(u);
-                        let mut reads = dim as u64;
-                        let mut deferred = None;
-                        let cond = if !cfg.incremental {
-                            deferred = Some(RecomputeKind::Forced);
-                            CondKind::Forced
-                        } else if mono {
-                            // A target whose *old* neighborhood was empty has
-                            // α⁻ = 0 by convention, not as a real aggregate:
-                            // the incremental rules don't apply there.
-                            let old_deg = graph.in_degree(u) as i64 - e.degree_delta as i64;
-                            if old_deg <= 0 {
-                                deferred = Some(RecomputeKind::EmptyOld);
-                                CondKind::Mono(Condition::ExposedReset)
-                            } else {
-                                let condition = apply_monotonic_into(
-                                    agg,
-                                    alpha_old,
-                                    slot_in(buf, e.del, dim),
-                                    slot_in(buf, e.add, dim),
-                                    out,
-                                    exposed,
-                                );
-                                if condition == Condition::ExposedReset {
-                                    // `out` is exact everywhere but on the
-                                    // exposed channels: repair just those.
-                                    let neighbors = graph.in_neighbors(u);
-                                    agg.aggregate_channels_into(
-                                        neighbors.iter().map(|&v| m_l.row(v as usize)),
-                                        exposed,
-                                        out,
-                                    );
-                                    reads += (neighbors.len() * exposed.len()) as u64;
-                                    *exposed_channels += exposed.len();
-                                    *exposed_rows += neighbors.len();
-                                }
-                                CondKind::Mono(condition)
-                            }
-                        } else {
-                            let (sum, _) = acc_slot_in(buf, e.add, dim, tail);
-                            apply_accumulative_into(
-                                agg,
-                                alpha_old,
-                                sum,
-                                graph.in_degree(u),
-                                e.degree_delta,
-                                cfg.compensated,
-                                out,
-                            );
-                            CondKind::Acc
-                        };
-                        if let Some(kind) = deferred {
-                            recompute
-                                .push((recompute_sort_key(kind, graph.in_degree(u)), i as u32));
-                            reads += (graph.in_degree(u) * dim) as u64;
-                        }
-                        // `changed` of deferred entries is backfilled once
-                        // their α is actually recomputed below.
-                        let changed = deferred.is_none() && &*out != alpha_old;
-                        outcomes.push(ApplyOutcome {
-                            cond,
-                            reads,
-                            changed,
-                            staged,
-                            output_changed: false,
-                        });
-                    }
-                    if recompute.is_empty() {
-                        return;
-                    }
-                    // Pass 2: full recomputations. Each equal-key run gathers
-                    // its targets' neighbor rows (in neighbor order) into one
-                    // contiguous panel from the shard's buffer pool and folds
-                    // it with the batched kernels — bitwise identical to the
-                    // scalar loop because every target's rows still fold in
-                    // the same order with the same kernels.
-                    let staged_row = |s: u32| s as usize * dim..(s as usize + 1) * dim;
-                    if dim > 0 && recompute.len() >= cfg.apply_batch_threshold.max(1) {
-                        recompute.sort_unstable();
-                        let mut g = 0;
-                        while g < recompute.len() {
-                            let key = recompute[g].0;
-                            let mut end = g;
-                            let mut rows = 0usize;
-                            while end < recompute.len() && recompute[end].0 == key {
-                                rows += graph.in_degree(entries[recompute[end].1 as usize].target);
-                                end += 1;
-                            }
-                            let mut panel = gemm.take(rows * dim);
-                            let mut off = 0usize;
-                            for &(_, idx) in &recompute[g..end] {
-                                let u = entries[idx as usize].target;
-                                let deg = graph.in_degree(u);
-                                gather_rows_into(
-                                    m_l,
-                                    graph.in_neighbors(u).iter().map(|&v| v as usize),
-                                    &mut panel[off * dim..(off + deg) * dim],
-                                );
-                                off += deg;
-                            }
-                            let mut off = 0usize;
-                            for &(_, idx) in &recompute[g..end] {
-                                let i = idx as usize;
-                                let deg = graph.in_degree(entries[i].target);
-                                agg.aggregate_rows_into(
-                                    &panel[off * dim..(off + deg) * dim],
-                                    &mut alpha_buf[staged_row(outcomes[i].staged)],
-                                    apply_comp,
-                                );
-                                off += deg;
-                            }
-                            gemm.put(panel);
-                            *batched_apply_rows += rows;
-                            g = end;
-                        }
-                    } else {
-                        for &(_, idx) in recompute.iter() {
-                            let i = idx as usize;
-                            let u = entries[i].target;
-                            agg.aggregate_into(
-                                graph.in_neighbors(u).iter().map(|&v| m_l.row(v as usize)),
-                                &mut alpha_buf[staged_row(outcomes[i].staged)],
-                            );
-                        }
-                    }
-                    for &(_, idx) in recompute.iter() {
-                        let i = idx as usize;
-                        let new = &alpha_buf[staged_row(outcomes[i].staged)];
-                        outcomes[i].changed = new != alpha_rows.alpha(entries[i].target);
-                    }
-                };
-                if blocked {
-                    // Each shard paired with its own blocks of α and `h`.
-                    let rows = ShardRows::split(&mut alpha[l], h, ns, block_rank);
-                    let mut work: Vec<_> =
-                        shards.iter_mut().zip(rows.into_iter().map(AlphaRows::Owned)).collect();
-                    fan_out(cfg.parallel, total_targets, &mut work, 1, |(_, w)| {
-                        let (shard, rows) = &mut w[0];
-                        run(shard, rows)
-                    });
-                } else {
-                    let alpha_l = &alpha[l];
-                    fan_out(cfg.parallel, total_targets, shards, 1, |(_, shard)| {
-                        run(&mut shard[0], &mut AlphaRows::Shared(alpha_l))
-                    });
-                }
-            }
-            for shard in &scratch.shards[..ns] {
-                layer_stats.batched_apply_rows += shard.batched_apply_rows;
-                layer_stats.exposed_channels += shard.exposed_channels;
-                layer_stats.exposed_rows += shard.exposed_rows;
-            }
-            layer_stats.phases.apply = t_apply.elapsed();
+        let t = Instant::now();
+        let hooks = self.hooks.as_deref();
+        let (model, graph, cache) = (&self.model, &self.graph, &self.user_cache);
+        phases::next_messages(plan, &mut rs, model, graph, &mut self.state, hooks, cache);
+        rs.layer.phases.next_messages = t.elapsed();
 
-            // ── Phase 4: write ────────────────────────────────────────────
-            // Sequential commit: staged α rows, condition stats, user
-            // events, and the merged + sorted next-layer target list. A
-            // delta row's rows are already committed; it only leaves its
-            // counts and its dirty-row entry here.
-            let t_write = Instant::now();
-            let mut nd = 0usize;
-            {
-                let ScratchPool { shards, affected, next_targets, .. } = &mut *scratch;
-                next_targets.clear();
-                for shard in &shards[..ns] {
-                    for (e, o) in shard.entries.iter().zip(&shard.outcomes) {
-                        f32_read += o.reads;
-                        match o.cond {
-                            CondKind::Mono(c) => {
-                                layer_stats.conditions.record(c);
-                                report
-                                    .per_node_condition
-                                    .entry(e.target)
-                                    .and_modify(|worst| {
-                                        if c.severity() > worst.severity() {
-                                            *worst = c;
-                                        }
-                                    })
-                                    .or_insert(c);
-                            }
-                            CondKind::Acc => layer_stats.conditions.accumulative += 1,
-                            CondKind::Forced => {
-                                layer_stats.conditions.forced_recompute += 1;
-                                report
-                                    .per_node_condition
-                                    .insert(e.target, Condition::ExposedReset);
-                            }
-                        }
-                        if o.changed {
-                            if o.staged != NO_SLOT {
-                                let s = o.staged as usize;
-                                self.state.alpha[l].set_row(
-                                    e.target as usize,
-                                    &shard.alpha_buf[s * dim..(s + 1) * dim],
-                                );
-                            }
-                            f32_written += dim as u64;
-                            layer_stats.alpha_changed += 1;
-                            affected.insert(e.target);
-                        }
-                        // Accumulative targets always propagate (Algorithm 1
-                        // l.18-21) — a delta row did so in the apply phase.
-                        let propagates = matches!(o.cond, CondKind::Acc) || o.changed;
-                        if o.staged == NO_SLOT {
-                            nd += 1;
-                            if o.output_changed {
-                                report.output_changed += 1;
-                                if !self.dirty_all {
-                                    self.dirty.push(e.target);
-                                }
-                            }
-                        } else if propagates || !cfg.pruning {
-                            next_targets.push(e.target);
-                        }
-                    }
-                }
-            }
-
-            // User events targeting this layer's update phase. Events whose
-            // target this engine does not own are dropped — the owning
-            // engine derives the same events from its own copy of the
-            // change (hooks must only target vertices they were fired for).
-            let user_events = std::mem::take(&mut scratch.pending_user[l]);
-            if !user_events.is_empty() {
-                let owned = self.owned.as_deref();
-                let hooks = self.hooks.as_deref().expect("user events require hooks");
-                let cache =
-                    self.user_cache[l].as_mut().expect("user events require a hooked layer");
-                let mut by_target: FxHashMap<VertexId, Vec<UserEvent>> = FxHashMap::default();
-                for e in user_events {
-                    if !owns_in(owned, e.target) {
-                        continue;
-                    }
-                    by_target.entry(e.target).or_default().push(e);
-                }
-                for (target, evs) in by_target {
-                    let reduced = hooks.user_grouping(l, evs);
-                    hooks.user_apply(l, target, cache.row_mut(target as usize), &reduced);
-                    scratch.affected.insert(target);
-                    scratch.next_targets.push(target);
-                }
-            }
-
-            // Self-dependence: nodes whose own message changed re-enter —
-            // owned ones only; a ghost's owner re-enters it on its side.
-            if self_dependent {
-                let owned = self.owned.as_deref();
-                scratch.next_targets.extend(
-                    scratch.changed_order.iter().copied().filter(|&v| owns_in(owned, v)),
-                );
-            }
-            scratch.next_targets.sort_unstable();
-            scratch.next_targets.dedup();
-            // Delta rows are disjoint from the list above: one group entry
-            // per target, and none of them is in `changed_order`.
-            layer_stats.delta_rows = nd;
-            layer_stats.targets = layer_stats.targets.max(scratch.next_targets.len() + nd);
-            report.nodes_visited += (scratch.next_targets.len() + nd) as u64;
-            layer_stats.phases.write = t_write.elapsed();
-
-            // ── Phase 5: next-messages ────────────────────────────────────
-            // Rebuild next-layer messages / final outputs into the flat
-            // production buffer — gather→GEMM→scatter on a parallel engine
-            // once the target set reaches `BATCH_MIN_TARGETS`, per-node
-            // otherwise — then commit sequentially.
-            // Delta rows never come here: the apply phase committed them.
-            let t_next = Instant::now();
-            let nt = scratch.next_targets.len();
-            let batched = cfg.parallel
-                && nt >= BATCH_MIN_TARGETS
-                && dim > 0
-                && out_dim > 0
-                && prod_dim > 0;
-            if batched {
-                layer_stats.batched_rows = nt;
-                let ScratchPool {
-                    next_targets, next_buf, gather_alpha, gather_self, hidden_buf, gemm, ..
-                } = &mut *scratch;
-                next_buf.clear();
-                next_buf.resize(nt * prod_dim, 0.0);
-                let next_targets = &*next_targets;
-                let this = &*self;
-                let layer = this.model.layer(l);
-                let conv = &layer.conv;
-                // Gather the targets' α rows into a contiguous strip, folding
-                // in the target-side degree weight of scaled layers (the same
-                // `a[j] * s` the per-node path computes before its update).
-                gather_alpha.clear();
-                gather_alpha.resize(nt * dim, 0.0);
-                if degree_scaled {
-                    gather_rows_scaled_into(
-                        &this.state.alpha[l],
-                        next_targets
-                            .iter()
-                            .map(|&u| (u as usize, conv.update_scale(this.graph.in_degree(u)))),
-                        gather_alpha,
-                    );
-                } else {
-                    gather_rows_into(
-                        &this.state.alpha[l],
-                        next_targets.iter().map(|&u| u as usize),
-                        gather_alpha,
-                    );
-                }
-                let self_msg: &[f32] = if self_dependent {
-                    gather_self.clear();
-                    gather_self.resize(nt * dim, 0.0);
-                    gather_rows_into(
-                        &this.state.m[l],
-                        next_targets.iter().map(|&u| u as usize),
-                        gather_self,
-                    );
-                    gather_self
-                } else {
-                    &[]
-                };
-                // One batched update GEMM for the whole target set. The last
-                // layer writes straight into the production buffer
-                // (`prod_dim == out_dim` there).
-                let h_rows: &mut [f32] = if is_last {
-                    next_buf.as_mut_slice()
-                } else {
-                    hidden_buf.clear();
-                    hidden_buf.resize(nt * out_dim, 0.0);
-                    hidden_buf.as_mut_slice()
-                };
-                report.gemm_flops +=
-                    conv.update_batch_into(nt, gather_alpha, self_msg, h_rows, gemm);
-                // Per-row epilogue: user contribution, norm, activation.
-                {
-                    let hooks = this.hooks.as_deref();
-                    let cache = this.user_cache.get(l).and_then(Option::as_ref);
-                    let run = |(i, row): (usize, &mut [f32])| {
-                        let u = next_targets[i];
-                        if let (Some(hk), Some(c)) = (hooks, cache) {
-                            hk.contribute(l, u, row, c.row(u as usize));
-                        }
-                        if let Some(norm) = &layer.norm {
-                            norm.apply_cached(row);
-                        }
-                        layer.act.apply(row);
-                    };
-                    fan_out(cfg.parallel, nt, h_rows, out_dim, run);
-                }
-                if !is_last {
-                    // One batched message GEMM into the production buffer,
-                    // then the source-side degree weight per row.
-                    let next_conv = &this.model.layer(l + 1).conv;
-                    report.gemm_flops +=
-                        next_conv.message_batch_into(nt, hidden_buf, next_buf, gemm);
-                    if next_conv.degree_scaled() {
-                        let run = |(i, row): (usize, &mut [f32])| {
-                            let s = next_conv.degree_scale(this.graph.in_degree(next_targets[i]));
-                            ink_tensor::ops::scale(row, s);
-                        };
-                        fan_out(cfg.parallel, nt, next_buf, prod_dim, run);
-                    }
-                }
-            } else {
-                let ScratchPool { next_targets, next_buf, .. } = &mut *scratch;
-                next_buf.clear();
-                next_buf.resize(nt * prod_dim, 0.0);
-                let next_targets = &*next_targets;
-                let this = &*self;
-                let run = |(i, chunk): (usize, &mut [f32])| {
-                    let u = next_targets[i];
-                    let h_new = compute_next_hidden(
-                        &this.model,
-                        &this.state,
-                        this.hooks.as_deref(),
-                        &this.user_cache,
-                        l,
-                        u,
-                        this.graph.in_degree(u),
-                    );
-                    if is_last {
-                        chunk.copy_from_slice(&h_new);
-                    } else {
-                        let next_conv = &this.model.layer(l + 1).conv;
-                        let mut msg = next_conv.message(&h_new);
-                        if next_conv.degree_scaled() {
-                            ink_tensor::ops::scale(
-                                &mut msg,
-                                next_conv.degree_scale(this.graph.in_degree(u)),
-                            );
-                        }
-                        chunk.copy_from_slice(&msg);
-                    }
-                };
-                fan_out(cfg.parallel, nt, next_buf, prod_dim.max(1), run);
-            }
-            f32_read += (nt * 2 * dim + nd * 2 * out_dim) as u64;
-            f32_written += ((nt + nd) * out_dim) as u64;
-
-            {
-                let ScratchPool { next_targets, next_buf, old, pending_user, .. } = &mut *scratch;
-                for (&u, chunk) in next_targets.iter().zip(next_buf.chunks(prod_dim.max(1))) {
-                    if is_last {
-                        if chunk != self.state.h.row(u as usize) {
-                            self.state.h.set_row(u as usize, chunk);
-                            report.output_changed += 1;
-                            if !self.dirty_all {
-                                self.dirty.push(u);
-                            }
-                        }
-                    } else {
-                        let changed = chunk != self.state.m[l + 1].row(u as usize);
-                        if changed || !cfg.pruning {
-                            old.insert(l + 1, u, self.state.m[l + 1].row(u as usize));
-                            if changed {
-                                if let Some(hooks) = self.hooks.as_deref() {
-                                    pending_user[l + 1].extend(hooks.user_propagate(
-                                        l + 1,
-                                        u,
-                                        old.get(l + 1, u).expect("just inserted"),
-                                        chunk,
-                                    ));
-                                }
-                                self.state.m[l + 1].set_row(u as usize, chunk);
-                            }
-                        }
-                    }
-                }
-            }
-            if is_last && self.dirty.len() > self.graph.num_vertices() / DIRTY_ROWS_DIVISOR {
-                self.mark_all_dirty();
-            }
-            layer_stats.phases.next_messages = t_next.elapsed();
-
-            report.per_layer.push(layer_stats);
-        }
-        rs.f32_read += f32_read;
-        rs.f32_written += f32_written;
+        let rewritten = &mut rs.scratch.rewritten;
+        rs.report.output_changed += rewritten.len() as u64;
+        self.list_dirty(rewritten);
+        rewritten.clear();
+        rs.report.per_layer.push(std::mem::take(&mut rs.layer));
         self.round = Some(rs);
+    }
+
+    /// Appends output rows a round rewrote to the dirty list, which gives up
+    /// and reads "all rows" once it outgrows its cap.
+    fn list_dirty(&mut self, rows: &[VertexId]) {
+        if !self.dirty_all {
+            self.dirty.extend_from_slice(rows);
+        }
+        if self.dirty.len() > self.graph.num_vertices() / DIRTY_ROWS_DIVISOR {
+            self.mark_all_dirty();
+        }
     }
 
     /// Closes the round: folds the totals into the report and returns the
@@ -1710,49 +929,6 @@ fn check_state_shape(model: &Model, n: usize, state: &FullState) -> Result<(), I
         });
     }
     Ok(())
-}
-
-/// Shared ownership predicate: no mask means the engine owns everything;
-/// with a mask, out-of-range vertices are not owned (the driver keeps the
-/// mask sized to the graph).
-#[inline]
-fn owns_in(owned: Option<&[bool]>, v: VertexId) -> bool {
-    owned.is_none_or(|o| o.get(v as usize).copied().unwrap_or(false))
-}
-
-/// `h_{l+1,u} = act(norm(T(α_{l,u}, m_{l,u}) + user_contribution))` for one
-/// node, from the *current* cached state. `degree` feeds the target-side
-/// weight of degree-scaled layers.
-fn compute_next_hidden(
-    model: &Model,
-    state: &FullState,
-    hooks: Option<&dyn UserHooks>,
-    user_cache: &[Option<Matrix>],
-    l: usize,
-    u: VertexId,
-    degree: usize,
-) -> Vec<f32> {
-    let layer = model.layer(l);
-    let mut out = vec![0.0; layer.conv.out_dim()];
-    if layer.conv.degree_scaled() {
-        let mut a = state.alpha[l].row(u as usize).to_vec();
-        ink_tensor::ops::scale(&mut a, layer.conv.update_scale(degree));
-        layer.conv.update_into(&a, state.m[l].row(u as usize), &mut out);
-    } else {
-        layer.conv.update_into(
-            state.alpha[l].row(u as usize),
-            state.m[l].row(u as usize),
-            &mut out,
-        );
-    }
-    if let (Some(hk), Some(cache)) = (hooks, user_cache.get(l).and_then(Option::as_ref)) {
-        hk.contribute(l, u, &mut out, cache.row(u as usize));
-    }
-    if let Some(norm) = &layer.norm {
-        norm.apply_cached(&mut out);
-    }
-    layer.act.apply(&mut out);
-    out
 }
 
 /// Full-graph bootstrap into caller-owned state, one batched GEMM chain per
@@ -2148,58 +1324,54 @@ mod tests {
     #[test]
     fn batched_apply_is_bitwise_equal_to_per_target() {
         for agg in [Aggregator::Max, Aggregator::Min, Aggregator::Sum, Aggregator::Mean] {
-            // Default config reaches the recompute pass through an empty-old
-            // target only (exposed resets repair their channels in pass 1);
-            // recompute_all forces every target (including accumulative
-            // ones) through it.
+            // Default config reaches the panel recomputation through an
+            // empty-old target only (exposed resets repair their channels in
+            // pass 1); recompute_all forces every target (including
+            // accumulative ones) through it.
             for base in [UpdateConfig::default(), UpdateConfig::recompute_all()] {
-                // A 24-ring plus the isolated vertex 24.
-                let make = |cfg: UpdateConfig| {
+                let recomputes = !base.incremental || agg.is_monotonic();
+                for threads in [1, 3] {
+                    // A 24-ring plus the isolated vertex 24.
                     let mut rng = seeded_rng(41);
                     let model = Model::gcn(&mut rng, &[4, 6, 3], agg);
                     let mut g = ring(24);
                     g.add_vertex();
-                    InkStream::new(model, g, feats(25, 4), cfg).unwrap()
-                };
-                // Removals drive monotonic exposed resets; the insert gives
-                // the isolated vertex its first neighbor — an empty-old
-                // recompute.
-                let delta = DeltaBatch::new(vec![
-                    EdgeChange::remove(0, 1),
-                    EdgeChange::remove(5, 6),
-                    EdgeChange::remove(12, 13),
-                    EdgeChange::insert(2, 24),
-                ]);
-                let mut scalar = make(UpdateConfig { apply_batch_threshold: usize::MAX, ..base });
-                let mut batched = make(UpdateConfig { apply_batch_threshold: 1, ..base });
-                let mut sharded = make(UpdateConfig { apply_batch_threshold: 1, ..base });
-                let rs = scalar.apply_delta(&delta);
-                let rb = batched.apply_delta(&delta);
-                let rp = pool(3).install(|| sharded.apply_delta(&delta));
-                assert_eq!(batched.output(), scalar.output(), "{agg:?} {base:?}");
-                assert_eq!(sharded.output(), scalar.output(), "{agg:?} {base:?} sharded");
-                assert_eq!(batched.state().alpha[1], scalar.state().alpha[1], "{agg:?}");
-                assert_eq!(rs.batched_apply_rows(), 0, "{agg:?}: scalar engine must not batch");
-                if !base.incremental || agg.is_monotonic() {
-                    assert!(
-                        rb.batched_apply_rows() > 0 && rp.batched_apply_rows() > 0,
-                        "{agg:?} {base:?}: full-row recomputes must take the panel path"
-                    );
+                    let mut engine = InkStream::new(model, g, feats(25, 4), base).unwrap();
+                    // Removals drive monotonic exposed resets; the insert
+                    // gives the isolated vertex its first neighbor — an
+                    // empty-old recompute.
+                    let delta = DeltaBatch::new(vec![
+                        EdgeChange::remove(0, 1),
+                        EdgeChange::remove(5, 6),
+                        EdgeChange::remove(12, 13),
+                        EdgeChange::insert(2, 24),
+                    ]);
+                    let r = pool(threads).install(|| engine.apply_delta(&delta));
+                    let ctx = format!("{agg:?} {base:?} {threads} threads");
+                    let reference = engine.recompute_reference();
+                    if recomputes {
+                        assert!(r.batched_apply_rows() > 0, "{ctx}: no panel folded");
+                        assert_eq!(engine.output(), &reference, "{ctx}");
+                        // Every α row — the panel-recomputed ones included —
+                        // is the reference aggregate of the cached messages.
+                        for l in 0..engine.model.num_layers() {
+                            let want = ink_gnn::full::batch_aggregate(
+                                &engine.model,
+                                l,
+                                &engine.graph,
+                                &engine.state.m[l],
+                            );
+                            assert_eq!(engine.state.alpha[l], want, "{ctx}: layer {l}");
+                        }
+                    } else {
+                        assert_eq!(r.batched_apply_rows(), 0, "{ctx}");
+                        assert!(engine.output().allclose(&reference, 1e-4), "{ctx}");
+                    }
+                    // Exposed resets repair channels, and nothing else does:
+                    // the ablation never classifies at all.
+                    let repaired: usize = r.per_layer.iter().map(|l| l.exposed_channels).sum();
+                    assert_eq!(repaired > 0, base.incremental && agg.is_monotonic(), "{ctx}");
                 }
-                // The channel repair is independent of the recompute pass's
-                // batching, and the ablation never classifies at all.
-                let repaired = |r: &UpdateReport| -> (usize, usize) {
-                    r.per_layer.iter().fold((0, 0), |(c, n), l| {
-                        (c + l.exposed_channels, n + l.exposed_rows)
-                    })
-                };
-                assert_eq!(repaired(&rb), repaired(&rs), "{agg:?} {base:?}");
-                assert_eq!(repaired(&rp), repaired(&rs), "{agg:?} {base:?} sharded");
-                assert_eq!(
-                    repaired(&rs).0 > 0,
-                    base.incremental && agg.is_monotonic(),
-                    "{agg:?} {base:?}: exposed resets repair channels, nothing else does"
-                );
             }
         }
     }

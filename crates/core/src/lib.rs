@@ -45,6 +45,7 @@ pub mod grouping;
 pub mod hooks;
 pub mod json;
 pub mod monotonic;
+mod phases;
 mod pipeline;
 pub mod session;
 pub mod snapshot;

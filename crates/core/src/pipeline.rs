@@ -1,10 +1,8 @@
 //! Sharded, arena-backed scratch machinery for the engine's event pipeline.
 //!
-//! One update round runs each layer through five phases (see DESIGN.md,
-//! "Update pipeline"): *generate* → *group* → *apply* → *write* →
-//! *next-messages*. This module owns the reusable storage those phases work
-//! in, sized once during warm-up and then recycled round after round so the
-//! steady-state hot path performs no heap allocation:
+//! The five phases live in [`crate::phases`]; this module owns the reusable
+//! storage they work in, sized once during warm-up and then recycled round
+//! after round so the steady-state hot path performs no heap allocation:
 //!
 //! * [`WorkerScratch`] — one per generation worker: a private
 //!   [`PayloadArena`] plus per-shard event buckets. Workers process
@@ -228,23 +226,6 @@ impl AlphaRows<'_> {
     }
 }
 
-/// The apply phase's split-borrow view of one shard: groups are read while α
-/// values, outcomes, the exposed-channel repair state and the
-/// batched-recompute machinery are written.
-pub(crate) struct ApplyParts<'a> {
-    pub entries: &'a [GroupEntry],
-    pub buf: &'a [f32],
-    pub alpha_buf: &'a mut Vec<f32>,
-    pub outcomes: &'a mut Vec<ApplyOutcome>,
-    pub exposed: &'a mut Vec<u32>,
-    pub exposed_channels: &'a mut usize,
-    pub exposed_rows: &'a mut usize,
-    pub recompute: &'a mut Vec<(u32, u32)>,
-    pub apply_comp: &'a mut Vec<f32>,
-    pub gemm: &'a mut ink_tensor::GemmScratch,
-    pub batched_apply_rows: &'a mut usize,
-}
-
 /// One target shard of the group-reduce phase, plus the apply phase's
 /// per-entry outputs. All storage is recycled between rounds.
 ///
@@ -255,7 +236,8 @@ pub(crate) struct ApplyParts<'a> {
 pub(crate) struct ShardScratch {
     index: FxHashMap<VertexId, u32>,
     pub entries: Vec<GroupEntry>,
-    buf: Vec<f32>,
+    /// The reduced payloads, one slot per [`GroupEntry`] side.
+    pub buf: Vec<f32>,
     /// Neumaier compensation channel parallel to `buf`, used only when the
     /// engine runs with [`crate::UpdateConfig::compensated`] on an
     /// accumulative layer. [`ShardScratch::fold_compensation`] folds it into
@@ -279,13 +261,13 @@ pub(crate) struct ShardScratch {
     /// panel batches by event kind × degree class; the index tiebreak keeps
     /// the order fully deterministic.
     pub recompute: Vec<(u32, u32)>,
-    /// Reusable Neumaier channel for the batched panel folds
+    /// Reusable Neumaier channel for the panel folds
     /// ([`Aggregator::aggregate_rows_into`]).
     pub apply_comp: Vec<f32>,
     /// Panel buffer pool for the gathered neighbor rows. Per-shard so the
     /// apply phase stays embarrassingly parallel.
     pub gemm: ink_tensor::GemmScratch,
-    /// Neighbor rows this shard folded through the batched path this layer.
+    /// Neighbor rows this shard's full recomputations folded this layer.
     pub batched_apply_rows: usize,
 }
 
@@ -310,25 +292,6 @@ impl ShardScratch {
     #[cfg(test)]
     pub fn slot(&self, slot: u32, dim: usize) -> Option<&[f32]> {
         slot_in(&self.buf, slot, dim)
-    }
-
-    /// Splits the shard into the apply phase's read/write halves so groups
-    /// can be read while α values, outcomes and the recompute batching state
-    /// are written.
-    pub fn apply_parts(&mut self) -> ApplyParts<'_> {
-        ApplyParts {
-            entries: &self.entries,
-            buf: &self.buf,
-            alpha_buf: &mut self.alpha_buf,
-            outcomes: &mut self.outcomes,
-            exposed: &mut self.exposed,
-            exposed_channels: &mut self.exposed_channels,
-            exposed_rows: &mut self.exposed_rows,
-            recompute: &mut self.recompute,
-            apply_comp: &mut self.apply_comp,
-            gemm: &mut self.gemm,
-            batched_apply_rows: &mut self.batched_apply_rows,
-        }
     }
 
     /// Reduces one bucket of events (all targeting this shard) into the
@@ -557,6 +520,10 @@ pub(crate) struct ScratchPool {
     pub affected: FxHashSet<VertexId>,
     /// Targets entering the next-messages phase's full transform.
     pub next_targets: Vec<VertexId>,
+    /// Output rows the current layer rewrote (delta rows in write, full
+    /// transforms in next-messages); the engine drains it into its dirty
+    /// list after each layer.
+    pub rewritten: Vec<VertexId>,
     /// [`ShardRows::split`]'s block positions on a delta-rule layer.
     pub block_rank: Vec<u32>,
     /// Flat row-major output of the next-messages phase.
@@ -600,6 +567,7 @@ impl ScratchPool {
         self.degree_order.clear();
         self.covered.clear();
         self.affected.clear();
+        self.rewritten.clear();
     }
 
     /// Reserved heap footprint of the pool, in bytes. Capacities only —
@@ -614,7 +582,8 @@ impl ScratchPool {
                 * std::mem::size_of::<(VertexId, i64)>()
             + self.covered.capacity() * std::mem::size_of::<(VertexId, VertexId)>()
             + self.affected.capacity() * std::mem::size_of::<VertexId>()
-            + self.next_targets.capacity() * std::mem::size_of::<VertexId>()
+            + (self.next_targets.capacity() + self.rewritten.capacity())
+                * std::mem::size_of::<VertexId>()
             + self.block_rank.capacity() * std::mem::size_of::<u32>()
             + (self.next_buf.capacity()
                 + self.gather_alpha.capacity()

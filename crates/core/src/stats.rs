@@ -116,9 +116,9 @@ pub struct LayerStats {
     /// gather→GEMM→scatter transform (0 when the per-node path ran). Delta
     /// rows never come here.
     pub batched_rows: usize,
-    /// Neighbor rows the apply phase folded through the batched panel
-    /// recomputation (0 when every recompute took the scalar per-target
-    /// loop).
+    /// Neighbor rows folded by the apply phase's full recomputations
+    /// (empty-old targets, `incremental: false`), which gather them into
+    /// panels.
     pub batched_apply_rows: usize,
     /// Channels the apply phase re-aggregated for exposed resets, summed over
     /// targets; `exposed_channels / conditions.exposed_reset` is the mean

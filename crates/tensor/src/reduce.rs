@@ -5,11 +5,13 @@
 //!
 //! The `fold_rows_*` family reduces a contiguous row-major panel
 //! (`rows × dim`, rows gathered back-to-back) into a single `dim`-wide
-//! accumulator, visiting rows strictly in panel order. They are the dense
-//! half of the engine's batched apply-phase recomputation: the gather step
-//! packs a target's neighbor messages into a panel, these kernels fold it.
-//! Because each fold touches rows in exactly the order the scalar per-target
-//! loop would, the results are bitwise-identical to folding row-by-row.
+//! accumulator, visiting rows strictly in panel order: max, min, and the
+//! Neumaier-compensated sum behind sum and mean. They are the fold of the
+//! engine's apply-phase full recomputation, which gathers the neighbor
+//! messages of the targets it rebuilds into one panel per degree class.
+//! Each fold reads the rows in neighbor order with the same per-channel
+//! operation as `ink_gnn::Aggregator::aggregate_into`, so a panel fold is
+//! bitwise equal to that row-by-row reference.
 
 use crate::ops;
 use crate::Matrix;
@@ -99,19 +101,6 @@ pub fn fold_rows_min_into(panel: &[f32], dim: usize, out: &mut [f32]) {
     }
     for row in panel.chunks_exact(dim) {
         ops::min_assign(out, row);
-    }
-}
-
-/// Folds every `dim`-wide row of `panel` into `out` with plain per-channel
-/// addition, in row order.
-pub fn fold_rows_sum_into(panel: &[f32], dim: usize, out: &mut [f32]) {
-    debug_assert_eq!(out.len(), dim);
-    debug_assert!(dim == 0 || panel.len().is_multiple_of(dim), "panel is not whole rows");
-    if dim == 0 {
-        return;
-    }
-    for row in panel.chunks_exact(dim) {
-        ops::add_assign(out, row);
     }
 }
 
@@ -207,26 +196,21 @@ mod tests {
         fold_rows_max_into(&panel, dim, &mut mx);
         let mut mn = vec![f32::INFINITY; dim];
         fold_rows_min_into(&panel, dim, &mut mn);
-        let mut sum = vec![0.0; dim];
-        fold_rows_sum_into(&panel, dim, &mut sum);
         let mut nsum = vec![0.0; dim];
         let mut comp = vec![0.0; dim];
         fold_rows_neumaier_into(&panel, dim, &mut nsum, &mut comp);
 
         let mut want_mx = vec![f32::NEG_INFINITY; dim];
         let mut want_mn = vec![f32::INFINITY; dim];
-        let mut want_sum = vec![0.0; dim];
         let mut want_nsum = vec![0.0; dim];
         let mut want_comp = vec![0.0; dim];
         for row in panel.chunks_exact(dim) {
             ops::max_assign(&mut want_mx, row);
             ops::min_assign(&mut want_mn, row);
-            ops::add_assign(&mut want_sum, row);
             ops::neumaier_add_assign(&mut want_nsum, &mut want_comp, row);
         }
         assert!(ops::eq_exact(&mx, &want_mx));
         assert!(ops::eq_exact(&mn, &want_mn));
-        assert!(ops::eq_exact(&sum, &want_sum));
         assert!(ops::eq_exact(&nsum, &want_nsum));
         assert!(ops::eq_exact(&comp, &want_comp));
     }
@@ -237,7 +221,7 @@ mod tests {
         fold_rows_max_into(&[], 3, &mut out);
         assert!(out.iter().all(|&x| x == f32::NEG_INFINITY));
         let mut out = vec![0.0f32; 0];
-        fold_rows_sum_into(&[], 0, &mut out); // dim == 0 is a no-op
+        fold_rows_min_into(&[], 0, &mut out); // dim == 0 is a no-op
     }
 
     #[test]

@@ -6,17 +6,14 @@
 //!   engine. This is exact, not approximate: the GEMM kernel accumulates
 //!   every output element in the same k order as the per-node `vecmul`, and
 //!   tiling/parallelism only change which elements compute together, never
-//!   the addition order within one element.
-//! * The same holds for the batched *apply-phase* recomputation: gathering
-//!   deferred targets' neighborhoods into panels and folding them with the
-//!   row-panel aggregator kernels replays the exact per-target reduction
-//!   order, so the batched engine also runs with `apply_batch_threshold: 1`
-//!   here. The reference engine is the `sequential()` oracle, which never
-//!   runs the batched transform, with `apply_batch_threshold: usize::MAX`
-//!   pinning the scalar apply loop too.
-//! * At the shipped defaults the size-based selection takes the scalar side
-//!   on a small round and the batched side on a large one, and the
-//!   `sequential()` oracle stays scalar however large the round.
+//!   the addition order within one element. The reference engine is the
+//!   `sequential()` oracle, which never runs the batched transform.
+//! * Both engines rebuild a target's whole α the one way the apply phase
+//!   has, gathered neighbor panels, so the attached isolated vertices
+//!   (empty-old targets) fold panels on both sides.
+//! * At the shipped defaults the size-based selection takes the per-node
+//!   transform on a small round and the batched one on a large one, and the
+//!   `sequential()` oracle stays per-node however large the round.
 //! * Repeated recompute epochs (`resync`) on a hook-free engine reuse the
 //!   cached matrices and pooled temporaries — reserved bytes stay flat.
 
@@ -47,11 +44,10 @@ fn model_for(kind: u8, rng: &mut StdRng, agg: Aggregator) -> Model {
     }
 }
 
-/// The bitwise oracle: the sequential engine (per-node transform) with an
-/// apply threshold no round can reach, so both phases stay on their scalar
-/// per-node / per-target paths.
+/// The bitwise oracle: the sequential engine (one worker, one shard, no
+/// threads, per-node transform).
 fn scalar() -> UpdateConfig {
-    UpdateConfig { apply_batch_threshold: usize::MAX, ..UpdateConfig::default().sequential() }
+    UpdateConfig::default().sequential()
 }
 
 fn pool(threads: usize) -> rayon::ThreadPool {
@@ -64,9 +60,9 @@ fn attach(vs: std::ops::Range<usize>) -> Vec<ink_graph::EdgeChange> {
     vs.map(|v| ink_graph::EdgeChange::insert(0, v as u32)).collect()
 }
 
-/// Asserts the round ran no GEMM and no batched row in either phase.
+/// Asserts the round ran the per-node transform: no GEMM, no batched row.
 fn assert_scalar(r: &UpdateReport) {
-    assert_eq!((r.gemm_flops, r.batched_rows(), r.batched_apply_rows()), (0, 0, 0));
+    assert_eq!((r.gemm_flops, r.batched_rows()), (0, 0));
 }
 
 proptest! {
@@ -98,7 +94,7 @@ proptest! {
             InkStream::new(model, g.clone(), x, cfg).unwrap()
         };
         let mut per_node = make(scalar());
-        let mut batched = make(UpdateConfig { apply_batch_threshold: 1, ..UpdateConfig::default() });
+        let mut batched = make(UpdateConfig::default());
         // Both engines bootstrap to the same state by construction.
         prop_assert_eq!(per_node.output(), batched.output());
         let mut drng = StdRng::seed_from_u64(seed ^ 0x5eed);
@@ -108,7 +104,7 @@ proptest! {
         let delta = DeltaBatch::new(changes);
         let rp = per_node.apply_delta(&delta);
         let rb = pool(threads).install(|| batched.apply_delta(&delta));
-        // The scalar reference runs no GEMM and folds no panels.
+        // The scalar reference runs no GEMM.
         assert_scalar(&rp);
         prop_assert_eq!(batched.output(), per_node.output());
         for l in 0..per_node.model().num_layers() {
@@ -122,20 +118,19 @@ proptest! {
     }
 }
 
-/// `UpdateConfig::default()` picks scalar vs batched from the observed round
-/// size alone: a round below both shipped cutoffs batches nothing, a round
-/// at/above them batches in both phases, and either way the state is
-/// bitwise-equal to the scalar oracle's.
+/// `UpdateConfig::default()` picks the per-node or the batched transform
+/// from the observed round size alone: a round below the shipped cutoffs
+/// batches no transform, a round at/above them does, and either way the
+/// state is bitwise-equal to the scalar oracle's. Full recomputations fold
+/// gathered panels at every size, on both engines: a single empty-old
+/// target is enough.
 #[test]
 fn default_thresholds_select_scalar_below_and_batched_above() {
     let cfg = UpdateConfig::default();
-    // A 4-thread pool splits targets into 16 shards. Every `(0, v)` insert
-    // below lands on a so-far isolated `v`, whose empty old neighborhood
-    // defers it to the recompute pass, so this many of them put at least
-    // `apply_batch_threshold` into one shard.
-    let (threads, shards) = (4, 16);
-    let big = (cfg.apply_batch_threshold - 1) * shards + 1;
-    assert!(big >= BATCH_MIN_TARGETS);
+    // Every `(0, v)` insert below lands on a so-far isolated `v`, whose
+    // empty old neighborhood sends it to the panel recomputation.
+    let threads = 4;
+    let big = 16 * BATCH_MIN_TARGETS;
     // A 3-vertex path plus isolated vertices 3..n.
     let n = 4 + big;
     let g = DynGraph::undirected_from_edges(n, &[(0, 1), (1, 2)]);
@@ -151,14 +146,17 @@ fn default_thresholds_select_scalar_below_and_batched_above() {
     let small = DeltaBatch::new(attach(3..4));
     let (rd, ro) = (pool.install(|| default.apply_delta(&small)), oracle.apply_delta(&small));
     assert!(rd.nodes_visited > 0);
-    assert_eq!((rd.batched_rows(), rd.batched_apply_rows()), (0, 0), "below both cutoffs");
+    assert_eq!(rd.batched_rows(), 0, "below the cutoffs");
+    for r in [&rd, &ro] {
+        assert!(r.batched_apply_rows() > 0, "one empty-old target folds through a panel");
+    }
     assert_scalar(&ro);
     assert_eq!(default.output(), oracle.output());
 
     let large = DeltaBatch::new(attach(4..n));
     let (rd, ro) = (pool.install(|| default.apply_delta(&large)), oracle.apply_delta(&large));
     assert!(rd.batched_rows() > 0, "at/above BATCH_MIN_TARGETS the GEMM path must engage");
-    assert!(rd.batched_apply_rows() > 0, "at/above apply_batch_threshold panels must fold");
+    assert_eq!(rd.batched_apply_rows(), ro.batched_apply_rows(), "the same panel rows");
     assert_scalar(&ro);
     assert_eq!(default.output(), oracle.output());
     for l in 0..default.model().num_layers() {

@@ -34,11 +34,11 @@ fn build_engine(
         1 => Model::sage(&mut rng, &[4, 5, 3], agg),
         _ => Model::gin(&mut rng, 4, 5, 2, 0.1, agg),
     };
-    // `apply_batch_threshold: 1` sends every full-row recomputation the
-    // stream still causes — a target whose old neighborhood was empty;
-    // exposed resets repair their channels in place — through the gathered
-    // panels, so those are audited against full recompute as well.
-    let base = UpdateConfig { apply_batch_threshold: 1, ..UpdateConfig::default() };
+    // Every full-row recomputation the stream still causes — a target whose
+    // old neighborhood was empty; exposed resets repair their channels in
+    // place — folds gathered panels, so those are audited against full
+    // recompute as well.
+    let base = UpdateConfig::default();
     let cfg = if compensated { base.compensated() } else { base };
     let drng = StdRng::seed_from_u64(seed ^ 0xd41f);
     (InkStream::new(model, g, x, cfg).unwrap(), drng)

@@ -53,9 +53,7 @@ fn build_pair(
     greedy: bool,
 ) -> (InkStream, PartitionedInkStream) {
     let (g, x) = base_inputs(seed);
-    // Threshold 1 sends every empty-old target's full-row recomputation
-    // through the panel path, mirroring the single-engine drift harness.
-    let cfg = UpdateConfig { apply_batch_threshold: 1, ..UpdateConfig::default() };
+    let cfg = UpdateConfig::default();
     let single = InkStream::new(make_model(seed, agg, model_pick), g.clone(), x.clone(), cfg)
         .expect("single engine");
     let factory = move || make_model(seed, agg, model_pick);

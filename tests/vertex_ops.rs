@@ -138,3 +138,34 @@ fn vertex_churn_stays_consistent() {
     let (_v2, _) = e.add_vertex(&[0.9; 5], &[v1]).unwrap();
     assert_consistent(&e, Aggregator::Max, "churn");
 }
+
+/// Two feature updates of one vertex in one stepped round: the last one wins,
+/// and the round propagates from the vertex's pre-round message, not from the
+/// first update's.
+#[test]
+fn repeated_feature_update_in_one_round_keeps_the_pre_round_message() {
+    for agg in [Aggregator::Max, Aggregator::Sum] {
+        for seed in [2, 5, 13] {
+            let mut e = engine(agg, "gcn", seed);
+            let a = vec![0.9, -0.5, 0.1, 0.7, -0.2];
+            let b = vec![-0.8, 0.6, -0.4, 0.3, 0.5];
+            let updates = [(3, a), (3, b.clone())];
+            e.round_begin(&DeltaBatch::default(), &updates).unwrap();
+            for l in 0..e.model().num_layers() {
+                e.round_rescale(l);
+                e.round_process(l);
+            }
+            let report = e.round_finish();
+            assert!(report.real_affected >= 1);
+            assert_eq!(e.features().row(3), b.as_slice());
+            let ctx = format!("{agg:?} seed {seed}");
+            let reference = e.recompute_reference();
+            if agg.is_monotonic() {
+                assert_eq!(e.output(), &reference, "{ctx}");
+            } else {
+                let d = e.output().max_abs_diff(&reference);
+                assert!(d < 1e-4, "{ctx}: drift {d}");
+            }
+        }
+    }
+}
