@@ -6,10 +6,10 @@
 //! * **v1 baseline** — a handful of strict request/response clients, one
 //!   `Update` frame (16 edge ops) per round trip. This is the PR 3 serving
 //!   model and the denominator of the reported speedup.
-//! * **v2 data plane** — 1k+ concurrent connections multiplexed by the
-//!   readiness loop, driven by a few worker threads. Every connection
-//!   pipelines `Batch` frames (8 updates × 16 edge ops + 2 reads each);
-//!   update endpoints and query vertices are Zipf-distributed so a small
+//! * **pipelined data plane** — 1k+ concurrent connections multiplexed by
+//!   the readiness loop, driven by a few worker threads. Every connection
+//!   pipelines groups of plain frames (8 updates × 16 edge ops + 2 reads
+//!   each, 4 groups in flight); update endpoints and query vertices are Zipf-distributed so a small
 //!   set of celebrity vertices absorbs most traffic, as in production
 //!   feeds. Coalescing in the writer collapses the hot-edge churn into
 //!   small net batches — the InkStream serving story end to end.
@@ -21,8 +21,8 @@
 //! Output goes to `results/BENCH_serve.json` (+ `.prom`) via the shared
 //! writer; the schema is documented in EXPERIMENTS.md. Set
 //! `INK_BENCH_MIN_UPDATES_PER_S` to a float to turn the run into a smoke
-//! gate: the process exits non-zero when the v2 sustained edge-op
-//! throughput lands below the floor; `INK_BENCH_MIN_APPLY_PER_S` does the
+//! gate: the process exits non-zero when the pipelined phase's sustained
+//! edge-op throughput lands below the floor; `INK_BENCH_MIN_APPLY_PER_S` does the
 //! same for the raw-apply series.
 
 use ink_bench::workload::Zipf;
@@ -31,7 +31,9 @@ use ink_graph::generators::erdos_renyi;
 use ink_graph::EdgeChange;
 use ink_gnn::Aggregator;
 use ink_partition::{HashPartitioner, PartitionConfig, PartitionedInkStream};
-use ink_serve::{InkClient, InkServer, Request, Response, ServeConfig, ServerHandle};
+use ink_serve::{
+    InkClient, InkServer, Request, Response, ServeConfig, ServerHandle, PROTOCOL_VERSION,
+};
 use ink_tensor::init::{seeded_rng, sparse_power_law};
 use inkstream::{InkStream, Json, SessionConfig, StreamSession, UpdateConfig};
 use rand::rngs::StdRng;
@@ -46,11 +48,11 @@ const SEED: u64 = 0x5E12E;
 /// Edge ops per `Update` request — the PR 3 baseline unit, kept so the
 /// speedup ratio compares like with like.
 const BATCH: usize = 16;
-/// Update slots per v2 `Batch` frame.
-const FRAME_UPDATES: usize = 8;
-/// Read slots per v2 `Batch` frame.
-const FRAME_QUERIES: usize = 2;
-/// `Batch` frames in flight per connection.
+/// `Update` frames per pipelined group.
+const GROUP_UPDATES: usize = 8;
+/// Read frames per pipelined group.
+const GROUP_QUERIES: usize = 2;
+/// Groups in flight per connection.
 const PIPELINE: usize = 4;
 /// Zipf exponent of the vertex popularity distribution.
 const ZIPF_EXPONENT: f64 = 1.1;
@@ -113,14 +115,14 @@ fn pool_batch(rng: &mut StdRng, pool: &EdgePool) -> Vec<EdgeChange> {
         .collect()
 }
 
-/// One v2 `Batch` frame: hot-edge updates plus Zipf-addressed reads (every
-/// 32nd frame trades one embedding read for a top-k).
-fn build_frame(rng: &mut StdRng, pool: &EdgePool, zipf: &Zipf, round: usize) -> Vec<Request> {
-    let mut reqs = Vec::with_capacity(FRAME_UPDATES + FRAME_QUERIES);
-    for _ in 0..FRAME_UPDATES {
+/// One pipelined group: hot-edge updates plus Zipf-addressed reads (every
+/// 32nd group trades one embedding read for a top-k).
+fn build_group(rng: &mut StdRng, pool: &EdgePool, zipf: &Zipf, round: usize) -> Vec<Request> {
+    let mut reqs = Vec::with_capacity(GROUP_UPDATES + GROUP_QUERIES);
+    for _ in 0..GROUP_UPDATES {
         reqs.push(Request::Update(pool_batch(rng, pool)));
     }
-    for q in 0..FRAME_QUERIES {
+    for q in 0..GROUP_QUERIES {
         let v = zipf.sample(rng) as u32;
         if q == 0 && round.is_multiple_of(32) {
             reqs.push(Request::TopK { vertex: v, k: 8 });
@@ -133,7 +135,7 @@ fn build_frame(rng: &mut StdRng, pool: &EdgePool, zipf: &Zipf, round: usize) -> 
 
 #[derive(Default)]
 struct WorkerOut {
-    frame_lat_us: Vec<f64>,
+    group_lat_us: Vec<f64>,
     acks: u64,
     rejections: u64,
     errors: u64,
@@ -141,13 +143,13 @@ struct WorkerOut {
 }
 
 /// One worker thread driving `conns` pipelined connections round-robin:
-/// each round collects one response per connection (once the pipeline is
-/// primed) and queues the next frame, so every connection keeps
-/// [`PIPELINE`] frames in flight without a thread per client.
-fn v2_worker(
+/// each round collects one group's responses per connection (once the
+/// pipeline is primed) and queues the next group, so every connection keeps
+/// [`PIPELINE`] groups in flight without a thread per client.
+fn pipelined_worker(
     addr: std::net::SocketAddr,
     conns: usize,
-    frames_each: usize,
+    groups_each: usize,
     pool: Arc<EdgePool>,
     zipf: Arc<Zipf>,
     seed: u64,
@@ -156,35 +158,30 @@ fn v2_worker(
     for _ in 0..conns {
         clients.push(InkClient::connect(addr)?);
     }
-    // Handshake once per worker: the server must speak v2 for this phase.
+    // Handshake once per worker: the server must speak this build's revision.
     let hello = clients[0].hello()?;
-    assert_eq!(hello.version, 2, "v2 phase requires a v2 server");
+    assert_eq!(hello.version, PROTOCOL_VERSION, "server speaks another revision");
     let mut pending: Vec<VecDeque<Instant>> = (0..conns).map(|_| VecDeque::new()).collect();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = WorkerOut::default();
-    for round in 0..frames_each + PIPELINE {
+    for round in 0..groups_each + PIPELINE {
         for (i, client) in clients.iter_mut().enumerate() {
             if round >= PIPELINE {
                 let t0 = pending[i].pop_front().expect("pipeline accounting");
-                match client.recv()? {
-                    Response::Batch(slots) => {
-                        for slot in slots {
-                            match slot {
-                                Response::Ack { .. } => out.acks += 1,
-                                Response::Rejected { .. } => out.rejections += 1,
-                                Response::Embedding { .. } | Response::TopK { .. } => {
-                                    out.queries += 1
-                                }
-                                _ => out.errors += 1,
-                            }
-                        }
+                for _ in 0..GROUP_UPDATES + GROUP_QUERIES {
+                    match client.recv()? {
+                        Response::Ack { .. } => out.acks += 1,
+                        Response::Rejected { .. } => out.rejections += 1,
+                        Response::Embedding { .. } | Response::TopK { .. } => out.queries += 1,
+                        _ => out.errors += 1,
                     }
-                    _ => out.errors += 1,
                 }
-                out.frame_lat_us.push(us(t0.elapsed()));
+                out.group_lat_us.push(us(t0.elapsed()));
             }
-            if round < frames_each {
-                client.queue(&Request::Batch(build_frame(&mut rng, &pool, &zipf, round)))?;
+            if round < groups_each {
+                for req in build_group(&mut rng, &pool, &zipf, round) {
+                    client.queue(&req)?;
+                }
                 pending[i].push_back(Instant::now());
             }
         }
@@ -192,20 +189,21 @@ fn v2_worker(
     Ok(out)
 }
 
-struct V2Result {
+struct PipelinedResult {
     out: WorkerOut,
     wall: Duration,
 }
 
-/// The v2 phase: `clients` connections split across `workers` threads.
-fn run_v2(
+/// The pipelined phase: `clients` connections split across `workers`
+/// threads.
+fn run_pipelined(
     handle: &ServerHandle,
     clients: usize,
     workers: usize,
-    frames_each: usize,
+    groups_each: usize,
     pool: &Arc<EdgePool>,
     zipf: &Arc<Zipf>,
-) -> V2Result {
+) -> PipelinedResult {
     let addr = handle.local_addr();
     let per_worker = clients / workers;
     let t0 = Instant::now();
@@ -214,14 +212,16 @@ fn run_v2(
             let pool = pool.clone();
             let zipf = zipf.clone();
             std::thread::spawn(move || {
-                v2_worker(addr, per_worker, frames_each, pool, zipf, SEED ^ ((w as u64 + 1) << 16))
+                let seed = SEED ^ ((w as u64 + 1) << 16);
+                pipelined_worker(addr, per_worker, groups_each, pool, zipf, seed)
             })
         })
         .collect();
     let mut out = WorkerOut::default();
     for t in threads {
-        let part = t.join().expect("v2 worker panicked").expect("v2 worker I/O failed");
-        out.frame_lat_us.extend(part.frame_lat_us);
+        let part =
+            t.join().expect("pipelined worker panicked").expect("pipelined worker I/O failed");
+        out.group_lat_us.extend(part.group_lat_us);
         out.acks += part.acks;
         out.rejections += part.rejections;
         out.errors += part.errors;
@@ -232,8 +232,8 @@ fn run_v2(
     let mut flusher = InkClient::connect(addr).expect("flush connect");
     flusher.flush().expect("flush");
     let wall = t0.elapsed();
-    out.frame_lat_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    V2Result { out, wall }
+    out.group_lat_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    PipelinedResult { out, wall }
 }
 
 struct V1Result {
@@ -331,7 +331,7 @@ fn main() {
     let opts = BenchOpts::from_env();
     let n = ((10_000.0 * opts.scale) as usize).max(1_000);
     let edges = 3 * n;
-    let (clients, workers, frames_each) = if opts.quick { (256, 2, 12) } else { (1024, 2, 40) };
+    let (clients, workers, groups_each) = if opts.quick { (256, 2, 12) } else { (1024, 2, 40) };
     let v1_clients = 8;
     let v1_updates_each = if opts.quick { 50 } else { 200 };
     let zipf = Arc::new(Zipf::new(n, ZIPF_EXPONENT));
@@ -342,7 +342,7 @@ fn main() {
 
     eprintln!(
         "serve bench: |V|={n} |E|={edges} zipf_s={ZIPF_EXPONENT} \
-         v2: {clients} clients x {frames_each} frames ({FRAME_UPDATES}upd+{FRAME_QUERIES}qry, \
+         pipelined: {clients} clients x {groups_each} groups ({GROUP_UPDATES}upd+{GROUP_QUERIES}qry, \
          batch={BATCH}, pipeline={PIPELINE}) | v1 baseline: {v1_clients} clients x {v1_updates_each}"
     );
     let mut session = Some(build_session(n, edges, &opts));
@@ -363,33 +363,34 @@ fn main() {
         v1.frames
     );
 
-    // ---- Phase 2: v2 pipelined batch data plane at 1k+ clients. ----
-    let v2_config = ServeConfig { queue_capacity: 4096, max_drain: 2048, ..ServeConfig::default() };
-    let handle = InkServer::bind("127.0.0.1:0", session.take().unwrap(), v2_config.clone())
-        .expect("bind v2");
-    let v2 = run_v2(&handle, clients, workers, frames_each, &pool, &zipf);
-    let (sess, v2_summary) = handle.shutdown().expect("v2 shutdown");
+    // ---- Phase 2: pipelined plain frames at 1k+ clients. ----
+    let pipe_config =
+        ServeConfig { queue_capacity: 4096, max_drain: 2048, ..ServeConfig::default() };
+    let handle = InkServer::bind("127.0.0.1:0", session.take().unwrap(), pipe_config.clone())
+        .expect("bind pipelined");
+    let pipe = run_pipelined(&handle, clients, workers, groups_each, &pool, &zipf);
+    let (sess, pipe_summary) = handle.shutdown().expect("pipelined shutdown");
     session = Some(sess);
 
-    let v2_secs = v2.wall.as_secs_f64();
-    let v2_ops = v2.out.acks * BATCH as u64;
-    let v2_ops_per_s = v2_ops as f64 / v2_secs;
-    let v2_queries_per_s = v2.out.queries as f64 / v2_secs;
-    let speedup = v2_ops_per_s / v1_ops_per_s;
+    let pipe_secs = pipe.wall.as_secs_f64();
+    let pipe_ops = pipe.out.acks * BATCH as u64;
+    let pipe_ops_per_s = pipe_ops as f64 / pipe_secs;
+    let pipe_queries_per_s = pipe.out.queries as f64 / pipe_secs;
+    let speedup = pipe_ops_per_s / v1_ops_per_s;
     // PR 3's recorded result: ~807 update frames/s x 16 edge ops.
     let pr3_reference_ops_per_s = 807.0 * BATCH as f64;
     eprintln!(
-        "  v2 data plane: {} acks ({v2_ops} edge-ops) + {} reads in {v2_secs:.2}s -> \
-         {v2_ops_per_s:.0} edge-ops/s, {v2_queries_per_s:.0} reads/s, \
+        "  pipelined: {} acks ({pipe_ops} edge-ops) + {} reads in {pipe_secs:.2}s -> \
+         {pipe_ops_per_s:.0} edge-ops/s, {pipe_queries_per_s:.0} reads/s, \
          {} rejections, {} errors",
-        v2.out.acks, v2.out.queries, v2.out.rejections, v2.out.errors
+        pipe.out.acks, pipe.out.queries, pipe.out.rejections, pipe.out.errors
     );
     eprintln!(
         "  speedup: {speedup:.1}x vs in-run v1 baseline, {:.1}x vs PR 3 reference \
          ({pr3_reference_ops_per_s:.0} edge-ops/s); applied after coalescing: {} of {}",
-        v2_ops_per_s / pr3_reference_ops_per_s,
-        v2_summary.serve.events_applied,
-        v2_summary.serve.events_received,
+        pipe_ops_per_s / pr3_reference_ops_per_s,
+        pipe_summary.serve.events_applied,
+        pipe_summary.serve.events_received,
     );
 
     // ---- Phase 3: raw apply throughput of the writer loop. ----
@@ -443,7 +444,7 @@ fn main() {
 
     let doc = Json::obj([
         ("bench", Json::from("serve")),
-        ("protocol_version", Json::from(2u64)),
+        ("protocol_version", Json::from(u64::from(PROTOCOL_VERSION))),
         ("model", Json::from("GCN")),
         ("aggregator", Json::from("max")),
         ("graph", Json::obj([("vertices", Json::from(n)), ("edges", Json::from(edges))])),
@@ -463,26 +464,26 @@ fn main() {
             ]),
         ),
         (
-            "v2",
+            "pipelined",
             Json::obj([
                 ("clients", Json::from(clients)),
                 ("worker_threads", Json::from(workers)),
-                ("frames_per_client", Json::from(frames_each)),
-                ("frame_updates", Json::from(FRAME_UPDATES)),
-                ("frame_queries", Json::from(FRAME_QUERIES)),
+                ("groups_per_client", Json::from(groups_each)),
+                ("group_updates", Json::from(GROUP_UPDATES)),
+                ("group_queries", Json::from(GROUP_QUERIES)),
                 ("pipeline_depth", Json::from(PIPELINE)),
-                ("queue_capacity", Json::from(v2_config.queue_capacity)),
-                ("max_drain", Json::from(v2_config.max_drain)),
-                ("update_acks", Json::from(v2.out.acks)),
-                ("edge_ops", Json::from(v2_ops)),
-                ("queries", Json::from(v2.out.queries)),
-                ("rejections", Json::from(v2.out.rejections)),
-                ("errors", Json::from(v2.out.errors)),
-                ("wall_s", inkstream::json::rounded(v2_secs, 3)),
-                ("edge_ops_per_s", inkstream::json::rounded(v2_ops_per_s, 1)),
-                ("queries_per_s", inkstream::json::rounded(v2_queries_per_s, 1)),
-                ("frame_latency_us", latency_us(&v2.out.frame_lat_us)),
-                ("server", v2_summary.serve.to_json()),
+                ("queue_capacity", Json::from(pipe_config.queue_capacity)),
+                ("max_drain", Json::from(pipe_config.max_drain)),
+                ("update_acks", Json::from(pipe.out.acks)),
+                ("edge_ops", Json::from(pipe_ops)),
+                ("queries", Json::from(pipe.out.queries)),
+                ("rejections", Json::from(pipe.out.rejections)),
+                ("errors", Json::from(pipe.out.errors)),
+                ("wall_s", inkstream::json::rounded(pipe_secs, 3)),
+                ("edge_ops_per_s", inkstream::json::rounded(pipe_ops_per_s, 1)),
+                ("queries_per_s", inkstream::json::rounded(pipe_queries_per_s, 1)),
+                ("group_latency_us", latency_us(&pipe.out.group_lat_us)),
+                ("server", pipe_summary.serve.to_json()),
             ]),
         ),
         ("apply", apply_doc),
@@ -490,21 +491,23 @@ fn main() {
         ("pr3_reference_edge_ops_per_s", inkstream::json::rounded(pr3_reference_ops_per_s, 1)),
         (
             "speedup_vs_pr3_reference",
-            inkstream::json::rounded(v2_ops_per_s / pr3_reference_ops_per_s, 2),
+            inkstream::json::rounded(pipe_ops_per_s / pr3_reference_ops_per_s, 2),
         ),
     ]);
     write_results("serve", &doc);
     write_metrics("serve", session.as_ref().expect("sweep returns the session").metrics());
 
-    // Smoke-gate mode: fail the run when sustained v2 update throughput
-    // lands below the floor (used by CI's serve smoke job).
+    // Smoke-gate mode: fail the run when the pipelined phase's sustained
+    // update throughput lands below the floor (used by CI's serve smoke job).
     if let Ok(floor) = std::env::var("INK_BENCH_MIN_UPDATES_PER_S") {
         let floor: f64 = floor.parse().expect("INK_BENCH_MIN_UPDATES_PER_S must be a float");
-        if v2_ops_per_s < floor {
-            eprintln!("FAIL: v2 sustained {v2_ops_per_s:.0} edge-ops/s < floor {floor:.0}");
+        if pipe_ops_per_s < floor {
+            eprintln!(
+                "FAIL: pipelined sustained {pipe_ops_per_s:.0} edge-ops/s < floor {floor:.0}"
+            );
             std::process::exit(1);
         }
-        eprintln!("throughput floor OK: {v2_ops_per_s:.0} >= {floor:.0} edge-ops/s");
+        eprintln!("throughput floor OK: {pipe_ops_per_s:.0} >= {floor:.0} edge-ops/s");
     }
     // Apply floor: the raw-apply series must sustain the floor — a
     // regression in partition stepping, the router or the writer loop

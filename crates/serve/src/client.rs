@@ -2,14 +2,10 @@
 //!
 //! One [`InkClient`] wraps one TCP connection. The simple methods run
 //! strict request/response: every call writes a frame, then blocks for the
-//! answer. Two v2 amplifiers cut the round-trip count for high-throughput
-//! callers (see `docs/PROTOCOL.md` for the wire rules):
-//!
-//! * [`InkClient::batch`] packs many requests into one `Batch` frame and
-//!   unpacks the per-slot answers — one round trip for N requests.
-//! * [`InkClient::queue`] + [`InkClient::recv`] pipeline whole frames: queue
-//!   any number of requests without reading, then collect the responses in
-//!   order. The server answers strictly in request order per connection.
+//! answer. High-throughput callers pipeline instead (see `docs/PROTOCOL.md`
+//! for the wire rules): [`InkClient::queue`] writes any number of requests
+//! without reading, and [`InkClient::recv`] collects the responses in order
+//! — the server answers strictly in request order per connection.
 //!
 //! Use one client per thread for concurrent load (the loopback test and the
 //! serve bench both do).
@@ -31,11 +27,11 @@ pub struct InkClient {
 }
 
 /// What the server reports in response to a [`Request::Hello`]: the
-/// negotiated protocol revision plus the capacity facts a client needs
+/// protocol revision it speaks plus the capacity facts a client needs
 /// before sending traffic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServerHello {
-    /// Protocol revision the server will speak on this connection.
+    /// The one protocol revision the server speaks.
     pub version: u16,
     /// Vertex-id bound for updates and queries.
     pub num_vertices: u64,
@@ -85,59 +81,16 @@ impl InkClient {
         }
     }
 
-    /// Version/capability handshake (protocol v2). Advertises
-    /// [`PROTOCOL_VERSION`]; the server replies with the revision it will
-    /// speak (`min` of both) plus its capacity facts. A v1 server does not
-    /// know the tag and answers with an `Error`, surfaced here as
-    /// `io::ErrorKind::Other` — callers wanting to interoperate can fall
-    /// back to plain v1 calls on that path.
+    /// Version/capability handshake. Advertises [`PROTOCOL_VERSION`]; the
+    /// server replies with the one revision it speaks plus its capacity
+    /// facts. A v1 server does not know the tag and answers with an `Error`,
+    /// surfaced here as `io::ErrorKind::Other` — callers wanting to
+    /// interoperate can fall back to plain v1 calls on that path.
     pub fn hello(&mut self) -> io::Result<ServerHello> {
         match self.call(&Request::Hello { max_version: PROTOCOL_VERSION })? {
             Response::Hello { version, num_vertices, feat_dim, shards, epoch } => {
                 Ok(ServerHello { version, num_vertices, feat_dim, shards, epoch })
             }
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Sends many requests in one `Batch` frame (protocol v2) and returns
-    /// the per-request responses in order — one round trip instead of
-    /// `reqs.len()`. Only data-plane requests (`Update`, `Embedding`,
-    /// `TopK`) are batchable; anything else comes back as an in-slot
-    /// `Error` without poisoning its neighbours.
-    ///
-    /// ```
-    /// use ink_graph::EdgeChange;
-    /// use ink_serve::{InkClient, InkServer, Request, Response, ServeConfig};
-    /// # use ink_gnn::{Aggregator, Model};
-    /// # use ink_graph::DynGraph;
-    /// # use ink_tensor::init;
-    /// # use inkstream::{InkStream, StreamSession, UpdateConfig};
-    /// # let mut rng = init::seeded_rng(7);
-    /// # let graph = DynGraph::undirected_from_edges(6, &[(0, 1), (1, 2), (2, 3)]);
-    /// # let features = init::uniform(&mut rng, 6, 4, -1.0, 1.0);
-    /// # let model = Model::gcn(&mut rng, &[4, 4], Aggregator::Max);
-    /// # let engine = InkStream::new(model, graph, features, UpdateConfig::default()).unwrap();
-    /// # let handle =
-    /// #     InkServer::bind("127.0.0.1:0", StreamSession::new(engine), ServeConfig::default())?;
-    /// let mut client = InkClient::connect(handle.local_addr())?;
-    /// // One frame carries two updates and a read; three answers come back
-    /// // in slot order.
-    /// let responses = client.batch(&[
-    ///     Request::Update(vec![EdgeChange::insert(3, 4)]),
-    ///     Request::Update(vec![EdgeChange::insert(4, 5)]),
-    ///     Request::Embedding(0),
-    /// ])?;
-    /// assert_eq!(responses.len(), 3);
-    /// assert!(matches!(responses[0], Response::Ack { .. }));
-    /// assert!(matches!(responses[1], Response::Ack { .. }));
-    /// assert!(matches!(responses[2], Response::Embedding { .. }));
-    /// # handle.shutdown()?;
-    /// # Ok::<(), std::io::Error>(())
-    /// ```
-    pub fn batch(&mut self, reqs: &[Request]) -> io::Result<Vec<Response>> {
-        match self.call(&Request::Batch(reqs.to_vec()))? {
-            Response::Batch(responses) => Ok(responses),
             other => Err(unexpected(other)),
         }
     }

@@ -13,13 +13,13 @@
 //!   at which point it is replaced in place by the encoded `Flushed` frame.
 //!
 //! Backpressure is per-connection, never per-thread: a connection whose
-//! update finds the ingest queue full under `Block` mode parks its
-//! half-processed frame in [`Conn::pending`] and stops reading; a
+//! update finds the ingest queue full under `Block` mode parks that one
+//! update in [`Conn::pending`] and stops reading; a
 //! connection whose peer reads slower than it queries stops being read once
 //! [`OUT_HIGH_WATER`] bytes are buffered. The event loop keeps serving
 //! every other connection either way.
 
-use crate::protocol::Request;
+use ink_graph::EdgeChange;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -44,23 +44,6 @@ pub(crate) enum Segment {
     Flush(u64),
 }
 
-/// A frame whose requests are partially processed — the stall point for
-/// `Block` backpressure. `reqs[next..]` still need answers; for a batch
-/// frame, `body`/`count` hold the slots already encoded.
-#[derive(Debug)]
-pub(crate) struct PendingFrame {
-    /// The decoded requests of the frame (one element for a plain frame).
-    pub reqs: Vec<Request>,
-    /// Index of the first unprocessed request.
-    pub next: usize,
-    /// Batch only: the length-prefixed response slots encoded so far.
-    pub body: Vec<u8>,
-    /// Batch only: slots encoded into `body`.
-    pub count: u32,
-    /// Whether this frame was a `Batch` container.
-    pub is_batch: bool,
-}
-
 /// What a read pass observed.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum ReadOutcome {
@@ -79,8 +62,9 @@ pub(crate) struct Conn {
     pub stream: TcpStream,
     /// The poll token this connection is registered under.
     pub token: usize,
-    /// Stalled half-processed frame, if any (Block backpressure).
-    pub pending: Option<PendingFrame>,
+    /// The update that found the queue full, unanswered (Block
+    /// backpressure); frames behind it wait in the inbound buffer.
+    pub pending: Option<Vec<EdgeChange>>,
     /// Peer sent EOF; no more reads.
     pub peer_eof: bool,
     /// Connection is unusable; the loop reaps it.

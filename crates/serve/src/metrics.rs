@@ -35,12 +35,8 @@ pub struct ServerMetrics {
     pub flushes: Arc<Counter>,
     /// Transient `accept()` failures the listener retried past.
     pub accept_errors: Arc<Counter>,
-    /// v2 `Batch` container frames decoded.
-    pub batches: Arc<Counter>,
-    /// Requests carried inside `Batch` containers.
-    pub batched_requests: Arc<Counter>,
-    /// Connection stalls from Block backpressure (a full ingest queue paused
-    /// one connection's frame processing until the next drain).
+    /// Connection stalls from Block backpressure (a full ingest queue parked
+    /// one connection's update until the next drain).
     pub stalls: Arc<Counter>,
     /// Epochs whose backend apply reported an error (drift-audit breach
     /// under a `Fail` policy, or a poisoned partitioned driver). The
@@ -104,12 +100,6 @@ impl ServerMetrics {
             accept_errors: registry.counter(
                 "ink_serve_accept_errors_total",
                 "Transient accept() failures the listener retried past",
-            ),
-            batches: registry
-                .counter("ink_serve_batch_frames_total", "v2 Batch container frames decoded"),
-            batched_requests: registry.counter(
-                "ink_serve_batched_requests_total",
-                "Requests carried inside v2 Batch containers",
             ),
             stalls: registry.counter(
                 "ink_serve_conn_stalls_total",

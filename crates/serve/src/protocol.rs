@@ -1,4 +1,5 @@
-//! The wire protocol (v2 — see `docs/PROTOCOL.md` for the normative spec).
+//! The wire protocol (revision 3 — see `docs/PROTOCOL.md` for the normative
+//! spec).
 //!
 //! Every message is one *frame*: a little-endian `u32` payload length, then
 //! the payload — a one-byte tag followed by tag-specific fields (all
@@ -9,7 +10,7 @@
 //! frame    := len:u32 payload[len]
 //! payload  := tag:u8 body
 //!
-//! v1 requests                           v1 responses
+//! requests                              responses
 //!   0x01 Update    n:u32 (src:u32         0x81 Ack        epoch:u64
 //!        dst:u32 op:u8){n}                0x82 Rejected   retry_after_ms:u32
 //!   0x02 Embedding v:u32                  0x83 Embedding  epoch:u64 d:u32 f32{d}
@@ -18,14 +19,11 @@
 //!   0x05 Flush                            0x85 Stats      len:u32 json-utf8
 //!   0x06 Metrics                          0x86 Error      len:u32 msg-utf8
 //!   0x07 TraceDump                        0x87 Flushed    epoch:u64
-//!                                         0x88 Metrics    len:u32 text-utf8
+//!   0x08 Hello     max_version:u16        0x88 Metrics    len:u32 text-utf8
 //!                                         0x89 TraceDump  len:u32 json-utf8
-//! v2 requests                           v2 responses
-//!   0x08 Hello     max_version:u16        0x8A Hello      version:u16
-//!   0x09 Batch     n:u32                       vertices:u64 feat_dim:u32
-//!        (len:u32 payload[len]){n}             shards:u16 epoch:u64
-//!                                         0x8B Batch      n:u32
-//!                                              (len:u32 payload[len]){n}
+//!                                         0x8A Hello      version:u16
+//!                                              vertices:u64 feat_dim:u32
+//!                                              shards:u16 epoch:u64
 //! ```
 //!
 //! `op` is 0 for insert, 1 for remove. The `Ack` epoch is the snapshot epoch
@@ -34,19 +32,14 @@
 //!
 //! **Pipelining.** Responses are sent strictly in request order on every
 //! connection, so a client may write any number of frames before reading the
-//! matching responses. `Batch` additionally packs many requests into one
-//! frame (one syscall, one length check) and is answered by one `Batch`
-//! response carrying the per-request answers in order. Only data-plane
-//! requests (`Update`, `Embedding`, `TopK`) ride inside a batch; control
-//! requests (`Flush`, `Stats`, ...) in a batch slot are answered with an
-//! in-slot `Error`, and a *nested* `Batch` fails to decode.
+//! matching responses. One frame carries one request; the writer's
+//! coalescing window, not the framing, is where updates are batched.
 //!
 //! **Version skew.** Decoding returns a typed [`DecodeError`]; an
 //! unrecognized tag surfaces as [`DecodeError::UnknownTag`], so version skew
-//! (an old peer receiving a v2 `Hello`/`Batch` it predates) fails loudly
-//! with the offending tag instead of a generic parse error. A v2 client
-//! probes with `Hello` and falls back to v1 framing when the server answers
-//! with an error instead of `Hello`.
+//! (an old peer receiving a `Hello` it predates, or this build receiving
+//! the `Batch` tags `0x09`/`0x8B` that revision 3 retired) fails loudly with
+//! the offending tag instead of a generic parse error.
 
 use ink_graph::{EdgeChange, EdgeOp, VertexId};
 use std::fmt;
@@ -56,9 +49,10 @@ use std::io::{self, Read, Write};
 /// allocating, while letting ~1M-edge update batches through.
 pub const MAX_FRAME: usize = 16 << 20;
 
-/// Protocol revision spoken by this build. Revision 2 adds `Hello`
-/// negotiation and `Batch` container frames on top of the v1 tag set.
-pub const PROTOCOL_VERSION: u16 = 2;
+/// Protocol revision spoken by this build. Revision 2 added `Hello` and
+/// `Batch` container frames to the v1 tag set; revision 3 is revision 2
+/// without `Batch`.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Why a payload failed to decode.
 ///
@@ -122,15 +116,12 @@ pub enum Request {
     Metrics,
     /// The server's span ring as Chrome `trace_event` JSON.
     TraceDump,
-    /// v2 — version/capability negotiation. Carries the highest protocol
+    /// v2 — version/capability handshake. Carries the highest protocol
     /// revision the client speaks; answered with [`Response::Hello`].
     Hello {
         /// Highest protocol revision the client supports.
         max_version: u16,
     },
-    /// v2 — many data-plane requests in one frame, answered by one
-    /// [`Response::Batch`] with the per-request answers in order.
-    Batch(Vec<Request>),
 }
 
 /// A server-to-client message.
@@ -185,11 +176,10 @@ pub enum Response {
         /// Chrome `trace_event` JSON (object form with `traceEvents`).
         json: String,
     },
-    /// v2 — answer to [`Request::Hello`]: the negotiated revision plus the
+    /// v2 — answer to [`Request::Hello`]: the server's revision plus the
     /// capacity facts a client needs up front.
     Hello {
-        /// Protocol revision the server will speak on this connection
-        /// (`min(server_max, client_max)`).
+        /// The one protocol revision the server speaks ([`PROTOCOL_VERSION`]).
         version: u16,
         /// Vertex-id bound for updates and queries.
         num_vertices: u64,
@@ -201,8 +191,6 @@ pub enum Response {
         /// Snapshot epoch at the time of the handshake.
         epoch: u64,
     },
-    /// v2 — per-request answers for a [`Request::Batch`], in request order.
-    Batch(Vec<Response>),
 }
 
 fn put_u16(buf: &mut Vec<u8>, v: u16) {
@@ -245,6 +233,16 @@ impl Take<'_> {
 
     fn f32(&mut self) -> Result<f32, DecodeError> {
         Ok(f32::from_le_bytes(self.chunk::<4>()?))
+    }
+
+    /// Reads an item count and checks it against the bytes left, `size`
+    /// bytes per item, before the caller reserves memory for the items.
+    fn count(&mut self, size: usize, what: &str) -> Result<usize, DecodeError> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(size) > self.0.len() {
+            return Err(bad(format!("{what} claims {n} items, frame too small")));
+        }
+        Ok(n)
     }
 
     fn chunk<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
@@ -324,17 +322,6 @@ impl Request {
                 buf.push(0x08);
                 put_u16(buf, *max_version);
             }
-            Request::Batch(reqs) => {
-                buf.push(0x09);
-                put_u32(buf, reqs.len() as u32);
-                for req in reqs {
-                    let at = buf.len();
-                    put_u32(buf, 0); // length backpatched below
-                    req.encode_into(buf);
-                    let len = (buf.len() - at - 4) as u32;
-                    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
-                }
-            }
         }
     }
 
@@ -343,10 +330,7 @@ impl Request {
         let mut t = Take(payload);
         let req = match t.u8()? {
             0x01 => {
-                let n = t.u32()? as usize;
-                if n.saturating_mul(9) > payload.len() {
-                    return Err(bad(format!("update claims {n} changes, frame too small")));
-                }
+                let n = t.count(9, "update")?;
                 let mut changes = Vec::with_capacity(n);
                 for _ in 0..n {
                     let src = t.u32()?;
@@ -367,22 +351,6 @@ impl Request {
             0x06 => Request::Metrics,
             0x07 => Request::TraceDump,
             0x08 => Request::Hello { max_version: t.u16()? },
-            0x09 => {
-                let n = t.u32()? as usize;
-                if n.saturating_mul(5) > payload.len() {
-                    return Err(bad(format!("batch claims {n} requests, frame too small")));
-                }
-                let mut reqs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let len = t.u32()? as usize;
-                    let sub = t.bytes(len)?;
-                    if sub.first() == Some(&0x09) {
-                        return Err(bad("nested batch"));
-                    }
-                    reqs.push(Request::decode(sub)?);
-                }
-                Request::Batch(reqs)
-            }
             tag => return Err(DecodeError::UnknownTag(tag)),
         };
         t.finish()?;
@@ -453,17 +421,6 @@ impl Response {
                 put_u16(buf, *shards);
                 put_u64(buf, *epoch);
             }
-            Response::Batch(resps) => {
-                buf.push(0x8B);
-                put_u32(buf, resps.len() as u32);
-                for resp in resps {
-                    let at = buf.len();
-                    put_u32(buf, 0); // length backpatched below
-                    resp.encode_into(buf);
-                    let len = (buf.len() - at - 4) as u32;
-                    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
-                }
-            }
         }
     }
 
@@ -475,8 +432,8 @@ impl Response {
             0x82 => Response::Rejected { retry_after_ms: t.u32()? },
             0x83 => {
                 let epoch = t.u64()?;
-                let d = t.u32()? as usize;
-                let mut values = Vec::with_capacity(d.min(MAX_FRAME / 4));
+                let d = t.count(4, "embedding")?;
+                let mut values = Vec::with_capacity(d);
                 for _ in 0..d {
                     values.push(t.f32()?);
                 }
@@ -484,8 +441,8 @@ impl Response {
             }
             0x84 => {
                 let epoch = t.u64()?;
-                let k = t.u32()? as usize;
-                let mut items = Vec::with_capacity(k.min(MAX_FRAME / 8));
+                let k = t.count(8, "top-k")?;
+                let mut items = Vec::with_capacity(k);
                 for _ in 0..k {
                     items.push((t.u32()?, t.f32()?));
                 }
@@ -515,22 +472,6 @@ impl Response {
                 shards: t.u16()?,
                 epoch: t.u64()?,
             },
-            0x8B => {
-                let n = t.u32()? as usize;
-                if n.saturating_mul(5) > payload.len() {
-                    return Err(bad(format!("batch claims {n} responses, frame too small")));
-                }
-                let mut resps = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let len = t.u32()? as usize;
-                    let sub = t.bytes(len)?;
-                    if sub.first() == Some(&0x8B) {
-                        return Err(bad("nested batch"));
-                    }
-                    resps.push(Response::decode(sub)?);
-                }
-                Response::Batch(resps)
-            }
             tag => return Err(DecodeError::UnknownTag(tag)),
         };
         t.finish()?;
@@ -641,13 +582,7 @@ mod tests {
         roundtrip_req(Request::Flush);
         roundtrip_req(Request::Metrics);
         roundtrip_req(Request::TraceDump);
-        roundtrip_req(Request::Hello { max_version: 2 });
-        roundtrip_req(Request::Batch(vec![
-            Request::Update(vec![EdgeChange::insert(1, 2)]),
-            Request::Embedding(3),
-            Request::TopK { vertex: 0, k: 4 },
-        ]));
-        roundtrip_req(Request::Batch(vec![]));
+        roundtrip_req(Request::Hello { max_version: PROTOCOL_VERSION });
     }
 
     #[test]
@@ -662,17 +597,12 @@ mod tests {
         roundtrip_resp(Response::Metrics { text: "# TYPE x counter\nx 1\n".into() });
         roundtrip_resp(Response::TraceDump { json: "{\"traceEvents\":[]}".into() });
         roundtrip_resp(Response::Hello {
-            version: 2,
+            version: PROTOCOL_VERSION,
             num_vertices: 1 << 33,
             feat_dim: 64,
             shards: 8,
             epoch: 17,
         });
-        roundtrip_resp(Response::Batch(vec![
-            Response::Ack { epoch: 1 },
-            Response::Embedding { epoch: 1, values: vec![0.5] },
-            Response::Error { message: "slot error".into() },
-        ]));
     }
 
     #[test]
@@ -682,6 +612,9 @@ mod tests {
         assert_eq!(Request::decode(&[0x7f]), Err(DecodeError::UnknownTag(0x7f)));
         assert_eq!(Request::decode(&[0xff]), Err(DecodeError::UnknownTag(0xff)));
         assert_eq!(Response::decode(&[0x90]), Err(DecodeError::UnknownTag(0x90)));
+        // Revision 3 retired the Batch container tags.
+        assert_eq!(Request::decode(&[0x09]), Err(DecodeError::UnknownTag(0x09)));
+        assert_eq!(Response::decode(&[0x8B]), Err(DecodeError::UnknownTag(0x8B)));
         // Tags this revision *does* define decode fine with empty bodies.
         assert_eq!(Request::decode(&[0x06]), Ok(Request::Metrics));
         assert_eq!(Request::decode(&[0x07]), Ok(Request::TraceDump));
@@ -711,10 +644,14 @@ mod tests {
         let mut lying = vec![0x01];
         lying.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(Request::decode(&lying).is_err());
-        // Same for a batch header lying about its request count.
-        let mut lying = vec![0x09];
-        lying.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(Request::decode(&lying).is_err());
+        // So must an embedding or top-k response claiming more values than
+        // the frame holds: 13 bytes, no 16 MiB reservation first.
+        for tag in [0x83, 0x84] {
+            let mut lying = vec![tag];
+            lying.extend_from_slice(&7u64.to_le_bytes());
+            lying.extend_from_slice(&u32::MAX.to_le_bytes());
+            assert!(matches!(Response::decode(&lying), Err(DecodeError::Malformed(_))));
+        }
     }
 
     #[test]
@@ -724,25 +661,6 @@ mod tests {
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.extend_from_slice(&2u32.to_le_bytes());
         buf.push(7); // not 0/1
-        assert!(Request::decode(&buf).is_err());
-    }
-
-    #[test]
-    fn nested_batches_fail_to_decode() {
-        let inner = Request::Batch(vec![Request::Stats]);
-        let outer = Request::Batch(vec![inner]);
-        assert!(matches!(Request::decode(&outer.encode()), Err(DecodeError::Malformed(_))));
-        let inner = Response::Batch(vec![Response::Ack { epoch: 0 }]);
-        let outer = Response::Batch(vec![inner]);
-        assert!(matches!(Response::decode(&outer.encode()), Err(DecodeError::Malformed(_))));
-    }
-
-    #[test]
-    fn batch_sub_payload_with_lying_length_is_rejected() {
-        let mut buf = vec![0x09];
-        buf.extend_from_slice(&1u32.to_le_bytes()); // one sub-request ...
-        buf.extend_from_slice(&100u32.to_le_bytes()); // ... claiming 100 bytes
-        buf.push(0x04); // but only 1 present
         assert!(Request::decode(&buf).is_err());
     }
 
@@ -810,5 +728,88 @@ mod tests {
         wire.pop();
         let mut r = wire.as_slice();
         assert!(read_frame(&mut r).is_err(), "EOF mid-frame is a torn message");
+    }
+
+    /// Decodes `bytes` both ways; whatever decodes must re-encode to exactly
+    /// `bytes` (decoding rejects trailing bytes, so the encoding is
+    /// canonical).
+    fn decodes_canonically(bytes: &[u8]) -> Result<(), proptest::TestCaseError> {
+        use proptest::prelude::*;
+        if let Ok(req) = Request::decode(bytes) {
+            prop_assert_eq!(&req.encode()[..], bytes);
+        }
+        if let Ok(resp) = Response::decode(bytes) {
+            prop_assert_eq!(&resp.encode()[..], bytes);
+        }
+        Ok(())
+    }
+
+    /// One valid encoding of every request and response, fields drawn from
+    /// `a`, `b` and `raw`.
+    fn valid_payloads(a: u32, b: u32, raw: &[u8]) -> Vec<Vec<u8>> {
+        let epoch = (u64::from(a) << 32) | u64::from(b);
+        let text = String::from_utf8_lossy(raw).into_owned();
+        let words: Vec<u32> =
+            raw.chunks_exact(4).map(|w| u32::from_le_bytes(w.try_into().unwrap())).collect();
+        let changes = words
+            .iter()
+            .map(|&w| if w % 2 == 0 { EdgeChange::insert(w, a) } else { EdgeChange::remove(b, w) })
+            .collect();
+        let values: Vec<f32> = words.iter().map(|&w| f32::from_bits(w)).collect();
+        let items = words.iter().map(|&w| (w, f32::from_bits(a ^ w))).collect();
+        let requests = [
+            Request::Update(changes),
+            Request::Embedding(a),
+            Request::TopK { vertex: a, k: b },
+            Request::Stats,
+            Request::Flush,
+            Request::Metrics,
+            Request::TraceDump,
+            Request::Hello { max_version: a as u16 },
+        ];
+        let responses = [
+            Response::Ack { epoch },
+            Response::Rejected { retry_after_ms: a },
+            Response::Embedding { epoch, values },
+            Response::TopK { epoch, items },
+            Response::Stats { json: text.clone() },
+            Response::Error { message: text.clone() },
+            Response::Flushed { epoch },
+            Response::Metrics { text: text.clone() },
+            Response::TraceDump { json: text },
+            Response::Hello {
+                version: b as u16,
+                num_vertices: epoch,
+                feat_dim: a,
+                shards: 1,
+                epoch,
+            },
+        ];
+        requests.iter().map(Request::encode).chain(responses.iter().map(Response::encode)).collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn arbitrary_bytes_decode_canonically_or_not_at_all(
+            bytes in proptest::collection::vec(0u8..=255, 0..64),
+        ) {
+            decodes_canonically(&bytes)?;
+        }
+
+        #[test]
+        fn one_flipped_byte_decodes_canonically_or_not_at_all(
+            a in 0u32..=u32::MAX,
+            b in 0u32..=u32::MAX,
+            raw in proptest::collection::vec(0u8..=255, 0..24),
+            at in 0usize..64,
+            mask in 1u8..=255,
+        ) {
+            for mut payload in valid_payloads(a, b, &raw) {
+                decodes_canonically(&payload)?;
+                let i = at % payload.len();
+                payload[i] ^= mask;
+                decodes_canonically(&payload)?;
+            }
+        }
     }
 }

@@ -6,9 +6,8 @@
 //!
 //! * **event-loop thread** — one thread multiplexes the listener and every
 //!   client connection through [`mio::Poll`]. It assembles frames from
-//!   partial reads (`conn::Conn`), decodes requests (protocol v1
-//!   frames and v2 [`Request::Batch`] containers alike), answers queries
-//!   straight from the current
+//!   partial reads (`conn::Conn`), decodes one request per frame, answers
+//!   queries straight from the current
 //!   [`inkstream::snapshot::EmbeddingSnapshot`] — embedding rows are
 //!   serialized directly from the snapshot buffer into the connection's
 //!   write queue, no intermediate `Response` allocation — and routes
@@ -27,15 +26,15 @@
 //! Readers therefore never block on an in-flight update: a query served
 //! mid-apply simply sees the previous epoch. Backpressure is
 //! per-connection — a full queue under [`Backpressure::Block`] parks the
-//! offending connection's half-processed frame (`conn::PendingFrame`)
-//! and pauses reading it, while every other connection keeps being served.
+//! one update that found it full (`conn::Conn::pending`) and pauses reading
+//! that connection, while every other connection keeps being served.
 //! [`ServerHandle::shutdown`] closes the queue, lets the writer drain what
 //! was admitted, delivers the final flush acks, writes a checkpoint (when
 //! configured) and returns the session for inspection.
 //!
 //! The wire format is specified normatively in `docs/PROTOCOL.md`.
 
-use crate::conn::{Conn, PendingFrame};
+use crate::conn::Conn;
 use crate::metrics::ServerMetrics;
 use crate::protocol::{
     append_frame, encode_embedding, Request, Response, MAX_FRAME, PROTOCOL_VERSION,
@@ -501,7 +500,7 @@ impl EventLoop {
         self.advance(token);
     }
 
-    /// Drives a connection as far as it can go: finish a stalled frame,
+    /// Drives a connection as far as it can go: retry a parked update,
     /// parse and answer buffered frames, write, then reconcile poll
     /// interest and lifecycle.
     fn advance(&mut self, token: usize) {
@@ -513,8 +512,10 @@ impl EventLoop {
             if conn.dead {
                 break;
             }
-            if conn.pending.is_some() && !drive(shared, conn, flush_waiters, next_flush_id, false) {
-                break; // still stalled on a full queue
+            if let Some(changes) = conn.pending.take() {
+                if !admit(shared, conn, changes) {
+                    break; // still stalled on a full queue
+                }
             }
             match conn.next_frame(MAX_FRAME) {
                 Ok(Some(payload)) => {
@@ -615,9 +616,10 @@ impl EventLoop {
     }
 }
 
-/// Decodes one frame and starts answering it. A decode failure answers with
-/// an `Error` frame and keeps the connection (framing is still intact — the
-/// length prefix was valid).
+/// Decodes one frame and answers it. A decode failure — an unknown tag
+/// included — answers with an `Error` frame and keeps the connection
+/// (framing is still intact: the length prefix was valid). Only an update
+/// stalled on a full queue and a flush barrier leave their answer for later.
 fn process_frame(
     shared: &Shared,
     conn: &mut Conn,
@@ -625,212 +627,56 @@ fn process_frame(
     next_flush_id: &mut u64,
     payload: &[u8],
 ) {
-    match Request::decode(payload) {
+    let req = match Request::decode(payload) {
+        Ok(req) => req,
         Err(e) => {
-            push_frame(conn, |b| {
-                Response::Error { message: format!("bad request: {e}") }.encode_into(b)
-            });
+            let message = format!("bad request: {e}");
+            return push_frame(conn, |b| Response::Error { message }.encode_into(b));
         }
-        Ok(Request::Batch(reqs)) => {
-            shared.metrics.batches.inc();
-            shared.metrics.batched_requests.add(reqs.len() as u64);
-            conn.pending =
-                Some(PendingFrame { reqs, next: 0, body: Vec::new(), count: 0, is_batch: true });
-            drive(shared, conn, flush_waiters, next_flush_id, true);
-        }
-        Ok(req) => {
-            conn.pending = Some(PendingFrame {
-                reqs: vec![req],
-                next: 0,
-                body: Vec::new(),
-                count: 0,
-                is_batch: false,
-            });
-            drive(shared, conn, flush_waiters, next_flush_id, true);
-        }
-    }
-}
-
-/// Advances the connection's pending frame. Returns `false` when it stalled
-/// on a full queue (Block backpressure) — the frame stays parked in
-/// `conn.pending` and the loop retries after the next writer drain.
-fn drive(
-    shared: &Shared,
-    conn: &mut Conn,
-    flush_waiters: &mut HashMap<u64, usize>,
-    next_flush_id: &mut u64,
-    fresh: bool,
-) -> bool {
-    let Some(mut p) = conn.pending.take() else { return true };
-    while p.next < p.reqs.len() {
-        let req = &p.reqs[p.next];
-        if p.is_batch {
-            match req {
-                Request::Update(changes) => match admit(shared, changes) {
-                    None => {
-                        if fresh {
-                            shared.metrics.stalls.inc();
-                        }
-                        conn.pending = Some(p);
-                        return false;
-                    }
-                    Some(resp) => {
-                        encode_slot(&mut p.body, &mut p.count, |b| resp.encode_into(b));
-                    }
-                },
-                Request::Embedding(_) | Request::TopK { .. } => {
-                    encode_slot(&mut p.body, &mut p.count, |b| answer_query_into(shared, req, b));
-                }
-                _ => {
-                    encode_slot(&mut p.body, &mut p.count, |b| {
-                        Response::Error { message: "request not batchable".into() }.encode_into(b)
-                    });
-                }
-            }
-        } else {
-            match req {
-                Request::Update(changes) => match admit(shared, changes) {
-                    None => {
-                        if fresh {
-                            shared.metrics.stalls.inc();
-                        }
-                        conn.pending = Some(p);
-                        return false;
-                    }
-                    Some(resp) => push_frame(conn, |b| resp.encode_into(b)),
-                },
-                Request::Flush => {
-                    let id = *next_flush_id;
-                    *next_flush_id += 1;
-                    if shared.ingest.push_flush(id) {
-                        flush_waiters.insert(id, conn.token);
-                        conn.push_flush_marker(id);
-                    } else {
-                        push_frame(conn, |b| {
-                            Response::Error { message: "server is shutting down".into() }
-                                .encode_into(b)
-                        });
-                    }
-                }
-                Request::Hello { max_version } => {
-                    let resp = Response::Hello {
-                        version: PROTOCOL_VERSION.min(*max_version),
-                        num_vertices: shared.num_vertices,
-                        feat_dim: shared.feat_dim,
-                        shards: 1,
-                        epoch: shared.epochs.load(Ordering::Relaxed),
-                    };
-                    push_frame(conn, |b| resp.encode_into(b));
-                }
-                Request::Batch(_) => {
-                    // Decode rejects nested batches; unreachable in practice.
-                    push_frame(conn, |b| {
-                        Response::Error { message: "nested batch".into() }.encode_into(b)
-                    });
-                }
-                _ => push_frame(conn, |b| answer_query_into(shared, req, b)),
-            }
-        }
-        p.next += 1;
-    }
-    if p.is_batch {
-        let count = p.count;
-        let body = std::mem::take(&mut p.body);
-        let pushed = conn.push_bytes(|out| {
-            append_frame(out, |b| {
-                b.push(0x8B);
-                b.extend_from_slice(&count.to_le_bytes());
-                b.extend_from_slice(&body);
-            })
-        });
-        if pushed.is_err() {
-            push_frame(conn, |b| {
-                Response::Error { message: "batch response exceeds the frame limit".into() }
-                    .encode_into(b)
-            });
-        }
-    }
-    true
-}
-
-/// Validates and queues one update. `None` means the queue is full under
-/// Block backpressure — stall the connection.
-fn admit(shared: &Shared, changes: &[EdgeChange]) -> Option<Response> {
-    let _span = shared.tracer.span("serve", "update");
-    if let Some(c) = changes.iter().find(|c| {
-        c.src as u64 >= shared.num_vertices || c.dst as u64 >= shared.num_vertices || c.src == c.dst
-    }) {
-        return Some(Response::Error {
-            message: format!(
-                "invalid edge {} -> {} (graph has {} vertices)",
-                c.src, c.dst, shared.num_vertices
-            ),
-        });
-    }
-    match shared.ingest.try_push_updates(changes) {
-        Admission::Accepted => {
-            shared.metrics.updates_enqueued.inc();
-            Some(Response::Ack { epoch: shared.epochs.load(Ordering::Relaxed) })
-        }
-        Admission::AcceptedDropped { dropped } => {
-            shared.metrics.updates_enqueued.inc();
-            shared.metrics.updates_dropped.add(dropped);
-            Some(Response::Ack { epoch: shared.epochs.load(Ordering::Relaxed) })
-        }
-        Admission::Rejected { retry_after_ms } => {
-            shared.metrics.updates_rejected.inc();
-            Some(Response::Rejected { retry_after_ms })
-        }
-        Admission::Full => None,
-        Admission::Closed => Some(Response::Error { message: "server is shutting down".into() }),
-    }
-}
-
-/// Serializes the answer to a read-only request directly into `buf`
-/// (frame-payload bytes, no length prefix). Embedding rows go straight from
-/// the snapshot buffer to the wire — no intermediate `Response` allocation.
-fn answer_query_into(shared: &Shared, req: &Request, buf: &mut Vec<u8>) {
+    };
     match req {
-        Request::Embedding(v) => {
-            let _span = shared.tracer.span("serve", "embedding");
-            let t = Instant::now();
-            let snap = shared.reader.load();
-            if (*v as usize) < snap.embeddings.rows() {
-                encode_embedding(buf, snap.epoch, snap.embeddings.row(*v as usize));
-            } else {
-                Response::Error {
-                    message: format!("vertex {v} out of range ({} rows)", snap.embeddings.rows()),
-                }
-                .encode_into(buf);
+        Request::Update(changes) => {
+            if !admit(shared, conn, changes) {
+                shared.metrics.stalls.inc();
             }
-            shared.metrics.record_query(t.elapsed());
         }
-        Request::TopK { vertex, k } => {
-            let _span = shared.tracer.span("serve", "top_k");
-            let t = Instant::now();
-            let snap = shared.reader.load();
-            if (*vertex as usize) < snap.embeddings.rows() {
-                Response::TopK { epoch: snap.epoch, items: top_k(&snap, *vertex, *k as usize) }
-                    .encode_into(buf);
+        Request::Flush => {
+            let id = *next_flush_id;
+            *next_flush_id += 1;
+            if shared.ingest.push_flush(id) {
+                flush_waiters.insert(id, conn.token);
+                conn.push_flush_marker(id);
             } else {
-                Response::Error {
-                    message: format!(
-                        "vertex {vertex} out of range ({} rows)",
-                        snap.embeddings.rows()
-                    ),
-                }
-                .encode_into(buf);
+                push_frame(conn, |b| {
+                    Response::Error { message: "server is shutting down".into() }.encode_into(b)
+                });
             }
-            shared.metrics.record_query(t.elapsed());
         }
+        Request::Hello { .. } => {
+            let resp = Response::Hello {
+                version: PROTOCOL_VERSION,
+                num_vertices: shared.num_vertices,
+                feat_dim: shared.feat_dim,
+                shards: 1,
+                epoch: shared.epochs.load(Ordering::Relaxed),
+            };
+            push_frame(conn, |b| resp.encode_into(b));
+        }
+        Request::Embedding(v) => push_frame(conn, |b| {
+            read_into(shared, "embedding", v, b, |snap, b| {
+                encode_embedding(b, snap.epoch, snap.embeddings.row(v as usize))
+            })
+        }),
+        Request::TopK { vertex, k } => push_frame(conn, |b| {
+            read_into(shared, "top_k", vertex, b, |snap, b| {
+                Response::TopK { epoch: snap.epoch, items: top_k(snap, vertex, k as usize) }
+                    .encode_into(b)
+            })
+        }),
         Request::Stats => {
             let _span = shared.tracer.span("serve", "stats");
             let json = shared.stats_summary().to_json().compact();
-            if json.len() > MAX_FRAME {
-                Response::Error { message: "stats document too large".into() }.encode_into(buf);
-            } else {
-                Response::Stats { json }.encode_into(buf);
-            }
+            push_frame(conn, |b| Response::Stats { json }.encode_into(b));
         }
         Request::Metrics => {
             let _span = shared.tracer.span("serve", "metrics");
@@ -843,25 +689,79 @@ fn answer_query_into(shared: &Shared, req: &Request, buf: &mut Vec<u8>) {
                 shared.ingest.poisoned_reads(),
             );
             let text = shared.registry.render_prometheus();
-            if text.len() > MAX_FRAME {
-                Response::Error { message: "metrics document too large".into() }.encode_into(buf);
-            } else {
-                Response::Metrics { text }.encode_into(buf);
-            }
+            push_frame(conn, |b| Response::Metrics { text }.encode_into(b));
         }
         Request::TraceDump => {
             let _span = shared.tracer.span("serve", "trace_dump");
             let json = shared.tracer.dump_chrome_trace();
-            if json.len() > MAX_FRAME {
-                Response::Error { message: "trace dump too large".into() }.encode_into(buf);
-            } else {
-                Response::TraceDump { json }.encode_into(buf);
-            }
-        }
-        _ => {
-            Response::Error { message: "unsupported request".into() }.encode_into(buf);
+            push_frame(conn, |b| Response::TraceDump { json }.encode_into(b));
         }
     }
+}
+
+/// Validates and queues one update, answering it on `conn`. Returns `false`
+/// when the queue is full under Block backpressure: the update parks in
+/// `conn.pending`, unanswered, and the loop retries it after the next
+/// writer drain.
+fn admit(shared: &Shared, conn: &mut Conn, changes: Vec<EdgeChange>) -> bool {
+    let _span = shared.tracer.span("serve", "update");
+    let resp = if let Some(c) = changes.iter().find(|c| {
+        c.src as u64 >= shared.num_vertices || c.dst as u64 >= shared.num_vertices || c.src == c.dst
+    }) {
+        Response::Error {
+            message: format!(
+                "invalid edge {} -> {} (graph has {} vertices)",
+                c.src, c.dst, shared.num_vertices
+            ),
+        }
+    } else {
+        match shared.ingest.try_push_updates(&changes) {
+            Admission::Accepted => {
+                shared.metrics.updates_enqueued.inc();
+                Response::Ack { epoch: shared.epochs.load(Ordering::Relaxed) }
+            }
+            Admission::AcceptedDropped { dropped } => {
+                shared.metrics.updates_enqueued.inc();
+                shared.metrics.updates_dropped.add(dropped);
+                Response::Ack { epoch: shared.epochs.load(Ordering::Relaxed) }
+            }
+            Admission::Rejected { retry_after_ms } => {
+                shared.metrics.updates_rejected.inc();
+                Response::Rejected { retry_after_ms }
+            }
+            Admission::Full => {
+                conn.pending = Some(changes);
+                return false;
+            }
+            Admission::Closed => Response::Error { message: "server is shutting down".into() },
+        }
+    };
+    push_frame(conn, |b| resp.encode_into(b));
+    true
+}
+
+/// Answers a read of `vertex` from the current snapshot into `buf` with
+/// `encode` (an `Error` when the vertex is out of range) and records its
+/// service time. Embedding rows go straight from the snapshot buffer to the
+/// wire — no intermediate `Response` allocation.
+fn read_into(
+    shared: &Shared,
+    span: &'static str,
+    vertex: VertexId,
+    buf: &mut Vec<u8>,
+    encode: impl FnOnce(&EmbeddingSnapshot, &mut Vec<u8>),
+) {
+    let _span = shared.tracer.span("serve", span);
+    let t = Instant::now();
+    let snap = shared.reader.load();
+    if (vertex as usize) < snap.embeddings.rows() {
+        encode(&snap, buf);
+    } else {
+        let rows = snap.embeddings.rows();
+        Response::Error { message: format!("vertex {vertex} out of range ({rows} rows)") }
+            .encode_into(buf);
+    }
+    shared.metrics.record_query(t.elapsed());
 }
 
 /// Appends one framed response built by `build`; an over-limit frame is
@@ -875,16 +775,6 @@ fn push_frame(conn: &mut Conn, build: impl FnOnce(&mut Vec<u8>)) {
             })
         });
     }
-}
-
-/// Appends one length-prefixed response slot to a batch body.
-fn encode_slot(body: &mut Vec<u8>, count: &mut u32, f: impl FnOnce(&mut Vec<u8>)) {
-    let at = body.len();
-    body.extend_from_slice(&[0u8; 4]);
-    f(body);
-    let len = (body.len() - at - 4) as u32;
-    body[at..at + 4].copy_from_slice(&len.to_le_bytes());
-    *count += 1;
 }
 
 /// The `k` vertices most similar to `vertex` by embedding dot product

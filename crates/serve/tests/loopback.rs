@@ -384,13 +384,18 @@ fn zero_queue_capacity_still_admits_and_applies() {
     }
 }
 
-/// Protocol v2 end to end on one connection: the `hello` handshake reports
-/// the negotiated version and capacity facts, pipelined `Batch` frames carry
-/// the whole update stream without waiting on round trips, in-slot errors
-/// do not poison their neighbours, and the final state is bitwise equal to
-/// the single-threaded reference replay.
+/// Pipelining end to end on one connection: the `hello` handshake reports
+/// the server's revision and capacity facts, and the whole update stream
+/// goes out as plain frames without waiting on round trips, each update
+/// followed by a read. The queue holds fewer updates than the stream, so
+/// under `Block` an update parks with frames pipelined behind it. Responses
+/// must still come back in request order, an invalid update must not
+/// disturb its neighbours, and the final state must equal the
+/// single-threaded reference replay bitwise.
 #[test]
-fn pipelined_batch_frames_match_reference_bitwise() {
+fn pipelined_frames_match_reference_bitwise() {
+    const CAPACITY: usize = 2;
+    const { assert!(CAPACITY < BATCHES, "the stream must overflow the queue") };
     let batches = update_batches();
     let expected = reference_outputs(&batches);
 
@@ -398,7 +403,7 @@ fn pipelined_batch_frames_match_reference_bitwise() {
         "127.0.0.1:0",
         StreamSession::new(engine()),
         ServeConfig {
-            queue_capacity: 16,
+            queue_capacity: CAPACITY,
             backpressure: Backpressure::Block,
             ..ServeConfig::default()
         },
@@ -412,47 +417,49 @@ fn pipelined_batch_frames_match_reference_bitwise() {
     assert_eq!(hello.feat_dim, 4, "output width of the 2-layer GCN");
     assert_eq!(hello.shards, 1, "one ingest queue");
 
-    // Queue every update as its own pipelined Batch frame (update + read),
-    // then collect: responses must come back in request order, one Batch
-    // response per frame with per-slot answers in slot order.
-    for batch in &batches {
-        let frame =
-            Request::Batch(vec![Request::Update(batch.clone()), Request::Embedding(0)]);
-        client.queue(&frame).unwrap();
+    // Queue every update as its own frame, each followed by a read, with a
+    // flush barrier and an invalid update halfway; then collect.
+    let half = BATCHES / 2;
+    for (i, batch) in batches.iter().enumerate() {
+        if i == half {
+            client.queue(&Request::Flush).unwrap();
+            client.queue(&Request::Update(vec![EdgeChange::insert(5, 5)])).unwrap();
+        }
+        client.queue(&Request::Update(batch.clone())).unwrap();
+        client.queue(&Request::Embedding(0)).unwrap();
     }
-    assert_eq!(client.in_flight(), BATCHES);
-    let mut acks = 0;
-    for _ in 0..BATCHES {
-        match client.recv().unwrap() {
-            Response::Batch(slots) => {
-                assert_eq!(slots.len(), 2);
-                assert!(matches!(slots[0], Response::Ack { .. }), "{:?}", slots[0]);
-                // Pipelined updates coalesce, so epochs do not map 1:1 onto
-                // raw-batch prefixes mid-stream — the bitwise anchor is the
-                // flushed final state below. Here: a well-formed read at a
-                // plausible epoch.
-                match &slots[1] {
-                    Response::Embedding { epoch, values } => {
-                        assert!(*epoch as usize <= BATCHES);
-                        assert_eq!(values.len(), 4);
-                    }
-                    other => panic!("read slot got {other:?}"),
-                }
-                acks += 1;
+    assert_eq!(client.in_flight(), 2 * BATCHES + 2);
+    // Pipelined updates coalesce, so epochs do not map 1:1 onto raw-batch
+    // prefixes mid-stream — the bitwise anchor is the flushed final state
+    // below. In request order, though, nothing goes backwards: each read
+    // sees at least the epoch of the one before it, and the barrier's epoch
+    // covers every read queued ahead of it. (A read queued *behind* the
+    // barrier is served when it is processed, not when the barrier resolves.)
+    let mut floor = 0;
+    for i in 0..BATCHES {
+        if i == half {
+            match client.recv().unwrap() {
+                Response::Flushed { epoch } => assert!(epoch >= floor, "flushed at {epoch}"),
+                other => panic!("expected Flushed, got {other:?}"),
             }
-            other => panic!("expected a Batch response, got {other:?}"),
+            match client.recv().unwrap() {
+                Response::Error { message } => assert!(message.contains("invalid edge")),
+                other => panic!("expected the self-loop's Error, got {other:?}"),
+            }
+        }
+        match client.recv().unwrap() {
+            Response::Ack { .. } => {}
+            other => panic!("update {i}: expected Ack, got {other:?}"),
+        }
+        match client.recv().unwrap() {
+            Response::Embedding { epoch, values } => {
+                assert!(epoch >= floor && epoch as usize <= BATCHES, "read {i} at epoch {epoch}");
+                assert_eq!(values.len(), 4);
+                floor = epoch;
+            }
+            other => panic!("read {i}: expected Embedding, got {other:?}"),
         }
     }
-    assert_eq!(acks, BATCHES);
-
-    // Non-data-plane requests inside a batch answer as in-slot errors and
-    // leave their neighbours intact.
-    let slots = client
-        .batch(&[Request::Embedding(1), Request::Stats, Request::Embedding(2)])
-        .unwrap();
-    assert!(matches!(slots[0], Response::Embedding { .. }));
-    assert!(matches!(slots[1], Response::Error { .. }), "{:?}", slots[1]);
-    assert!(matches!(slots[2], Response::Embedding { .. }));
 
     // After a barrier everything admitted above is visible; the snapshot is
     // bitwise the reference replay of all 24 raw batches.
@@ -464,22 +471,50 @@ fn pipelined_batch_frames_match_reference_bitwise() {
         assert_eq!(values, want.row(v as usize), "vertex {v} bitwise at the final epoch");
     }
 
-    // The batch instruments saw every frame and slot.
-    let families = ink_obs::parse::parse_prometheus(&client.metrics().unwrap()).unwrap();
-    let counter = |name: &str| {
-        families
-            .iter()
-            .find(|f| f.name == name)
-            .unwrap_or_else(|| panic!("missing {name}"))
-            .samples[0]
-            .value
-    };
-    assert_eq!(counter("ink_serve_batch_frames_total"), BATCHES as f64 + 1.0);
-    assert_eq!(counter("ink_serve_batched_requests_total"), 2.0 * BATCHES as f64 + 3.0);
+    // The queue really filled: at least one update parked with frames
+    // pipelined behind it.
+    assert!(scraped(&mut client, "ink_serve_conn_stalls_total") > 0.0, "no update ever stalled");
+    assert_eq!(scraped(&mut client, "ink_serve_updates_enqueued_total"), BATCHES as f64);
     drop(client);
 
     let (session, _) = handle.shutdown().unwrap();
     assert_eq!(session.engine().output().as_slice(), want.as_slice());
+}
+
+/// Revision 3 retired the `Batch` container: a revision-2 `Batch` frame
+/// gets the typed unknown-tag `Error`, and the connection keeps working.
+#[test]
+fn retired_batch_tag_is_refused_and_the_connection_lives() {
+    let handle =
+        InkServer::bind("127.0.0.1:0", StreamSession::new(engine()), ServeConfig::default())
+            .unwrap();
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    let mut call = |payload: &[u8]| {
+        write_frame(&mut stream, payload).unwrap();
+        Response::decode(&read_frame(&mut stream).unwrap().unwrap()).unwrap()
+    };
+
+    // A revision-2 Batch frame holding one Embedding(0) slot.
+    let slot = Request::Embedding(0).encode();
+    let mut batch = vec![0x09];
+    batch.extend_from_slice(&1u32.to_le_bytes());
+    batch.extend_from_slice(&(slot.len() as u32).to_le_bytes());
+    batch.extend_from_slice(&slot);
+    match call(&batch) {
+        Response::Error { message } => assert!(message.contains("0x09"), "{message}"),
+        other => panic!("a Batch frame got {other:?}"),
+    }
+
+    match call(&Request::Embedding(3).encode()) {
+        Response::Embedding { epoch: 0, values } => assert_eq!(values.len(), 4),
+        other => panic!("embedding after the refusal got {other:?}"),
+    }
+    let update = Request::Update(vec![EdgeChange::insert(0, 1)]).encode();
+    assert!(matches!(call(&update), Response::Ack { epoch: 0 }));
+    assert_eq!(call(&Request::Flush.encode()), Response::Flushed { epoch: 1 });
+    drop(stream);
+    let (session, _) = handle.shutdown().unwrap();
+    assert!(session.engine().graph().has_edge(0, 1));
 }
 
 /// The partition-parallel engine behind the same `bind`, wire protocol and

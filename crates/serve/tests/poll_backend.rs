@@ -1,6 +1,6 @@
 //! The server on the portable poll(2) readiness backend: setting
 //! `INK_MIO_FORCE_POLL=1` before the first `Poll::new` swaps epoll out for
-//! the fallback selector, and the full protocol (handshake, batched
+//! the fallback selector, and the full protocol (handshake, pipelined
 //! updates, flush barrier, reads) must behave identically. Lives in its own
 //! test binary so the process-wide variable cannot race other tests.
 
@@ -30,14 +30,14 @@ fn server_works_on_the_forced_poll_backend() {
     let hello = client.hello().unwrap();
     assert_eq!(hello.version, ink_serve::PROTOCOL_VERSION);
 
-    let slots = client
-        .batch(&[
-            Request::Update(vec![EdgeChange::insert(0, 1), EdgeChange::insert(1, 2)]),
-            Request::Embedding(0),
-        ])
+    client
+        .queue(&Request::Update(vec![EdgeChange::insert(0, 1), EdgeChange::insert(1, 2)]))
         .unwrap();
-    assert!(matches!(slots[0], Response::Ack { .. }), "{:?}", slots[0]);
-    assert!(matches!(slots[1], Response::Embedding { .. }), "{:?}", slots[1]);
+    client.queue(&Request::Embedding(0)).unwrap();
+    let ack = client.recv().unwrap();
+    assert!(matches!(ack, Response::Ack { .. }), "{ack:?}");
+    let read = client.recv().unwrap();
+    assert!(matches!(read, Response::Embedding { .. }), "{read:?}");
 
     let epoch = client.flush().unwrap();
     assert!(epoch >= 1);

@@ -1,7 +1,6 @@
 //! Serving quickstart: start an `ink-serve` server on a loopback port, then
-//! drive it with protocol v2 — a `hello` handshake, pipelined `Batch`
-//! frames streaming edge churn, and a concurrent reader querying versioned
-//! snapshots. The wire rules live in `docs/PROTOCOL.md`; the capacity knobs
+//! drive it — a `hello` handshake, pipelined `Update` frames streaming edge
+//! churn, and a concurrent reader querying versioned snapshots. The wire rules live in `docs/PROTOCOL.md`; the capacity knobs
 //! in README's "Capacity planning" section.
 //!
 //! Run with: `cargo run --release --example serve_quickstart`
@@ -38,42 +37,36 @@ fn main() {
     let addr = handle.local_addr();
     println!("serving on {addr}");
 
-    // 3. An update client on protocol v2: handshake first, then stream edge
-    //    churn as pipelined Batch frames — several frames in flight, no
-    //    round-trip wait between them. A flush barrier at the end returns
-    //    the epoch at which everything it sent is visible.
+    // 3. An update client: handshake first, then stream edge churn as
+    //    pipelined Update frames — several frames in flight, no round-trip
+    //    wait between them. A flush barrier at the end returns the epoch at
+    //    which everything it sent is visible.
     let updater = std::thread::spawn(move || {
         let mut rng = seeded_rng(7);
         let mut client = InkClient::connect(addr).unwrap();
         let hello = client.hello().unwrap();
         println!("updater: protocol v{}, |V| = {}", hello.version, hello.num_vertices);
-        const PIPELINE: usize = 4;
-        for round in 0..20 {
-            // One frame = 4 update requests of 50 edge ops each.
-            let updates: Vec<Request> = (0..4)
-                .map(|_| {
-                    Request::Update(
-                        (0..50)
-                            .map(|i| {
-                                let src = rng.random_range(0..n);
-                                let dst = (src + 1 + rng.random_range(0..n - 1)) % n;
-                                if i % 2 == 0 {
-                                    EdgeChange::insert(src, dst)
-                                } else {
-                                    EdgeChange::remove(src, dst)
-                                }
-                            })
-                            .collect(),
-                    )
+        const PIPELINE: usize = 16;
+        for _ in 0..80 {
+            // One frame = one update of 50 edge ops.
+            let changes = (0..50)
+                .map(|i| {
+                    let src = rng.random_range(0..n);
+                    let dst = (src + 1 + rng.random_range(0..n - 1)) % n;
+                    if i % 2 == 0 {
+                        EdgeChange::insert(src, dst)
+                    } else {
+                        EdgeChange::remove(src, dst)
+                    }
                 })
                 .collect();
-            client.queue(&Request::Batch(updates)).unwrap();
+            client.queue(&Request::Update(changes)).unwrap();
             // Keep PIPELINE frames in flight; collect the oldest response
             // once the window is full.
-            if round >= PIPELINE {
+            if client.in_flight() == PIPELINE {
                 match client.recv().unwrap() {
-                    Response::Batch(slots) => assert_eq!(slots.len(), 4),
-                    other => panic!("expected a Batch response, got {other:?}"),
+                    Response::Ack { .. } => {}
+                    other => panic!("expected an Ack, got {other:?}"),
                 }
             }
         }
@@ -81,23 +74,24 @@ fn main() {
             client.recv().unwrap();
         }
         let epoch = client.flush().unwrap();
-        println!("updater: 20 pipelined frames (4000 edge ops) visible at epoch {epoch}");
+        println!("updater: 80 pipelined frames (4000 edge ops) visible at epoch {epoch}");
     });
 
     // 4. A query client reads embeddings and top-k neighbours concurrently —
-    //    snapshot reads never block on in-flight updates. `batch` packs the
-    //    reads into one frame (one round trip for all three).
+    //    snapshot reads never block on in-flight updates. The three reads
+    //    are pipelined: one round trip for all of them.
     let querier = std::thread::spawn(move || {
         let mut client = InkClient::connect(addr).unwrap();
-        let reqs: Vec<Request> =
-            [0u32, 17, 42].iter().map(|&v| Request::Embedding(v)).collect();
-        for slot in client.batch(&reqs).unwrap() {
-            match slot {
+        for v in [0u32, 17, 42] {
+            client.queue(&Request::Embedding(v)).unwrap();
+        }
+        while client.in_flight() > 0 {
+            match client.recv().unwrap() {
                 Response::Embedding { epoch, values } => println!(
                     "querier: embedding @ epoch {epoch}: |h| = {:.3}",
                     values.iter().map(|x| x * x).sum::<f32>().sqrt()
                 ),
-                other => panic!("unexpected slot {other:?}"),
+                other => panic!("unexpected response {other:?}"),
             }
         }
         let (epoch, similar) = client.top_k(0, 3).unwrap();
