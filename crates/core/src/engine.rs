@@ -1479,6 +1479,42 @@ mod tests {
         }
     }
 
+    /// GCN-max on a hub: removing hub edges exposes channels of most of the
+    /// hub's neighbors every other round, so the apply phase's repair list
+    /// and flat channel buffer fill up; they must be pooled like the rest.
+    #[test]
+    fn exposed_repair_lists_stop_growing_after_warmup() {
+        let n = 96;
+        let mut rng = seeded_rng(12);
+        let model = Model::gcn(&mut rng, &[4, 24, 3], Aggregator::Max);
+        let mut g = ring(n);
+        for v in 2..n as VertexId - 1 {
+            g.insert_edge(0, v);
+        }
+        // The hub's features win every channel, so its message holds the
+        // extreme of each neighbor's aggregate somewhere.
+        let x = Matrix::from_fn(n, 4, |r, c| if r == 0 { 4.0 } else { feats(n, 4).get(r, c) });
+        let mut engine = InkStream::new(model, g, x, UpdateConfig::default()).unwrap();
+        let hub_edges: Vec<VertexId> = (2..n as VertexId - 1).step_by(3).collect();
+        let remove = DeltaBatch::new(hub_edges.iter().map(|&v| EdgeChange::remove(0, v)).collect());
+        let insert = DeltaBatch::new(hub_edges.iter().map(|&v| EdgeChange::insert(0, v)).collect());
+        let round = |engine: &mut InkStream| {
+            let r = engine.apply_delta(&remove);
+            let channels: usize = r.per_layer.iter().map(|l| l.exposed_channels).sum();
+            assert!(channels > hub_edges.len(), "the stream must repair many exposed resets");
+            engine.apply_delta(&insert);
+        };
+        for _ in 0..2 {
+            round(&mut engine);
+        }
+        let warm = engine.scratch_bytes();
+        for _ in 0..4 {
+            round(&mut engine);
+        }
+        assert_eq!(engine.scratch_bytes(), warm, "steady-state repairs must not allocate");
+        assert_eq!(engine.output(), &engine.recompute_reference());
+    }
+
     #[test]
     fn undrained_dirty_list_stops_growing_at_its_cap() {
         let mut rng = seeded_rng(9);

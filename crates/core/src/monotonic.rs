@@ -90,10 +90,11 @@ pub fn apply_monotonic(
 }
 
 /// Allocation-free form of [`apply_monotonic`]: always writes
-/// `A(α⁻, m_A)` into `out`, lists the exposed channels (ascending) in the
+/// `A(α⁻, m_A)` into `out`, appends the exposed channels (ascending) to the
 /// caller's reusable `exposed` buffer, and returns the condition —
-/// [`Condition::ExposedReset`] exactly when the list is non-empty, in which
-/// case the caller must re-aggregate the listed channels of `out`.
+/// [`Condition::ExposedReset`] exactly when it appended any, in which case
+/// the caller must re-aggregate those channels of `out`. The buffer is
+/// never cleared, so one buffer can collect the lists of many targets.
 pub fn apply_monotonic_into(
     agg: Aggregator,
     alpha_old: &[f32],
@@ -112,7 +113,7 @@ pub fn apply_monotonic_into(
 
     // Reset channels: D = { i : α⁻[i] == m⁻_A[i] }; a reset channel is
     // covered iff the reduced addition dominates the deleted value there.
-    exposed.clear();
+    let listed = exposed.len();
     let mut reset = false;
     if let Some(del) = del {
         for (i, (a, d)) in alpha_old.iter().zip(del).enumerate() {
@@ -125,7 +126,7 @@ pub fn apply_monotonic_into(
         }
     }
 
-    if !exposed.is_empty() {
+    if exposed.len() > listed {
         Condition::ExposedReset
     } else if reset {
         Condition::CoveredReset
@@ -235,7 +236,7 @@ mod tests {
     }
 
     #[test]
-    fn exposed_buffer_is_cleared_between_calls() {
+    fn exposed_channels_append_to_the_buffer() {
         let mut out = [0.0f32; 2];
         let mut exposed = vec![7, 8, 9];
         let cond = apply_monotonic_into(
@@ -246,7 +247,7 @@ mod tests {
             &mut out,
             &mut exposed,
         );
-        assert_eq!((cond, exposed.as_slice()), (Condition::ExposedReset, &[0u32][..]));
+        assert_eq!((cond, exposed.as_slice()), (Condition::ExposedReset, &[7u32, 8, 9, 0][..]));
         let cond = apply_monotonic_into(
             Aggregator::Max,
             &[10.0, 20.0],
@@ -256,7 +257,7 @@ mod tests {
             &mut exposed,
         );
         assert_eq!(cond, Condition::Resilient);
-        assert!(exposed.is_empty());
+        assert_eq!(exposed, [7, 8, 9, 0], "a target with nothing exposed appends nothing");
     }
 
     #[test]

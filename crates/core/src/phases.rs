@@ -16,11 +16,11 @@
 //!    one deletion/addition payload (monotonic) or one signed sum
 //!    (accumulative) per target, payloads living in flat per-shard buffers;
 //! 3. [`apply`] — per target, the per-channel evolvability check (no reset /
-//!    covered reset / exposed reset → re-aggregate only the exposed channels
-//!    over the in-neighbors) or the accumulative update, α rows staged in
-//!    flat per-shard buffers; targets that need every channel rebuilt (empty
-//!    old neighborhood, `incremental: false`) are gathered into panels and
-//!    folded in a second pass;
+//!    covered reset / exposed reset) or the accumulative update, α rows
+//!    staged in flat per-shard buffers; a repair loop then re-aggregates only
+//!    the exposed channels over the in-neighbors, and targets that need every
+//!    channel rebuilt (empty old neighborhood, `incremental: false`) are
+//!    gathered into panels and folded in a second pass;
 //! 4. [`write`] — sequential commit of the staged α rows, condition stats,
 //!    user events, and the merged next-layer target list;
 //! 5. [`next_messages`] — rebuild of the next layer's messages (or the final
@@ -61,15 +61,42 @@ use crate::hooks::{UserEvent, UserHooks};
 use crate::monotonic::{apply_monotonic_into, Condition};
 use crate::pipeline::{
     acc_slot_in, shard_of, slot_in, worker_chunk, AlphaRows, ApplyOutcome, CondKind, OldMsgs,
-    ScratchPool, ShardRows, ShardScratch, WorkerScratch, NO_SLOT,
+    Repair, ScratchPool, ShardRows, ShardScratch, WorkerScratch, NO_SLOT,
 };
 use crate::stats::{LayerStats, UpdateReport};
 use ink_gnn::{Aggregator, FullState, Model};
-use ink_graph::{DynGraph, EdgeOp, FxHashMap, VertexId};
+use ink_graph::{prefetch, DynGraph, EdgeOp, FxHashMap, VertexId};
 use ink_tensor::gemm::{gather_rows_into, gather_rows_scaled_into};
 use ink_tensor::Matrix;
 use rayon::prelude::*;
 use std::time::Instant;
+
+/// How many entries ahead apply pass 1, write and next-messages ask for a
+/// target's state rows (α⁻, `h`, the destination row) and, in pass 1 on a
+/// monotonic layer, its in-list. Far enough that the misses of about eight
+/// targets overlap, near enough that the lines are still in L1 when the
+/// loop gets there.
+const ROW_AHEAD: usize = 8;
+/// How many entries ahead apply pass 1 asks for a target's adjacency
+/// header: the list fetch at [`ROW_AHEAD`] reads the header, so it is
+/// fetched one lookahead earlier.
+const HEADER_AHEAD: usize = 2 * ROW_AHEAD;
+/// How many exposed resets ahead the repair loop asks for the neighbor
+/// rows' exposed lines. A reset folds a dozen rows or more, so fewer
+/// resets cover the same latency.
+const REPAIR_AHEAD: usize = 3;
+/// `f32`s per 64-byte cache line.
+const LINE_F32: usize = 16;
+
+/// Asks the cache for every line `row` touches.
+#[inline(always)]
+fn prefetch_row(row: &[f32]) {
+    for i in (0..row.len()).step_by(LINE_F32) {
+        prefetch(row, i);
+    }
+    // A row that does not start on a line boundary spills into one more.
+    prefetch(row, row.len().wrapping_sub(1));
+}
 
 /// Everything the pipeline decides about layer `layer` of a model, read from
 /// the model (and the presence of hooks) once per engine.
@@ -384,16 +411,22 @@ struct ApplyCtx<'a> {
 }
 
 /// The apply phase of one shard. Pass 1 classifies every entry and finishes
-/// every incremental update in place — a monotonic exposed reset included,
-/// which re-aggregates only its exposed channels over the in-neighbors — and
-/// on a blocked layer commits every delta row: the α row from `Σ Δm`, then
-/// `h += s·Σ Δm·W`, in the shard's own blocks, staging nothing. Entries that
-/// need *every* channel rebuilt (empty-old targets, the `incremental: false`
+/// every incremental update in place but the monotonic exposed resets, which
+/// it lists for the repair loop; on a blocked layer it commits every delta
+/// row: the α row from `Σ Δm`, then `h += s·Σ Δm·W`, in the shard's own
+/// blocks, staging nothing. The repair loop then re-aggregates each exposed
+/// reset's exposed channels over its in-neighbors. Entries that need
+/// *every* channel rebuilt (empty-old targets, the `incremental: false`
 /// ablation) are deferred to pass 2, which sorts them by kind × degree
 /// class, gathers each equal-key run's neighbor rows (in neighbor order)
 /// into one contiguous panel and folds it with the row-panel kernels
 /// ([`Aggregator::aggregate_rows_into`]) — bitwise equal to
 /// [`Aggregator::aggregate_into`] over the same rows.
+///
+/// Every target's rows sit at unrelated addresses, so pass 1 and the repair
+/// loop ask for a later target's lines while they work on the current one
+/// ([`ROW_AHEAD`], [`HEADER_AHEAD`], [`REPAIR_AHEAD`]). The hints change
+/// timing only, never a result or a count.
 ///
 /// Inlined into both call sites so each copy is specialized to its
 /// [`AlphaRows`] variant and keeps the per-target lookups inline; out of
@@ -402,12 +435,14 @@ struct ApplyCtx<'a> {
 fn apply_shard(ctx: &ApplyCtx<'_>, shard: &mut ShardScratch, alpha_rows: &mut AlphaRows) {
     let ApplyCtx { plan, cfg, graph, m_l, old } = *ctx;
     let (l, agg, dim, tail) = (plan.layer, plan.agg, plan.dim, plan.tail);
+    let mono = agg.is_monotonic();
     let ShardScratch {
         entries,
         buf,
         alpha_buf,
         outcomes,
         exposed,
+        repairs,
         exposed_channels,
         exposed_rows,
         recompute,
@@ -420,6 +455,21 @@ fn apply_shard(ctx: &ApplyCtx<'_>, shard: &mut ShardScratch, alpha_rows: &mut Al
     // rows, so the buffer grows per staged row.
     let mut staged_rows = 0u32;
     for (i, e) in entries.iter().enumerate() {
+        if let Some(ahead) = entries.get(i + HEADER_AHEAD) {
+            graph.prefetch_in_header(ahead.target);
+        }
+        if let Some(ahead) = entries.get(i + ROW_AHEAD) {
+            let v = ahead.target;
+            prefetch_row(alpha_rows.alpha(v));
+            if let AlphaRows::Owned(owned) = &*alpha_rows {
+                prefetch_row(owned.h(v));
+            }
+            // The repair loop reads the list; sum and mean layers have none
+            // and read it only under the `incremental: false` ablation.
+            if mono {
+                graph.prefetch_in_neighbors(v);
+            }
+        }
         let u = e.target;
         let degree = graph.in_degree(u);
         if let AlphaRows::Owned(owned) = alpha_rows {
@@ -462,10 +512,11 @@ fn apply_shard(ctx: &ApplyCtx<'_>, shard: &mut ShardScratch, alpha_rows: &mut Al
         let alpha_old = alpha_rows.alpha(u);
         let mut reads = dim as u64;
         let mut deferred = None;
+        let mut repaired = false;
         let cond = if !cfg.incremental {
             deferred = Some(RecomputeKind::Forced);
             CondKind::Forced
-        } else if agg.is_monotonic() {
+        } else if mono {
             // A target whose *old* neighborhood was empty has α⁻ = 0 by
             // convention, not as a real aggregate: the incremental rules
             // don't apply there.
@@ -473,6 +524,7 @@ fn apply_shard(ctx: &ApplyCtx<'_>, shard: &mut ShardScratch, alpha_rows: &mut Al
                 deferred = Some(RecomputeKind::EmptyOld);
                 CondKind::Mono(Condition::ExposedReset)
             } else {
+                let from = exposed.len();
                 let condition = apply_monotonic_into(
                     agg,
                     alpha_old,
@@ -483,16 +535,14 @@ fn apply_shard(ctx: &ApplyCtx<'_>, shard: &mut ShardScratch, alpha_rows: &mut Al
                 );
                 if condition == Condition::ExposedReset {
                     // `out` is exact everywhere but on the exposed channels:
-                    // repair just those.
-                    let neighbors = graph.in_neighbors(u);
-                    agg.aggregate_channels_into(
-                        neighbors.iter().map(|&v| m_l.row(v as usize)),
-                        exposed,
-                        out,
-                    );
-                    reads += (neighbors.len() * exposed.len()) as u64;
-                    *exposed_channels += exposed.len();
-                    *exposed_rows += neighbors.len();
+                    // the repair loop below re-aggregates just those.
+                    let channels = exposed.len() - from;
+                    reads += (degree * channels) as u64;
+                    *exposed_channels += channels;
+                    *exposed_rows += degree;
+                    let (from, to) = (from as u32, exposed.len() as u32);
+                    repairs.push(Repair { entry: i as u32, staged, from, to });
+                    repaired = true;
                 }
                 CondKind::Mono(condition)
             }
@@ -506,16 +556,36 @@ fn apply_shard(ctx: &ApplyCtx<'_>, shard: &mut ShardScratch, alpha_rows: &mut Al
             recompute.push((recompute_sort_key(kind, degree), i as u32));
             reads += (degree * dim) as u64;
         }
-        // `changed` of a deferred entry is backfilled once pass 2 has
-        // recomputed its α.
-        let changed = deferred.is_none() && &*out != alpha_old;
+        // `changed` of a repaired or deferred entry is backfilled once its
+        // α is final.
+        let changed = !repaired && deferred.is_none() && &*out != alpha_old;
         outcomes.push(ApplyOutcome { cond, reads, changed, staged, output_changed: false });
+    }
+    // Exposed repair: reset each listed channel and fold it over the
+    // in-neighbors, asking for the exposed channels' lines of the neighbor
+    // rows of the reset `REPAIR_AHEAD` on (pass 1 already asked for its
+    // list).
+    let staged_row = |s: u32| s as usize * dim..(s as usize + 1) * dim;
+    for (j, r) in repairs.iter().enumerate() {
+        if let Some(ahead) = repairs.get(j + REPAIR_AHEAD) {
+            let channels = ahead.channels(exposed);
+            for &v in graph.in_neighbors(entries[ahead.entry as usize].target) {
+                let row = m_l.row(v as usize);
+                for &c in channels {
+                    prefetch(row, c as usize);
+                }
+            }
+        }
+        let u = entries[r.entry as usize].target;
+        let out = &mut alpha_buf[staged_row(r.staged)];
+        let neighbors = graph.in_neighbors(u).iter().map(|&v| m_l.row(v as usize));
+        agg.aggregate_channels_into(neighbors, r.channels(exposed), out);
+        outcomes[r.entry as usize].changed = *out != *alpha_rows.alpha(u);
     }
     if recompute.is_empty() || dim == 0 {
         return;
     }
     // Pass 2: full recomputations, one gathered panel per equal-key run.
-    let staged_row = |s: u32| s as usize * dim..(s as usize + 1) * dim;
     recompute.sort_unstable();
     for run in recompute.chunk_by(|a, b| a.0 == b.0) {
         let target = |&(_, idx): &(u32, u32)| entries[idx as usize].target;
@@ -564,7 +634,12 @@ pub(crate) fn write(
     next_targets.clear();
     let mut delta_rows = 0usize;
     for shard in &shards[..ns] {
-        for (e, o) in shard.entries.iter().zip(&shard.outcomes) {
+        for (i, (e, o)) in shard.entries.iter().zip(&shard.outcomes).enumerate() {
+            if let Some(ahead) = shard.outcomes.get(i + ROW_AHEAD) {
+                if ahead.changed && ahead.staged != NO_SLOT {
+                    prefetch_row(alpha_l.row(shard.entries[i + ROW_AHEAD].target as usize));
+                }
+            }
             rs.f32_read += o.reads;
             match o.cond {
                 CondKind::Mono(c) => {
@@ -680,7 +755,11 @@ pub(crate) fn next_messages(
     rs.f32_written += ((nt + nd) * out_dim) as u64;
 
     let ScratchPool { next_targets, next_buf, old, pending_user, rewritten, .. } = &mut rs.scratch;
-    for (&u, chunk) in next_targets.iter().zip(next_buf.chunks(prod_dim.max(1))) {
+    for (i, (&u, chunk)) in next_targets.iter().zip(next_buf.chunks(prod_dim.max(1))).enumerate() {
+        if let Some(&ahead) = next_targets.get(i + ROW_AHEAD) {
+            let dest = if plan.last { &state.h } else { &state.m[l + 1] };
+            prefetch_row(dest.row(ahead as usize));
+        }
         if plan.last {
             if chunk != state.h.row(u as usize) {
                 state.h.set_row(u as usize, chunk);

@@ -13,7 +13,8 @@
 //!   reduced [`GroupEntry`] per target with payloads as slots in a flat
 //!   `f32` buffer (no per-group `Vec` allocations), plus the apply phase's
 //!   outputs (`alpha_buf` for the α rows the write phase commits,
-//!   [`ApplyOutcome`]).
+//!   [`ApplyOutcome`], and the exposed resets waiting for their channel
+//!   repair, [`Repair`]).
 //! * [`ShardRows`] — on a delta-rule layer only, one shard's 64-row blocks
 //!   of `α` and `h`, cut from the two matrices as disjoint mutable slices,
 //!   so the apply phase commits delta rows in place in parallel.
@@ -109,6 +110,25 @@ pub(crate) struct ApplyOutcome {
     pub output_changed: bool,
 }
 
+/// An exposed reset waiting for its channel repair: the entry, the staged
+/// row whose exposed channels are re-aggregated, and where the entry's
+/// channels lie in the shard's `exposed` buffer (`from..to`).
+#[derive(Clone, Copy)]
+pub(crate) struct Repair {
+    pub entry: u32,
+    pub staged: u32,
+    pub from: u32,
+    pub to: u32,
+}
+
+impl Repair {
+    /// The entry's exposed channels, from the shard's `exposed` buffer.
+    #[inline]
+    pub fn channels<'a>(&self, exposed: &'a [u32]) -> &'a [u32] {
+        &exposed[self.from as usize..self.to as usize]
+    }
+}
+
 /// The reduced events heading to one target: payload slots into the owning
 /// shard's flat buffer. Monotonic groups use `del`/`add`; accumulative
 /// groups keep their running sum in `add`.
@@ -194,6 +214,13 @@ impl<'a> ShardRows<'a> {
         &self.alpha[i][r * self.dim..(r + 1) * self.dim]
     }
 
+    /// The current `h` row of `u`, a target of this shard.
+    #[inline]
+    pub fn h(&self, u: VertexId) -> &[f32] {
+        let (i, r) = self.locate(u);
+        &self.h[i][r * self.out_dim..(r + 1) * self.out_dim]
+    }
+
     /// The α and `h` rows of `u`, a target of this shard, for writing.
     #[inline]
     pub fn rows_mut(&mut self, u: VertexId) -> (&mut [f32], &mut [f32]) {
@@ -248,9 +275,13 @@ pub(crate) struct ShardScratch {
     /// `staged` row — delta rows, committed in place, take none.
     pub alpha_buf: Vec<f32>,
     pub payload_reads: usize,
-    /// Exposed channel list of the target being applied, rewritten per
-    /// target by [`crate::monotonic::apply_monotonic_into`].
+    /// The exposed channels of every exposed reset in this shard, back to
+    /// back: [`crate::monotonic::apply_monotonic_into`] appends each
+    /// target's list, and `repairs` holds where it lies.
     pub exposed: Vec<u32>,
+    /// The exposed resets apply pass 1 left for the repair loop, in entry
+    /// order.
+    pub repairs: Vec<Repair>,
     /// Channels this shard re-aggregated for exposed resets this layer.
     pub exposed_channels: usize,
     /// Neighbor rows this shard visited for those repairs this layer.
@@ -281,6 +312,8 @@ impl ShardScratch {
         self.outcomes.clear();
         self.alpha_buf.clear();
         self.payload_reads = 0;
+        self.exposed.clear();
+        self.repairs.clear();
         self.exposed_channels = 0;
         self.exposed_rows = 0;
         self.recompute.clear();
@@ -381,6 +414,7 @@ impl ShardScratch {
                 * std::mem::size_of::<f32>()
             + self.outcomes.capacity() * std::mem::size_of::<ApplyOutcome>()
             + self.exposed.capacity() * std::mem::size_of::<u32>()
+            + self.repairs.capacity() * std::mem::size_of::<Repair>()
             + self.recompute.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.apply_comp.capacity() * std::mem::size_of::<f32>()
             + self.gemm.bytes()

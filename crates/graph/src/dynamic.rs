@@ -11,7 +11,7 @@
 //! benchmark datasets) mirror every edge so the two views coincide, and
 //! store only the out-lists: the in-view reads them too.
 
-use crate::{EdgeOp, VertexId};
+use crate::{prefetch, EdgeOp, VertexId};
 
 /// A sorted adjacency list.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -207,6 +207,25 @@ impl DynGraph {
         self.out[u as usize].0.len()
     }
 
+    /// Asks the cache for `u`'s in-list header — where the list lives and
+    /// how long it is — ahead of [`DynGraph::in_neighbors`] or
+    /// [`DynGraph::in_degree`]. A no-op past the last vertex.
+    #[inline(always)]
+    pub fn prefetch_in_header(&self, u: VertexId) {
+        prefetch(self.in_lists(), u as usize);
+    }
+
+    /// Asks the cache for the first 16 ids of `u`'s in-list (at most two
+    /// lines, wherever the list starts). Reads the header, so fetch that
+    /// first with [`DynGraph::prefetch_in_header`].
+    #[inline(always)]
+    pub fn prefetch_in_neighbors(&self, u: VertexId) {
+        if let Some(adj) = self.in_lists().get(u as usize) {
+            prefetch(&adj.0, 0);
+            prefetch(&adj.0, 15);
+        }
+    }
+
     /// Removes all edges incident to `u` (vertex deletion keeps the id slot to
     /// avoid renumbering the embedding tables; the vertex simply becomes
     /// isolated). Returns the removed edges as `(src, dst)` pairs.
@@ -317,6 +336,20 @@ mod tests {
         assert_eq!(g.out_degree(0), 0);
         assert!(g.has_edge(1, 2));
         assert_eq!(g.num_edges(), 1);
+    }
+
+    #[test]
+    fn prefetch_hints_accept_any_vertex() {
+        for directed in [false, true] {
+            let mut g = DynGraph::new(3, directed);
+            g.insert_edge(0, 1);
+            // Empty lists, a real one, and ids past the last vertex.
+            for u in [0, 1, 2, 3, VertexId::MAX] {
+                g.prefetch_in_header(u);
+                g.prefetch_in_neighbors(u);
+            }
+            assert_eq!(g.in_neighbors(1), &[0]);
+        }
     }
 
     #[test]

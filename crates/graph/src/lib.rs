@@ -21,6 +21,8 @@
 //! * [`datasets`] — scaled stand-ins for the paper's six benchmark graphs.
 //! * [`temporal`] — T-GCN-style random edge creation/deletion timelines.
 //! * [`hash`] — an FxHash-style fast hasher used for event grouping.
+//! * [`prefetch()`] — a cache hint for loops that chase rows at random
+//!   addresses; the crate's one `unsafe` block.
 
 pub mod bfs;
 pub mod components;
@@ -31,6 +33,7 @@ pub mod dynamic;
 pub mod generators;
 pub mod hash;
 pub mod io;
+pub mod prefetch;
 pub mod stats;
 pub mod temporal;
 
@@ -38,6 +41,7 @@ pub use csr::Csr;
 pub use delta::{DeltaBatch, EdgeChange, EdgeOp};
 pub use dynamic::DynGraph;
 pub use hash::{FxHashMap, FxHashSet};
+pub use prefetch::prefetch;
 
 /// Vertex identifier. Graphs in this repo stay under 2^32 vertices.
 pub type VertexId = u32;

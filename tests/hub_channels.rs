@@ -10,6 +10,11 @@
 //! runs past 64 channels, and one vertex hangs off the hub alone so a batch
 //! can take a target's last in-edge (new degree 0 after a non-empty old
 //! neighborhood) and give it back (empty old neighborhood).
+//!
+//! The apply phase repairs a shard's exposed resets in a loop of their own
+//! that fetches a later reset's rows ahead; a second test sweeps the edges of
+//! that lookahead (0 to more than 3 resets per shard, consecutive resets, an
+//! emptied in-list) on 1-, 2- and 4-thread pools and `sequential()`.
 
 use ink_gnn::{Aggregator, Model};
 use ink_graph::{DeltaBatch, DynGraph, EdgeChange, VertexId};
@@ -163,5 +168,104 @@ proptest! {
         repaired += trio.apply(&rejoin, "pendant re-attached")?;
 
         prop_assert!(repaired > 0, "the stream must reach the channel repair");
+    }
+}
+
+/// Leaves of the lookahead star; leaves `1..=PENDANTS` hang off the hub
+/// alone, the rest also sit on a ring among themselves.
+const LEAVES: VertexId = 16;
+const PENDANTS: VertexId = 3;
+
+/// The exposed-channel repair runs as its own loop over a shard's exposed
+/// resets and asks for the rows of the reset three on; this sweeps the edges
+/// of that lookahead. Cutting `k` hub edges exposes channels of `k` leaves
+/// (the hub's message holds the extreme of about half their channels) and,
+/// from `k = 2` on, of the hub; cutting one ring edge exposes its two ends.
+/// So the one-shard sequential engine sees 0, 1, 2, exactly 3 and more than
+/// 3 exposed resets in a shard, and the pooled engines (4, 8 and 16 shards)
+/// spread them out. Inserts among the leaves break the hub cuts into runs of
+/// consecutive exposed entries, and cutting a pendant empties its in-list,
+/// so its exposed channels fold to +0.0. Max and min, on 1-, 2- and 4-thread
+/// pools and `sequential()`: every output equals `recompute_reference()`
+/// bitwise, and every engine reports the same repaired channels, visited
+/// rows and traffic. Each cut is then undone; the pendants rejoin through
+/// the panel path.
+#[test]
+fn repair_lookahead_edges_match_recompute_bitwise() {
+    const THREADS: [usize; 3] = [1, 2, 4];
+    let n = LEAVES as usize + 1;
+    let mut edges: Vec<(VertexId, VertexId)> = (1..=LEAVES).map(|v| (HUB, v)).collect();
+    edges.extend((PENDANTS + 1..LEAVES).map(|v| (v, v + 1)));
+    edges.push((LEAVES, PENDANTS + 1));
+    let g = DynGraph::undirected_from_edges(n, &edges);
+    let mut x = uniform(&mut seeded_rng(5), n, FEAT, -1.0, 1.0);
+    x.row_mut(HUB as usize).fill(100.0);
+    let pools: Vec<rayon::ThreadPool> = THREADS
+        .iter()
+        .map(|&t| rayon::ThreadPoolBuilder::new().num_threads(t).build().unwrap())
+        .collect();
+    // Hub cuts of the first `k` leaves, pendants first, in runs of three
+    // broken by a leaf-to-leaf insert; then one ring edge.
+    let mut cuts: Vec<Vec<EdgeChange>> = (0..=8)
+        .map(|k| {
+            let mut changes = Vec::new();
+            for v in 1..=k {
+                if v > 1 && v % 3 == 1 {
+                    changes.push(EdgeChange::insert(v, (v + 5) % LEAVES + 1));
+                }
+                changes.push(EdgeChange::remove(HUB, v));
+            }
+            changes
+        })
+        .collect();
+    cuts.push(vec![EdgeChange::remove(PENDANTS + 1, PENDANTS + 2)]);
+    for agg in [Aggregator::Max, Aggregator::Min] {
+        let mut resets_seen = Vec::new();
+        for (case, cut) in cuts.iter().enumerate() {
+            let engine = |cfg| {
+                let model = Model::gcn(&mut seeded_rng(9), &[FEAT, HIDDEN, 3], agg);
+                InkStream::new(model, g.clone(), x.clone(), cfg).unwrap()
+            };
+            let mut sequential = engine(UpdateConfig::default().sequential());
+            let mut pooled: Vec<InkStream> =
+                pools.iter().map(|_| engine(UpdateConfig::default())).collect();
+            let cut = DeltaBatch::new(cut.clone());
+            let rejoin = cut.inverse();
+            for (b, delta) in [&cut, &rejoin].into_iter().enumerate() {
+                let what = format!("{agg:?} case {case} batch {b}");
+                let want = sequential.apply_delta(delta);
+                if b == 0 {
+                    // Every reset of a cut is repaired: none has an empty
+                    // old neighborhood.
+                    resets_seen.extend(want.per_layer.iter().map(|l| l.conditions.exposed_reset));
+                }
+                for p in 1..=PENDANTS {
+                    if sequential.graph().in_degree(p) == 0 {
+                        let alpha = sequential.state().alpha[0].row(p as usize);
+                        assert!(alpha.iter().all(|v| v.to_bits() == 0), "{what}: pendant {p}");
+                    }
+                }
+                let reference = sequential.recompute_reference();
+                assert!(sequential.output() == &reference, "{what}: sequential");
+                for ((engine, pool), t) in pooled.iter_mut().zip(&pools).zip(THREADS) {
+                    let got = pool.install(|| engine.apply_delta(delta));
+                    assert!(engine.output() == &reference, "{what}: {t} threads");
+                    for (l, (lg, lw)) in got.per_layer.iter().zip(&want.per_layer).enumerate() {
+                        assert_eq!(
+                            (lg.exposed_channels, lg.exposed_rows),
+                            (lw.exposed_channels, lw.exposed_rows),
+                            "{what}: {t} threads, layer {l}"
+                        );
+                    }
+                    assert_eq!(got.traffic(), want.traffic(), "{what}: {t} threads");
+                }
+            }
+        }
+        for (lo, hi) in [(0, 0), (1, 1), (2, 2), (3, 3), (4, u64::MAX)] {
+            assert!(
+                resets_seen.iter().any(|&r| (lo..=hi).contains(&r)),
+                "{agg:?}: no layer with {lo}..={hi} exposed resets in {resets_seen:?}"
+            );
+        }
     }
 }
