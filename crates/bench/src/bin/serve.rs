@@ -352,7 +352,7 @@ fn main() {
     let handle =
         InkServer::bind("127.0.0.1:0", session.take().unwrap(), v1_config).expect("bind v1");
     let v1 = run_v1(&handle, v1_clients, v1_updates_each, &pool);
-    let (sess, v1_summary) = handle.shutdown().expect("v1 shutdown");
+    let (sess, v1_stats) = handle.shutdown().expect("v1 shutdown");
     session = Some(sess);
     let v1_secs = v1.wall.as_secs_f64();
     let v1_frames_per_s = v1.frames as f64 / v1_secs;
@@ -369,7 +369,7 @@ fn main() {
     let handle = InkServer::bind("127.0.0.1:0", session.take().unwrap(), pipe_config.clone())
         .expect("bind pipelined");
     let pipe = run_pipelined(&handle, clients, workers, groups_each, &pool, &zipf);
-    let (sess, pipe_summary) = handle.shutdown().expect("pipelined shutdown");
+    let (sess, pipe_stats) = handle.shutdown().expect("pipelined shutdown");
     session = Some(sess);
 
     let pipe_secs = pipe.wall.as_secs_f64();
@@ -389,8 +389,8 @@ fn main() {
         "  speedup: {speedup:.1}x vs in-run v1 baseline, {:.1}x vs PR 3 reference \
          ({pr3_reference_ops_per_s:.0} edge-ops/s); applied after coalescing: {} of {}",
         pipe_ops_per_s / pr3_reference_ops_per_s,
-        pipe_summary.serve.events_applied,
-        pipe_summary.serve.events_received,
+        pipe_stats.events_applied,
+        pipe_stats.events_received,
     );
 
     // ---- Phase 3: raw apply throughput of the writer loop. ----
@@ -421,25 +421,25 @@ fn main() {
     let config = ServeConfig { queue_capacity: 1024, max_drain: 64, ..ServeConfig::default() };
     let handle = InkServer::bind("127.0.0.1:0", parted, config).expect("bind apply");
     let wall = drive_apply(handle.local_addr(), &apply_batches).expect("apply driver");
-    let (_parted, summary) = handle.shutdown().expect("apply shutdown");
-    let applied = summary.serve.events_applied;
+    let (_parted, stats) = handle.shutdown().expect("apply shutdown");
+    let applied = stats.events_applied;
     let wall_s = wall.as_secs_f64();
     let apply_per_s = applied as f64 / wall_s;
     eprintln!(
         "  apply: {applied} events ({} epochs) in {wall_s:.2}s -> \
          {apply_per_s:.0} applied events/s",
-        summary.serve.epochs
+        stats.epochs
     );
     let apply_doc = Json::obj([
         ("parts", Json::from(apply_parts)),
         ("frames", Json::from(apply_frames)),
         ("batch", Json::from(BATCH)),
         ("applied_events", Json::from(applied)),
-        ("received_events", Json::from(summary.serve.events_received)),
-        ("epochs", Json::from(summary.serve.epochs)),
+        ("received_events", Json::from(stats.events_received)),
+        ("epochs", Json::from(stats.epochs)),
         ("wall_s", inkstream::json::rounded(wall_s, 3)),
         ("applied_events_per_s", inkstream::json::rounded(apply_per_s, 1)),
-        ("server", summary.serve.to_json()),
+        ("server", stats.to_json()),
     ]);
 
     let doc = Json::obj([
@@ -460,7 +460,7 @@ fn main() {
                 ("update_frames_per_s", inkstream::json::rounded(v1_frames_per_s, 1)),
                 ("edge_ops_per_s", inkstream::json::rounded(v1_ops_per_s, 1)),
                 ("update_latency_us", latency_us(&v1.lat_us)),
-                ("server", v1_summary.serve.to_json()),
+                ("server", v1_stats.to_json()),
             ]),
         ),
         (
@@ -483,7 +483,7 @@ fn main() {
                 ("edge_ops_per_s", inkstream::json::rounded(pipe_ops_per_s, 1)),
                 ("queries_per_s", inkstream::json::rounded(pipe_queries_per_s, 1)),
                 ("group_latency_us", latency_us(&pipe.out.group_lat_us)),
-                ("server", pipe_summary.serve.to_json()),
+                ("server", pipe_stats.to_json()),
             ]),
         ),
         ("apply", apply_doc),

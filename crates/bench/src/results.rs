@@ -1,6 +1,6 @@
 //! The shared `results/BENCH_*.json` writer.
 //!
-//! Every bench binary (and the server's `stats`-derived artifacts) funnels
+//! Every bench binary (the serve bench's `ServeStats` blocks included) funnels
 //! its document through [`write_results`] so the artifacts share one style:
 //! pretty-printed [`Json`], echoed to stdout, written under `results/`.
 //! Binaries that carry an `ink-obs` [`MetricsRegistry`] additionally export

@@ -1,6 +1,6 @@
 //! Minimal JSON writing.
 //!
-//! The bench binaries and the server's `stats` request all emit JSON; before
+//! The bench binaries and the serve bench's `ServeStats` emit JSON; before
 //! this module each call site hand-rolled `format!` strings, which drifted
 //! in style and was easy to get syntactically wrong. This is the smallest
 //! value type + pretty printer that covers those producers — output only,
@@ -73,13 +73,6 @@ impl Json {
         out
     }
 
-    /// Compact single-line rendering (wire format for the `stats` request).
-    pub fn compact(&self) -> String {
-        let mut out = String::new();
-        self.write_compact(&mut out);
-        out
-    }
-
     fn write(&self, out: &mut String, indent: usize) {
         match self {
             Json::Arr(items) if !items.is_empty() => {
@@ -110,11 +103,12 @@ impl Json {
                 push_indent(out, indent);
                 out.push('}');
             }
-            leaf => leaf.write_compact(out),
+            leaf => leaf.write_inline(out),
         }
     }
 
-    fn write_compact(&self, out: &mut String) {
+    /// Renders a leaf or an empty container.
+    fn write_inline(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -129,28 +123,9 @@ impl Json {
             }
             Json::Num(_) => out.push_str("null"),
             Json::Str(s) => write_string(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    item.write_compact(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    write_string(out, k);
-                    out.push_str(": ");
-                    v.write_compact(out);
-                }
-                out.push('}');
-            }
+            // `write` lays out non-empty containers itself.
+            Json::Arr(_) => out.push_str("[]"),
+            Json::Obj(_) => out.push_str("{}"),
         }
     }
 }
@@ -248,14 +223,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn leaves_render_compactly() {
-        assert_eq!(Json::Null.compact(), "null");
-        assert_eq!(Json::from(true).compact(), "true");
-        assert_eq!(Json::from(-3i64).compact(), "-3");
-        assert_eq!(Json::from(1.5f64).compact(), "1.5");
-        assert_eq!(Json::from(f64::NAN).compact(), "null");
-        assert_eq!(Json::from(f64::INFINITY).compact(), "null");
-        assert_eq!(Json::from("a\"b\n").compact(), "\"a\\\"b\\n\"");
+    fn leaves_render_on_one_line() {
+        assert_eq!(Json::Null.pretty(), "null\n");
+        assert_eq!(Json::from(true).pretty(), "true\n");
+        assert_eq!(Json::from(-3i64).pretty(), "-3\n");
+        assert_eq!(Json::from(1.5f64).pretty(), "1.5\n");
+        assert_eq!(Json::from(f64::NAN).pretty(), "null\n");
+        assert_eq!(Json::from(f64::INFINITY).pretty(), "null\n");
+        assert_eq!(Json::from("a\"b\n").pretty(), "\"a\\\"b\\n\"\n");
     }
 
     #[test]
@@ -276,7 +251,7 @@ mod tests {
 
     #[test]
     fn rounded_truncates_noise() {
-        assert_eq!(rounded(1.23456, 3).compact(), "1.235");
+        assert_eq!(rounded(1.23456, 3), Json::Num(1.235));
         assert_eq!(rounded(f64::NAN, 3), Json::Null);
     }
 
@@ -284,7 +259,7 @@ mod tests {
     fn push_extends_objects() {
         let mut j = Json::obj([("a", Json::from(1u64))]);
         j.push("b", Json::from(2u64));
-        assert_eq!(j.compact(), "{\"a\": 1, \"b\": 2}");
+        assert_eq!(j.pretty(), "{\n  \"a\": 1,\n  \"b\": 2\n}\n");
     }
 
     #[test]

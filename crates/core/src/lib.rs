@@ -61,7 +61,7 @@ pub use monotonic::Condition;
 pub use json::Json;
 pub use session::{
     AuditKind, DriftAction, DriftError, DriftPolicy, DriftStats, Engine, IngestError,
-    IngestReport, ServeStats, SessionConfig, SessionSummary, StreamSession,
+    IngestReport, SessionConfig, SessionSummary, StreamSession,
     DEFAULT_TRACE_CAPACITY,
 };
 pub use snapshot::{

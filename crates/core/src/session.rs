@@ -5,8 +5,8 @@
 //! `ink-partition` — and adds the concerns the paper's evaluation protocol
 //! implies but the core algorithm doesn't cover:
 //! splitting oversized deltas into refresh batches (speedup falls with ΔG —
-//! paper Fig. 7 — so bounded batches keep latency predictable), rolling
-//! latency statistics, and a drift auditor for accumulative aggregation,
+//! paper Fig. 7 — so bounded batches keep latency predictable), latency
+//! statistics, and a drift auditor for accumulative aggregation,
 //! where float drift is bounded but nonzero.
 //!
 //! The auditor is governed by a [`DriftPolicy`]: cheap *spot audits*
@@ -26,20 +26,17 @@
 //! [`StreamSession::tracer`]). The registry instruments — counters for
 //! ingests/changes/audits, log-bucket histograms for batch latency and the
 //! five pipeline phases, gauges for scratch-pool occupancy and worst drift —
-//! are the *source of truth*: [`DriftStats`] and the `PhaseTimes` inside
-//! [`SessionSummary`] are thin views folded from the registry at
-//! [`StreamSession::summary`] time, so the JSON schema consumed by the bench
-//! artifacts and the serve `stats` request is unchanged while the same
-//! numbers become scrapeable as Prometheus text. The tracer records one span
+//! are the only source: [`SessionSummary`] (its batch-latency percentiles,
+//! phase sums and [`DriftStats`] included) is a view folded from them at
+//! [`StreamSession::summary`] time, and a Prometheus scrape of the same
+//! registry reads the same numbers. The tracer records one span
 //! per batch plus one per phase (synthesized from the engine's own phase
 //! timings) and per audit/resync, dumpable as Chrome `trace_event` JSON.
 //! Metric names are catalogued in DESIGN.md §8.
 
-use crate::json::{rounded, Json};
 use crate::{InkError, InkStream, PhaseTimes, ResyncReport, RowSource, UpdateReport};
 use ink_graph::{DeltaBatch, DynGraph, VertexId};
 use ink_obs::{Counter, Gauge, Histogram, MetricsRegistry, Tracer};
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -112,10 +109,12 @@ impl Engine for InkStream {
     }
 }
 
-/// Renders a `(p50, p90, p99, max)` latency tuple as microseconds.
-fn latency_json(l: &(Duration, Duration, Duration, Duration)) -> Json {
-    let us = |d: Duration| rounded(d.as_secs_f64() * 1e6, 3);
-    Json::obj([("p50", us(l.0)), ("p90", us(l.1)), ("p99", us(l.2)), ("max", us(l.3))])
+/// `(p50, p90, p99, max)` of a nanosecond latency histogram. The
+/// percentiles are bucket estimates (never below the exact value, at most
+/// one log bucket — 12.5 % — above it); the max is exact.
+pub fn latency_quantiles(h: &Histogram) -> (Duration, Duration, Duration, Duration) {
+    let q = |p: f64| Duration::from_nanos(h.quantile(p));
+    (q(0.50), q(0.90), q(0.99), Duration::from_nanos(h.max()))
 }
 
 /// What to do when an audit measures drift beyond tolerance (or NaN).
@@ -192,14 +191,11 @@ pub struct SessionConfig {
     pub max_batch: usize,
     /// Drift auditing policy.
     pub drift: DriftPolicy,
-    /// Number of recent per-batch latencies kept for the percentile summary
-    /// (a ring buffer — unbounded growth on long streams is a leak).
-    pub latency_window: usize,
 }
 
 impl Default for SessionConfig {
     fn default() -> Self {
-        Self { max_batch: 1_000, drift: DriftPolicy::default(), latency_window: 4096 }
+        Self { max_batch: 1_000, drift: DriftPolicy::default() }
     }
 }
 
@@ -232,23 +228,6 @@ pub struct DriftStats {
     pub audit_time: Duration,
     /// Wall time spent inside resyncs.
     pub resync_time: Duration,
-}
-
-impl DriftStats {
-    /// JSON rendering shared by the bench artifacts and the server `stats`
-    /// request.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("spot_audits", Json::from(self.spot_audits)),
-            ("full_audits", Json::from(self.full_audits)),
-            ("breaches", Json::from(self.breaches)),
-            ("resyncs", Json::from(self.resyncs)),
-            ("nan_detected", Json::from(self.nan_detected)),
-            ("max_deviation", Json::from(self.max_deviation)),
-            ("audit_ms", rounded(self.audit_time.as_secs_f64() * 1e3, 3)),
-            ("resync_ms", rounded(self.resync_time.as_secs_f64() * 1e3, 3)),
-        ])
-    }
 }
 
 /// The incremental state drifted past the audit tolerance and the policy
@@ -329,86 +308,16 @@ pub struct IngestReport {
     pub resynced: bool,
 }
 
-/// Serving-layer counters folded into [`SessionSummary`] when the session
-/// runs behind an `ink-serve` front end (all-zero otherwise): admission
-/// control outcomes, coalescing effectiveness, snapshot epochs, queue depth
-/// and per-query latency.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServeStats {
-    /// Update requests admitted to the ingest queue.
-    pub updates_enqueued: u64,
-    /// Update requests turned away (reject-with-retry-after backpressure).
-    pub updates_rejected: u64,
-    /// Queued update requests evicted (drop-oldest backpressure).
-    pub updates_dropped: u64,
-    /// Edge changes received across admitted updates (pre-coalescing).
-    pub events_received: u64,
-    /// Edge changes actually applied (post-coalescing).
-    pub events_applied: u64,
-    /// Query requests answered from snapshots.
-    pub queries: u64,
-    /// Flush barriers honoured.
-    pub flushes: u64,
-    /// Transient `accept()` failures the listener retried past
-    /// (ECONNABORTED, EMFILE, ...).
-    pub accept_errors: u64,
-    /// Snapshot epochs published (excluding the bootstrap epoch 0).
-    pub epochs: u64,
-    /// Ingest queue depth at the time the summary was taken.
-    pub queue_depth: u64,
-    /// Deepest the ingest queue ever got.
-    pub max_queue_depth: u64,
-    /// Poisoned-lock recoveries on the queue's read-only stats paths.
-    /// Non-zero means a thread panicked while holding the queue lock; the
-    /// stats/metrics endpoints kept answering instead of taking the server
-    /// down with them.
-    pub lock_poisoned: u64,
-    /// Per-query service latency percentiles over a rolling window:
-    /// (p50, p90, p99, max).
-    pub query_latency: (Duration, Duration, Duration, Duration),
-    /// Admission-to-apply latency percentiles — how long an admitted update
-    /// batch waited in the ingest queue plus pipeline before the epoch that
-    /// contains it was published: (p50, p90, p99, max). Separates queueing
-    /// wait from service time.
-    pub admission_wait: (Duration, Duration, Duration, Duration),
-    /// Apply-only latency percentiles — engine ingest + snapshot publish per
-    /// non-empty epoch, excluding any queueing: (p50, p90, p99, max).
-    pub apply_latency: (Duration, Duration, Duration, Duration),
-}
-
-impl ServeStats {
-    /// JSON rendering, used by the server's `stats` request and the serve
-    /// bench artifact.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("updates_enqueued", Json::from(self.updates_enqueued)),
-            ("updates_rejected", Json::from(self.updates_rejected)),
-            ("updates_dropped", Json::from(self.updates_dropped)),
-            ("events_received", Json::from(self.events_received)),
-            ("events_applied", Json::from(self.events_applied)),
-            ("queries", Json::from(self.queries)),
-            ("flushes", Json::from(self.flushes)),
-            ("accept_errors", Json::from(self.accept_errors)),
-            ("epochs", Json::from(self.epochs)),
-            ("queue_depth", Json::from(self.queue_depth)),
-            ("max_queue_depth", Json::from(self.max_queue_depth)),
-            ("lock_poisoned", Json::from(self.lock_poisoned)),
-            ("query_latency_us", latency_json(&self.query_latency)),
-            ("admission_wait_us", latency_json(&self.admission_wait)),
-            ("apply_latency_us", latency_json(&self.apply_latency)),
-        ])
-    }
-}
-
-/// Rolling summary of a session.
+/// Summary of a session since it started, folded from its registry.
 #[derive(Clone, Debug, Default)]
 pub struct SessionSummary {
     /// Total ingest calls.
     pub ingests: usize,
     /// Total edge changes applied.
     pub changes: usize,
-    /// Latency percentiles over the retained batch window:
-    /// (p50, p90, p99, max).
+    /// Per-batch latency over every batch ever run, from the
+    /// `ink_session_batch_latency_ns` histogram: (p50, p90, p99, max), see
+    /// [`latency_quantiles`].
     pub latency: (Duration, Duration, Duration, Duration),
     /// Mean real-affected nodes per batch (over all batches ever run).
     pub avg_real_affected: f64,
@@ -417,25 +326,6 @@ pub struct SessionSummary {
     pub phase_times: PhaseTimes,
     /// Audit/resync bookkeeping.
     pub drift: DriftStats,
-    /// Serving-layer counters (all-zero outside `ink-serve`).
-    pub serve: ServeStats,
-}
-
-impl SessionSummary {
-    /// The canonical JSON rendering of a summary, shared by the bench
-    /// binaries and the server's `stats` response so every consumer sees the
-    /// same field names.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("ingests", Json::from(self.ingests)),
-            ("changes", Json::from(self.changes)),
-            ("batch_latency_us", latency_json(&self.latency)),
-            ("avg_real_affected", rounded(self.avg_real_affected, 3)),
-            ("phase_us", self.phase_times.to_json()),
-            ("drift", self.drift.to_json()),
-            ("serve", self.serve.to_json()),
-        ])
-    }
 }
 
 /// An engine plus operational bookkeeping for long-running streams.
@@ -480,13 +370,11 @@ pub struct StreamSession<E: Engine = InkStream> {
     registry: Arc<MetricsRegistry>,
     tracer: Arc<Tracer>,
     inst: SessionInstruments,
-    batch_latencies: VecDeque<Duration>,
     sample_state: u64,
 }
 
-/// The session's registry instruments. These atomics are the source of truth
-/// for everything [`SessionSummary`] reports (except the exact batch-latency
-/// percentiles, which come from the retained ring); see the module docs.
+/// The session's registry instruments. These atomics are the only source of
+/// everything [`SessionSummary`] reports; see the module docs.
 struct SessionInstruments {
     ingests: Arc<Counter>,
     changes: Arc<Counter>,
@@ -657,7 +545,7 @@ impl<E: Engine> StreamSession<E> {
     ///
     /// # Panics
     ///
-    /// On a malformed config: `max_batch` or `latency_window` of 0, an audit
+    /// On a malformed config: `max_batch` of 0, an audit
     /// interval of `Some(0)` (ambiguous — use `None` to disable), a spot
     /// policy sampling 0 vertices, or a non-finite/negative tolerance.
     pub fn with_config(engine: E, config: SessionConfig) -> Self {
@@ -689,7 +577,6 @@ impl<E: Engine> StreamSession<E> {
         tracer: Arc<Tracer>,
     ) -> Self {
         assert!(config.max_batch >= 1, "SessionConfig: max_batch must be at least 1");
-        assert!(config.latency_window >= 1, "SessionConfig: latency_window must be at least 1");
         let d = &config.drift;
         assert!(
             d.spot_every != Some(0),
@@ -709,15 +596,7 @@ impl<E: Engine> StreamSession<E> {
         );
         let sample_state = config.drift.seed;
         let inst = SessionInstruments::register(&registry);
-        Self {
-            engine,
-            config,
-            registry,
-            tracer,
-            inst,
-            batch_latencies: VecDeque::new(),
-            sample_state,
-        }
+        Self { engine, config, registry, tracer, inst, sample_state }
     }
 
     /// The session's metrics registry (shared; render with
@@ -756,12 +635,6 @@ impl<E: Engine> StreamSession<E> {
         }
     }
 
-    /// Per-batch latencies currently retained (at most
-    /// [`SessionConfig::latency_window`]).
-    pub fn latency_samples(&self) -> usize {
-        self.batch_latencies.len()
-    }
-
     /// Applies a delta, split into batches of at most `max_batch` changes,
     /// then runs whichever audit the [`DriftPolicy`] schedules for this
     /// ingest. On a breach with [`DriftAction::Fail`] the returned error
@@ -775,10 +648,6 @@ impl<E: Engine> StreamSession<E> {
             let t = Instant::now();
             let r: UpdateReport = self.engine.apply(&batch).map_err(IngestError::Engine)?;
             let elapsed = t.elapsed();
-            if self.batch_latencies.len() == self.config.latency_window {
-                self.batch_latencies.pop_front();
-            }
-            self.batch_latencies.push_back(elapsed);
             self.inst.batch_latency.record(elapsed.as_nanos() as u64);
             self.inst.batches.inc();
             report.batches += 1;
@@ -904,28 +773,14 @@ impl<E: Engine> StreamSession<E> {
         }
     }
 
-    /// Latency percentile over the retained batch window.
-    pub fn latency_percentile(&self, p: f64) -> Duration {
-        let mut sorted: Vec<Duration> = self.batch_latencies.iter().copied().collect();
-        sorted.sort_unstable();
-        percentile_of(&sorted, p)
-    }
-
-    /// Rolling summary, folded from the registry instruments (exact batch
-    /// percentiles come from the retained ring, sorted once).
+    /// Summary since the session started, folded from the registry
+    /// instruments.
     pub fn summary(&self) -> SessionSummary {
-        let mut sorted: Vec<Duration> = self.batch_latencies.iter().copied().collect();
-        sorted.sort_unstable();
         let phase_sum = |i: usize| Duration::from_nanos(self.inst.phases[i].sum());
         SessionSummary {
             ingests: self.inst.ingests.get() as usize,
             changes: self.inst.changes.get() as usize,
-            latency: (
-                percentile_of(&sorted, 0.50),
-                percentile_of(&sorted, 0.90),
-                percentile_of(&sorted, 0.99),
-                sorted.last().copied().unwrap_or_default(),
-            ),
+            latency: latency_quantiles(&self.inst.batch_latency),
             avg_real_affected: self.inst.affected.get() as f64
                 / self.inst.batches.get().max(1) as f64,
             phase_times: PhaseTimes {
@@ -936,18 +791,8 @@ impl<E: Engine> StreamSession<E> {
                 next_messages: phase_sum(4),
             },
             drift: self.drift_stats(),
-            serve: ServeStats::default(),
         }
     }
-}
-
-/// Nearest-rank percentile of an ascending-sorted slice.
-fn percentile_of(sorted: &[Duration], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p.clamp(0.0, 1.0)).round() as usize;
-    sorted[idx]
 }
 
 #[cfg(test)]
@@ -1079,7 +924,6 @@ mod tests {
             SessionConfig {
                 max_batch: 2,
                 drift: DriftPolicy::full(1, 0.0),
-                ..SessionConfig::default()
             },
         );
         s.engine_mut().state_mut().alpha[0].set(3, 1, f32::NAN);
@@ -1094,19 +938,79 @@ mod tests {
     }
 
     #[test]
-    fn latency_window_caps_retained_samples() {
+    fn summary_equals_the_scrape() {
+        use ink_obs::parse::{parse_prometheus, PromFamily};
+        use ink_obs::bucket_index;
         let mut s = StreamSession::with_config(
             engine(18),
-            SessionConfig { max_batch: 1, latency_window: 5, ..SessionConfig::default() },
+            SessionConfig {
+                max_batch: 1,
+                drift: DriftPolicy::spot(2, 3, 1e-3),
+            },
         );
         for i in 0..4 {
             let d = delta(&s, 40 + i, 3);
             s.ingest(&d).unwrap();
         }
-        assert_eq!(s.latency_samples(), 5, "12 batches, window of 5");
         let sum = s.summary();
-        assert!(sum.latency.3 >= sum.latency.0);
-        assert!(sum.avg_real_affected > 0.0, "averages still use all batches ever run");
+        let families = parse_prometheus(&s.metrics().render_prometheus()).unwrap();
+        let family = |name: &str| -> &PromFamily {
+            families.iter().find(|f| f.name == name).unwrap_or_else(|| panic!("{name} missing"))
+        };
+        let value = |name: &str| family(name).samples[0].value as u64;
+        let sample = |family_name: &str, name: &str| {
+            let f = family(family_name);
+            f.samples.iter().find(|x| x.name == name).unwrap().value as u64
+        };
+        assert_eq!(sum.ingests as u64, value("ink_session_ingests_total"));
+        assert_eq!(sum.changes as u64, value("ink_session_changes_total"));
+        let lat = "ink_session_batch_latency_ns";
+        let batches = value("ink_session_batches_total");
+        assert_eq!(batches, 12, "4 ingests of 3 changes in batches of 1");
+        assert_eq!(sample(lat, "ink_session_batch_latency_ns_count"), batches);
+        let affected = value("ink_session_affected_total") as f64;
+        assert_eq!(sum.avg_real_affected, affected / batches as f64);
+        assert!(sum.avg_real_affected > 0.0);
+
+        // Each percentile is the upper bound of the bucket holding its rank,
+        // clamped to the exact max, which lies in the highest bucket.
+        let buckets: Vec<(u64, u64)> = family(lat)
+            .samples
+            .iter()
+            .filter(|x| x.name.ends_with("_bucket") && x.label("le") != Some("+Inf"))
+            .map(|x| (x.label("le").unwrap().parse().unwrap(), x.value as u64))
+            .collect();
+        let max = sum.latency.3.as_nanos() as u64;
+        let top = buckets.last().unwrap().0;
+        assert_eq!(bucket_index(max), bucket_index(top));
+        for (p, got) in [(0.50, sum.latency.0), (0.90, sum.latency.1), (0.99, sum.latency.2)] {
+            let rank = (p * batches as f64).ceil() as u64;
+            let le = buckets.iter().find(|&&(_, cum)| cum >= rank).unwrap().0;
+            assert_eq!(got, Duration::from_nanos(le.min(max)), "p{p}");
+        }
+
+        let phases = [
+            ("generate", sum.phase_times.generate),
+            ("group", sum.phase_times.group),
+            ("apply", sum.phase_times.apply),
+            ("write", sum.phase_times.write),
+            ("next_messages", sum.phase_times.next_messages),
+        ];
+        for (name, got) in phases {
+            let f = format!("ink_pipeline_phase_{name}_ns");
+            assert_eq!(got, Duration::from_nanos(sample(&f, &format!("{f}_sum"))), "{name}");
+        }
+
+        let d = sum.drift;
+        assert_eq!(d.spot_audits, 2);
+        assert_eq!(d.spot_audits, value("ink_drift_spot_audits_total"));
+        assert_eq!(d.full_audits, value("ink_drift_full_audits_total"));
+        assert_eq!(d.breaches, value("ink_drift_breaches_total"));
+        assert_eq!(d.resyncs, value("ink_drift_resyncs_total"));
+        assert_eq!(d.nan_detected, value("ink_drift_nan_detected_total"));
+        assert_eq!(d.audit_time, Duration::from_nanos(value("ink_drift_audit_ns_total")));
+        assert_eq!(d.resync_time, Duration::from_nanos(value("ink_drift_resync_ns_total")));
+        assert_eq!(d.max_deviation as f64, family("ink_drift_max_deviation").samples[0].value);
     }
 
     #[test]
@@ -1240,6 +1144,6 @@ mod tests {
         let mut s = StreamSession::new(engine(9));
         let r = s.ingest(&DeltaBatch::new(vec![])).unwrap();
         assert_eq!(r.batches, 0);
-        assert_eq!(s.latency_percentile(0.99), Duration::ZERO);
+        assert_eq!(s.summary().latency, Default::default());
     }
 }

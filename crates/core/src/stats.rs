@@ -33,19 +33,6 @@ impl PhaseTimes {
         self.write += other.write;
         self.next_messages += other.next_messages;
     }
-
-    /// Per-phase microsecond breakdown as JSON.
-    pub fn to_json(&self) -> crate::json::Json {
-        use crate::json::{rounded, Json};
-        let us = |d: Duration| rounded(d.as_secs_f64() * 1e6, 3);
-        Json::obj([
-            ("generate", us(self.generate)),
-            ("group", us(self.group)),
-            ("apply", us(self.apply)),
-            ("write", us(self.write)),
-            ("next_messages", us(self.next_messages)),
-        ])
-    }
 }
 
 /// How many targets fell into each evolvability condition (paper Fig. 8,

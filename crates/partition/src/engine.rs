@@ -254,16 +254,6 @@ impl PartitionedInkStream {
         &self.features
     }
 
-    /// Per-vertex owner labels.
-    pub fn assignment(&self) -> &[u32] {
-        self.router.assignment()
-    }
-
-    /// The partition owning `v`.
-    pub fn owner(&self, v: VertexId) -> u32 {
-        self.router.owner(v)
-    }
-
     /// The per-partition engines (read access, e.g. for audits in tests).
     pub fn engines(&self) -> &[InkStream] {
         &self.engines
@@ -326,36 +316,6 @@ impl PartitionedInkStream {
             known &= e.take_dirty_rows(out);
         }
         known
-    }
-
-    /// One vertex's output embedding, read from its owner.
-    pub fn embedding(&self, v: VertexId) -> Vec<f32> {
-        self.engines[self.router.owner(v) as usize].state().h.row(v as usize).to_vec()
-    }
-
-    /// The `k` vertices most similar to `vertex` by embedding dot product,
-    /// merged across partitions: each partition scores its owned vertices
-    /// against the query row, then the candidates merge deterministically
-    /// (descending score, ties to the lower id) — the same order contract as
-    /// the single-engine serving path.
-    pub fn top_k(&self, vertex: VertexId, k: usize) -> Vec<(VertexId, f32)> {
-        let q = self.embedding(vertex);
-        let mut scored: Vec<(VertexId, f32)> = Vec::new();
-        for (p, e) in self.engines.iter().enumerate() {
-            let h = &e.state().h;
-            for v in 0..self.graph.num_vertices() as VertexId {
-                if v == vertex || self.router.owner(v) != p as u32 {
-                    continue;
-                }
-                let score: f32 = q.iter().zip(h.row(v as usize)).map(|(a, b)| a * b).sum();
-                scored.push((v, score));
-            }
-        }
-        scored.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-        });
-        scored.truncate(k);
-        scored
     }
 
     /// Applies one batch of edge changes as a partitioned round. Same
@@ -925,23 +885,6 @@ mod tests {
             assert_eq!(&parted.output(), single.output(), "{threads} threads");
             assert_eq!(rp.output_changed, rs.output_changed, "{threads} threads");
         }
-    }
-
-    #[test]
-    fn top_k_matches_merged_output_order() {
-        let (_, parted) = setup(3);
-        let items = parted.top_k(0, 5);
-        assert_eq!(items.len(), 5);
-        let out = parted.output();
-        let q = out.row(0).to_vec();
-        let mut expect: Vec<(u32, f32)> = (1..24u32)
-            .map(|v| (v, q.iter().zip(out.row(v as usize)).map(|(a, b)| a * b).sum()))
-            .collect();
-        expect.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-        });
-        expect.truncate(5);
-        assert_eq!(items, expect);
     }
 
     #[test]

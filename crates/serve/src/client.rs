@@ -37,9 +37,6 @@ pub struct ServerHello {
     pub num_vertices: u64,
     /// Output embedding width (floats per embedding response).
     pub feat_dim: u32,
-    /// Always 1 (the server has one ingest queue); kept so the `Hello`
-    /// frame layout stays byte-compatible.
-    pub shards: u16,
     /// Snapshot epoch at the time of the handshake.
     pub epoch: u64,
 }
@@ -88,8 +85,8 @@ impl InkClient {
     /// interoperate can fall back to plain v1 calls on that path.
     pub fn hello(&mut self) -> io::Result<ServerHello> {
         match self.call(&Request::Hello { max_version: PROTOCOL_VERSION })? {
-            Response::Hello { version, num_vertices, feat_dim, shards, epoch } => {
-                Ok(ServerHello { version, num_vertices, feat_dim, shards, epoch })
+            Response::Hello { version, num_vertices, feat_dim, epoch } => {
+                Ok(ServerHello { version, num_vertices, feat_dim, epoch })
             }
             other => Err(unexpected(other)),
         }
@@ -169,14 +166,6 @@ impl InkClient {
     pub fn top_k(&mut self, vertex: u32, k: u32) -> io::Result<(u64, Vec<(u32, f32)>)> {
         match self.call(&Request::TopK { vertex, k })? {
             Response::TopK { epoch, items } => Ok((epoch, items)),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// The server's `SessionSummary` as a compact JSON string.
-    pub fn stats(&mut self) -> io::Result<String> {
-        match self.call(&Request::Stats)? {
-            Response::Stats { json } => Ok(json),
             other => Err(unexpected(other)),
         }
     }

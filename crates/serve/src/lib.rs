@@ -29,8 +29,8 @@
 //!   `trace_event` JSON (see [`InkClient::metrics`] and
 //!   [`InkClient::trace_dump`]).
 //!
-//! Everything is `std::net` + the workspace `crossbeam` channel shim — no
-//! async runtime.
+//! Everything is `std::net` and `std::sync::mpsc` over the workspace `mio`
+//! readiness shim — no async runtime.
 
 #![deny(missing_docs)]
 
@@ -42,7 +42,7 @@ pub mod queue;
 pub mod server;
 
 pub use client::{InkClient, ServerHello};
-pub use metrics::ServerMetrics;
+pub use metrics::{ServeStats, ServerMetrics};
 pub use protocol::{DecodeError, Request, Response, MAX_FRAME, PROTOCOL_VERSION};
 pub use queue::{Admission, Backpressure, Drained, IngestQueue};
 pub use server::{InkServer, ServeConfig, ServerHandle};

@@ -4,16 +4,89 @@
 //! registry, so one `Metrics` scrape covers the whole stack — pipeline,
 //! drift auditor, and serving layer — in a single Prometheus document.
 //! Query latencies go into a lock-free log-bucket
-//! [`Histogram`] (replacing the old mutex-guarded ring),
-//! so the per-request record path is atomics-only.
-//! [`ServerMetrics::serve_stats`] folds everything into the core
-//! [`ServeStats`] struct so the `stats` request and the bench artifacts keep
-//! their schema.
+//! [`Histogram`], so the per-request record path is atomics-only.
+//! [`ServerMetrics::serve_stats`] folds the instruments into a
+//! [`ServeStats`] for in-process callers (the value
+//! [`ServerHandle::shutdown`](crate::ServerHandle::shutdown) returns).
 
 use ink_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use inkstream::ServeStats;
+use inkstream::json::{rounded, Json};
+use inkstream::session::latency_quantiles;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The serving layer's counters, folded from the registry instruments:
+/// admission control outcomes, coalescing effectiveness, snapshot epochs,
+/// queue depth and per-query latency.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ServeStats {
+    /// Update requests admitted to the ingest queue.
+    pub updates_enqueued: u64,
+    /// Update requests turned away (reject-with-retry-after backpressure).
+    pub updates_rejected: u64,
+    /// Queued update requests evicted (drop-oldest backpressure).
+    pub updates_dropped: u64,
+    /// Edge changes received across admitted updates (pre-coalescing).
+    pub events_received: u64,
+    /// Edge changes actually applied (post-coalescing).
+    pub events_applied: u64,
+    /// Query requests answered from snapshots.
+    pub queries: u64,
+    /// Flush barriers honoured.
+    pub flushes: u64,
+    /// Transient `accept()` failures the listener retried past
+    /// (ECONNABORTED, EMFILE, ...).
+    pub accept_errors: u64,
+    /// Snapshot epochs published (excluding the bootstrap epoch 0).
+    pub epochs: u64,
+    /// Ingest queue depth at the last gauge refresh.
+    pub queue_depth: u64,
+    /// Deepest the ingest queue ever got.
+    pub max_queue_depth: u64,
+    /// Poisoned-lock recoveries on the queue's read-only stats paths.
+    /// Non-zero means a thread panicked while holding the queue lock; the
+    /// metrics endpoint kept answering instead of taking the server down.
+    pub lock_poisoned: u64,
+    /// Per-query service latency: (p50, p90, p99, max).
+    pub query_latency: (Duration, Duration, Duration, Duration),
+    /// Admission-to-apply latency — how long an admitted update batch waited
+    /// in the ingest queue plus pipeline before the epoch that contains it
+    /// was published: (p50, p90, p99, max). Separates queueing wait from
+    /// service time.
+    pub admission_wait: (Duration, Duration, Duration, Duration),
+    /// Apply-only latency — engine ingest + snapshot publish per non-empty
+    /// epoch, excluding any queueing: (p50, p90, p99, max).
+    pub apply_latency: (Duration, Duration, Duration, Duration),
+}
+
+/// Renders a `(p50, p90, p99, max)` latency tuple as microseconds.
+fn latency_json(l: &(Duration, Duration, Duration, Duration)) -> Json {
+    let us = |d: Duration| rounded(d.as_secs_f64() * 1e6, 3);
+    Json::obj([("p50", us(l.0)), ("p90", us(l.1)), ("p99", us(l.2)), ("max", us(l.3))])
+}
+
+impl ServeStats {
+    /// JSON rendering, used by the serve bench artifact.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("updates_enqueued", Json::from(self.updates_enqueued)),
+            ("updates_rejected", Json::from(self.updates_rejected)),
+            ("updates_dropped", Json::from(self.updates_dropped)),
+            ("events_received", Json::from(self.events_received)),
+            ("events_applied", Json::from(self.events_applied)),
+            ("queries", Json::from(self.queries)),
+            ("flushes", Json::from(self.flushes)),
+            ("accept_errors", Json::from(self.accept_errors)),
+            ("epochs", Json::from(self.epochs)),
+            ("queue_depth", Json::from(self.queue_depth)),
+            ("max_queue_depth", Json::from(self.max_queue_depth)),
+            ("lock_poisoned", Json::from(self.lock_poisoned)),
+            ("query_latency_us", latency_json(&self.query_latency)),
+            ("admission_wait_us", latency_json(&self.admission_wait)),
+            ("apply_latency_us", latency_json(&self.apply_latency)),
+        ])
+    }
+}
 
 /// Shared request counters (one instance per server), backed by registry
 /// instruments.
@@ -166,19 +239,11 @@ impl ServerMetrics {
         self.lock_poisoned.set_u64(lock_poisoned);
     }
 
-    /// Folds the counters into a [`ServeStats`]; the queue/epoch fields come
-    /// from the caller (they live with the queue and the writer). Latency
-    /// percentiles are histogram estimates (within one log bucket, ≤ 12.5 %
-    /// relative); the max is exact.
-    pub fn serve_stats(
-        &self,
-        epochs: u64,
-        queue_depth: u64,
-        max_queue_depth: u64,
-        lock_poisoned: u64,
-    ) -> ServeStats {
-        self.set_queue_gauges(epochs, queue_depth, max_queue_depth, lock_poisoned);
-        let q = |p: f64| Duration::from_nanos(self.query_latency.quantile(p));
+    /// Folds the instruments into a [`ServeStats`]. The queue/epoch fields
+    /// read the gauges as of their last [`ServerMetrics::set_queue_gauges`].
+    /// Latency percentiles are histogram estimates (within one log bucket,
+    /// ≤ 12.5 % relative); the max is exact.
+    pub fn serve_stats(&self) -> ServeStats {
         ServeStats {
             updates_enqueued: self.updates_enqueued.get(),
             updates_rejected: self.updates_rejected.get(),
@@ -188,30 +253,15 @@ impl ServerMetrics {
             queries: self.queries.get(),
             flushes: self.flushes.get(),
             accept_errors: self.accept_errors.get(),
-            epochs,
-            queue_depth,
-            max_queue_depth,
-            lock_poisoned,
-            query_latency: (
-                q(0.50),
-                q(0.90),
-                q(0.99),
-                Duration::from_nanos(self.query_latency.max()),
-            ),
-            admission_wait: quantiles(&self.admission_wait),
-            apply_latency: quantiles(&self.apply_latency),
+            epochs: self.epochs.get() as u64,
+            queue_depth: self.queue_depth.get() as u64,
+            max_queue_depth: self.queue_depth_max.get() as u64,
+            lock_poisoned: self.lock_poisoned.get() as u64,
+            query_latency: latency_quantiles(&self.query_latency),
+            admission_wait: latency_quantiles(&self.admission_wait),
+            apply_latency: latency_quantiles(&self.apply_latency),
         }
     }
-}
-
-/// (p50, p90, p99, max) out of a latency histogram; the max is exact.
-fn quantiles(h: &Histogram) -> (Duration, Duration, Duration, Duration) {
-    (
-        Duration::from_nanos(h.quantile(0.50)),
-        Duration::from_nanos(h.quantile(0.90)),
-        Duration::from_nanos(h.quantile(0.99)),
-        Duration::from_nanos(h.max()),
-    )
 }
 
 #[cfg(test)]
@@ -230,7 +280,8 @@ mod tests {
         }
         m.admission_wait.record(Duration::from_micros(200).as_nanos() as u64);
         m.apply_latency.record(Duration::from_micros(30).as_nanos() as u64);
-        let s = m.serve_stats(7, 2, 9, 1);
+        m.set_queue_gauges(7, 2, 9, 1);
+        let s = m.serve_stats();
         assert_eq!(s.updates_enqueued, 5);
         assert_eq!(s.admission_wait.3, Duration::from_micros(200), "max is exact");
         assert_eq!(s.apply_latency.3, Duration::from_micros(30), "max is exact");
@@ -254,8 +305,7 @@ mod tests {
 
     #[test]
     fn latency_histogram_is_bounded_and_lock_free() {
-        // The old mutex-guarded ring capped retention at 4096 samples; the
-        // histogram keeps *all* samples at fixed memory instead.
+        // The histogram keeps *all* samples at fixed memory.
         let registry = MetricsRegistry::new();
         let m = ServerMetrics::register(&registry);
         let before = m.query_latency.bytes();

@@ -1,4 +1,4 @@
-//! The wire protocol (revision 3 — see `docs/PROTOCOL.md` for the normative
+//! The wire protocol (revision 4 — see `docs/PROTOCOL.md` for the normative
 //! spec).
 //!
 //! Every message is one *frame*: a little-endian `u32` payload length, then
@@ -15,15 +15,14 @@
 //!        dst:u32 op:u8){n}                0x82 Rejected   retry_after_ms:u32
 //!   0x02 Embedding v:u32                  0x83 Embedding  epoch:u64 d:u32 f32{d}
 //!   0x03 TopK      v:u32 k:u32            0x84 TopK       epoch:u64 k:u32
-//!   0x04 Stats                                 (v:u32 score:f32){k}
-//!   0x05 Flush                            0x85 Stats      len:u32 json-utf8
+//!   0x05 Flush                                 (v:u32 score:f32){k}
 //!   0x06 Metrics                          0x86 Error      len:u32 msg-utf8
 //!   0x07 TraceDump                        0x87 Flushed    epoch:u64
 //!   0x08 Hello     max_version:u16        0x88 Metrics    len:u32 text-utf8
 //!                                         0x89 TraceDump  len:u32 json-utf8
 //!                                         0x8A Hello      version:u16
 //!                                              vertices:u64 feat_dim:u32
-//!                                              shards:u16 epoch:u64
+//!                                              epoch:u64
 //! ```
 //!
 //! `op` is 0 for insert, 1 for remove. The `Ack` epoch is the snapshot epoch
@@ -37,9 +36,9 @@
 //!
 //! **Version skew.** Decoding returns a typed [`DecodeError`]; an
 //! unrecognized tag surfaces as [`DecodeError::UnknownTag`], so version skew
-//! (an old peer receiving a `Hello` it predates, or this build receiving
-//! the `Batch` tags `0x09`/`0x8B` that revision 3 retired) fails loudly with
-//! the offending tag instead of a generic parse error.
+//! (an old peer receiving a `Hello` it predates, or this build receiving a
+//! retired tag: `Stats` `0x04`/`0x85`, or `Batch` `0x09`/`0x8B`) fails loudly
+//! with the offending tag instead of a generic parse error.
 
 use ink_graph::{EdgeChange, EdgeOp, VertexId};
 use std::fmt;
@@ -51,8 +50,9 @@ pub const MAX_FRAME: usize = 16 << 20;
 
 /// Protocol revision spoken by this build. Revision 2 added `Hello` and
 /// `Batch` container frames to the v1 tag set; revision 3 is revision 2
-/// without `Batch`.
-pub const PROTOCOL_VERSION: u16 = 3;
+/// without `Batch`; revision 4 drops `Stats` (the `Metrics` scrape carries
+/// every number it did) and `Hello`'s constant `shards` field.
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Why a payload failed to decode.
 ///
@@ -107,8 +107,6 @@ pub enum Request {
         /// Result count.
         k: u32,
     },
-    /// The server's rolling `SessionSummary` as JSON.
-    Stats,
     /// Barrier: reply only after everything enqueued before this request
     /// has been applied and published.
     Flush,
@@ -151,11 +149,6 @@ pub enum Response {
         /// `(vertex, score)` pairs, descending score, ties by lower id.
         items: Vec<(VertexId, f32)>,
     },
-    /// The stats JSON document.
-    Stats {
-        /// Compact JSON rendering of the `SessionSummary`.
-        json: String,
-    },
     /// The request failed; the connection stays usable.
     Error {
         /// Human-readable reason.
@@ -185,9 +178,6 @@ pub enum Response {
         num_vertices: u64,
         /// Output embedding width (floats per `Embedding` response).
         feat_dim: u32,
-        /// Always 1 (the server has one ingest queue); kept so the frame
-        /// layout stays byte-compatible.
-        shards: u16,
         /// Snapshot epoch at the time of the handshake.
         epoch: u64,
     },
@@ -314,7 +304,6 @@ impl Request {
                 put_u32(buf, *vertex);
                 put_u32(buf, *k);
             }
-            Request::Stats => buf.push(0x04),
             Request::Flush => buf.push(0x05),
             Request::Metrics => buf.push(0x06),
             Request::TraceDump => buf.push(0x07),
@@ -346,7 +335,6 @@ impl Request {
             }
             0x02 => Request::Embedding(t.u32()?),
             0x03 => Request::TopK { vertex: t.u32()?, k: t.u32()? },
-            0x04 => Request::Stats,
             0x05 => Request::Flush,
             0x06 => Request::Metrics,
             0x07 => Request::TraceDump,
@@ -389,11 +377,6 @@ impl Response {
                     put_f32(buf, s);
                 }
             }
-            Response::Stats { json } => {
-                buf.push(0x85);
-                put_u32(buf, json.len() as u32);
-                buf.extend_from_slice(json.as_bytes());
-            }
             Response::Error { message } => {
                 buf.push(0x86);
                 put_u32(buf, message.len() as u32);
@@ -413,12 +396,11 @@ impl Response {
                 put_u32(buf, json.len() as u32);
                 buf.extend_from_slice(json.as_bytes());
             }
-            Response::Hello { version, num_vertices, feat_dim, shards, epoch } => {
+            Response::Hello { version, num_vertices, feat_dim, epoch } => {
                 buf.push(0x8A);
                 put_u16(buf, *version);
                 put_u64(buf, *num_vertices);
                 put_u32(buf, *feat_dim);
-                put_u16(buf, *shards);
                 put_u64(buf, *epoch);
             }
         }
@@ -448,10 +430,6 @@ impl Response {
                 }
                 Response::TopK { epoch, items }
             }
-            0x85 => {
-                let n = t.u32()? as usize;
-                Response::Stats { json: t.utf8(n, "stats")? }
-            }
             0x86 => {
                 let n = t.u32()? as usize;
                 Response::Error { message: t.utf8(n, "error")? }
@@ -469,7 +447,6 @@ impl Response {
                 version: t.u16()?,
                 num_vertices: t.u64()?,
                 feat_dim: t.u32()?,
-                shards: t.u16()?,
                 epoch: t.u64()?,
             },
             tag => return Err(DecodeError::UnknownTag(tag)),
@@ -578,7 +555,6 @@ mod tests {
         ]));
         roundtrip_req(Request::Embedding(42));
         roundtrip_req(Request::TopK { vertex: 3, k: 10 });
-        roundtrip_req(Request::Stats);
         roundtrip_req(Request::Flush);
         roundtrip_req(Request::Metrics);
         roundtrip_req(Request::TraceDump);
@@ -591,7 +567,6 @@ mod tests {
         roundtrip_resp(Response::Rejected { retry_after_ms: 25 });
         roundtrip_resp(Response::Embedding { epoch: 3, values: vec![1.0, -2.5, f32::MIN] });
         roundtrip_resp(Response::TopK { epoch: 9, items: vec![(1, 0.5), (2, -0.5)] });
-        roundtrip_resp(Response::Stats { json: "{\"a\": 1}".into() });
         roundtrip_resp(Response::Error { message: "nope — bad vertex".into() });
         roundtrip_resp(Response::Flushed { epoch: 11 });
         roundtrip_resp(Response::Metrics { text: "# TYPE x counter\nx 1\n".into() });
@@ -600,7 +575,6 @@ mod tests {
             version: PROTOCOL_VERSION,
             num_vertices: 1 << 33,
             feat_dim: 64,
-            shards: 8,
             epoch: 17,
         });
     }
@@ -612,9 +586,12 @@ mod tests {
         assert_eq!(Request::decode(&[0x7f]), Err(DecodeError::UnknownTag(0x7f)));
         assert_eq!(Request::decode(&[0xff]), Err(DecodeError::UnknownTag(0xff)));
         assert_eq!(Response::decode(&[0x90]), Err(DecodeError::UnknownTag(0x90)));
-        // Revision 3 retired the Batch container tags.
+        // Revision 3 retired the Batch container tags, revision 4 the Stats
+        // tags.
         assert_eq!(Request::decode(&[0x09]), Err(DecodeError::UnknownTag(0x09)));
         assert_eq!(Response::decode(&[0x8B]), Err(DecodeError::UnknownTag(0x8B)));
+        assert_eq!(Request::decode(&[0x04]), Err(DecodeError::UnknownTag(0x04)));
+        assert_eq!(Response::decode(&[0x85]), Err(DecodeError::UnknownTag(0x85)));
         // Tags this revision *does* define decode fine with empty bodies.
         assert_eq!(Request::decode(&[0x06]), Ok(Request::Metrics));
         assert_eq!(Request::decode(&[0x07]), Ok(Request::TraceDump));
@@ -722,7 +699,7 @@ mod tests {
 
     #[test]
     fn torn_frame_is_an_error_not_eof() {
-        let payload = Request::Stats.encode();
+        let payload = Request::Metrics.encode();
         let mut wire = Vec::new();
         write_frame(&mut wire, &payload).unwrap();
         wire.pop();
@@ -761,7 +738,6 @@ mod tests {
             Request::Update(changes),
             Request::Embedding(a),
             Request::TopK { vertex: a, k: b },
-            Request::Stats,
             Request::Flush,
             Request::Metrics,
             Request::TraceDump,
@@ -772,7 +748,6 @@ mod tests {
             Response::Rejected { retry_after_ms: a },
             Response::Embedding { epoch, values },
             Response::TopK { epoch, items },
-            Response::Stats { json: text.clone() },
             Response::Error { message: text.clone() },
             Response::Flushed { epoch },
             Response::Metrics { text: text.clone() },
@@ -781,7 +756,6 @@ mod tests {
                 version: b as u16,
                 num_vertices: epoch,
                 feat_dim: a,
-                shards: 1,
                 epoch,
             },
         ];

@@ -151,7 +151,7 @@ impl IngestQueue {
     /// may be inconsistent, but the stats counters read here are plain
     /// integers that are always safe to report, and a monitoring scrape must
     /// not take the server down. Recoveries are counted so operators can see
-    /// them in [`IngestQueue::poisoned_reads`] / the `stats` document. Write
+    /// them in [`IngestQueue::poisoned_reads`] / `ink_serve_lock_poisoned`. Write
     /// paths (push/drain) keep panicking: they would act on the inconsistent
     /// state.
     fn read_lock(&self) -> MutexGuard<'_, Inner> {
@@ -271,8 +271,8 @@ impl IngestQueue {
 
     /// How many times a read-only accessor found the lock poisoned and
     /// recovered instead of panicking. Non-zero means a thread panicked
-    /// while holding the queue lock; the server keeps answering `stats` and
-    /// `metrics` but the count surfaces the incident.
+    /// while holding the queue lock; the server keeps answering `metrics`
+    /// but the count surfaces the incident.
     pub fn poisoned_reads(&self) -> u64 {
         self.poisoned_reads.load(Ordering::Relaxed)
     }

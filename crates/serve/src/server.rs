@@ -30,12 +30,12 @@
 //! that connection, while every other connection keeps being served.
 //! [`ServerHandle::shutdown`] closes the queue, lets the writer drain what
 //! was admitted, delivers the final flush acks, writes a checkpoint (when
-//! configured) and returns the session for inspection.
+//! configured) and returns the session plus the final [`ServeStats`].
 //!
 //! The wire format is specified normatively in `docs/PROTOCOL.md`.
 
 use crate::conn::Conn;
-use crate::metrics::ServerMetrics;
+use crate::metrics::{ServeStats, ServerMetrics};
 use crate::protocol::{
     append_frame, encode_embedding, Request, Response, MAX_FRAME, PROTOCOL_VERSION,
 };
@@ -44,14 +44,15 @@ use ink_graph::{DeltaBatch, EdgeChange, VertexId};
 use ink_obs::{MetricsRegistry, Tracer};
 use ink_tensor::Matrix;
 use inkstream::snapshot::{EmbeddingSnapshot, SnapshotPublisher, SnapshotReader};
-use inkstream::{Engine, InkStream, SessionSummary, StreamSession};
+use inkstream::{Engine, InkStream, StreamSession};
 use mio::{Events, Interest, Poll, Token, Waker};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -103,9 +104,6 @@ struct Shared {
     /// the `TraceDump` request dumps the ring.
     tracer: Arc<Tracer>,
     reader: SnapshotReader,
-    /// Refreshed by the writer after every epoch; the `stats` request folds
-    /// live queue metrics on top.
-    summary: Mutex<SessionSummary>,
     epochs: AtomicU64,
     shutdown: AtomicBool,
     /// Vertex-id bound for validating updates before they reach the graph.
@@ -119,17 +117,15 @@ struct Shared {
 }
 
 impl Shared {
-    /// The `stats` response: last published session summary + live serve
-    /// counters.
-    fn stats_summary(&self) -> SessionSummary {
-        let mut summary = self.summary.lock().expect("summary lock poisoned").clone();
-        summary.serve = self.metrics.serve_stats(
+    /// Refreshes the gauges that live with the queue and the writer, so a
+    /// scrape reflects this instant.
+    fn refresh_gauges(&self) {
+        self.metrics.set_queue_gauges(
             self.epochs.load(Ordering::Relaxed),
             self.ingest.depth(),
             self.ingest.max_depth(),
             self.ingest.poisoned_reads(),
         );
-        summary
     }
 }
 
@@ -158,7 +154,7 @@ impl InkServer {
         let poll = Poll::new()?;
         poll.register(&listener, Token(LISTENER), Interest::READABLE)?;
         let waker = Arc::new(Waker::new(&poll, Token(WAKER))?);
-        let (completions_tx, completions_rx) = crossbeam::channel::bounded(1024);
+        let (completions_tx, completions_rx) = sync_channel(1024);
         let registry = session.metrics().clone();
         let shared = Arc::new(Shared {
             ingest: IngestQueue::new(config.queue_capacity.max(1), config.backpressure),
@@ -166,7 +162,6 @@ impl InkServer {
             registry,
             tracer: session.tracer().clone(),
             reader,
-            summary: Mutex::new(session.summary()),
             epochs: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             num_vertices: engine.graph().num_vertices() as u64,
@@ -239,11 +234,6 @@ impl<E: Engine> ServerHandle<E> {
         self.shared.epochs.load(Ordering::Relaxed)
     }
 
-    /// Live summary (same document the `stats` request serves).
-    pub fn summary(&self) -> SessionSummary {
-        self.shared.stats_summary()
-    }
-
     /// An in-process reader of the published snapshots — what the query
     /// path loads from, without the wire in between.
     pub fn snapshot_reader(&self) -> SnapshotReader {
@@ -254,11 +244,11 @@ impl<E: Engine> ServerHandle<E> {
     /// everything admitted and publish the final epoch, stop the event loop
     /// (which delivers the final flush acks and best-effort writes before
     /// the sockets drop), write the checkpoint (when configured) and return
-    /// the session with the final summary. The checkpoint goes to a temp
-    /// file renamed over the path, so a crash mid-write never tears it. An
+    /// the session with the final serving counters. The checkpoint goes to a
+    /// temp file renamed over the path, so a crash mid-write never tears it. An
     /// engine that cannot checkpoint ([`Engine::checkpoint`] returned `Err`)
     /// fails the shutdown after the drain and leaves the path as it was.
-    pub fn shutdown(mut self) -> io::Result<(StreamSession<E>, SessionSummary)> {
+    pub fn shutdown(mut self) -> io::Result<(StreamSession<E>, ServeStats)> {
         self.shared.ingest.close();
         let writer = self.writer_thread.take().expect("shutdown runs once");
         let session =
@@ -274,7 +264,8 @@ impl<E: Engine> ServerHandle<E> {
         if let Some(path) = &self.checkpoint_path {
             write_checkpoint(session.engine(), path)?;
         }
-        Ok((session, self.shared.stats_summary()))
+        self.shared.refresh_gauges();
+        Ok((session, self.shared.metrics.serve_stats()))
     }
 }
 
@@ -310,7 +301,7 @@ fn apply_epoch<E: Engine>(
     publisher: &mut SnapshotPublisher,
     dirty_rows: &mut Vec<VertexId>,
     shared: &Shared,
-    completions: &crossbeam::channel::Sender<(u64, u64)>,
+    completions: &SyncSender<(u64, u64)>,
     drained: Drained,
 ) {
     let Drained { changes, flushes, admitted, .. } = drained;
@@ -349,7 +340,6 @@ fn apply_epoch<E: Engine>(
         }
         shared.metrics.apply_latency.record((done - apply_start).as_nanos() as u64);
         shared.epochs.store(epoch, Ordering::SeqCst);
-        *shared.summary.lock().expect("summary lock poisoned") = session.summary();
     }
     // Every batch in this drain is snapshot-visible from here on: the gap
     // back to its admission stamp is pure queueing wait.
@@ -361,19 +351,12 @@ fn apply_epoch<E: Engine>(
             .record(visible_at.saturating_duration_since(*t).as_nanos() as u64);
     }
     let epoch = shared.epochs.load(Ordering::Relaxed);
-    shared.metrics.set_queue_gauges(
-        epoch,
-        shared.ingest.depth(),
-        shared.ingest.max_depth(),
-        shared.ingest.poisoned_reads(),
-    );
+    shared.refresh_gauges();
     let mut wake = !admitted.is_empty(); // freed queue space: stalled conns can retry
     for flush_id in flushes {
         shared.metrics.flushes.inc();
         wake = true;
-        if let Err(crossbeam::channel::TrySendError::Full(item)) =
-            completions.try_send((flush_id, epoch))
-        {
+        if let Err(TrySendError::Full(item)) = completions.try_send((flush_id, epoch)) {
             // Channel full: wake the loop so it drains, then block.
             let _ = shared.waker.wake();
             let _ = completions.send(item); // a vanished loop is shutdown
@@ -392,7 +375,7 @@ fn writer_loop<E: Engine>(
     mut publisher: SnapshotPublisher,
     shared: Arc<Shared>,
     max_drain: usize,
-    completions: crossbeam::channel::Sender<(u64, u64)>,
+    completions: SyncSender<(u64, u64)>,
 ) -> StreamSession<E> {
     // Reused across epochs: the rows each publish has to copy.
     let mut dirty_rows: Vec<VertexId> = Vec::new();
@@ -415,7 +398,7 @@ struct EventLoop {
     next_token: usize,
     shared: Arc<Shared>,
     /// Writer → loop: `(flush_id, epoch)` per resolved barrier.
-    completions: crossbeam::channel::Receiver<(u64, u64)>,
+    completions: Receiver<(u64, u64)>,
     /// Which connection waits on which flush barrier.
     flush_waiters: HashMap<u64, usize>,
     next_flush_id: u64,
@@ -657,7 +640,6 @@ fn process_frame(
                 version: PROTOCOL_VERSION,
                 num_vertices: shared.num_vertices,
                 feat_dim: shared.feat_dim,
-                shards: 1,
                 epoch: shared.epochs.load(Ordering::Relaxed),
             };
             push_frame(conn, |b| resp.encode_into(b));
@@ -673,21 +655,9 @@ fn process_frame(
                     .encode_into(b)
             })
         }),
-        Request::Stats => {
-            let _span = shared.tracer.span("serve", "stats");
-            let json = shared.stats_summary().to_json().compact();
-            push_frame(conn, |b| Response::Stats { json }.encode_into(b));
-        }
         Request::Metrics => {
             let _span = shared.tracer.span("serve", "metrics");
-            // Refresh the gauges that live with the queue/writer so the
-            // scrape reflects this instant, not the last epoch.
-            shared.metrics.set_queue_gauges(
-                shared.epochs.load(Ordering::Relaxed),
-                shared.ingest.depth(),
-                shared.ingest.max_depth(),
-                shared.ingest.poisoned_reads(),
-            );
+            shared.refresh_gauges();
             let text = shared.registry.render_prometheus();
             push_frame(conn, |b| Response::Metrics { text }.encode_into(b));
         }
@@ -715,15 +685,19 @@ fn admit(shared: &Shared, conn: &mut Conn, changes: Vec<EdgeChange>) -> bool {
             ),
         }
     } else {
+        // Read the epoch before the push: once queued, the writer may publish
+        // the update before this thread runs again, and the ack must name an
+        // epoch that does not contain it.
+        let epoch = shared.epochs.load(Ordering::Relaxed);
         match shared.ingest.try_push_updates(&changes) {
             Admission::Accepted => {
                 shared.metrics.updates_enqueued.inc();
-                Response::Ack { epoch: shared.epochs.load(Ordering::Relaxed) }
+                Response::Ack { epoch }
             }
             Admission::AcceptedDropped { dropped } => {
                 shared.metrics.updates_enqueued.inc();
                 shared.metrics.updates_dropped.add(dropped);
-                Response::Ack { epoch: shared.epochs.load(Ordering::Relaxed) }
+                Response::Ack { epoch }
             }
             Admission::Rejected { retry_after_ms } => {
                 shared.metrics.updates_rejected.inc();

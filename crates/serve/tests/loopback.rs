@@ -182,18 +182,21 @@ fn four_clients_match_single_threaded_reference_bitwise() {
         q.join().expect("querier thread");
     }
 
-    // Stats must be valid JSON-ish and reflect the workload.
+    // The scrape reflects the workload.
     let mut client = InkClient::connect(addr).unwrap();
-    let stats = client.stats().unwrap();
-    assert!(stats.contains("\"epochs\": 24"), "24 update epochs in {stats}");
-    assert!(stats.contains("\"updates_enqueued\": 24"), "all updates admitted in {stats}");
+    assert_eq!(scraped(&mut client, "ink_serve_epochs"), BATCHES as f64, "24 update epochs");
+    assert_eq!(
+        scraped(&mut client, "ink_serve_updates_enqueued_total"),
+        BATCHES as f64,
+        "all updates admitted"
+    );
     drop(client);
 
-    let (session, summary) = handle.shutdown().expect("graceful shutdown");
-    assert_eq!(summary.serve.epochs, BATCHES as u64);
-    assert_eq!(summary.serve.updates_rejected, 0);
-    assert_eq!(summary.serve.flushes, BATCHES as u64);
-    assert!(summary.serve.queries > 0);
+    let (session, stats) = handle.shutdown().expect("graceful shutdown");
+    assert_eq!(stats.epochs, BATCHES as u64);
+    assert_eq!(stats.updates_rejected, 0);
+    assert_eq!(stats.flushes, BATCHES as u64);
+    assert!(stats.queries > 0);
     assert_eq!(
         session.engine().output().as_slice(),
         expected.last().unwrap().as_slice(),
@@ -271,8 +274,8 @@ fn invalid_updates_are_refused_not_applied() {
     // A valid update still lands afterwards.
     client.update(vec![EdgeChange::insert(0, 1)]).unwrap().unwrap();
     assert_eq!(client.flush().unwrap(), 1);
-    let (session, summary) = handle.shutdown().unwrap();
-    assert_eq!(summary.serve.epochs, 1);
+    let (session, stats) = handle.shutdown().unwrap();
+    assert_eq!(stats.epochs, 1);
     assert!(session.engine().graph().has_edge(0, 1));
 }
 
@@ -329,8 +332,8 @@ fn shutdown_unblocks_idle_connections() {
     active.update(vec![EdgeChange::insert(0, 1)]).unwrap().unwrap();
     assert_eq!(active.flush().unwrap(), 1);
 
-    let (session, summary) = handle.shutdown().expect("shutdown with idle connections hangs?");
-    assert_eq!(summary.serve.epochs, 1);
+    let (session, stats) = handle.shutdown().expect("shutdown with idle connections hangs?");
+    assert_eq!(stats.epochs, 1);
     assert!(session.engine().graph().has_edge(0, 1));
     // The idle client's connection was closed by the server.
     assert!(idle.flush().is_err(), "socket should be closed after shutdown");
@@ -376,9 +379,9 @@ fn zero_queue_capacity_still_admits_and_applies() {
         client.update(vec![EdgeChange::insert(i, i + 1)]).unwrap().expect("Block never rejects");
     }
     assert!(client.flush().unwrap() >= 1);
-    let (session, summary) = handle.shutdown().unwrap();
-    assert_eq!(summary.serve.updates_enqueued, 5);
-    assert_eq!(summary.serve.max_queue_depth, 1, "capacity 0 is read as 1");
+    let (session, stats) = handle.shutdown().unwrap();
+    assert_eq!(stats.updates_enqueued, 5);
+    assert_eq!(stats.max_queue_depth, 1, "capacity 0 is read as 1");
     for i in 0..5u32 {
         assert!(session.engine().graph().has_edge(i, i + 1), "admitted update {i} applied");
     }
@@ -415,7 +418,6 @@ fn pipelined_frames_match_reference_bitwise() {
     assert_eq!(hello.version, ink_serve::PROTOCOL_VERSION);
     assert_eq!(hello.num_vertices, N as u64);
     assert_eq!(hello.feat_dim, 4, "output width of the 2-layer GCN");
-    assert_eq!(hello.shards, 1, "one ingest queue");
 
     // Queue every update as its own frame, each followed by a read, with a
     // flush barrier and an invalid update halfway; then collect.
@@ -481,8 +483,9 @@ fn pipelined_frames_match_reference_bitwise() {
     assert_eq!(session.engine().output().as_slice(), want.as_slice());
 }
 
-/// Revision 3 retired the `Batch` container: a revision-2 `Batch` frame
-/// gets the typed unknown-tag `Error`, and the connection keeps working.
+/// Revision 3 retired the `Batch` container and revision 4 the `Stats`
+/// request: a frame with either tag gets the typed unknown-tag `Error`, and
+/// the connection keeps working.
 #[test]
 fn retired_batch_tag_is_refused_and_the_connection_lives() {
     let handle =
@@ -494,15 +497,18 @@ fn retired_batch_tag_is_refused_and_the_connection_lives() {
         Response::decode(&read_frame(&mut stream).unwrap().unwrap()).unwrap()
     };
 
-    // A revision-2 Batch frame holding one Embedding(0) slot.
+    // A revision-2 Batch frame holding one Embedding(0) slot, and a
+    // revision-1 to 3 Stats request.
     let slot = Request::Embedding(0).encode();
     let mut batch = vec![0x09];
     batch.extend_from_slice(&1u32.to_le_bytes());
     batch.extend_from_slice(&(slot.len() as u32).to_le_bytes());
     batch.extend_from_slice(&slot);
-    match call(&batch) {
-        Response::Error { message } => assert!(message.contains("0x09"), "{message}"),
-        other => panic!("a Batch frame got {other:?}"),
+    for (frame, tag) in [(&batch[..], "0x09"), (&[0x04][..], "0x04")] {
+        match call(frame) {
+            Response::Error { message } => assert!(message.contains(tag), "{message}"),
+            other => panic!("a retired {tag} frame got {other:?}"),
+        }
     }
 
     match call(&Request::Embedding(3).encode()) {
@@ -554,9 +560,9 @@ fn partitioned_backend_matches_single_threaded_reference_bitwise() {
     }
     drop(client);
 
-    let (session, summary) = handle.shutdown().unwrap();
-    assert_eq!(summary.serve.epochs, BATCHES as u64);
-    assert_eq!(summary.ingests, BATCHES, "the session summary is the partitioned one");
+    let (session, stats) = handle.shutdown().unwrap();
+    assert_eq!(stats.epochs, BATCHES as u64);
+    assert_eq!(session.summary().ingests, BATCHES, "the session summary is the partitioned one");
     assert_eq!(
         session.engine().output().as_slice(),
         expected.last().unwrap().as_slice(),
@@ -761,10 +767,10 @@ fn publish_racing_shutdown_leaves_snapshot_and_session_identical() {
         client.update(batch.clone()).unwrap().expect("block mode never rejects");
     }
     drop(client);
-    let (session, summary) = handle.shutdown().unwrap();
+    let (session, stats) = handle.shutdown().unwrap();
 
     let last = reader.load();
-    assert_eq!(last.epoch, summary.serve.epochs);
+    assert_eq!(last.epoch, stats.epochs);
     assert!(bits(&last.embeddings) == bits(session.engine().output()));
     assert!(bits(&last.embeddings) == bits(reference.output()), "every acked update applied");
 }

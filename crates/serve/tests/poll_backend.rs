@@ -46,7 +46,7 @@ fn server_works_on_the_forced_poll_backend() {
     assert_eq!(values.len(), 4);
 
     drop(client);
-    let (session, summary) = handle.shutdown().unwrap();
-    assert!(summary.serve.epochs >= 1);
+    let (session, stats) = handle.shutdown().unwrap();
+    assert!(stats.epochs >= 1);
     assert!(session.engine().graph().has_edge(0, 1));
 }

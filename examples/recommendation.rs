@@ -65,7 +65,6 @@ fn main() {
             max_batch: 64,
             // Full-audit every 10 ingests; self-heal instead of failing.
             drift: DriftPolicy::full(10, 1e-3).with_action(DriftAction::Resync),
-            ..SessionConfig::default()
         },
     );
 

@@ -105,16 +105,16 @@ fn main() {
     querier.join().unwrap();
 
     // 5. Graceful shutdown drains the queue and returns the session with
-    //    the serving metrics folded into its summary. Coalescing shows up
-    //    here: received edge ops collapse into far fewer applied events.
-    let (session, summary) = handle.shutdown().expect("graceful shutdown");
+    //    the final serving counters. Coalescing shows up here: received edge
+    //    ops collapse into far fewer applied events.
+    let (session, stats) = handle.shutdown().expect("graceful shutdown");
     println!(
         "shutdown: {} epochs, {} changes coalesced to {}, {} queries (p99 {:?})",
-        summary.serve.epochs,
-        summary.serve.events_received,
-        summary.serve.events_applied,
-        summary.serve.queries,
-        summary.serve.query_latency.2,
+        stats.epochs,
+        stats.events_received,
+        stats.events_applied,
+        stats.queries,
+        stats.query_latency.2,
     );
     println!("session is back: {} ingests recorded", session.summary().ingests);
 }

@@ -4,16 +4,16 @@
 //! latency percentiles.
 //!
 //! This is the paper's motivating scenario — real-time inference on a
-//! C-TDG-style event stream — wired through a crossbeam channel.
+//! C-TDG-style event stream — wired through a bounded channel.
 //!
 //! Run with: `cargo run --release --example social_stream`
 
-use crossbeam::channel;
 use ink_graph::generators::barabasi_albert;
 use ink_graph::temporal::TemporalGraph;
 use ink_gnn::{Aggregator, Model};
 use ink_tensor::init::{seeded_rng, uniform};
 use inkstream::{InkStream, UpdateConfig};
+use std::sync::mpsc::sync_channel;
 use std::time::{Duration, Instant};
 
 fn percentile(sorted: &[Duration], p: f64) -> Duration {
@@ -47,7 +47,7 @@ fn main() {
 
     // Producer: walk the timeline in small strides and ship each stride's
     // delta through a bounded channel.
-    let (tx, rx) = channel::bounded(8);
+    let (tx, rx) = sync_channel(8);
     let strides = 40usize;
     let producer = std::thread::spawn(move || {
         for i in 0..strides {

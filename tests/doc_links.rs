@@ -103,7 +103,7 @@ fn spec_tag_tables_match_the_implementation() {
         src.lines().map(str::trim).filter(|t| t.contains("=>")).filter_map(tag_of).collect();
     rows.sort();
     arms.sort();
-    assert!(arms.len() >= 18, "expected both decode tables, found {} arms", arms.len());
+    assert!(arms.len() >= 16, "expected both decode tables, found {} arms", arms.len());
     assert_eq!(rows, arms, "PROTOCOL.md tag table rows vs protocol.rs decode arms");
 }
 

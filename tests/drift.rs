@@ -173,7 +173,6 @@ fn fail_action_preserves_ingest_report() {
         SessionConfig {
             max_batch: 2,
             drift: DriftPolicy::full(1, 0.0),
-            ..SessionConfig::default()
         },
     );
     session.engine_mut().state_mut().h.set(0, 0, f32::NAN);

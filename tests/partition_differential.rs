@@ -372,7 +372,6 @@ fn one_session_layer_over_both_engines_on_monotonic_streams() {
                 action,
                 seed,
             },
-            ..SessionConfig::default()
         };
         let (single, parted) = build_pair(seed, agg, i % 3, 2 + i % 3, i % 2 == 0);
         let mut single = StreamSession::with_config(single, config);
@@ -399,7 +398,7 @@ fn one_session_layer_over_both_engines_on_monotonic_streams() {
         assert_eq!(sp.drift.full_audits, 2);
         assert_eq!(sp.drift.spot_audits, 4);
         assert_eq!(sp.drift.breaches, 0);
-        assert_eq!(parted.latency_samples(), 18);
+        assert_eq!(parted.metrics().counter("ink_session_batches_total", "").get(), 18);
         let driver = parted.engine().summary();
         assert_eq!(driver.parts, 2 + i % 3);
         assert!(driver.partition_wall.iter().any(|d| !d.is_zero()));
@@ -419,7 +418,6 @@ fn breach_actions_are_engine_independent() {
         let config = SessionConfig {
             max_batch: 3,
             drift: DriftPolicy::spot(1, 6, 0.0).with_action(action),
-            ..SessionConfig::default()
         };
         let (single, parted) = build_pair(seed, Aggregator::Mean, 1, 3, true);
         let mut single = StreamSession::with_config(single, config);

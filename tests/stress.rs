@@ -119,7 +119,6 @@ fn session_handles_bulk_rewire() {
         SessionConfig {
             max_batch: 50,
             drift: DriftPolicy::full(1, 0.0),
-            ..SessionConfig::default()
         },
     );
     let mut drng = StdRng::seed_from_u64(132);
@@ -140,7 +139,6 @@ fn accumulative_drift_is_bounded_over_long_streams() {
         SessionConfig {
             max_batch: 100,
             drift: DriftPolicy::full(10, 1e-2),
-            ..SessionConfig::default()
         },
     );
     let mut drng = StdRng::seed_from_u64(142);
