@@ -187,6 +187,6 @@ fn main() {
         ("audit_cost", Json::Arr(cost_rows)),
         ("stream", stream),
     ]);
-    write_results("drift", &doc);
-    write_metrics("drift", &registry);
+    write_results(&opts, "drift", &doc);
+    write_metrics(&opts, "drift", &registry);
 }

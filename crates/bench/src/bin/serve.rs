@@ -13,13 +13,13 @@
 //!   set of celebrity vertices absorbs most traffic, as in production
 //!   feeds. Coalescing in the writer collapses the hot-edge churn into
 //!   small net batches — the InkStream serving story end to end.
-//! * **raw apply** — a 4-part partitioned engine behind the same
-//!   `InkServer::bind`, fed a unique-edge stream (nothing coalesces) through
-//!   one connection: applied events per second of the writer's drain →
-//!   coalesce → apply → publish loop.
+//! * **raw apply** — a fresh engine behind the same `InkServer::bind`, fed
+//!   a unique-edge stream (nothing coalesces) through one connection:
+//!   applied events per second of the writer's drain → coalesce → apply →
+//!   publish loop.
 //!
-//! Output goes to `results/BENCH_serve.json` (+ `.prom`) via the shared
-//! writer; the schema is documented in EXPERIMENTS.md. Set
+//! Output goes to `results/BENCH_serve.json` (+ `.prom`; under `--quick`,
+//! `target/bench-quick/`) via the shared writer; the schema is documented in EXPERIMENTS.md. Set
 //! `INK_BENCH_MIN_UPDATES_PER_S` to a float to turn the run into a smoke
 //! gate: the process exits non-zero when the pipelined phase's sustained
 //! edge-op throughput lands below the floor; `INK_BENCH_MIN_APPLY_PER_S` does the
@@ -30,12 +30,11 @@ use ink_bench::{latency_us, write_metrics, write_results, BenchOpts, ModelKind};
 use ink_graph::generators::erdos_renyi;
 use ink_graph::EdgeChange;
 use ink_gnn::Aggregator;
-use ink_partition::{HashPartitioner, PartitionConfig, PartitionedInkStream};
 use ink_serve::{
     InkClient, InkServer, Request, Response, ServeConfig, ServerHandle, PROTOCOL_VERSION,
 };
 use ink_tensor::init::{seeded_rng, sparse_power_law};
-use inkstream::{InkStream, Json, SessionConfig, StreamSession, UpdateConfig};
+use inkstream::{InkStream, Json, StreamSession, UpdateConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -291,7 +290,7 @@ fn run_v1(
 /// Phase 3 workload: globally unique inserts, so the writer's coalescing
 /// window never collapses anything — `events_applied == events_received` and
 /// the applied-events/s series measures the raw apply path (queue drain →
-/// route → engine rounds → publish), not admission or coalescing wins.
+/// engine round → publish), not admission or coalescing wins.
 fn unique_edge_batches(n: u32, frames: usize) -> Vec<Vec<EdgeChange>> {
     let mut k = 0u64;
     (0..frames)
@@ -394,34 +393,28 @@ fn main() {
     );
 
     // ---- Phase 3: raw apply throughput of the writer loop. ----
-    // Partitioned engine, unique-edge stream (zero coalescing): the series
-    // isolates drain + coalesce + engine rounds + publish.
-    let apply_parts = 4usize;
+    // Unique-edge stream (zero coalescing): the series isolates drain +
+    // coalesce + engine round + publish.
     let apply_frames = if opts.quick { 400 } else { 2000 };
     let apply_batches = unique_edge_batches(n as u32, apply_frames);
-    let hidden = opts.hidden;
     let mut prng = seeded_rng(SEED);
     let pgraph = erdos_renyi(&mut prng, n, edges);
     let pfeats = sparse_power_law(&mut prng, n, FEAT_DIM, 0.2, 0.9);
-    let parted = PartitionedInkStream::new(
-        move || {
-            let mut mr = seeded_rng(SEED ^ 0xA11);
-            ink_gnn::Model::gcn(&mut mr, &[FEAT_DIM, hidden, hidden], Aggregator::Max)
-        },
-        pgraph,
-        pfeats,
-        HashPartitioner,
-        PartitionConfig { parts: apply_parts, ..Default::default() },
-    )
-    .expect("partitioned bootstrap")
-    .into_session(SessionConfig::default());
+    let model = ink_gnn::Model::gcn(
+        &mut seeded_rng(SEED ^ 0xA11),
+        &[FEAT_DIM, opts.hidden, opts.hidden],
+        Aggregator::Max,
+    );
+    let engine = InkStream::new(model, pgraph, pfeats, UpdateConfig::default())
+        .expect("apply-phase bootstrap");
     // max_drain bounds the epoch at 64 batches so the run forms many epochs
     // instead of swallowing the backlog whole — the series measures
     // steady-state apply, not one giant batch.
     let config = ServeConfig { queue_capacity: 1024, max_drain: 64, ..ServeConfig::default() };
-    let handle = InkServer::bind("127.0.0.1:0", parted, config).expect("bind apply");
+    let handle = InkServer::bind("127.0.0.1:0", StreamSession::new(engine), config)
+        .expect("bind apply");
     let wall = drive_apply(handle.local_addr(), &apply_batches).expect("apply driver");
-    let (_parted, stats) = handle.shutdown().expect("apply shutdown");
+    let (_session, stats) = handle.shutdown().expect("apply shutdown");
     let applied = stats.events_applied;
     let wall_s = wall.as_secs_f64();
     let apply_per_s = applied as f64 / wall_s;
@@ -431,7 +424,6 @@ fn main() {
         stats.epochs
     );
     let apply_doc = Json::obj([
-        ("parts", Json::from(apply_parts)),
         ("frames", Json::from(apply_frames)),
         ("batch", Json::from(BATCH)),
         ("applied_events", Json::from(applied)),
@@ -494,8 +486,9 @@ fn main() {
             inkstream::json::rounded(pipe_ops_per_s / pr3_reference_ops_per_s, 2),
         ),
     ]);
-    write_results("serve", &doc);
-    write_metrics("serve", session.as_ref().expect("sweep returns the session").metrics());
+    write_results(&opts, "serve", &doc);
+    let registry = session.as_ref().expect("sweep returns the session").metrics();
+    write_metrics(&opts, "serve", registry);
 
     // Smoke-gate mode: fail the run when the pipelined phase's sustained
     // update throughput lands below the floor (used by CI's serve smoke job).
@@ -510,8 +503,8 @@ fn main() {
         eprintln!("throughput floor OK: {pipe_ops_per_s:.0} >= {floor:.0} edge-ops/s");
     }
     // Apply floor: the raw-apply series must sustain the floor — a
-    // regression in partition stepping, the router or the writer loop
-    // shows up here even when admission throughput is unaffected.
+    // regression in the engine round or the writer loop shows up here even
+    // when admission throughput is unaffected.
     if let Ok(floor) = std::env::var("INK_BENCH_MIN_APPLY_PER_S") {
         let floor: f64 = floor.parse().expect("INK_BENCH_MIN_APPLY_PER_S must be a float");
         if apply_per_s < floor {

@@ -83,5 +83,5 @@ fn main() {
     table.add_row(rmc_m);
     table.add_row(rmc_a);
     table.print();
-    write_metrics("table5", &registry);
+    write_metrics(&opts, "table5", &registry);
 }

@@ -10,7 +10,8 @@ pub struct BenchOpts {
     pub hidden: usize,
     /// Hidden dimension for GIN (paper: 64; default here: 32).
     pub gin_hidden: usize,
-    /// Run fewer scenarios per configuration.
+    /// Run fewer scenarios per configuration, and write the `BENCH_*`
+    /// artifacts under `target/bench-quick/` instead of `results/`.
     pub quick: bool,
     /// Restrict to these dataset codes/names (e.g. `PM,CA`).
     pub datasets: Option<Vec<String>>,

@@ -6,30 +6,47 @@
 //! Binaries that carry an `ink-obs` [`MetricsRegistry`] additionally export
 //! it through [`write_metrics`] as `results/BENCH_*.prom` — the same
 //! Prometheus text a live server serves for the `metrics` request, frozen
-//! as a run artifact.
+//! as a run artifact. A `--quick` run (a CI smoke) writes under
+//! `target/bench-quick/` instead, so it never overwrites a recorded
+//! artifact.
 
+use crate::BenchOpts;
 use ink_obs::MetricsRegistry;
 use inkstream::Json;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-/// Pretty-prints `doc` to stdout and writes it to `results/BENCH_<name>.json`
-/// (creating `results/` as needed). Returns the written path.
-///
-/// # Panics
-///
-/// On I/O failure — a bench run that cannot record its artifact has failed.
-pub fn write_results(name: &str, doc: &Json) -> PathBuf {
-    let rendered = doc.pretty();
-    print!("{rendered}");
-    let path = PathBuf::from("results").join(format!("BENCH_{name}.json"));
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write(&path, &rendered).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+/// Where a run's artifacts go: `results/`, or `target/bench-quick/` for a
+/// `--quick` run.
+fn artifact_dir(opts: &BenchOpts) -> &'static Path {
+    Path::new(if opts.quick { "target/bench-quick" } else { "results" })
+}
+
+/// Writes `contents` to `BENCH_<file>` in the run's artifact directory
+/// (created as needed) and returns the path.
+fn write_artifact(opts: &BenchOpts, file: &str, contents: &str) -> PathBuf {
+    let dir = artifact_dir(opts);
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
+    let path = dir.join(format!("BENCH_{file}"));
+    std::fs::write(&path, contents).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     eprintln!("wrote {}", path.display());
     path
 }
 
+/// Pretty-prints `doc` to stdout and writes it to `BENCH_<name>.json` in the
+/// run's artifact directory (`results/`, or `target/bench-quick/` under
+/// `--quick`). Returns the written path.
+///
+/// # Panics
+///
+/// On I/O failure — a bench run that cannot record its artifact has failed.
+pub fn write_results(opts: &BenchOpts, name: &str, doc: &Json) -> PathBuf {
+    let rendered = doc.pretty();
+    print!("{rendered}");
+    write_artifact(opts, &format!("{name}.json"), &rendered)
+}
+
 /// Renders `registry` as Prometheus text exposition and writes it to
-/// `results/BENCH_<name>.prom` next to the JSON artifact. The document is
+/// `BENCH_<name>.prom` next to the JSON artifact. The document is
 /// parser-validated before it lands, so a malformed scrape fails the run
 /// instead of producing a corrupt artifact. Returns the written path.
 ///
@@ -37,15 +54,11 @@ pub fn write_results(name: &str, doc: &Json) -> PathBuf {
 ///
 /// On I/O failure or if the rendered text does not parse back as valid
 /// Prometheus exposition.
-pub fn write_metrics(name: &str, registry: &MetricsRegistry) -> PathBuf {
+pub fn write_metrics(opts: &BenchOpts, name: &str, registry: &MetricsRegistry) -> PathBuf {
     let text = registry.render_prometheus();
     ink_obs::parse::parse_prometheus(&text)
         .unwrap_or_else(|e| panic!("BENCH_{name}.prom failed Prometheus round-trip: {e}"));
-    let path = PathBuf::from("results").join(format!("BENCH_{name}.prom"));
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write(&path, &text).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    eprintln!("wrote {}", path.display());
-    path
+    write_artifact(opts, &format!("{name}.prom"), &text)
 }
 
 /// A `(p50, p90, p99, max)` duration tuple in microseconds — the common
@@ -83,6 +96,14 @@ mod tests {
             .trim()
             .parse()
             .expect("numeric field")
+    }
+
+    #[test]
+    fn quick_runs_never_write_under_results() {
+        let full = BenchOpts::default();
+        let quick = BenchOpts { quick: true, ..BenchOpts::default() };
+        assert_eq!(artifact_dir(&full), Path::new("results"));
+        assert_eq!(artifact_dir(&quick), Path::new("target/bench-quick"));
     }
 
     #[test]

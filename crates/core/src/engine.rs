@@ -252,9 +252,8 @@ impl InkStream {
     /// row may appear more than once. Returns `false` — appending nothing —
     /// when the changes are not known row by row and every row must be
     /// treated as changed: after [`InkStream::resync`],
-    /// [`InkStream::adopt_state`], [`InkStream::add_vertex`],
-    /// [`InkStream::state_mut`], or once the undrained list outgrew an
-    /// eighth of the vertex count.
+    /// [`InkStream::add_vertex`], [`InkStream::state_mut`], or once the
+    /// undrained list outgrew an eighth of the vertex count.
     ///
     /// This is what lets a snapshot publish cost O(rows changed) instead of
     /// O(|V|); see [`crate::snapshot::SnapshotPublisher::publish_rows`].
@@ -824,25 +823,6 @@ impl InkStream {
         report
     }
 
-    /// Abandons an in-flight round without folding a report, reclaiming the
-    /// scratch pool when possible. Used by the partitioned driver to restore
-    /// the "no active round" invariant after a sibling worker panicked
-    /// mid-step — the cached state is then stale and must be rebuilt with
-    /// [`InkStream::adopt_state`] (or a full resync) before the next update.
-    /// No-op when no round is active (e.g. on the engine that panicked, whose
-    /// round state was consumed by the unwind).
-    pub fn round_abort(&mut self) {
-        if let Some(rs) = self.round.take() {
-            self.scratch = rs.scratch;
-        }
-    }
-
-    /// Whether a BSP round is currently in flight.
-    #[inline]
-    pub fn round_active(&self) -> bool {
-        self.round.is_some()
-    }
-
     /// Installs (or clears, with `None`) the ownership mask for partitioned
     /// operation. With a mask, this engine updates α/h rows and generates
     /// events only for vertices marked `true`; everything else is a ghost
@@ -880,25 +860,6 @@ impl InkStream {
     pub fn set_message_row(&mut self, l: usize, v: VertexId, row: &[f32]) {
         assert!(self.round.is_none(), "cannot seed replica rows mid-round");
         self.state.m[l].set_row(v as usize, row);
-    }
-
-    /// Replaces all cached state with `state` (shape-checked against the
-    /// current graph and model) and rebuilds the user caches from its
-    /// messages. This is the partitioned resync path: one engine bootstraps
-    /// the *global* graph and every partition adopts a clone, so ghosts and
-    /// owned rows alike come out bitwise-identical to full recomputation —
-    /// a per-partition [`InkStream::resync`] would wrongly bootstrap the
-    /// local subgraph instead.
-    pub fn adopt_state(&mut self, state: FullState) -> Result<(), InkError> {
-        assert!(self.round.is_none(), "cannot adopt state mid-round");
-        check_state_shape(&self.model, self.graph.num_vertices(), &state)?;
-        let k = self.model.num_layers();
-        self.user_cache = (0..k)
-            .map(|l| self.hooks.as_deref().and_then(|h| h.init_cache(l, &state.m[l])))
-            .collect();
-        self.state = state;
-        self.mark_all_dirty();
-        Ok(())
     }
 }
 

@@ -30,21 +30,6 @@ pub enum InkError {
         /// The rendered `std::io::Error`.
         detail: String,
     },
-    /// A partition engine's step panicked mid-round. The partitioned driver
-    /// is poisoned: every subsequent round fails fast with this error until
-    /// the session is rebuilt via `resync()`.
-    WorkerPanic {
-        /// Index of the partition whose step panicked.
-        partition: usize,
-        /// Rendered panic payload, when it was a string.
-        detail: String,
-    },
-    /// The engine does not implement the requested operation (e.g. a
-    /// checkpoint of a partitioned engine).
-    Unsupported {
-        /// What was asked for, and what to do instead.
-        detail: String,
-    },
 }
 
 impl InkError {
@@ -73,11 +58,6 @@ impl std::fmt::Display for InkError {
             InkError::Truncated => write!(f, "checkpoint truncated: stream ended mid-section"),
             InkError::Corrupt { detail } => write!(f, "corrupt checkpoint: {detail}"),
             InkError::Io { detail } => write!(f, "checkpoint I/O error: {detail}"),
-            InkError::WorkerPanic { partition, detail } => write!(
-                f,
-                "partition {partition} worker panicked ({detail}); pool poisoned until resync"
-            ),
-            InkError::Unsupported { detail } => write!(f, "unsupported: {detail}"),
         }
     }
 }
@@ -97,9 +77,6 @@ mod tests {
         assert!(InkError::Truncated.to_string().contains("truncated"));
         assert!(InkError::Corrupt { detail: "why".into() }.to_string().contains("why"));
         assert!(InkError::Io { detail: "disk".into() }.to_string().contains("disk"));
-        let p = InkError::WorkerPanic { partition: 3, detail: "boom".into() }.to_string();
-        assert!(p.contains('3') && p.contains("boom") && p.contains("resync"));
-        assert!(InkError::Unsupported { detail: "no".into() }.to_string().contains("no"));
     }
 
     #[test]

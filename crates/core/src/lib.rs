@@ -60,11 +60,8 @@ pub use hooks::{LinearSelfTerm, UserEvent, UserHooks};
 pub use monotonic::Condition;
 pub use json::Json;
 pub use session::{
-    AuditKind, DriftAction, DriftError, DriftPolicy, DriftStats, Engine, IngestError,
-    IngestReport, SessionConfig, SessionSummary, StreamSession,
-    DEFAULT_TRACE_CAPACITY,
+    AuditKind, DriftAction, DriftError, DriftPolicy, DriftStats, IngestReport, SessionConfig,
+    SessionSummary, StreamSession, DEFAULT_TRACE_CAPACITY,
 };
-pub use snapshot::{
-    EmbeddingSnapshot, PublishReport, RowSource, SnapshotPublisher, SnapshotReader,
-};
+pub use snapshot::{EmbeddingSnapshot, PublishReport, SnapshotPublisher, SnapshotReader};
 pub use stats::{ConditionCounts, LayerStats, PhaseTimes, UpdateReport};

@@ -1,9 +1,7 @@
 //! Streaming session: the operational wrapper a deployment actually runs.
 //!
-//! [`StreamSession`] owns an [`Engine`] — a single [`InkStream`] by default,
-//! or any other implementor such as the partition-parallel driver in
-//! `ink-partition` — and adds the concerns the paper's evaluation protocol
-//! implies but the core algorithm doesn't cover:
+//! [`StreamSession`] owns an [`InkStream`] and adds the concerns the paper's
+//! evaluation protocol implies but the core algorithm doesn't cover:
 //! splitting oversized deltas into refresh batches (speedup falls with ΔG —
 //! paper Fig. 7 — so bounded batches keep latency predictable), latency
 //! statistics, and a drift auditor for accumulative aggregation,
@@ -14,7 +12,7 @@
 //! (`O(samples · deg · dim)` — independent of graph size), *full audits*
 //! compare the whole output against a fresh bootstrap, and a breach triggers
 //! the configured [`DriftAction`] — fail the ingest, log and continue, or
-//! self-heal with [`Engine::resync`]. NaN anywhere in the audited state
+//! self-heal with [`InkStream::resync`]. NaN anywhere in the audited state
 //! always reads as a breach (audits propagate NaN instead of dropping it).
 //! [`DriftStats`] keeps the audit/resync bookkeeping separate from ingest
 //! latency. See DESIGN.md, "Drift auditing and resync".
@@ -34,8 +32,8 @@
 //! timings) and per audit/resync, dumpable as Chrome `trace_event` JSON.
 //! Metric names are catalogued in DESIGN.md §8.
 
-use crate::{InkError, InkStream, PhaseTimes, ResyncReport, RowSource, UpdateReport};
-use ink_graph::{DeltaBatch, DynGraph, VertexId};
+use crate::{InkStream, PhaseTimes};
+use ink_graph::{DeltaBatch, VertexId};
 use ink_obs::{Counter, Gauge, Histogram, MetricsRegistry, Tracer};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,71 +41,6 @@ use std::time::{Duration, Instant};
 /// Default capacity of the session's span ring (events retained for a
 /// [`Tracer::dump_chrome_trace`] dump).
 pub const DEFAULT_TRACE_CAPACITY: usize = 8192;
-
-/// What a [`StreamSession`] and a serving front end need from an incremental
-/// engine: apply ΔG, measure how far the cached state is from recomputation,
-/// rebuild it, and read the output rows ([`RowSource`]). [`InkStream`]
-/// implements it here; `ink_partition::PartitionedInkStream` is the second
-/// implementor.
-pub trait Engine: RowSource {
-    /// Applies one batch of edge changes. An `Err` means the engine refused
-    /// the batch (e.g. [`InkError::WorkerPanic`]) and needs
-    /// [`Engine::resync`] before it accepts another.
-    fn apply(&mut self, delta: &DeltaBatch) -> Result<UpdateReport, InkError>;
-    /// Worst deviation of the whole cached state from recomputation; NaN
-    /// when any of it is non-finite.
-    fn audit_full(&self) -> f32;
-    /// Worst deviation over the sampled vertices, recomputed from cached
-    /// inputs; NaN-propagating.
-    fn audit_vertices(&self, vs: &[VertexId]) -> f32;
-    /// Rebuilds all cached state; afterwards the output is bitwise equal to
-    /// full recomputation.
-    fn resync(&mut self) -> ResyncReport;
-    /// The current graph (vertex bound and directedness).
-    fn graph(&self) -> &DynGraph;
-    /// Appends the output rows rewritten since the previous call; `false`
-    /// when they are not known row by row (see
-    /// [`InkStream::take_dirty_rows`]).
-    fn take_dirty_rows(&mut self, out: &mut Vec<VertexId>) -> bool;
-    /// Heap bytes reserved by reusable scratch buffers.
-    fn scratch_bytes(&self) -> usize;
-    /// Writes a checkpoint a later process can restore the engine from.
-    fn checkpoint(&self, w: &mut dyn std::io::Write) -> Result<(), InkError>;
-}
-
-impl Engine for InkStream {
-    fn apply(&mut self, delta: &DeltaBatch) -> Result<UpdateReport, InkError> {
-        Ok(self.apply_delta(delta))
-    }
-
-    fn audit_full(&self) -> f32 {
-        InkStream::audit_full(self)
-    }
-
-    fn audit_vertices(&self, vs: &[VertexId]) -> f32 {
-        InkStream::audit_vertices(self, vs)
-    }
-
-    fn resync(&mut self) -> ResyncReport {
-        InkStream::resync(self)
-    }
-
-    fn graph(&self) -> &DynGraph {
-        InkStream::graph(self)
-    }
-
-    fn take_dirty_rows(&mut self, out: &mut Vec<VertexId>) -> bool {
-        InkStream::take_dirty_rows(self, out)
-    }
-
-    fn scratch_bytes(&self) -> usize {
-        InkStream::scratch_bytes(self)
-    }
-
-    fn checkpoint(&self, mut w: &mut dyn std::io::Write) -> Result<(), InkError> {
-        crate::checkpoint::save(self, &mut w).map_err(|e| InkError::Io { detail: e.to_string() })
-    }
-}
 
 /// `(p50, p90, p99, max)` of a nanosecond latency histogram. The
 /// percentiles are bucket estimates (never below the exact value, at most
@@ -124,7 +57,7 @@ pub enum DriftAction {
     Fail,
     /// Record the breach in [`DriftStats`] and carry on.
     Warn,
-    /// Self-heal: rebuild all cached state via [`Engine::resync`], after
+    /// Self-heal: rebuild all cached state via [`InkStream::resync`], after
     /// which the output is bitwise equal to full recomputation.
     Resync,
 }
@@ -260,28 +193,6 @@ impl std::fmt::Display for DriftError {
 
 impl std::error::Error for DriftError {}
 
-/// Why a [`StreamSession::ingest`] failed.
-#[derive(Clone, Debug)]
-pub enum IngestError {
-    /// An audit breached tolerance under [`DriftAction::Fail`]; the batches
-    /// were applied.
-    Drift(DriftError),
-    /// The engine refused a batch ([`Engine::apply`] returned `Err`); the
-    /// batches before it were applied, it and the rest were not.
-    Engine(InkError),
-}
-
-impl std::fmt::Display for IngestError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IngestError::Drift(e) => e.fmt(f),
-            IngestError::Engine(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for IngestError {}
-
 /// What one [`StreamSession::ingest`] call did.
 #[derive(Clone, Debug, Default)]
 pub struct IngestReport {
@@ -364,8 +275,8 @@ pub struct SessionSummary {
 /// assert!(scrape.contains("ink_drift_spot_audits_total 1"));
 /// assert!(session.tracer().dump_chrome_trace().contains("\"name\":\"generate\""));
 /// ```
-pub struct StreamSession<E: Engine = InkStream> {
-    engine: E,
+pub struct StreamSession {
+    engine: InkStream,
     config: SessionConfig,
     registry: Arc<MetricsRegistry>,
     tracer: Arc<Tracer>,
@@ -535,47 +446,22 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-impl<E: Engine> StreamSession<E> {
+impl StreamSession {
     /// Wraps an engine with default session settings.
-    pub fn new(engine: E) -> Self {
+    pub fn new(engine: InkStream) -> Self {
         Self::with_config(engine, SessionConfig::default())
     }
 
-    /// Wraps an engine with explicit settings.
+    /// Wraps an engine with explicit settings. The session owns a fresh
+    /// metrics registry and span tracer; a server registers its own
+    /// instruments into the same registry (see [`StreamSession::metrics`]).
     ///
     /// # Panics
     ///
     /// On a malformed config: `max_batch` of 0, an audit
     /// interval of `Some(0)` (ambiguous — use `None` to disable), a spot
     /// policy sampling 0 vertices, or a non-finite/negative tolerance.
-    pub fn with_config(engine: E, config: SessionConfig) -> Self {
-        Self::with_observability(
-            engine,
-            config,
-            Arc::new(MetricsRegistry::new()),
-            Arc::new(Tracer::new(DEFAULT_TRACE_CAPACITY)),
-        )
-    }
-
-    /// Wraps an engine, registering the session's instruments into an
-    /// existing registry and recording spans into an existing tracer.
-    ///
-    /// This is how a serving front end (or a test) shares one scrape surface
-    /// with the session: hand in the registry, keep a clone, and every
-    /// session metric becomes visible to [`MetricsRegistry::render_prometheus`]
-    /// alongside the caller's own instruments.
-    ///
-    /// # Panics
-    ///
-    /// On a malformed config (see [`StreamSession::with_config`]) or when the
-    /// registry already holds an `ink_session_*` name as a different
-    /// instrument kind.
-    pub fn with_observability(
-        engine: E,
-        config: SessionConfig,
-        registry: Arc<MetricsRegistry>,
-        tracer: Arc<Tracer>,
-    ) -> Self {
+    pub fn with_config(engine: InkStream, config: SessionConfig) -> Self {
         assert!(config.max_batch >= 1, "SessionConfig: max_batch must be at least 1");
         let d = &config.drift;
         assert!(
@@ -595,6 +481,8 @@ impl<E: Engine> StreamSession<E> {
             "DriftPolicy: tolerance must be finite and non-negative"
         );
         let sample_state = config.drift.seed;
+        let registry = Arc::new(MetricsRegistry::new());
+        let tracer = Arc::new(Tracer::new(DEFAULT_TRACE_CAPACITY));
         let inst = SessionInstruments::register(&registry);
         Self { engine, config, registry, tracer, inst, sample_state }
     }
@@ -612,12 +500,12 @@ impl<E: Engine> StreamSession<E> {
     }
 
     /// The wrapped engine (read access).
-    pub fn engine(&self) -> &E {
+    pub fn engine(&self) -> &InkStream {
         &self.engine
     }
 
     /// The wrapped engine (e.g. for vertex operations).
-    pub fn engine_mut(&mut self) -> &mut E {
+    pub fn engine_mut(&mut self) -> &mut InkStream {
         &mut self.engine
     }
 
@@ -638,15 +526,14 @@ impl<E: Engine> StreamSession<E> {
     /// Applies a delta, split into batches of at most `max_batch` changes,
     /// then runs whichever audit the [`DriftPolicy`] schedules for this
     /// ingest. On a breach with [`DriftAction::Fail`] the returned error
-    /// carries the ingest report — the batches were already applied. An
-    /// engine error ends the ingest at the batch that raised it.
-    pub fn ingest(&mut self, delta: &DeltaBatch) -> Result<IngestReport, IngestError> {
+    /// carries the ingest report — the batches were already applied.
+    pub fn ingest(&mut self, delta: &DeltaBatch) -> Result<IngestReport, DriftError> {
         let t0 = Instant::now();
         let mut report = IngestReport::default();
         for chunk in delta.changes().chunks(self.config.max_batch) {
             let batch = DeltaBatch::new(chunk.to_vec());
             let t = Instant::now();
-            let r: UpdateReport = self.engine.apply(&batch).map_err(IngestError::Engine)?;
+            let r = self.engine.apply_delta(&batch);
             let elapsed = t.elapsed();
             self.inst.batch_latency.record(elapsed.as_nanos() as u64);
             self.inst.batches.inc();
@@ -690,7 +577,7 @@ impl<E: Engine> StreamSession<E> {
         if self.config.drift.enabled() {
             if let Some(err) = self.run_audit(&mut report) {
                 report.elapsed = t0.elapsed();
-                return Err(IngestError::Drift(DriftError { report, ..err }));
+                return Err(DriftError { report, ..err });
             }
         }
         report.elapsed = t0.elapsed();
@@ -699,9 +586,9 @@ impl<E: Engine> StreamSession<E> {
 
     /// Feeds one batch's engine-measured phase times into the phase
     /// histograms and synthesizes tracer spans: one `"batch"` span for the
-    /// whole [`Engine::apply`] call and one consecutive span per phase starting
-    /// at the batch start (the engine measures phases per layer; the spans
-    /// show their per-batch totals laid end to end).
+    /// whole [`InkStream::apply_delta`] call and one consecutive span per
+    /// phase starting at the batch start (the engine measures phases per
+    /// layer; the spans show their per-batch totals laid end to end).
     fn record_phases(&self, start: Instant, elapsed: Duration, pt: &PhaseTimes) {
         self.tracer.record_at("pipeline", "batch", start, elapsed);
         let durations = [pt.generate, pt.group, pt.apply, pt.write, pt.next_messages];
@@ -927,9 +814,7 @@ mod tests {
             },
         );
         s.engine_mut().state_mut().alpha[0].set(3, 1, f32::NAN);
-        let IngestError::Drift(err) = s.ingest(&delta(&s, 33, 5)).unwrap_err() else {
-            panic!("a single engine never refuses a batch");
-        };
+        let err = s.ingest(&delta(&s, 33, 5)).unwrap_err();
         assert!(err.max_diff.is_nan());
         assert_eq!(err.report.batches, 3, "the applied work survives in the error");
         assert!(err.report.drift_breached);

@@ -52,45 +52,6 @@ struct SnapshotCell {
     current: RwLock<Arc<EmbeddingSnapshot>>,
 }
 
-/// Where a publish reads output rows from: one matrix, or rows spread over
-/// several owners (the partitioned engine).
-pub trait RowSource {
-    /// `(rows, cols)` of the output.
-    fn shape(&self) -> (usize, usize);
-    /// The current output row of vertex `v`.
-    fn row(&self, v: usize) -> &[f32];
-    /// Writes every row into `dst`, which already has [`RowSource::shape`].
-    fn copy_into(&self, dst: &mut Matrix);
-}
-
-impl RowSource for Matrix {
-    fn shape(&self) -> (usize, usize) {
-        Matrix::shape(self)
-    }
-
-    fn row(&self, v: usize) -> &[f32] {
-        Matrix::row(self, v)
-    }
-
-    fn copy_into(&self, dst: &mut Matrix) {
-        dst.as_mut_slice().copy_from_slice(self.as_slice());
-    }
-}
-
-impl RowSource for crate::InkStream {
-    fn shape(&self) -> (usize, usize) {
-        self.output().shape()
-    }
-
-    fn row(&self, v: usize) -> &[f32] {
-        self.output().row(v)
-    }
-
-    fn copy_into(&self, dst: &mut Matrix) {
-        self.output().copy_into(dst);
-    }
-}
-
 /// What one publish copied.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PublishReport {
@@ -172,9 +133,9 @@ impl SnapshotPublisher {
     /// If `epoch` is not strictly greater than the published one — epochs
     /// must move forward or readers could not order their observations — or
     /// if a listed row is out of range.
-    pub fn publish_rows<S: RowSource + ?Sized>(
+    pub fn publish_rows(
         &mut self,
-        src: &S,
+        src: &Matrix,
         rows: Option<&[VertexId]>,
         epoch: u64,
     ) -> PublishReport {
@@ -197,7 +158,7 @@ impl SnapshotPublisher {
             }
             (recycled, ..) => {
                 let mut buf = recycled.unwrap_or_else(|| Matrix::zeros(shape.0, shape.1));
-                src.copy_into(&mut buf);
+                buf.as_mut_slice().copy_from_slice(src.as_slice());
                 (buf, PublishReport { rows_copied: shape.0, full_copy: true })
             }
         };

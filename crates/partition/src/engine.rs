@@ -33,34 +33,24 @@
 //! message changed (true for [`inkstream::LinearSelfTerm`]); mirrors fire
 //! them too, and the ownership mask drops the foreign copies.
 
-use crate::metrics::PartitionInstruments;
 use crate::partitioner::Partitioner;
 use crate::replication::ReplicationTable;
 use crate::router::DeltaRouter;
 use ink_graph::stats::{partition_quality, PartitionQuality};
 use ink_graph::{DeltaBatch, DynGraph, EdgeChange, EdgeOp, FxHashMap, VertexId};
 use ink_gnn::Model;
-use ink_obs::{MetricsRegistry, Tracer};
+use ink_obs::{Histogram, MetricsRegistry};
 use ink_tensor::ops::nan_max;
 use ink_tensor::Matrix;
-use inkstream::{
-    Engine, InkError, InkStream, ResyncReport, RowSource, SessionConfig, StreamSession,
-    UpdateConfig, UpdateReport, UserHooks, DEFAULT_TRACE_CAPACITY,
-};
+use inkstream::{InkError, InkStream, UpdateConfig, UpdateReport, UserHooks};
 use rayon::prelude::*;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Factory producing one identical model per engine (models hold boxed
-/// convolutions and cannot be cloned). **Must be deterministic**: every call
-/// has to yield bitwise-identical weights, e.g. by reseeding an RNG inside
-/// the closure.
-pub type ModelFactory = Box<dyn Fn() -> Model + Send + Sync>;
-
-/// Factory producing one identical hook set per engine (same determinism
-/// contract as [`ModelFactory`]). Partitioned hooks must only emit events
-/// targeting the vertex whose message changed.
+/// Factory producing one identical hook set per engine. **Must be
+/// deterministic**, like the model factory of [`PartitionedInkStream::new`].
+/// Partitioned hooks must only emit events targeting the vertex whose
+/// message changed.
 pub type HooksFactory = Box<dyn Fn() -> Box<dyn UserHooks> + Send + Sync>;
 
 /// Tunables of the partitioned driver. How many threads step the
@@ -99,8 +89,7 @@ impl StepOp {
     }
 }
 
-/// The partition-specific observables; the session-level ones come from the
-/// [`StreamSession`] wrapping the driver.
+/// The partition-specific observables.
 #[derive(Clone, Debug)]
 pub struct PartitionSummary {
     /// Partition count.
@@ -117,32 +106,30 @@ pub struct PartitionSummary {
     pub partition_wall: Vec<Duration>,
 }
 
-/// A partition-parallel incremental engine with the same surface as a single
-/// [`InkStream`]; as an [`Engine`] it runs under the same [`StreamSession`]
-/// ([`PartitionedInkStream::into_session`]) and the same server. See the
-/// crate docs for the ownership model and the module docs for the round
-/// schedule.
+/// A partition-parallel incremental engine whose merged output is bitwise
+/// equal to a single [`InkStream`]'s. See the crate docs for the ownership
+/// model and the module docs for the round schedule.
 pub struct PartitionedInkStream {
     engines: Vec<InkStream>,
     router: DeltaRouter,
     table: ReplicationTable,
-    /// Global replica: authoritative adjacency for skip counts, vertex
-    /// removal fans, audits, and resync bootstraps.
+    /// Global replica: authoritative adjacency for skip counts and vertex
+    /// removal fans.
     graph: DynGraph,
-    features: Matrix,
     partitioner: Box<dyn Partitioner>,
-    model_factory: ModelFactory,
-    hooks_factory: Option<HooksFactory>,
     cfg: PartitionConfig,
-    cut_edges: usize,
     /// Cumulative wall time each partition spent inside round steps.
     walls: Vec<Duration>,
+    boundary_events: u64,
+    replica_refreshes: u64,
+    mirror_seeds: u64,
+    /// Holds the two histograms below.
     registry: Arc<MetricsRegistry>,
-    inst: PartitionInstruments,
-    /// The [`InkError::WorkerPanic`] of an engine step that panicked. While
-    /// set, every round fails fast with it before touching any graph;
-    /// [`PartitionedInkStream::resync`] clears it.
-    poisoned: Option<InkError>,
+    /// Per round, slowest minus fastest partition step, in nanoseconds.
+    step_skew: Arc<Histogram>,
+    /// Per partition and step, the delay from the step's start to that
+    /// engine's block starting on the rayon pool: the hand-off cost.
+    park_ns: Arc<Histogram>,
 }
 
 impl PartitionedInkStream {
@@ -150,7 +137,8 @@ impl PartitionedInkStream {
     /// inference, and clones the resulting state into `cfg.parts` engines.
     ///
     /// `model_factory` must produce bitwise-identical models on every call
-    /// (one engine each plus one for every bootstrap/resync).
+    /// (one for the bootstrap plus one per engine), e.g. by reseeding an RNG
+    /// inside the closure.
     pub fn new<F, P>(
         model_factory: F,
         graph: DynGraph,
@@ -159,7 +147,7 @@ impl PartitionedInkStream {
         cfg: PartitionConfig,
     ) -> Result<Self, InkError>
     where
-        F: Fn() -> Model + Send + Sync + 'static,
+        F: Fn() -> Model,
         P: Partitioner + 'static,
     {
         Self::with_hooks(model_factory, graph, features, partitioner, cfg, None)
@@ -177,11 +165,10 @@ impl PartitionedInkStream {
         hooks_factory: Option<HooksFactory>,
     ) -> Result<Self, InkError>
     where
-        F: Fn() -> Model + Send + Sync + 'static,
+        F: Fn() -> Model,
         P: Partitioner + 'static,
     {
         assert!(cfg.parts >= 1, "PartitionConfig: need at least one partition");
-        let model_factory: ModelFactory = Box::new(model_factory);
         let parts = cfg.parts;
         let assignment = partitioner.partition(&graph, parts);
         assert_eq!(assignment.len(), graph.num_vertices(), "partitioner must label every vertex");
@@ -214,44 +201,36 @@ impl PartitionedInkStream {
             engines.push(e);
         }
 
-        let cut_edges = count_cut_edges(&graph, &assignment);
         let registry = Arc::new(MetricsRegistry::new());
-        let inst = PartitionInstruments::register(&registry, parts);
-        inst.parts.set_u64(parts as u64);
-        inst.cut_edges.set_u64(cut_edges as u64);
-        inst.replicas.set_u64(table.total_mirrors() as u64);
+        let step_skew = registry.histogram(
+            "ink_partition_step_skew_ns",
+            "Slowest minus fastest partition step per round",
+        );
+        let park_ns = registry.histogram(
+            "ink_partition_pool_park_ns",
+            "Delay from a step's start to one engine's block starting on the pool",
+        );
         let router = DeltaRouter::new(assignment, parts, graph.is_directed());
         Ok(Self {
             engines,
             router,
             table,
             graph,
-            features,
             partitioner: Box::new(partitioner),
-            model_factory,
-            hooks_factory,
             cfg,
-            cut_edges,
             walls: vec![Duration::ZERO; parts],
+            boundary_events: 0,
+            replica_refreshes: 0,
+            mirror_seeds: 0,
             registry,
-            inst,
-            poisoned: None,
+            step_skew,
+            park_ns,
         })
-    }
-
-    /// Number of partitions.
-    pub fn parts(&self) -> usize {
-        self.cfg.parts
     }
 
     /// The global replica graph (authoritative adjacency).
     pub fn graph(&self) -> &DynGraph {
         &self.graph
-    }
-
-    /// The global feature matrix.
-    pub fn features(&self) -> &Matrix {
-        &self.features
     }
 
     /// The per-partition engines (read access, e.g. for audits in tests).
@@ -264,19 +243,10 @@ impl PartitionedInkStream {
         &self.table
     }
 
-    /// The driver's metrics registry (`ink_partition_*` instruments).
+    /// The driver's metrics registry: the `ink_partition_step_skew_ns` and
+    /// `ink_partition_pool_park_ns` histograms.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.registry
-    }
-
-    /// Wraps the driver in the session layer, registering the session's
-    /// instruments into the driver's registry so one scrape shows
-    /// `ink_partition_*` next to `ink_session_*`, `ink_drift_*` and the
-    /// pipeline phases.
-    pub fn into_session(self, config: SessionConfig) -> StreamSession<Self> {
-        let registry = self.registry.clone();
-        let tracer = Arc::new(Tracer::new(DEFAULT_TRACE_CAPACITY));
-        StreamSession::with_observability(self, config, registry, tracer)
     }
 
     /// The merged output embeddings: every vertex's row taken from its
@@ -303,42 +273,10 @@ impl PartitionedInkStream {
         }
     }
 
-    /// Appends every output row rewritten since the previous call to `out`
-    /// and forgets them — the union of the engines'
-    /// [`InkStream::take_dirty_rows`] lists, which are disjoint because an
-    /// engine writes output rows only for vertices it owns. Returns `false`
-    /// when any engine cannot list its changes row by row (after a resync
-    /// or a vertex insertion): treat every row as changed.
-    pub fn take_dirty_rows(&mut self, out: &mut Vec<VertexId>) -> bool {
-        let mut known = true;
-        for e in &mut self.engines {
-            // No short circuit: every engine's list must be drained.
-            known &= e.take_dirty_rows(out);
-        }
-        known
-    }
-
     /// Applies one batch of edge changes as a partitioned round. Same
     /// contract as [`InkStream::apply_delta`].
-    ///
-    /// # Panics
-    ///
-    /// When an engine step panicked in this round or an earlier one —
-    /// callers that must survive that use
-    /// [`PartitionedInkStream::try_apply_delta`] (which is what
-    /// [`Engine::apply`] calls) instead.
     pub fn apply_delta(&mut self, delta: &DeltaBatch) -> UpdateReport {
-        self.try_apply_delta(delta)
-            .expect("edge-only rounds cannot fail validation on a healthy driver")
-    }
-
-    /// Fallible [`PartitionedInkStream::apply_delta`]: surfaces a panic in an
-    /// engine step as [`InkError::WorkerPanic`] instead of unwinding the
-    /// caller. After such an error the driver is poisoned — every further
-    /// round fails fast with the same error until
-    /// [`PartitionedInkStream::resync`].
-    pub fn try_apply_delta(&mut self, delta: &DeltaBatch) -> Result<UpdateReport, InkError> {
-        self.round(delta, &[])
+        self.round(delta, &[]).expect("edge-only rounds cannot fail validation")
     }
 
     /// Updates one vertex's input feature everywhere (ghost copies included)
@@ -360,9 +298,6 @@ impl PartitionedInkStream {
         feat: &[f32],
         neighbors: &[VertexId],
     ) -> Result<(VertexId, UpdateReport), InkError> {
-        // The graph, features, engines and router all grow below, before
-        // the round that wires the edges; a poisoned driver must not start.
-        self.check_poison()?;
         let in_dim = self.engines[0].model().in_dim();
         if feat.len() != in_dim {
             return Err(InkError::ShapeMismatch {
@@ -382,7 +317,6 @@ impl PartitionedInkStream {
         );
         assert!((part as usize) < self.cfg.parts, "assign_new label out of range");
         let v = self.graph.add_vertex();
-        self.features.push_row(feat);
         // Every engine grows the same isolated vertex (identical models ⇒
         // identical cached chain rows); only `part` owns it.
         for (i, e) in self.engines.iter_mut().enumerate() {
@@ -393,7 +327,7 @@ impl PartitionedInkStream {
         self.router.push_vertex(part);
         let changes: Vec<EdgeChange> =
             neighbors.iter().map(|&n| EdgeChange::insert(v, n)).collect();
-        let report = self.try_apply_delta(&DeltaBatch::new(changes))?;
+        let report = self.round(&DeltaBatch::new(changes), &[])?;
         Ok((v, report))
     }
 
@@ -410,46 +344,7 @@ impl PartitionedInkStream {
             changes
                 .extend(self.graph.in_neighbors(v).iter().map(|&n| EdgeChange::remove(n, v)));
         }
-        self.try_apply_delta(&DeltaBatch::new(changes))
-    }
-
-    /// Rebuilds every partition's cached state from one fresh global
-    /// bootstrap (per-partition bootstraps would recompute ghosts from
-    /// incomplete neighborhoods). Afterwards the merged output is bitwise
-    /// equal to full recomputation.
-    pub fn resync(&mut self) -> ResyncReport {
-        let t0 = Instant::now();
-        // A panicked step can leave sibling engines with rounds still open
-        // (the driver aborts them on the error path, but belt-and-braces:
-        // adopt_state below asserts no round is active).
-        for e in &mut self.engines {
-            e.round_abort();
-        }
-        let fresh = InkStream::with_hooks(
-            (self.model_factory)(),
-            self.graph.clone(),
-            self.features.clone(),
-            self.cfg.update,
-            self.hooks_factory.as_ref().map(|f| f()),
-        )
-        .expect("resync bootstrap shares shapes with the running engines");
-        let state = fresh.state().clone();
-        drop(fresh);
-        let mut f32_written = 0u64;
-        let per_engine: u64 = state
-            .m
-            .iter()
-            .chain(&state.alpha)
-            .chain(std::iter::once(&state.h))
-            .map(|m| (m.rows() * m.cols()) as u64)
-            .sum();
-        for e in &mut self.engines {
-            e.adopt_state(state.clone()).expect("resync state matches engine shapes");
-            f32_written += per_engine;
-        }
-        // Every engine's state is authoritative again; rounds may run.
-        self.poisoned = None;
-        ResyncReport { elapsed: t0.elapsed(), f32_written }
+        self.round(&DeltaBatch::new(changes), &[])
     }
 
     /// One partitioned round: see the module docs for the schedule.
@@ -459,7 +354,6 @@ impl PartitionedInkStream {
         fx: &[(VertexId, Vec<f32>)],
     ) -> Result<UpdateReport, InkError> {
         let t0 = Instant::now();
-        self.check_poison()?;
         // Validate feature updates before any mutation anywhere.
         let in_dim = self.engines[0].model().in_dim();
         for (v, feat) in fx {
@@ -471,7 +365,6 @@ impl PartitionedInkStream {
                     detail: format!("feature len {} != {in_dim}", feat.len()),
                 });
             }
-            self.features.set_row(*v as usize, feat);
         }
 
         // Global replica: authoritative effective-change list + skip count.
@@ -496,10 +389,9 @@ impl PartitionedInkStream {
             if ps == pd {
                 continue;
             }
-            self.inst.boundary_events.inc();
+            self.boundary_events += 1;
             match c.op {
                 EdgeOp::Insert => {
-                    self.cut_edges += 1;
                     if self.table.add(c.src, pd) {
                         new_mirrors.push((c.src, pd));
                     }
@@ -508,7 +400,6 @@ impl PartitionedInkStream {
                     }
                 }
                 EdgeOp::Remove => {
-                    self.cut_edges -= 1;
                     if self.table.remove(c.src, pd) {
                         dropped.entry(c.src).or_default().push(pd);
                     }
@@ -529,7 +420,7 @@ impl PartitionedInkStream {
                 let row = self.engines[o].state().m[l].row(v as usize).to_vec();
                 self.engines[q as usize].set_message_row(l, v, &row);
             }
-            self.inst.mirror_seeds.inc();
+            self.mirror_seeds += 1;
         }
 
         // Open the round everywhere. Feature updates go to every engine
@@ -543,7 +434,7 @@ impl PartitionedInkStream {
         // BSP sweep: rescale → boundary exchange → process, per layer.
         let mut buf: Vec<(VertexId, Vec<f32>)> = Vec::new();
         for l in 0..k {
-            self.step(StepOp::Rescale(l))?;
+            self.step(StepOp::Rescale(l));
             for p in 0..self.cfg.parts {
                 buf.clear();
                 self.engines[p].round_changed_rows(l, &mut buf);
@@ -556,11 +447,11 @@ impl PartitionedInkStream {
                     }
                     for &q in &targets {
                         self.engines[q as usize].round_ingest_refresh(l, *v, row);
-                        self.inst.replica_refreshes.inc();
+                        self.replica_refreshes += 1;
                     }
                 }
             }
-            self.step(StepOp::Process(l))?;
+            self.step(StepOp::Process(l));
         }
 
         let mut report = UpdateReport::default();
@@ -572,76 +463,41 @@ impl PartitionedInkStream {
         // replaces the max-partition fold for the same reason.
         report.skipped_changes = skipped;
         report.elapsed = t0.elapsed();
-        self.inst.rounds.inc();
-        self.inst.cut_edges.set_u64(self.cut_edges as u64);
-        self.inst.replicas.set_u64(self.table.total_mirrors() as u64);
         Ok(report)
-    }
-
-    /// Fails fast with the stored [`InkError::WorkerPanic`] while the driver
-    /// is poisoned, before any graph replica mutates: the driver and engine
-    /// graphs must stay in lockstep for resync.
-    fn check_poison(&self) -> Result<(), InkError> {
-        self.poisoned.clone().map_or(Ok(()), Err)
     }
 
     /// Runs `op` over every engine, one engine per block of a parallel call
     /// on the caller's rayon pool, and accumulates per-partition wall time,
-    /// the hand-off delay and the straggler skew. A panicking step is caught
-    /// there; the driver then aborts every engine's round (restoring the "no
-    /// active round" invariant `resync` relies on), poisons itself and
-    /// returns the typed error.
-    fn step(&mut self, op: StepOp) -> Result<(), InkError> {
+    /// the hand-off delay and the straggler skew.
+    fn step(&mut self, op: StepOp) {
         struct Slot<'a> {
             engine: &'a mut InkStream,
             handoff: Duration,
             took: Duration,
-            panic: Option<String>,
         }
         let start = Instant::now();
         let mut slots: Vec<Slot<'_>> = self
             .engines
             .iter_mut()
-            .map(|engine| Slot {
-                engine,
-                handoff: Duration::ZERO,
-                took: Duration::ZERO,
-                panic: None,
-            })
+            .map(|engine| Slot { engine, handoff: Duration::ZERO, took: Duration::ZERO })
             .collect();
         slots.par_chunks_mut(1).for_each(|chunk| {
             let slot = &mut chunk[0];
             let t = Instant::now();
             slot.handoff = t - start;
-            slot.panic = catch_unwind(AssertUnwindSafe(|| op.run(slot.engine)))
-                .err()
-                .map(|payload| payload_str(payload.as_ref()));
+            op.run(slot.engine);
             slot.took = t.elapsed();
         });
         let (mut min, mut max) = (Duration::MAX, Duration::ZERO);
-        let mut panicked = None;
         for (p, slot) in slots.into_iter().enumerate() {
             self.walls[p] += slot.took;
-            self.inst.wall_ns[p].add(slot.took.as_nanos() as u64);
-            self.inst.park_ns.record(slot.handoff.as_nanos() as u64);
+            self.park_ns.record(slot.handoff.as_nanos() as u64);
             min = min.min(slot.took);
             max = max.max(slot.took);
-            if let Some(detail) = slot.panic {
-                panicked.get_or_insert(InkError::WorkerPanic { partition: p, detail });
-            }
         }
         if self.engines.len() > 1 {
-            self.inst.step_skew.record((max - min).as_nanos() as u64);
+            self.step_skew.record((max - min).as_nanos() as u64);
         }
-        if let Some(err) = panicked {
-            for e in &mut self.engines {
-                e.round_abort();
-            }
-            self.inst.panics.inc();
-            self.poisoned = Some(err.clone());
-            return Err(err);
-        }
-        Ok(())
     }
 
     /// A copy of the routing function (the assignment sits behind an `Arc`,
@@ -649,11 +505,6 @@ impl PartitionedInkStream {
     /// [`DeltaRouter::route`] without borrowing the driver.
     pub fn routing_view(&self) -> DeltaRouter {
         self.router.clone()
-    }
-
-    /// [`InkStream::audit_vertex`] of `v` on the engine that owns it.
-    fn audit_vertex(&self, v: VertexId) -> f32 {
-        self.engines[self.router.owner(v) as usize].audit_vertex(v)
     }
 
     /// Worst absolute difference between any ghost message row and its
@@ -682,70 +533,11 @@ impl PartitionedInkStream {
         PartitionSummary {
             parts: self.cfg.parts,
             quality: partition_quality(&self.graph, self.router.assignment(), self.cfg.parts),
-            boundary_events: self.inst.boundary_events.get(),
-            replica_refreshes: self.inst.replica_refreshes.get(),
-            mirror_seeds: self.inst.mirror_seeds.get(),
+            boundary_events: self.boundary_events,
+            replica_refreshes: self.replica_refreshes,
+            mirror_seeds: self.mirror_seeds,
             partition_wall: self.walls.clone(),
         }
-    }
-}
-
-/// The driver under a [`StreamSession`] or a server: audits run on
-/// each vertex's owner, and the full audit adds the mirror-consistency sweep
-/// (a partition-only failure mode a vertex-level audit cannot see).
-impl Engine for PartitionedInkStream {
-    fn apply(&mut self, delta: &DeltaBatch) -> Result<UpdateReport, InkError> {
-        self.try_apply_delta(delta)
-    }
-
-    fn audit_full(&self) -> f32 {
-        let owned = (0..self.graph.num_vertices() as VertexId)
-            .fold(0.0, |worst, v| nan_max(worst, self.audit_vertex(v)));
-        nan_max(owned, self.mirror_deviation())
-    }
-
-    fn audit_vertices(&self, vs: &[VertexId]) -> f32 {
-        vs.iter().fold(0.0, |worst, &v| nan_max(worst, self.audit_vertex(v)))
-    }
-
-    fn resync(&mut self) -> ResyncReport {
-        PartitionedInkStream::resync(self)
-    }
-
-    fn graph(&self) -> &DynGraph {
-        &self.graph
-    }
-
-    fn take_dirty_rows(&mut self, out: &mut Vec<VertexId>) -> bool {
-        PartitionedInkStream::take_dirty_rows(self, out)
-    }
-
-    fn scratch_bytes(&self) -> usize {
-        self.engines.iter().map(InkStream::scratch_bytes).sum()
-    }
-
-    fn checkpoint(&self, _w: &mut dyn std::io::Write) -> Result<(), InkError> {
-        Err(InkError::Unsupported {
-            detail: "a partitioned engine has no checkpoint format; checkpoint a single \
-                     engine and partition it on restore"
-                .into(),
-        })
-    }
-}
-
-/// Lets a snapshot publish read rows straight from their owning engines
-/// instead of from a gathered copy of the whole output.
-impl RowSource for PartitionedInkStream {
-    fn shape(&self) -> (usize, usize) {
-        (self.graph.num_vertices(), self.engines[0].model().out_dim())
-    }
-
-    fn row(&self, v: usize) -> &[f32] {
-        self.engines[self.router.owner(v as VertexId) as usize].state().h.row(v)
-    }
-
-    fn copy_into(&self, dst: &mut Matrix) {
-        self.output_into(dst);
     }
 }
 
@@ -766,26 +558,6 @@ fn subgraph(g: &DynGraph, assignment: &[u32], p: u32) -> DynGraph {
         }
     }
     sub
-}
-
-/// Renders a panic payload: the message for `&str`/`String` panics, a
-/// placeholder otherwise.
-fn payload_str(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Cut edges of `g` under `assignment` (undirected edges count once).
-fn count_cut_edges(g: &DynGraph, assignment: &[u32]) -> usize {
-    g.edges()
-        .iter()
-        .filter(|&&(u, v)| assignment[u as usize] != assignment[v as usize])
-        .count()
 }
 
 #[cfg(test)]
@@ -885,16 +657,6 @@ mod tests {
             assert_eq!(&parted.output(), single.output(), "{threads} threads");
             assert_eq!(rp.output_changed, rs.output_changed, "{threads} threads");
         }
-    }
-
-    #[test]
-    fn resync_restores_bitwise_reference() {
-        let (mut single, mut parted) = setup(3);
-        let delta = DeltaBatch::new(vec![EdgeChange::insert(2, 19), EdgeChange::insert(4, 9)]);
-        single.apply_delta(&delta);
-        parted.apply_delta(&delta);
-        parted.resync();
-        assert_eq!(&parted.output(), &single.recompute_reference());
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! The design follows the scale-out recipe of Ripple-style streaming GNN
 //! systems (see PAPERS.md): vertex partitioning with boundary-vertex
 //! replication and cross-partition update routing, layered on top of the
-//! single-engine event pipeline instead of replacing it.
+//! single-engine event pipeline instead of replacing it. The driver is
+//! in-process only — no session, server or checkpoint takes it — and is
+//! kept for the benchmark's `partition_bulk` workload, which measures it
+//! against one engine (DESIGN.md §10).
 //!
 //! * [`partitioner`] — [`Partitioner`] strategies ([`HashPartitioner`],
 //!   [`GreedyEdgeCut`]) that label every vertex with an owning partition.
@@ -21,12 +24,8 @@
 //!   foreign partitions holding a ghost copy, refcounted by cut edges.
 //! * [`engine`] — [`PartitionedInkStream`]: the BSP driver stepping every
 //!   engine layer by layer with a boundary-row exchange in between. Each
-//!   step runs the engines as blocks on the caller's rayon pool; a panicking
-//!   step poisons the driver into a typed error instead of aborting. It
-//!   implements [`inkstream::Engine`], so ingest batching, drift audits,
-//!   breach actions and the summary come from the one
-//!   [`inkstream::StreamSession`] that also wraps a single engine.
-//!
+//!   step runs the engines as blocks on the caller's rayon pool.
+
 //! ## Ownership model
 //!
 //! Every engine sees the **full vertex set** (global ids, full-width state
@@ -69,7 +68,6 @@
 //! ```
 
 pub mod engine;
-pub mod metrics;
 pub mod partitioner;
 pub mod replication;
 pub mod router;

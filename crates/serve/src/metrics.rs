@@ -111,9 +111,9 @@ pub struct ServerMetrics {
     /// Connection stalls from Block backpressure (a full ingest queue parked
     /// one connection's update until the next drain).
     pub stalls: Arc<Counter>,
-    /// Epochs whose backend apply reported an error (drift-audit breach
-    /// under a `Fail` policy, or a poisoned partitioned driver). The
-    /// server keeps serving the last good snapshot either way.
+    /// Epochs whose ingest failed its drift audit under a `Fail` policy.
+    /// The batch is applied all the same: the epoch still publishes and its
+    /// flush barriers still resolve.
     pub apply_errors: Arc<Counter>,
     /// Live client connections.
     pub connections: Arc<Gauge>,
@@ -180,7 +180,7 @@ impl ServerMetrics {
             ),
             apply_errors: registry.counter(
                 "ink_serve_apply_errors_total",
-                "Epochs whose backend apply reported an error (audit breach or poisoned pool)",
+                "Epochs whose ingest failed its drift audit (DriftAction::Fail)",
             ),
             connections: registry.gauge("ink_serve_connections", "Live client connections"),
             query_latency: registry.histogram(

@@ -13,11 +13,10 @@
 //!   write queue, no intermediate `Response` allocation — and routes
 //!   updates into the one [`IngestQueue`] FIFO. Pipelined responses go out
 //!   strictly in request order per connection.
-//! * **writer thread** — the only thread that owns the
-//!   [`StreamSession`] (over any [`Engine`]: a single `InkStream`, or the
-//!   partition-parallel driver from `ink-partition`): drains a prefix of
-//!   the queue, coalesces it into one net [`DeltaBatch`], ingests it, and
-//!   publishes a fresh snapshot epoch — all on this one thread, so
+//! * **writer thread** — the only thread that owns the [`StreamSession`]:
+//!   drains a prefix of the queue, coalesces it into one net
+//!   [`DeltaBatch`], ingests it, and publishes a fresh snapshot epoch —
+//!   all on this one thread, so
 //!   admission order, epoch monotonicity and flush-barrier semantics need
 //!   no hand-off to preserve them. It parks on the queue's condvar between
 //!   drains (no polling) and signals the event loop through a
@@ -42,9 +41,8 @@ use crate::protocol::{
 use crate::queue::{Admission, Backpressure, Drained, IngestQueue};
 use ink_graph::{DeltaBatch, EdgeChange, VertexId};
 use ink_obs::{MetricsRegistry, Tracer};
-use ink_tensor::Matrix;
 use inkstream::snapshot::{EmbeddingSnapshot, SnapshotPublisher, SnapshotReader};
-use inkstream::{Engine, InkStream, StreamSession};
+use inkstream::{InkStream, StreamSession};
 use mio::{Events, Interest, Poll, Token, Waker};
 use std::collections::HashMap;
 use std::io;
@@ -62,6 +60,10 @@ const LISTENER: usize = 0;
 const WAKER: usize = 1;
 /// First token handed to a client connection.
 const FIRST_CONN: usize = 2;
+/// Upper bound on one event-loop tick: the poll timeout used when no I/O is
+/// ready. Wakeups (new completions, freed queue space, shutdown) arrive
+/// eagerly through the waker; this only bounds the idle tick.
+const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Server tunables. See the README "Serving" section for a capacity-planning
 /// guide relating these to client counts and update rates.
@@ -75,10 +77,6 @@ pub struct ServeConfig {
     pub max_drain: usize,
     /// Where the shutdown checkpoint goes (`None` disables it).
     pub checkpoint_path: Option<PathBuf>,
-    /// Upper bound on one event-loop tick: the poll timeout used when no
-    /// I/O is ready. Wakeups (new completions, freed queue space, shutdown)
-    /// arrive eagerly through the waker; this only bounds the idle tick.
-    pub poll_interval: Duration,
 }
 
 impl Default for ServeConfig {
@@ -88,7 +86,6 @@ impl Default for ServeConfig {
             backpressure: Backpressure::Block,
             max_drain: 32,
             checkpoint_path: None,
-            poll_interval: Duration::from_millis(50),
         }
     }
 }
@@ -111,7 +108,6 @@ struct Shared {
     /// Output embedding width, reported by `Hello`.
     feat_dim: u32,
     directed: bool,
-    poll_interval: Duration,
     /// Wakes the event loop out of `poll` (writer → loop signal).
     waker: Arc<Waker>,
 }
@@ -134,23 +130,17 @@ pub struct InkServer;
 
 impl InkServer {
     /// Starts serving `session` on `addr` (use port 0 for an ephemeral
-    /// port; the bound address is on the returned handle). The session may
-    /// wrap any [`Engine`]; every engine applies the identical globally
-    /// ordered, globally coalesced batch stream, so the published snapshots
-    /// are bitwise equal whichever one runs.
-    pub fn bind<E: Engine + Send + 'static>(
+    /// port; the bound address is on the returned handle).
+    pub fn bind(
         addr: impl ToSocketAddrs,
-        session: StreamSession<E>,
+        session: StreamSession,
         config: ServeConfig,
-    ) -> io::Result<ServerHandle<E>> {
+    ) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let engine = session.engine();
-        let (rows, cols) = engine.shape();
-        let mut bootstrap = Matrix::zeros(rows, cols);
-        engine.copy_into(&mut bootstrap);
-        let (publisher, reader) = SnapshotPublisher::new(bootstrap);
+        let (publisher, reader) = SnapshotPublisher::new(engine.output().clone());
         let poll = Poll::new()?;
         poll.register(&listener, Token(LISTENER), Interest::READABLE)?;
         let waker = Arc::new(Waker::new(&poll, Token(WAKER))?);
@@ -165,9 +155,8 @@ impl InkServer {
             epochs: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             num_vertices: engine.graph().num_vertices() as u64,
-            feat_dim: cols as u32,
+            feat_dim: engine.output().cols() as u32,
             directed: engine.graph().is_directed(),
-            poll_interval: config.poll_interval,
             waker,
         });
         let writer_thread = {
@@ -206,15 +195,15 @@ impl InkServer {
 /// A running server. Dropping the handle without calling
 /// [`ServerHandle::shutdown`] stops the threads without draining — call
 /// `shutdown` for a graceful drain.
-pub struct ServerHandle<E: Engine = InkStream> {
+pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     event_thread: Option<JoinHandle<()>>,
-    writer_thread: Option<JoinHandle<StreamSession<E>>>,
+    writer_thread: Option<JoinHandle<StreamSession>>,
     checkpoint_path: Option<PathBuf>,
 }
 
-impl<E: Engine> Drop for ServerHandle<E> {
+impl Drop for ServerHandle {
     fn drop(&mut self) {
         // Un-graceful path: stop the threads so tests that panic don't hang.
         self.shared.shutdown.store(true, Ordering::SeqCst);
@@ -223,7 +212,7 @@ impl<E: Engine> Drop for ServerHandle<E> {
     }
 }
 
-impl<E: Engine> ServerHandle<E> {
+impl ServerHandle {
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
@@ -245,10 +234,10 @@ impl<E: Engine> ServerHandle<E> {
     /// (which delivers the final flush acks and best-effort writes before
     /// the sockets drop), write the checkpoint (when configured) and return
     /// the session with the final serving counters. The checkpoint goes to a
-    /// temp file renamed over the path, so a crash mid-write never tears it. An
-    /// engine that cannot checkpoint ([`Engine::checkpoint`] returned `Err`)
-    /// fails the shutdown after the drain and leaves the path as it was.
-    pub fn shutdown(mut self) -> io::Result<(StreamSession<E>, ServeStats)> {
+    /// temp file renamed over the path, so a crash mid-write never tears it. A
+    /// checkpoint that cannot be written fails the shutdown after the drain
+    /// and leaves the path as it was.
+    pub fn shutdown(mut self) -> io::Result<(StreamSession, ServeStats)> {
         self.shared.ingest.close();
         let writer = self.writer_thread.take().expect("shutdown runs once");
         let session =
@@ -271,15 +260,15 @@ impl<E: Engine> ServerHandle<E> {
 
 /// Writes `engine`'s checkpoint to a sibling temp file, syncs it, renames it
 /// over `path` and syncs the directory, so `path` only ever holds a whole
-/// checkpoint. On any error (a refusing engine included) only the temp file
-/// is removed: the previous checkpoint at `path`, if any, survives unchanged.
-fn write_checkpoint<E: Engine>(engine: &E, path: &Path) -> io::Result<()> {
+/// checkpoint. On any error only the temp file is removed: the previous
+/// checkpoint at `path`, if any, survives unchanged.
+fn write_checkpoint(engine: &InkStream, path: &Path) -> io::Result<()> {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(".tmp");
     let tmp = path.with_file_name(name);
     let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
     let written = std::fs::File::create(&tmp).and_then(|mut f| {
-        engine.checkpoint(&mut f).map_err(io::Error::other)?;
+        inkstream::checkpoint::save(engine, &mut f)?;
         f.sync_all()?;
         std::fs::rename(&tmp, path)?;
         std::fs::File::open(dir)?.sync_all()
@@ -296,8 +285,8 @@ fn write_checkpoint<E: Engine>(engine: &E, path: &Path) -> io::Result<()> {
 /// barriers drained with it, and signal the event loop. Flush ids ride
 /// *inside* the drain they follow, so acking after its epoch publishes
 /// preserves read-your-writes exactly.
-fn apply_epoch<E: Engine>(
-    session: &mut StreamSession<E>,
+fn apply_epoch(
+    session: &mut StreamSession,
     publisher: &mut SnapshotPublisher,
     dirty_rows: &mut Vec<VertexId>,
     shared: &Shared,
@@ -314,10 +303,8 @@ fn apply_epoch<E: Engine>(
         let apply_start = Instant::now();
         {
             let _span = shared.tracer.span("serve", "ingest");
-            // A Fail drift-policy breach, or an engine that refused the
-            // batch (a panicked engine step poisoned the partitioned
-            // driver). The serving loop keeps going either way — readers
-            // stay on the last good snapshot.
+            // A Fail drift-policy breach: the batch is applied but the
+            // audit refused the state. The serving loop keeps going.
             if session.ingest(&batch).is_err() {
                 shared.metrics.apply_errors.inc();
             }
@@ -330,7 +317,8 @@ fn apply_epoch<E: Engine>(
             // when it knows them.
             dirty_rows.clear();
             let known = session.engine_mut().take_dirty_rows(dirty_rows);
-            publisher.publish_rows(session.engine(), known.then_some(&dirty_rows[..]), epoch)
+            let rows = known.then_some(&dirty_rows[..]);
+            publisher.publish_rows(session.engine().output(), rows, epoch)
         };
         let done = Instant::now();
         shared.metrics.publish_latency.record((done - publish_start).as_nanos() as u64);
@@ -370,13 +358,13 @@ fn apply_epoch<E: Engine>(
 /// The writer: owns the session and the epoch counter, and runs drain →
 /// coalesce → apply → publish on one thread until the queue is closed and
 /// empty.
-fn writer_loop<E: Engine>(
-    mut session: StreamSession<E>,
+fn writer_loop(
+    mut session: StreamSession,
     mut publisher: SnapshotPublisher,
     shared: Arc<Shared>,
     max_drain: usize,
     completions: SyncSender<(u64, u64)>,
-) -> StreamSession<E> {
+) -> StreamSession {
     // Reused across epochs: the rows each publish has to copy.
     let mut dirty_rows: Vec<VertexId> = Vec::new();
     loop {
@@ -408,7 +396,7 @@ impl EventLoop {
     fn run(mut self) {
         let mut events = Events::with_capacity(1024);
         loop {
-            let _ = self.poll.poll(&mut events, Some(self.shared.poll_interval));
+            let _ = self.poll.poll(&mut events, Some(POLL_INTERVAL));
             let fired: Vec<(usize, bool, bool)> =
                 events.iter().map(|e| (e.token().0, e.is_readable(), e.is_writable())).collect();
             for (token, readable, writable) in fired {

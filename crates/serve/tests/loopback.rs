@@ -5,7 +5,7 @@
 //! The engine runs max aggregation, where incremental outputs are bitwise
 //! equal to full recomputation — so after the updater's `i`-th
 //! update+flush, epoch `i + 1` must equal the reference engine after `i + 1`
-//! raw batches, no matter how the server coalesced or partitioned the work.
+//! raw batches, no matter how the server coalesced the work.
 //! Query clients race the writer the whole time and verify whatever epoch
 //! they observe against the precomputed per-epoch outputs. Shutdown must
 //! leave a checkpoint that loads back into a bitwise-identical engine.
@@ -13,12 +13,11 @@
 use ink_gnn::{Aggregator, Model};
 use ink_graph::generators::erdos_renyi;
 use ink_graph::{DeltaBatch, DynGraph, EdgeChange};
-use ink_partition::{HashPartitioner, PartitionConfig, PartitionedInkStream};
 use ink_serve::protocol::{read_frame, write_frame, Request, Response};
 use ink_serve::{Backpressure, InkClient, InkServer, ServeConfig};
 use ink_tensor::init::{seeded_rng, sparse_power_law};
 use ink_tensor::Matrix;
-use inkstream::{InkStream, SessionConfig, StreamSession, UpdateConfig};
+use inkstream::{DriftAction, DriftPolicy, InkStream, SessionConfig, StreamSession, UpdateConfig};
 use rand::RngExt;
 use std::io::Write;
 use std::net::TcpStream;
@@ -46,20 +45,6 @@ fn graph() -> DynGraph {
 fn engine() -> InkStream {
     let feats = sparse_power_law(&mut seeded_rng(FEAT_SEED), N, FEAT_DIM, 0.2, 0.9);
     InkStream::new(model(), graph(), feats, UpdateConfig::default()).unwrap()
-}
-
-/// The same model, graph and features as `source`, split three ways behind
-/// the one session layer (and the one `InkServer::bind`).
-fn parted_session(source: &InkStream) -> StreamSession<PartitionedInkStream> {
-    PartitionedInkStream::new(
-        model,
-        source.graph().clone(),
-        source.features().clone(),
-        HashPartitioner,
-        PartitionConfig { parts: 3, ..Default::default() },
-    )
-    .expect("partitioned bootstrap")
-    .into_session(SessionConfig::default())
 }
 
 /// The deterministic update stream both the server and the reference see.
@@ -279,20 +264,17 @@ fn invalid_updates_are_refused_not_applied() {
     assert!(session.engine().graph().has_edge(0, 1));
 }
 
-/// Regression test for the mid-frame desync: a client that stalls for much
-/// longer than the server's poll interval *inside* a frame (between the
+/// Regression test for the mid-frame desync: a client that stalls for longer
+/// than the server's 50 ms idle poll tick *inside* a frame (between the
 /// length prefix and the payload, and between payload bytes) must still get
 /// a correct response, and the connection must stay usable afterwards.
 /// With a per-read socket timeout this dribbled frame would desync the
 /// stream — `read_exact` discards the bytes consumed before the timeout.
 #[test]
 fn slow_mid_frame_writes_do_not_desync_the_connection() {
-    let handle = InkServer::bind(
-        "127.0.0.1:0",
-        StreamSession::new(engine()),
-        ServeConfig { poll_interval: Duration::from_millis(5), ..ServeConfig::default() },
-    )
-    .unwrap();
+    let handle =
+        InkServer::bind("127.0.0.1:0", StreamSession::new(engine()), ServeConfig::default())
+            .unwrap();
 
     let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
     stream.set_nodelay(true).unwrap();
@@ -302,7 +284,7 @@ fn slow_mid_frame_writes_do_not_desync_the_connection() {
     for byte in wire {
         stream.write_all(&[byte]).unwrap();
         stream.flush().unwrap();
-        std::thread::sleep(Duration::from_millis(15)); // 3x the poll interval
+        std::thread::sleep(Duration::from_millis(75)); // 1.5x the idle poll tick
     }
     let resp = Response::decode(&read_frame(&mut stream).unwrap().unwrap()).unwrap();
     match resp {
@@ -523,58 +505,42 @@ fn retired_batch_tag_is_refused_and_the_connection_lives() {
     assert!(session.engine().graph().has_edge(0, 1));
 }
 
-/// The partition-parallel engine behind the same `bind`, wire protocol and
-/// session layer: fed the identical update stream it must publish epochs
-/// bitwise equal to the single-threaded reference (max aggregation makes
-/// incremental == full recompute exactly), and its scrape and trace dump
-/// must carry the session's families and spans next to `ink_partition_*`.
+/// An epoch whose ingest fails (a `Fail` drift policy over a planted NaN,
+/// so every full audit breaches) is still published and still resolves its
+/// flush barrier: readers and writers never wait on a refused ingest. Each
+/// refusal ticks `ink_serve_apply_errors_total`, and shutdown hands the
+/// session back.
 #[test]
-fn partitioned_backend_matches_single_threaded_reference_bitwise() {
-    let batches = update_batches();
-    let expected = reference_outputs(&batches);
-
+fn failed_ingests_are_counted_and_flushes_still_resolve() {
+    let mut engine = engine();
+    engine.state_mut().h.set(0, 0, f32::NAN);
+    let config = SessionConfig {
+        drift: DriftPolicy::full(1, 0.0).with_action(DriftAction::Fail),
+        ..SessionConfig::default()
+    };
     let handle = InkServer::bind(
         "127.0.0.1:0",
-        parted_session(&engine()),
-        ServeConfig { queue_capacity: 8, backpressure: Backpressure::Block, ..ServeConfig::default() },
+        StreamSession::with_config(engine, config),
+        ServeConfig::default(),
     )
     .unwrap();
-
     let mut client = InkClient::connect(handle.local_addr()).unwrap();
-    for (i, batch) in batches.iter().enumerate() {
-        client.update(batch.clone()).unwrap().expect("block mode never rejects");
-        let epoch = client.flush().unwrap();
-        assert_eq!(epoch as usize, i + 1, "one epoch per flushed update");
-        let v = (i % N) as u32;
-        let (e, values) = client.embedding(v).unwrap();
-        assert_eq!(e, epoch);
-        assert_eq!(values, expected[e as usize].row(v as usize), "bitwise at epoch {e}");
-    }
-
-    assert_eq!(scraped(&mut client, "ink_session_ingests_total"), BATCHES as f64);
-    assert_eq!(scraped(&mut client, "ink_partition_rounds_total"), BATCHES as f64);
-    assert_eq!(scraped(&mut client, "ink_pipeline_phase_apply_ns_count"), BATCHES as f64);
-    let trace = client.trace_dump().unwrap();
-    for name in ["\"epoch\"", "\"batch\"", "\"generate\"", "\"apply\""] {
-        assert!(trace.contains(name), "partitioned trace dump missing {name}");
+    for (i, batch) in update_batches().into_iter().take(3).enumerate() {
+        client.update(batch).unwrap().expect("block mode never rejects");
+        assert_eq!(client.flush().unwrap() as usize, i + 1, "the refused epoch publishes");
+        assert_eq!(scraped(&mut client, "ink_serve_apply_errors_total"), (i + 1) as f64);
     }
     drop(client);
-
     let (session, stats) = handle.shutdown().unwrap();
-    assert_eq!(stats.epochs, BATCHES as u64);
-    assert_eq!(session.summary().ingests, BATCHES, "the session summary is the partitioned one");
-    assert_eq!(
-        session.engine().output().as_slice(),
-        expected.last().unwrap().as_slice(),
-        "partitioned final state equals the reference replay bitwise"
-    );
+    assert_eq!(stats.epochs, 3);
+    let drift = session.drift_stats();
+    assert_eq!((drift.full_audits, drift.breaches, drift.nan_detected), (3, 3, 3));
 }
 
-/// `ServeConfig::checkpoint_path` means the same thing for every engine:
-/// either shutdown leaves a loadable checkpoint, or it says why not. The
-/// partitioned engine has no checkpoint format — its shutdown still drains
-/// and publishes everything admitted, then fails with the engine's typed
-/// error and leaves no file — never success with nothing written.
+/// `ServeConfig::checkpoint_path` is honoured or refused, never ignored:
+/// either shutdown leaves a loadable checkpoint, or it drains and publishes
+/// everything admitted, then fails and leaves the last good file at the path
+/// byte-identical — never success with nothing written.
 #[test]
 fn checkpoint_path_is_honoured_or_refused_never_ignored() {
     let dir = std::env::temp_dir().join(format!("ink-serve-ckpt-{}", std::process::id()));
@@ -608,20 +574,21 @@ fn checkpoint_path_is_honoured_or_refused_never_ignored() {
     };
     assert_eq!(listing(), ["single"], "no temp file is left behind");
 
-    // A refused checkpoint must not touch the last good one at its path.
+    // A failed checkpoint must not touch the last good one at its path. A
+    // directory where the temp file goes makes creating it fail.
     let previous = b"last run's checkpoint".to_vec();
-    std::fs::write(dir.join("parted"), &previous).unwrap();
+    std::fs::write(dir.join("kept"), &previous).unwrap();
+    std::fs::create_dir(dir.join("kept.tmp")).unwrap();
     let handle =
-        InkServer::bind("127.0.0.1:0", parted_session(&engine()), config("parted")).unwrap();
+        InkServer::bind("127.0.0.1:0", StreamSession::new(engine()), config("kept")).unwrap();
     let reader = handle.snapshot_reader();
     drive(handle.local_addr());
-    let err = handle.shutdown().err().expect("a partitioned engine cannot checkpoint");
-    assert!(err.to_string().contains("no checkpoint format"), "{err}");
-    let kept = std::fs::read(dir.join("parted")).expect("a refused checkpoint keeps the old file");
-    assert_eq!(kept, previous, "a refused checkpoint leaves the old file unchanged");
-    assert_eq!(listing(), ["parted", "single"], "no temp file is left behind");
+    handle.shutdown().err().expect("the temp file cannot be created");
+    let kept = std::fs::read(dir.join("kept")).expect("a failed checkpoint keeps the old file");
+    assert_eq!(kept, previous, "a failed checkpoint leaves the old file byte-identical");
+    assert_eq!(listing(), ["kept", "kept.tmp", "single"], "nothing else is left behind");
     let last = reader.load();
-    assert_eq!(last.epoch, 1, "the refusal comes after the drain");
+    assert_eq!(last.epoch, 1, "the failure comes after the drain");
     assert!(bits(&last.embeddings) == bits(reference.output()));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -670,12 +637,12 @@ fn scraped(client: &mut InkClient, sample: &str) -> f64 {
         .value
 }
 
-/// Delta publish under a pinning reader, on both backends: an in-process
-/// reader holds one snapshot across more than 50 epochs. It must never
-/// change, every later epoch must still equal the single-threaded replay
-/// bitwise (whole matrix, not a sampled row), and the pin may cost exactly
-/// one whole-matrix copy — the publish that wanted the pinned buffer back —
-/// on top of the first publish, which has no buffer to recycle.
+/// Delta publish under a pinning reader: an in-process reader holds one
+/// snapshot across more than 50 epochs. It must never change, every later
+/// epoch must still equal the single-threaded replay bitwise (whole matrix,
+/// not a sampled row), and the pin may cost exactly one whole-matrix copy —
+/// the publish that wanted the pinned buffer back — on top of the first
+/// publish, which has no buffer to recycle.
 #[test]
 fn pinned_reader_sees_its_snapshot_unchanged_across_delta_publishes() {
     const EPOCHS: usize = 56;
@@ -690,56 +657,36 @@ fn pinned_reader_sees_its_snapshot_unchanged_across_delta_publishes() {
         expected.push(bits(reference.output()));
     }
 
-    for partitioned in [false, true] {
-        let (addr, reader, shutdown): (_, _, Box<dyn FnOnce() -> Matrix>) = if partitioned {
-            let session = parted_session(&big_engine());
-            let h = InkServer::bind("127.0.0.1:0", session, ServeConfig::default()).unwrap();
-            (
-                h.local_addr(),
-                h.snapshot_reader(),
-                Box::new(move || h.shutdown().unwrap().0.engine().output()),
-            )
-        } else {
-            let session = StreamSession::new(big_engine());
-            let h = InkServer::bind("127.0.0.1:0", session, ServeConfig::default()).unwrap();
-            (
-                h.local_addr(),
-                h.snapshot_reader(),
-                Box::new(move || h.shutdown().unwrap().0.engine().output().clone()),
-            )
-        };
-
-        let mut client = InkClient::connect(addr).unwrap();
-        let mut pinned = None;
-        for (i, batch) in batches.iter().enumerate() {
-            client.update(batch.clone()).unwrap().expect("block mode never rejects");
-            let epoch = client.flush().unwrap() as usize;
-            assert_eq!(epoch, i + 1, "one epoch per flushed update");
-            // Loaded and dropped before the next update: never in the way.
-            let snap = reader.load();
-            assert_eq!(snap.epoch as usize, epoch);
-            assert!(
-                bits(&snap.embeddings) == expected[epoch],
-                "epoch {epoch} differs from the replay (partitioned={partitioned})"
-            );
-            if epoch == PIN_AT {
-                pinned = Some(snap);
-            }
+    let session = StreamSession::new(big_engine());
+    let handle = InkServer::bind("127.0.0.1:0", session, ServeConfig::default()).unwrap();
+    let reader = handle.snapshot_reader();
+    let mut client = InkClient::connect(handle.local_addr()).unwrap();
+    let mut pinned = None;
+    for (i, batch) in batches.iter().enumerate() {
+        client.update(batch.clone()).unwrap().expect("block mode never rejects");
+        let epoch = client.flush().unwrap() as usize;
+        assert_eq!(epoch, i + 1, "one epoch per flushed update");
+        // Loaded and dropped before the next update: never in the way.
+        let snap = reader.load();
+        assert_eq!(snap.epoch as usize, epoch);
+        assert!(bits(&snap.embeddings) == expected[epoch], "epoch {epoch} differs from the replay");
+        if epoch == PIN_AT {
+            pinned = Some(snap);
         }
-        let pinned = pinned.expect("the stream is longer than PIN_AT");
-        assert_eq!(pinned.epoch as usize, PIN_AT);
-        assert!(bits(&pinned.embeddings) == expected[PIN_AT], "a held snapshot never changes");
-
-        assert_eq!(scraped(&mut client, "ink_serve_publish_rows_count"), EPOCHS as f64);
-        let full = scraped(&mut client, "ink_serve_publish_full_total");
-        assert_eq!(full, 2.0, "first publish + the one pinned swap (partitioned={partitioned})");
-        drop(client);
-
-        let final_output = shutdown();
-        assert!(bits(&final_output) == expected[EPOCHS]);
-        assert!(bits(&reader.load().embeddings) == expected[EPOCHS]);
-        assert!(bits(&pinned.embeddings) == expected[PIN_AT], "not even by shutdown");
     }
+    let pinned = pinned.expect("the stream is longer than PIN_AT");
+    assert_eq!(pinned.epoch as usize, PIN_AT);
+    assert!(bits(&pinned.embeddings) == expected[PIN_AT], "a held snapshot never changes");
+
+    assert_eq!(scraped(&mut client, "ink_serve_publish_rows_count"), EPOCHS as f64);
+    let full = scraped(&mut client, "ink_serve_publish_full_total");
+    assert_eq!(full, 2.0, "first publish + the one pinned swap");
+    drop(client);
+
+    let (session, _) = handle.shutdown().unwrap();
+    assert!(bits(session.engine().output()) == expected[EPOCHS]);
+    assert!(bits(&reader.load().embeddings) == expected[EPOCHS]);
+    assert!(bits(&pinned.embeddings) == expected[PIN_AT], "not even by shutdown");
 }
 
 /// Shutdown racing the writer: updates are acknowledged but never flushed,

@@ -1,9 +1,7 @@
 //! Property test for the writer's ordering contract: under random
 //! interleavings of updates, flush barriers and queries, a client must
 //! observe **read-your-writes at every flush** — the epoch a flush returns
-//! already reflects every update the client admitted before it, bitwise —
-//! for both engines (single and partition-parallel) behind the one
-//! `InkServer::bind` and its one writer loop.
+//! already reflects every update the client admitted before it, bitwise.
 //!
 //! Max aggregation keeps incremental outputs bitwise equal to full
 //! recomputation, so the reference replay is exact, not approximate.
@@ -11,10 +9,9 @@
 use ink_gnn::{Aggregator, Model};
 use ink_graph::generators::erdos_renyi;
 use ink_graph::{DeltaBatch, EdgeChange};
-use ink_partition::{HashPartitioner, PartitionConfig, PartitionedInkStream};
 use ink_serve::{Backpressure, InkClient, InkServer, ServeConfig};
 use ink_tensor::init::{seeded_rng, uniform};
-use inkstream::{Engine, InkStream, SessionConfig, StreamSession, UpdateConfig};
+use inkstream::{InkStream, StreamSession, UpdateConfig};
 use proptest::prelude::*;
 
 const N: usize = 24;
@@ -49,17 +46,14 @@ fn to_changes(spec: &[(u32, u32, bool)]) -> Vec<EdgeChange> {
         .collect()
 }
 
-fn check_interleaving<E: Engine + Send + 'static>(
-    seed: u64,
-    steps: &[Step],
-    session: StreamSession<E>,
-) {
+fn check_interleaving(seed: u64, steps: &[Step]) {
     let config = ServeConfig {
         queue_capacity: 8,
         backpressure: Backpressure::Block,
         ..ServeConfig::default()
     };
     let mut refeng = reference(seed);
+    let session = StreamSession::new(reference(seed));
     let handle = InkServer::bind("127.0.0.1:0", session, config).unwrap();
 
     let mut client = InkClient::connect(handle.local_addr()).unwrap();
@@ -82,9 +76,7 @@ fn check_interleaving<E: Engine + Send + 'static>(
     drop(client);
 
     let (session, _) = handle.shutdown().unwrap();
-    for v in 0..N {
-        assert_eq!(session.engine().row(v), refeng.output().row(v), "final state bitwise");
-    }
+    assert_eq!(session.engine().output(), refeng.output(), "final state bitwise");
 }
 
 proptest! {
@@ -107,17 +99,6 @@ proptest! {
             1..6,
         ),
     ) {
-        let single = reference(seed);
-        let parted = PartitionedInkStream::new(
-            move || model(seed),
-            single.graph().clone(),
-            single.features().clone(),
-            HashPartitioner,
-            PartitionConfig { parts: 3, ..Default::default() },
-        )
-        .unwrap()
-        .into_session(SessionConfig::default());
-        check_interleaving(seed, &steps, StreamSession::new(single));
-        check_interleaving(seed, &steps, parted);
+        check_interleaving(seed, &steps);
     }
 }

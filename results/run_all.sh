@@ -1,7 +1,7 @@
 #!/bin/bash
 # Regenerates every table and figure. Outputs land in results/.
 set -x
-cd /root/repo
+cd "$(dirname "$0")/.."
 B=./target/release
 { time $B/fig1   --scale 1.0            ; } > results/fig1.txt   2> results/fig1.log
 { time $B/table4 --scale 0.25           ; } > results/table4.txt 2> results/table4.log

@@ -89,10 +89,9 @@ fn every_rewritten_output_row_is_listed() {
 /// other target commits its output row in the apply phase as a delta row —
 /// at least 99 % of the last layer's targets. Those rows reach the list from
 /// the write phase, the rest from next-messages; the list must still rebuild
-/// the output bitwise, on the single engine and on a 2-part one.
+/// the output bitwise.
 #[test]
-fn delta_rows_are_listed_on_single_and_partitioned_engines() {
-    use ink_partition::{HashPartitioner, PartitionConfig, PartitionedInkStream};
+fn delta_rows_are_listed_row_by_row() {
     const HUB: VertexId = 0;
     const HUB_DEGREE: usize = N / 10;
     let mut rng = seeded_rng(0xDE17A);
@@ -101,19 +100,11 @@ fn delta_rows_are_listed_on_single_and_partitioned_engines() {
         g.apply(EdgeChange::insert(HUB, v));
     }
     let x = uniform(&mut rng, N, FEAT_DIM, -1.0, 1.0);
-    let make = || Model::sage(&mut seeded_rng(0x5A6E), &[FEAT_DIM, 6, 3], Aggregator::Mean);
-    let mut single = InkStream::new(make(), g.clone(), x.clone(), UpdateConfig::default()).unwrap();
-    let mut parted = PartitionedInkStream::new(
-        make,
-        g,
-        x,
-        HashPartitioner,
-        PartitionConfig { parts: 2, ..Default::default() },
-    )
-    .unwrap();
-    let (mut mirror, mut parted_mirror) = (single.output().clone(), parted.output());
+    let model = Model::sage(&mut seeded_rng(0x5A6E), &[FEAT_DIM, 6, 3], Aggregator::Mean);
+    let mut single = InkStream::new(model, g, x, UpdateConfig::default()).unwrap();
+    let mut mirror = single.output().clone();
     let mut rows = Vec::new();
-    assert!(single.take_dirty_rows(&mut rows) && parted.take_dirty_rows(&mut rows));
+    assert!(single.take_dirty_rows(&mut rows));
 
     let (mut delta_rows, mut targets) = (0, 0);
     for round in 0..8 {
@@ -121,21 +112,10 @@ fn delta_rows_are_listed_on_single_and_partitioned_engines() {
         let v = (HUB_DEGREE + 1 + round / 2) as VertexId;
         let change =
             if round % 2 == 0 { EdgeChange::insert(HUB, v) } else { EdgeChange::remove(HUB, v) };
-        let delta = DeltaBatch::new(vec![change]);
-        let report = single.apply_delta(&delta);
+        let report = single.apply_delta(&DeltaBatch::new(vec![change]));
         let last = report.per_layer.last().unwrap();
         (delta_rows, targets) = (delta_rows + last.delta_rows, targets + last.targets);
-        replay(&mut single, &mut mirror, &mut rows, &format!("single, round {round}"));
-
-        parted.apply_delta(&delta);
-        rows.clear();
-        assert!(parted.take_dirty_rows(&mut rows), "2-part, round {round}: listed row by row");
-        let out = parted.output();
-        for &v in &rows {
-            parted_mirror.set_row(v as usize, out.row(v as usize));
-        }
-        assert!(bits(&parted_mirror) == bits(&out), "2-part, round {round}: a row is missing");
-        assert!(out == *single.output(), "2-part, round {round}: output ≠ single engine");
+        replay(&mut single, &mut mirror, &mut rows, &format!("round {round}"));
     }
     assert!(delta_rows * 100 >= targets * 99, "{delta_rows} delta rows of {targets} targets");
 }
@@ -152,10 +132,6 @@ fn whole_state_rewrites_answer_all() {
 
     e.resync();
     assert_all_then_clean(&mut e, "resync");
-
-    let state = e.state().clone();
-    e.adopt_state(state).unwrap();
-    assert_all_then_clean(&mut e, "adopt_state");
 
     e.add_vertex(&[0.1; FEAT_DIM], &[0, 1]).unwrap();
     assert_all_then_clean(&mut e, "add_vertex");

@@ -10,8 +10,7 @@ use ink_graph::DeltaBatch;
 use ink_gnn::{Aggregator, Model};
 use ink_tensor::init::{seeded_rng, uniform};
 use inkstream::{
-    AuditKind, DriftAction, DriftPolicy, IngestError, InkStream, SessionConfig, StreamSession,
-    UpdateConfig,
+    AuditKind, DriftAction, DriftPolicy, InkStream, SessionConfig, StreamSession, UpdateConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -177,9 +176,7 @@ fn fail_action_preserves_ingest_report() {
     );
     session.engine_mut().state_mut().h.set(0, 0, f32::NAN);
     let d = DeltaBatch::random_scenario(session.engine().graph(), &mut drng, 6);
-    let IngestError::Drift(err) = session.ingest(&d).unwrap_err() else {
-        panic!("a single engine never refuses a batch");
-    };
+    let err = session.ingest(&d).unwrap_err();
     assert!(err.max_diff.is_nan());
     assert_eq!(err.report.batches, 3, "6 changes in batches of 2");
     assert_eq!(err.report.changes_applied + err.report.skipped, 6);

@@ -5,8 +5,7 @@
 //! feature updates, vertex insertion and removal included. The partitioned
 //! round replays the exact per-target event fold order of the monolithic
 //! pipeline, so even accumulative aggregation (sum/mean) matches bitwise,
-//! not just within tolerance. The session layer on top is one piece of code
-//! over either engine, and the last two tests hold it to that.
+//! not just within tolerance.
 
 use ink_gnn::{Aggregator, Conv, LayerDef, Model};
 use ink_graph::generators::erdos_renyi;
@@ -14,10 +13,7 @@ use ink_graph::{DeltaBatch, DynGraph, VertexId};
 use ink_partition::{GreedyEdgeCut, HashPartitioner, PartitionConfig, PartitionedInkStream};
 use ink_tensor::init::{glorot_uniform, seeded_rng, uniform};
 use ink_tensor::{Activation, Linear, Matrix};
-use inkstream::{
-    AuditKind, DriftAction, DriftPolicy, IngestError, IngestReport, InkStream, LinearSelfTerm,
-    SessionConfig, StreamSession, UpdateConfig, UserHooks,
-};
+use inkstream::{InkStream, LinearSelfTerm, UpdateConfig, UserHooks};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use rand::rngs::StdRng;
@@ -339,108 +335,5 @@ fn directed_partitioned_stream_is_bitwise_identical() {
             parted.apply_delta(&delta);
             assert_eq!(&parted.output(), single.output(), "parts={parts} round={round}");
         }
-    }
-}
-
-/// Everything an [`IngestReport`] says that does not depend on the clock.
-/// `verified_diff` is compared by bits, so a NaN would compare equal too.
-fn report_facts(r: &IngestReport) -> impl PartialEq + std::fmt::Debug {
-    (
-        (r.batches, r.changes_applied, r.skipped, r.output_changed),
-        (r.audit, r.verified_diff.map(f32::to_bits), r.drift_breached, r.resynced),
-    )
-}
-
-/// `StreamSession<PartitionedInkStream>` against `StreamSession<InkStream>`
-/// under one `SessionConfig`, monotonic aggregation: deltas larger than
-/// `max_batch` chunk the same way, the spot + full schedule runs the same
-/// audit on the same ingest, nothing breaches whatever the action, and the
-/// outputs stay bitwise equal to each other and to full recomputation.
-#[test]
-fn one_session_layer_over_both_engines_on_monotonic_streams() {
-    let actions = [DriftAction::Fail, DriftAction::Warn, DriftAction::Resync];
-    let cases = [Aggregator::Max, Aggregator::Min].into_iter().flat_map(|a| actions.map(|x| (a, x)));
-    for (i, (agg, action)) in cases.enumerate() {
-        let seed = 600 + i as u64;
-        let config = SessionConfig {
-            max_batch: 2,
-            drift: DriftPolicy {
-                spot_every: Some(1),
-                spot_samples: 4,
-                full_every: Some(3),
-                tolerance: 0.0,
-                action,
-                seed,
-            },
-        };
-        let (single, parted) = build_pair(seed, agg, i % 3, 2 + i % 3, i % 2 == 0);
-        let mut single = StreamSession::with_config(single, config);
-        let mut parted = parted.into_session(config);
-        let mut drng = StdRng::seed_from_u64(seed ^ 0x5e55);
-        for round in 1..=6 {
-            let delta = DeltaBatch::random_scenario(single.engine().graph(), &mut drng, 5);
-            let rs = single.ingest(&delta).expect("max/min never drift");
-            let rp = parted.ingest(&delta).expect("max/min never drift");
-            assert_eq!(rs.batches, 3, "5 changes at max_batch = 2");
-            let due = if round % 3 == 0 { AuditKind::Full } else { AuditKind::Spot };
-            assert_eq!(rs.audit, Some(due));
-            assert_eq!(rs.verified_diff, Some(0.0));
-            assert_eq!(report_facts(&rp), report_facts(&rs), "{agg:?} {action:?} round {round}");
-            assert_eq!(&parted.engine().output(), single.engine().output());
-        }
-        assert_eq!(&parted.engine().output(), &single.engine().recompute_reference());
-
-        // The summary splits the same way: counts from the session,
-        // partition observables from the driver.
-        let (ss, sp) = (single.summary(), parted.summary());
-        assert_eq!((sp.ingests, sp.changes), (ss.ingests, ss.changes));
-        assert_eq!(sp.ingests, 6);
-        assert_eq!(sp.drift.full_audits, 2);
-        assert_eq!(sp.drift.spot_audits, 4);
-        assert_eq!(sp.drift.breaches, 0);
-        assert_eq!(parted.metrics().counter("ink_session_batches_total", "").get(), 18);
-        let driver = parted.engine().summary();
-        assert_eq!(driver.parts, 2 + i % 3);
-        assert!(driver.partition_wall.iter().any(|d| !d.is_zero()));
-    }
-}
-
-/// The breach half, on mean aggregation where float drift is real: a spot
-/// audit of an owned vertex reads bitwise-identical cached rows on either
-/// engine, so with a zero tolerance both sessions must measure the same
-/// deviation — which they only can if they sampled the same vertices — and
-/// answer the breach the same way: `Fail` returns the same report in the
-/// error, `Warn` carries on, `Resync` heals both to the same bits.
-#[test]
-fn breach_actions_are_engine_independent() {
-    for action in [DriftAction::Fail, DriftAction::Warn, DriftAction::Resync] {
-        let seed = 700;
-        let config = SessionConfig {
-            max_batch: 3,
-            drift: DriftPolicy::spot(1, 6, 0.0).with_action(action),
-        };
-        let (single, parted) = build_pair(seed, Aggregator::Mean, 1, 3, true);
-        let mut single = StreamSession::with_config(single, config);
-        let mut parted = parted.into_session(config);
-        let mut drng = StdRng::seed_from_u64(seed ^ 0xb4ea);
-        for round in 0..8 {
-            let delta = DeltaBatch::random_scenario(single.engine().graph(), &mut drng, 7);
-            let (rs, rp) = match (single.ingest(&delta), parted.ingest(&delta)) {
-                (Ok(rs), Ok(rp)) => (rs, rp),
-                (Err(IngestError::Drift(es)), Err(IngestError::Drift(ep))) => {
-                    assert_eq!(action, DriftAction::Fail);
-                    assert_eq!(es.max_diff.to_bits(), ep.max_diff.to_bits());
-                    (es.report, ep.report)
-                }
-                (rs, rp) => panic!("sessions disagree in round {round}: {rs:?} vs {rp:?}"),
-            };
-            assert_eq!(report_facts(&rp), report_facts(&rs), "{action:?} round {round}");
-            assert_eq!(rs.resynced, rs.drift_breached && action == DriftAction::Resync);
-            assert_eq!(&parted.engine().output(), single.engine().output());
-        }
-        let (ds, dp) = (single.summary().drift, parted.summary().drift);
-        assert!(ds.breaches > 0, "eight mean updates at tolerance 0 must breach at least once");
-        assert_eq!((dp.breaches, dp.resyncs, dp.spot_audits), (ds.breaches, ds.resyncs, 8));
-        assert_eq!(dp.max_deviation.to_bits(), ds.max_deviation.to_bits());
     }
 }
