@@ -135,14 +135,12 @@ pub(crate) fn accumulate_in_place(
 /// `W` and may therefore be updated by the delta rule: the last layer (its
 /// output is the cached `h`; an inner layer's feeds an activation whose
 /// pre-image is not cached), an accumulative aggregator, no activation, norm
-/// or degree scaling between `T` and the cache, no user hooks contributing to
-/// the row, and a conv that hands out its α-side weight
-/// ([`ink_gnn::Conv::alpha_weight`]). The one place this is decided — from
-/// the model and the presence of hooks, never from a config field.
-pub(crate) fn delta_weight(model: &Model, l: usize, hooked: bool) -> Option<&Matrix> {
+/// or degree scaling between `T` and the cache, and a conv that hands out its
+/// α-side weight ([`ink_gnn::Conv::alpha_weight`]). The one place this is
+/// decided — from the model alone, never from a config field.
+pub(crate) fn delta_weight(model: &Model, l: usize) -> Option<&Matrix> {
     let layer = model.layer(l);
     let affine = l + 1 == model.num_layers()
-        && !hooked
         && layer.conv.aggregator().is_accumulative()
         && layer.act == Activation::Identity
         && layer.norm.is_none()
@@ -190,8 +188,8 @@ mod tests {
 
     #[test]
     fn only_an_alpha_affine_last_layer_takes_the_delta_rule() {
-        let eligible = |model: &Model, hooked: bool| -> Vec<bool> {
-            (0..model.num_layers()).map(|l| delta_weight(model, l, hooked).is_some()).collect()
+        let eligible = |model: &Model| -> Vec<bool> {
+            (0..model.num_layers()).map(|l| delta_weight(model, l).is_some()).collect()
         };
         // Model::sage's shape, with the last layer's epilogue up to the case.
         let sage_with = |agg, act, norm: Option<GraphNormMode>| {
@@ -205,26 +203,25 @@ mod tests {
         let sage = |agg| sage_with(agg, Activation::Identity, None);
         for agg in [Aggregator::Sum, Aggregator::Mean] {
             // The inner layer feeds a ReLU; the last one is cached as is.
-            assert_eq!(eligible(&sage(agg), false), [false, true], "{agg:?}");
-            assert_eq!(eligible(&sage(agg), true), [false, false], "{agg:?} with hooks");
+            assert_eq!(eligible(&sage(agg)), [false, true], "{agg:?}");
         }
-        assert_eq!(eligible(&sage(Aggregator::Max), false), [false, false]);
+        assert_eq!(eligible(&sage(Aggregator::Max)), [false, false]);
         let relu_last = sage_with(Aggregator::Mean, Activation::Relu, None);
-        assert_eq!(eligible(&relu_last, false), [false, false]);
+        assert_eq!(eligible(&relu_last), [false, false]);
         let frozen = GraphNormMode::Cached {
             norm: GraphNorm::unit(3),
             mean: vec![0.0; 3],
             var: vec![1.0; 3],
         };
         let norm_last = sage_with(Aggregator::Mean, Activation::Identity, Some(frozen));
-        assert_eq!(eligible(&norm_last, false), [false, false]);
+        assert_eq!(eligible(&norm_last), [false, false]);
 
         // No α-side weight handed out: GCN, GIN's MLP, LightGCN's scaling.
         let gcn = Model::gcn(&mut seeded_rng(2), &[4, 5, 3], Aggregator::Sum);
-        assert_eq!(eligible(&gcn, false), [false, false]);
+        assert_eq!(eligible(&gcn), [false, false]);
         let gin = Model::gin(&mut seeded_rng(3), 4, 5, 2, 0.1, Aggregator::Sum);
-        assert_eq!(eligible(&gin, false), [false, false]);
-        assert_eq!(eligible(&Model::lightgcn(4, 2), false), [false, false]);
+        assert_eq!(eligible(&gin), [false, false]);
+        assert_eq!(eligible(&Model::lightgcn(4, 2)), [false, false]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! ends early ([`InkError::Truncated`]) or declares impossible shapes
 //! ([`InkError::Corrupt`]) returns a typed error instead of panicking.
 
-use crate::{InkError, InkStream, UpdateConfig, UserHooks};
+use crate::{InkError, InkStream, UpdateConfig};
 use ink_gnn::{FullState, Model};
 use ink_tensor::Matrix;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -105,7 +105,6 @@ pub fn load(
     model: Model,
     r: &mut impl Read,
     config: UpdateConfig,
-    hooks: Option<Box<dyn UserHooks>>,
 ) -> Result<InkStream, InkError> {
     let mut r = BufReader::new(r);
     let mut magic = [0u8; 4];
@@ -127,7 +126,7 @@ pub fn load(
     }
     let h = read_matrix(&mut r)?;
     let state = FullState { m, alpha, h, norm_stats: vec![None; layers] };
-    InkStream::from_parts(model, graph, features, state, config, hooks)
+    InkStream::from_parts(model, graph, features, state, config)
 }
 
 #[cfg(test)]
@@ -172,7 +171,7 @@ mod tests {
 
         let mut buf = Vec::new();
         save(&engine, &mut buf).unwrap();
-        let loaded = load(make_model(1), &mut buf.as_slice(), UpdateConfig::default(), None).unwrap();
+        let loaded = load(make_model(1), &mut buf.as_slice(), UpdateConfig::default()).unwrap();
 
         assert_eq!(loaded.graph(), engine.graph());
         assert_eq!(loaded.output(), engine.output());
@@ -197,7 +196,7 @@ mod tests {
         let _ = erdos_renyi(&mut mrng, n, 1500);
         let _ = uniform(&mut mrng, n, 12, -3.0, 3.0);
         let model = Model::gcn(&mut mrng, &[12, 9, 5], Aggregator::Max);
-        let loaded = load(model, &mut buf.as_slice(), UpdateConfig::default(), None).unwrap();
+        let loaded = load(model, &mut buf.as_slice(), UpdateConfig::default()).unwrap();
         assert_eq!(loaded.features(), engine.features());
         assert_eq!(loaded.output(), engine.output());
     }
@@ -207,7 +206,7 @@ mod tests {
         let mut engine = make_engine(3);
         let mut buf = Vec::new();
         save(&engine, &mut buf).unwrap();
-        let mut loaded = load(make_model(3), &mut buf.as_slice(), UpdateConfig::default(), None).unwrap();
+        let mut loaded = load(make_model(3), &mut buf.as_slice(), UpdateConfig::default()).unwrap();
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         let delta = DeltaBatch::random_scenario(loaded.graph(), &mut rng, 6);
@@ -224,7 +223,7 @@ mod tests {
         save(&engine, &mut buf).unwrap();
         let mut mrng = seeded_rng(5);
         let wrong = Model::gcn(&mut mrng, &[4, 7, 3], Aggregator::Max); // hidden 7 ≠ 5
-        match err_of(load(wrong, &mut buf.as_slice(), UpdateConfig::default(), None)) {
+        match err_of(load(wrong, &mut buf.as_slice(), UpdateConfig::default())) {
             InkError::ShapeMismatch { .. } => {}
             other => panic!("shape mismatch must be rejected, got {other:?}"),
         }
@@ -236,7 +235,6 @@ mod tests {
             make_model(6),
             &mut &b"nonsense-that-is-long-enough-to-not-eof"[..],
             UpdateConfig::default(),
-            None,
         ));
         assert_eq!(err, InkError::BadMagic);
         assert!(err.to_string().contains("magic"));
@@ -251,14 +249,14 @@ mod tests {
         // never a panic, never a mangled engine. (Sampled lengths keep the
         // test fast; the section boundaries are all covered.)
         for cut in (4..buf.len()).step_by(97).chain([buf.len() - 1]) {
-            let err = err_of(load(make_model(7), &mut &buf[..cut], UpdateConfig::default(), None));
+            let err = err_of(load(make_model(7), &mut &buf[..cut], UpdateConfig::default()));
             assert_eq!(err, InkError::Truncated, "cut at {cut}");
         }
     }
 
     #[test]
     fn empty_stream_is_truncated_not_bad_magic() {
-        let err = err_of(load(make_model(8), &mut &b""[..], UpdateConfig::default(), None));
+        let err = err_of(load(make_model(8), &mut &b""[..], UpdateConfig::default()));
         assert_eq!(err, InkError::Truncated);
     }
 
@@ -276,7 +274,7 @@ mod tests {
         poisoned[header_at..header_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         poisoned[header_at + 8..header_at + 16].copy_from_slice(&u64::MAX.to_le_bytes());
         let err =
-            err_of(load(make_model(9), &mut poisoned.as_slice(), UpdateConfig::default(), None));
+            err_of(load(make_model(9), &mut poisoned.as_slice(), UpdateConfig::default()));
         match err {
             InkError::Corrupt { detail } => assert!(detail.contains("overflow"), "{detail}"),
             other => panic!("expected Corrupt, got {other:?}"),
@@ -287,7 +285,7 @@ mod tests {
         let mut huge = buf;
         huge[header_at..header_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
         huge[header_at + 8..header_at + 16].copy_from_slice(&1u64.to_le_bytes());
-        let err = err_of(load(make_model(9), &mut huge.as_slice(), UpdateConfig::default(), None));
+        let err = err_of(load(make_model(9), &mut huge.as_slice(), UpdateConfig::default()));
         assert!(
             matches!(err, InkError::Corrupt { .. } | InkError::Truncated),
             "got {err:?}"

@@ -15,16 +15,13 @@
 
 use crate::config::UpdateConfig;
 use crate::error::InkError;
-use crate::hooks::{UserEvent, UserHooks};
 use crate::phases::{self, fan_out, owns_in, Cached, LayerPlan, RoundState};
 use crate::pipeline::{worker_chunk, ScratchPool, WorkerScratch};
 use crate::stats::{LayerStats, UpdateReport};
 use ink_graph::{DeltaBatch, DynGraph, EdgeChange, EdgeOp, VertexId};
-use ink_gnn::full::{batch_aggregate_into, batch_message_into};
+use ink_gnn::full::{full_inference, full_inference_into};
 use ink_gnn::{FullState, Model};
-use ink_tensor::gemm::gather_rows_scaled_into;
-use ink_tensor::{GemmScratch, Matrix};
-use rayon::prelude::*;
+use ink_tensor::Matrix;
 use std::time::Instant;
 
 /// What an [`InkStream::resync`] cost: wall time of the bootstrap and the
@@ -41,14 +38,12 @@ pub struct ResyncReport {
 pub struct InkStream {
     model: Model,
     /// One pipeline plan per layer of `model`, built with the engine: the
-    /// model and the hooks never change after construction.
+    /// model never changes after construction.
     plans: Vec<LayerPlan>,
     graph: DynGraph,
     features: Matrix,
     state: FullState,
     config: UpdateConfig,
-    hooks: Option<Box<dyn UserHooks>>,
-    user_cache: Vec<Option<Matrix>>,
     scratch: ScratchPool,
     /// Ownership mask for partitioned operation (`None` = this engine owns
     /// every vertex). A non-owned ("ghost") vertex carries cached messages
@@ -89,17 +84,6 @@ impl InkStream {
         features: Matrix,
         config: UpdateConfig,
     ) -> Result<Self, InkError> {
-        Self::with_hooks(model, graph, features, config, None)
-    }
-
-    /// Like [`InkStream::new`] with user-defined event hooks (paper §II-D).
-    pub fn with_hooks(
-        model: Model,
-        graph: DynGraph,
-        features: Matrix,
-        config: UpdateConfig,
-        hooks: Option<Box<dyn UserHooks>>,
-    ) -> Result<Self, InkError> {
         if !model.supports_incremental() {
             return Err(InkError::ExactGraphNorm);
         }
@@ -121,42 +105,36 @@ impl InkStream {
                 ),
             });
         }
-        let (state, user_cache) = bootstrap(&model, &graph, &features, hooks.as_deref());
-        Ok(Self::assemble(model, graph, features, state, config, hooks, user_cache))
+        let state = full_inference(&model, &graph, &features, None);
+        Ok(Self::assemble(model, graph, features, state, config))
     }
 
     /// Reassembles an engine from previously cached state *without* a full
     /// inference — the checkpoint-resume path (see [`crate::checkpoint`]).
-    /// Shapes are validated; user caches are rebuilt from the cached
-    /// messages. The caller is responsible for the state actually matching
-    /// the graph/features (checkpoints written by [`crate::checkpoint::save`]
-    /// do by construction).
+    /// Shapes are validated. The caller is responsible for the state actually
+    /// matching the graph/features (checkpoints written by
+    /// [`crate::checkpoint::save`] do by construction).
     pub fn from_parts(
         model: Model,
         graph: DynGraph,
         features: Matrix,
         state: FullState,
         config: UpdateConfig,
-        hooks: Option<Box<dyn UserHooks>>,
     ) -> Result<Self, InkError> {
         if !model.supports_incremental() {
             return Err(InkError::ExactGraphNorm);
         }
         let n = graph.num_vertices();
-        let k = model.num_layers();
         if features.shape() != (n, model.in_dim()) {
             return Err(InkError::ShapeMismatch {
                 detail: format!("features {:?} for n={n}, in_dim={}", features.shape(), model.in_dim()),
             });
         }
         check_state_shape(&model, n, &state)?;
-        let user_cache = (0..k)
-            .map(|l| hooks.as_deref().and_then(|h| h.init_cache(l, &state.m[l])))
-            .collect();
-        Ok(Self::assemble(model, graph, features, state, config, hooks, user_cache))
+        Ok(Self::assemble(model, graph, features, state, config))
     }
 
-    /// The one constructor body behind [`InkStream::with_hooks`] and
+    /// The one constructor body behind [`InkStream::new`] and
     /// [`InkStream::from_parts`], which validate their inputs first.
     fn assemble(
         model: Model,
@@ -164,18 +142,14 @@ impl InkStream {
         features: Matrix,
         state: FullState,
         config: UpdateConfig,
-        hooks: Option<Box<dyn UserHooks>>,
-        user_cache: Vec<Option<Matrix>>,
     ) -> Self {
         Self {
-            plans: LayerPlan::for_model(&model, hooks.is_some()),
+            plans: LayerPlan::for_model(&model),
             model,
             graph,
             features,
             state,
             config,
-            hooks,
-            user_cache,
             scratch: ScratchPool::default(),
             owned: None,
             round: None,
@@ -211,12 +185,7 @@ impl InkStream {
 
     /// The model over the cached state, for deriving product rows.
     fn cached(&self) -> Cached<'_> {
-        Cached {
-            model: &self.model,
-            state: &self.state,
-            hooks: self.hooks.as_deref(),
-            user_cache: &self.user_cache,
-        }
+        Cached { model: &self.model, state: &self.state }
     }
 
     /// Replaces the update configuration (e.g. to switch ablation modes).
@@ -231,10 +200,10 @@ impl InkStream {
         self.scratch.bytes()
     }
 
-    /// Recomputes the output from scratch (fresh bootstrap) — the reference
-    /// the incremental state must match. Intended for verification.
+    /// Recomputes the output from scratch (a fresh full inference) — the
+    /// reference the incremental state must match. Intended for verification.
     pub fn recompute_reference(&self) -> Matrix {
-        bootstrap(&self.model, &self.graph, &self.features, self.hooks.as_deref()).0.h
+        full_inference(&self.model, &self.graph, &self.features, None).h
     }
 
     /// Mutable access to the cached state, for fault injection in tests and
@@ -342,25 +311,17 @@ impl InkStream {
         self.state.h.max_abs_diff(&self.recompute_reference())
     }
 
-    /// Rebuilds all cached state (`m`, `α`, `h`, user caches) in place via
-    /// the bootstrap path — the self-healing action of
-    /// [`crate::DriftAction::Resync`]. Afterwards the output is bitwise
-    /// equal to [`InkStream::recompute_reference`] by construction; the
-    /// graph and features are untouched. Every cached matrix is rebuilt
+    /// Rebuilds all cached state (`m`, `α`, `h`) in place with one full
+    /// inference — the self-healing action of [`crate::DriftAction::Resync`].
+    /// Afterwards the output is bitwise equal to
+    /// [`InkStream::recompute_reference`] by construction; the graph and
+    /// features are untouched. Every cached matrix is rebuilt
     /// capacity-preserving with temporaries drawn from the engine's scratch
-    /// pool, so repeated resyncs of a hook-free engine allocate nothing
-    /// after the first.
+    /// pool, so repeated resyncs allocate nothing after the first.
     pub fn resync(&mut self) -> ResyncReport {
         let t0 = Instant::now();
-        bootstrap_into(
-            &self.model,
-            &self.graph,
-            &self.features,
-            self.hooks.as_deref(),
-            &mut self.state,
-            &mut self.user_cache,
-            &mut self.scratch.gemm,
-        );
+        let (model, graph, features) = (&self.model, &self.graph, &self.features);
+        full_inference_into(model, graph, features, None, &mut self.state, &mut self.scratch.gemm);
         let f32_written = self
             .state
             .m
@@ -393,15 +354,14 @@ impl InkStream {
     }
 
     /// Writes one feature row and, for an owned vertex whose layer-0 message
-    /// actually changes, records the old message as a propagation seed (plus
-    /// any user events). Ghost vertices only get the feature row written —
-    /// their message refresh arrives from the owning engine.
+    /// actually changes, records the old message as a propagation seed. Ghost
+    /// vertices only get the feature row written — their message refresh
+    /// arrives from the owning engine.
     fn stage_feature_update(
         &mut self,
         v: VertexId,
         new_feat: &[f32],
         seeds: &mut Vec<(VertexId, Vec<f32>)>,
-        user0: &mut Vec<UserEvent>,
     ) -> Result<(), InkError> {
         if (v as usize) >= self.graph.num_vertices() {
             return Err(InkError::UnknownVertex(v));
@@ -415,13 +375,10 @@ impl InkStream {
         if !self.owns(v) {
             return Ok(());
         }
-        let new_m = self.cached().message_row(0, new_feat, self.graph.in_degree(v));
+        let new_m = self.model.message(0, new_feat, self.graph.in_degree(v));
         let old = self.state.m[0].row(v as usize).to_vec();
         if new_m != old {
             self.state.m[0].set_row(v as usize, &new_m);
-            if let Some(hooks) = self.hooks.as_deref() {
-                user0.extend(hooks.user_propagate(0, v, &old, &new_m));
-            }
             seeds.push((v, old));
         }
         Ok(())
@@ -432,7 +389,7 @@ impl InkStream {
     /// inserts, missing removals) are skipped and counted in the report.
     pub fn apply_delta(&mut self, delta: &DeltaBatch) -> UpdateReport {
         let (directed, skipped) = self.stage_delta(delta);
-        let mut report = self.run_layers(directed, Vec::new(), Vec::new());
+        let mut report = self.run_layers(directed, Vec::new());
         report.skipped_changes = skipped;
         report
     }
@@ -445,9 +402,8 @@ impl InkStream {
         new_feat: &[f32],
     ) -> Result<UpdateReport, InkError> {
         let mut seeds = Vec::new();
-        let mut user0 = Vec::new();
-        self.stage_feature_update(v, new_feat, &mut seeds, &mut user0)?;
-        Ok(self.run_layers(Vec::new(), seeds, user0))
+        self.stage_feature_update(v, new_feat, &mut seeds)?;
+        Ok(self.run_layers(Vec::new(), seeds))
     }
 
     /// Inserts a new vertex with `feat` and undirected/outgoing edges to
@@ -474,20 +430,10 @@ impl InkStream {
         // Build the new vertex's self-consistent isolated chain: empty
         // neighborhood → α = 0 at every layer.
         let k = self.model.num_layers();
-        let mut msg = self.cached().message_row(0, feat, 0);
+        let mut msg = self.model.message(0, feat, 0);
         for l in 0..k {
-            let dim = self.model.msg_dim(l);
             self.state.m[l].push_row(&msg);
-            self.state.alpha[l].push_row(&vec![0.0; dim]);
-            if let Some(cache) = self.user_cache[l].as_mut() {
-                let single = Matrix::from_vec(1, dim, msg.clone());
-                let row = self
-                    .hooks
-                    .as_deref()
-                    .and_then(|h| h.init_cache(l, &single))
-                    .expect("hooked layer must produce a cache row");
-                cache.push_row(row.row(0));
-            }
+            self.state.alpha[l].push_row(&vec![0.0; self.model.msg_dim(l)]);
             let row = self.cached().product_row(l, v, 0);
             if l + 1 < k {
                 msg = row;
@@ -525,9 +471,8 @@ impl InkStream {
         &mut self,
         directed: Vec<(VertexId, VertexId, EdgeOp)>,
         seeds0: Vec<(VertexId, Vec<f32>)>,
-        user0: Vec<UserEvent>,
     ) -> UpdateReport {
-        self.round_start(directed, seeds0, user0);
+        self.round_start(directed, seeds0);
         for l in 0..self.model.num_layers() {
             self.round_rescale(l);
             self.round_process(l);
@@ -541,7 +486,6 @@ impl InkStream {
         &mut self,
         directed: Vec<(VertexId, VertexId, EdgeOp)>,
         seeds0: Vec<(VertexId, Vec<f32>)>,
-        user0: Vec<UserEvent>,
     ) {
         assert!(self.round.is_none(), "a round is already in flight");
         let t0 = Instant::now();
@@ -550,7 +494,7 @@ impl InkStream {
         let (nw, ns) = round_split(cfg.parallel);
 
         let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.begin_round(k, nw, ns);
+        scratch.begin_round(nw, ns);
         // The pool only ever grows (see `begin_round`), so after a round on
         // more threads (or before a `set_config` to the sequential oracle)
         // there may be more pooled workers/shards than this round's
@@ -568,7 +512,6 @@ impl InkStream {
             }
             scratch.affected.insert(*v);
         }
-        scratch.pending_user[0].extend(user0);
 
         // Edges covered by ΔG insert events (the duplicate-event rule) and
         // the net in-degree change per vertex (degree-scaled layers must
@@ -625,12 +568,11 @@ impl InkStream {
         }
         let (directed, skipped) = self.stage_delta(delta);
         let mut seeds = Vec::new();
-        let mut user0 = Vec::new();
         for (v, feat) in feature_updates {
-            self.stage_feature_update(*v, feat, &mut seeds, &mut user0)
+            self.stage_feature_update(*v, feat, &mut seeds)
                 .expect("feature updates validated above");
         }
-        self.round_start(directed, seeds, user0);
+        self.round_start(directed, seeds);
         if let Some(rs) = self.round.as_mut() {
             rs.report.skipped_changes = skipped;
         }
@@ -681,7 +623,7 @@ impl InkStream {
                     let d_old = (d_new as i64 - net).max(0) as usize;
                     let pid = if d_old == 0 {
                         let msg = if l == 0 {
-                            cached.message_row(0, features.row(v as usize), d_new)
+                            cached.model.message(0, features.row(v as usize), d_new)
                         } else {
                             cached.product_row(l - 1, v, d_new)
                         };
@@ -697,17 +639,13 @@ impl InkStream {
                 run((w, &mut ws[0]))
             });
             // Commit in worker order (= candidate order): vertices whose
-            // message really changed record their old value and hooks.
-            let ScratchPool { workers, old, pending_user, .. } = &mut rs.scratch;
+            // message really changed record their old value.
+            let ScratchPool { workers, old, .. } = &mut rs.scratch;
             for ws in workers[..nw].iter() {
                 for &(v, pid) in &ws.rescaled {
                     let new = ws.arena.get(pid);
                     if new != self.state.m[l].row(v as usize) {
                         old.insert(l, v, self.state.m[l].row(v as usize));
-                        if let Some(hooks) = self.hooks.as_deref() {
-                            let old_row = old.get(l, v).expect("just inserted");
-                            pending_user[l].extend(hooks.user_propagate(l, v, old_row, new));
-                        }
                         self.state.m[l].set_row(v as usize, new);
                     }
                 }
@@ -740,20 +678,12 @@ impl InkStream {
     /// change implies for locally-owned targets) and commits the new row.
     /// Must run before [`InkStream::round_process`] of layer `l`.
     pub fn round_ingest_refresh(&mut self, l: usize, v: VertexId, new_row: &[f32]) {
-        let mut rs = self.round.take().expect("round_ingest_refresh requires an active round");
-        let changed = {
-            let cur = self.state.m[l].row(v as usize);
-            rs.scratch.old.insert(l, v, cur);
-            new_row != cur
-        };
-        if changed {
-            if let Some(hooks) = self.hooks.as_deref() {
-                let old = rs.scratch.old.get(l, v).expect("just recorded");
-                rs.scratch.pending_user[l].extend(hooks.user_propagate(l, v, old, new_row));
-            }
+        let rs = self.round.as_mut().expect("round_ingest_refresh requires an active round");
+        let cur = self.state.m[l].row(v as usize);
+        rs.scratch.old.insert(l, v, cur);
+        if new_row != cur {
             self.state.m[l].set_row(v as usize, new_row);
         }
-        self.round = Some(rs);
     }
 
     /// Runs the five pipeline phases of layer `l` for the current round
@@ -781,14 +711,11 @@ impl InkStream {
         rs.layer.phases.apply = t.elapsed();
 
         let t = Instant::now();
-        let user = self.hooks.as_deref().zip(self.user_cache[l].as_mut());
-        phases::write(plan, &mut rs, &mut self.state.alpha[l], user, owned);
+        phases::write(plan, &mut rs, &mut self.state.alpha[l], owned);
         rs.layer.phases.write = t.elapsed();
 
         let t = Instant::now();
-        let hooks = self.hooks.as_deref();
-        let (model, graph, cache) = (&self.model, &self.graph, &self.user_cache);
-        phases::next_messages(plan, &mut rs, model, graph, &mut self.state, hooks, cache);
+        phases::next_messages(plan, &mut rs, &self.model, &self.graph, &mut self.state);
         rs.layer.phases.next_messages = t.elapsed();
 
         let rewritten = &mut rs.scratch.rewritten;
@@ -892,123 +819,12 @@ fn check_state_shape(model: &Model, n: usize, state: &FullState) -> Result<(), I
     Ok(())
 }
 
-/// Full-graph bootstrap into caller-owned state, one batched GEMM chain per
-/// layer. Also initialises the user caches — and therefore supports
-/// hook-based models, which `ink_gnn::full_inference` knows nothing about
-/// (the hook contribution slots between the transform and the norm, so this
-/// can't reuse `batch_update_into`, which fuses norm/act).
-///
-/// Every cached matrix is reshaped capacity-preserving and all temporaries
-/// (inter-layer hidden buffers, GEMM packing, MLP ping-pong) come from
-/// `scratch`, so repeated in-place rebuilds over same-shaped inputs allocate
-/// nothing after the first — hook caches excepted, as `init_cache` returns
-/// fresh matrices by contract. At most one hidden matrix is out of the pool
-/// at a time: `h_l` goes back as soon as `m_l` is built from it, and the
-/// last layer writes straight into `state.h`.
-fn bootstrap_into(
-    model: &Model,
-    graph: &DynGraph,
-    features: &Matrix,
-    hooks: Option<&dyn UserHooks>,
-    state: &mut FullState,
-    user_cache: &mut Vec<Option<Matrix>>,
-    scratch: &mut GemmScratch,
-) {
-    let n = graph.num_vertices();
-    let k = model.num_layers();
-    state.m.resize_with(k, || Matrix::zeros(0, 0));
-    state.alpha.resize_with(k, || Matrix::zeros(0, 0));
-    state.norm_stats.clear();
-    state.norm_stats.resize(k, None);
-    user_cache.clear();
-    user_cache.resize_with(k, || None);
-    if k == 0 {
-        state.h.resize_to(n, features.cols());
-        state.h.as_mut_slice().copy_from_slice(features.as_slice());
-        return;
-    }
-    let FullState { m, alpha, h, .. } = state;
-    // `cur` carries h_l between layers; layer 0 reads the features directly.
-    let mut cur = Vec::new();
-
-    for l in 0..k {
-        let layer = model.layer(l);
-        let conv = &layer.conv;
-        let out_dim = conv.out_dim();
-        let dim = conv.msg_dim();
-        let h_slice: &[f32] = if l == 0 { features.as_slice() } else { &cur };
-        batch_message_into(model, l, h_slice, graph, &mut m[l], scratch);
-        if l > 0 {
-            // `m[l]` is all this layer needs of h_l: its buffer goes back to
-            // the pool now, so the update below can reuse it.
-            scratch.put(std::mem::take(&mut cur));
-        }
-        user_cache[l] = hooks.and_then(|hk| hk.init_cache(l, &m[l]));
-        batch_aggregate_into(model, l, graph, &m[l], &mut alpha[l]);
-
-        // The last layer writes straight into the cached output.
-        let out: &mut [f32] = if l + 1 == k {
-            h.resize_to(n, out_dim);
-            h.as_mut_slice()
-        } else {
-            cur = scratch.take(n * out_dim);
-            &mut cur
-        };
-        let self_msg: &[f32] = if conv.self_dependent() { m[l].as_slice() } else { &[] };
-        if conv.degree_scaled() {
-            // Fold the target-side degree weight into a scaled copy of α —
-            // the same `a[j] * s` the per-node path computes.
-            let mut scaled = scratch.take(n * dim);
-            gather_rows_scaled_into(
-                &alpha[l],
-                (0..n).map(|u| (u, conv.update_scale(graph.in_degree(u as VertexId)))),
-                &mut scaled,
-            );
-            conv.update_batch_into(n, &scaled, self_msg, out, scratch);
-            scratch.put(scaled);
-        } else {
-            conv.update_batch_into(n, alpha[l].as_slice(), self_msg, out, scratch);
-        }
-        let cache = user_cache[l].as_ref();
-        out.par_chunks_mut(out_dim.max(1)).enumerate().for_each(|(u, out)| {
-            if let (Some(hk), Some(c)) = (hooks, cache) {
-                hk.contribute(l, u as VertexId, out, c.row(u));
-            }
-            if let Some(norm) = &layer.norm {
-                norm.apply_cached(out);
-            }
-            layer.act.apply(out);
-        });
-    }
-}
-
-/// Allocating [`bootstrap_into`] wrapper — the construction-time path, where
-/// there is no state to reuse yet.
-fn bootstrap(
-    model: &Model,
-    graph: &DynGraph,
-    features: &Matrix,
-    hooks: Option<&dyn UserHooks>,
-) -> (FullState, Vec<Option<Matrix>>) {
-    let mut state = FullState::empty();
-    let mut user_cache = Vec::new();
-    bootstrap_into(
-        model,
-        graph,
-        features,
-        hooks,
-        &mut state,
-        &mut user_cache,
-        &mut GemmScratch::new(),
-    );
-    (state, user_cache)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ink_gnn::{full_inference, Aggregator};
+    use ink_gnn::Aggregator;
     use ink_tensor::init::seeded_rng;
+    use ink_tensor::GemmScratch;
 
     fn ring(n: usize) -> DynGraph {
         let edges: Vec<_> =

@@ -11,8 +11,7 @@ use ink_graph::VertexId;
 use ink_tensor::Matrix;
 
 /// The operation an event performs on its target (paper §II-B: `Add`/`Del`
-/// for monotonic aggregation, `Update` for accumulative; user-defined
-/// extensions travel separately as [`crate::UserEvent`]).
+/// for monotonic aggregation, `Update` for accumulative).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EventOp {
     /// Add the payload's impact (monotonic aggregation).

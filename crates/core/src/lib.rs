@@ -42,7 +42,6 @@ pub mod engine;
 pub mod error;
 pub mod event;
 pub mod grouping;
-pub mod hooks;
 pub mod json;
 pub mod monotonic;
 mod phases;
@@ -56,7 +55,6 @@ pub use engine::{InkStream, ResyncReport};
 pub use error::InkError;
 pub use event::{Event, EventOp, PayloadArena};
 pub use grouping::{group_events, Group};
-pub use hooks::{LinearSelfTerm, UserEvent, UserHooks};
 pub use monotonic::Condition;
 pub use json::Json;
 pub use session::{

@@ -3,10 +3,9 @@
 //! "Update pipeline").
 //!
 //! Every per-layer decision is data in the plan, built once per engine from
-//! the model and the presence of hooks: the aggregator, the widths, whether
-//! messages are degree-scaled or self-dependent, whether the layer is the
-//! last, and the delta rule's `tail` ([`crate::accumulative::delta_weight`]
-//! decides it). Each layer then runs the same five phases:
+//! the model: the aggregator, the widths, whether messages are degree-scaled
+//! or self-dependent, whether the layer is the last, and the delta rule's
+//! `tail` ([`crate::accumulative::delta_weight`] decides it). Each layer then runs the same five phases:
 //!
 //! 1. [`generate`] — ΔG event seeding and effect propagation (degree
 //!    rescaling already ran in `InkStream::round_rescale`), fanned out over
@@ -22,7 +21,7 @@
 //!    channel rebuilt (empty old neighborhood, `incremental: false`) are
 //!    gathered into panels and folded in a second pass;
 //! 4. [`write`] — sequential commit of the staged α rows, condition stats,
-//!    user events, and the merged next-layer target list;
+//!    and the merged next-layer target list;
 //! 5. [`next_messages`] — rebuild of the next layer's messages (or the final
 //!    outputs) for every target, recording the next layer's changed rows
 //!    unless pruned.
@@ -57,7 +56,6 @@ use crate::accumulative::{
 use crate::config::{UpdateConfig, BATCH_MIN_TARGETS, PARALLEL_MIN_ITEMS};
 use crate::event::{Event, EventOp};
 use crate::grouping::{recompute_sort_key, RecomputeKind};
-use crate::hooks::{UserEvent, UserHooks};
 use crate::monotonic::{apply_monotonic_into, Condition};
 use crate::pipeline::{
     acc_slot_in, shard_of, slot_in, worker_chunk, AlphaRows, ApplyOutcome, CondKind, OldMsgs,
@@ -65,7 +63,7 @@ use crate::pipeline::{
 };
 use crate::stats::{LayerStats, UpdateReport};
 use ink_gnn::{Aggregator, FullState, Model};
-use ink_graph::{prefetch, DynGraph, EdgeOp, FxHashMap, VertexId};
+use ink_graph::{prefetch, DynGraph, EdgeOp, VertexId};
 use ink_tensor::gemm::{gather_rows_into, gather_rows_scaled_into};
 use ink_tensor::Matrix;
 use rayon::prelude::*;
@@ -99,7 +97,7 @@ fn prefetch_row(row: &[f32]) {
 }
 
 /// Everything the pipeline decides about layer `layer` of a model, read from
-/// the model (and the presence of hooks) once per engine.
+/// the model once per engine.
 pub(crate) struct LayerPlan {
     pub layer: usize,
     pub agg: Aggregator,
@@ -120,7 +118,7 @@ pub(crate) struct LayerPlan {
 
 impl LayerPlan {
     /// One plan per layer of `model`.
-    pub fn for_model(model: &Model, hooked: bool) -> Vec<LayerPlan> {
+    pub fn for_model(model: &Model) -> Vec<LayerPlan> {
         let k = model.num_layers();
         (0..k)
             .map(|l| {
@@ -135,7 +133,7 @@ impl LayerPlan {
                     degree_scaled: conv.degree_scaled(),
                     self_dependent: conv.self_dependent(),
                     last,
-                    tail: delta_weight(model, l, hooked).map_or(0, Matrix::cols),
+                    tail: delta_weight(model, l).map_or(0, Matrix::cols),
                 }
             })
             .collect()
@@ -176,54 +174,17 @@ pub(crate) struct RoundState {
 pub(crate) struct Cached<'a> {
     pub model: &'a Model,
     pub state: &'a FullState,
-    pub hooks: Option<&'a dyn UserHooks>,
-    pub user_cache: &'a [Option<Matrix>],
 }
 
 impl Cached<'_> {
-    /// `h_{l+1,u} = act(norm(T(α_{l,u}, m_{l,u}) + user_contribution))` for
-    /// one node from the cached state. `degree` feeds the target-side weight
-    /// of degree-scaled layers.
-    fn next_hidden(&self, l: usize, u: VertexId, degree: usize) -> Vec<f32> {
-        let layer = self.model.layer(l);
-        let (alpha, m) = (self.state.alpha[l].row(u as usize), self.state.m[l].row(u as usize));
-        let mut out = vec![0.0; layer.conv.out_dim()];
-        if layer.conv.degree_scaled() {
-            let mut a = alpha.to_vec();
-            ink_tensor::ops::scale(&mut a, layer.conv.update_scale(degree));
-            layer.conv.update_into(&a, m, &mut out);
-        } else {
-            layer.conv.update_into(alpha, m, &mut out);
-        }
-        if let (Some(hk), Some(cache)) =
-            (self.hooks, self.user_cache.get(l).and_then(Option::as_ref))
-        {
-            hk.contribute(l, u, &mut out, cache.row(u as usize));
-        }
-        if let Some(norm) = &layer.norm {
-            norm.apply_cached(&mut out);
-        }
-        layer.act.apply(&mut out);
-        out
-    }
-
-    /// Layer `l`'s message for hidden row `h` of a vertex of in-degree
-    /// `degree`, source-side degree weight included.
-    pub fn message_row(&self, l: usize, h: &[f32], degree: usize) -> Vec<f32> {
-        let conv = &self.model.layer(l).conv;
-        let mut msg = conv.message(h);
-        if conv.degree_scaled() {
-            ink_tensor::ops::scale(&mut msg, conv.degree_scale(degree));
-        }
-        msg
-    }
-
-    /// Layer `l`'s product row for `u`: the next layer's message, or the
-    /// output row on the last layer.
+    /// Layer `l`'s product row for `u` from the cached state: the next
+    /// layer's message, or the output row on the last layer. `degree` feeds
+    /// the degree weights of degree-scaled layers.
     pub fn product_row(&self, l: usize, u: VertexId, degree: usize) -> Vec<f32> {
-        let h = self.next_hidden(l, u, degree);
+        let (alpha, m) = (self.state.alpha[l].row(u as usize), self.state.m[l].row(u as usize));
+        let h = self.model.next_hidden(l, alpha, m, degree);
         if l + 1 < self.model.num_layers() {
-            self.message_row(l + 1, &h, degree)
+            self.model.message(l + 1, &h, degree)
         } else {
             h
         }
@@ -615,22 +576,19 @@ fn apply_shard(ctx: &ApplyCtx<'_>, shard: &mut ShardScratch, alpha_rows: &mut Al
 }
 
 /// Phase 4, sequential: commits the staged α rows, records condition stats,
-/// runs user events, and builds the sorted next-layer target list. A delta
-/// row's rows are already committed; it only leaves its counts and, when its
-/// `h` row changed, an entry in the round's rewritten-row list. `user` is the
-/// layer's hooks and cache, on a hooked layer.
+/// and builds the sorted next-layer target list. A delta row's rows are
+/// already committed; it only leaves its counts and, when its `h` row
+/// changed, an entry in the round's rewritten-row list.
 pub(crate) fn write(
     plan: &LayerPlan,
     rs: &mut RoundState,
     alpha_l: &mut Matrix,
-    user: Option<(&dyn UserHooks, &mut Matrix)>,
     owned: Option<&[bool]>,
 ) {
-    let (l, dim, ns, cfg) = (plan.layer, plan.dim, rs.ns, rs.cfg);
+    let (dim, ns, cfg) = (plan.dim, rs.ns, rs.cfg);
     let (stats, report) = (&mut rs.layer, &mut rs.report);
-    let ScratchPool {
-        shards, affected, next_targets, pending_user, changed_order, rewritten, ..
-    } = &mut rs.scratch;
+    let ScratchPool { shards, affected, next_targets, changed_order, rewritten, .. } =
+        &mut rs.scratch;
     next_targets.clear();
     let mut delta_rows = 0usize;
     for shard in &shards[..ns] {
@@ -683,25 +641,6 @@ pub(crate) fn write(
         }
     }
 
-    // User events targeting this layer's update phase. Events whose target
-    // this engine does not own are dropped — the owning engine derives the
-    // same events from its own copy of the change (hooks must only target
-    // vertices they were fired for).
-    let user_events = std::mem::take(&mut pending_user[l]);
-    if !user_events.is_empty() {
-        let (hooks, cache) = user.expect("user events require a hooked layer");
-        let mut by_target: FxHashMap<VertexId, Vec<UserEvent>> = FxHashMap::default();
-        for e in user_events.into_iter().filter(|e| owns_in(owned, e.target)) {
-            by_target.entry(e.target).or_default().push(e);
-        }
-        for (target, evs) in by_target {
-            let reduced = hooks.user_grouping(l, evs);
-            hooks.user_apply(l, target, cache.row_mut(target as usize), &reduced);
-            affected.insert(target);
-            next_targets.push(target);
-        }
-    }
-
     // Self-dependence: nodes whose own message changed re-enter — owned ones
     // only; a ghost's owner re-enters it on its side.
     if plan.self_dependent {
@@ -730,13 +669,11 @@ pub(crate) fn next_messages(
     model: &Model,
     graph: &DynGraph,
     state: &mut FullState,
-    hooks: Option<&dyn UserHooks>,
-    user_cache: &[Option<Matrix>],
 ) {
     let (l, dim, out_dim, prod_dim) = (plan.layer, plan.dim, plan.out_dim, plan.prod_dim);
     let cfg = rs.cfg;
     let nt = rs.scratch.next_targets.len();
-    let cached = Cached { model, state: &*state, hooks, user_cache };
+    let cached = Cached { model, state: &*state };
     if cfg.parallel && nt >= BATCH_MIN_TARGETS && dim > 0 && out_dim > 0 && prod_dim > 0 {
         rs.layer.batched_rows = nt;
         rs.report.gemm_flops += transform_batch(plan, &mut rs.scratch, cached, graph, cfg.parallel);
@@ -754,7 +691,7 @@ pub(crate) fn next_messages(
     rs.f32_read += (nt * 2 * dim + nd * 2 * out_dim) as u64;
     rs.f32_written += ((nt + nd) * out_dim) as u64;
 
-    let ScratchPool { next_targets, next_buf, old, pending_user, rewritten, .. } = &mut rs.scratch;
+    let ScratchPool { next_targets, next_buf, old, rewritten, .. } = &mut rs.scratch;
     for (i, (&u, chunk)) in next_targets.iter().zip(next_buf.chunks(prod_dim.max(1))).enumerate() {
         if let Some(&ahead) = next_targets.get(i + ROW_AHEAD) {
             let dest = if plan.last { &state.h } else { &state.m[l + 1] };
@@ -772,10 +709,6 @@ pub(crate) fn next_messages(
         if changed || !cfg.pruning {
             old.insert(l + 1, u, m_next.row(u as usize));
             if changed {
-                if let Some(hooks) = hooks {
-                    let old_row = old.get(l + 1, u).expect("just inserted");
-                    pending_user[l + 1].extend(hooks.user_propagate(l + 1, u, old_row, chunk));
-                }
                 m_next.set_row(u as usize, chunk);
             }
         }
@@ -785,8 +718,8 @@ pub(crate) fn next_messages(
 /// The batched transform of [`next_messages`] into `scratch.next_buf`:
 /// gathers the targets' (degree-scaled) α rows and, on a self-dependent
 /// layer, their messages; runs the layer update as one GEMM, the per-row
-/// epilogue (user contribution, norm, activation), then — below the last
-/// layer — the next layer's message GEMM and its source-side degree weight.
+/// epilogue (norm, activation), then — below the last layer — the next
+/// layer's message GEMM and its source-side degree weight.
 /// Returns the GEMM flops. Bitwise equal to [`Cached::product_row`] per row.
 fn transform_batch(
     plan: &LayerPlan,
@@ -833,12 +766,7 @@ fn transform_batch(
         hidden_buf.as_mut_slice()
     };
     let mut flops = conv.update_batch_into(nt, gather_alpha, self_msg, h_rows, gemm);
-    let cache = cached.user_cache.get(l).and_then(Option::as_ref);
-    fan_out(parallel, nt, h_rows, out_dim, |(i, row)| {
-        let u = next_targets[i];
-        if let (Some(hk), Some(c)) = (cached.hooks, cache) {
-            hk.contribute(l, u, row, c.row(u as usize));
-        }
+    fan_out(parallel, nt, h_rows, out_dim, |(_, row)| {
         if let Some(norm) = &layer.norm {
             norm.apply_cached(row);
         }

@@ -30,7 +30,6 @@
 //! aggregator.
 
 use crate::event::{Event, EventOp, PayloadArena, PayloadId};
-use crate::hooks::UserEvent;
 use crate::monotonic::Condition;
 use ink_graph::{FxHashMap, FxHashSet, VertexId};
 use ink_gnn::Aggregator;
@@ -548,8 +547,6 @@ pub(crate) struct ScratchPool {
     pub rescale_list: Vec<(VertexId, i64)>,
     /// Directed edges covered by ΔG insert events (duplicate-event rule).
     pub covered: FxHashSet<(VertexId, VertexId)>,
-    /// User events pending per layer.
-    pub pending_user: Vec<Vec<UserEvent>>,
     /// Vertices whose α changed in any layer (the *real affected* set).
     pub affected: FxHashSet<VertexId>,
     /// Targets entering the next-messages phase's full transform.
@@ -570,13 +567,13 @@ pub(crate) struct ScratchPool {
     /// next-layer batched message).
     pub hidden_buf: Vec<f32>,
     /// GEMM packing / ping-pong buffer pool shared by the batched transform
-    /// and the in-place bootstrap.
+    /// and the in-place full inference of a resync.
     pub gemm: ink_tensor::GemmScratch,
 }
 
 impl ScratchPool {
-    /// Prepares the pool for a round of `layers` layers with `workers`
-    /// generation workers and `shards` target shards.
+    /// Prepares the pool for a round with `workers` generation workers and
+    /// `shards` target shards.
     ///
     /// Worker and shard vectors only ever *grow*: `set_config` may lower the
     /// counts between rounds, and shrinking here would drop the idle
@@ -584,18 +581,12 @@ impl ScratchPool {
     /// back up. Excess workers get empty chunks from [`worker_chunk`] and
     /// excess shards receive no targets from [`shard_of`], so the phases can
     /// keep iterating the whole vectors.
-    pub fn begin_round(&mut self, layers: usize, workers: usize, shards: usize) {
+    pub fn begin_round(&mut self, workers: usize, shards: usize) {
         if self.workers.len() < workers {
             self.workers.resize_with(workers, WorkerScratch::default);
         }
         if self.shards.len() < shards {
             self.shards.resize_with(shards, ShardScratch::default);
-        }
-        if self.pending_user.len() < layers {
-            self.pending_user.resize_with(layers, Vec::new);
-        }
-        for p in &mut self.pending_user {
-            p.clear();
         }
         self.degree_net.clear();
         self.degree_order.clear();
@@ -820,7 +811,7 @@ mod tests {
     fn scratch_pool_bytes_stable_after_reuse() {
         let mut pool = ScratchPool::default();
         let fill = |pool: &mut ScratchPool| {
-            pool.begin_round(2, 2, 4);
+            pool.begin_round(2, 4);
             pool.old.reset_layer(0, 4);
             for v in 0..50u32 {
                 pool.old.insert(0, v, &[0.5; 4]);

@@ -78,9 +78,11 @@ pub struct DriftPolicy {
     pub tolerance: f32,
     /// Response to a breach.
     pub action: DriftAction,
-    /// Seed of the spot-sampling sequence (deterministic per session).
-    pub seed: u64,
 }
+
+/// Seed of the spot-sampling sequence, so every session audits the same
+/// vertices for the same stream.
+const SPOT_SEED: u64 = 0x1a5d_93b7_c4e2_f016;
 
 impl Default for DriftPolicy {
     fn default() -> Self {
@@ -90,7 +92,6 @@ impl Default for DriftPolicy {
             full_every: None,
             tolerance: 1e-3,
             action: DriftAction::Fail,
-            seed: 0x1a5d_93b7_c4e2_f016,
         }
     }
 }
@@ -480,11 +481,10 @@ impl StreamSession {
             d.tolerance.is_finite() && d.tolerance >= 0.0,
             "DriftPolicy: tolerance must be finite and non-negative"
         );
-        let sample_state = config.drift.seed;
         let registry = Arc::new(MetricsRegistry::new());
         let tracer = Arc::new(Tracer::new(DEFAULT_TRACE_CAPACITY));
         let inst = SessionInstruments::register(&registry);
-        Self { engine, config, registry, tracer, inst, sample_state }
+        Self { engine, config, registry, tracer, inst, sample_state: SPOT_SEED }
     }
 
     /// The session's metrics registry (shared; render with

@@ -13,7 +13,7 @@ pub struct PhaseTimes {
     pub group: Duration,
     /// Per-target incremental update / recomputation.
     pub apply: Duration,
-    /// Sequential write-back: α rows, conditions, user events, target merge.
+    /// Sequential write-back: α rows, conditions, target merge.
     pub write: Duration,
     /// Next-layer message / final output rebuild.
     pub next_messages: Duration,

@@ -162,27 +162,25 @@ pub type NormStats = (Vec<f32>, Vec<f32>);
 
 /// One layer's update phase into caller-owned storage:
 /// `h_{l+1} = act(norm(T(α, m)))` as one batched GEMM chain, handling exact
-/// GraphNorm (whole-vertex-set statistics) when present. `h` is reshaped in
-/// place (capacity retained). Returns the captured statistics for exact
-/// norms plus the GEMM flop count.
+/// GraphNorm (whole-vertex-set statistics) when present. `h` is the flat
+/// row-major output (`alpha.rows() × out_dim`). Returns the captured
+/// statistics for exact norms plus the GEMM flop count.
 pub fn batch_update_into<N: Neighborhood>(
     model: &Model,
     l: usize,
     alpha: &Matrix,
     m: &Matrix,
     view: &N,
-    h: &mut Matrix,
+    h: &mut [f32],
     scratch: &mut GemmScratch,
 ) -> (Option<NormStats>, u64) {
     let layer = model.layer(l);
     let conv = &layer.conv;
     let out_dim = conv.out_dim();
     let dim = conv.msg_dim();
-    let scaled = conv.degree_scaled();
     let n = alpha.rows();
-    h.resize_to(n, out_dim);
     let self_msg: &[f32] = if conv.self_dependent() { m.as_slice() } else { &[] };
-    let flops = if scaled {
+    let flops = if conv.degree_scaled() {
         // Fold the target-side degree weight into a scaled copy of α first —
         // the same `a[j] * s` the per-node path performs before its update.
         let mut scaled_alpha = scratch.take(n * dim);
@@ -191,11 +189,11 @@ pub fn batch_update_into<N: Neighborhood>(
             (0..n).map(|u| (u, conv.update_scale(view.in_neighbors(u as VertexId).len()))),
             &mut scaled_alpha,
         );
-        let flops = conv.update_batch_into(n, &scaled_alpha, self_msg, h.as_mut_slice(), scratch);
+        let flops = conv.update_batch_into(n, &scaled_alpha, self_msg, h, scratch);
         scratch.put(scaled_alpha);
         flops
     } else {
-        conv.update_batch_into(n, alpha.as_slice(), self_msg, h.as_mut_slice(), scratch)
+        conv.update_batch_into(n, alpha.as_slice(), self_msg, h, scratch)
     };
 
     let mut captured = None;
@@ -204,13 +202,11 @@ pub fn batch_update_into<N: Neighborhood>(
             captured = Some(norm.apply_exact(h));
         }
         Some(cached @ GraphNormMode::Cached { .. }) => {
-            h.as_mut_slice()
-                .par_chunks_mut(out_dim)
-                .for_each(|row| cached.apply_cached(row));
+            h.par_chunks_mut(out_dim).for_each(|row| cached.apply_cached(row));
         }
         None => {}
     }
-    layer.act.apply(h.as_mut_slice());
+    layer.act.apply(h);
     (captured, flops)
 }
 
@@ -218,7 +214,9 @@ pub fn batch_update_into<N: Neighborhood>(
 /// every cached matrix is reshaped capacity-preserving and all temporaries
 /// (the inter-layer hidden buffer, GEMM packing, MLP ping-pong) come from
 /// `scratch`, so repeated recompute epochs over same-shaped inputs perform no
-/// allocation after the first. Returns the total GEMM flop count.
+/// allocation after the first. At most one hidden matrix is out of the pool
+/// at a time: `h_l` goes back as soon as `m_l` is built from it, and the last
+/// layer writes straight into `state.h`. Returns the total GEMM flop count.
 ///
 /// When a `meter` is given, the embedding traffic of every phase is recorded
 /// (analytically per layer, to keep the counters off the hot path).
@@ -234,27 +232,34 @@ pub fn full_inference_into<N: Neighborhood>(
     assert_eq!(features.rows(), view.num_vertices(), "one feature row per vertex");
     let n = view.num_vertices();
     let k = model.num_layers();
-    if k == 0 {
-        state.h.resize_to(n, features.cols());
-        state.h.as_mut_slice().copy_from_slice(features.as_slice());
-        return 0;
-    }
     state.m.resize_with(k, || Matrix::zeros(0, 0));
     state.alpha.resize_with(k, || Matrix::zeros(0, 0));
     state.norm_stats.clear();
     state.norm_stats.resize(k, None);
+    let FullState { m, alpha, h, norm_stats } = state;
     let mut flops = 0;
     // `cur` carries h_l between layers; layer 0 reads the features directly.
-    let mut cur = scratch.take(0);
+    let mut cur = Vec::new();
 
     for l in 0..k {
         let conv = &model.layer(l).conv;
-        let h_slice: &[f32] = if l == 0 { features.as_slice() } else { &cur };
-        flops += batch_message_into(model, l, h_slice, view, &mut state.m[l], scratch);
-        batch_aggregate_into(model, l, view, &state.m[l], &mut state.alpha[l]);
-        let (stats, f) =
-            batch_update_into(model, l, &state.alpha[l], &state.m[l], view, &mut state.h, scratch);
-        state.norm_stats[l] = stats;
+        let h_in: &[f32] = if l == 0 { features.as_slice() } else { &cur };
+        flops += batch_message_into(model, l, h_in, view, &mut m[l], scratch);
+        if l > 0 {
+            // `m[l]` is all this layer needs of h_l: its buffer goes back to
+            // the pool now, so the update below can reuse it.
+            scratch.put(std::mem::take(&mut cur));
+        }
+        batch_aggregate_into(model, l, view, &m[l], &mut alpha[l]);
+        let out: &mut [f32] = if l + 1 == k {
+            h.resize_to(n, conv.out_dim());
+            h.as_mut_slice()
+        } else {
+            cur = scratch.take(n * conv.out_dim());
+            &mut cur
+        };
+        let (stats, f) = batch_update_into(model, l, &alpha[l], &m[l], view, out, scratch);
+        norm_stats[l] = stats;
         flops += f;
         if let Some(meter) = meter {
             let entries: usize = (0..n).map(|u| view.in_neighbors(u as VertexId).len()).sum();
@@ -267,12 +272,7 @@ pub fn full_inference_into<N: Neighborhood>(
             meter.write(n * conv.msg_dim() + n * conv.msg_dim() + n * conv.out_dim());
             meter.visit_nodes(n);
         }
-        if l + 1 < k {
-            cur.clear();
-            cur.extend_from_slice(state.h.as_slice());
-        }
     }
-    scratch.put(cur);
     flops
 }
 

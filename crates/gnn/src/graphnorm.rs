@@ -9,8 +9,6 @@
 //! incremental engine accepts only the cached form, while full inference can
 //! run either (and capture fresh statistics for later caching).
 
-use ink_tensor::Matrix;
-
 /// Learnable GraphNorm parameters (scale γ, shift β).
 #[derive(Clone, Debug, PartialEq)]
 pub struct GraphNorm {
@@ -42,21 +40,16 @@ impl GraphNorm {
         }
     }
 
-    /// Computes the exact vertex-set statistics of `h` and normalises every
-    /// row. Returns the `(mean, var)` it used, for caching.
-    pub fn apply_exact(&self, h: &mut Matrix) -> (Vec<f32>, Vec<f32>) {
-        let mean = ink_tensor::reduce::col_mean(h);
+    /// Computes the exact vertex-set statistics of the row-major `_ × dim`
+    /// block `h` and normalises every row. Returns the `(mean, var)` it used,
+    /// for caching.
+    pub fn apply_exact(&self, h: &mut [f32]) -> (Vec<f32>, Vec<f32>) {
+        let mean = ink_tensor::reduce::col_mean(h, self.dim());
         let var = ink_tensor::reduce::col_var(h, &mean);
-        for r in 0..h.rows() {
-            let row = h.row_mut(r);
-            self.apply_with_stats_row(row, &mean, &var);
+        for row in h.chunks_exact_mut(self.dim().max(1)) {
+            self.apply_with_stats(row, &mean, &var);
         }
         (mean, var)
-    }
-
-    #[inline]
-    fn apply_with_stats_row(&self, row: &mut [f32], mean: &[f32], var: &[f32]) {
-        self.apply_with_stats(row, mean, var);
     }
 }
 
@@ -108,12 +101,13 @@ impl GraphNormMode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ink_tensor::Matrix;
 
     #[test]
     fn unit_norm_standardises() {
         let norm = GraphNorm::unit(1);
         let mut h = Matrix::from_vec(4, 1, vec![1.0, 3.0, 5.0, 7.0]);
-        let (mean, var) = norm.apply_exact(&mut h);
+        let (mean, var) = norm.apply_exact(h.as_mut_slice());
         assert_eq!(mean, vec![4.0]);
         assert_eq!(var, vec![5.0]);
         let sum: f32 = h.as_slice().iter().sum();
@@ -134,7 +128,7 @@ mod tests {
         let norm = GraphNorm::unit(2);
         let mut h = Matrix::from_vec(3, 2, vec![1.0, 10.0, 2.0, 20.0, 3.0, 30.0]);
         let mut h2 = h.clone();
-        let (mean, var) = norm.apply_exact(&mut h);
+        let (mean, var) = norm.apply_exact(h.as_mut_slice());
         let cached = GraphNormMode::Cached { norm, mean, var };
         for r in 0..3 {
             cached.apply_cached(h2.row_mut(r));
@@ -154,7 +148,7 @@ mod tests {
     fn zero_variance_is_stable() {
         let norm = GraphNorm::unit(1);
         let mut h = Matrix::full(3, 1, 7.0);
-        norm.apply_exact(&mut h);
+        norm.apply_exact(h.as_mut_slice());
         assert!(h.as_slice().iter().all(|x| x.is_finite()));
     }
 }

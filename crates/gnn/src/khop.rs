@@ -64,17 +64,9 @@ pub fn khop_update(
     for l in 0..k {
         let conv = &model.layer(l).conv;
         let dim = conv.msg_dim();
-        let scaled = conv.degree_scaled();
         // Messages on S_l (with the source-side degree weight when scaled).
-        let mut msgs: FxHashMap<VertexId, Vec<f32>> = FxHashMap::default();
-        for &u in &sets[l] {
-            let mut out = vec![0.0; dim];
-            conv.message_into(&h[&u], &mut out);
-            if scaled {
-                ink_tensor::ops::scale(&mut out, conv.degree_scale(g.in_degree(u)));
-            }
-            msgs.insert(u, out);
-        }
+        let msgs: FxHashMap<VertexId, Vec<f32>> =
+            sets[l].iter().map(|&u| (u, model.message(l, &h[&u], g.in_degree(u)))).collect();
         // Aggregate + update on S_{l+1}.
         let mut h_next: FxHashMap<VertexId, Vec<f32>> = FxHashMap::default();
         let mut gathered = 0usize;

@@ -2,10 +2,11 @@
 //!
 //! A [`Model`] is an ordered stack of [`LayerDef`]s — convolution, optional
 //! GraphNorm, activation — plus constructors for the paper's three benchmark
-//! models (2-layer GCN, 2-layer GraphSAGE, 5-layer GIN). The incremental
-//! engine consumes models through [`Model::next_hidden_into`], which
-//! evaluates exactly the per-node pipeline `act(norm(T(α_u, m_u)))` the
-//! paper's expressiveness condition allows.
+//! models (2-layer GCN, 2-layer GraphSAGE, 5-layer GIN). Outside its batched
+//! transform, the incremental engine evaluates a node through
+//! [`Model::next_hidden_into`] — exactly the per-node pipeline
+//! `act(norm(T(α_u, m_u)))` the paper's expressiveness condition allows —
+//! and [`Model::message`].
 
 use crate::{Aggregator, Conv, GcnConv, GinConv, GraphNorm, GraphNormMode, LightGcnConv, SageConv};
 use ink_tensor::Activation;
@@ -213,6 +214,18 @@ impl Model {
         let mut out = vec![0.0; self.layers[l].conv.out_dim()];
         self.next_hidden_into(l, alpha, self_msg, degree, &mut out);
         out
+    }
+
+    /// Layer `l`'s message `m_{l,u}` for one node with hidden row `h` and
+    /// in-degree `degree`, times the source-side degree weight of
+    /// degree-scaled layers — one row of [`crate::full::batch_message_into`].
+    pub fn message(&self, l: usize, h: &[f32], degree: usize) -> Vec<f32> {
+        let conv = &self.layers[l].conv;
+        let mut msg = conv.message(h);
+        if conv.degree_scaled() {
+            ink_tensor::ops::scale(&mut msg, conv.degree_scale(degree));
+        }
+        msg
     }
 
     /// Total parameter count across layers.

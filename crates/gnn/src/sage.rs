@@ -38,16 +38,6 @@ impl SageConv {
         assert_eq!(w_neigh.out_dim(), w_self.out_dim());
         Self { w_neigh, w_self, agg }
     }
-
-    /// The neighborhood transform `W₁` (used by the user-hook demo).
-    pub fn w_neigh(&self) -> &Linear {
-        &self.w_neigh
-    }
-
-    /// The self transform `W₂` (used by the user-hook demo).
-    pub fn w_self(&self) -> &Linear {
-        &self.w_self
-    }
 }
 
 impl Conv for SageConv {

@@ -29,9 +29,7 @@
 //! regenerated *locally* from refreshed ghost rows — the refresh records the
 //! pre-refresh row as the "old" value, so payloads, the covered-edge rule,
 //! and the canonical sorted-source fold order all match the monolithic
-//! pipeline. User hooks must only emit events targeting the vertex whose
-//! message changed (true for [`inkstream::LinearSelfTerm`]); mirrors fire
-//! them too, and the ownership mask drops the foreign copies.
+//! pipeline.
 
 use crate::partitioner::Partitioner;
 use crate::replication::ReplicationTable;
@@ -42,16 +40,10 @@ use ink_gnn::Model;
 use ink_obs::{Histogram, MetricsRegistry};
 use ink_tensor::ops::nan_max;
 use ink_tensor::Matrix;
-use inkstream::{InkError, InkStream, UpdateConfig, UpdateReport, UserHooks};
+use inkstream::{InkError, InkStream, UpdateConfig, UpdateReport};
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Factory producing one identical hook set per engine. **Must be
-/// deterministic**, like the model factory of [`PartitionedInkStream::new`].
-/// Partitioned hooks must only emit events targeting the vertex whose
-/// message changed.
-pub type HooksFactory = Box<dyn Fn() -> Box<dyn UserHooks> + Send + Sync>;
 
 /// Tunables of the partitioned driver. How many threads step the
 /// partitions follows the rayon pool the driver is called in (the global
@@ -150,24 +142,6 @@ impl PartitionedInkStream {
         F: Fn() -> Model,
         P: Partitioner + 'static,
     {
-        Self::with_hooks(model_factory, graph, features, partitioner, cfg, None)
-    }
-
-    /// Like [`PartitionedInkStream::new`] with user hooks. Partition-safe
-    /// hooks must only emit events targeting the vertex whose message
-    /// changed (see [`HooksFactory`]).
-    pub fn with_hooks<F, P>(
-        model_factory: F,
-        graph: DynGraph,
-        features: Matrix,
-        partitioner: P,
-        cfg: PartitionConfig,
-        hooks_factory: Option<HooksFactory>,
-    ) -> Result<Self, InkError>
-    where
-        F: Fn() -> Model,
-        P: Partitioner + 'static,
-    {
         assert!(cfg.parts >= 1, "PartitionConfig: need at least one partition");
         let parts = cfg.parts;
         let assignment = partitioner.partition(&graph, parts);
@@ -175,13 +149,8 @@ impl PartitionedInkStream {
 
         // One global bootstrap; every engine starts from a clone of its
         // state (full-width matrices, global vertex ids).
-        let bootstrap = InkStream::with_hooks(
-            (model_factory)(),
-            graph.clone(),
-            features.clone(),
-            cfg.update,
-            hooks_factory.as_ref().map(|f| f()),
-        )?;
+        let bootstrap =
+            InkStream::new((model_factory)(), graph.clone(), features.clone(), cfg.update)?;
         let state = bootstrap.state().clone();
         drop(bootstrap);
 
@@ -195,7 +164,6 @@ impl PartitionedInkStream {
                 features.clone(),
                 state.clone(),
                 cfg.update,
-                hooks_factory.as_ref().map(|f| f()),
             )?;
             e.set_ownership(Some(assignment.iter().map(|&a| a == p).collect()));
             engines.push(e);

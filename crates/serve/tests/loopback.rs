@@ -191,7 +191,7 @@ fn four_clients_match_single_threaded_reference_bitwise() {
     // The shutdown checkpoint loads back into a bitwise-identical engine.
     let mut f = std::fs::File::open(&ckpt).expect("shutdown wrote a checkpoint");
     let restored =
-        inkstream::checkpoint::load(model(), &mut f, UpdateConfig::default(), None).unwrap();
+        inkstream::checkpoint::load(model(), &mut f, UpdateConfig::default()).unwrap();
     assert_eq!(restored.output().as_slice(), expected.last().unwrap().as_slice());
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -564,7 +564,7 @@ fn checkpoint_path_is_honoured_or_refused_never_ignored() {
     handle.shutdown().expect("a single engine checkpoints");
     let mut f = std::fs::File::open(dir.join("single")).expect("shutdown wrote a checkpoint");
     let restored =
-        inkstream::checkpoint::load(model(), &mut f, UpdateConfig::default(), None).unwrap();
+        inkstream::checkpoint::load(model(), &mut f, UpdateConfig::default()).unwrap();
     assert!(bits(restored.output()) == bits(reference.output()));
     let listing = || {
         let mut names: Vec<_> =

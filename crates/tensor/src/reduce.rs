@@ -16,35 +16,37 @@
 use crate::ops;
 use crate::Matrix;
 
-/// Per-column mean of all rows. Returns zeros for an empty matrix.
-pub fn col_mean(m: &Matrix) -> Vec<f32> {
-    let mut mean = vec![0.0f64; m.cols()];
-    if m.rows() == 0 {
-        return vec![0.0; m.cols()];
+/// Per-column mean of the row-major `_ × cols` block `data`. Returns zeros
+/// when it has no rows.
+pub fn col_mean(data: &[f32], cols: usize) -> Vec<f32> {
+    let mut mean = vec![0.0f64; cols];
+    if data.is_empty() {
+        return vec![0.0; cols];
     }
-    for row in m.rows_iter() {
+    for row in data.chunks_exact(cols.max(1)) {
         for (acc, &x) in mean.iter_mut().zip(row) {
             *acc += x as f64;
         }
     }
-    let n = m.rows() as f64;
+    let n = (data.len() / cols.max(1)) as f64;
     mean.into_iter().map(|x| (x / n) as f32).collect()
 }
 
-/// Per-column (population) variance of all rows.
-pub fn col_var(m: &Matrix, mean: &[f32]) -> Vec<f32> {
-    assert_eq!(mean.len(), m.cols());
-    let mut var = vec![0.0f64; m.cols()];
-    if m.rows() == 0 {
-        return vec![0.0; m.cols()];
+/// Per-column (population) variance of the row-major `_ × mean.len()` block
+/// `data`.
+pub fn col_var(data: &[f32], mean: &[f32]) -> Vec<f32> {
+    let cols = mean.len();
+    let mut var = vec![0.0f64; cols];
+    if data.is_empty() {
+        return vec![0.0; cols];
     }
-    for row in m.rows_iter() {
+    for row in data.chunks_exact(cols.max(1)) {
         for ((acc, &x), &mu) in var.iter_mut().zip(row).zip(mean) {
             let d = (x - mu) as f64;
             *acc += d * d;
         }
     }
-    let n = m.rows() as f64;
+    let n = (data.len() / cols.max(1)) as f64;
     var.into_iter().map(|x| (x / n) as f32).collect()
 }
 
@@ -138,23 +140,23 @@ mod tests {
     #[test]
     fn mean_and_var_of_constant_rows() {
         let m = Matrix::full(5, 3, 2.0);
-        let mean = col_mean(&m);
+        let mean = col_mean(m.as_slice(), m.cols());
         assert_eq!(mean, vec![2.0, 2.0, 2.0]);
-        assert_eq!(col_var(&m, &mean), vec![0.0, 0.0, 0.0]);
+        assert_eq!(col_var(m.as_slice(), &mean), vec![0.0, 0.0, 0.0]);
     }
 
     #[test]
     fn mean_and_var_hand_checked() {
         let m = Matrix::from_vec(2, 2, vec![1.0, 0.0, 3.0, 4.0]);
-        let mean = col_mean(&m);
+        let mean = col_mean(m.as_slice(), m.cols());
         assert_eq!(mean, vec![2.0, 2.0]);
-        assert_eq!(col_var(&m, &mean), vec![1.0, 4.0]);
+        assert_eq!(col_var(m.as_slice(), &mean), vec![1.0, 4.0]);
     }
 
     #[test]
     fn empty_matrix_yields_zeros() {
         let m = Matrix::zeros(0, 4);
-        assert_eq!(col_mean(&m), vec![0.0; 4]);
+        assert_eq!(col_mean(m.as_slice(), m.cols()), vec![0.0; 4]);
     }
 
     #[test]
@@ -162,8 +164,8 @@ mod tests {
         let m = Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f32);
         let rows: Vec<usize> = (0..4).collect();
         let (mean_s, var_s) = col_mean_var_subset(&m, &rows);
-        let mean = col_mean(&m);
-        let var = col_var(&m, &mean);
+        let mean = col_mean(m.as_slice(), m.cols());
+        let var = col_var(m.as_slice(), &mean);
         for i in 0..3 {
             assert!((mean_s[i] - mean[i]).abs() < 1e-6);
             assert!((var_s[i] - var[i]).abs() < 1e-5);

@@ -14,7 +14,7 @@
 //! * At the shipped defaults the size-based selection takes the per-node
 //!   transform on a small round and the batched one on a large one, and the
 //!   `sequential()` oracle stays per-node however large the round.
-//! * Repeated recompute epochs (`resync`) on a hook-free engine reuse the
+//! * Repeated recompute epochs (`resync`) on an engine reuse the
 //!   cached matrices and pooled temporaries — reserved bytes stay flat.
 
 use ink_graph::{DeltaBatch, DynGraph};
@@ -191,7 +191,7 @@ fn sequential_oracle_never_batches() {
     }
 }
 
-/// A recompute epoch (`resync`) on a warm hook-free engine reuses every
+/// A recompute epoch (`resync`) on a warm engine reuses every
 /// cached matrix and pooled temporary: reserved bytes stay flat while the
 /// state is rebuilt bitwise-equal to the reference.
 #[test]

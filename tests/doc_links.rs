@@ -2,8 +2,9 @@
 //! markdown link in the operator docs resolves to a real file, and the
 //! protocol spec is cross-linked from the places a reader would start —
 //! README, DESIGN.md and the `ink-serve` rustdoc. The metric catalogue in
-//! DESIGN.md §8 is held to the instruments a running system registers, and
-//! the knob list in DESIGN.md §3 to the fields of `UpdateConfig`.
+//! DESIGN.md §8 is held to the instruments a running system registers, the
+//! knob list in DESIGN.md §3 to the fields of `UpdateConfig`, and the
+//! commands in README and EXPERIMENTS.md to real targets and artifacts.
 
 use std::path::{Path, PathBuf};
 
@@ -135,6 +136,63 @@ fn knob_catalogue_matches_update_config() {
     fields.sort_unstable();
     assert!(fields.len() >= 4, "expected the UpdateConfig fields, found {fields:?}");
     assert_eq!(listed, fields, "DESIGN.md §3 flag list vs UpdateConfig fields");
+}
+
+#[test]
+fn regeneration_table_names_only_recorded_artifacts() {
+    // The artifact column of EXPERIMENTS.md's regeneration table: every
+    // backticked file name in it is a file under `results/`.
+    let doc = read("EXPERIMENTS.md");
+    let table = doc
+        .split("| Paper result | `results/` artifact(s) |")
+        .nth(1)
+        .expect("EXPERIMENTS.md has the regeneration table");
+    let rows: Vec<&str> = table.lines().skip(2).take_while(|l| l.starts_with('|')).collect();
+    assert!(rows.len() >= 10, "regeneration table not found");
+    let missing: Vec<String> = rows
+        .iter()
+        .filter_map(|row| row.split('|').nth(2))
+        .flat_map(|cell| cell.split('`').skip(1).step_by(2))
+        .filter(|name| !repo_root().join("results").join(name).is_file())
+        .map(|name| format!("results/{name}"))
+        .collect();
+    assert!(missing.is_empty(), "named in EXPERIMENTS.md but not recorded: {missing:?}");
+}
+
+#[test]
+fn documented_commands_name_real_targets() {
+    // Every `--bin NAME` is a `src/bin/NAME.rs` of some workspace crate and
+    // every `--example NAME` an `examples/NAME.rs` of the root package.
+    let mut bins = Vec::new();
+    for krate in std::fs::read_dir(repo_root().join("crates")).expect("crates/ exists") {
+        let Ok(dir) = std::fs::read_dir(krate.expect("crate entry").path().join("src/bin")) else {
+            continue;
+        };
+        bins.extend(dir.filter_map(|e| e.ok()?.path().file_stem()?.to_str().map(String::from)));
+    }
+    assert!(bins.len() >= 10, "expected the paper-figure bins, found {bins:?}");
+    let mut unknown = Vec::new();
+    let mut seen = 0;
+    for doc in ["README.md", "EXPERIMENTS.md"] {
+        for line in read(doc).lines() {
+            let words: Vec<&str> = line.split_whitespace().collect();
+            for pair in words.windows(2) {
+                let name = pair[1].trim_end_matches(|c: char| !c.is_alphanumeric() && c != '_');
+                let example = repo_root().join("examples").join(format!("{name}.rs"));
+                let real = match pair[0] {
+                    "--bin" => bins.iter().any(|b| b == name),
+                    "--example" => example.is_file(),
+                    _ => continue,
+                };
+                seen += 1;
+                if !real {
+                    unknown.push(format!("{doc}: {} {name}", pair[0]));
+                }
+            }
+        }
+    }
+    assert!(seen >= 16, "expected the documented commands, found {seen}");
+    assert!(unknown.is_empty(), "commands naming no target: {unknown:?}");
 }
 
 /// Family names (`# TYPE <name> <kind>` lines) of a Prometheus text scrape.

@@ -7,13 +7,13 @@
 //! pipeline, so even accumulative aggregation (sum/mean) matches bitwise,
 //! not just within tolerance.
 
-use ink_gnn::{Aggregator, Conv, LayerDef, Model};
+use ink_gnn::{Aggregator, Model};
 use ink_graph::generators::erdos_renyi;
 use ink_graph::{DeltaBatch, DynGraph, VertexId};
 use ink_partition::{GreedyEdgeCut, HashPartitioner, PartitionConfig, PartitionedInkStream};
-use ink_tensor::init::{glorot_uniform, seeded_rng, uniform};
-use ink_tensor::{Activation, Linear, Matrix};
-use inkstream::{InkStream, LinearSelfTerm, UpdateConfig, UserHooks};
+use ink_tensor::init::{seeded_rng, uniform};
+use ink_tensor::Matrix;
+use inkstream::{InkStream, UpdateConfig};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use rand::rngs::StdRng;
@@ -180,122 +180,6 @@ proptest! {
             prop_assert_eq!(parted.mirror_deviation(), 0.0);
             Ok(())
         })?;
-    }
-}
-
-/// GraphSAGE's neighborhood half only — the self term arrives through
-/// [`LinearSelfTerm`] user events (paper §II-D), the hook configuration the
-/// partitioned engine supports: every emitted event targets the vertex whose
-/// message changed.
-struct NeighborOnlySage {
-    w_neigh: Linear,
-    agg: Aggregator,
-}
-
-impl Conv for NeighborOnlySage {
-    fn in_dim(&self) -> usize {
-        self.w_neigh.in_dim()
-    }
-    fn msg_dim(&self) -> usize {
-        self.w_neigh.in_dim()
-    }
-    fn out_dim(&self) -> usize {
-        self.w_neigh.out_dim()
-    }
-    fn aggregator(&self) -> Aggregator {
-        self.agg
-    }
-    fn message_into(&self, h: &[f32], out: &mut [f32]) {
-        out.copy_from_slice(h);
-    }
-    fn message_is_identity(&self) -> bool {
-        true
-    }
-    fn update_into(&self, alpha: &[f32], _self_msg: &[f32], out: &mut [f32]) {
-        self.w_neigh.forward_vec(alpha, out);
-    }
-    fn self_dependent(&self) -> bool {
-        false
-    }
-    fn param_count(&self) -> usize {
-        self.w_neigh.param_count()
-    }
-}
-
-/// Deterministic hooked-model parts shared by the single and partitioned
-/// builds below.
-fn sage_parts(seed: u64) -> (Vec<Linear>, Vec<Linear>) {
-    let mut rng = seeded_rng(seed ^ 0xace);
-    let dims = [4usize, 6, 3];
-    let mut w_neigh = Vec::new();
-    let mut w_self = Vec::new();
-    for w in dims.windows(2) {
-        w_neigh.push(Linear::new(&mut rng, w[0], w[1]));
-        w_self.push(Linear::from_parts(glorot_uniform(&mut rng, w[0], w[1]), vec![0.0; w[1]]));
-    }
-    (w_neigh, w_self)
-}
-
-fn hooked_model(seed: u64, agg: Aggregator) -> Model {
-    let (w_neigh, _) = sage_parts(seed);
-    let layers: Vec<LayerDef> = w_neigh
-        .into_iter()
-        .enumerate()
-        .map(|(l, w)| LayerDef {
-            conv: Box::new(NeighborOnlySage { w_neigh: w, agg }),
-            norm: None,
-            act: if l == 1 { Activation::Identity } else { Activation::Relu },
-        })
-        .collect();
-    Model::new(layers)
-}
-
-fn hooked_hooks(seed: u64) -> Box<dyn UserHooks> {
-    let (_, w_self) = sage_parts(seed);
-    Box::new(LinearSelfTerm::new(w_self.into_iter().map(Some).collect()))
-}
-
-/// Hooked engines (user events carrying `W·Δm` self terms) stay bitwise
-/// equal across the partition boundary: mirrors fire the same hooks at
-/// refresh time and the ownership filter keeps exactly the owner's copy.
-#[test]
-fn hooked_partitioned_engine_matches_hooked_single() {
-    for parts in [2usize, 3, 5] {
-        let seed = 40 + parts as u64;
-        let (g, x) = base_inputs(seed);
-        let cfg = UpdateConfig::default();
-        let mut single = InkStream::with_hooks(
-            hooked_model(seed, Aggregator::Max),
-            g.clone(),
-            x.clone(),
-            cfg,
-            Some(hooked_hooks(seed)),
-        )
-        .unwrap();
-        let mut parted = PartitionedInkStream::with_hooks(
-            move || hooked_model(seed, Aggregator::Max),
-            g,
-            x,
-            HashPartitioner,
-            PartitionConfig { parts, update: cfg },
-            Some(Box::new(move || hooked_hooks(seed))),
-        )
-        .unwrap();
-        assert_eq!(&parted.output(), single.output(), "bootstrap, parts={parts}");
-        let mut drng = StdRng::seed_from_u64(seed ^ 0xbeef);
-        for round in 0..5 {
-            let delta = DeltaBatch::random_scenario(single.graph(), &mut drng, 6);
-            single.apply_delta(&delta);
-            parted.apply_delta(&delta);
-            assert_eq!(&parted.output(), single.output(), "parts={parts} round={round}");
-        }
-        if let Some(v) = boundary_vertex(&parted) {
-            let feat = vec![0.5, -0.25, 0.75, -0.5];
-            single.update_vertex_feature(v, &feat).unwrap();
-            parted.update_vertex_feature(v, &feat).unwrap();
-            assert_eq!(&parted.output(), single.output(), "parts={parts} hooked fx");
-        }
-        assert_eq!(parted.mirror_deviation(), 0.0, "parts={parts}");
     }
 }
 
