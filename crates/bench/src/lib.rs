@@ -15,11 +15,12 @@
 //! | `fig8`   | Fig. 8 — distribution of evolvable conditions |
 //! | `table6` | Table VI — component ablation |
 //! | `fig9`   | Fig. 9 — accuracy with exact vs approximate GraphNorm |
+//! | `memcost` | §III-E — memory cost of the cached state |
+//! | `drift`  | audit cost and drift over long streams |
+//! | `serve`  | `ink-serve` update/query throughput under many clients |
 //!
 //! All binaries accept `--scale <f>` (dataset scale factor, default 0.3),
 //! `--quick` (fewer scenarios), `--datasets PM,CA,...`, `--hidden <n>`.
-//! Criterion micro-benches for the kernels behind these numbers live in
-//! `benches/`.
 
 pub mod methods;
 pub mod opts;

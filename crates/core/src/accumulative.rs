@@ -45,7 +45,7 @@
 use ink_gnn::{Aggregator, Model};
 use ink_tensor::{Activation, Matrix};
 
-/// Applies the accumulative update and returns the new `α`.
+/// Applies the accumulative update: writes the new `α` into `out`.
 ///
 /// `degree_new` is the target's in-degree in the *current* graph;
 /// `degree_delta` is the net change contributed by ΔG events, so the old
@@ -55,21 +55,6 @@ use ink_tensor::{Activation, Matrix};
 /// channel — for mean this replaces three `f32` roundings
 /// (`a·d⁻`, `+s`, `·1/d`) with one, which is the dominant per-round drift
 /// source on long streams (see DESIGN.md, "Drift auditing and resync").
-pub fn apply_accumulative(
-    agg: Aggregator,
-    alpha_old: &[f32],
-    sum: &[f32],
-    degree_new: usize,
-    degree_delta: i32,
-    compensated: bool,
-) -> Vec<f32> {
-    let mut alpha = vec![0.0; alpha_old.len()];
-    apply_accumulative_into(agg, alpha_old, sum, degree_new, degree_delta, compensated, &mut alpha);
-    alpha
-}
-
-/// Allocation-free form of [`apply_accumulative`]: writes the new `α` into
-/// `out`.
 pub fn apply_accumulative_into(
     agg: Aggregator,
     alpha_old: &[f32],
@@ -185,6 +170,20 @@ mod tests {
     use super::*;
     use ink_gnn::{Conv, GraphNorm, GraphNormMode, LayerDef, SageConv};
     use ink_tensor::init::seeded_rng;
+
+    /// The new `α` of [`apply_accumulative_into`], allocated.
+    fn apply_accumulative(
+        agg: Aggregator,
+        alpha_old: &[f32],
+        sum: &[f32],
+        degree: usize,
+        dd: i32,
+        compensated: bool,
+    ) -> Vec<f32> {
+        let mut alpha = vec![0.0; alpha_old.len()];
+        apply_accumulative_into(agg, alpha_old, sum, degree, dd, compensated, &mut alpha);
+        alpha
+    }
 
     #[test]
     fn only_an_alpha_affine_last_layer_takes_the_delta_rule() {

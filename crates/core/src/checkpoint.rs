@@ -282,7 +282,7 @@ mod tests {
 
         // A huge-but-representable element count must also fail typed (the
         // allocation is refused or the stream ends early), not abort.
-        let mut huge = buf;
+        let mut huge = buf.clone();
         huge[header_at..header_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
         huge[header_at + 8..header_at + 16].copy_from_slice(&1u64.to_le_bytes());
         let err = err_of(load(make_model(9), &mut huge.as_slice(), UpdateConfig::default()));
@@ -290,5 +290,19 @@ mod tests {
             matches!(err, InkError::Corrupt { .. } | InkError::Truncated),
             "got {err:?}"
         );
+
+        // The graph header's vertex count (after the checkpoint magic, the
+        // graph magic and the directed flag) is as untrusted as a matrix's.
+        let vertices_at = 4 + 4 + 1;
+        for n in [1u64 << 40, u64::MAX] {
+            let mut poisoned = buf.clone();
+            poisoned[vertices_at..vertices_at + 8].copy_from_slice(&n.to_le_bytes());
+            let err =
+                err_of(load(make_model(9), &mut poisoned.as_slice(), UpdateConfig::default()));
+            assert!(
+                matches!(err, InkError::Corrupt { .. } | InkError::Truncated),
+                "vertex count {n}: got {err:?}"
+            );
+        }
     }
 }

@@ -144,11 +144,6 @@ impl PayloadArena {
         &self.data[id.0 as usize * self.dim..(id.0 as usize + 1) * self.dim]
     }
 
-    /// Bytes held by the arena.
-    pub fn nbytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f32>()
-    }
-
     /// Drops every payload but keeps the allocation for reuse.
     pub fn clear(&mut self) {
         self.data.clear();

@@ -47,11 +47,6 @@ impl Json {
         Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
-    /// An array from values.
-    pub fn arr(items: impl IntoIterator<Item = Json>) -> Json {
-        Json::Arr(items.into_iter().collect())
-    }
-
     /// Appends a field to an object.
     ///
     /// # Panics
@@ -237,8 +232,8 @@ mod tests {
     fn pretty_nests_with_two_space_indent() {
         let j = Json::obj([
             ("name", Json::from("x")),
-            ("rows", Json::arr([Json::obj([("v", Json::from(1u64))])])),
-            ("empty_arr", Json::arr([])),
+            ("rows", Json::Arr(vec![Json::obj([("v", Json::from(1u64))])])),
+            ("empty_arr", Json::Arr(vec![])),
             ("empty_obj", Json::obj::<String>([])),
         ]);
         let s = j.pretty();
@@ -265,6 +260,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-object")]
     fn push_on_array_panics() {
-        Json::arr([]).push("a", Json::Null);
+        Json::Arr(vec![]).push("a", Json::Null);
     }
 }

@@ -255,17 +255,6 @@ impl UpdateReport {
                 .or_insert(c);
         }
     }
-
-    /// Fraction of processed monotonic targets that avoided recomputation
-    /// (pruned or incrementally updated) — the headline of paper Fig. 8.
-    pub fn evolvable_fraction(&self) -> f64 {
-        let c = self.conditions();
-        let mono = c.resilient + c.no_reset + c.covered_reset + c.exposed_reset;
-        if mono == 0 {
-            return 0.0;
-        }
-        (c.resilient + c.no_reset + c.covered_reset) as f64 / mono as f64
-    }
 }
 
 #[cfg(test)]
@@ -291,28 +280,6 @@ mod tests {
         assert_eq!(a.resilient, 4);
         assert_eq!(a.exposed_reset, 4);
         assert_eq!(a.accumulative, 2);
-    }
-
-    #[test]
-    fn evolvable_fraction_excludes_accumulative() {
-        let mut r = UpdateReport::default();
-        r.per_layer.push(LayerStats {
-            conditions: ConditionCounts {
-                resilient: 6,
-                no_reset: 2,
-                covered_reset: 1,
-                exposed_reset: 1,
-                accumulative: 100,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
-        assert!((r.evolvable_fraction() - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn evolvable_fraction_of_empty_report_is_zero() {
-        assert_eq!(UpdateReport::default().evolvable_fraction(), 0.0);
     }
 
     #[test]

@@ -35,12 +35,6 @@ impl CostMeter {
         self.writes.fetch_add(n as u64, Ordering::Relaxed);
     }
 
-    /// Records one node visit (a node whose embedding the engine touched).
-    #[inline]
-    pub fn visit_node(&self) {
-        self.nodes_visited.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records `n` node visits.
     #[inline]
     pub fn visit_nodes(&self, n: usize) {
@@ -126,8 +120,7 @@ mod tests {
         m.read(10);
         m.read(5);
         m.write(3);
-        m.visit_node();
-        m.visit_nodes(2);
+        m.visit_nodes(3);
         assert_eq!(m.snapshot(), (15, 3, 3));
         assert_eq!(m.total_traffic(), 18);
     }

@@ -109,19 +109,6 @@ pub fn batch_message_into<N: Neighborhood>(
     flops
 }
 
-/// Computes messages for every vertex: `m_l = message(h_l)`, times the
-/// source-side degree weight for degree-scaled layers (LightGCN-style).
-/// Allocating wrapper over [`batch_message_into`].
-pub fn batch_message<N: Neighborhood>(model: &Model, l: usize, h: &Matrix, view: &N) -> Matrix {
-    let conv = &model.layer(l).conv;
-    if conv.message_is_identity() && !conv.degree_scaled() {
-        return h.clone();
-    }
-    let mut m = Matrix::zeros(0, 0);
-    batch_message_into(model, l, h.as_slice(), view, &mut m, &mut GemmScratch::new());
-    m
-}
-
 /// Aggregates every vertex's in-neighborhood into caller-owned storage:
 /// `α_l[u] = A(m_l[v] : v∈N(u))`. `alpha` is reshaped in place (capacity
 /// retained).
@@ -287,17 +274,6 @@ pub fn full_inference<N: Neighborhood>(
     let mut state = FullState::empty();
     full_inference_into(model, view, features, meter, &mut state, &mut GemmScratch::new());
     state
-}
-
-/// Full inference that discards intermediates — used when only the output
-/// matters (baseline comparisons, accuracy studies).
-pub fn infer_embeddings<N: Neighborhood>(
-    model: &Model,
-    view: &N,
-    features: &Matrix,
-    meter: Option<&CostMeter>,
-) -> Matrix {
-    full_inference(model, view, features, meter).h
 }
 
 #[cfg(test)]

@@ -24,11 +24,6 @@ impl GinConv {
     pub fn new(rng: &mut StdRng, in_dim: usize, out_dim: usize, eps: f32, agg: Aggregator) -> Self {
         Self { mlp: Mlp::new(rng, &[in_dim, out_dim, out_dim], Activation::Relu), eps, agg }
     }
-
-    /// Layer from an explicit MLP.
-    pub fn from_mlp(mlp: Mlp, eps: f32, agg: Aggregator) -> Self {
-        Self { mlp, eps, agg }
-    }
 }
 
 impl Conv for GinConv {
@@ -117,14 +112,14 @@ mod tests {
 
     #[test]
     fn update_combines_alpha_and_scaled_self() {
-        let conv = GinConv::from_mlp(identity_mlp(2), 0.5, Aggregator::Sum);
+        let conv = GinConv { mlp: identity_mlp(2), eps: 0.5, agg: Aggregator::Sum };
         // (1 + 0.5)·[2, 4] + [1, 1] = [4, 7]
         assert_eq!(conv.update(&[1.0, 1.0], &[2.0, 4.0]), vec![4.0, 7.0]);
     }
 
     #[test]
     fn zero_eps_is_plain_sum() {
-        let conv = GinConv::from_mlp(identity_mlp(2), 0.0, Aggregator::Sum);
+        let conv = GinConv { mlp: identity_mlp(2), eps: 0.0, agg: Aggregator::Sum };
         assert_eq!(conv.update(&[1.0, 2.0], &[3.0, 4.0]), vec![4.0, 6.0]);
     }
 

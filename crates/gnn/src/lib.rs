@@ -35,7 +35,7 @@ pub mod sampler;
 
 pub use aggregator::Aggregator;
 pub use cost::CostMeter;
-pub use full::{full_inference, infer_embeddings, FullState, Neighborhood, NormStats};
+pub use full::{full_inference, FullState, Neighborhood, NormStats};
 pub use fused::{estimate_peak_bytes, fused_inference, OomError};
 pub use gcn::GcnConv;
 pub use gin::GinConv;

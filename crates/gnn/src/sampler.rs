@@ -39,15 +39,6 @@ impl SampledGraph {
         Self { adj }
     }
 
-    /// Direct construction (tests).
-    pub fn from_adj(adj: Vec<Vec<VertexId>>) -> Self {
-        let mut adj = adj;
-        for a in &mut adj {
-            a.sort_unstable();
-        }
-        Self { adj }
-    }
-
     /// The ΔG between two sampled neighborhoods: the paper's recipe for
     /// supporting samplers — cache the sampled structure from the last
     /// timestamp and express the difference as edge removals/insertions.
@@ -150,8 +141,8 @@ mod tests {
 
     #[test]
     fn diff_expresses_resample_as_edge_changes() {
-        let old = SampledGraph::from_adj(vec![vec![1, 2], vec![], vec![]]);
-        let new = SampledGraph::from_adj(vec![vec![2, 3].into_iter().map(|x| x as VertexId).collect(), vec![], vec![]]);
+        let old = SampledGraph { adj: vec![vec![1, 2], vec![], vec![]] };
+        let new = SampledGraph { adj: vec![vec![2, 3], vec![], vec![]] };
         let d = SampledGraph::diff(&old, &new);
         let ops: Vec<_> = d.changes().to_vec();
         assert!(ops.contains(&EdgeChange::remove(1, 0)));
@@ -161,7 +152,7 @@ mod tests {
 
     #[test]
     fn to_dyn_graph_preserves_in_neighborhoods() {
-        let s = SampledGraph::from_adj(vec![vec![2], vec![0, 2], vec![]]);
+        let s = SampledGraph { adj: vec![vec![2], vec![0, 2], vec![]] };
         let g = s.to_dyn_graph();
         assert!(g.is_directed());
         assert_eq!(g.in_neighbors(0), &[2]);

@@ -1,27 +1,15 @@
 //! k-hop neighborhoods.
 //!
-//! * The **theoretical affected area** of a k-layer GNN after a batch of edge
-//!   changes: the ball of radius `k−1` (following out-edges) around the
-//!   destination endpoints of the changed edges — a node affected in layer 1
-//!   can influence nodes at most `k−1` hops away through the remaining layers.
-//! * The **input cone** the k-hop baseline must fetch: recomputing layer `l`
-//!   embeddings of a set needs layer `l−1` embeddings of the set plus its
-//!   in-neighbors, recursively down to raw features — up to `2k` hops total.
+//! The **theoretical affected area** of a k-layer GNN after a batch of edge
+//! changes is the ball of radius `k−1` (following out-edges) around the
+//! destination endpoints of the changed edges — a node affected in layer 1
+//! can influence nodes at most `k−1` hops away through the remaining layers.
 
 use crate::{DeltaBatch, DynGraph, VertexId};
 
 /// Ball of radius `hops` around `seeds`, following out-edges. Returns a
 /// sorted, deduplicated vertex list that always includes the seeds.
 pub fn k_hop_out(g: &DynGraph, seeds: &[VertexId], hops: usize) -> Vec<VertexId> {
-    k_hop(g, seeds, hops, false)
-}
-
-/// Ball of radius `hops` around `seeds`, following in-edges (the fetch cone).
-pub fn k_hop_in(g: &DynGraph, seeds: &[VertexId], hops: usize) -> Vec<VertexId> {
-    k_hop(g, seeds, hops, true)
-}
-
-fn k_hop(g: &DynGraph, seeds: &[VertexId], hops: usize, reverse: bool) -> Vec<VertexId> {
     let mut visited = vec![false; g.num_vertices()];
     let mut result: Vec<VertexId> = Vec::new();
     let mut frontier: Vec<VertexId> = Vec::new();
@@ -38,8 +26,7 @@ fn k_hop(g: &DynGraph, seeds: &[VertexId], hops: usize, reverse: bool) -> Vec<Ve
         }
         let mut next = Vec::new();
         for &u in &frontier {
-            let nbrs = if reverse { g.in_neighbors(u) } else { g.out_neighbors(u) };
-            for &v in nbrs {
+            for &v in g.out_neighbors(u) {
                 if !visited[v as usize] {
                     visited[v as usize] = true;
                     next.push(v);
@@ -103,12 +90,6 @@ mod tests {
         let g = path(5);
         assert_eq!(k_hop_out(&g, &[1], 2), vec![1, 2, 3]);
         assert_eq!(k_hop_out(&g, &[1], 10), vec![1, 2, 3, 4], "ball saturates");
-    }
-
-    #[test]
-    fn reverse_ball_follows_in_edges() {
-        let g = path(5);
-        assert_eq!(k_hop_in(&g, &[3], 2), vec![1, 2, 3]);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! store only the out-lists: the in-view reads them too.
 
 use crate::{prefetch, EdgeOp, VertexId};
+use std::collections::TryReserveError;
 
 /// A sorted adjacency list.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -73,12 +74,21 @@ pub struct DynGraph {
 impl DynGraph {
     /// An edgeless graph with `n` vertices.
     pub fn new(n: usize, directed: bool) -> Self {
-        Self {
-            directed,
-            out: vec![SortedAdj::default(); n],
-            inn: if directed { vec![SortedAdj::default(); n] } else { Vec::new() },
-            num_edges: 0,
-        }
+        Self::try_new(n, directed).expect("adjacency allocation failed")
+    }
+
+    /// [`DynGraph::new`] with fallible allocation: a vertex count read from
+    /// a file must come back as an error, not an allocation abort.
+    pub(crate) fn try_new(n: usize, directed: bool) -> Result<Self, TryReserveError> {
+        let lists = |len: usize| -> Result<Vec<SortedAdj>, TryReserveError> {
+            let mut v = Vec::new();
+            v.try_reserve_exact(len)?;
+            v.resize(len, SortedAdj::default());
+            Ok(v)
+        };
+        let out = lists(n)?;
+        let inn = lists(if directed { n } else { 0 })?;
+        Ok(Self { directed, out, inn, num_edges: 0 })
     }
 
     /// Convenience: undirected graph from an edge list (duplicates and

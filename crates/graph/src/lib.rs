@@ -14,8 +14,8 @@
 //!   baselines, where gather bandwidth dominates.
 //! * [`DeltaBatch`] — a batch of edge changes with apply/revert and random
 //!   scenario generation (evenly split insert/remove, as in the paper).
-//! * [`bfs`] — k-hop neighborhoods: the *theoretical affected area* (forward
-//!   cone) and the input cone the k-hop baseline must fetch (reverse).
+//! * [`bfs`] — the *theoretical affected area*: the k-hop forward cone
+//!   around a delta's seeds.
 //! * [`generators`] — Erdős–Rényi, Barabási–Albert, R-MAT and
 //!   planted-partition generators used to synthesise dataset stand-ins.
 //! * [`datasets`] — scaled stand-ins for the paper's six benchmark graphs.
@@ -25,7 +25,6 @@
 //!   addresses; the crate's one `unsafe` block.
 
 pub mod bfs;
-pub mod components;
 pub mod csr;
 pub mod datasets;
 pub mod delta;

@@ -1,60 +1,6 @@
-//! Graph statistics used by the experiment reports.
+//! Partition-quality statistics for the partitioned engine and its benchmark.
 
 use crate::DynGraph;
-
-/// Summary statistics of a graph.
-#[derive(Clone, Debug, PartialEq)]
-pub struct GraphStats {
-    /// Vertex count.
-    pub vertices: usize,
-    /// Edge count (undirected edges count once).
-    pub edges: usize,
-    /// Mean in-degree.
-    pub avg_degree: f64,
-    /// Maximum in-degree.
-    pub max_degree: usize,
-    /// Edge density `m / (n·(n−1)/2)` for undirected graphs.
-    pub density: f64,
-}
-
-/// Computes [`GraphStats`] for `g`.
-pub fn graph_stats(g: &DynGraph) -> GraphStats {
-    let n = g.num_vertices();
-    let mut max_degree = 0;
-    let mut total = 0usize;
-    for u in 0..n {
-        let d = g.in_degree(u as u32);
-        total += d;
-        max_degree = max_degree.max(d);
-    }
-    let pairs = if g.is_directed() {
-        n.saturating_mul(n.saturating_sub(1))
-    } else {
-        n.saturating_mul(n.saturating_sub(1)) / 2
-    };
-    GraphStats {
-        vertices: n,
-        edges: g.num_edges(),
-        avg_degree: if n == 0 { 0.0 } else { total as f64 / n as f64 },
-        max_degree,
-        density: if pairs == 0 { 0.0 } else { g.num_edges() as f64 / pairs as f64 },
-    }
-}
-
-/// In-degree histogram with logarithmic buckets `[1, 2, 4, 8, ...)`; bucket 0
-/// counts isolated vertices.
-pub fn degree_histogram(g: &DynGraph) -> Vec<usize> {
-    let mut hist = vec![0usize; 2];
-    for u in 0..g.num_vertices() {
-        let d = g.in_degree(u as u32);
-        let bucket = if d == 0 { 0 } else { (d.ilog2() as usize) + 1 };
-        if bucket >= hist.len() {
-            hist.resize(bucket + 1, 0);
-        }
-        hist[bucket] += 1;
-    }
-    hist
-}
 
 /// Quality measures of a vertex partitioning — how good an edge cut a
 /// partitioner produced and how evenly it spread the vertices. Computed by
@@ -145,44 +91,6 @@ pub fn partition_quality(g: &DynGraph, assignment: &[u32], parts: usize) -> Part
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_of_triangle() {
-        let g = DynGraph::undirected_from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
-        let s = graph_stats(&g);
-        assert_eq!(s.vertices, 3);
-        assert_eq!(s.edges, 3);
-        assert_eq!(s.avg_degree, 2.0);
-        assert_eq!(s.max_degree, 2);
-        assert_eq!(s.density, 1.0);
-    }
-
-    #[test]
-    fn stats_of_empty_graph() {
-        let s = graph_stats(&DynGraph::new(0, false));
-        assert_eq!(s.vertices, 0);
-        assert_eq!(s.avg_degree, 0.0);
-        assert_eq!(s.density, 0.0);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        // degrees: 0, 1, 2, 3 → buckets 0, 1, 2, 2
-        let g = DynGraph::directed_from_edges(
-            5,
-            &[(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)],
-        );
-        let h = degree_histogram(&g);
-        assert_eq!(h[0], 2); // vertices 0 and 4 have in-degree 0
-        assert_eq!(h[1], 1); // vertex 1: degree 1
-        assert_eq!(h[2], 2); // vertices 2 (deg 2) and 3 (deg 3)
-    }
-
-    #[test]
-    fn histogram_counts_all_vertices() {
-        let g = DynGraph::undirected_from_edges(10, &[(0, 1), (2, 3)]);
-        assert_eq!(degree_histogram(&g).iter().sum::<usize>(), 10);
-    }
 
     #[test]
     fn quality_single_partition_is_perfect() {

@@ -83,16 +83,6 @@ impl ReplicationTable {
         parts
     }
 
-    /// True when `v` is mirrored on `part`.
-    pub fn is_mirrored(&self, v: VertexId, part: u32) -> bool {
-        self.counts.get(&v).is_some_and(|m| m.contains_key(&part))
-    }
-
-    /// Number of boundary vertices (vertices with at least one mirror).
-    pub fn boundary_vertices(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Total `(vertex, partition)` mirror pairs.
     pub fn total_mirrors(&self) -> usize {
         self.counts.values().map(FxHashMap::len).sum()
@@ -108,12 +98,11 @@ mod tests {
         let mut t = ReplicationTable::new();
         assert!(t.add(3, 1)); // new mirror
         assert!(!t.add(3, 1)); // second cut edge, same mirror
-        assert!(t.is_mirrored(3, 1));
+        assert_eq!(t.mirrors_of(3), vec![1]);
         assert!(!t.remove(3, 1)); // still one reference
         assert!(t.remove(3, 1)); // dropped
-        assert!(!t.is_mirrored(3, 1));
+        assert!(t.mirrors_of(3).is_empty());
         assert_eq!(t.total_mirrors(), 0);
-        assert_eq!(t.boundary_vertices(), 0);
     }
 
     #[test]

@@ -75,12 +75,6 @@ impl DeltaRouter {
         }
     }
 
-    /// True when the change crosses the cut (its endpoints have different
-    /// owners) — the definition of a *boundary event*.
-    pub fn is_boundary(&self, c: &EdgeChange) -> bool {
-        self.owner(c.src) != self.owner(c.dst)
-    }
-
     /// Splits `delta` into one delta per partition, preserving relative
     /// change order within each. An undirected cross-cut change appears in
     /// both endpoint owners' deltas; every other change appears exactly
@@ -133,8 +127,6 @@ mod tests {
             routed[1].changes(),
             &[change(0, 1, EdgeOp::Insert), change(1, 2, EdgeOp::Remove)]
         );
-        assert!(r.is_boundary(&change(0, 1, EdgeOp::Insert)));
-        assert!(!r.is_boundary(&change(1, 2, EdgeOp::Remove)));
     }
 
     #[test]

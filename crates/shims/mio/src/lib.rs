@@ -430,15 +430,6 @@ impl Poll {
         Ok(Poll { inner: Mutex::new(backend), wakers: Mutex::new(HashMap::new()) })
     }
 
-    /// Which backend this selector runs on (`"epoll"` or `"poll"`).
-    pub fn backend_name(&self) -> &'static str {
-        match *self.inner.lock().expect("mio backend lock poisoned") {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(_) => "epoll",
-            Backend::Poll(_) => "poll",
-        }
-    }
-
     /// Starts watching `source` for `interest`, tagging events with `token`.
     pub fn register(&self, source: &impl Source, token: Token, interest: Interest) -> io::Result<()> {
         let fd = source.as_raw_fd();
@@ -559,6 +550,15 @@ mod tests {
     /// `Poll::new`, and the forced test gets epoll.
     static ENV: Mutex<()> = Mutex::new(());
 
+    /// Which backend `poll` runs on (`"epoll"` or `"poll"`).
+    fn backend_name(poll: &Poll) -> &'static str {
+        match *poll.inner.lock().expect("mio backend lock poisoned") {
+            #[cfg(target_os = "linux")]
+            Backend::Epoll(_) => "epoll",
+            Backend::Poll(_) => "poll",
+        }
+    }
+
     fn with_backend<R>(force_poll: bool, f: impl FnOnce(Poll) -> R) -> R {
         let poll = {
             let _env = ENV.lock().unwrap_or_else(|e| e.into_inner());
@@ -614,7 +614,7 @@ mod tests {
     #[test]
     fn forced_poll_backend_readiness() {
         with_backend(true, |poll| {
-            assert_eq!(poll.backend_name(), "poll");
+            assert_eq!(backend_name(&poll), "poll");
             readiness_roundtrip(poll);
         });
     }

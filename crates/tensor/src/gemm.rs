@@ -66,8 +66,7 @@ const PAR_MIN_FLOPS: usize = 1 << 20;
 /// top of the GEMM packing buffer) simply take more than one.
 ///
 /// Retention is bounded: checked-in capacity beyond the pool's retention
-/// limit ([`DEFAULT_RETAIN_BYTES`] unless overridden with
-/// [`GemmScratch::with_retain_limit`]) is released immediately, largest
+/// limit ([`DEFAULT_RETAIN_BYTES`]) is released immediately, largest
 /// buffer first, so one pathologically large update cannot pin peak-sized
 /// allocations for the rest of the process.
 ///
@@ -103,16 +102,6 @@ impl GemmScratch {
     /// An empty pool; buffers are created on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty pool that retains at most `bytes` of checked-in capacity.
-    pub fn with_retain_limit(bytes: usize) -> Self {
-        Self { pool: Vec::new(), retain_limit: bytes }
-    }
-
-    /// The current retention limit in bytes.
-    pub fn retain_limit(&self) -> usize {
-        self.retain_limit
     }
 
     /// Takes a zero-filled buffer of exactly `len` elements, reusing pooled
@@ -405,16 +394,6 @@ pub fn gather_rows_scaled_into(
     }
 }
 
-/// Scatters rows of the dense buffer `src` (`ids.len() × dst.cols()`) back
-/// into `dst` at the rows named by `ids`.
-pub fn scatter_rows_into(src: &[f32], ids: impl ExactSizeIterator<Item = usize>, dst: &mut Matrix) {
-    let cols = dst.cols();
-    assert_eq!(src.len(), ids.len() * cols, "scatter source shape mismatch");
-    for (row, id) in src.chunks_exact(cols.max(1)).zip(ids) {
-        dst.set_row(id, row);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,16 +530,16 @@ mod tests {
     fn scratch_reserved_bytes_stay_under_retention_limit() {
         // Regression: `put` used to retain unboundedly, so one huge take/put
         // pinned the peak allocation forever.
-        let mut s = GemmScratch::with_retain_limit(1024);
+        let mut s = GemmScratch { pool: Vec::new(), retain_limit: 1024 };
         let small = s.take(64); // 256 B — fits the limit
         let big = s.take(100_000); // 400 kB — must not be retained
         s.put(small);
         s.put(big);
         assert!(
-            s.bytes() <= s.retain_limit(),
+            s.bytes() <= s.retain_limit,
             "reserved {} B exceeds the {} B retention limit",
             s.bytes(),
-            s.retain_limit()
+            s.retain_limit
         );
         // The small buffer survived the eviction (largest-first policy).
         let again = s.take(64);
@@ -568,10 +547,10 @@ mod tests {
         s.put(again);
 
         // Default pools are capped too.
-        assert_eq!(GemmScratch::new().retain_limit(), DEFAULT_RETAIN_BYTES);
+        assert_eq!(GemmScratch::new().retain_limit, DEFAULT_RETAIN_BYTES);
 
         // A zero-limit pool retains nothing.
-        let mut none = GemmScratch::with_retain_limit(0);
+        let mut none = GemmScratch { pool: Vec::new(), retain_limit: 0 };
         none.put(vec![0.0; 16]);
         assert_eq!(none.bytes(), 0);
     }
@@ -587,7 +566,7 @@ mod tests {
     }
 
     #[test]
-    fn gather_scatter_roundtrip_and_scaling() {
+    fn gather_copies_rows_and_scaling_folds_in() {
         let src = Matrix::from_fn(5, 3, |r, c| (r * 3 + c) as f32);
         let ids = [4usize, 0, 2];
         let mut buf = vec![0.0; 3 * 3];
@@ -598,12 +577,5 @@ mod tests {
         let mut scaled = vec![0.0; 3 * 3];
         gather_rows_scaled_into(&src, ids.iter().map(|&i| (i, 2.0)), &mut scaled);
         assert!(scaled.iter().zip(&buf).all(|(s, b)| *s == b * 2.0));
-
-        let mut dst = Matrix::zeros(5, 3);
-        scatter_rows_into(&buf, ids.iter().copied(), &mut dst);
-        for &i in &ids {
-            assert_eq!(dst.row(i), src.row(i));
-        }
-        assert!(dst.row(1).iter().all(|&x| x == 0.0));
     }
 }

@@ -114,11 +114,6 @@ impl Matrix {
         self.data[r * self.cols + c] = v;
     }
 
-    /// Iterator over rows as slices.
-    pub fn rows_iter(&self) -> impl ExactSizeIterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols.max(1))
-    }
-
     /// Appends a row. Panics on column mismatch.
     pub fn push_row(&mut self, row: &[f32]) {
         assert_eq!(row.len(), self.cols, "row length mismatch");
@@ -157,33 +152,12 @@ impl Matrix {
     /// in k order, so a NaN in either the vector or the matrix poisons the
     /// output instead of being silently dropped (the seed kernel's
     /// `a == 0.0` skip turned `0.0 × NaN` into `0.0`, hiding corrupted
-    /// weights from the drift auditor). For inputs known to be legitimately
-    /// sparse, [`Matrix::vecmul_sparse`] keeps the skip.
+    /// weights from the drift auditor).
     pub fn vecmul(&self, vec: &[f32], out: &mut [f32]) {
         assert_eq!(vec.len(), self.rows, "vecmul shape mismatch");
         assert_eq!(out.len(), self.cols, "vecmul output shape mismatch");
         out.fill(0.0);
         for (kk, &a) in vec.iter().enumerate() {
-            let brow = &self.data[kk * self.cols..(kk + 1) * self.cols];
-            for (o, &b) in out.iter_mut().zip(brow) {
-                *o += a * b;
-            }
-        }
-    }
-
-    /// Sparse-aware GEMV: like [`Matrix::vecmul`] but skips zero entries of
-    /// `vec` entirely, trading NaN propagation for speed on vectors that are
-    /// mostly zeros (e.g. one-hot features). Only correct when the matrix
-    /// rows selected by zero entries are known finite — a skipped
-    /// `0.0 × NaN` contributes nothing here but would poison the dense path.
-    pub fn vecmul_sparse(&self, vec: &[f32], out: &mut [f32]) {
-        assert_eq!(vec.len(), self.rows, "vecmul shape mismatch");
-        assert_eq!(out.len(), self.cols, "vecmul output shape mismatch");
-        out.fill(0.0);
-        for (kk, &a) in vec.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
             let brow = &self.data[kk * self.cols..(kk + 1) * self.cols];
             for (o, &b) in out.iter_mut().zip(brow) {
                 *o += a * b;
@@ -344,15 +318,9 @@ mod tests {
         assert!(out[0].is_nan(), "dense vecmul must propagate 0·NaN");
         assert!(!out[1].is_nan());
 
-        // The sparse-aware entry point keeps the skip by contract.
-        w.vecmul_sparse(&[1.0, 0.0, 1.0], &mut out);
-        assert!(!out[0].is_nan(), "vecmul_sparse skips zero coefficients");
-
-        // NaN in the vector itself propagates on both paths.
+        // NaN in the vector itself propagates too.
         let w = Matrix::from_fn(2, 2, |_, _| 1.0);
         w.vecmul(&[f32::NAN, 1.0], &mut out);
-        assert!(out.iter().all(|x| x.is_nan()));
-        w.vecmul_sparse(&[f32::NAN, 1.0], &mut out);
         assert!(out.iter().all(|x| x.is_nan()));
     }
 
@@ -364,16 +332,6 @@ mod tests {
         let c = a.matmul(&b);
         assert!(c.get(0, 0).is_nan(), "dense matmul must propagate 0·NaN");
         assert!(!c.get(0, 1).is_nan());
-    }
-
-    #[test]
-    fn vecmul_sparse_agrees_with_dense_on_finite_data() {
-        let w = Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f32 * 0.1 - 0.5);
-        let v = [0.0, 1.5, 0.0, -2.0];
-        let (mut dense, mut sparse) = ([0.0; 3], [0.0; 3]);
-        w.vecmul(&v, &mut dense);
-        w.vecmul_sparse(&v, &mut sparse);
-        assert_eq!(dense, sparse);
     }
 
     #[test]

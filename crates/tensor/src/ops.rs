@@ -15,15 +15,6 @@ pub fn add_assign(dst: &mut [f32], src: &[f32]) {
     }
 }
 
-/// `dst -= src`.
-#[inline]
-pub fn sub_assign(dst: &mut [f32], src: &[f32]) {
-    debug_assert_eq!(dst.len(), src.len());
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d -= s;
-    }
-}
-
 /// `dst += a * src` (fused multiply-add over the slice).
 #[inline]
 pub fn axpy(dst: &mut [f32], a: f32, src: &[f32]) {
@@ -139,13 +130,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn add_sub_roundtrip() {
+    fn add_assign_adds() {
         let mut a = vec![1.0, 2.0, 3.0];
-        let b = vec![0.5, -1.0, 2.0];
-        add_assign(&mut a, &b);
+        add_assign(&mut a, &[0.5, -1.0, 2.0]);
         assert_eq!(a, vec![1.5, 1.0, 5.0]);
-        sub_assign(&mut a, &b);
-        assert_eq!(a, vec![1.0, 2.0, 3.0]);
     }
 
     #[test]

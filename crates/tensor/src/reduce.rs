@@ -14,7 +14,6 @@
 //! bitwise equal to that row-by-row reference.
 
 use crate::ops;
-use crate::Matrix;
 
 /// Per-column mean of the row-major `_ × cols` block `data`. Returns zeros
 /// when it has no rows.
@@ -48,35 +47,6 @@ pub fn col_var(data: &[f32], mean: &[f32]) -> Vec<f32> {
     }
     let n = (data.len() / cols.max(1)) as f64;
     var.into_iter().map(|x| (x / n) as f32).collect()
-}
-
-/// Per-column mean/variance restricted to a subset of row indices.
-pub fn col_mean_var_subset(m: &Matrix, rows: &[usize]) -> (Vec<f32>, Vec<f32>) {
-    let c = m.cols();
-    if rows.is_empty() {
-        return (vec![0.0; c], vec![0.0; c]);
-    }
-    let mut mean = vec![0.0f64; c];
-    for &r in rows {
-        for (acc, &x) in mean.iter_mut().zip(m.row(r)) {
-            *acc += x as f64;
-        }
-    }
-    let n = rows.len() as f64;
-    for x in mean.iter_mut() {
-        *x /= n;
-    }
-    let mut var = vec![0.0f64; c];
-    for &r in rows {
-        for ((acc, &x), &mu) in var.iter_mut().zip(m.row(r)).zip(&mean) {
-            let d = x as f64 - mu;
-            *acc += d * d;
-        }
-    }
-    (
-        mean.into_iter().map(|x| x as f32).collect(),
-        var.into_iter().map(|x| (x / n) as f32).collect(),
-    )
 }
 
 /// Folds every `dim`-wide row of `panel` into `out` with per-channel
@@ -136,6 +106,7 @@ pub fn argmax(xs: &[f32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Matrix;
 
     #[test]
     fn mean_and_var_of_constant_rows() {
@@ -157,27 +128,6 @@ mod tests {
     fn empty_matrix_yields_zeros() {
         let m = Matrix::zeros(0, 4);
         assert_eq!(col_mean(m.as_slice(), m.cols()), vec![0.0; 4]);
-    }
-
-    #[test]
-    fn subset_matches_full_when_all_rows() {
-        let m = Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f32);
-        let rows: Vec<usize> = (0..4).collect();
-        let (mean_s, var_s) = col_mean_var_subset(&m, &rows);
-        let mean = col_mean(m.as_slice(), m.cols());
-        let var = col_var(m.as_slice(), &mean);
-        for i in 0..3 {
-            assert!((mean_s[i] - mean[i]).abs() < 1e-6);
-            assert!((var_s[i] - var[i]).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn subset_selects_only_given_rows() {
-        let m = Matrix::from_vec(3, 1, vec![1.0, 100.0, 3.0]);
-        let (mean, var) = col_mean_var_subset(&m, &[0, 2]);
-        assert_eq!(mean, vec![2.0]);
-        assert_eq!(var, vec![1.0]);
     }
 
     #[test]

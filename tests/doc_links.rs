@@ -4,7 +4,8 @@
 //! README, DESIGN.md and the `ink-serve` rustdoc. The metric catalogue in
 //! DESIGN.md §8 is held to the instruments a running system registers, the
 //! knob list in DESIGN.md §3 to the fields of `UpdateConfig`, and the
-//! commands in README and EXPERIMENTS.md to real targets and artifacts.
+//! commands in README, EXPERIMENTS.md and DESIGN.md to real targets and
+//! packages, and the regeneration table to recorded artifacts.
 
 use std::path::{Path, PathBuf};
 
@@ -159,10 +160,36 @@ fn regeneration_table_names_only_recorded_artifacts() {
     assert!(missing.is_empty(), "named in EXPERIMENTS.md but not recorded: {missing:?}");
 }
 
+/// `(name, has bench targets)` for the `[package]` of every `Cargo.toml`
+/// under `crates/`, shims included. A package has bench targets when a
+/// `benches/` directory sits beside its manifest.
+fn packages() -> Vec<(String, bool)> {
+    let mut found = Vec::new();
+    let mut dirs = vec![repo_root().join("crates")];
+    while let Some(dir) = dirs.pop() {
+        if let Ok(manifest) = std::fs::read_to_string(dir.join("Cargo.toml")) {
+            let package = manifest.split("[package]").nth(1).unwrap_or_default();
+            if let Some(name) = package.lines().find_map(|l| l.strip_prefix("name = ")) {
+                found.push((name.trim_matches('"').to_string(), dir.join("benches").is_dir()));
+            }
+        }
+        let entries = std::fs::read_dir(&dir).into_iter().flatten().flatten();
+        dirs.extend(entries.map(|e| e.path()).filter(|p| p.is_dir()));
+    }
+    found
+}
+
+/// A command argument without the punctuation prose wraps it in.
+fn command_word(word: &str) -> &str {
+    word.trim_end_matches(|c: char| !c.is_alphanumeric() && c != '_')
+}
+
 #[test]
 fn documented_commands_name_real_targets() {
-    // Every `--bin NAME` is a `src/bin/NAME.rs` of some workspace crate and
-    // every `--example NAME` an `examples/NAME.rs` of the root package.
+    // Every `--bin NAME` is a `src/bin/NAME.rs` of some workspace crate,
+    // every `--example NAME` an `examples/NAME.rs` of the root package,
+    // every `-p NAME` the package name of a crate, and every `cargo bench`
+    // names (or, unnamed, finds) a package with bench targets.
     let mut bins = Vec::new();
     for krate in std::fs::read_dir(repo_root().join("crates")).expect("crates/ exists") {
         let Ok(dir) = std::fs::read_dir(krate.expect("crate entry").path().join("src/bin")) else {
@@ -171,22 +198,36 @@ fn documented_commands_name_real_targets() {
         bins.extend(dir.filter_map(|e| e.ok()?.path().file_stem()?.to_str().map(String::from)));
     }
     assert!(bins.len() >= 10, "expected the paper-figure bins, found {bins:?}");
+    let packages = packages();
+    assert!(packages.len() >= 8, "expected the crates and shims, found {packages:?}");
     let mut unknown = Vec::new();
     let mut seen = 0;
-    for doc in ["README.md", "EXPERIMENTS.md"] {
+    for doc in ["README.md", "EXPERIMENTS.md", "DESIGN.md"] {
         for line in read(doc).lines() {
             let words: Vec<&str> = line.split_whitespace().collect();
             for pair in words.windows(2) {
-                let name = pair[1].trim_end_matches(|c: char| !c.is_alphanumeric() && c != '_');
+                let name = command_word(pair[1]);
+                if name.starts_with('<') {
+                    continue; // a placeholder, as in `--bin <name>`
+                }
                 let example = repo_root().join("examples").join(format!("{name}.rs"));
                 let real = match pair[0] {
                     "--bin" => bins.iter().any(|b| b == name),
                     "--example" => example.is_file(),
+                    "-p" => packages.iter().any(|(p, _)| p == name),
                     _ => continue,
                 };
                 seen += 1;
                 if !real {
                     unknown.push(format!("{doc}: {} {name}", pair[0]));
+                }
+            }
+            if let Some(args) = line.split("cargo bench").nth(1) {
+                let named = args.split_whitespace().skip_while(|w| *w != "-p").nth(1);
+                let named = named.map(command_word);
+                seen += 1;
+                if !packages.iter().any(|(p, benches)| *benches && named.is_none_or(|n| n == p)) {
+                    unknown.push(format!("{doc}: cargo bench -p {}", named.unwrap_or("*")));
                 }
             }
         }

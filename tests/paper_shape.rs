@@ -6,7 +6,10 @@
 //! * adding pruned propagation (Table VI's "1&2") visits no more nodes than
 //!   incremental updates alone ("1") on every scenario, and fewer in total;
 //! * the really affected nodes stay inside the theoretical affected area
-//!   (Fig. 1b).
+//!   (Fig. 1b);
+//! * from ΔG = 10 up, InkStream creates more events than it has distinct
+//!   targets, so grouping them (§II-B1, Fig. 4) fetches α once per target
+//!   instead of once per event.
 //!
 //! Every quantity is a count from `CostMeter` or `UpdateReport`, so the test
 //! is deterministic and a change that breaks the paper's mechanism fails
@@ -67,6 +70,15 @@ fn inkstream_keeps_the_papers_work_orderings() {
             total(&full),
             total(&incremental)
         );
+        if dg >= 10 {
+            let layers = || full.reports.iter().flat_map(|r| &r.per_layer);
+            let events = layers().map(|l| l.events_created).sum::<usize>();
+            let targets = layers().map(|l| l.targets).sum::<usize>();
+            assert!(
+                events > targets,
+                "dG={dg}: {events} events for {targets} targets leave grouping nothing to save"
+            );
+        }
         checked += 1;
     }
     assert_eq!(checked, 4, "every dG of the sweep fits the stand-in");
