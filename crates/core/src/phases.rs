@@ -63,7 +63,7 @@ use crate::pipeline::{
 };
 use crate::stats::{LayerStats, UpdateReport};
 use ink_gnn::{Aggregator, FullState, Model};
-use ink_graph::{prefetch, DynGraph, EdgeOp, VertexId};
+use ink_graph::{prefetch, prefetch_lines, DynGraph, EdgeOp, VertexId};
 use ink_tensor::gemm::{gather_rows_into, gather_rows_scaled_into};
 use ink_tensor::Matrix;
 use rayon::prelude::*;
@@ -83,18 +83,6 @@ const HEADER_AHEAD: usize = 2 * ROW_AHEAD;
 /// rows' exposed lines. A reset folds a dozen rows or more, so fewer
 /// resets cover the same latency.
 const REPAIR_AHEAD: usize = 3;
-/// `f32`s per 64-byte cache line.
-const LINE_F32: usize = 16;
-
-/// Asks the cache for every line `row` touches.
-#[inline(always)]
-fn prefetch_row(row: &[f32]) {
-    for i in (0..row.len()).step_by(LINE_F32) {
-        prefetch(row, i);
-    }
-    // A row that does not start on a line boundary spills into one more.
-    prefetch(row, row.len().wrapping_sub(1));
-}
 
 /// Everything the pipeline decides about layer `layer` of a model, read from
 /// the model once per engine.
@@ -421,9 +409,9 @@ fn apply_shard(ctx: &ApplyCtx<'_>, shard: &mut ShardScratch, alpha_rows: &mut Al
         }
         if let Some(ahead) = entries.get(i + ROW_AHEAD) {
             let v = ahead.target;
-            prefetch_row(alpha_rows.alpha(v));
+            prefetch_lines(alpha_rows.alpha(v));
             if let AlphaRows::Owned(owned) = &*alpha_rows {
-                prefetch_row(owned.h(v));
+                prefetch_lines(owned.h(v));
             }
             // The repair loop reads the list; sum and mean layers have none
             // and read it only under the `incremental: false` ablation.
@@ -595,7 +583,7 @@ pub(crate) fn write(
         for (i, (e, o)) in shard.entries.iter().zip(&shard.outcomes).enumerate() {
             if let Some(ahead) = shard.outcomes.get(i + ROW_AHEAD) {
                 if ahead.changed && ahead.staged != NO_SLOT {
-                    prefetch_row(alpha_l.row(shard.entries[i + ROW_AHEAD].target as usize));
+                    prefetch_lines(alpha_l.row(shard.entries[i + ROW_AHEAD].target as usize));
                 }
             }
             rs.f32_read += o.reads;
@@ -695,7 +683,7 @@ pub(crate) fn next_messages(
     for (i, (&u, chunk)) in next_targets.iter().zip(next_buf.chunks(prod_dim.max(1))).enumerate() {
         if let Some(&ahead) = next_targets.get(i + ROW_AHEAD) {
             let dest = if plan.last { &state.h } else { &state.m[l + 1] };
-            prefetch_row(dest.row(ahead as usize));
+            prefetch_lines(dest.row(ahead as usize));
         }
         if plan.last {
             if chunk != state.h.row(u as usize) {

@@ -212,7 +212,9 @@ impl Aggregator {
 
 /// `out[c] = m[c]` wherever `wins(m[c], out[c])`, for every message and every
 /// listed channel, messages outermost so each row is visited once. Returns
-/// the message count.
+/// the message count. Written as a select, like
+/// `ink_tensor::ops::max_assign` and for the same reason: no branch per
+/// channel.
 fn fold_channels<'a>(
     msgs: impl Iterator<Item = &'a [f32]>,
     channels: &[u32],
@@ -223,9 +225,7 @@ fn fold_channels<'a>(
     for m in msgs {
         for &c in channels {
             let c = c as usize;
-            if wins(m[c], out[c]) {
-                out[c] = m[c];
-            }
+            out[c] = if wins(m[c], out[c]) { m[c] } else { out[c] };
         }
         degree += 1;
     }
@@ -409,6 +409,116 @@ mod tests {
     #[should_panic(expected = "monotonic aggregators only")]
     fn channel_fold_rejects_accumulative_aggregators() {
         Aggregator::Sum.aggregate_channels_into(std::iter::empty(), &[0], &mut [0.0]);
+    }
+
+    /// The fold rule as the literal conditional store: `d` takes `s` only
+    /// where `s > d` (max) or `s < d` (min).
+    fn reference_fold(a: Aggregator, dst: &mut [f32], src: &[f32]) {
+        for (d, &s) in dst.iter_mut().zip(src) {
+            match a {
+                Aggregator::Max => {
+                    if s > *d {
+                        *d = s;
+                    }
+                }
+                Aggregator::Min => {
+                    if s < *d {
+                        *d = s;
+                    }
+                }
+                Aggregator::Sum | Aggregator::Mean => unreachable!("monotonic only"),
+            }
+        }
+    }
+
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}: {got:?} vs {want:?}");
+    }
+
+    #[test]
+    fn monotonic_folds_match_the_scalar_rule_bitwise() {
+        // Signed zeros, NaNs with distinct payloads and signs, infinities,
+        // subnormals and plain values, so every tie and every NaN side shows.
+        let pool = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::from_bits(0xFFC0_1234),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::from_bits(0x0040_0000),
+            1.0,
+            -1.0,
+            2.5,
+        ];
+        let mut s = 0xF01D_u32;
+        let mut draw = |len: usize| -> Vec<f32> {
+            (0..len)
+                .map(|_| {
+                    s = s.wrapping_mul(1664525).wrapping_add(1013904223);
+                    pool[(s >> 16) as usize % pool.len()]
+                })
+                .collect()
+        };
+        // Every length from empty through several vector steps, so every
+        // scalar tail length shows too.
+        for dim in 0..=67 {
+            let acc = draw(dim);
+            let rows: Vec<Vec<f32>> = (0..4).map(|_| draw(dim)).collect();
+            let panel = rows.concat();
+            let msgs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
+            for a in [Aggregator::Max, Aggregator::Min] {
+                let kernel = match a {
+                    Aggregator::Max => ink_tensor::ops::max_assign,
+                    _ => ink_tensor::ops::min_assign,
+                };
+                let fold_rows = match a {
+                    Aggregator::Max => ink_tensor::reduce::fold_rows_max_into,
+                    _ => ink_tensor::reduce::fold_rows_min_into,
+                };
+                // A running accumulator that already holds NaN, ±0, ±∞.
+                let mut want = acc.clone();
+                reference_fold(a, &mut want, &rows[0]);
+                let mut got = acc.clone();
+                kernel(&mut got, &rows[0]);
+                assert_same_bits(&got, &want, &format!("{a:?} assign, dim {dim}"));
+
+                let mut want = acc.clone();
+                for row in &rows {
+                    reference_fold(a, &mut want, row);
+                }
+                let mut got = acc.clone();
+                fold_rows(&panel, dim, &mut got);
+                assert_same_bits(&got, &want, &format!("{a:?} fold_rows, dim {dim}"));
+
+                // Whole aggregates over 0..=4 messages, finalize included.
+                for degree in 0..=msgs.len() {
+                    let mut want = vec![a.identity(); dim];
+                    for m in &msgs[..degree] {
+                        reference_fold(a, &mut want, m);
+                    }
+                    if degree == 0 {
+                        want.fill(0.0);
+                    }
+                    let what = format!("{a:?} aggregate, dim {dim}, degree {degree}");
+                    let mut got = vec![7.0; dim];
+                    a.aggregate_into(msgs[..degree].iter().copied(), &mut got);
+                    assert_same_bits(&got, &want, &what);
+                    let mut got = vec![7.0; dim];
+                    a.aggregate_rows_into(&panel[..degree * dim], &mut got, &mut Vec::new());
+                    assert_same_bits(&got, &want, &format!("{what}, rows"));
+                    let thirds: Vec<u32> = (0..dim as u32).step_by(3).collect();
+                    let mut got = vec![7.0; dim];
+                    a.aggregate_channels_into(msgs[..degree].iter().copied(), &thirds, &mut got);
+                    let want: Vec<f32> = (0..dim)
+                        .map(|c| if c % 3 == 0 { want[c] } else { 7.0 })
+                        .collect();
+                    assert_same_bits(&got, &want, &format!("{what}, channels"));
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::cost::CostMeter;
 use crate::{GraphNormMode, Model};
-use ink_graph::{DynGraph, VertexId};
+use ink_graph::{prefetch_lines, DynGraph, VertexId};
 use ink_tensor::gemm::GemmScratch;
 use ink_tensor::Matrix;
 use rayon::prelude::*;
@@ -109,9 +109,16 @@ pub fn batch_message_into<N: Neighborhood>(
     flops
 }
 
+/// How many vertices ahead [`batch_aggregate_into`] asks for the neighbor
+/// rows it will gather. A vertex folds every row of its in-list, each at an
+/// unrelated address in an `m_l` far larger than the cache, so the rows of
+/// the next vertex but one are enough to keep the misses overlapped.
+const GATHER_AHEAD: usize = 2;
+
 /// Aggregates every vertex's in-neighborhood into caller-owned storage:
 /// `α_l[u] = A(m_l[v] : v∈N(u))`. `alpha` is reshaped in place (capacity
-/// retained).
+/// retained). While it folds `u`, it asks the cache for the neighbor rows
+/// of `u + GATHER_AHEAD`; the hints change timing only.
 pub fn batch_aggregate_into<N: Neighborhood>(
     model: &Model,
     l: usize,
@@ -129,6 +136,11 @@ pub fn batch_aggregate_into<N: Neighborhood>(
         .par_chunks_mut(dim)
         .enumerate()
         .for_each(|(u, out)| {
+            if u + GATHER_AHEAD < n {
+                for &v in view.in_neighbors((u + GATHER_AHEAD) as VertexId) {
+                    prefetch_lines(m.row(v as usize));
+                }
+            }
             agg.aggregate_into(
                 view.in_neighbors(u as VertexId).iter().map(|&v| m.row(v as usize)),
                 out,

@@ -91,23 +91,62 @@ impl DynGraph {
         Ok(Self { directed, out, inn, num_edges: 0 })
     }
 
-    /// Convenience: undirected graph from an edge list (duplicates and
-    /// self-loops are skipped).
+    /// Undirected graph from an edge list (duplicates, mirrored duplicates
+    /// and self-loops are skipped): the graph [`DynGraph::insert_edge`]
+    /// builds from the same pairs, built in bulk.
     pub fn undirected_from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> Self {
-        let mut g = Self::new(n, false);
-        for &(u, v) in edges {
-            g.insert_edge(u, v);
-        }
-        g
+        Self::new(n, false).with_edges(edges)
     }
 
-    /// Convenience: directed graph from an edge list.
+    /// Directed graph from an edge list (duplicates and self-loops are
+    /// skipped), built in bulk like [`DynGraph::undirected_from_edges`].
     pub fn directed_from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> Self {
-        let mut g = Self::new(n, true);
+        Self::new(n, true).with_edges(edges)
+    }
+
+    /// Fills an edgeless graph with `edges`, equal to inserting them one at
+    /// a time with [`DynGraph::insert_edge`] but without its per-insert
+    /// binary search and shift: count every list's entries, reserve exactly
+    /// that, push both directions (no self-loops), then sort and dedup each
+    /// list once. A vertex id past the last vertex panics, as it does in
+    /// `insert_edge`.
+    pub(crate) fn with_edges(mut self, edges: &[(VertexId, VertexId)]) -> Self {
+        debug_assert_eq!(self.num_edges, 0, "the bulk build starts from an edgeless graph");
+        let mut out_deg = vec![0u32; self.out.len()];
+        let mut in_deg = vec![0u32; self.inn.len()];
         for &(u, v) in edges {
-            g.insert_edge(u, v);
+            if u == v {
+                continue;
+            }
+            out_deg[u as usize] += 1;
+            if self.directed {
+                in_deg[v as usize] += 1;
+            } else {
+                out_deg[v as usize] += 1;
+            }
         }
-        g
+        let lists = self.out.iter_mut().zip(&out_deg).chain(self.inn.iter_mut().zip(&in_deg));
+        for (adj, &d) in lists {
+            adj.0.reserve_exact(d as usize);
+        }
+        for &(u, v) in edges {
+            if u == v {
+                continue;
+            }
+            self.out[u as usize].0.push(v);
+            if self.directed {
+                self.inn[v as usize].0.push(u);
+            } else {
+                self.out[v as usize].0.push(u);
+            }
+        }
+        for adj in self.out.iter_mut().chain(self.inn.iter_mut()) {
+            adj.0.sort_unstable();
+            adj.0.dedup();
+        }
+        let entries: usize = self.out.iter().map(|adj| adj.0.len()).sum();
+        self.num_edges = if self.directed { entries } else { entries / 2 };
+        self
     }
 
     /// Number of vertices.
@@ -370,6 +409,50 @@ mod tests {
         let mut e = g.edges();
         e.sort_unstable();
         assert_eq!(e, vec![(0, 2), (1, 2)]);
+    }
+
+    /// The graph `insert_edge` builds from `edges`, one pair at a time.
+    fn inserted_one_by_one(n: usize, directed: bool, edges: &[(VertexId, VertexId)]) -> DynGraph {
+        let mut g = DynGraph::new(n, directed);
+        for &(u, v) in edges {
+            g.insert_edge(u, v);
+        }
+        g
+    }
+
+    #[test]
+    fn bulk_build_equals_incremental_build() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xB01C);
+        let mut cases: Vec<(usize, Vec<(VertexId, VertexId)>)> =
+            vec![(0, vec![]), (5, vec![]), (3, vec![(1, 1), (2, 2)])];
+        for _ in 0..200 {
+            // More vertex ids than the edges reach, so some stay isolated.
+            let n = rng.random_range(1..40usize);
+            let reach = rng.random_range(1..=n) as VertexId;
+            let mut edges = Vec::new();
+            for _ in 0..rng.random_range(0..120usize) {
+                let (u, v) = (rng.random_range(0..reach), rng.random_range(0..reach));
+                edges.push((u, v));
+                match rng.random_range(0..6u32) {
+                    0 => edges.push((u, v)),
+                    1 => edges.push((v, u)),
+                    2 => edges.push((u, u)),
+                    _ => {}
+                }
+            }
+            cases.push((n, edges));
+        }
+        for (n, edges) in &cases {
+            let undirected = DynGraph::undirected_from_edges(*n, edges);
+            let want = inserted_one_by_one(*n, false, edges);
+            assert_eq!(undirected, want, "undirected, {n} vertices, {edges:?}");
+            assert_eq!(undirected.num_edges(), want.num_edges());
+            let directed = DynGraph::directed_from_edges(*n, edges);
+            let want = inserted_one_by_one(*n, true, edges);
+            assert_eq!(directed, want, "directed, {n} vertices, {edges:?}");
+            assert_eq!(directed.num_edges(), want.num_edges());
+        }
     }
 
     #[test]

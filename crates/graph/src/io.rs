@@ -40,9 +40,11 @@ pub fn read_graph(r: &mut impl Read) -> io::Result<DynGraph> {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "vertex count out of range"));
     }
     let n = n as usize;
-    let m = read_u64(r)? as usize;
-    let mut g = DynGraph::try_new(n, directed)
+    let m = read_u64(r)?;
+    let g = DynGraph::try_new(n, directed)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "vertex count unallocatable"))?;
+    // The edge count is untrusted: the buffer grows only as pairs arrive.
+    let mut edges = Vec::new();
     let mut buf = [0u8; 8];
     for _ in 0..m {
         r.read_exact(&mut buf)?;
@@ -51,9 +53,9 @@ pub fn read_graph(r: &mut impl Read) -> io::Result<DynGraph> {
         if u as usize >= n || v as usize >= n {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "vertex id out of range"));
         }
-        g.insert_edge(u, v);
+        edges.push((u, v));
     }
-    Ok(g)
+    Ok(g.with_edges(&edges))
 }
 
 fn read_u64(r: &mut impl Read) -> io::Result<u64> {
@@ -84,6 +86,29 @@ mod tests {
         let loaded = roundtrip(&g);
         assert_eq!(loaded, g);
         assert!(loaded.is_directed());
+    }
+
+    #[test]
+    fn an_untrusted_edge_count_reserves_nothing() {
+        // A header that promises 2^64 − 1 edges and then ends: the reader
+        // must run out of bytes, not try to reserve for the promise.
+        let mut bytes = Vec::new();
+        write_graph(&DynGraph::new(3, false), &mut bytes).unwrap();
+        let count_at = bytes.len() - 8;
+        bytes[count_at..].copy_from_slice(&u64::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0, 0, 0, 0, 1, 0, 0, 0]);
+        let err = read_graph(&mut bytes.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn rejects_an_out_of_range_vertex() {
+        let mut bytes = Vec::new();
+        write_graph(&DynGraph::undirected_from_edges(3, &[(0, 2)]), &mut bytes).unwrap();
+        let last = bytes.len() - 4;
+        bytes[last..].copy_from_slice(&3u32.to_le_bytes());
+        let err = read_graph(&mut bytes.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

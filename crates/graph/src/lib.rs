@@ -21,8 +21,8 @@
 //! * [`datasets`] — scaled stand-ins for the paper's six benchmark graphs.
 //! * [`temporal`] — T-GCN-style random edge creation/deletion timelines.
 //! * [`hash`] — an FxHash-style fast hasher used for event grouping.
-//! * [`prefetch()`] — a cache hint for loops that chase rows at random
-//!   addresses; the crate's one `unsafe` block.
+//! * [`prefetch()`] and [`prefetch_lines`] — cache hints for loops that
+//!   chase rows at random addresses; the crate's one `unsafe` block.
 
 pub mod bfs;
 pub mod csr;
@@ -40,7 +40,7 @@ pub use csr::Csr;
 pub use delta::{DeltaBatch, EdgeChange, EdgeOp};
 pub use dynamic::DynGraph;
 pub use hash::{FxHashMap, FxHashSet};
-pub use prefetch::prefetch;
+pub use prefetch::{prefetch, prefetch_lines};
 
 /// Vertex identifier. Graphs in this repo stay under 2^32 vertices.
 pub type VertexId = u32;

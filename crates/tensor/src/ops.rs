@@ -32,25 +32,30 @@ pub fn scale(dst: &mut [f32], a: f32) {
     }
 }
 
-/// Element-wise maximum into `dst`.
+/// Element-wise maximum into `dst`: `d` takes `s` only where `s > d`, so a
+/// NaN on either side and a `±0.0` tie keep `d`.
+///
+/// Written as a select rather than a conditional store. The rule is the
+/// same, but the select compiles to `maxps` on the x86-64 baseline, whose
+/// result is its first operand only when that operand is strictly greater:
+/// this rule exactly. The conditional store compiles to a compare plus one
+/// branch and scalar store per lane. `f32::max` is not this rule: it drops
+/// NaN.
 #[inline]
 pub fn max_assign(dst: &mut [f32], src: &[f32]) {
     debug_assert_eq!(dst.len(), src.len());
     for (d, s) in dst.iter_mut().zip(src) {
-        if *s > *d {
-            *d = *s;
-        }
+        *d = if *s > *d { *s } else { *d };
     }
 }
 
-/// Element-wise minimum into `dst`.
+/// Element-wise minimum into `dst`: `d` takes `s` only where `s < d`. The
+/// mirror of [`max_assign`], compiled to `minps`.
 #[inline]
 pub fn min_assign(dst: &mut [f32], src: &[f32]) {
     debug_assert_eq!(dst.len(), src.len());
     for (d, s) in dst.iter_mut().zip(src) {
-        if *s < *d {
-            *d = *s;
-        }
+        *d = if *s < *d { *s } else { *d };
     }
 }
 
