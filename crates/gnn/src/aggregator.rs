@@ -11,6 +11,15 @@
 //! incremental engine and the recompute baselines share this code so they
 //! agree bitwise.
 
+use std::cell::Cell;
+
+thread_local! {
+    /// The Neumaier compensation row [`Aggregator::aggregate_into`] reuses on
+    /// this thread, so a full pass allocates it once per thread rather than
+    /// once per vertex.
+    static COMP: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
+
 /// The four aggregation functions InkStream supports natively.
 ///
 /// ```
@@ -100,7 +109,9 @@ impl Aggregator {
     }
 
     /// Aggregates an iterator of messages into `out` (including
-    /// [`Aggregator::finalize`]). `out.len()` is the channel count.
+    /// [`Aggregator::finalize`]). `out.len()` is the channel count. The
+    /// sum/mean compensation row is a per-thread buffer reused across calls,
+    /// so a warm caller allocates nothing.
     ///
     /// Accumulative aggregators (sum/mean) use Neumaier-compensated
     /// summation so the full-recompute reference — which the incremental
@@ -115,12 +126,17 @@ impl Aggregator {
         out.fill(self.identity());
         let mut degree = 0usize;
         if self.is_accumulative() {
-            let mut comp = vec![0.0f32; out.len()];
+            // Taken rather than borrowed: a message iterator that aggregates
+            // on its own gets a fresh buffer, not a borrow panic.
+            let mut comp = COMP.take();
+            comp.clear();
+            comp.resize(out.len(), 0.0);
             for m in msgs {
                 ink_tensor::ops::neumaier_add_assign(out, &mut comp, m);
                 degree += 1;
             }
             ink_tensor::ops::add_assign(out, &comp);
+            COMP.set(comp);
         } else {
             for m in msgs {
                 self.combine_into(out, m);

@@ -9,8 +9,8 @@
 //! the concurrency to the edges:
 //!
 //! * updates flow through one bounded FIFO, the [`IngestQueue`], with
-//!   pluggable [`Backpressure`] (block / reject-with-retry-after /
-//!   drop-oldest) into the **single writer thread**, which coalesces
+//!   lossless [`Backpressure`] (block / reject-with-retry-after) into the
+//!   **single writer thread**, which coalesces
 //!   everything pending via
 //!   [`DeltaBatch::coalesce`](ink_graph::DeltaBatch::coalesce) and applies
 //!   one net batch through the incremental pipeline,

@@ -24,8 +24,6 @@ pub struct ServeStats {
     pub updates_enqueued: u64,
     /// Update requests turned away (reject-with-retry-after backpressure).
     pub updates_rejected: u64,
-    /// Queued update requests evicted (drop-oldest backpressure).
-    pub updates_dropped: u64,
     /// Edge changes received across admitted updates (pre-coalescing).
     pub events_received: u64,
     /// Edge changes actually applied (post-coalescing).
@@ -71,7 +69,6 @@ impl ServeStats {
         Json::obj([
             ("updates_enqueued", Json::from(self.updates_enqueued)),
             ("updates_rejected", Json::from(self.updates_rejected)),
-            ("updates_dropped", Json::from(self.updates_dropped)),
             ("events_received", Json::from(self.events_received)),
             ("events_applied", Json::from(self.events_applied)),
             ("queries", Json::from(self.queries)),
@@ -96,8 +93,6 @@ pub struct ServerMetrics {
     pub updates_enqueued: Arc<Counter>,
     /// Updates rejected by admission control.
     pub updates_rejected: Arc<Counter>,
-    /// Updates evicted by drop-oldest admission control.
-    pub updates_dropped: Arc<Counter>,
     /// Edge changes received across admitted updates.
     pub events_received: Arc<Counter>,
     /// Edge changes applied after coalescing.
@@ -155,10 +150,6 @@ impl ServerMetrics {
                 .counter("ink_serve_updates_enqueued_total", "Updates admitted to the queue"),
             updates_rejected: registry
                 .counter("ink_serve_updates_rejected_total", "Updates rejected by admission control"),
-            updates_dropped: registry.counter(
-                "ink_serve_updates_dropped_total",
-                "Updates evicted by drop-oldest admission control",
-            ),
             events_received: registry.counter(
                 "ink_serve_events_received_total",
                 "Edge changes received across admitted updates (pre-coalescing)",
@@ -247,7 +238,6 @@ impl ServerMetrics {
         ServeStats {
             updates_enqueued: self.updates_enqueued.get(),
             updates_rejected: self.updates_rejected.get(),
-            updates_dropped: self.updates_dropped.get(),
             events_received: self.events_received.get(),
             events_applied: self.events_applied.get(),
             queries: self.queries.get(),

@@ -15,10 +15,11 @@
 //!   server parks just the submitting connection until the next drain (and
 //!   thus the TCP connection exerts end-to-end backpressure on its client),
 //! * [`Backpressure::Reject`] — the push returns [`Admission::Rejected`]
-//!   and the client gets a `retry_after_ms` hint,
-//! * [`Backpressure::DropOldest`] — the oldest queued *update* batch is
-//!   evicted (freshest-data-wins, the streaming-telemetry policy; barriers
-//!   are never evicted) and the new one admitted.
+//!   and the client gets a `retry_after_ms` hint.
+//!
+//! Either way an update is answered `Ack` only once it is queued, and a
+//! queued update is always applied: the final state is a replay of the
+//! acknowledged updates.
 //!
 //! The writer parks on the queue's condvar and is woken by the next push —
 //! no timed polling on the idle path.
@@ -54,8 +55,6 @@ pub enum Backpressure {
         /// Backoff hint returned to the client.
         retry_after_ms: u32,
     },
-    /// Evict the oldest queued update to make room.
-    DropOldest,
 }
 
 /// The verdict on one push.
@@ -67,12 +66,6 @@ pub enum Admission {
     Rejected {
         /// Backoff hint in milliseconds.
         retry_after_ms: u32,
-    },
-    /// Enqueued after evicting this many older updates
-    /// ([`Backpressure::DropOldest`]).
-    AcceptedDropped {
-        /// Update batches evicted to make room.
-        dropped: u64,
     },
     /// The queue is at capacity under [`Backpressure::Block`]: the caller
     /// should stall this producer and retry after the writer's next drain
@@ -170,37 +163,18 @@ impl IngestQueue {
         if inner.closed {
             return Admission::Closed;
         }
-        let mut dropped = 0;
         if inner.pending_updates >= self.capacity {
-            match self.mode {
-                Backpressure::Block => return Admission::Full,
-                Backpressure::Reject { retry_after_ms } => {
-                    return Admission::Rejected { retry_after_ms }
-                }
-                Backpressure::DropOldest => {
-                    // Full means at least one update is queued; barriers in
-                    // front of it stay.
-                    let pos = inner
-                        .items
-                        .iter()
-                        .position(|i| matches!(i, Item::Updates(..)))
-                        .expect("a full queue holds an update");
-                    inner.items.remove(pos);
-                    inner.pending_updates -= 1;
-                    dropped = 1;
-                }
-            }
+            return match self.mode {
+                Backpressure::Block => Admission::Full,
+                Backpressure::Reject { retry_after_ms } => Admission::Rejected { retry_after_ms },
+            };
         }
         inner.items.push_back(Item::Updates(Instant::now(), changes.to_vec()));
         inner.pending_updates += 1;
         inner.max_depth = inner.max_depth.max(inner.pending_updates);
         drop(inner);
         self.ready.notify_one();
-        if dropped > 0 {
-            Admission::AcceptedDropped { dropped }
-        } else {
-            Admission::Accepted
-        }
+        Admission::Accepted
     }
 
     /// Submits a flush barrier (always admitted — barriers are control
@@ -392,23 +366,6 @@ mod tests {
         q.try_push_updates(&upd(0, 1));
         assert_eq!(q.try_push_updates(&upd(0, 1)), Admission::Rejected { retry_after_ms: 9 });
         assert_eq!(q.depth(), 1);
-    }
-
-    #[test]
-    fn drop_oldest_evicts_the_oldest_update_across_edges_and_skips_barriers() {
-        let q = IngestQueue::new(2, Backpressure::DropOldest);
-        assert!(q.push_flush(1));
-        q.try_push_updates(&upd(0, 1));
-        assert!(q.push_flush(2));
-        q.try_push_updates(&upd(5, 6));
-        // Full: the oldest update (on edge 0-1) goes, whatever edge the new
-        // batch touches; both barriers stay.
-        assert_eq!(q.try_push_updates(&upd(7, 8)), Admission::AcceptedDropped { dropped: 1 });
-        assert_eq!(q.depth(), 2, "depth survives eviction accounting");
-        let d = q.drain_wait(16);
-        assert_eq!(srcs(&d), vec![5, 7], "oldest evicted, newest admitted");
-        assert_eq!(d.flushes, vec![1, 2]);
-        assert_eq!(q.depth(), 0);
     }
 
     #[test]

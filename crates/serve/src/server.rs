@@ -1,8 +1,7 @@
 //! The readiness-based TCP server.
 //!
 //! Thread layout (no async runtime — non-blocking `std::net` sockets driven
-//! by the workspace `mio` shim, epoll on Linux with a portable `poll`
-//! fallback):
+//! by the workspace `mio` shim's poll(2) selector):
 //!
 //! * **event-loop thread** — one thread multiplexes the listener and every
 //!   client connection through [`mio::Poll`]. It assembles frames from
@@ -680,11 +679,6 @@ fn admit(shared: &Shared, conn: &mut Conn, changes: Vec<EdgeChange>) -> bool {
         match shared.ingest.try_push_updates(&changes) {
             Admission::Accepted => {
                 shared.metrics.updates_enqueued.inc();
-                Response::Ack { epoch }
-            }
-            Admission::AcceptedDropped { dropped } => {
-                shared.metrics.updates_enqueued.inc();
-                shared.metrics.updates_dropped.add(dropped);
                 Response::Ack { epoch }
             }
             Admission::Rejected { retry_after_ms } => {

@@ -461,7 +461,8 @@ fn pipelined_frames_match_reference_bitwise() {
     assert_eq!(scraped(&mut client, "ink_serve_updates_enqueued_total"), BATCHES as f64);
     drop(client);
 
-    let (session, _) = handle.shutdown().unwrap();
+    let (session, stats) = handle.shutdown().unwrap();
+    assert!(stats.epochs >= 1 && stats.updates_enqueued == BATCHES as u64, "{stats:?}");
     assert_eq!(session.engine().output().as_slice(), want.as_slice());
 }
 

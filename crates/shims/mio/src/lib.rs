@@ -4,15 +4,16 @@
 //!
 //! The build environment has no crates.io access, so this crate provides the
 //! readiness-multiplexing surface the serving layer uses — [`Poll`],
-//! [`Events`], [`Token`], [`Interest`], [`Waker`] — over raw OS facilities:
-//! **epoll** on Linux and **poll(2)** everywhere else on Unix (and on Linux
-//! when `INK_MIO_FORCE_POLL=1`, so the fallback stays tested). Both backends
-//! are level-triggered: an event keeps firing while the condition holds, so
-//! the caller never has to drain a socket to redeem the next notification.
+//! [`Events`], [`Token`], [`Interest`], [`Waker`] — over **poll(2)**, the one
+//! selector every Unix target has. It is level-triggered: an event keeps
+//! firing while the condition holds, so the caller never has to drain a
+//! socket to redeem the next notification. When more sources are ready than
+//! [`Events`] holds, each poll resumes after the last source the previous
+//! one reported, so every ready source is reported within
+//! ⌈ready / capacity⌉ polls.
 //!
-//! Everything is `std` plus four libc symbols declared here (`epoll_create1`,
-//! `epoll_ctl`, `epoll_wait`, `poll`) — std already links libc on every Unix
-//! target, so no external crate is needed.
+//! Everything is `std` plus the one libc symbol declared here (`poll`) — std
+//! already links libc on every Unix target, so no external crate is needed.
 //!
 //! ```
 //! use mio::{Events, Interest, Poll, Token};
@@ -36,11 +37,11 @@
 //! assert!(event.is_readable());
 //! ```
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::io::{self, Read, Write};
-use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Caller-chosen identifier attached to a registration and echoed back on
@@ -110,9 +111,8 @@ impl Event {
         self.writable
     }
 
-    /// The peer closed or the source errored (`EPOLLHUP`/`EPOLLERR`/
-    /// `EPOLLRDHUP`, `POLLHUP`/`POLLERR`). Also reported as readable so a
-    /// plain read loop observes the EOF.
+    /// The peer hung up or the source errored (`POLLHUP`/`POLLERR`). Also
+    /// reported as readable so a plain read loop observes the EOF.
     pub fn is_closed(&self) -> bool {
         self.closed
     }
@@ -156,48 +156,9 @@ impl<'a> IntoIterator for &'a Events {
 }
 
 // ---------------------------------------------------------------------------
-// libc declarations (std links libc on every Unix target).
+// libc declaration (std links libc on every Unix target).
 
-#[cfg(target_os = "linux")]
-mod sys_epoll {
-    //! The four epoll symbols plus the event struct layout. On x86-64 the
-    //! kernel ABI packs `epoll_event` to 12 bytes; other architectures use
-    //! natural alignment.
-
-    #[cfg(target_arch = "x86_64")]
-    #[repr(C, packed)]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
-    }
-
-    #[cfg(not(target_arch = "x86_64"))]
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
-    }
-
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
-    pub const EPOLL_CTL_ADD: i32 = 1;
-    pub const EPOLL_CTL_DEL: i32 = 2;
-    pub const EPOLL_CTL_MOD: i32 = 3;
-    pub const EPOLL_CLOEXEC: i32 = 0x80000;
-
-    extern "C" {
-        pub fn epoll_create1(flags: i32) -> i32;
-        pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-    }
-}
-
-mod sys_poll {
+mod sys {
     //! `poll(2)` — POSIX, available on every Unix target.
 
     #[repr(C)]
@@ -218,9 +179,9 @@ mod sys_poll {
     }
 }
 
-/// Converts an optional timeout to the millisecond convention both backends
-/// use: `None` → block forever (-1), sub-millisecond non-zero waits round up
-/// to 1 ms so a short timeout never spins.
+/// Converts an optional timeout to poll(2)'s millisecond convention:
+/// `None` → block forever (-1), sub-millisecond non-zero waits round up to
+/// 1 ms so a short timeout never spins.
 fn timeout_ms(timeout: Option<Duration>) -> i32 {
     match timeout {
         None => -1,
@@ -229,124 +190,37 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Backends.
-
-#[cfg(target_os = "linux")]
-struct EpollBackend {
-    epfd: OwnedFd,
-    buf: Vec<sys_epoll::EpollEvent>,
+fn poll_bits(interest: Interest) -> i16 {
+    let mut bits = 0;
+    if interest.is_readable() {
+        bits |= sys::POLLIN;
+    }
+    if interest.is_writable() {
+        bits |= sys::POLLOUT;
+    }
+    bits
 }
 
-#[cfg(target_os = "linux")]
-impl EpollBackend {
-    fn new() -> io::Result<Self> {
-        let fd = unsafe { sys_epoll::epoll_create1(sys_epoll::EPOLL_CLOEXEC) };
-        if fd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(Self { epfd: unsafe { OwnedFd::from_raw_fd(fd) }, buf: Vec::new() })
-    }
+/// The registrations, kept as the `pollfd` array poll(2) takes: `fds[i]` and
+/// `tokens[i]` are one source, and `slots` finds its index by descriptor.
+/// A poll hands `fds` to the kernel as it stands and allocates nothing.
+struct Table {
+    fds: Vec<sys::PollFd>,
+    tokens: Vec<Token>,
+    slots: HashMap<RawFd, usize>,
+    /// Where the next scan for ready sources starts: one past the last source
+    /// reported, so a full [`Events`] never starves the sources after it.
+    cursor: usize,
+}
 
-    fn interest_bits(interest: Interest) -> u32 {
-        let mut bits = sys_epoll::EPOLLRDHUP;
-        if interest.is_readable() {
-            bits |= sys_epoll::EPOLLIN;
-        }
-        if interest.is_writable() {
-            bits |= sys_epoll::EPOLLOUT;
-        }
-        bits
-    }
-
-    fn ctl(&self, op: i32, fd: RawFd, interest: Interest, token: Token) -> io::Result<()> {
-        let mut ev = sys_epoll::EpollEvent {
-            events: Self::interest_bits(interest),
-            data: token.0 as u64,
-        };
-        let rc = unsafe { sys_epoll::epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut ev) };
-        if rc < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
-    }
-
-    fn deregister(&self, fd: RawFd) -> io::Result<()> {
-        let mut ev = sys_epoll::EpollEvent { events: 0, data: 0 };
-        let rc = unsafe {
-            sys_epoll::epoll_ctl(self.epfd.as_raw_fd(), sys_epoll::EPOLL_CTL_DEL, fd, &mut ev)
-        };
-        if rc < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
-    }
-
+impl Table {
     fn poll(&mut self, events: &mut Events, timeout: Option<Duration>) -> io::Result<()> {
-        self.buf.resize(events.capacity, sys_epoll::EpollEvent { events: 0, data: 0 });
-        let n = loop {
+        let mut ready = loop {
+            // SAFETY: `fds` is an initialized array of `fds.len()` `pollfd`s,
+            // borrowed mutably for the call; the kernel writes only their
+            // `revents`.
             let rc = unsafe {
-                sys_epoll::epoll_wait(
-                    self.epfd.as_raw_fd(),
-                    self.buf.as_mut_ptr(),
-                    self.buf.len() as i32,
-                    timeout_ms(timeout),
-                )
-            };
-            if rc >= 0 {
-                break rc as usize;
-            }
-            let err = io::Error::last_os_error();
-            if err.kind() != io::ErrorKind::Interrupted {
-                return Err(err);
-            }
-        };
-        events.inner.clear();
-        for raw in &self.buf[..n] {
-            let (bits, data) = (raw.events, raw.data);
-            let closed =
-                bits & (sys_epoll::EPOLLERR | sys_epoll::EPOLLHUP | sys_epoll::EPOLLRDHUP) != 0;
-            events.inner.push(Event {
-                token: Token(data as usize),
-                readable: bits & sys_epoll::EPOLLIN != 0 || closed,
-                writable: bits & sys_epoll::EPOLLOUT != 0,
-                closed,
-            });
-        }
-        Ok(())
-    }
-}
-
-struct PollBackend {
-    /// Registration table: fd → (token, interest). Rebuilt into a `pollfd`
-    /// array on every poll — O(n) per call, which is exactly why epoll is
-    /// preferred where available.
-    regs: HashMap<RawFd, (Token, Interest)>,
-    fds: Vec<sys_poll::PollFd>,
-}
-
-impl PollBackend {
-    fn new() -> Self {
-        Self { regs: HashMap::new(), fds: Vec::new() }
-    }
-
-    fn poll(&mut self, events: &mut Events, timeout: Option<Duration>) -> io::Result<()> {
-        self.fds.clear();
-        let mut tokens = Vec::with_capacity(self.regs.len());
-        for (&fd, &(token, interest)) in &self.regs {
-            let mut bits = 0i16;
-            if interest.is_readable() {
-                bits |= sys_poll::POLLIN;
-            }
-            if interest.is_writable() {
-                bits |= sys_poll::POLLOUT;
-            }
-            self.fds.push(sys_poll::PollFd { fd, events: bits, revents: 0 });
-            tokens.push(token);
-        }
-        let n = loop {
-            let rc = unsafe {
-                sys_poll::poll(
+                sys::poll(
                     self.fds.as_mut_ptr(),
                     self.fds.len() as std::os::raw::c_ulong,
                     timeout_ms(timeout),
@@ -361,32 +235,28 @@ impl PollBackend {
             }
         };
         events.inner.clear();
-        if n == 0 {
-            return Ok(());
-        }
-        for (pfd, &token) in self.fds.iter().zip(&tokens) {
-            if pfd.revents == 0 {
-                continue;
-            }
-            let closed = pfd.revents & (sys_poll::POLLERR | sys_poll::POLLHUP) != 0;
-            events.inner.push(Event {
-                token,
-                readable: pfd.revents & sys_poll::POLLIN != 0 || closed,
-                writable: pfd.revents & sys_poll::POLLOUT != 0,
-                closed,
-            });
-            if events.inner.len() == events.capacity {
+        let (n, start) = (self.fds.len(), self.cursor);
+        for k in 0..n {
+            if ready == 0 || events.inner.len() == events.capacity {
                 break;
             }
+            let i = (start + k) % n;
+            let revents = self.fds[i].revents;
+            if revents == 0 {
+                continue;
+            }
+            ready -= 1;
+            let closed = revents & (sys::POLLERR | sys::POLLHUP) != 0;
+            events.inner.push(Event {
+                token: self.tokens[i],
+                readable: revents & sys::POLLIN != 0 || closed,
+                writable: revents & sys::POLLOUT != 0,
+                closed,
+            });
+            self.cursor = i + 1;
         }
         Ok(())
     }
-}
-
-enum Backend {
-    #[cfg(target_os = "linux")]
-    Epoll(EpollBackend),
-    Poll(PollBackend),
 }
 
 /// Anything with a raw file descriptor can be registered: `TcpListener`,
@@ -401,96 +271,79 @@ impl<T: AsRawFd> Source for T {}
 /// can register from a `&Poll`, but polling itself takes `&self` and is
 /// meant to be driven by a single thread.
 pub struct Poll {
-    inner: Mutex<Backend>,
+    table: Mutex<Table>,
     /// Read ends of wakers, drained transparently when their event fires.
     wakers: Mutex<HashMap<usize, UnixStream>>,
 }
 
 impl Poll {
-    /// Creates a selector: epoll on Linux, poll(2) elsewhere. Setting
-    /// `INK_MIO_FORCE_POLL=1` selects the poll(2) backend on Linux too (the
-    /// fallback path stays testable on the primary platform).
+    /// Creates a selector with no registrations.
     pub fn new() -> io::Result<Poll> {
-        let force_poll = std::env::var("INK_MIO_FORCE_POLL").is_ok_and(|v| v == "1");
-        let backend = {
-            #[cfg(target_os = "linux")]
-            {
-                if force_poll {
-                    Backend::Poll(PollBackend::new())
-                } else {
-                    Backend::Epoll(EpollBackend::new()?)
-                }
-            }
-            #[cfg(not(target_os = "linux"))]
-            {
-                let _ = force_poll;
-                Backend::Poll(PollBackend::new())
-            }
-        };
-        Ok(Poll { inner: Mutex::new(backend), wakers: Mutex::new(HashMap::new()) })
+        let table = Table { fds: Vec::new(), tokens: Vec::new(), slots: HashMap::new(), cursor: 0 };
+        Ok(Poll { table: Mutex::new(table), wakers: Mutex::new(HashMap::new()) })
+    }
+
+    fn table(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().expect("mio table lock poisoned")
     }
 
     /// Starts watching `source` for `interest`, tagging events with `token`.
+    /// A source that is already registered is left as it is and answers
+    /// [`io::ErrorKind::AlreadyExists`].
     pub fn register(&self, source: &impl Source, token: Token, interest: Interest) -> io::Result<()> {
         let fd = source.as_raw_fd();
-        match &mut *self.inner.lock().expect("mio backend lock poisoned") {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(ep) => ep.ctl(sys_epoll::EPOLL_CTL_ADD, fd, interest, token),
-            Backend::Poll(pb) => {
-                if pb.regs.insert(fd, (token, interest)).is_some() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::AlreadyExists,
-                        "fd already registered",
-                    ));
-                }
+        let mut table = self.table();
+        let t = &mut *table;
+        match t.slots.entry(fd) {
+            Entry::Occupied(_) => {
+                Err(io::Error::new(io::ErrorKind::AlreadyExists, "fd already registered"))
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(t.fds.len());
+                t.fds.push(sys::PollFd { fd, events: poll_bits(interest), revents: 0 });
+                t.tokens.push(token);
                 Ok(())
             }
         }
     }
 
-    /// Changes the interest set (and/or token) of an existing registration.
+    /// Changes the interest set (and/or token) of an existing registration;
+    /// an unregistered source answers [`io::ErrorKind::NotFound`].
     pub fn reregister(
         &self,
         source: &impl Source,
         token: Token,
         interest: Interest,
     ) -> io::Result<()> {
-        let fd = source.as_raw_fd();
-        match &mut *self.inner.lock().expect("mio backend lock poisoned") {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(ep) => ep.ctl(sys_epoll::EPOLL_CTL_MOD, fd, interest, token),
-            Backend::Poll(pb) => match pb.regs.get_mut(&fd) {
-                Some(slot) => {
-                    *slot = (token, interest);
-                    Ok(())
-                }
-                None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-            },
-        }
+        let mut t = self.table();
+        let Some(&i) = t.slots.get(&source.as_raw_fd()) else {
+            return Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"));
+        };
+        t.fds[i].events = poll_bits(interest);
+        t.tokens[i] = token;
+        Ok(())
     }
 
-    /// Stops watching `source`. Call before closing the descriptor.
+    /// Stops watching `source`. Call before closing the descriptor. A source
+    /// that is not registered is `Ok`.
     pub fn deregister(&self, source: &impl Source) -> io::Result<()> {
-        let fd = source.as_raw_fd();
-        match &mut *self.inner.lock().expect("mio backend lock poisoned") {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(ep) => ep.deregister(fd),
-            Backend::Poll(pb) => {
-                pb.regs.remove(&fd);
-                Ok(())
+        let mut table = self.table();
+        let t = &mut *table;
+        if let Some(i) = t.slots.remove(&source.as_raw_fd()) {
+            t.fds.swap_remove(i);
+            t.tokens.swap_remove(i);
+            if let Some(moved) = t.fds.get(i) {
+                t.slots.insert(moved.fd, i);
             }
         }
+        Ok(())
     }
 
     /// Blocks until at least one registered source is ready, the timeout
     /// elapses (`events` comes back empty), or a [`Waker`] fires. Waker
     /// bytes are drained internally — the caller just sees the token.
     pub fn poll(&self, events: &mut Events, timeout: Option<Duration>) -> io::Result<()> {
-        match &mut *self.inner.lock().expect("mio backend lock poisoned") {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(ep) => ep.poll(events, timeout)?,
-            Backend::Poll(pb) => pb.poll(events, timeout)?,
-        }
+        self.table().poll(events, timeout)?;
         // Drain any waker whose token fired so level-triggered readiness
         // doesn't re-report a stale wake forever.
         let wakers = self.wakers.lock().expect("mio waker lock poisoned");
@@ -543,38 +396,11 @@ impl Waker {
 mod tests {
     use super::*;
     use std::net::{TcpListener, TcpStream};
-    use std::sync::{Arc, Mutex};
+    use std::sync::Arc;
 
-    /// Serializes the tests that set `INK_MIO_FORCE_POLL`: without it one
-    /// test's `remove_var` can land between another's `set_var` and
-    /// `Poll::new`, and the forced test gets epoll.
-    static ENV: Mutex<()> = Mutex::new(());
-
-    /// Which backend `poll` runs on (`"epoll"` or `"poll"`).
-    fn backend_name(poll: &Poll) -> &'static str {
-        match *poll.inner.lock().expect("mio backend lock poisoned") {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(_) => "epoll",
-            Backend::Poll(_) => "poll",
-        }
-    }
-
-    fn with_backend<R>(force_poll: bool, f: impl FnOnce(Poll) -> R) -> R {
-        let poll = {
-            let _env = ENV.lock().unwrap_or_else(|e| e.into_inner());
-            if force_poll {
-                std::env::set_var("INK_MIO_FORCE_POLL", "1");
-            } else {
-                std::env::remove_var("INK_MIO_FORCE_POLL");
-            }
-            let poll = Poll::new().unwrap();
-            std::env::remove_var("INK_MIO_FORCE_POLL");
-            poll
-        };
-        f(poll)
-    }
-
-    fn readiness_roundtrip(poll: Poll) {
+    #[test]
+    fn readiness_roundtrip() {
+        let poll = Poll::new().unwrap();
         let (mut a, b) = UnixStream::pair().unwrap();
         b.set_nonblocking(true).unwrap();
         poll.register(&b, Token(3), Interest::READABLE).unwrap();
@@ -606,17 +432,61 @@ mod tests {
         poll.deregister(&b).unwrap();
     }
 
+    /// The contract the server's interest bookkeeping relies on: a duplicate
+    /// `register` is refused and changes nothing, `reregister` needs a live
+    /// registration, and `deregister` of an unknown source is `Ok`.
     #[test]
-    fn default_backend_readiness() {
-        with_backend(false, readiness_roundtrip);
+    fn registration_errors_are_typed_and_leave_the_table_intact() {
+        let poll = Poll::new().unwrap();
+        let pairs: Vec<_> = (0..3).map(|_| UnixStream::pair().unwrap()).collect();
+        for (i, (a, _)) in pairs.iter().enumerate() {
+            poll.register(a, Token(i), Interest::WRITABLE).unwrap();
+        }
+        let (first, second, third) = (&pairs[0].0, &pairs[1].0, &pairs[2].0);
+
+        let dup = poll.register(second, Token(7), Interest::READABLE).unwrap_err();
+        assert_eq!(dup.kind(), io::ErrorKind::AlreadyExists);
+
+        let (stray, _) = UnixStream::pair().unwrap();
+        let missing = poll.reregister(&stray, Token(8), Interest::READABLE).unwrap_err();
+        assert_eq!(missing.kind(), io::ErrorKind::NotFound);
+        poll.deregister(&stray).unwrap();
+
+        // Removing the first source moves the last into its slot; both the
+        // moved and the untouched registration keep working.
+        poll.deregister(first).unwrap();
+        poll.deregister(first).unwrap();
+        let gone = poll.reregister(first, Token(0), Interest::WRITABLE).unwrap_err();
+        assert_eq!(gone.kind(), io::ErrorKind::NotFound);
+        poll.reregister(third, Token(5), Interest::WRITABLE).unwrap();
+
+        let mut events = Events::with_capacity(8);
+        poll.poll(&mut events, Some(Duration::from_secs(2))).unwrap();
+        let mut seen: Vec<_> = events.iter().map(|e| (e.token(), e.is_writable())).collect();
+        seen.sort();
+        // Token 1 kept its writable interest despite the refused duplicate.
+        assert_eq!(seen, vec![(Token(1), true), (Token(5), true)]);
     }
 
+    /// More ready sources than `Events` holds: each poll resumes after the
+    /// last source reported, so every one appears within ⌈n / capacity⌉
+    /// polls instead of the same few winning every time.
     #[test]
-    fn forced_poll_backend_readiness() {
-        with_backend(true, |poll| {
-            assert_eq!(backend_name(&poll), "poll");
-            readiness_roundtrip(poll);
-        });
+    fn every_ready_source_is_reported_within_n_over_capacity_polls() {
+        let (n, capacity) = (10usize, 4);
+        let poll = Poll::new().unwrap();
+        let pairs: Vec<_> = (0..n).map(|_| UnixStream::pair().unwrap()).collect();
+        for (i, (a, _)) in pairs.iter().enumerate() {
+            poll.register(a, Token(i), Interest::WRITABLE).unwrap();
+        }
+        let mut events = Events::with_capacity(capacity);
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..n.div_ceil(capacity) {
+            poll.poll(&mut events, Some(Duration::from_secs(2))).unwrap();
+            assert_eq!(events.len(), capacity, "every source is always writable");
+            seen.extend(events.iter().map(|e| e.token()));
+        }
+        assert_eq!(seen.len(), n, "reported {seen:?}");
     }
 
     #[test]
