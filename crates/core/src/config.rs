@@ -1,5 +1,5 @@
-//! Engine configuration, including the ablation switches of the paper's
-//! Table VI.
+//! Engine configuration, including the pruning switch of the paper's
+//! Table VI ablation.
 
 /// Minimum work-item count of a pipeline phase (ΔG changes plus changed
 /// rows for generate, events for group, targets for apply and
@@ -23,6 +23,11 @@ pub const BATCH_MIN_TARGETS: usize = 8;
 
 /// Tunables of the incremental engine.
 ///
+/// Component 1 of the paper's Table VI ablation, intra-layer incremental
+/// update, is the engine itself and has no switch: `pruning` toggles
+/// component 2, and the table's baseline row is the k-hop recomputation of
+/// `ink_gnn::khop`, not a configuration of this engine.
+///
 /// How a parallel round splits its work is not configured here: the engine
 /// takes `W = rayon::current_num_threads()` workers and
 /// `S = (4·W).next_power_of_two()` shards at round start, so the pool the
@@ -30,15 +35,10 @@ pub const BATCH_MIN_TARGETS: usize = 8;
 /// Results are bitwise identical for every thread count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UpdateConfig {
-    /// Component 1 (paper Table VI): intra-layer incremental update. When
-    /// off, every event target recomputes its aggregated neighborhood from
-    /// the full neighborhood (still touching only the affected area), on the
-    /// apply phase's one full-recompute path: gathered neighbor panels.
-    pub incremental: bool,
-    /// Component 2: inter-layer pruned propagation. When off, resilient
-    /// nodes propagate events anyway (monotonic layers lose their savings
-    /// and behave like accumulative ones, as in the paper's `InkStream-m (1)`
-    /// row).
+    /// Component 2 (paper Table VI): inter-layer pruned propagation. When
+    /// off, resilient nodes propagate events anyway (monotonic layers lose
+    /// their savings and behave like accumulative ones, as in the paper's
+    /// `InkStream-m (1)` row).
     pub pruning: bool,
     /// Split rounds over the rayon pool: one worker per pool thread, phases
     /// with at least [`PARALLEL_MIN_ITEMS`] work items on the pool, and
@@ -56,12 +56,7 @@ pub struct UpdateConfig {
 
 impl Default for UpdateConfig {
     fn default() -> Self {
-        Self {
-            incremental: true,
-            pruning: true,
-            parallel: true,
-            compensated: false,
-        }
+        Self { pruning: true, parallel: true, compensated: false }
     }
 }
 
@@ -75,12 +70,6 @@ impl UpdateConfig {
     /// `InkStream-m (1)` in Table VI.
     pub fn incremental_only() -> Self {
         Self { pruning: false, ..Self::default() }
-    }
-
-    /// Ablation: neither component — event-driven recomputation of every
-    /// touched node (the engine-internal k-hop-like floor).
-    pub fn recompute_all() -> Self {
-        Self { incremental: false, pruning: false, ..Self::default() }
     }
 
     /// The scalar oracle every other configuration is bitwise-equal to:
@@ -106,15 +95,12 @@ mod tests {
     #[test]
     fn default_enables_both_components() {
         let c = UpdateConfig::default();
-        assert!(c.incremental && c.pruning && c.parallel);
+        assert!(c.pruning && c.parallel);
     }
 
     #[test]
     fn ablation_presets() {
-        assert!(UpdateConfig::incremental_only().incremental);
         assert!(!UpdateConfig::incremental_only().pruning);
-        assert!(!UpdateConfig::recompute_all().incremental);
-        assert!(!UpdateConfig::recompute_all().pruning);
     }
 
     #[test]

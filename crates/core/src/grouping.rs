@@ -102,40 +102,6 @@ pub fn group_events(events: &[Event], arena: &PayloadArena, agg: Aggregator) -> 
     Grouped { groups, events_before: events.len(), payload_values_read }
 }
 
-/// Why a target needs every channel of its neighborhood re-aggregated. The
-/// batched apply path sorts these deferred targets by `(kind, degree class)`
-/// so each gathered panel holds attribution- and size-homogeneous work. A
-/// monotonic exposed reset is *not* among them: it repairs only its exposed
-/// channels, in place, in the apply phase's first pass.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum RecomputeKind {
-    /// Incremental updates disabled (ablation runs).
-    Forced = 0,
-    /// The target's old neighborhood was empty, so its cached `α⁻ = 0` is a
-    /// convention and the incremental rules do not apply.
-    EmptyOld = 1,
-}
-
-/// log₂ size bucket for panel grouping: 0 for degree 0, otherwise
-/// `⌊log₂ degree⌋ + 1`. Targets in the same class gather into the same
-/// contiguous panel, keeping per-panel row counts within 2× of each other.
-#[inline]
-pub(crate) fn degree_class(degree: usize) -> u32 {
-    if degree == 0 {
-        0
-    } else {
-        usize::BITS - degree.leading_zeros()
-    }
-}
-
-/// Sort key grouping deferred recomputations by event kind × degree class.
-/// Equal keys land in the same gathered panel; the caller appends the entry
-/// index to keep the full sort deterministic.
-#[inline]
-pub(crate) fn recompute_sort_key(kind: RecomputeKind, degree: usize) -> u32 {
-    ((kind as u32) << 8) | degree_class(degree).min(0xFF)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,36 +196,6 @@ mod tests {
         let p = arena.push(&[1.0]);
         let events = vec![ev(EventOp::Add, 0, p, 0)];
         let _ = group_events(&events, &arena, Aggregator::Sum);
-    }
-
-    #[test]
-    fn degree_classes_are_log2_buckets() {
-        assert_eq!(degree_class(0), 0);
-        assert_eq!(degree_class(1), 1);
-        assert_eq!(degree_class(2), 2);
-        assert_eq!(degree_class(3), 2);
-        assert_eq!(degree_class(4), 3);
-        assert_eq!(degree_class(1023), 10);
-        assert_eq!(degree_class(1024), 11);
-    }
-
-    #[test]
-    fn recompute_keys_group_by_kind_then_class() {
-        // Same kind, same class → same panel.
-        assert_eq!(
-            recompute_sort_key(RecomputeKind::EmptyOld, 5),
-            recompute_sort_key(RecomputeKind::EmptyOld, 6),
-        );
-        // Kind dominates class in the ordering.
-        assert!(
-            recompute_sort_key(RecomputeKind::Forced, 1 << 20)
-                < recompute_sort_key(RecomputeKind::EmptyOld, 1)
-        );
-        // Within a kind, bigger degrees sort later.
-        assert!(
-            recompute_sort_key(RecomputeKind::Forced, 2)
-                < recompute_sort_key(RecomputeKind::Forced, 64)
-        );
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! 3. [`apply`] — per target, the per-channel evolvability check (no reset /
 //!    covered reset / exposed reset) or the accumulative update, α rows
 //!    staged in flat per-shard buffers; a repair loop then re-aggregates only
-//!    the exposed channels over the in-neighbors, and targets that need every
-//!    channel rebuilt (empty old neighborhood, `incremental: false`) are
-//!    gathered into panels and folded in a second pass;
+//!    the exposed channels over the in-neighbors. A monotonic target whose
+//!    old neighborhood was empty is rebuilt whole in place, with the fold
+//!    the reference uses;
 //! 4. [`write`] — sequential commit of the staged α rows, condition stats,
 //!    and the merged next-layer target list;
 //! 5. [`next_messages`] — rebuild of the next layer's messages (or the final
@@ -55,7 +55,6 @@ use crate::accumulative::{
 };
 use crate::config::{UpdateConfig, BATCH_MIN_TARGETS, PARALLEL_MIN_ITEMS};
 use crate::event::{Event, EventOp};
-use crate::grouping::{recompute_sort_key, RecomputeKind};
 use crate::monotonic::{apply_monotonic_into, Condition};
 use crate::pipeline::{
     acc_slot_in, shard_of, slot_in, worker_chunk, AlphaRows, ApplyOutcome, CondKind, OldMsgs,
@@ -315,9 +314,9 @@ pub(crate) fn group(plan: &LayerPlan, rs: &mut RoundState) {
 }
 
 /// Phase 3: the per-target update, α staged in each shard's flat output
-/// buffer, in two passes per shard ([`apply_shard`]). On a blocked layer
-/// every shard is paired with its own 64-row blocks of α and `h`, where
-/// pass 1 commits the delta rows.
+/// buffer, one pass and a repair loop per shard ([`apply_shard`]). On a
+/// blocked layer every shard is paired with its own 64-row blocks of α and
+/// `h`, where the pass commits the delta rows.
 pub(crate) fn apply(
     plan: &LayerPlan,
     rs: &mut RoundState,
@@ -360,17 +359,12 @@ struct ApplyCtx<'a> {
 }
 
 /// The apply phase of one shard. Pass 1 classifies every entry and finishes
-/// every incremental update in place but the monotonic exposed resets, which
-/// it lists for the repair loop; on a blocked layer it commits every delta
-/// row: the α row from `Σ Δm`, then `h += s·Σ Δm·W`, in the shard's own
-/// blocks, staging nothing. The repair loop then re-aggregates each exposed
-/// reset's exposed channels over its in-neighbors. Entries that need
-/// *every* channel rebuilt (empty-old targets, the `incremental: false`
-/// ablation) are deferred to pass 2, which sorts them by kind × degree
-/// class, gathers each equal-key run's neighbor rows (in neighbor order)
-/// into one contiguous panel and folds it with the row-panel kernels
-/// ([`Aggregator::aggregate_rows_into`]) — bitwise equal to
-/// [`Aggregator::aggregate_into`] over the same rows.
+/// every update in place but the monotonic exposed resets, which it lists
+/// for the repair loop; a monotonic empty-old target it rebuilds whole
+/// ([`rebuild_empty_old`]). On a blocked layer it commits every delta row:
+/// the α row from `Σ Δm`, then `h += s·Σ Δm·W`, in the shard's own blocks,
+/// staging nothing. The repair loop then re-aggregates each exposed reset's
+/// exposed channels over its in-neighbors.
 ///
 /// Every target's rows sit at unrelated addresses, so pass 1 and the repair
 /// loop ask for a later target's lines while they work on the current one
@@ -394,9 +388,6 @@ fn apply_shard(ctx: &ApplyCtx<'_>, shard: &mut ShardScratch, alpha_rows: &mut Al
         repairs,
         exposed_channels,
         exposed_rows,
-        recompute,
-        apply_comp,
-        gemm,
         batched_apply_rows,
         ..
     } = shard;
@@ -413,8 +404,7 @@ fn apply_shard(ctx: &ApplyCtx<'_>, shard: &mut ShardScratch, alpha_rows: &mut Al
             if let AlphaRows::Owned(owned) = &*alpha_rows {
                 prefetch_lines(owned.h(v));
             }
-            // The repair loop reads the list; sum and mean layers have none
-            // and read it only under the `incremental: false` ablation.
+            // The repair loop reads the list; sum and mean layers have none.
             if mono {
                 graph.prefetch_in_neighbors(v);
             }
@@ -425,10 +415,10 @@ fn apply_shard(ctx: &ApplyCtx<'_>, shard: &mut ShardScratch, alpha_rows: &mut Al
             // The delta rule serves an incrementally updated target whose
             // own message stayed put (else the self term of its output row
             // moved too).
-            let scale = if cfg.incremental && !old.contains(l, u) {
-                delta_row_scale(agg, degree, e.degree_delta)
-            } else {
+            let scale = if old.contains(l, u) {
                 None
+            } else {
+                delta_row_scale(agg, degree, e.degree_delta)
             };
             if let Some(scale) = scale {
                 let (sum, w_sum) = acc_slot_in(buf, e.add, dim, tail);
@@ -460,17 +450,12 @@ fn apply_shard(ctx: &ApplyCtx<'_>, shard: &mut ShardScratch, alpha_rows: &mut Al
         let out = &mut alpha_buf[start..start + dim];
         let alpha_old = alpha_rows.alpha(u);
         let mut reads = dim as u64;
-        let mut deferred = None;
         let mut repaired = false;
-        let cond = if !cfg.incremental {
-            deferred = Some(RecomputeKind::Forced);
-            CondKind::Forced
-        } else if mono {
-            // A target whose *old* neighborhood was empty has α⁻ = 0 by
-            // convention, not as a real aggregate: the incremental rules
-            // don't apply there.
+        let cond = if mono {
             if degree as i64 - e.degree_delta as i64 <= 0 {
-                deferred = Some(RecomputeKind::EmptyOld);
+                rebuild_empty_old(agg, graph, m_l, u, out);
+                reads += (degree * dim) as u64;
+                *batched_apply_rows += degree;
                 CondKind::Mono(Condition::ExposedReset)
             } else {
                 let from = exposed.len();
@@ -501,20 +486,14 @@ fn apply_shard(ctx: &ApplyCtx<'_>, shard: &mut ShardScratch, alpha_rows: &mut Al
             apply_accumulative_into(agg, alpha_old, sum, degree, e.degree_delta, comp, out);
             CondKind::Acc
         };
-        if let Some(kind) = deferred {
-            recompute.push((recompute_sort_key(kind, degree), i as u32));
-            reads += (degree * dim) as u64;
-        }
-        // `changed` of a repaired or deferred entry is backfilled once its
-        // α is final.
-        let changed = !repaired && deferred.is_none() && &*out != alpha_old;
+        // `changed` of a repaired entry is backfilled once its α is final.
+        let changed = !repaired && &*out != alpha_old;
         outcomes.push(ApplyOutcome { cond, reads, changed, staged, output_changed: false });
     }
     // Exposed repair: reset each listed channel and fold it over the
     // in-neighbors, asking for the exposed channels' lines of the neighbor
     // rows of the reset `REPAIR_AHEAD` on (pass 1 already asked for its
     // list).
-    let staged_row = |s: u32| s as usize * dim..(s as usize + 1) * dim;
     for (j, r) in repairs.iter().enumerate() {
         if let Some(ahead) = repairs.get(j + REPAIR_AHEAD) {
             let channels = ahead.channels(exposed);
@@ -526,41 +505,33 @@ fn apply_shard(ctx: &ApplyCtx<'_>, shard: &mut ShardScratch, alpha_rows: &mut Al
             }
         }
         let u = entries[r.entry as usize].target;
-        let out = &mut alpha_buf[staged_row(r.staged)];
+        let out = &mut alpha_buf[r.staged as usize * dim..(r.staged as usize + 1) * dim];
         let neighbors = graph.in_neighbors(u).iter().map(|&v| m_l.row(v as usize));
         agg.aggregate_channels_into(neighbors, r.channels(exposed), out);
         outcomes[r.entry as usize].changed = *out != *alpha_rows.alpha(u);
     }
-    if recompute.is_empty() || dim == 0 {
-        return;
-    }
-    // Pass 2: full recomputations, one gathered panel per equal-key run.
-    recompute.sort_unstable();
-    for run in recompute.chunk_by(|a, b| a.0 == b.0) {
-        let target = |&(_, idx): &(u32, u32)| entries[idx as usize].target;
-        let rows: usize = run.iter().map(|r| graph.in_degree(target(r))).sum();
-        let mut panel = gemm.take(rows * dim);
-        let mut off = 0usize;
-        for r in run {
-            let neighbors = graph.in_neighbors(target(r));
-            let end = off + neighbors.len() * dim;
-            gather_rows_into(m_l, neighbors.iter().map(|&v| v as usize), &mut panel[off..end]);
-            off = end;
-        }
-        let mut off = 0usize;
-        for r @ &(_, idx) in run {
-            let end = off + graph.in_degree(target(r)) * dim;
-            let out = &mut alpha_buf[staged_row(outcomes[idx as usize].staged)];
-            agg.aggregate_rows_into(&panel[off..end], out, apply_comp);
-            off = end;
-        }
-        gemm.put(panel);
-        *batched_apply_rows += rows;
-    }
-    for &(_, idx) in recompute.iter() {
-        let (i, u) = (idx as usize, entries[idx as usize].target);
-        outcomes[i].changed = alpha_buf[staged_row(outcomes[i].staged)] != *alpha_rows.alpha(u);
-    }
+}
+
+/// Rebuilds the whole α of a monotonic target whose *old* neighborhood was
+/// empty: its cached `α⁻ = 0` is a convention, not an aggregate, so the
+/// incremental rules do not apply. The fold is [`Aggregator::aggregate_into`]
+/// over the in-neighbors, the one bootstrap, `audit_vertex` and the
+/// reference use, so the row is bitwise theirs.
+///
+/// Cold and out of line: such targets are rare (about one per ten updates
+/// on `engine_trickle`, none on `engine_accum`), so the fold stays out of
+/// the code of the `#[inline(always)]` [`apply_shard`] loop. One inline
+/// version measured about 15 % slower on `engine_accum` (DESIGN.md §3).
+#[cold]
+#[inline(never)]
+fn rebuild_empty_old(
+    agg: Aggregator,
+    graph: &DynGraph,
+    m_l: &Matrix,
+    u: VertexId,
+    out: &mut [f32],
+) {
+    agg.aggregate_into(graph.in_neighbors(u).iter().map(|&v| m_l.row(v as usize)), out);
 }
 
 /// Phase 4, sequential: commits the staged α rows, records condition stats,
@@ -601,10 +572,6 @@ pub(crate) fn write(
                         .or_insert(c);
                 }
                 CondKind::Acc => stats.conditions.accumulative += 1,
-                CondKind::Forced => {
-                    stats.conditions.forced_recompute += 1;
-                    report.per_node_condition.insert(e.target, Condition::ExposedReset);
-                }
             }
             if o.changed {
                 if o.staged != NO_SLOT {

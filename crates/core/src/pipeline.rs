@@ -91,8 +91,6 @@ pub(crate) enum CondKind {
     Mono(Condition),
     /// Accumulative target (always incrementally updated).
     Acc,
-    /// Recomputed because incremental updates are disabled (ablation).
-    Forced,
 }
 
 /// What the apply phase decided for one group entry.
@@ -285,19 +283,7 @@ pub(crate) struct ShardScratch {
     pub exposed_channels: usize,
     /// Neighbor rows this shard visited for those repairs this layer.
     pub exposed_rows: usize,
-    /// Entries deferred to full recomputation by the apply phase's first
-    /// pass: `(sort key, entry index)` with the key from
-    /// [`crate::grouping::recompute_sort_key`]. Sorting the pairs groups the
-    /// panel batches by event kind × degree class; the index tiebreak keeps
-    /// the order fully deterministic.
-    pub recompute: Vec<(u32, u32)>,
-    /// Reusable Neumaier channel for the panel folds
-    /// ([`Aggregator::aggregate_rows_into`]).
-    pub apply_comp: Vec<f32>,
-    /// Panel buffer pool for the gathered neighbor rows. Per-shard so the
-    /// apply phase stays embarrassingly parallel.
-    pub gemm: ink_tensor::GemmScratch,
-    /// Neighbor rows this shard's full recomputations folded this layer.
+    /// Neighbor rows this shard's empty-old rebuilds folded this layer.
     pub batched_apply_rows: usize,
 }
 
@@ -315,8 +301,6 @@ impl ShardScratch {
         self.repairs.clear();
         self.exposed_channels = 0;
         self.exposed_rows = 0;
-        self.recompute.clear();
-        self.apply_comp.clear();
         self.batched_apply_rows = 0;
     }
 
@@ -414,9 +398,6 @@ impl ShardScratch {
             + self.outcomes.capacity() * std::mem::size_of::<ApplyOutcome>()
             + self.exposed.capacity() * std::mem::size_of::<u32>()
             + self.repairs.capacity() * std::mem::size_of::<Repair>()
-            + self.recompute.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.apply_comp.capacity() * std::mem::size_of::<f32>()
-            + self.gemm.bytes()
     }
 }
 

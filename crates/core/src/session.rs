@@ -391,11 +391,11 @@ impl SessionInstruments {
             ),
             apply_rows: r.counter(
                 "ink_apply_rows_total",
-                "Neighbor rows folded by the batched apply-phase recomputation",
+                "Neighbor rows folded to rebuild monotonic empty-old targets whole",
             ),
             apply_batch_rows: r.histogram(
                 "ink_apply_batch_rows",
-                "Per-layer batched apply-phase row counts (batched layers only)",
+                "Per-layer empty-old rebuild row counts (layers with a rebuild only)",
             ),
             conditions: [
                 r.counter(

@@ -51,9 +51,6 @@ pub struct ConditionCounts {
     pub exposed_reset: u64,
     /// Accumulative targets (always incrementally updated).
     pub accumulative: u64,
-    /// Targets recomputed because incremental updates were disabled
-    /// (ablation runs only).
-    pub forced_recompute: u64,
 }
 
 impl ConditionCounts {
@@ -69,12 +66,7 @@ impl ConditionCounts {
 
     /// Total recorded targets.
     pub fn total(&self) -> u64 {
-        self.resilient
-            + self.no_reset
-            + self.covered_reset
-            + self.exposed_reset
-            + self.accumulative
-            + self.forced_recompute
+        self.resilient + self.no_reset + self.covered_reset + self.exposed_reset + self.accumulative
     }
 
     /// Merges another count set into this one.
@@ -84,7 +76,6 @@ impl ConditionCounts {
         self.covered_reset += other.covered_reset;
         self.exposed_reset += other.exposed_reset;
         self.accumulative += other.accumulative;
-        self.forced_recompute += other.forced_recompute;
     }
 }
 
@@ -103,14 +94,16 @@ pub struct LayerStats {
     /// gather→GEMM→scatter transform (0 when the per-node path ran). Delta
     /// rows never come here.
     pub batched_rows: usize,
-    /// Neighbor rows folded by the apply phase's full recomputations
-    /// (empty-old targets, `incremental: false`), which gather them into
-    /// panels.
+    /// Neighbor rows the apply phase folded to rebuild monotonic targets
+    /// whose old neighborhood was empty — the in-degrees of those targets,
+    /// summed. Each is rebuilt whole with the reference fold
+    /// (`Aggregator::aggregate_into`); no other target folds its whole
+    /// neighborhood.
     pub batched_apply_rows: usize,
     /// Channels the apply phase re-aggregated for exposed resets, summed over
     /// targets; `exposed_channels / conditions.exposed_reset` is the mean
-    /// repair width (empty-old targets are rebuilt whole by the panel path
-    /// and add nothing here).
+    /// repair width (empty-old targets are rebuilt whole and add nothing
+    /// here).
     pub exposed_channels: usize,
     /// Neighbor rows visited by those channel repairs (the in-degrees of the
     /// repaired targets, summed).
@@ -154,7 +147,13 @@ pub struct UpdateReport {
     pub per_layer: Vec<LayerStats>,
     /// Wall-clock time of the update.
     pub elapsed: Duration,
-    /// Distinct nodes touched across all layers (RNVV numerator).
+    /// Rows the round rebuilt, summed over layers (RNVV numerator). Per
+    /// layer: the write phase's next-target list — targets whose α changed
+    /// (every accumulative target, and every target with pruning off) plus,
+    /// on a self-dependent layer, nodes whose own message changed — and the
+    /// delta rows. Not distinct nodes: one rebuilt on two layers counts
+    /// twice, and a target whose α pruning left unchanged is not counted.
+    /// `ink_gnn::khop` charges its `CostMeter` the same per-layer count.
     pub nodes_visited: u64,
     /// Distinct nodes whose aggregated neighborhood changed in any layer —
     /// the paper's *real affected* nodes (Fig. 1b).

@@ -8,9 +8,9 @@
 //!   tiling/parallelism only change which elements compute together, never
 //!   the addition order within one element. The reference engine is the
 //!   `sequential()` oracle, which never runs the batched transform.
-//! * Both engines rebuild a target's whole α the one way the apply phase
-//!   has, gathered neighbor panels, so the attached isolated vertices
-//!   (empty-old targets) fold panels on both sides.
+//! * Both engines rebuild a monotonic empty-old target's whole α the one
+//!   way the apply phase has, the reference fold over its in-neighbors, so
+//!   the attached isolated vertices fold the same rows on both sides.
 //! * At the shipped defaults the size-based selection takes the per-node
 //!   transform on a small round and the batched one on a large one, and the
 //!   `sequential()` oracle stays per-node however large the round.
@@ -121,14 +121,13 @@ proptest! {
 /// `UpdateConfig::default()` picks the per-node or the batched transform
 /// from the observed round size alone: a round below the shipped cutoffs
 /// batches no transform, a round at/above them does, and either way the
-/// state is bitwise-equal to the scalar oracle's. Full recomputations fold
-/// gathered panels at every size, on both engines: a single empty-old
-/// target is enough.
+/// state is bitwise-equal to the scalar oracle's. Empty-old targets are
+/// rebuilt whole at every size, on both engines: a single one is enough.
 #[test]
 fn default_thresholds_select_scalar_below_and_batched_above() {
     let cfg = UpdateConfig::default();
     // Every `(0, v)` insert below lands on a so-far isolated `v`, whose
-    // empty old neighborhood sends it to the panel recomputation.
+    // empty old neighborhood has it rebuilt whole.
     let threads = 4;
     let big = 16 * BATCH_MIN_TARGETS;
     // A 3-vertex path plus isolated vertices 3..n.
@@ -148,7 +147,7 @@ fn default_thresholds_select_scalar_below_and_batched_above() {
     assert!(rd.nodes_visited > 0);
     assert_eq!(rd.batched_rows(), 0, "below the cutoffs");
     for r in [&rd, &ro] {
-        assert!(r.batched_apply_rows() > 0, "one empty-old target folds through a panel");
+        assert!(r.batched_apply_rows() > 0, "one empty-old target folds its neighborhood");
     }
     assert_scalar(&ro);
     assert_eq!(default.output(), oracle.output());
@@ -156,7 +155,7 @@ fn default_thresholds_select_scalar_below_and_batched_above() {
     let large = DeltaBatch::new(attach(4..n));
     let (rd, ro) = (pool.install(|| default.apply_delta(&large)), oracle.apply_delta(&large));
     assert!(rd.batched_rows() > 0, "at/above BATCH_MIN_TARGETS the GEMM path must engage");
-    assert_eq!(rd.batched_apply_rows(), ro.batched_apply_rows(), "the same panel rows");
+    assert_eq!(rd.batched_apply_rows(), ro.batched_apply_rows(), "the same folded rows");
     assert_scalar(&ro);
     assert_eq!(default.output(), oracle.output());
     for l in 0..default.model().num_layers() {

@@ -269,26 +269,20 @@ proptest! {
     }
 }
 
-/// `incremental: false` recomputes every α from its neighborhood, so no
-/// target is an incremental update and none takes the delta rule; a model
-/// with an activation after its last layer never widens a payload at all.
+/// A model with an activation after its last layer is not affine in α there,
+/// so it never widens a payload and takes no delta row.
 #[test]
-fn ablation_and_relu_last_take_no_delta_rows() {
+fn relu_last_takes_no_delta_rows() {
     let extra = [(1, 2), (2, 3), (4, 9), (7, 12), (12, 20), (15, 16)];
     let x = uniform(&mut seeded_rng(5), N, FEAT, -1.0, 1.0);
     for agg in [Aggregator::Sum, Aggregator::Mean] {
-        let forced = UpdateConfig { incremental: false, ..UpdateConfig::default() };
         let (g, full) = (hub_graph(&extra), UpdateConfig::default());
-        let mut ablated = Trio::new(move || sage(5, agg, 2), g.clone(), x.clone(), forced);
         let mut relu = Trio::new(move || sage_relu_last(5, agg), g.clone(), x.clone(), full);
         let mut plain = Trio::new(move || sage(5, agg, 2), g, x.clone(), full);
         let mut drng = StdRng::seed_from_u64(6);
         for round in 0..6 {
             let delta = DeltaBatch::random_scenario(plain.default.graph(), &mut drng, 4);
             let what = format!("{agg:?} round {round}");
-            let r = ablated.apply(&delta, &what).unwrap();
-            assert_eq!(delta_counts(&r).0, 0, "{what}: forced recomputes are not delta rows");
-            assert!(r.conditions().forced_recompute > 0, "{what}");
             let r = relu.apply(&delta, &what).unwrap();
             assert_eq!(delta_counts(&r), (0, 0), "{what}: ReLU-last is not affine in α");
             let r = plain.apply(&delta, &what).unwrap();

@@ -33,9 +33,9 @@ fn build_engine(
         1 => Model::sage(&mut rng, &[4, 5, 3], agg),
         _ => Model::gin(&mut rng, 4, 5, 2, 0.1, agg),
     };
-    // Every full-row recomputation the stream still causes — a target whose
-    // old neighborhood was empty; exposed resets repair their channels in
-    // place — folds gathered panels, so those are audited against full
+    // Every full-row rebuild the stream still causes — a target whose old
+    // neighborhood was empty; exposed resets repair their channels in place
+    // — folds its whole neighborhood, so those are audited against full
     // recompute as well.
     let base = UpdateConfig::default();
     let cfg = if compensated { base.compensated() } else { base };

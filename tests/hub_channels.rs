@@ -145,7 +145,7 @@ proptest! {
 
         // The pendant vertex loses its last in-edge amid other churn (new
         // degree 0 after a non-empty old neighborhood), then gets it back
-        // (empty old neighborhood → the full-row panel path).
+        // (empty old neighborhood → rebuilt whole).
         let mut drng = StdRng::seed_from_u64(seed ^ 0xface);
         let mut churn = |g: &DynGraph, pendant: EdgeChange| {
             let mut changes = vec![pendant];
@@ -188,8 +188,8 @@ const PENDANTS: VertexId = 3;
 /// so its exposed channels fold to +0.0. Max and min, on 1-, 2- and 4-thread
 /// pools and `sequential()`: every output equals `recompute_reference()`
 /// bitwise, and every engine reports the same repaired channels, visited
-/// rows and traffic. Each cut is then undone; the pendants rejoin through
-/// the panel path.
+/// rows and traffic. Each cut is then undone; the pendants rejoin as
+/// empty-old targets, rebuilt whole.
 #[test]
 fn repair_lookahead_edges_match_recompute_bitwise() {
     const THREADS: [usize; 3] = [1, 2, 4];

@@ -80,23 +80,6 @@ fn accumulative_reports_use_the_accumulative_counter() {
 }
 
 #[test]
-fn forced_recompute_is_reported_in_ablation_mode() {
-    let mut e = engine(9, Aggregator::Max);
-    e.set_config(UpdateConfig::recompute_all());
-    let mut rng = rand::rngs::StdRng::seed_from_u64(10);
-    let delta = DeltaBatch::random_scenario(e.graph(), &mut rng, 5);
-    let report = e.apply_delta(&delta);
-    let c = report.conditions();
-    assert!(c.forced_recompute > 0);
-    assert_eq!(c.no_reset + c.covered_reset + c.exposed_reset + c.resilient, 0);
-    // Forced recomputes are recorded as exposed in the per-node view.
-    assert!(report
-        .per_node_condition
-        .values()
-        .all(|&cond| cond == Condition::ExposedReset));
-}
-
-#[test]
 fn traffic_counters_are_monotone_in_delta_size() {
     let mut small_total = 0u64;
     let mut large_total = 0u64;
