@@ -15,14 +15,12 @@
 //!    [`DriftPolicy`], demonstrating audit wall time staying separate from
 //!    ingest latency.
 
-use ink_bench::{scenarios, write_metrics, write_results, BenchOpts, ModelKind};
+use ink_bench::json::{rounded, Json};
+use ink_bench::{scenarios, write_metrics, write_results, BenchOpts, ModelKind, Scrape};
 use ink_graph::generators::erdos_renyi;
 use ink_gnn::Aggregator;
 use ink_tensor::init::{seeded_rng, sparse_power_law};
-use inkstream::json::rounded;
-use inkstream::{
-    DriftAction, DriftPolicy, InkStream, Json, SessionConfig, StreamSession, UpdateConfig,
-};
+use inkstream::{DriftAction, DriftPolicy, InkStream, SessionConfig, StreamSession, UpdateConfig};
 use rand::RngExt;
 use std::time::{Duration, Instant};
 
@@ -140,14 +138,13 @@ fn drift_stream(opts: &BenchOpts) -> (Json, std::sync::Arc<ink_obs::MetricsRegis
         }
     }
 
-    let sp = plain.summary().drift;
-    let sc = comp.summary().drift;
-    let stats = |s: &inkstream::DriftStats| {
+    let stats = |s: &StreamSession| {
+        let scrape = Scrape::of(s.metrics());
         Json::obj([
-            ("spot_audits", Json::from(s.spot_audits)),
-            ("max_spot_deviation", Json::from(s.max_deviation)),
-            ("audit_ms", rounded(s.audit_time.as_secs_f64() * 1e3, 3)),
-            ("breaches", Json::from(s.breaches)),
+            ("spot_audits", Json::from(scrape.count("ink_drift_spot_audits_total"))),
+            ("max_spot_deviation", Json::from(scrape.value("ink_drift_max_deviation"))),
+            ("audit_ms", rounded(scrape.value("ink_drift_audit_ns_total") / 1e6, 3)),
+            ("breaches", Json::from(scrape.count("ink_drift_breaches_total"))),
         ])
     };
     let doc = Json::obj([
@@ -158,8 +155,8 @@ fn drift_stream(opts: &BenchOpts) -> (Json, std::sync::Arc<ink_obs::MetricsRegis
         ("changes_streamed", Json::from(changes_streamed)),
         ("changes_applied", Json::from(changes_seen)),
         ("spot_policy", Json::obj([("every", Json::from(1u64)), ("samples", Json::from(SPOT_SAMPLES))])),
-        ("audit_stats_plain", stats(&sp)),
-        ("audit_stats_compensated", stats(&sc)),
+        ("audit_stats_plain", stats(&plain)),
+        ("audit_stats_compensated", stats(&comp)),
         ("series", Json::Arr(series)),
     ]);
     (doc, plain.metrics().clone())

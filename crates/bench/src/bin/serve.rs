@@ -1,7 +1,7 @@
 //! Serving data-plane load generator: sustained update/query throughput of
 //! the `ink-serve` readiness loop under a thousand-client, Zipf-skewed mix.
 //!
-//! Two phases against the same engine, then a raw-apply series:
+//! Two phases, each on a fresh session of the same engine, then a raw-apply series:
 //!
 //! * **v1 baseline** — a handful of strict request/response clients, one
 //!   `Update` frame (16 edge ops) per round trip. This is the PR 3 serving
@@ -18,15 +18,17 @@
 //!   applied events per second of the writer's drain → coalesce → apply →
 //!   publish loop.
 //!
-//! Output goes to `results/BENCH_serve.json` (+ `.prom`; under `--quick`,
+//! Each phase's `server` block is its own session's `ink_serve_*` instruments. Output goes
+//! to `results/BENCH_serve.json` (+ `.prom`: the pipelined phase's registry; under `--quick`,
 //! `target/bench-quick/`) via the shared writer; the schema is documented in EXPERIMENTS.md. Set
 //! `INK_BENCH_MIN_UPDATES_PER_S` to a float to turn the run into a smoke
 //! gate: the process exits non-zero when the pipelined phase's sustained
 //! edge-op throughput lands below the floor; `INK_BENCH_MIN_APPLY_PER_S` does the
 //! same for the raw-apply series.
 
+use ink_bench::json::{rounded, Json};
 use ink_bench::workload::Zipf;
-use ink_bench::{latency_us, write_metrics, write_results, BenchOpts, ModelKind};
+use ink_bench::{latency_us, write_metrics, write_results, BenchOpts, ModelKind, Scrape};
 use ink_graph::generators::erdos_renyi;
 use ink_graph::EdgeChange;
 use ink_gnn::Aggregator;
@@ -34,7 +36,7 @@ use ink_serve::{
     InkClient, InkServer, Request, Response, ServeConfig, ServerHandle, PROTOCOL_VERSION,
 };
 use ink_tensor::init::{seeded_rng, sparse_power_law};
-use inkstream::{InkStream, Json, StreamSession, UpdateConfig};
+use inkstream::{InkStream, StreamSession, UpdateConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -344,15 +346,12 @@ fn main() {
          pipelined: {clients} clients x {groups_each} groups ({GROUP_UPDATES}upd+{GROUP_QUERIES}qry, \
          batch={BATCH}, pipeline={PIPELINE}) | v1 baseline: {v1_clients} clients x {v1_updates_each}"
     );
-    let mut session = Some(build_session(n, edges, &opts));
-
     // ---- Phase 1: v1 strict request/response baseline (PR 3 model). ----
     let v1_config = ServeConfig { queue_capacity: 64, ..ServeConfig::default() };
-    let handle =
-        InkServer::bind("127.0.0.1:0", session.take().unwrap(), v1_config).expect("bind v1");
+    let handle = InkServer::bind("127.0.0.1:0", build_session(n, edges, &opts), v1_config)
+        .expect("bind v1");
     let v1 = run_v1(&handle, v1_clients, v1_updates_each, &pool);
-    let (sess, v1_stats) = handle.shutdown().expect("v1 shutdown");
-    session = Some(sess);
+    let v1_server = Scrape::of(handle.shutdown().expect("v1 shutdown").metrics());
     let v1_secs = v1.wall.as_secs_f64();
     let v1_frames_per_s = v1.frames as f64 / v1_secs;
     let v1_ops_per_s = v1_frames_per_s * BATCH as f64;
@@ -365,11 +364,17 @@ fn main() {
     // ---- Phase 2: pipelined plain frames at 1k+ clients. ----
     let pipe_config =
         ServeConfig { queue_capacity: 4096, max_drain: 2048, ..ServeConfig::default() };
-    let handle = InkServer::bind("127.0.0.1:0", session.take().unwrap(), pipe_config.clone())
-        .expect("bind pipelined");
+    let handle =
+        InkServer::bind("127.0.0.1:0", build_session(n, edges, &opts), pipe_config.clone())
+            .expect("bind pipelined");
     let pipe = run_pipelined(&handle, clients, workers, groups_each, &pool, &zipf);
-    let (sess, pipe_stats) = handle.shutdown().expect("pipelined shutdown");
-    session = Some(sess);
+    let pipe_session = handle.shutdown().expect("pipelined shutdown");
+    let pipe_server = Scrape::of(pipe_session.metrics());
+    assert_eq!(
+        pipe_server.count("ink_serve_updates_enqueued_total"),
+        pipe.out.acks,
+        "the phase's own session admitted exactly the updates it acknowledged"
+    );
 
     let pipe_secs = pipe.wall.as_secs_f64();
     let pipe_ops = pipe.out.acks * BATCH as u64;
@@ -388,8 +393,8 @@ fn main() {
         "  speedup: {speedup:.1}x vs in-run v1 baseline, {:.1}x vs PR 3 reference \
          ({pr3_reference_ops_per_s:.0} edge-ops/s); applied after coalescing: {} of {}",
         pipe_ops_per_s / pr3_reference_ops_per_s,
-        pipe_stats.events_applied,
-        pipe_stats.events_received,
+        pipe_server.count("ink_serve_events_applied_total"),
+        pipe_server.count("ink_serve_events_received_total"),
     );
 
     // ---- Phase 3: raw apply throughput of the writer loop. ----
@@ -414,24 +419,24 @@ fn main() {
     let handle = InkServer::bind("127.0.0.1:0", StreamSession::new(engine), config)
         .expect("bind apply");
     let wall = drive_apply(handle.local_addr(), &apply_batches).expect("apply driver");
-    let (_session, stats) = handle.shutdown().expect("apply shutdown");
-    let applied = stats.events_applied;
+    let apply_server = Scrape::of(handle.shutdown().expect("apply shutdown").metrics());
+    let applied = apply_server.count("ink_serve_events_applied_total");
+    let epochs = apply_server.count("ink_serve_epochs");
     let wall_s = wall.as_secs_f64();
     let apply_per_s = applied as f64 / wall_s;
     eprintln!(
-        "  apply: {applied} events ({} epochs) in {wall_s:.2}s -> \
-         {apply_per_s:.0} applied events/s",
-        stats.epochs
+        "  apply: {applied} events ({epochs} epochs) in {wall_s:.2}s -> \
+         {apply_per_s:.0} applied events/s"
     );
     let apply_doc = Json::obj([
         ("frames", Json::from(apply_frames)),
         ("batch", Json::from(BATCH)),
         ("applied_events", Json::from(applied)),
-        ("received_events", Json::from(stats.events_received)),
-        ("epochs", Json::from(stats.epochs)),
-        ("wall_s", inkstream::json::rounded(wall_s, 3)),
-        ("applied_events_per_s", inkstream::json::rounded(apply_per_s, 1)),
-        ("server", stats.to_json()),
+        ("received_events", Json::from(apply_server.count("ink_serve_events_received_total"))),
+        ("epochs", Json::from(epochs)),
+        ("wall_s", rounded(wall_s, 3)),
+        ("applied_events_per_s", rounded(apply_per_s, 1)),
+        ("server", apply_server.json("ink_serve_")),
     ]);
 
     let doc = Json::obj([
@@ -440,7 +445,7 @@ fn main() {
         ("model", Json::from("GCN")),
         ("aggregator", Json::from("max")),
         ("graph", Json::obj([("vertices", Json::from(n)), ("edges", Json::from(edges))])),
-        ("zipf_exponent", inkstream::json::rounded(ZIPF_EXPONENT, 2)),
+        ("zipf_exponent", rounded(ZIPF_EXPONENT, 2)),
         ("batch", Json::from(BATCH)),
         (
             "baseline_v1",
@@ -448,11 +453,11 @@ fn main() {
                 ("clients", Json::from(v1_clients)),
                 ("updates_per_client", Json::from(v1_updates_each)),
                 ("update_frames", Json::from(v1.frames)),
-                ("wall_s", inkstream::json::rounded(v1_secs, 3)),
-                ("update_frames_per_s", inkstream::json::rounded(v1_frames_per_s, 1)),
-                ("edge_ops_per_s", inkstream::json::rounded(v1_ops_per_s, 1)),
+                ("wall_s", rounded(v1_secs, 3)),
+                ("update_frames_per_s", rounded(v1_frames_per_s, 1)),
+                ("edge_ops_per_s", rounded(v1_ops_per_s, 1)),
                 ("update_latency_us", latency_us(&v1.lat_us)),
-                ("server", v1_stats.to_json()),
+                ("server", v1_server.json("ink_serve_")),
             ]),
         ),
         (
@@ -471,24 +476,23 @@ fn main() {
                 ("queries", Json::from(pipe.out.queries)),
                 ("rejections", Json::from(pipe.out.rejections)),
                 ("errors", Json::from(pipe.out.errors)),
-                ("wall_s", inkstream::json::rounded(pipe_secs, 3)),
-                ("edge_ops_per_s", inkstream::json::rounded(pipe_ops_per_s, 1)),
-                ("queries_per_s", inkstream::json::rounded(pipe_queries_per_s, 1)),
+                ("wall_s", rounded(pipe_secs, 3)),
+                ("edge_ops_per_s", rounded(pipe_ops_per_s, 1)),
+                ("queries_per_s", rounded(pipe_queries_per_s, 1)),
                 ("group_latency_us", latency_us(&pipe.out.group_lat_us)),
-                ("server", pipe_stats.to_json()),
+                ("server", pipe_server.json("ink_serve_")),
             ]),
         ),
         ("apply", apply_doc),
-        ("speedup_vs_v1", inkstream::json::rounded(speedup, 2)),
-        ("pr3_reference_edge_ops_per_s", inkstream::json::rounded(pr3_reference_ops_per_s, 1)),
+        ("speedup_vs_v1", rounded(speedup, 2)),
+        ("pr3_reference_edge_ops_per_s", rounded(pr3_reference_ops_per_s, 1)),
         (
             "speedup_vs_pr3_reference",
-            inkstream::json::rounded(pipe_ops_per_s / pr3_reference_ops_per_s, 2),
+            rounded(pipe_ops_per_s / pr3_reference_ops_per_s, 2),
         ),
     ]);
     write_results(&opts, "serve", &doc);
-    let registry = session.as_ref().expect("sweep returns the session").metrics();
-    write_metrics(&opts, "serve", registry);
+    write_metrics(&opts, "serve", pipe_session.metrics());
 
     // Smoke-gate mode: fail the run when the pipelined phase's sustained
     // update throughput lands below the floor (used by CI's serve smoke job).

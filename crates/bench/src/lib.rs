@@ -22,17 +22,21 @@
 //! All binaries accept `--scale <f>` (dataset scale factor, default 0.3),
 //! `--quick` (fewer scenarios), `--datasets PM,CA,...`, `--hidden <n>`.
 
+pub mod json;
 pub mod methods;
 pub mod opts;
 pub mod results;
+pub mod scrape;
 pub mod table;
 pub mod workload;
 
+pub use json::Json;
 pub use methods::{
     graphiler_paper_oom, run_inkstream, run_khop, time_graphiler, time_pyg_sampled, InkRun,
     KhopRun, MethodTiming,
 };
 pub use opts::BenchOpts;
 pub use results::{latency_us, write_metrics, write_results};
+pub use scrape::Scrape;
 pub use table::Table;
 pub use workload::{scenario_count, scenarios, ModelKind, Workload};

@@ -1,8 +1,8 @@
 //! The shared `results/BENCH_*.json` writer.
 //!
-//! Every bench binary (the serve bench's `ServeStats` blocks included) funnels
-//! its document through [`write_results`] so the artifacts share one style:
-//! pretty-printed [`Json`], echoed to stdout, written under `results/`.
+//! Every bench binary funnels its document through [`write_results`] so the
+//! artifacts share one style: pretty-printed [`Json`], echoed to stdout,
+//! written under `results/`.
 //! Binaries that carry an `ink-obs` [`MetricsRegistry`] additionally export
 //! it through [`write_metrics`] as `results/BENCH_*.prom` — the same
 //! Prometheus text a live server serves for the `metrics` request, frozen
@@ -12,7 +12,7 @@
 
 use crate::BenchOpts;
 use ink_obs::MetricsRegistry;
-use inkstream::Json;
+use crate::json::{rounded, Json};
 use std::path::{Path, PathBuf};
 
 /// Where a run's artifacts go: `results/`, or `target/bench-quick/` for a
@@ -76,10 +76,10 @@ pub fn latency_us(samples_us: &[f64]) -> Json {
         sorted[((sorted.len() - 1) as f64 * p).round() as usize]
     };
     Json::obj([
-        ("p50", inkstream::json::rounded(pct(0.50), 3)),
-        ("p90", inkstream::json::rounded(pct(0.90), 3)),
-        ("p99", inkstream::json::rounded(pct(0.99), 3)),
-        ("max", inkstream::json::rounded(sorted.last().copied().unwrap_or(0.0), 3)),
+        ("p50", rounded(pct(0.50), 3)),
+        ("p90", rounded(pct(0.90), 3)),
+        ("p99", rounded(pct(0.99), 3)),
+        ("max", rounded(sorted.last().copied().unwrap_or(0.0), 3)),
     ])
 }
 

@@ -42,7 +42,6 @@ pub mod engine;
 pub mod error;
 pub mod event;
 pub mod grouping;
-pub mod json;
 pub mod monotonic;
 mod phases;
 mod pipeline;
@@ -56,10 +55,9 @@ pub use error::InkError;
 pub use event::{Event, EventOp, PayloadArena};
 pub use grouping::{group_events, Group};
 pub use monotonic::Condition;
-pub use json::Json;
 pub use session::{
-    AuditKind, DriftAction, DriftError, DriftPolicy, DriftStats, IngestReport, SessionConfig,
-    SessionSummary, StreamSession, DEFAULT_TRACE_CAPACITY,
+    AuditKind, DriftAction, DriftError, DriftPolicy, IngestReport, SessionConfig, StreamSession,
+    DEFAULT_TRACE_CAPACITY,
 };
 pub use snapshot::{EmbeddingSnapshot, PublishReport, SnapshotPublisher, SnapshotReader};
 pub use stats::{ConditionCounts, LayerStats, PhaseTimes, UpdateReport};

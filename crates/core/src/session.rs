@@ -14,8 +14,8 @@
 //! the configured [`DriftAction`] — fail the ingest, log and continue, or
 //! self-heal with [`InkStream::resync`]. NaN anywhere in the audited state
 //! always reads as a breach (audits propagate NaN instead of dropping it).
-//! [`DriftStats`] keeps the audit/resync bookkeeping separate from ingest
-//! latency. See DESIGN.md, "Drift auditing and resync".
+//! Audit and resync time go to `ink_drift_*` instruments of their own, apart
+//! from ingest latency. See DESIGN.md, "Drift auditing and resync".
 //!
 //! # Observability
 //!
@@ -24,10 +24,9 @@
 //! [`StreamSession::tracer`]). The registry instruments — counters for
 //! ingests/changes/audits, log-bucket histograms for batch latency and the
 //! five pipeline phases, gauges for scratch-pool occupancy and worst drift —
-//! are the only source: [`SessionSummary`] (its batch-latency percentiles,
-//! phase sums and [`DriftStats`] included) is a view folded from them at
-//! [`StreamSession::summary`] time, and a Prometheus scrape of the same
-//! registry reads the same numbers. The tracer records one span
+//! are the session's only statistics, read as a Prometheus scrape of the
+//! registry ([`MetricsRegistry::render_prometheus`]) in process or over a
+//! server's `Metrics` request. The tracer records one span
 //! per batch plus one per phase (synthesized from the engine's own phase
 //! timings) and per audit/resync, dumpable as Chrome `trace_event` JSON.
 //! Metric names are catalogued in DESIGN.md §8.
@@ -42,20 +41,12 @@ use std::time::{Duration, Instant};
 /// [`Tracer::dump_chrome_trace`] dump).
 pub const DEFAULT_TRACE_CAPACITY: usize = 8192;
 
-/// `(p50, p90, p99, max)` of a nanosecond latency histogram. The
-/// percentiles are bucket estimates (never below the exact value, at most
-/// one log bucket — 12.5 % — above it); the max is exact.
-pub fn latency_quantiles(h: &Histogram) -> (Duration, Duration, Duration, Duration) {
-    let q = |p: f64| Duration::from_nanos(h.quantile(p));
-    (q(0.50), q(0.90), q(0.99), Duration::from_nanos(h.max()))
-}
-
 /// What to do when an audit measures drift beyond tolerance (or NaN).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DriftAction {
     /// Return a [`DriftError`] from the ingest (the state stays drifted).
     Fail,
-    /// Record the breach in [`DriftStats`] and carry on.
+    /// Count the breach in `ink_drift_breaches_total` and carry on.
     Warn,
     /// Self-heal: rebuild all cached state via [`InkStream::resync`], after
     /// which the output is bitwise equal to full recomputation.
@@ -142,28 +133,6 @@ pub enum AuditKind {
     Full,
 }
 
-/// Rolling audit/resync bookkeeping, kept apart from ingest latency so audit
-/// cost never pollutes the update-speed numbers.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DriftStats {
-    /// Spot audits run.
-    pub spot_audits: u64,
-    /// Full audits run.
-    pub full_audits: u64,
-    /// Audits that breached tolerance (including NaN detections).
-    pub breaches: u64,
-    /// Breaches answered with a resync.
-    pub resyncs: u64,
-    /// Audits that found non-finite state.
-    pub nan_detected: u64,
-    /// Worst *finite* deviation ever measured (NaNs are counted, not folded).
-    pub max_deviation: f32,
-    /// Wall time spent inside audits.
-    pub audit_time: Duration,
-    /// Wall time spent inside resyncs.
-    pub resync_time: Duration,
-}
-
 /// The incremental state drifted past the audit tolerance and the policy
 /// said [`DriftAction::Fail`]. Carries the ingest's report: the batches were
 /// already applied — the error describes state quality, not lost work.
@@ -194,7 +163,9 @@ impl std::fmt::Display for DriftError {
 
 impl std::error::Error for DriftError {}
 
-/// What one [`StreamSession::ingest`] call did.
+/// What one [`StreamSession::ingest`] call did. The session's counters
+/// accumulate the same quantities across ingests in its registry
+/// (`ink_session_*`, `ink_drift_*`; DESIGN.md §8).
 #[derive(Clone, Debug, Default)]
 pub struct IngestReport {
     /// Batches the delta was split into.
@@ -218,26 +189,6 @@ pub struct IngestReport {
     pub drift_breached: bool,
     /// True when the breach was answered with a resync.
     pub resynced: bool,
-}
-
-/// Summary of a session since it started, folded from its registry.
-#[derive(Clone, Debug, Default)]
-pub struct SessionSummary {
-    /// Total ingest calls.
-    pub ingests: usize,
-    /// Total edge changes applied.
-    pub changes: usize,
-    /// Per-batch latency over every batch ever run, from the
-    /// `ink_session_batch_latency_ns` histogram: (p50, p90, p99, max), see
-    /// [`latency_quantiles`].
-    pub latency: (Duration, Duration, Duration, Duration),
-    /// Mean real-affected nodes per batch (over all batches ever run).
-    pub avg_real_affected: f64,
-    /// Per-phase pipeline wall time accumulated over every batch — shows
-    /// where the session's update budget actually goes.
-    pub phase_times: PhaseTimes,
-    /// Audit/resync bookkeeping.
-    pub drift: DriftStats,
 }
 
 /// An engine plus operational bookkeeping for long-running streams.
@@ -267,10 +218,9 @@ pub struct SessionSummary {
 ///     .unwrap();
 /// assert_eq!(report.changes_applied, 1);
 /// assert!(report.verified_diff.is_some());
-/// assert_eq!(session.summary().drift.spot_audits, 1);
 ///
-/// // Everything the summary reports is also scrapeable as Prometheus text
-/// // and traceable as Chrome trace_event JSON.
+/// // The session's statistics are its registry, read as Prometheus text;
+/// // its spans dump as Chrome trace_event JSON.
 /// let scrape = session.metrics().render_prometheus();
 /// assert!(scrape.contains("ink_session_ingests_total 1"));
 /// assert!(scrape.contains("ink_drift_spot_audits_total 1"));
@@ -285,8 +235,8 @@ pub struct StreamSession {
     sample_state: u64,
 }
 
-/// The session's registry instruments. These atomics are the only source of
-/// everything [`SessionSummary`] reports; see the module docs.
+/// The session's registry instruments, its only statistics; see the module
+/// docs.
 struct SessionInstruments {
     ingests: Arc<Counter>,
     changes: Arc<Counter>,
@@ -509,20 +459,6 @@ impl StreamSession {
         &mut self.engine
     }
 
-    /// Audit/resync counters so far, folded from the registry instruments.
-    pub fn drift_stats(&self) -> DriftStats {
-        DriftStats {
-            spot_audits: self.inst.spot_audits.get(),
-            full_audits: self.inst.full_audits.get(),
-            breaches: self.inst.breaches.get(),
-            resyncs: self.inst.resyncs.get(),
-            nan_detected: self.inst.nan_detected.get(),
-            max_deviation: self.inst.max_deviation.get() as f32,
-            audit_time: Duration::from_nanos(self.inst.audit_ns.get()),
-            resync_time: Duration::from_nanos(self.inst.resync_ns.get()),
-        }
-    }
-
     /// Applies a delta, split into batches of at most `max_batch` changes,
     /// then runs whichever audit the [`DriftPolicy`] schedules for this
     /// ingest. On a breach with [`DriftAction::Fail`] the returned error
@@ -601,7 +537,7 @@ impl StreamSession {
     }
 
     /// Runs the audit due this ingest, if any, mutating the report and the
-    /// drift stats. Returns the error shell (without report) on a failing
+    /// drift instruments. Returns the error shell (without report) on a failing
     /// breach.
     fn run_audit(&mut self, report: &mut IngestReport) -> Option<DriftError> {
         let policy = self.config.drift;
@@ -659,27 +595,6 @@ impl StreamSession {
             }),
         }
     }
-
-    /// Summary since the session started, folded from the registry
-    /// instruments.
-    pub fn summary(&self) -> SessionSummary {
-        let phase_sum = |i: usize| Duration::from_nanos(self.inst.phases[i].sum());
-        SessionSummary {
-            ingests: self.inst.ingests.get() as usize,
-            changes: self.inst.changes.get() as usize,
-            latency: latency_quantiles(&self.inst.batch_latency),
-            avg_real_affected: self.inst.affected.get() as f64
-                / self.inst.batches.get().max(1) as f64,
-            phase_times: PhaseTimes {
-                generate: phase_sum(0),
-                group: phase_sum(1),
-                apply: phase_sum(2),
-                write: phase_sum(3),
-                next_messages: phase_sum(4),
-            },
-            drift: self.drift_stats(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -688,6 +603,7 @@ mod tests {
     use crate::UpdateConfig;
     use ink_graph::generators::erdos_renyi;
     use ink_gnn::{Aggregator, Model};
+    use ink_obs::parse::parse_prometheus;
     use ink_tensor::init::{seeded_rng, uniform};
     use rand::SeedableRng;
 
@@ -704,6 +620,18 @@ mod tests {
         DeltaBatch::random_scenario(s.engine().graph(), &mut rng, n)
     }
 
+    /// Sample `name` of a scrape of the session's registry. A name the scrape
+    /// does not hold panics, so a misspelt name fails instead of reading 0.
+    fn scraped(s: &StreamSession, name: &str) -> f64 {
+        let families = parse_prometheus(&s.metrics().render_prometheus()).unwrap();
+        families
+            .iter()
+            .flat_map(|f| &f.samples)
+            .find(|x| x.name == name)
+            .unwrap_or_else(|| panic!("{name} is not in the scrape"))
+            .value
+    }
+
     #[test]
     fn ingest_splits_into_batches() {
         let mut s = StreamSession::with_config(
@@ -714,9 +642,11 @@ mod tests {
         let r = s.ingest(&d).unwrap();
         assert_eq!(r.batches, 3); // 4 + 4 + 2
         assert_eq!(r.changes_applied + r.skipped, 10);
-        let sum = s.summary();
-        assert_eq!(sum.ingests, 1);
-        assert!(sum.latency.3 >= sum.latency.0, "max ≥ p50");
+        assert_eq!(scraped(&s, "ink_session_ingests_total"), 1.0);
+        assert_eq!(scraped(&s, "ink_session_batches_total"), 3.0);
+        assert_eq!(scraped(&s, "ink_session_batch_latency_ns_count"), 3.0);
+        assert_eq!(scraped(&s, "ink_session_changes_total"), r.changes_applied as f64);
+        assert_eq!(scraped(&s, "ink_session_skipped_total"), r.skipped as f64);
     }
 
     #[test]
@@ -730,7 +660,8 @@ mod tests {
         assert_eq!(r.verified_diff, Some(0.0), "max aggregation is bitwise exact");
         assert_eq!(r.audit, Some(AuditKind::Full));
         assert!(!r.drift_breached);
-        assert_eq!(s.summary().drift.full_audits, 1);
+        assert_eq!(scraped(&s, "ink_drift_full_audits_total"), 1.0);
+        assert_eq!(scraped(&s, "ink_drift_max_deviation"), 0.0);
     }
 
     #[test]
@@ -759,10 +690,10 @@ mod tests {
             assert_eq!(r.verified_diff, Some(0.0), "monotonic spot audits are exact");
             assert!(r.audit_time > Duration::ZERO);
         }
-        let drift = s.summary().drift;
-        assert_eq!(drift.spot_audits, 3);
-        assert_eq!(drift.breaches, 0);
-        assert!(drift.audit_time > Duration::ZERO);
+        assert_eq!(scraped(&s, "ink_drift_spot_audits_total"), 3.0);
+        assert_eq!(scraped(&s, "ink_drift_full_audits_total"), 0.0);
+        assert_eq!(scraped(&s, "ink_drift_breaches_total"), 0.0);
+        assert!(scraped(&s, "ink_drift_audit_ns_total") > 0.0);
     }
 
     #[test]
@@ -798,10 +729,10 @@ mod tests {
         let r = s.ingest(&delta(&s, 32, 4)).unwrap();
         assert!(r.drift_breached);
         assert!(!r.resynced);
-        let drift = s.summary().drift;
-        assert_eq!(drift.breaches, 1);
-        assert_eq!(drift.nan_detected, 1);
-        assert_eq!(drift.resyncs, 0);
+        assert_eq!(scraped(&s, "ink_drift_breaches_total"), 1.0);
+        assert_eq!(scraped(&s, "ink_drift_nan_detected_total"), 1.0);
+        assert_eq!(scraped(&s, "ink_drift_resyncs_total"), 0.0);
+        assert_eq!(scraped(&s, "ink_drift_resync_ns_total"), 0.0);
     }
 
     #[test]
@@ -820,82 +751,6 @@ mod tests {
         assert!(err.report.drift_breached);
         assert!(err.report.elapsed > Duration::ZERO);
         assert!(err.to_string().contains("poisoned"));
-    }
-
-    #[test]
-    fn summary_equals_the_scrape() {
-        use ink_obs::parse::{parse_prometheus, PromFamily};
-        use ink_obs::bucket_index;
-        let mut s = StreamSession::with_config(
-            engine(18),
-            SessionConfig {
-                max_batch: 1,
-                drift: DriftPolicy::spot(2, 3, 1e-3),
-            },
-        );
-        for i in 0..4 {
-            let d = delta(&s, 40 + i, 3);
-            s.ingest(&d).unwrap();
-        }
-        let sum = s.summary();
-        let families = parse_prometheus(&s.metrics().render_prometheus()).unwrap();
-        let family = |name: &str| -> &PromFamily {
-            families.iter().find(|f| f.name == name).unwrap_or_else(|| panic!("{name} missing"))
-        };
-        let value = |name: &str| family(name).samples[0].value as u64;
-        let sample = |family_name: &str, name: &str| {
-            let f = family(family_name);
-            f.samples.iter().find(|x| x.name == name).unwrap().value as u64
-        };
-        assert_eq!(sum.ingests as u64, value("ink_session_ingests_total"));
-        assert_eq!(sum.changes as u64, value("ink_session_changes_total"));
-        let lat = "ink_session_batch_latency_ns";
-        let batches = value("ink_session_batches_total");
-        assert_eq!(batches, 12, "4 ingests of 3 changes in batches of 1");
-        assert_eq!(sample(lat, "ink_session_batch_latency_ns_count"), batches);
-        let affected = value("ink_session_affected_total") as f64;
-        assert_eq!(sum.avg_real_affected, affected / batches as f64);
-        assert!(sum.avg_real_affected > 0.0);
-
-        // Each percentile is the upper bound of the bucket holding its rank,
-        // clamped to the exact max, which lies in the highest bucket.
-        let buckets: Vec<(u64, u64)> = family(lat)
-            .samples
-            .iter()
-            .filter(|x| x.name.ends_with("_bucket") && x.label("le") != Some("+Inf"))
-            .map(|x| (x.label("le").unwrap().parse().unwrap(), x.value as u64))
-            .collect();
-        let max = sum.latency.3.as_nanos() as u64;
-        let top = buckets.last().unwrap().0;
-        assert_eq!(bucket_index(max), bucket_index(top));
-        for (p, got) in [(0.50, sum.latency.0), (0.90, sum.latency.1), (0.99, sum.latency.2)] {
-            let rank = (p * batches as f64).ceil() as u64;
-            let le = buckets.iter().find(|&&(_, cum)| cum >= rank).unwrap().0;
-            assert_eq!(got, Duration::from_nanos(le.min(max)), "p{p}");
-        }
-
-        let phases = [
-            ("generate", sum.phase_times.generate),
-            ("group", sum.phase_times.group),
-            ("apply", sum.phase_times.apply),
-            ("write", sum.phase_times.write),
-            ("next_messages", sum.phase_times.next_messages),
-        ];
-        for (name, got) in phases {
-            let f = format!("ink_pipeline_phase_{name}_ns");
-            assert_eq!(got, Duration::from_nanos(sample(&f, &format!("{f}_sum"))), "{name}");
-        }
-
-        let d = sum.drift;
-        assert_eq!(d.spot_audits, 2);
-        assert_eq!(d.spot_audits, value("ink_drift_spot_audits_total"));
-        assert_eq!(d.full_audits, value("ink_drift_full_audits_total"));
-        assert_eq!(d.breaches, value("ink_drift_breaches_total"));
-        assert_eq!(d.resyncs, value("ink_drift_resyncs_total"));
-        assert_eq!(d.nan_detected, value("ink_drift_nan_detected_total"));
-        assert_eq!(d.audit_time, Duration::from_nanos(value("ink_drift_audit_ns_total")));
-        assert_eq!(d.resync_time, Duration::from_nanos(value("ink_drift_resync_ns_total")));
-        assert_eq!(d.max_deviation as f64, family("ink_drift_max_deviation").samples[0].value);
     }
 
     #[test]
@@ -929,27 +784,40 @@ mod tests {
     }
 
     #[test]
-    fn summary_accumulates_across_ingests() {
-        let mut s = StreamSession::new(engine(8));
+    fn counters_accumulate_across_ingests() {
+        // Batches of 1, so every change is a batch of its own.
+        let mut s = StreamSession::with_config(
+            engine(8),
+            SessionConfig { max_batch: 1, ..SessionConfig::default() },
+        );
+        let mut changes = 0;
         for i in 0..3 {
             let d = delta(&s, 10 + i, 6);
-            s.ingest(&d).unwrap();
+            changes += s.ingest(&d).unwrap().changes_applied;
         }
-        let sum = s.summary();
-        assert_eq!(sum.ingests, 3);
-        assert!(sum.changes > 0);
-        assert!(sum.avg_real_affected > 0.0);
+        assert_eq!(scraped(&s, "ink_session_ingests_total"), 3.0);
+        assert_eq!(scraped(&s, "ink_session_changes_total"), changes as f64);
+        assert!(changes > 0);
+        assert_eq!(scraped(&s, "ink_session_batches_total"), 18.0, "3 ingests of 6 changes");
+        assert_eq!(scraped(&s, "ink_session_batch_latency_ns_count"), 18.0);
+        assert!(scraped(&s, "ink_session_affected_total") > 0.0);
     }
 
     #[test]
-    fn summary_accumulates_phase_times() {
+    fn phase_histograms_accumulate_across_ingests() {
+        let phase_total = |s: &StreamSession| -> f64 {
+            PHASE_NAMES
+                .iter()
+                .map(|name| scraped(s, &format!("ink_pipeline_phase_{name}_ns_sum")))
+                .sum()
+        };
         let mut s = StreamSession::new(engine(11));
         s.ingest(&delta(&s, 12, 8)).unwrap();
-        let once = s.summary().phase_times;
-        assert!(once.total() > Duration::ZERO, "batches must contribute phase times");
+        let once = phase_total(&s);
+        assert!(once > 0.0, "batches must contribute phase times");
+        assert_eq!(scraped(&s, "ink_pipeline_phase_apply_ns_count"), 1.0, "one sample per batch");
         s.ingest(&delta(&s, 13, 8)).unwrap();
-        let twice = s.summary().phase_times;
-        assert!(twice.total() > once.total(), "phase times accumulate across ingests");
+        assert!(phase_total(&s) > once, "phase times accumulate across ingests");
     }
 
     #[test]
@@ -981,7 +849,7 @@ mod tests {
                 rows += l.exposed_rows as u64;
             }
         }
-        let get = |name: &str| s.metrics().counter(name, "").get();
+        let get = |name: &str| scraped(&s, name) as u64;
         assert_eq!(get("ink_cond_resilient_total"), conds.resilient);
         assert_eq!(get("ink_cond_no_reset_total"), conds.no_reset);
         assert_eq!(get("ink_cond_covered_reset_total"), conds.covered_reset);
@@ -1013,7 +881,7 @@ mod tests {
                 sources += l.delta_sources as u64;
             }
         }
-        let get = |s: &StreamSession, name: &str| s.metrics().counter(name, "").get();
+        let get = |s: &StreamSession, name: &str| scraped(s, name) as u64;
         assert_eq!(get(&s, "ink_delta_rows_total"), rows);
         assert_eq!(get(&s, "ink_delta_sources_total"), sources);
         assert!(rows > 0 && sources > 0, "the stream must reach the delta rule");
@@ -1029,6 +897,8 @@ mod tests {
         let mut s = StreamSession::new(engine(9));
         let r = s.ingest(&DeltaBatch::new(vec![])).unwrap();
         assert_eq!(r.batches, 0);
-        assert_eq!(s.summary().latency, Default::default());
+        assert_eq!(scraped(&s, "ink_session_ingests_total"), 1.0);
+        assert_eq!(scraped(&s, "ink_session_batches_total"), 0.0);
+        assert_eq!(scraped(&s, "ink_session_batch_latency_ns_count"), 0.0);
     }
 }

@@ -36,13 +36,12 @@
 
 pub mod client;
 mod conn;
-pub mod metrics;
+mod metrics;
 pub mod protocol;
 pub mod queue;
 pub mod server;
 
 pub use client::{InkClient, ServerHello};
-pub use metrics::{ServeStats, ServerMetrics};
 pub use protocol::{DecodeError, Request, Response, MAX_FRAME, PROTOCOL_VERSION};
 pub use queue::{Admission, Backpressure, Drained, IngestQueue};
 pub use server::{InkServer, ServeConfig, ServerHandle};

@@ -28,12 +28,13 @@
 //! that connection, while every other connection keeps being served.
 //! [`ServerHandle::shutdown`] closes the queue, lets the writer drain what
 //! was admitted, delivers the final flush acks, writes a checkpoint (when
-//! configured) and returns the session plus the final [`ServeStats`].
+//! configured) and returns the session, whose registry holds the serving
+//! layer's instruments alongside its own.
 //!
 //! The wire format is specified normatively in `docs/PROTOCOL.md`.
 
 use crate::conn::Conn;
-use crate::metrics::{ServeStats, ServerMetrics};
+use crate::metrics::ServerMetrics;
 use crate::protocol::{
     append_frame, encode_embedding, Request, Response, MAX_FRAME, PROTOCOL_VERSION,
 };
@@ -115,12 +116,11 @@ impl Shared {
     /// Refreshes the gauges that live with the queue and the writer, so a
     /// scrape reflects this instant.
     fn refresh_gauges(&self) {
-        self.metrics.set_queue_gauges(
-            self.epochs.load(Ordering::Relaxed),
-            self.ingest.depth(),
-            self.ingest.max_depth(),
-            self.ingest.poisoned_reads(),
-        );
+        let m = &self.metrics;
+        m.epochs.set_u64(self.epochs.load(Ordering::Relaxed));
+        m.queue_depth.set_u64(self.ingest.depth());
+        m.queue_depth_max.set_u64(self.ingest.max_depth());
+        m.lock_poisoned.set_u64(self.ingest.poisoned_reads());
     }
 }
 
@@ -232,11 +232,13 @@ impl ServerHandle {
     /// everything admitted and publish the final epoch, stop the event loop
     /// (which delivers the final flush acks and best-effort writes before
     /// the sockets drop), write the checkpoint (when configured) and return
-    /// the session with the final serving counters. The checkpoint goes to a
+    /// the session. Its registry ([`StreamSession::metrics`]) holds the
+    /// `ink_serve_*` instruments with their final values. The checkpoint
+    /// goes to a
     /// temp file renamed over the path, so a crash mid-write never tears it. A
     /// checkpoint that cannot be written fails the shutdown after the drain
     /// and leaves the path as it was.
-    pub fn shutdown(mut self) -> io::Result<(StreamSession, ServeStats)> {
+    pub fn shutdown(mut self) -> io::Result<StreamSession> {
         self.shared.ingest.close();
         let writer = self.writer_thread.take().expect("shutdown runs once");
         let session =
@@ -253,7 +255,7 @@ impl ServerHandle {
             write_checkpoint(session.engine(), path)?;
         }
         self.shared.refresh_gauges();
-        Ok((session, self.shared.metrics.serve_stats()))
+        Ok(session)
     }
 }
 

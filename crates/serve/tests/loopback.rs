@@ -177,11 +177,11 @@ fn four_clients_match_single_threaded_reference_bitwise() {
     );
     drop(client);
 
-    let (session, stats) = handle.shutdown().expect("graceful shutdown");
-    assert_eq!(stats.epochs, BATCHES as u64);
-    assert_eq!(stats.updates_rejected, 0);
-    assert_eq!(stats.flushes, BATCHES as u64);
-    assert!(stats.queries > 0);
+    let session = handle.shutdown().expect("graceful shutdown");
+    assert_eq!(recorded(&session, "ink_serve_epochs"), BATCHES as f64);
+    assert_eq!(recorded(&session, "ink_serve_updates_rejected_total"), 0.0);
+    assert_eq!(recorded(&session, "ink_serve_flushes_total"), BATCHES as f64);
+    assert!(recorded(&session, "ink_serve_queries_total") > 0.0);
     assert_eq!(
         session.engine().output().as_slice(),
         expected.last().unwrap().as_slice(),
@@ -259,8 +259,8 @@ fn invalid_updates_are_refused_not_applied() {
     // A valid update still lands afterwards.
     client.update(vec![EdgeChange::insert(0, 1)]).unwrap().unwrap();
     assert_eq!(client.flush().unwrap(), 1);
-    let (session, stats) = handle.shutdown().unwrap();
-    assert_eq!(stats.epochs, 1);
+    let session = handle.shutdown().unwrap();
+    assert_eq!(recorded(&session, "ink_serve_epochs"), 1.0);
     assert!(session.engine().graph().has_edge(0, 1));
 }
 
@@ -314,8 +314,8 @@ fn shutdown_unblocks_idle_connections() {
     active.update(vec![EdgeChange::insert(0, 1)]).unwrap().unwrap();
     assert_eq!(active.flush().unwrap(), 1);
 
-    let (session, stats) = handle.shutdown().expect("shutdown with idle connections hangs?");
-    assert_eq!(stats.epochs, 1);
+    let session = handle.shutdown().expect("shutdown with idle connections hangs?");
+    assert_eq!(recorded(&session, "ink_serve_epochs"), 1.0);
     assert!(session.engine().graph().has_edge(0, 1));
     // The idle client's connection was closed by the server.
     assert!(idle.flush().is_err(), "socket should be closed after shutdown");
@@ -340,7 +340,7 @@ fn reject_mode_sheds_load_but_applies_what_it_admits() {
         client.update_blocking(vec![EdgeChange::insert(i, i + 1)]).unwrap();
     }
     client.flush().unwrap();
-    let (session, _) = handle.shutdown().unwrap();
+    let session = handle.shutdown().unwrap();
     for i in 0..10u32 {
         assert!(session.engine().graph().has_edge(i, i + 1), "admitted update {i} applied");
     }
@@ -361,9 +361,9 @@ fn zero_queue_capacity_still_admits_and_applies() {
         client.update(vec![EdgeChange::insert(i, i + 1)]).unwrap().expect("Block never rejects");
     }
     assert!(client.flush().unwrap() >= 1);
-    let (session, stats) = handle.shutdown().unwrap();
-    assert_eq!(stats.updates_enqueued, 5);
-    assert_eq!(stats.max_queue_depth, 1, "capacity 0 is read as 1");
+    let session = handle.shutdown().unwrap();
+    assert_eq!(recorded(&session, "ink_serve_updates_enqueued_total"), 5.0);
+    assert_eq!(recorded(&session, "ink_serve_queue_depth_max"), 1.0, "capacity 0 is read as 1");
     for i in 0..5u32 {
         assert!(session.engine().graph().has_edge(i, i + 1), "admitted update {i} applied");
     }
@@ -461,9 +461,76 @@ fn pipelined_frames_match_reference_bitwise() {
     assert_eq!(scraped(&mut client, "ink_serve_updates_enqueued_total"), BATCHES as f64);
     drop(client);
 
-    let (session, stats) = handle.shutdown().unwrap();
-    assert!(stats.epochs >= 1 && stats.updates_enqueued == BATCHES as u64, "{stats:?}");
+    let session = handle.shutdown().unwrap();
+    assert!(recorded(&session, "ink_serve_epochs") >= 1.0);
+    assert_eq!(recorded(&session, "ink_serve_updates_enqueued_total"), BATCHES as f64);
     assert_eq!(session.engine().output().as_slice(), want.as_slice());
+}
+
+/// One session served by two servers in turn. The `ink_serve_*` counters
+/// live in the session's registry and accumulate across both servers; the
+/// epoch and queue gauges belong to one server and restart with the second.
+/// After shutdown the session's registry, read in process, holds what the
+/// last live `Metrics` scrape read.
+#[test]
+fn one_session_on_two_servers_accumulates_counters_and_restarts_gauges() {
+    const CAPACITY: usize = 2;
+    let batches = update_batches();
+    let expected = reference_outputs(&batches);
+    let (first, second) = batches.split_at(BATCHES - 3);
+
+    // Server 1: 21 updates pipelined on one connection against a queue of 2,
+    // so the queue fills (a stall proves it), then one flush.
+    let handle = InkServer::bind(
+        "127.0.0.1:0",
+        StreamSession::new(engine()),
+        ServeConfig { queue_capacity: CAPACITY, ..ServeConfig::default() },
+    )
+    .unwrap();
+    let mut client = InkClient::connect(handle.local_addr()).unwrap();
+    for batch in first {
+        client.queue(&Request::Update(batch.clone())).unwrap();
+    }
+    for _ in first {
+        assert!(matches!(client.recv().unwrap(), Response::Ack { .. }));
+    }
+    let first_epochs = client.flush().unwrap() as f64;
+    assert!(scraped(&mut client, "ink_serve_conn_stalls_total") > 0.0, "the queue never filled");
+    assert_eq!(scraped(&mut client, "ink_serve_queue_depth_max"), CAPACITY as f64);
+    assert_eq!(scraped(&mut client, "ink_serve_epochs"), first_epochs);
+    drop(client);
+    let session = handle.shutdown().unwrap();
+
+    // Server 2: the last 3 updates one at a time, each flushed, so the queue
+    // never holds more than one.
+    let handle = InkServer::bind("127.0.0.1:0", session, ServeConfig::default()).unwrap();
+    let mut client = InkClient::connect(handle.local_addr()).unwrap();
+    for (i, batch) in second.iter().enumerate() {
+        client.update(batch.clone()).unwrap().expect("block mode never rejects");
+        assert_eq!(client.flush().unwrap() as usize, i + 1, "the second server counts from 0");
+    }
+    let last = client.metrics().unwrap();
+    drop(client);
+    let session = handle.shutdown().unwrap();
+    assert_eq!(session.engine().output().as_slice(), expected[BATCHES].as_slice());
+
+    // Counters accumulate over both servers ...
+    assert_eq!(sample(&last, "ink_serve_updates_enqueued_total"), BATCHES as f64);
+    assert_eq!(sample(&last, "ink_serve_flushes_total"), 4.0);
+    assert_eq!(sample(&last, "ink_session_ingests_total"), first_epochs + 3.0);
+    // ... and the per-server gauges restart.
+    assert_eq!(sample(&last, "ink_serve_epochs"), 3.0);
+    assert_eq!(sample(&last, "ink_serve_queue_depth"), 0.0);
+    assert_eq!(sample(&last, "ink_serve_queue_depth_max"), 1.0);
+
+    // In process after shutdown the registry reads what the last live scrape
+    // read, except the connection gauge, which follows the sockets.
+    let families = |text: &str| {
+        let mut families = ink_obs::parse::parse_prometheus(text).unwrap();
+        families.retain(|f| f.name != "ink_serve_connections");
+        families
+    };
+    assert_eq!(families(&session.metrics().render_prometheus()), families(&last));
 }
 
 /// Revision 3 retired the `Batch` container and revision 4 the `Stats`
@@ -502,7 +569,7 @@ fn retired_batch_tag_is_refused_and_the_connection_lives() {
     assert!(matches!(call(&update), Response::Ack { epoch: 0 }));
     assert_eq!(call(&Request::Flush.encode()), Response::Flushed { epoch: 1 });
     drop(stream);
-    let (session, _) = handle.shutdown().unwrap();
+    let session = handle.shutdown().unwrap();
     assert!(session.engine().graph().has_edge(0, 1));
 }
 
@@ -532,10 +599,13 @@ fn failed_ingests_are_counted_and_flushes_still_resolve() {
         assert_eq!(scraped(&mut client, "ink_serve_apply_errors_total"), (i + 1) as f64);
     }
     drop(client);
-    let (session, stats) = handle.shutdown().unwrap();
-    assert_eq!(stats.epochs, 3);
-    let drift = session.drift_stats();
-    assert_eq!((drift.full_audits, drift.breaches, drift.nan_detected), (3, 3, 3));
+    let session = handle.shutdown().unwrap();
+    assert_eq!(recorded(&session, "ink_serve_epochs"), 3.0);
+    for name in
+        ["ink_drift_full_audits_total", "ink_drift_breaches_total", "ink_drift_nan_detected_total"]
+    {
+        assert_eq!(recorded(&session, name), 3.0, "{name}");
+    }
 }
 
 /// `ServeConfig::checkpoint_path` is honoured or refused, never ignored:
@@ -628,14 +698,26 @@ fn bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|x| x.to_bits()).collect()
 }
 
-fn scraped(client: &mut InkClient, sample: &str) -> f64 {
-    let families = ink_obs::parse::parse_prometheus(&client.metrics().unwrap()).unwrap();
+/// Sample `name` of a Prometheus document. A name the document does not hold
+/// panics, so a misspelt name fails instead of reading 0.
+fn sample(text: &str, name: &str) -> f64 {
+    let families = ink_obs::parse::parse_prometheus(text).unwrap();
     families
         .iter()
         .flat_map(|f| &f.samples)
-        .find(|s| s.name == sample)
-        .unwrap_or_else(|| panic!("missing {sample}"))
+        .find(|s| s.name == name)
+        .unwrap_or_else(|| panic!("missing {name}"))
         .value
+}
+
+/// Sample `name` of a live `Metrics` scrape over the wire.
+fn scraped(client: &mut InkClient, name: &str) -> f64 {
+    sample(&client.metrics().unwrap(), name)
+}
+
+/// Sample `name` of the session's registry, read in process.
+fn recorded(session: &StreamSession, name: &str) -> f64 {
+    sample(&session.metrics().render_prometheus(), name)
 }
 
 /// Delta publish under a pinning reader: an in-process reader holds one
@@ -684,7 +766,7 @@ fn pinned_reader_sees_its_snapshot_unchanged_across_delta_publishes() {
     assert_eq!(full, 2.0, "first publish + the one pinned swap");
     drop(client);
 
-    let (session, _) = handle.shutdown().unwrap();
+    let session = handle.shutdown().unwrap();
     assert!(bits(session.engine().output()) == expected[EPOCHS]);
     assert!(bits(&reader.load().embeddings) == expected[EPOCHS]);
     assert!(bits(&pinned.embeddings) == expected[PIN_AT], "not even by shutdown");
@@ -715,10 +797,10 @@ fn publish_racing_shutdown_leaves_snapshot_and_session_identical() {
         client.update(batch.clone()).unwrap().expect("block mode never rejects");
     }
     drop(client);
-    let (session, stats) = handle.shutdown().unwrap();
+    let session = handle.shutdown().unwrap();
 
     let last = reader.load();
-    assert_eq!(last.epoch, stats.epochs);
+    assert_eq!(last.epoch as f64, recorded(&session, "ink_serve_epochs"));
     assert!(bits(&last.embeddings) == bits(session.engine().output()));
     assert!(bits(&last.embeddings) == bits(reference.output()), "every acked update applied");
 }

@@ -75,7 +75,7 @@ fn check_interleaving(seed: u64, steps: &[Step]) {
     }
     drop(client);
 
-    let (session, _) = handle.shutdown().unwrap();
+    let session = handle.shutdown().unwrap();
     assert_eq!(session.engine().output(), refeng.output(), "final state bitwise");
 }
 

@@ -118,14 +118,23 @@ fn main() {
         println!("  item {:4}  score {score:.4}{marker}", item - USERS as VertexId);
     }
 
-    let s = session.summary();
+    // The session's statistics are its metrics registry, read as a scrape.
+    let scrape = ink_obs::parse::parse_prometheus(&session.metrics().render_prometheus())
+        .expect("the registry renders valid Prometheus text");
+    let stat = |name: &str| {
+        let mut samples = scrape.iter().flat_map(|f| &f.samples);
+        samples.find(|s| s.name == name).unwrap_or_else(|| panic!("no {name}")).value
+    };
+    let batches = stat("ink_session_batches_total").max(1.0);
     println!(
-        "\nsession: {} ingests / {} interactions | batch latency p50 {:?} p99 {:?}",
-        s.ingests, s.changes, s.latency.0, s.latency.2
+        "\nsession: {} ingests / {} interactions | mean batch latency {:.1} µs",
+        stat("ink_session_ingests_total"),
+        stat("ink_session_changes_total"),
+        stat("ink_session_batch_latency_ns_sum") / batches / 1e3,
     );
     println!(
         "avg embeddings touched per batch: {:.1} of {n} (the rest were never visited)",
-        s.avg_real_affected
+        stat("ink_session_affected_total") / batches
     );
 
     // Final consistency proof.

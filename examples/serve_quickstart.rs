@@ -104,17 +104,24 @@ fn main() {
     updater.join().unwrap();
     querier.join().unwrap();
 
-    // 5. Graceful shutdown drains the queue and returns the session with
-    //    the final serving counters. Coalescing shows up here: received edge
+    // 5. Graceful shutdown drains the queue and returns the session. Its
+    //    registry holds the serving counters next to its own, read here the
+    //    way a `Metrics` scrape reads them. Coalescing shows up: received edge
     //    ops collapse into far fewer applied events.
-    let (session, stats) = handle.shutdown().expect("graceful shutdown");
+    let session = handle.shutdown().expect("graceful shutdown");
+    let scrape = ink_obs::parse::parse_prometheus(&session.metrics().render_prometheus())
+        .expect("the registry renders valid Prometheus text");
+    let stat = |name: &str| {
+        let mut samples = scrape.iter().flat_map(|f| &f.samples);
+        samples.find(|s| s.name == name).unwrap_or_else(|| panic!("no {name}")).value
+    };
     println!(
-        "shutdown: {} epochs, {} changes coalesced to {}, {} queries (p99 {:?})",
-        stats.epochs,
-        stats.events_received,
-        stats.events_applied,
-        stats.queries,
-        stats.query_latency.2,
+        "shutdown: {} epochs, {} changes coalesced to {}, {} queries (mean {:.1} µs)",
+        stat("ink_serve_epochs"),
+        stat("ink_serve_events_received_total"),
+        stat("ink_serve_events_applied_total"),
+        stat("ink_serve_queries_total"),
+        stat("ink_serve_query_latency_ns_sum") / stat("ink_serve_queries_total").max(1.0) / 1e3,
     );
-    println!("session is back: {} ingests recorded", session.summary().ingests);
+    println!("session is back: {} ingests recorded", stat("ink_session_ingests_total"));
 }

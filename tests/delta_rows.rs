@@ -385,8 +385,9 @@ fn block_sharding_is_bitwise_stable_for_every_split() {
     }
 }
 
-/// Long-horizon drift (ROADMAP 5d's small brother): 2000 updates of ΔG = 8 on
-/// a 2048-vertex R-MAT graph. A delta row adds one rounding of its own per
+/// Long-horizon drift, a small stand-in for the ≥ 1M-event soak ROADMAP
+/// lists under "Break it on purpose": 2000 updates of ΔG = 8 on a
+/// 2048-vertex R-MAT graph. A delta row adds one rounding of its own per
 /// update to the cached `h`; the output must stay NaN-free and within 1e-5
 /// (relative) of full recomputation, the spot audit — whose chain check now
 /// measures that rounding — must stay inside the absolute tolerance a

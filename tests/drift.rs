@@ -5,6 +5,7 @@
 //! channel must be *detected* (never silently verified clean) and
 //! [`DriftAction::Resync`] must restore bitwise-correct output.
 
+use ink_bench::Scrape;
 use ink_graph::generators::erdos_renyi;
 use ink_graph::DeltaBatch;
 use ink_gnn::{Aggregator, Model};
@@ -136,11 +137,11 @@ fn nan_poison_is_detected_and_resynced() {
     // The resync healed the state bitwise.
     assert!(!session.engine().state_has_nan());
     assert_eq!(session.engine().output(), &session.engine().recompute_reference());
-    let drift = session.summary().drift;
-    assert_eq!(drift.nan_detected, 1);
-    assert_eq!(drift.breaches, 1);
-    assert_eq!(drift.resyncs, 1);
-    assert!(drift.resync_time > std::time::Duration::ZERO);
+    let drift = Scrape::of(session.metrics());
+    assert_eq!(drift.count("ink_drift_nan_detected_total"), 1);
+    assert_eq!(drift.count("ink_drift_breaches_total"), 1);
+    assert_eq!(drift.count("ink_drift_resyncs_total"), 1);
+    assert!(drift.count("ink_drift_resync_ns_total") > 0);
 
     // And the stream continues cleanly afterwards.
     let d = DeltaBatch::random_scenario(session.engine().graph(), &mut drng, 4);

@@ -2,6 +2,7 @@
 //! topologies, hostile inputs (NaN features, contradictory deltas), and the
 //! session-level drift guard.
 
+use ink_bench::Scrape;
 use ink_graph::generators::{barabasi_albert, rmat, watts_strogatz};
 use ink_graph::generators::rmat::RmatParams;
 use ink_graph::{DeltaBatch, DynGraph, EdgeChange};
@@ -146,7 +147,7 @@ fn accumulative_drift_is_bounded_over_long_streams() {
         let delta = DeltaBatch::random_scenario(session.engine().graph(), &mut drng, 6);
         session.ingest(&delta).expect("drift must stay under 1e-2");
     }
-    assert_eq!(session.summary().ingests, 50);
+    assert_eq!(Scrape::of(session.metrics()).count("ink_session_ingests_total"), 50);
 }
 
 /// A graph shrinking to empty and growing back.
