@@ -7,13 +7,13 @@
 //!    spot audit touches `O(samples · deg · dim)` state, so its cost must
 //!    stay flat while the full audit grows with `|V|` — the sublinearity
 //!    that makes per-ingest spot auditing affordable.
-//! 2. **Drift over time** — a sum-aggregation GCN streams ≥ 50 k edge
-//!    changes (100 ingests × 500 changes at full scale) twice over the same
-//!    delta sequence, with plain and with compensated (Neumaier)
-//!    accumulation, recording the authoritative full-audit drift at regular
-//!    checkpoints. Per-ingest spot audits run through the session's
-//!    [`DriftPolicy`], demonstrating audit wall time staying separate from
-//!    ingest latency.
+//! 2. **Drift over time** — the same GCN streams ≥ 50 k edge changes
+//!    (100 ingests × 500 changes at full scale) twice over the same delta
+//!    sequence, once with sum and once with mean aggregation — the two
+//!    accumulative update rules — recording the authoritative full-audit
+//!    drift at regular checkpoints. Per-ingest spot audits run through the
+//!    session's [`DriftPolicy`], demonstrating audit wall time staying
+//!    separate from ingest latency.
 
 use ink_bench::json::{rounded, Json};
 use ink_bench::{scenarios, write_metrics, write_results, BenchOpts, ModelKind, Scrape};
@@ -32,12 +32,12 @@ fn us(d: Duration) -> f64 {
     d.as_secs_f64() * 1e6
 }
 
-fn build_engine(n: usize, edges: usize, opts: &BenchOpts, cfg: UpdateConfig) -> InkStream {
+fn build_engine(n: usize, edges: usize, opts: &BenchOpts, agg: Aggregator) -> InkStream {
     let mut rng = seeded_rng(SEED);
     let graph = erdos_renyi(&mut rng, n, edges);
     let features = sparse_power_law(&mut rng, n, FEAT_DIM, 0.2, 0.9);
-    let model = ModelKind::Gcn.build(FEAT_DIM, opts, Aggregator::Sum, SEED);
-    InkStream::new(model, graph, features, cfg).unwrap()
+    let model = ModelKind::Gcn.build(FEAT_DIM, opts, agg, SEED);
+    InkStream::new(model, graph, features, UpdateConfig::default()).unwrap()
 }
 
 /// Experiment 1: spot vs. full audit cost across graph sizes.
@@ -48,7 +48,7 @@ fn audit_cost(opts: &BenchOpts) -> Vec<Json> {
     for mult in [1usize, 4, 16] {
         let n = base * mult;
         let edges = 3 * n;
-        let engine = build_engine(n, edges, opts, UpdateConfig::default());
+        let engine = build_engine(n, edges, opts, Aggregator::Sum);
         let mut rng = seeded_rng(SEED ^ mult as u64);
 
         let mut spot_us = 0.0;
@@ -84,8 +84,8 @@ fn audit_cost(opts: &BenchOpts) -> Vec<Json> {
     rows
 }
 
-/// Experiment 2: drift over a ≥ 50 k-change stream, plain vs. compensated.
-/// Returns the document plus the plain session's metrics registry, exported
+/// Experiment 2: drift over a ≥ 50 k-change stream, sum vs. mean.
+/// Returns the document plus the sum session's metrics registry, exported
 /// as `results/BENCH_drift.prom` by `main`.
 fn drift_stream(opts: &BenchOpts) -> (Json, std::sync::Arc<ink_obs::MetricsRegistry>) {
     let n = ((8_000.0 * opts.scale) as usize).max(600);
@@ -93,14 +93,9 @@ fn drift_stream(opts: &BenchOpts) -> (Json, std::sync::Arc<ink_obs::MetricsRegis
     let (batch, ingests) = if opts.quick { (100usize, 10usize) } else { (500, 100) };
     let checkpoints = 10usize.min(ingests);
 
-    let make_session = |compensated: bool| {
-        let cfg = if compensated {
-            UpdateConfig::default().compensated()
-        } else {
-            UpdateConfig::default()
-        };
+    let make_session = |agg: Aggregator| {
         StreamSession::with_config(
-            build_engine(n, edges, opts, cfg),
+            build_engine(n, edges, opts, agg),
             SessionConfig {
                 // Spot audits every ingest; tolerance is wide — this run
                 // *measures* drift, it doesn't police it.
@@ -109,31 +104,32 @@ fn drift_stream(opts: &BenchOpts) -> (Json, std::sync::Arc<ink_obs::MetricsRegis
             },
         )
     };
-    let mut plain = make_session(false);
-    let mut comp = make_session(true);
-    let deltas = scenarios(plain.engine().graph(), batch, ingests, SEED ^ 0xface);
+    let mut sum = make_session(Aggregator::Sum);
+    let mut mean = make_session(Aggregator::Mean);
+    let deltas = scenarios(sum.engine().graph(), batch, ingests, SEED ^ 0xface);
 
     let mut series = Vec::new();
     let mut changes_seen = 0usize;
     let mut changes_streamed = 0usize;
     for (i, delta) in deltas.iter().enumerate() {
-        let rp = plain.ingest(delta).expect("warn policy never fails");
-        let rc = comp.ingest(delta).expect("warn policy never fails");
-        changes_seen += rp.changes_applied;
-        changes_streamed += rp.changes_applied + rp.skipped;
-        assert_eq!(rp.changes_applied, rc.changes_applied, "same delta stream");
+        let rs = sum.ingest(delta).expect("warn policy never fails");
+        let rm = mean.ingest(delta).expect("warn policy never fails");
+        changes_seen += rs.changes_applied;
+        changes_streamed += rs.changes_applied + rs.skipped;
+        assert_eq!(rs.changes_applied, rm.changes_applied, "same delta stream");
         if (i + 1) % (ingests / checkpoints).max(1) == 0 {
-            let dp = plain.engine().audit_full();
-            let dc = comp.engine().audit_full();
+            let ds = sum.engine().audit_full();
+            let dm = mean.engine().audit_full();
             eprintln!(
-                "  stream {changes_seen} changes: drift plain={dp:.3e} compensated={dc:.3e} \
-                 (spot plain={:.3e})",
-                rp.verified_diff.unwrap_or(f32::NAN),
+                "  stream {changes_seen} changes: drift sum={ds:.3e} mean={dm:.3e} \
+                 (spot sum={:.3e} mean={:.3e})",
+                rs.verified_diff.unwrap_or(f32::NAN),
+                rm.verified_diff.unwrap_or(f32::NAN),
             );
             series.push(Json::obj([
                 ("changes", Json::from(changes_seen)),
-                ("full_drift_plain", Json::from(dp)),
-                ("full_drift_compensated", Json::from(dc)),
+                ("full_drift_sum", Json::from(ds)),
+                ("full_drift_mean", Json::from(dm)),
             ]));
         }
     }
@@ -155,11 +151,11 @@ fn drift_stream(opts: &BenchOpts) -> (Json, std::sync::Arc<ink_obs::MetricsRegis
         ("changes_streamed", Json::from(changes_streamed)),
         ("changes_applied", Json::from(changes_seen)),
         ("spot_policy", Json::obj([("every", Json::from(1u64)), ("samples", Json::from(SPOT_SAMPLES))])),
-        ("audit_stats_plain", stats(&plain)),
-        ("audit_stats_compensated", stats(&comp)),
+        ("audit_stats_sum", stats(&sum)),
+        ("audit_stats_mean", stats(&mean)),
         ("series", Json::Arr(series)),
     ]);
-    (doc, plain.metrics().clone())
+    (doc, sum.metrics().clone())
 }
 
 fn main() {

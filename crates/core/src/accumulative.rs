@@ -4,11 +4,13 @@
 //! neighborhood always evolves from the old one:
 //!
 //! * sum:  `α = α⁻ + Σ msg`
-//! * mean: `α = (α⁻·d⁻ + Σ msg_raw) / d` — the event payloads carry *raw*
-//!   message deltas (`Δm`, `+m`, `−m⁻`), and the degrees reconcile the
-//!   denominators. This is algebraically the paper's
-//!   `α = (d⁻/d)(α⁻ + Σ msg/d⁻)` form, written to avoid dividing each
-//!   payload.
+//! * mean: `α = α⁻ + (Σ msg_raw − α⁻·Δd)·(1/d)` — the event payloads carry
+//!   *raw* message deltas (`Δm`, `+m`, `−m⁻`), and the degree change `Δd`
+//!   reconciles the denominators. This is algebraically the paper's
+//!   `α = (d⁻/d)(α⁻ + Σ msg/d⁻)` form: `α·d = α⁻·d⁻ + Σ` with
+//!   `d⁻ = d − Δd`, written as a correction to `α⁻` so that no payload is
+//!   divided and an update that moves nothing leaves `α⁻` exactly as it was
+//!   (see `accumulate_in_place`).
 //!
 //! There is no pruning decision here: accumulative updates are always
 //! applied and always propagate (paper Algorithm 1, lines 18-21).
@@ -36,51 +38,37 @@
 //!
 //! A delta row needs nothing the full transform computes, so the engine
 //! commits it where its reduced payload is read: the apply phase updates the
-//! α row in place with `accumulate_in_place` — the per-channel expression
-//! of [`apply_accumulative_into`], no staging copy — and then the `h` row
-//! with `apply_delta_row`, both on rows its shard owns (see
-//! `pipeline::ShardRows`). The two change tests it returns are all the
-//! write phase still needs of the row.
+//! α row in place with `accumulate_in_place` and then the `h` row with
+//! `apply_delta_row`, both on rows its shard owns (see `pipeline::ShardRows`).
+//! The two change tests it returns are all the write phase still needs of
+//! the row.
 
 use ink_gnn::{Aggregator, Model};
 use ink_tensor::{Activation, Matrix};
 
-/// Applies the accumulative update: writes the new `α` into `out`.
+/// Applies the accumulative update in place: `alpha` holds `α⁻` on entry
+/// and `α` on return. Returns true when any channel changed bitwise — the
+/// apply phase's change test, without a second copy of the row to compare
+/// against.
 ///
 /// `degree_new` is the target's in-degree in the *current* graph;
-/// `degree_delta` is the net change contributed by ΔG events, so the old
-/// degree is `degree_new − degree_delta`.
+/// `degree_delta` is the net change `Δd` contributed by ΔG events, so the
+/// old degree is `degree_new − degree_delta`.
 ///
-/// With `compensated` the arithmetic widens to `f64` and rounds once per
-/// channel — for mean this replaces three `f32` roundings
-/// (`a·d⁻`, `+s`, `·1/d`) with one, which is the dominant per-round drift
-/// source on long streams (see DESIGN.md, "Drift auditing and resync").
-pub fn apply_accumulative_into(
-    agg: Aggregator,
-    alpha_old: &[f32],
-    sum: &[f32],
-    degree_new: usize,
-    degree_delta: i32,
-    compensated: bool,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(out.len(), alpha_old.len());
-    out.copy_from_slice(alpha_old);
-    accumulate_in_place(agg, out, sum, degree_new, degree_delta, compensated);
-}
-
-/// In-place form of [`apply_accumulative_into`]: `alpha` holds `α⁻` on
-/// entry and `α` on return, every channel computed by the same expression,
-/// so both forms agree bit for bit. Returns true when any channel changed
-/// bitwise — the apply phase's change test, without a second copy of the
-/// row to compare against.
+/// Mean is updated as `α⁻ + (Σ − α⁻·Δd)·(1/d)`, in `f32`. The textbook
+/// `(α⁻·d⁻ + Σ)·(1/d)` is biased: `fl(α·d)·fl(1/d)` need not round back to
+/// `α`, so even a zero `Σ` at an unchanged degree can move `α⁻`
+/// (`0.1·3·fl(1/3)` is `0.10000001`), and every update of the vertex pays
+/// that relative error again. Here the roundings touch only the correction
+/// term, which is exactly zero when nothing moved, and the result rounds
+/// once more when it is added to `α⁻`. An empty new neighborhood gives
+/// zeros, and an old-empty target (`α⁻ = 0`, `Δd = d`) gives `Σ·(1/d)`.
 pub(crate) fn accumulate_in_place(
     agg: Aggregator,
     alpha: &mut [f32],
     sum: &[f32],
     degree_new: usize,
     degree_delta: i32,
-    compensated: bool,
 ) -> bool {
     debug_assert!(agg.is_accumulative());
     debug_assert_eq!(alpha.len(), sum.len());
@@ -97,19 +85,17 @@ pub(crate) fn accumulate_in_place(
     match agg {
         Aggregator::Sum => update(alpha, sum, |a, s| a + s),
         Aggregator::Mean => {
-            let degree_old = degree_new as i64 - degree_delta as i64;
-            debug_assert!(degree_old >= 0, "degree bookkeeping went negative");
+            debug_assert!(
+                degree_new as i64 >= degree_delta as i64,
+                "degree bookkeeping went negative"
+            );
             if degree_new == 0 {
                 // Empty-neighborhood convention: zeros.
                 update(alpha, sum, |_, _| 0.0)
-            } else if compensated {
-                let d_old = degree_old as f64;
-                let inv_new = 1.0 / degree_new as f64;
-                update(alpha, sum, |a, s| ((a as f64 * d_old + s as f64) * inv_new) as f32)
             } else {
-                let d_old = degree_old as f32;
+                let dd = degree_delta as f32;
                 let inv_new = 1.0 / degree_new as f32;
-                update(alpha, sum, |a, s| (a * d_old + s) * inv_new)
+                update(alpha, sum, |a, s| a + (s - a * dd) * inv_new)
             }
         }
         _ => unreachable!("monotonic aggregators use apply_monotonic"),
@@ -171,17 +157,16 @@ mod tests {
     use ink_gnn::{Conv, GraphNorm, GraphNormMode, LayerDef, SageConv};
     use ink_tensor::init::seeded_rng;
 
-    /// The new `α` of [`apply_accumulative_into`], allocated.
+    /// The new `α` of `accumulate_in_place`, allocated.
     fn apply_accumulative(
         agg: Aggregator,
         alpha_old: &[f32],
         sum: &[f32],
         degree: usize,
         dd: i32,
-        compensated: bool,
     ) -> Vec<f32> {
-        let mut alpha = vec![0.0; alpha_old.len()];
-        apply_accumulative_into(agg, alpha_old, sum, degree, dd, compensated, &mut alpha);
+        let mut alpha = alpha_old.to_vec();
+        accumulate_in_place(agg, &mut alpha, sum, degree, dd);
         alpha
     }
 
@@ -239,7 +224,7 @@ mod tests {
         // h = α·W + g with W = [[1, 2], [0, -1]], g = (10, 20); mean over d = 2.
         let transform = |a: &[f32]| [a[0] + 10.0, 2.0 * a[0] - a[1] + 20.0];
         let (alpha_old, sum) = ([3.0f32, 1.0], [2.0f32, -4.0]);
-        let alpha_new = apply_accumulative(Aggregator::Mean, &alpha_old, &sum, 2, 0, false);
+        let alpha_new = apply_accumulative(Aggregator::Mean, &alpha_old, &sum, 2, 0);
         let w_sum = [sum[0], 2.0 * sum[0] - sum[1]];
         let mut h = transform(&alpha_old);
         let scale = delta_row_scale(Aggregator::Mean, 2, 0).unwrap();
@@ -248,41 +233,69 @@ mod tests {
         assert!(!apply_delta_row(&mut h, scale, &[0.0, 0.0]), "a zero delta changes nothing");
     }
 
-    /// The in-place commit of a delta row and the staged update agree bit
-    /// for bit, and its change test is the row comparison.
+    /// The change test is the row comparison, for both aggregators and for
+    /// growing, shrinking, stable and emptied neighborhoods.
     #[test]
-    fn in_place_update_matches_the_staged_one_bitwise() {
+    fn change_test_is_the_row_comparison() {
         let alpha_old = [0.1f32, -3.7, 2.5e7, 0.0, 1.0 / 3.0];
         let sum = [0.3f32, 3.7, 1.0, 0.0, -1.0e-9];
         for agg in [Aggregator::Sum, Aggregator::Mean] {
             for (degree, dd) in [(7usize, 0i32), (8, 1), (3, -2), (0, -1)] {
-                for compensated in [false, true] {
-                    let staged =
-                        apply_accumulative(agg, &alpha_old, &sum, degree, dd, compensated);
-                    let mut alpha = alpha_old;
-                    let changed =
-                        accumulate_in_place(agg, &mut alpha, &sum, degree, dd, compensated);
-                    let bits = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    let what = format!("{agg:?} d={degree} dd={dd} compensated={compensated}");
-                    assert_eq!(bits(&alpha), bits(&staged), "{what}");
-                    assert_eq!(changed, staged[..] != alpha_old[..], "{what}");
-                }
+                let mut alpha = alpha_old;
+                let changed = accumulate_in_place(agg, &mut alpha, &sum, degree, dd);
+                assert_eq!(changed, alpha != alpha_old, "{agg:?} d={degree} dd={dd}");
             }
         }
         let mut alpha = [1.0f32, 2.0];
-        assert!(!accumulate_in_place(Aggregator::Sum, &mut alpha, &[0.0, -0.0], 2, 0, false));
+        assert!(!accumulate_in_place(Aggregator::Sum, &mut alpha, &[0.0, -0.0], 2, 0));
+    }
+
+    /// The mean update is unbiased: at an unchanged degree a zero sum leaves
+    /// α bitwise where it was and reports no change, for every degree, where
+    /// `(α·d)·(1/d)` moves 0.1 to 0.10000001 at d = 3. An old-empty target
+    /// gets `Σ·(1/d)` bit for bit, and a case where the textbook form's
+    /// intermediate `α·d⁻ + Σ` rounds still lands on the nearest `f32`. The
+    /// rows are 37 channels wide, so a release build runs the vectorized
+    /// loop body as well as its scalar tail.
+    #[test]
+    fn mean_update_is_unbiased() {
+        const DIM: usize = 37;
+        let values = [0.1f32, -3.7, 1.0 / 3.0, 2.5e7, 0.7, -1.0e-3];
+        let alpha: Vec<f32> = (0..DIM).map(|c| values[c % values.len()]).collect();
+        let bits = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for degree in 2..12usize {
+            let mut row = alpha.clone();
+            let changed = accumulate_in_place(Aggregator::Mean, &mut row, &[0.0; DIM], degree, 0);
+            assert_eq!(bits(&row), bits(&alpha), "d={degree}");
+            assert!(!changed, "d={degree}");
+        }
+
+        // An old-empty target (α⁻ = 0, Δd = d) takes Σ·(1/d) as it is.
+        let sum: Vec<f32> = (0..DIM).map(|c| values[(c + 1) % values.len()] * 0.3).collect();
+        for degree in 1..12usize {
+            let got = apply_accumulative(Aggregator::Mean, &[0.0; DIM], &sum, degree, degree as i32);
+            let inv = 1.0 / degree as f32;
+            let want: Vec<f32> = sum.iter().map(|&s| s * inv).collect();
+            assert_eq!(bits(&got), bits(&want), "d={degree}");
+        }
+
+        let (a, s) = (0.1f32, 0.3f32);
+        let exact = (a as f64 * 7.0 + s as f64) / 8.0;
+        let got = apply_accumulative(Aggregator::Mean, &[a], &[s], 8, 1)[0];
+        let half_ulp = (got.next_up() - got) as f64 / 2.0;
+        assert!((got as f64 - exact).abs() <= half_ulp, "{got} is not {exact} rounded");
     }
 
     #[test]
     fn sum_adds_payload() {
-        let alpha = apply_accumulative(Aggregator::Sum, &[1.0, 2.0], &[0.5, -1.0], 3, 0, false);
+        let alpha = apply_accumulative(Aggregator::Sum, &[1.0, 2.0], &[0.5, -1.0], 3, 0);
         assert_eq!(alpha, vec![1.5, 1.0]);
     }
 
     #[test]
     fn sum_ignores_degree() {
-        let a = apply_accumulative(Aggregator::Sum, &[1.0], &[1.0], 5, 2, false);
-        let b = apply_accumulative(Aggregator::Sum, &[1.0], &[1.0], 9, -3, false);
+        let a = apply_accumulative(Aggregator::Sum, &[1.0], &[1.0], 5, 2);
+        let b = apply_accumulative(Aggregator::Sum, &[1.0], &[1.0], 9, -3);
         assert_eq!(a, b);
     }
 
@@ -290,7 +303,7 @@ mod tests {
     fn mean_with_stable_degree() {
         // α⁻ = mean of 2 msgs = 3.0 (total 6.0); one neighbor changed by +2.0
         // (raw), degree unchanged → new mean = 8/2 = 4.0.
-        let alpha = apply_accumulative(Aggregator::Mean, &[3.0], &[2.0], 2, 0, false);
+        let alpha = apply_accumulative(Aggregator::Mean, &[3.0], &[2.0], 2, 0);
         assert_eq!(alpha, vec![4.0]);
     }
 
@@ -298,7 +311,7 @@ mod tests {
     fn mean_with_inserted_edge() {
         // Old: 2 neighbors, mean 3.0 (total 6.0). Insert a neighbor with
         // message 9.0 → new mean = 15/3 = 5.0.
-        let alpha = apply_accumulative(Aggregator::Mean, &[3.0], &[9.0], 3, 1, false);
+        let alpha = apply_accumulative(Aggregator::Mean, &[3.0], &[9.0], 3, 1);
         assert_eq!(alpha, vec![5.0]);
     }
 
@@ -306,46 +319,20 @@ mod tests {
     fn mean_with_removed_edge() {
         // Old: 3 neighbors, mean 5.0 (total 15.0). Remove a neighbor whose
         // message was 9.0 (payload −9) → new mean = 6/2 = 3.0.
-        let alpha = apply_accumulative(Aggregator::Mean, &[5.0], &[-9.0], 2, -1, false);
+        let alpha = apply_accumulative(Aggregator::Mean, &[5.0], &[-9.0], 2, -1);
         assert_eq!(alpha, vec![3.0]);
     }
 
     #[test]
     fn mean_losing_all_neighbors_goes_to_zero() {
-        let alpha = apply_accumulative(Aggregator::Mean, &[5.0, -2.0], &[-5.0, 2.0], 0, -1, false);
+        let alpha = apply_accumulative(Aggregator::Mean, &[5.0, -2.0], &[-5.0, 2.0], 0, -1);
         assert_eq!(alpha, vec![0.0, 0.0]);
     }
 
     #[test]
     fn mean_first_neighbor_from_empty() {
         // Old degree 0 (α⁻ = 0 by convention); insert a neighbor with message 7.
-        let alpha = apply_accumulative(Aggregator::Mean, &[0.0], &[7.0], 1, 1, false);
+        let alpha = apply_accumulative(Aggregator::Mean, &[0.0], &[7.0], 1, 1);
         assert_eq!(alpha, vec![7.0]);
-    }
-
-    #[test]
-    fn compensated_mean_agrees_on_exact_cases() {
-        for (alpha, sum, d, dd, want) in [
-            (vec![3.0f32], vec![2.0f32], 2usize, 0i32, vec![4.0f32]),
-            (vec![3.0], vec![9.0], 3, 1, vec![5.0]),
-            (vec![5.0], vec![-9.0], 2, -1, vec![3.0]),
-        ] {
-            assert_eq!(apply_accumulative(Aggregator::Mean, &alpha, &sum, d, dd, true), want);
-        }
-    }
-
-    #[test]
-    fn compensated_mean_rounds_once() {
-        // Values chosen so the f32 intermediate (a·d⁻ + s) rounds: the
-        // widened path must land at least as close to the exact answer.
-        let a = [0.1f32];
-        let s = [0.3f32];
-        let exact = (0.1f64 * 7.0 + 0.3f32 as f64) / 8.0;
-        let plain = apply_accumulative(Aggregator::Mean, &a, &s, 8, 1, false)[0];
-        let comp = apply_accumulative(Aggregator::Mean, &a, &s, 8, 1, true)[0];
-        assert!(
-            (comp as f64 - exact).abs() <= (plain as f64 - exact).abs(),
-            "compensated ({comp}) must be no further from exact ({exact}) than plain ({plain})"
-        );
     }
 }

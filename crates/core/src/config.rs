@@ -46,17 +46,11 @@ pub struct UpdateConfig {
     /// targets. `false` is the scalar oracle ([`UpdateConfig::sequential`]):
     /// one worker, one shard, no threads, per-node transform.
     pub parallel: bool,
-    /// Compensated (Neumaier) accumulation for the sum/mean incremental
-    /// path: the group-reduce phase carries a per-slot error channel and the
-    /// α update widens to `f64`, cutting the per-round rounding error that
-    /// drift audits exist to bound. Off by default — it costs extra
-    /// arithmetic and the monotonic path never needs it.
-    pub compensated: bool,
 }
 
 impl Default for UpdateConfig {
     fn default() -> Self {
-        Self { pruning: true, parallel: true, compensated: false }
+        Self { pruning: true, parallel: true }
     }
 }
 
@@ -79,13 +73,6 @@ impl UpdateConfig {
         self.parallel = false;
         self
     }
-
-    /// Enables compensated (Neumaier) accumulation on the sum/mean
-    /// incremental path.
-    pub fn compensated(mut self) -> Self {
-        self.compensated = true;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -106,11 +93,5 @@ mod tests {
     #[test]
     fn sequential_turns_off_rayon() {
         assert!(!UpdateConfig::full().sequential().parallel);
-    }
-
-    #[test]
-    fn compensated_is_opt_in() {
-        assert!(!UpdateConfig::default().compensated);
-        assert!(UpdateConfig::default().compensated().compensated);
     }
 }

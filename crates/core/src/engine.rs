@@ -1040,28 +1040,12 @@ mod tests {
     }
 
     #[test]
-    fn compensated_engine_matches_plain_on_monotonic_bitwise() {
-        let make = |cfg: UpdateConfig| {
-            let mut rng = seeded_rng(12);
-            let model = Model::gcn(&mut rng, &[4, 5, 3], Aggregator::Max);
-            InkStream::new(model, ring(16), feats(16, 4), cfg).unwrap()
-        };
-        let delta = DeltaBatch::new(vec![EdgeChange::insert(0, 8), EdgeChange::remove(3, 4)]);
-        let mut plain = make(UpdateConfig::default());
-        let mut comp = make(UpdateConfig::default().compensated());
-        plain.apply_delta(&delta);
-        comp.apply_delta(&delta);
-        assert_eq!(plain.output(), comp.output(), "compensation must not touch max/min");
-    }
-
-    #[test]
-    fn compensated_engine_stays_within_tolerance_on_accumulative() {
+    fn accumulative_engine_stays_within_tolerance() {
         for agg in [Aggregator::Sum, Aggregator::Mean] {
             let mut rng = seeded_rng(13);
             let model = Model::gcn(&mut rng, &[4, 5, 3], agg);
             let mut engine =
-                InkStream::new(model, ring(16), feats(16, 4), UpdateConfig::default().compensated())
-                    .unwrap();
+                InkStream::new(model, ring(16), feats(16, 4), UpdateConfig::default()).unwrap();
             for i in 0..8u32 {
                 engine.apply_delta(&DeltaBatch::new(vec![EdgeChange::insert(i, i + 8)]));
                 engine.apply_delta(&DeltaBatch::new(vec![EdgeChange::remove(i, i + 8)]));

@@ -50,9 +50,7 @@
 //! pooled in the engine and reused across rounds, so steady-state updates
 //! allocate nothing in the generate and group phases.
 
-use crate::accumulative::{
-    accumulate_in_place, apply_accumulative_into, apply_delta_row, delta_row_scale, delta_weight,
-};
+use crate::accumulative::{accumulate_in_place, apply_delta_row, delta_row_scale, delta_weight};
 use crate::config::{UpdateConfig, BATCH_MIN_TARGETS, PARALLEL_MIN_ITEMS};
 use crate::event::{Event, EventOp};
 use crate::monotonic::{apply_monotonic_into, Condition};
@@ -299,13 +297,10 @@ pub(crate) fn group(plan: &LayerPlan, rs: &mut RoundState) {
     let run = |(s, shard): (usize, &mut ShardScratch)| {
         shard.begin();
         for ws in workers {
-            shard.reduce_bucket(&ws.dg[s], &ws.arena, plan.agg, cfg.compensated);
+            shard.reduce_bucket(&ws.dg[s], &ws.arena, plan.agg);
         }
         for ws in workers {
-            shard.reduce_bucket(&ws.fx[s], &ws.arena, plan.agg, cfg.compensated);
-        }
-        if cfg.compensated && !plan.agg.is_monotonic() {
-            shard.fold_compensation();
+            shard.reduce_bucket(&ws.fx[s], &ws.arena, plan.agg);
         }
     };
     fan_out(cfg.parallel, rs.layer.events_created, shards, 1, |(s, shard)| run((s, &mut shard[0])));
@@ -327,7 +322,7 @@ pub(crate) fn apply(
     let ScratchPool { shards, block_rank, old, .. } = &mut rs.scratch;
     let shards = &mut shards[..ns];
     let FullState { m, alpha, h, .. } = state;
-    let ctx = ApplyCtx { plan, cfg, graph, m_l: &m[l], old };
+    let ctx = ApplyCtx { plan, graph, m_l: &m[l], old };
     if plan.blocked() {
         let rows = ShardRows::split(&mut alpha[l], h, ns, block_rank);
         let mut work: Vec<_> =
@@ -352,7 +347,6 @@ pub(crate) fn apply(
 /// What every shard of one apply phase reads.
 struct ApplyCtx<'a> {
     plan: &'a LayerPlan,
-    cfg: UpdateConfig,
     graph: &'a DynGraph,
     m_l: &'a Matrix,
     old: &'a OldMsgs,
@@ -376,7 +370,7 @@ struct ApplyCtx<'a> {
 /// line, the delta-row loop of `engine_accum` ran 15–25 % slower.
 #[inline(always)]
 fn apply_shard(ctx: &ApplyCtx<'_>, shard: &mut ShardScratch, alpha_rows: &mut AlphaRows) {
-    let ApplyCtx { plan, cfg, graph, m_l, old } = *ctx;
+    let ApplyCtx { plan, graph, m_l, old } = *ctx;
     let (l, agg, dim, tail) = (plan.layer, plan.agg, plan.dim, plan.tail);
     let mono = agg.is_monotonic();
     let ShardScratch {
@@ -423,14 +417,7 @@ fn apply_shard(ctx: &ApplyCtx<'_>, shard: &mut ShardScratch, alpha_rows: &mut Al
             if let Some(scale) = scale {
                 let (sum, w_sum) = acc_slot_in(buf, e.add, dim, tail);
                 let (alpha_row, h_row) = owned.rows_mut(u);
-                let changed = accumulate_in_place(
-                    agg,
-                    alpha_row,
-                    sum,
-                    degree,
-                    e.degree_delta,
-                    cfg.compensated,
-                );
+                let changed = accumulate_in_place(agg, alpha_row, sum, degree, e.degree_delta);
                 outcomes.push(ApplyOutcome {
                     cond: CondKind::Acc,
                     reads: dim as u64,
@@ -450,13 +437,12 @@ fn apply_shard(ctx: &ApplyCtx<'_>, shard: &mut ShardScratch, alpha_rows: &mut Al
         let out = &mut alpha_buf[start..start + dim];
         let alpha_old = alpha_rows.alpha(u);
         let mut reads = dim as u64;
-        let mut repaired = false;
-        let cond = if mono {
+        let (cond, changed) = if mono {
             if degree as i64 - e.degree_delta as i64 <= 0 {
                 rebuild_empty_old(agg, graph, m_l, u, out);
                 reads += (degree * dim) as u64;
                 *batched_apply_rows += degree;
-                CondKind::Mono(Condition::ExposedReset)
+                (CondKind::Mono(Condition::ExposedReset), &*out != alpha_old)
             } else {
                 let from = exposed.len();
                 let condition = apply_monotonic_into(
@@ -467,27 +453,27 @@ fn apply_shard(ctx: &ApplyCtx<'_>, shard: &mut ShardScratch, alpha_rows: &mut Al
                     out,
                     exposed,
                 );
-                if condition == Condition::ExposedReset {
+                let changed = if condition == Condition::ExposedReset {
                     // `out` is exact everywhere but on the exposed channels:
-                    // the repair loop below re-aggregates just those.
+                    // the repair loop below re-aggregates just those, and
+                    // backfills `changed` once the row is final.
                     let channels = exposed.len() - from;
                     reads += (degree * channels) as u64;
                     *exposed_channels += channels;
                     *exposed_rows += degree;
                     let (from, to) = (from as u32, exposed.len() as u32);
                     repairs.push(Repair { entry: i as u32, staged, from, to });
-                    repaired = true;
-                }
-                CondKind::Mono(condition)
+                    false
+                } else {
+                    &*out != alpha_old
+                };
+                (CondKind::Mono(condition), changed)
             }
         } else {
             let (sum, _) = acc_slot_in(buf, e.add, dim, tail);
-            let comp = cfg.compensated;
-            apply_accumulative_into(agg, alpha_old, sum, degree, e.degree_delta, comp, out);
-            CondKind::Acc
+            out.copy_from_slice(alpha_old);
+            (CondKind::Acc, accumulate_in_place(agg, out, sum, degree, e.degree_delta))
         };
-        // `changed` of a repaired entry is backfilled once its α is final.
-        let changed = !repaired && &*out != alpha_old;
         outcomes.push(ApplyOutcome { cond, reads, changed, staged, output_changed: false });
     }
     // Exposed repair: reset each listed channel and fold it over the

@@ -262,11 +262,6 @@ pub(crate) struct ShardScratch {
     pub entries: Vec<GroupEntry>,
     /// The reduced payloads, one slot per [`GroupEntry`] side.
     pub buf: Vec<f32>,
-    /// Neumaier compensation channel parallel to `buf`, used only when the
-    /// engine runs with [`crate::UpdateConfig::compensated`] on an
-    /// accumulative layer. [`ShardScratch::fold_compensation`] folds it into
-    /// the sums once all buckets are reduced.
-    comp: Vec<f32>,
     pub outcomes: Vec<ApplyOutcome>,
     /// New α rows the write phase commits, one per outcome with a
     /// `staged` row — delta rows, committed in place, take none.
@@ -293,7 +288,6 @@ impl ShardScratch {
         self.index.clear();
         self.entries.clear();
         self.buf.clear();
-        self.comp.clear();
         self.outcomes.clear();
         self.alpha_buf.clear();
         self.payload_reads = 0;
@@ -313,19 +307,10 @@ impl ShardScratch {
     /// Reduces one bucket of events (all targeting this shard) into the
     /// group entries, in bucket order. A slot is as wide as the arena's
     /// payloads — the message, plus the transformed tail on a delta-rule
-    /// layer, which is summed in the same slot. With `compensated`,
-    /// accumulative slots carry a Neumaier error channel in `comp`; call
-    /// [`ShardScratch::fold_compensation`] after the last bucket.
-    pub fn reduce_bucket(
-        &mut self,
-        events: &[Event],
-        arena: &PayloadArena,
-        agg: Aggregator,
-        compensated: bool,
-    ) {
+    /// layer, which is summed in the same slot.
+    pub fn reduce_bucket(&mut self, events: &[Event], arena: &PayloadArena, agg: Aggregator) {
         let dim = arena.dim();
         let mono = agg.is_monotonic();
-        let compensated = compensated && !mono;
         for ev in events {
             let payload = arena.get(ev.payload);
             self.payload_reads += dim;
@@ -364,16 +349,10 @@ impl ShardScratch {
             if *slot == NO_SLOT {
                 *slot = (self.buf.len() / dim.max(1)) as u32;
                 self.buf.extend_from_slice(payload);
-                if compensated {
-                    self.comp.resize(self.buf.len(), 0.0);
-                }
             } else {
-                let range = *slot as usize * dim..(*slot as usize + 1) * dim;
-                let acc = &mut self.buf[range.clone()];
+                let acc = &mut self.buf[*slot as usize * dim..(*slot as usize + 1) * dim];
                 if mono {
                     agg.combine_into(acc, payload);
-                } else if compensated {
-                    ink_tensor::ops::neumaier_add_assign(acc, &mut self.comp[range], payload);
                 } else {
                     ink_tensor::ops::add_assign(acc, payload);
                 }
@@ -381,19 +360,10 @@ impl ShardScratch {
         }
     }
 
-    /// Folds the Neumaier error channel into the accumulated sums. Call once
-    /// after every bucket of a compensated accumulative layer has been
-    /// reduced; a no-op otherwise (`comp` stays empty).
-    pub fn fold_compensation(&mut self) {
-        for (s, c) in self.buf.iter_mut().zip(&self.comp) {
-            *s += c;
-        }
-    }
-
     fn bytes(&self) -> usize {
         self.index.capacity() * std::mem::size_of::<(VertexId, u32)>()
             + self.entries.capacity() * std::mem::size_of::<GroupEntry>()
-            + (self.buf.capacity() + self.comp.capacity() + self.alpha_buf.capacity())
+            + (self.buf.capacity() + self.alpha_buf.capacity())
                 * std::mem::size_of::<f32>()
             + self.outcomes.capacity() * std::mem::size_of::<ApplyOutcome>()
             + self.exposed.capacity() * std::mem::size_of::<u32>()
@@ -663,7 +633,7 @@ mod tests {
             for (s, shard) in shards.iter_mut().enumerate() {
                 shard.begin();
                 for ws in &workers {
-                    shard.reduce_bucket(&ws.dg[s], &ws.arena, agg, false);
+                    shard.reduce_bucket(&ws.dg[s], &ws.arena, agg);
                 }
                 total_entries += shard.entries.len();
                 for e in &shard.entries {
@@ -689,27 +659,6 @@ mod tests {
             );
             let reads: usize = shards.iter().map(|s| s.payload_reads).sum();
             assert_eq!(reads, reference.payload_values_read);
-        }
-    }
-
-    /// A cancellation stream (big, tiny, −big) through one accumulative slot:
-    /// the plain reduce loses the tiny value to rounding, the compensated
-    /// reduce recovers it from the error channel.
-    #[test]
-    fn compensated_reduce_keeps_cancelled_tail() {
-        let dim = 1;
-        let tiny = 2.0_f32.powi(-40);
-        let mut arena = PayloadArena::new(dim);
-        let events: Vec<Event> = [3.0e7f32, tiny, -3.0e7]
-            .iter()
-            .map(|&v| ev(EventOp::Update, 0, arena.push(&[v]), 0))
-            .collect();
-        for (compensated, want) in [(false, 0.0f32), (true, tiny)] {
-            let mut shard = ShardScratch::default();
-            shard.begin();
-            shard.reduce_bucket(&events, &arena, Aggregator::Sum, compensated);
-            shard.fold_compensation();
-            assert_eq!(shard.slot(shard.entries[0].add, dim), Some(&[want][..]));
         }
     }
 

@@ -7,8 +7,8 @@
 //!   maximum observed drift).
 //! * [`Histogram`] — fixed-bucket log-scale distribution of `u64` samples
 //!   (latencies in nanoseconds). Recording is lock-free and allocation-free:
-//!   every sample is three `fetch_add`s plus a `fetch_min`/`fetch_max`, with
-//!   the bucket array preallocated at registration time.
+//!   every sample is three `fetch_add`s, with the bucket array preallocated
+//!   at registration time.
 //!
 //! Instruments are handed out as `Arc`s by a [`MetricsRegistry`], which owns
 //! the name → instrument table and renders the whole set as Prometheus text
@@ -147,15 +147,13 @@ impl Gauge {
 /// The record path ([`Histogram::record`]) touches only preallocated atomics —
 /// no locks, no allocation — so it is safe on the hot pipeline path. Quantile
 /// estimates ([`Histogram::quantile`]) return the inclusive upper bound of the
-/// bucket holding the requested rank (clamped to the exact observed maximum),
-/// which keeps them within one bucket boundary of the exact sample quantile.
+/// bucket holding the requested rank, which keeps them within one bucket
+/// boundary of the exact sample quantile.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: Box<[AtomicU64; NUM_BUCKETS]>,
     count: AtomicU64,
     sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
 }
 
 impl Default for Histogram {
@@ -168,8 +166,6 @@ impl Default for Histogram {
             buckets,
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
         }
     }
 }
@@ -210,8 +206,6 @@ impl Histogram {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Number of recorded samples.
@@ -224,26 +218,11 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Exact minimum recorded sample, or 0 when empty.
-    pub fn min(&self) -> u64 {
-        let m = self.min.load(Ordering::Relaxed);
-        if m == u64::MAX && self.count() == 0 {
-            0
-        } else {
-            m
-        }
-    }
-
-    /// Exact maximum recorded sample.
-    pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
-    }
-
     /// Estimates the `q`-quantile (`0.0 ..= 1.0`) of the recorded samples.
     ///
     /// Returns the inclusive upper bound of the bucket containing the sample
-    /// of rank `ceil(q * count)`, clamped to the exact observed maximum. The
-    /// estimate is therefore always `>=` the exact quantile and lies in the
+    /// of rank `ceil(q * count)`. The estimate is therefore always `>=` the
+    /// exact quantile and lies in the
     /// same bucket, bounding the error by one bucket width (≤ 12.5 %
     /// relative).
     pub fn quantile(&self, q: f64) -> u64 {
@@ -257,11 +236,12 @@ impl Histogram {
         for i in 0..NUM_BUCKETS {
             cum += self.buckets[i].load(Ordering::Relaxed);
             if cum >= target {
-                let (_, upper) = bucket_bounds(i);
-                return upper.min(self.max());
+                return bucket_bounds(i).1;
             }
         }
-        self.max()
+        // Only reachable while a concurrent `record` has bumped `count` but
+        // not yet its bucket: the rank lies beyond every bucket read.
+        u64::MAX
     }
 
     /// Raw per-bucket counts (relaxed snapshot; may be mid-update under
@@ -547,18 +527,15 @@ mod tests {
         }
         assert_eq!(h.count(), 1000);
         assert_eq!(h.sum(), 500_500);
-        assert_eq!(h.min(), 1);
-        assert_eq!(h.max(), 1000);
         // p50 exact = 500; estimate must land in the same log bucket.
         let p50 = h.quantile(0.5);
         assert_eq!(bucket_index(p50), bucket_index(500));
         assert!(p50 >= 500);
-        // p100 clamps to the exact max.
-        assert_eq!(h.quantile(1.0), 1000);
+        // p100 is the upper bound of 1000's bucket, [960, 1023].
+        assert_eq!(h.quantile(1.0), 1023);
         // Empty histogram is all zeros.
         let empty = Histogram::new();
         assert_eq!(empty.quantile(0.99), 0);
-        assert_eq!(empty.min(), 0);
     }
 
     #[test]

@@ -65,7 +65,5 @@ fn concurrent_recording_is_lossless() {
     let n = THREADS * PER_THREAD;
     assert_eq!(h.count(), n);
     assert_eq!(h.sum(), n * (n - 1) / 2);
-    assert_eq!(h.min(), 0);
-    assert_eq!(h.max(), n - 1);
     assert_eq!(h.bucket_counts().iter().sum::<u64>(), n);
 }

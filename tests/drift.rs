@@ -20,12 +20,7 @@ use rand::SeedableRng;
 const AGGS: [Aggregator; 4] =
     [Aggregator::Max, Aggregator::Min, Aggregator::Sum, Aggregator::Mean];
 
-fn build_engine(
-    seed: u64,
-    agg: Aggregator,
-    model_pick: usize,
-    compensated: bool,
-) -> (InkStream, StdRng) {
+fn build_engine(seed: u64, agg: Aggregator, model_pick: usize) -> (InkStream, StdRng) {
     let mut rng = seeded_rng(seed);
     let g = erdos_renyi(&mut rng, 30, 60);
     let x = uniform(&mut rng, 30, 4, -1.0, 1.0);
@@ -38,10 +33,8 @@ fn build_engine(
     // neighborhood was empty; exposed resets repair their channels in place
     // — folds its whole neighborhood, so those are audited against full
     // recompute as well.
-    let base = UpdateConfig::default();
-    let cfg = if compensated { base.compensated() } else { base };
     let drng = StdRng::seed_from_u64(seed ^ 0xd41f);
-    (InkStream::new(model, g, x, cfg).unwrap(), drng)
+    (InkStream::new(model, g, x, UpdateConfig::default()).unwrap(), drng)
 }
 
 proptest! {
@@ -49,18 +42,16 @@ proptest! {
 
     /// Differential stream: many rounds of random insert/delete batches,
     /// incremental vs. full recompute. Monotonic aggregation must stay
-    /// bitwise identical; accumulative drift must stay bounded and NaN-free
-    /// (with and without compensated accumulation).
+    /// bitwise identical; accumulative drift must stay bounded and NaN-free.
     #[test]
     fn incremental_tracks_recompute_over_streams(
         seed in 0u64..1000,
         rounds in 8usize..20,
         agg_pick in 0usize..4,
         model_pick in 0usize..3,
-        compensated in proptest::bool::ANY,
     ) {
         let agg = AGGS[agg_pick];
-        let (mut engine, mut drng) = build_engine(seed, agg, model_pick, compensated);
+        let (mut engine, mut drng) = build_engine(seed, agg, model_pick);
         for _ in 0..rounds {
             let delta = DeltaBatch::random_scenario(engine.graph(), &mut drng, 5);
             engine.apply_delta(&delta);
@@ -88,7 +79,7 @@ proptest! {
         agg_pick in 0usize..4,
     ) {
         let agg = AGGS[agg_pick];
-        let (mut engine, mut drng) = build_engine(seed, agg, 0, false);
+        let (mut engine, mut drng) = build_engine(seed, agg, 0);
         for _ in 0..4 {
             let delta = DeltaBatch::random_scenario(engine.graph(), &mut drng, 4);
             engine.apply_delta(&delta);
@@ -109,7 +100,7 @@ proptest! {
 /// bitwise equal to `recompute_reference()`.
 #[test]
 fn nan_poison_is_detected_and_resynced() {
-    let (engine, mut drng) = build_engine(42, Aggregator::Sum, 0, false);
+    let (engine, mut drng) = build_engine(42, Aggregator::Sum, 0);
     let mut session = StreamSession::with_config(
         engine,
         SessionConfig {
@@ -153,7 +144,7 @@ fn nan_poison_is_detected_and_resynced() {
 /// audit finds it once the sampler lands on it.
 #[test]
 fn spot_audit_detects_poisoned_vertex() {
-    let (mut engine, _) = build_engine(43, Aggregator::Mean, 0, false);
+    let (mut engine, _) = build_engine(43, Aggregator::Mean, 0);
     engine.state_mut().alpha[1].set(7, 0, f32::NAN);
     assert!(engine.audit_vertex(7).is_nan());
     // Vertices away from the poison still audit clean (m rows are intact).
@@ -167,7 +158,7 @@ fn spot_audit_detects_poisoned_vertex() {
 /// report with the already-applied work.
 #[test]
 fn fail_action_preserves_ingest_report() {
-    let (engine, mut drng) = build_engine(44, Aggregator::Max, 0, false);
+    let (engine, mut drng) = build_engine(44, Aggregator::Max, 0);
     let mut session = StreamSession::with_config(
         engine,
         SessionConfig {
@@ -184,36 +175,6 @@ fn fail_action_preserves_ingest_report() {
     assert!(err.report.drift_breached);
 }
 
-/// Compensated accumulation is never worse than plain over a long stream of
-/// the same deltas, and the monotonic path is untouched by the flag.
-#[test]
-fn compensated_mode_is_no_worse_and_mono_safe() {
-    // Monotonic: bitwise identical outputs with the flag on.
-    let (mut plain, mut drng) = build_engine(45, Aggregator::Max, 0, false);
-    let (mut comp, _) = build_engine(45, Aggregator::Max, 0, true);
-    for _ in 0..6 {
-        let delta = DeltaBatch::random_scenario(plain.graph(), &mut drng, 5);
-        plain.apply_delta(&delta);
-        comp.apply_delta(&delta);
-    }
-    assert_eq!(plain.output(), comp.output());
-
-    // Accumulative: both bounded; the compensated engine audits finite too.
-    for agg in [Aggregator::Sum, Aggregator::Mean] {
-        let (mut plain, mut drng) = build_engine(46, agg, 0, false);
-        let (mut comp, _) = build_engine(46, agg, 0, true);
-        for _ in 0..20 {
-            let delta = DeltaBatch::random_scenario(plain.graph(), &mut drng, 5);
-            plain.apply_delta(&delta);
-            comp.apply_delta(&delta);
-        }
-        let dp = plain.audit_full();
-        let dc = comp.audit_full();
-        assert!(dp.is_finite() && dc.is_finite(), "{agg:?}: {dp} / {dc}");
-        assert!(dc < 1e-3, "{agg:?}: compensated drift {dc}");
-    }
-}
-
 /// A deep dynamic stream on a graph that churns heavily still audits clean
 /// for every model family (regression net for the chain-consistency check in
 /// `audit_vertex` across conv types).
@@ -221,7 +182,7 @@ fn compensated_mode_is_no_worse_and_mono_safe() {
 fn chain_audit_holds_for_all_model_families() {
     for model_pick in 0..3 {
         for agg in AGGS {
-            let (mut engine, mut drng) = build_engine(47, agg, model_pick, false);
+            let (mut engine, mut drng) = build_engine(47, agg, model_pick);
             for _ in 0..3 {
                 let delta = DeltaBatch::random_scenario(engine.graph(), &mut drng, 6);
                 engine.apply_delta(&delta);
